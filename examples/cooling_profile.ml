@@ -1,5 +1,5 @@
-(* Watch the walk: the Traced wrapper records the cost of every
-   proposed configuration without touching the engines, so we can plot
+(* Watch the walk: a trajectory observer records the cost of every
+   proposed configuration without touching the problem, so we can plot
    (in ASCII) how six-temperature annealing's trajectory differs from
    g = 1's on the same instance — annealing wanders high while hot and
    condenses as the schedule cools; g = 1 descends immediately and
@@ -7,8 +7,7 @@
 
    Run with: dune exec examples/cooling_profile.exe *)
 
-module Traced_swap = Traced.Make (Linarr_problem.Swap)
-module Engine = Figure1.Make (Traced_swap)
+module Engine = Figure1.Make (Linarr_problem.Swap)
 
 let sparkline series ~rows ~cols =
   match series with
@@ -40,16 +39,18 @@ let sparkline series ~rows ~cols =
       Buffer.contents buf
 
 let profile name gfun schedule state0 =
-  let state = Traced_swap.wrap ~capacity:240 (Arrangement.copy state0) in
+  let recorder = Obs.Trajectory.create 240 in
   let params = Engine.params ~gfun ~schedule ~budget:(Budget.Evaluations 6_000) () in
-  let result = Engine.run (Rng.create ~seed:5) params state in
-  let recorder = Traced_swap.recorder state in
+  let result =
+    Engine.run ~observer:(Obs.Trajectory.observer recorder) (Rng.create ~seed:5)
+      params (Arrangement.copy state0)
+  in
   Printf.printf "%s  (best %d, %d cost evaluations, stride %d)\n"
     name
     (int_of_float result.Mc_problem.best_cost)
-    (Traced.Recorder.count recorder)
-    (Traced.Recorder.stride recorder);
-  print_string (sparkline (Traced.Recorder.series recorder) ~rows:10 ~cols:72);
+    (Obs.Trajectory.count recorder)
+    (Obs.Trajectory.stride recorder);
+  print_string (sparkline (Obs.Trajectory.series recorder) ~rows:10 ~cols:72);
   print_newline ()
 
 let () =

@@ -34,6 +34,8 @@ type snapshot = {
 }
 
 module Make (P : Mc_problem.S) = struct
+  module S = Step.Make (P)
+
   type params = {
     gfun : Gfun.t;
     schedule : Schedule.t;
@@ -43,7 +45,7 @@ module Make (P : Mc_problem.S) = struct
     defer_threshold : int;
   }
 
-  exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
+  exception Aborted = S.Aborted
 
   let params ?(counter_limit = max_int) ?(acceptance_limit = max_int)
       ?(defer_threshold = 18) ~gfun ~schedule ~budget () =
@@ -58,12 +60,6 @@ module Make (P : Mc_problem.S) = struct
 
   let run ?(observer = Obs.Observer.null) ?checkpoint_every ?on_checkpoint
       ?resume ?delta_ops rng p state =
-    let observing = Obs.Observer.enabled observer in
-    let emit ev = Obs.Observer.emit observer ev in
-    (* Span-stack floor: an abnormal exit unwinds (without emitting) to
-       here, so an aborted run cannot leak frames into the next run on
-       this domain. *)
-    let span_depth0 = Obs.Span.depth () in
     let k = Gfun.k p.gfun in
     (match checkpoint_every with
     | Some n when n <= 0 -> invalid_arg "Figure1.run: checkpoint_every <= 0"
@@ -79,24 +75,24 @@ module Make (P : Mc_problem.S) = struct
       | Some (s, _) -> Budget.start_at ~ticks:s.ticks p.budget
       | None -> Budget.start p.budget
     in
+    let b =
+      S.start ~observer clock state
+        ?resume:
+          (Option.map (fun (s, best) -> (s.current_cost, s.best_cost, best)) resume)
+    in
     let s0 =
       match resume with
       | Some (s, _) -> s
       | None ->
-          let c = P.cost state in
-          if not (Float.is_finite c) then
-            raise
-              (Mc_problem.Invalid_cost
-                 (Printf.sprintf "non-finite initial cost %h" c));
           {
             ticks = 0;
             temp = 1;
             counter = 0;
             accepted_at_temp = 0;
             defer_run = 0;
-            initial_cost = c;
-            current_cost = c;
-            best_cost = c;
+            initial_cost = b.hi;
+            current_cost = b.hi;
+            best_cost = b.hi;
             improving = 0;
             lateral_accepted = 0;
             uphill_accepted = 0;
@@ -104,43 +100,16 @@ module Make (P : Mc_problem.S) = struct
             rng = "";
           }
     in
-    let hi = ref s0.current_cost in
-    let best =
-      ref (match resume with Some (_, b) -> P.copy b | None -> P.copy state)
-    in
-    let best_cost = ref s0.best_cost in
-    let improving = ref s0.improving
-    and lateral = ref s0.lateral_accepted
-    and uphill = ref s0.uphill_accepted
-    and rejected = ref s0.rejected in
+    b.improving <- s0.improving;
+    b.lateral <- s0.lateral_accepted;
+    b.uphill <- s0.uphill_accepted;
+    b.rejected <- s0.rejected;
+    b.temperatures <- s0.temp;
     let counter = ref s0.counter in
     let accepted_at_temp = ref s0.accepted_at_temp in
     let defer_run = ref s0.defer_run in
     let temp = ref s0.temp in
     let stop = ref false in
-    (* Abnormal exits carry the best-so-far out: a crashing cost
-       function must not discard hours of progress. *)
-    let partial () =
-      {
-        Mc_problem.best = !best;
-        best_cost = !best_cost;
-        final_cost = !hi;
-        stats =
-          {
-            Mc_problem.evaluations = Budget.ticks clock;
-            improving = !improving;
-            lateral_accepted = !lateral;
-            uphill_accepted = !uphill;
-            rejected = !rejected;
-            temperatures_visited = !temp;
-            descents = 0;
-          };
-      }
-    in
-    let abort reason =
-      Obs.Span.unwind_to span_depth0;
-      raise (Aborted { reason; partial = partial () })
-    in
     let last_ckpt = ref s0.ticks in
     let fire_checkpoint () =
       match on_checkpoint with
@@ -155,15 +124,15 @@ module Make (P : Mc_problem.S) = struct
               accepted_at_temp = !accepted_at_temp;
               defer_run = !defer_run;
               initial_cost = s0.initial_cost;
-              current_cost = !hi;
-              best_cost = !best_cost;
-              improving = !improving;
-              lateral_accepted = !lateral;
-              uphill_accepted = !uphill;
-              rejected = !rejected;
+              current_cost = b.hi;
+              best_cost = b.best_cost;
+              improving = b.improving;
+              lateral_accepted = b.lateral;
+              uphill_accepted = b.uphill;
+              rejected = b.rejected;
               rng = Rng.to_state rng;
             }
-            ~current:state ~best:!best
+            ~current:state ~best:b.best
     in
     (* Loop-top is the one point where no move is half-applied and the
        counters are mutually consistent; the [last_ckpt] guard keeps a
@@ -176,12 +145,6 @@ module Make (P : Mc_problem.S) = struct
           if t > 0 && t mod every = 0 && t <> !last_ckpt then fire_checkpoint ()
       | None -> ()
     in
-    let run_t0 = if observing then Obs.now () else 0. in
-    let enter_temp t =
-      if observing then
-        emit (Obs.Event.Temp_advance { temp = t; y = Schedule.get p.schedule t })
-    in
-    if observing then emit (Obs.Event.Run_start { cost = !hi });
     (* Temperature epochs are proper [Obs.Span]s now (one "run" root,
        one "temp:<i>" child per epoch), so the per-domain span stack —
        what the sampling profiler reads — names the phase every
@@ -189,67 +152,29 @@ module Make (P : Mc_problem.S) = struct
        names and order; only the [t0] of each epoch moves from the
        previous epoch's close to its own open (the same instant, one
        [Obs.now] call apart). *)
-    let run_span = Obs.Span.enter observer "run" in
-    enter_temp !temp;
+    S.enter_temp b p.schedule !temp;
     let epoch = ref (Obs.Span.enter observer (Printf.sprintf "temp:%d" !temp)) in
     let close_epoch () = Obs.Span.exit observer !epoch in
     let advance_temp () =
       close_epoch ();
       incr temp;
+      b.temperatures <- !temp;
       counter := 0;
       accepted_at_temp := 0;
-      enter_temp !temp;
+      S.enter_temp b p.schedule !temp;
       epoch := Obs.Span.enter observer (Printf.sprintf "temp:%d" !temp)
     in
-    let accept hj =
-      (* Classify by comparison and only materialise the delta when an
-         observer is attached: a [let delta = hj -. !hi] used in the
-         event record would be boxed on every acceptance, observer or
-         not. *)
-      let kind =
-        if hj < !hi then begin
-          incr improving;
-          Obs.Event.Improving
-        end
-        else if hj = !hi then begin
-          incr lateral;
-          Obs.Event.Lateral
-        end
-        else begin
-          incr uphill;
-          Obs.Event.Uphill
-        end
-      in
-      if observing then
-        emit (Obs.Event.Accepted { kind; cost = hj; delta = hj -. !hi });
-      hi := hj;
-      counter := 0;
-      incr accepted_at_temp;
-      if hj < !best_cost then begin
-        best := P.copy state;
-        best_cost := hj;
-        if observing then
-          emit (Obs.Event.New_best { evaluation = Budget.ticks clock; cost = hj })
-      end
-    in
-    let reject m hj =
-      if observing then emit (Obs.Event.Rejected { delta = hj -. !hi });
-      (try P.revert state m with e -> abort e);
-      incr rejected;
-      incr counter
-    in
-    (* Shared accept/reject decision (true = take the move).  Mutates
-       [defer_run] and may consume one RNG draw, exactly as the
-       pre-delta engine did in place, so the fallback path's behaviour
-       and RNG stream are unchanged — and the fast path, which proposes
-       from the same stream, visits the same decisions. *)
+    (* Accept/reject decision (true = take the move).  Mutates
+       [defer_run] and may consume one RNG draw; both evaluators propose
+       from the same stream, so an adapter whose delta path replays the
+       recompute path's draws visits the same decisions on either. *)
     let decide hj =
-      if hj < !hi then begin
+      if hj < b.hi then begin
         defer_run := 0;
         true
       end
       else if Gfun.defer_uphill p.gfun then
-        if hj = !hi then true
+        if hj = b.hi then true
         else begin
           incr defer_run;
           if !defer_run >= p.defer_threshold then begin
@@ -260,37 +185,23 @@ module Make (P : Mc_problem.S) = struct
         end
       else begin
         let y = Schedule.get p.schedule !temp in
-        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:!hi ~hj in
+        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj in
         Rng.unit_float rng < g
       end
     in
-    (* Delta fast path only: the accumulated [hi] is replaced by a full
+    let ev = match delta_ops with None -> S.recompute b | Some d -> S.of_delta b d in
+    (* On the delta path the accumulated [hi] is replaced by a full
        recost on a deterministic tick cadence, so compensated float
        drift is bounded and a resumed run resyncs at the same ticks as
-       its uninterrupted twin. *)
+       its uninterrupted twin.  The recompute evaluator's cadence never
+       comes due. *)
     let last_resync = ref s0.ticks in
     let maybe_resync () =
-      match delta_ops with
-      | None -> ()
-      | Some d ->
-          let t = Budget.ticks clock in
-          if t > 0 && t mod d.Mc_problem.recost_every = 0 && t <> !last_resync
-          then begin
-            last_resync := t;
-            let c = match P.cost state with c -> c | exception e -> abort e in
-            if not (Float.is_finite c) then
-              abort
-                (Mc_problem.Invalid_cost
-                   (Printf.sprintf "non-finite cost %h at resync (evaluation %d)"
-                      c t));
-            hi := c;
-            if c < !best_cost then begin
-              best := P.copy state;
-              best_cost := c;
-              if observing then
-                emit (Obs.Event.New_best { evaluation = t; cost = c })
-            end
-          end
+      let t = Budget.ticks clock in
+      if t > 0 && t mod ev.recost_every = 0 && t <> !last_resync then begin
+        last_resync := t;
+        S.resync b
+      end
     in
     while (not !stop) && not (Budget.exhausted clock) do
       maybe_resync ();
@@ -306,93 +217,24 @@ module Make (P : Mc_problem.S) = struct
         if !temp >= k then stop := true
         else advance_temp ()
       else begin
-        match delta_ops with
-        | None ->
-            let m = try P.random_move rng state with e -> abort e in
-            Budget.tick clock;
-            (try P.apply state m with e -> abort e);
-            let hj =
-              match P.cost state with
-              | c -> c
-              | exception e ->
-                  (try P.revert state m with e' -> abort e');
-                  abort e
-            in
-            if not (Float.is_finite hj) then begin
-              (try P.revert state m with e' -> abort e');
-              abort
-                (Mc_problem.Invalid_cost
-                   (Printf.sprintf "non-finite cost %h at evaluation %d" hj
-                      (Budget.ticks clock)))
-            end;
-            if observing then
-              emit
-                (Obs.Event.Proposed
-                   { evaluation = Budget.ticks clock; cost = hj; kind = None });
-            if decide hj then accept hj else reject m hj
-        | Some d ->
-            (* Fast path: price the move without touching the state, so
-               a rejection costs no apply/revert pair at all. *)
-            let m = try d.Mc_problem.propose rng state with e -> abort e in
-            Budget.tick clock;
-            let dv =
-              match d.Mc_problem.delta state m with
-              | v -> v
-              | exception e -> abort e
-            in
-            if not (Float.is_finite dv) then
-              abort
-                (Mc_problem.Invalid_cost
-                   (Printf.sprintf "non-finite delta %h at evaluation %d" dv
-                      (Budget.ticks clock)));
-            let hj = !hi +. dv in
-            if observing then
-              emit
-                (Obs.Event.Proposed
-                   {
-                     evaluation = Budget.ticks clock;
-                     cost = hj;
-                     kind = d.Mc_problem.kind;
-                   });
-            if decide hj then begin
-              (try d.Mc_problem.commit state m with e -> abort e);
-              accept hj
-            end
-            else begin
-              if observing then emit (Obs.Event.Rejected { delta = hj -. !hi });
-              (try d.Mc_problem.abandon state m with e -> abort e);
-              incr rejected;
-              incr counter
-            end
+        let m = ev.propose rng in
+        let hj = ev.price m in
+        if decide hj then begin
+          ev.keep m;
+          S.accept b hj;
+          counter := 0;
+          incr accepted_at_temp;
+          S.note_best b
+        end
+        else begin
+          S.reject b ev m hj;
+          incr counter
+        end
       end
     done;
     (* A final fire guarantees the checkpoint file exists (and is
        marked complete) even for runs shorter than the interval. *)
     if Budget.ticks clock <> !last_ckpt then fire_checkpoint ();
     close_epoch ();
-    Obs.Span.exit observer run_span;
-    if observing then
-      emit
-        (Obs.Event.Run_end
-           {
-             evaluations = Budget.ticks clock;
-             final_cost = !hi;
-             best_cost = !best_cost;
-             seconds = Obs.now () -. run_t0;
-           });
-    {
-      Mc_problem.best = !best;
-      best_cost = !best_cost;
-      final_cost = !hi;
-      stats =
-        {
-          Mc_problem.evaluations = Budget.ticks clock;
-          improving = !improving;
-          lateral_accepted = !lateral;
-          uphill_accepted = !uphill;
-          rejected = !rejected;
-          temperatures_visited = !temp;
-          descents = 0;
-        };
-    }
+    S.finish b
 end

@@ -80,19 +80,22 @@ module Make (P : Mc_problem.S) : sig
       is exhausted and returns the best snapshot found.  [state] is
       left at the walk's final configuration.
 
-      [delta_ops] switches the walk onto the incremental fast path:
-      proposals come from [delta_ops.propose], each is priced by
-      [delta_ops.delta] without touching the state, and the current
-      cost is tracked as an accumulated sum of deltas — a rejected
-      proposal costs no apply/revert at all.  The accumulated cost is
-      resynchronized against a full [P.cost] recompute whenever the
-      tick count is a multiple of [delta_ops.recost_every] (a
-      deterministic cadence, so a resumed run resyncs at the same ticks
-      as its uninterrupted twin; checkpointed [current_cost] values on
-      this path are the accumulated-then-resynced figures).  A
-      non-finite delta or resync cost aborts like a non-finite cost.
-      When [delta_ops] is absent the walk is byte-identical to previous
-      releases — same events, same checkpoints, same statistics.
+      The walk is one step loop — propose, price, keep or drop — over
+      an evaluator built from [delta_ops] when given and from [P]
+      otherwise.  With [delta_ops], proposals come from
+      [delta_ops.propose], each is priced by [delta_ops.delta] without
+      touching the state, and the current cost is tracked as an
+      accumulated sum of deltas — a rejected proposal costs no
+      apply/revert at all.  The accumulated cost is resynchronized
+      against a full [P.cost] recompute whenever the tick count is a
+      multiple of [delta_ops.recost_every] (a deterministic cadence, so
+      a resumed run resyncs at the same ticks as its uninterrupted twin;
+      checkpointed [current_cost] values on this path are the
+      accumulated-then-resynced figures).  A non-finite delta or resync
+      cost aborts like a non-finite cost.  Without [delta_ops] each
+      proposal is priced by [P.apply] then [P.cost] and dropped by
+      [P.revert], byte-identical to previous releases — same events,
+      same checkpoints, same statistics.
 
       [observer] (default {!Obs.null}) receives the full event stream:
       [Run_start], a [Temp_advance] per temperature entered (the first

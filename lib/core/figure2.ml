@@ -12,6 +12,8 @@
    same 3 minutes (§4.2.4). *)
 
 module Make (P : Mc_problem.S) = struct
+  module S = Step.Make (P)
+
   type params = {
     gfun : Gfun.t;
     schedule : Schedule.t;
@@ -20,7 +22,7 @@ module Make (P : Mc_problem.S) = struct
     restart_schedule : bool;
   }
 
-  exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
+  exception Aborted = S.Aborted
 
   let params ?(counter_limit = 100) ?(restart_schedule = true) ~gfun ~schedule ~budget () =
     if counter_limit <= 0 then invalid_arg "Figure2.params: counter_limit <= 0";
@@ -31,123 +33,26 @@ module Make (P : Mc_problem.S) = struct
     { gfun; schedule; budget; counter_limit; restart_schedule }
 
   let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =
-    let observing = Obs.Observer.enabled observer in
-    let emit ev = Obs.Observer.emit observer ev in
-    let span_depth0 = Obs.Span.depth () in
     let k = Gfun.k p.gfun in
     let clock = Budget.start p.budget in
-    let h0 = P.cost state in
-    if not (Float.is_finite h0) then
-      raise
-        (Mc_problem.Invalid_cost (Printf.sprintf "non-finite initial cost %h" h0));
-    let hi = ref h0 in
-    let best = ref (P.copy state) in
-    let best_cost = ref !hi in
-    let improving = ref 0
-    and lateral = ref 0
-    and uphill = ref 0
-    and rejected = ref 0
-    and descents = ref 0
-    and max_temp = ref 1 in
-    (* Abnormal exits carry the best-so-far out; the walk state is
-       restored (half-evaluated move reverted) before the raise. *)
-    let abort reason =
-      Obs.Span.unwind_to span_depth0;
-      raise
-        (Aborted
-           {
-             reason;
-             partial =
-               {
-                 Mc_problem.best = !best;
-                 best_cost = !best_cost;
-                 final_cost = !hi;
-                 stats =
-                   {
-                     Mc_problem.evaluations = Budget.ticks clock;
-                     improving = !improving;
-                     lateral_accepted = !lateral;
-                     uphill_accepted = !uphill;
-                     rejected = !rejected;
-                     temperatures_visited = !max_temp;
-                     descents = !descents;
-                   };
-               };
-           })
-    in
-    (* Evaluate a just-applied move's cost; on any failure restore the
-       state and abort with the precise reason. *)
-    let cost_of_applied m =
-      let hj =
-        match P.cost state with
-        | c -> c
-        | exception e ->
-            (try P.revert state m with e' -> abort e');
-            abort e
-      in
-      if not (Float.is_finite hj) then begin
-        (try P.revert state m with e' -> abort e');
-        abort
-          (Mc_problem.Invalid_cost
-             (Printf.sprintf "non-finite cost %h at evaluation %d" hj
-                (Budget.ticks clock)))
-      end;
-      hj
-    in
-    let run_t0 = if observing then Obs.now () else 0. in
-    let enter_temp t =
-      if observing then
-        emit (Obs.Event.Temp_advance { temp = t; y = Schedule.get p.schedule t })
-    in
-    if observing then emit (Obs.Event.Run_start { cost = !hi });
-    let run_span = Obs.Span.enter observer "run" in
-    enter_temp 1;
-    let note_best () =
-      if !hi < !best_cost then begin
-        best := P.copy state;
-        best_cost := !hi;
-        if observing then
-          emit
-            (Obs.Event.New_best { evaluation = Budget.ticks clock; cost = !hi })
-      end
-    in
-    (* Delta fast path only: replace the accumulated [hi] with a full
-       recost once [recost_every] ticks have passed since the last one,
-       bounding compensated float drift.  Called only at step
-       boundaries (no move half-applied). *)
+    let b = S.start ~observer clock state in
+    S.enter_temp b p.schedule 1;
+    let ev = match delta_ops with None -> S.recompute b | Some d -> S.of_delta b d in
+    (* Delta path only: replace the accumulated [hi] with a full recost
+       once [recost_every] ticks have passed since the last one,
+       bounding compensated float drift (the recompute evaluator's
+       cadence never comes due).  Called only at step boundaries (no
+       move half-applied). *)
     let last_resync = ref 0 in
     let maybe_resync () =
-      match delta_ops with
-      | Some d
-        when Budget.ticks clock - !last_resync >= d.Mc_problem.recost_every ->
-          last_resync := Budget.ticks clock;
-          let c = match P.cost state with c -> c | exception e -> abort e in
-          if not (Float.is_finite c) then
-            abort
-              (Mc_problem.Invalid_cost
-                 (Printf.sprintf "non-finite cost %h at resync (evaluation %d)"
-                    c (Budget.ticks clock)));
-          hi := c;
-          note_best ()
-      | Some _ | None -> ()
-    in
-    (* Non-finite deltas stop the walk the way non-finite costs do. *)
-    let checked_delta d m =
-      let dv =
-        match d.Mc_problem.delta state m with
-        | v -> v
-        | exception e -> abort e
-      in
-      if not (Float.is_finite dv) then
-        abort
-          (Mc_problem.Invalid_cost
-             (Printf.sprintf "non-finite delta %h at evaluation %d" dv
-                (Budget.ticks clock)));
-      dv
+      if Budget.ticks clock - !last_resync >= ev.recost_every then begin
+        last_resync := Budget.ticks clock;
+        S.resync b
+      end
     in
     (* First-improvement descent: rescan the neighborhood after every
        accepted move until a full pass finds nothing better.  Every
-       tested move costs one budget tick.  On the fast path a tested,
+       tested move costs one budget tick.  On the delta path a tested,
        non-improving move is priced by [delta] alone — no apply/revert
        pair. *)
     let descend () =
@@ -161,80 +66,28 @@ module Make (P : Mc_problem.S) = struct
             match seq () with
             | Seq.Nil -> ()
             | Seq.Cons (m, rest) ->
-                Budget.tick clock;
-                (try P.apply state m with e -> abort e);
-                let hj = cost_of_applied m in
-                if observing then
-                  emit
-                    (Obs.Event.Proposed
-                       { evaluation = Budget.ticks clock; cost = hj; kind = None });
-                if hj < !hi then begin
-                  if observing then
-                    emit
-                      (Obs.Event.Accepted
-                         {
-                           kind = Obs.Event.Improving;
-                           cost = hj;
-                           delta = hj -. !hi;
-                         });
-                  hi := hj;
-                  incr improving;
+                let hj = ev.price m in
+                if hj < b.hi then begin
+                  ev.keep m;
+                  S.accept b hj;
                   improved_this_pass := true
                   (* restart the pass from the new configuration *)
                 end
                 else begin
                   (* A tested, non-improving descent move is not a
                      rejection in the statistics — no event either. *)
-                  (try P.revert state m with e -> abort e);
+                  ev.drop m;
                   scan rest
                 end
         in
-        let rec scan_fast d seq =
-          if not (Budget.exhausted clock) then
-            match seq () with
-            | Seq.Nil -> ()
-            | Seq.Cons (m, rest) ->
-                Budget.tick clock;
-                let dv = checked_delta d m in
-                let hj = !hi +. dv in
-                if observing then
-                  emit
-                    (Obs.Event.Proposed
-                       {
-                         evaluation = Budget.ticks clock;
-                         cost = hj;
-                         kind = d.Mc_problem.kind;
-                       });
-                if hj < !hi then begin
-                  (try d.Mc_problem.commit state m with e -> abort e);
-                  if observing then
-                    emit
-                      (Obs.Event.Accepted
-                         {
-                           kind = Obs.Event.Improving;
-                           cost = hj;
-                           delta = hj -. !hi;
-                         });
-                  hi := hj;
-                  incr improving;
-                  improved_this_pass := true
-                end
-                else begin
-                  (try d.Mc_problem.abandon state m with e -> abort e);
-                  scan_fast d rest
-                end
-        in
-        match delta_ops with
-        | None -> scan (try P.moves state with e -> abort e)
-        | Some d -> scan_fast d (try P.moves state with e -> abort e)
+        scan (try P.moves state with e -> S.abort b e)
       done;
-      incr descents;
+      b.descents <- b.descents + 1;
       Obs.Span.exit observer span;
-      if observing then
-        emit
-          (Obs.Event.Descent_done
-             { cost = !hi; evaluations = Budget.ticks clock });
-      note_best ()
+      if b.observing then
+        S.emit b
+          (Obs.Event.Descent_done { cost = b.hi; evaluations = Budget.ticks clock });
+      S.note_best b
     in
     let stop = ref false in
     let temp = ref 1 in
@@ -246,109 +99,30 @@ module Make (P : Mc_problem.S) = struct
           if p.restart_schedule then begin
             temp := 1;
             counter := 0;
-            enter_temp 1
+            S.enter_temp b p.schedule 1
           end
           else stop := true
         else begin
           incr temp;
           counter := 0;
-          if !temp > !max_temp then max_temp := !temp;
-          enter_temp !temp
+          if !temp > b.temperatures then b.temperatures <- !temp;
+          S.enter_temp b p.schedule !temp
         end
       else begin
         incr counter;
         maybe_resync ();
-        (* Compare rather than bind a delta: a float let bound here and
-           stored in the event record would be boxed on every
-           acceptance, observer or not. *)
-        let take hj =
-          let kind =
-            if hj < !hi then begin
-              incr improving;
-              Obs.Event.Improving
-            end
-            else if hj = !hi then begin
-              incr lateral;
-              Obs.Event.Lateral
-            end
-            else begin
-              incr uphill;
-              Obs.Event.Uphill
-            end
-          in
-          if observing then
-            emit (Obs.Event.Accepted { kind; cost = hj; delta = hj -. !hi });
-          hi := hj;
-          note_best ();
+        let m = ev.propose rng in
+        let hj = ev.price m in
+        let y = Schedule.get p.schedule !temp in
+        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj in
+        if Rng.unit_float rng < g then begin
+          ev.keep m;
+          S.accept b hj;
+          S.note_best b;
           descend ()
-        in
-        match delta_ops with
-        | None ->
-            let m = try P.random_move rng state with e -> abort e in
-            Budget.tick clock;
-            (try P.apply state m with e -> abort e);
-            let hj = cost_of_applied m in
-            if observing then
-              emit
-                (Obs.Event.Proposed
-                   { evaluation = Budget.ticks clock; cost = hj; kind = None });
-            let y = Schedule.get p.schedule !temp in
-            let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:!hi ~hj in
-            if Rng.unit_float rng < g then take hj
-            else begin
-              if observing then emit (Obs.Event.Rejected { delta = hj -. !hi });
-              (try P.revert state m with e -> abort e);
-              incr rejected
-            end
-        | Some d ->
-            let m = try d.Mc_problem.propose rng state with e -> abort e in
-            Budget.tick clock;
-            let dv = checked_delta d m in
-            let hj = !hi +. dv in
-            if observing then
-              emit
-                (Obs.Event.Proposed
-                   {
-                     evaluation = Budget.ticks clock;
-                     cost = hj;
-                     kind = d.Mc_problem.kind;
-                   });
-            let y = Schedule.get p.schedule !temp in
-            let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:!hi ~hj in
-            if Rng.unit_float rng < g then begin
-              (try d.Mc_problem.commit state m with e -> abort e);
-              take hj
-            end
-            else begin
-              if observing then emit (Obs.Event.Rejected { delta = hj -. !hi });
-              (try d.Mc_problem.abandon state m with e -> abort e);
-              incr rejected
-            end
+        end
+        else S.reject b ev m hj
       end
     done;
-    Obs.Span.exit observer run_span;
-    if observing then
-      emit
-        (Obs.Event.Run_end
-           {
-             evaluations = Budget.ticks clock;
-             final_cost = !hi;
-             best_cost = !best_cost;
-             seconds = Obs.now () -. run_t0;
-           });
-    {
-      Mc_problem.best = !best;
-      best_cost = !best_cost;
-      final_cost = !hi;
-      stats =
-        {
-          Mc_problem.evaluations = Budget.ticks clock;
-          improving = !improving;
-          lateral_accepted = !lateral;
-          uphill_accepted = !uphill;
-          rejected = !rejected;
-          temperatures_visited = !max_temp;
-          descents = !descents;
-        };
-    }
+    S.finish b
 end

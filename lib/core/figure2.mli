@@ -44,15 +44,17 @@ module Make (P : Mc_problem.S) : sig
   (** Mutates [state]; returns the best snapshot.  Each tested move of
       the descent and each random perturbation costs one budget tick.
 
-      [delta_ops] switches both the descent scans and the uphill probes
-      onto the incremental fast path: every tested move is priced by
-      [delta_ops.delta] alone, so a non-improving descent move or a
-      rejected probe costs no apply/revert at all.  The accumulated
-      current cost is resynchronized against a full [P.cost] recompute
-      once at least [delta_ops.recost_every] ticks have passed since
-      the previous resync (checked at descent-pass tops and before each
-      probe).  When [delta_ops] is absent the walk is byte-identical to
-      previous releases.
+      Descent scans and uphill probes share one evaluator, built from
+      [delta_ops] when given and from [P] otherwise.  With [delta_ops]
+      every tested move is priced by [delta_ops.delta] alone, so a
+      non-improving descent move or a rejected probe costs no
+      apply/revert at all.  The accumulated current cost is
+      resynchronized against a full [P.cost] recompute once at least
+      [delta_ops.recost_every] ticks have passed since the previous
+      resync (checked at descent-pass tops and before each probe).
+      Without [delta_ops] each tested move is priced by [P.apply] then
+      [P.cost] and dropped by [P.revert], byte-identical to previous
+      releases.
 
       @raise Mc_problem.Invalid_cost if the initial state's cost is
       non-finite.

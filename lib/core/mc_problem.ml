@@ -40,7 +40,7 @@ type 'state codec = {
 
 (* Incremental-evaluation capability, same first-class-record pattern
    as [codec]: only domains with a cheap delta formula provide one, and
-   every adapter (and every engine fallback path) works without it.
+   every adapter works without it (the engines then price by recompute).
    [delta] prices a move *without* applying it, so a rejected proposal
    costs no state mutation at all — for a 2-opt move that turns an
    O(segment) apply/revert pair into an O(1) lookup.  The engines track

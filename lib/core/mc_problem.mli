@@ -53,7 +53,7 @@ type ('state, 'move) delta_ops = {
   propose : Rng.t -> 'state -> 'move;
       (** Pick a random perturbation without changing the state — the
           fast-path counterpart of {!S.random_move}, usually the same
-          function.  An adapter whose fast path and fallback path
+          function.  An adapter whose delta and recompute paths
           propose from identical RNG draws makes the two paths visit
           identical accept/reject decisions. *)
   delta : 'state -> 'move -> float;
@@ -80,11 +80,15 @@ type ('state, 'move) delta_ops = {
 }
 (** Optional incremental-evaluation capability — the same
     first-class-record pattern as {!codec}.  Domains with a cheap delta
-    formula ([Tour.two_opt_delta], [Qap.swap_delta], ...) provide one
-    and the engines track the current cost by accumulated deltas; when
-    absent, the engines keep their original full-recompute path,
-    byte-identical to previous releases (same events, same checkpoints,
-    same statistics). *)
+    formula ([Tour.two_opt_delta], [Qap.swap_delta], ...) provide one.
+    Each engine runs a single step loop over an evaluator built from
+    this record (price = current cost + [delta], keep = [commit], drop
+    = [abandon]) when given, or from {!S} itself otherwise (price =
+    [apply] then [cost], drop = [revert]), and then tracks the current
+    cost by accumulated deltas.  The evaluator built from {!S} makes the
+    calls the engines made before this record existed, so runs without
+    it are byte-identical to previous releases (same events, same
+    checkpoints, same statistics). *)
 
 val delta_ops :
   ?recost_every:int ->

@@ -13,9 +13,11 @@
    acceleration at low temperature. *)
 
 module Make (P : Mc_problem.S) = struct
+  module S = Step.Make (P)
+
   type params = { gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
 
-  exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
+  exception Aborted = S.Aborted
 
   let params ~gfun ~schedule ~budget =
     if Schedule.length schedule <> Gfun.k gfun then
@@ -26,11 +28,11 @@ module Make (P : Mc_problem.S) = struct
      move and delta at each neighborhood index, plus a validity byte
      cleared when a committed step affects the entry. *)
   type cache = {
-    hints : (P.state, P.move) Mc_problem.sweep_cache;
     mutable cm : P.move array;
     mutable cdv : float array;
     mutable cvalid : Bytes.t;
     mutable filled : int; (* entries 0..filled-1 belong to the last sweep *)
+    mutable count : int; (* entries priced so far in this sweep *)
   }
 
   let cache_ensure mc n m =
@@ -47,295 +49,132 @@ module Make (P : Mc_problem.S) = struct
       mc.cvalid <- cvalid
     end
 
+  (* [d] with its deltas memoized across sweeps by the index [pos] of
+     the move within its sweep, and a [commit] that drops every cached
+     delta the committed step could have changed; the rest carry over
+     to the next sweep.  Raw deltas are reused bit-for-bit and the
+     budget still ticks per move scanned, so the sweep's decisions (and
+     its stats) are identical with or without the cache. *)
+  let cached pos hints (d : _ Mc_problem.delta_ops) =
+    let mc = { cm = [||]; cdv = [||]; cvalid = Bytes.empty; filled = 0; count = 0 } in
+    let delta state m =
+      let i = !pos in
+      if i = 0 then mc.filled <- mc.count;
+      mc.count <- i + 1;
+      if
+        i < mc.filled
+        && Bytes.get mc.cvalid i = '\001'
+        && hints.Mc_problem.equal_move mc.cm.(i) m
+      then mc.cdv.(i)
+      else begin
+        let dv = d.delta state m in
+        cache_ensure mc (i + 1) m;
+        mc.cm.(i) <- m;
+        mc.cdv.(i) <- dv;
+        Bytes.set mc.cvalid i '\001';
+        dv
+      end
+    in
+    let commit state m =
+      d.commit state m;
+      for i = 0 to mc.count - 1 do
+        if
+          Bytes.get mc.cvalid i = '\001'
+          && hints.Mc_problem.affects state ~committed:m mc.cm.(i)
+        then Bytes.set mc.cvalid i '\000'
+      done
+    in
+    { d with delta; commit }
+
   let run ?(observer = Obs.Observer.null) ?delta_ops ?sweep_cache rng p state =
-    let observing = Obs.Observer.enabled observer in
-    let emit ev = Obs.Observer.emit observer ev in
-    let span_depth0 = Obs.Span.depth () in
     let k = Gfun.k p.gfun in
     let clock = Budget.start p.budget in
-    let h0 = P.cost state in
-    if not (Float.is_finite h0) then
-      raise
-        (Mc_problem.Invalid_cost (Printf.sprintf "non-finite initial cost %h" h0));
-    let hi = ref h0 in
-    let best = ref (P.copy state) in
-    let best_cost = ref !hi in
-    let improving = ref 0
-    and lateral = ref 0
-    and uphill = ref 0
-    and steps = ref 0 in
-    let temp = ref 1 in
-    (* Abnormal exits carry the best-so-far out; the walk state is
-       restored (half-evaluated move reverted) before the raise. *)
-    let abort reason =
-      Obs.Span.unwind_to span_depth0;
-      raise
-        (Aborted
-           {
-             reason;
-             partial =
-               {
-                 Mc_problem.best = !best;
-                 best_cost = !best_cost;
-                 final_cost = !hi;
-                 stats =
-                   {
-                     Mc_problem.evaluations = Budget.ticks clock;
-                     improving = !improving;
-                     lateral_accepted = !lateral;
-                     uphill_accepted = !uphill;
-                     rejected = Budget.ticks clock - !steps;
-                     temperatures_visited = !temp;
-                     descents = !steps;
-                   };
-               };
-           })
+    let b = S.start ~observer clock state in
+    S.enter_temp b p.schedule 1;
+    (* Index of the move being priced within the current sweep; the sweep
+       cache keys on it. *)
+    let pos = ref (-1) in
+    (* The sweep keeps every weighted move pending until one is sampled:
+       the delta evaluator leaves the state untouched while pricing; the
+       recompute one restores it after each price. *)
+    let ev =
+      match delta_ops with
+      | None -> S.recompute ~restore:true b
+      | Some d ->
+          S.of_delta b
+            (match sweep_cache with None -> d | Some hints -> cached pos hints d)
     in
-    (* Delta fast path only: replace the accumulated [hi] with a full
-       recost once [recost_every] ticks have passed since the last one,
+    (* Delta path only: replace the accumulated [hi] with a full recost
+       once [recost_every] ticks have passed since the last one,
        bounding compensated float drift.  Called only at the outer loop
        top (no move half-applied). *)
     let last_resync = ref 0 in
     let maybe_resync () =
-      match delta_ops with
-      | Some d
-        when Budget.ticks clock - !last_resync >= d.Mc_problem.recost_every ->
-          last_resync := Budget.ticks clock;
-          let c = match P.cost state with c -> c | exception e -> abort e in
-          if not (Float.is_finite c) then
-            abort
-              (Mc_problem.Invalid_cost
-                 (Printf.sprintf "non-finite cost %h at resync (evaluation %d)"
-                    c (Budget.ticks clock)));
-          hi := c;
-          if c < !best_cost then begin
-            best := P.copy state;
-            best_cost := c;
-            if observing then
-              emit
-                (Obs.Event.New_best
-                   { evaluation = Budget.ticks clock; cost = c })
-          end
-      | Some _ | None -> ()
-    in
-    (* Non-finite deltas stop the walk the way non-finite costs do. *)
-    let checked_delta d m =
-      let dv =
-        match d.Mc_problem.delta state m with
-        | v -> v
-        | exception e -> abort e
-      in
-      if not (Float.is_finite dv) then
-        abort
-          (Mc_problem.Invalid_cost
-             (Printf.sprintf "non-finite delta %h at evaluation %d" dv
-                (Budget.ticks clock)));
-      dv
-    in
-    let cache =
-      match (delta_ops, sweep_cache) with
-      | Some _, Some hints ->
-          Some { hints; cm = [||]; cdv = [||]; cvalid = Bytes.empty; filled = 0 }
-      | _ -> None
+      if Budget.ticks clock - !last_resync >= ev.recost_every then begin
+        last_resync := Budget.ticks clock;
+        S.resync b
+      end
     in
     let stop = ref false in
-    let run_t0 = if observing then Obs.now () else 0. in
-    let enter_temp t =
-      if observing then
-        emit (Obs.Event.Temp_advance { temp = t; y = Schedule.get p.schedule t })
+    let temp = ref 1 in
+    let advance_temp () =
+      incr temp;
+      b.temperatures <- !temp;
+      S.enter_temp b p.schedule !temp
     in
-    if observing then emit (Obs.Event.Run_start { cost = !hi });
-    let run_span = Obs.Span.enter observer "run" in
-    enter_temp 1;
     while (not !stop) && not (Budget.exhausted clock) do
       maybe_resync ();
       while
         !temp < k
         && Budget.used_fraction clock >= float_of_int !temp /. float_of_int k
       do
-        incr temp;
-        enter_temp !temp
+        advance_temp ()
       done;
       let y = Schedule.get p.schedule !temp in
       let weight hj =
-        if hj < !hi then 1.
+        if hj < b.hi then 1.
         else
           Float.max 0.
-            (Float.min 1. (Gfun.eval p.gfun ~temp:!temp ~y ~hi:!hi ~hj))
+            (Float.min 1. (Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj))
       in
-      (* Weigh every move by its acceptance probability.  The fast path
-         prices each move by [delta] alone — the whole sweep touches the
-         state only once, when the sampled move is committed. *)
+      (* Weigh every move by its acceptance probability.  A scanned move
+         counts as rejected until it is taken, so [rejected] is the scan
+         overhead (evaluations - steps) at every point of the sweep. *)
+      pos := -1;
       let weighted =
-        match delta_ops with
-        | None ->
-            (try P.moves state with e -> abort e)
-            |> Seq.filter_map (fun m ->
-                   if Budget.exhausted clock then None
-                   else begin
-                     Budget.tick clock;
-                     (try P.apply state m with e -> abort e);
-                     let hj =
-                       match P.cost state with
-                       | c -> c
-                       | exception e ->
-                           (try P.revert state m with e' -> abort e');
-                           abort e
-                     in
-                     (try P.revert state m with e -> abort e);
-                     if not (Float.is_finite hj) then
-                       abort
-                         (Mc_problem.Invalid_cost
-                            (Printf.sprintf "non-finite cost %h at evaluation %d"
-                               hj (Budget.ticks clock)));
-                     if observing then
-                       emit
-                         (Obs.Event.Proposed
-                            { evaluation = Budget.ticks clock; cost = hj; kind = None });
-                     let w = weight hj in
-                     if w > 0. then Some (m, hj, w) else None
-                   end)
-            |> Array.of_seq
-        | Some d ->
-            (* Cached deltas are reused bit-for-bit and the budget still
-               ticks per move scanned, so the sweep's decisions (and its
-               stats) are identical with or without the cache. *)
-            let idx = ref (-1) in
-            let swept =
-              (try P.moves state with e -> abort e)
-              |> Seq.filter_map (fun m ->
-                   if Budget.exhausted clock then None
-                   else begin
-                     Budget.tick clock;
-                     incr idx;
-                     let dv =
-                       match cache with
-                       | Some mc
-                         when !idx < mc.filled
-                              && Bytes.get mc.cvalid !idx = '\001'
-                              && mc.hints.Mc_problem.equal_move mc.cm.(!idx) m
-                         ->
-                           mc.cdv.(!idx)
-                       | Some mc ->
-                           let dv = checked_delta d m in
-                           cache_ensure mc (!idx + 1) m;
-                           mc.cm.(!idx) <- m;
-                           mc.cdv.(!idx) <- dv;
-                           Bytes.set mc.cvalid !idx '\001';
-                           dv
-                       | None -> checked_delta d m
-                     in
-                     let hj = !hi +. dv in
-                     if observing then
-                       emit
-                         (Obs.Event.Proposed
-                            {
-                              evaluation = Budget.ticks clock;
-                              cost = hj;
-                              kind = d.Mc_problem.kind;
-                            });
-                     let w = weight hj in
-                     if w > 0. then Some (m, hj, w)
-                     else begin
-                       (try d.Mc_problem.abandon state m with e -> abort e);
-                       None
-                     end
-                   end)
-              |> Array.of_seq
-            in
-            (match cache with
-            | Some mc -> mc.filled <- !idx + 1
-            | None -> ());
-            swept
+        (try P.moves state with e -> S.abort b e)
+        |> Seq.filter_map (fun m ->
+               if Budget.exhausted clock then None
+               else begin
+                 incr pos;
+                 b.rejected <- b.rejected + 1;
+                 let hj = ev.price m in
+                 let w = weight hj in
+                 if w > 0. then Some (m, hj, w)
+                 else begin
+                   ev.drop m;
+                   None
+                 end
+               end)
+        |> Array.of_seq
       in
       if Array.length weighted = 0 then begin
         (* Frozen at this temperature: advance or finish. *)
-        if !temp >= k then stop := true
-        else begin
-          incr temp;
-          enter_temp !temp
-        end
+        if !temp >= k then stop := true else advance_temp ()
       end
       else begin
         let weights = Array.map (fun (_, _, w) -> w) weighted in
         let idx = Rng.categorical rng weights in
         let m, hj, _ = weighted.(idx) in
-        (match delta_ops with
-        | None -> ( try P.apply state m with e -> abort e)
-        | Some d ->
-            Array.iteri
-              (fun i (m', _, _) ->
-                if i <> idx then
-                  try d.Mc_problem.abandon state m' with e -> abort e)
-              weighted;
-            (try d.Mc_problem.commit state m with e -> abort e);
-            (* Drop every cached delta the committed step could have
-               changed; the rest carry over to the next sweep. *)
-            (match cache with
-            | Some mc ->
-                for i = 0 to mc.filled - 1 do
-                  if
-                    Bytes.get mc.cvalid i = '\001'
-                    && mc.hints.Mc_problem.affects state ~committed:m mc.cm.(i)
-                  then Bytes.set mc.cvalid i '\000'
-                done
-            | None -> ()));
-        (* Compare rather than bind a delta: a float let bound here and
-           stored in the event record would be boxed on every committed
-           step, observer or not. *)
-        let kind =
-          if hj < !hi then begin
-            incr improving;
-            Obs.Event.Improving
-          end
-          else if hj = !hi then begin
-            incr lateral;
-            Obs.Event.Lateral
-          end
-          else begin
-            incr uphill;
-            Obs.Event.Uphill
-          end
-        in
-        if observing then begin
-          emit (Obs.Event.Accepted { kind; cost = hj; delta = hj -. !hi });
-          emit
-            (Obs.Event.Descent_done { cost = hj; evaluations = Budget.ticks clock })
-        end;
-        hi := hj;
-        incr steps;
-        if hj < !best_cost then begin
-          best := P.copy state;
-          best_cost := hj;
-          if observing then
-            emit
-              (Obs.Event.New_best { evaluation = Budget.ticks clock; cost = hj })
-        end
+        Array.iteri (fun i (m', _, _) -> if i <> idx then ev.drop m') weighted;
+        ev.keep m;
+        S.accept b hj;
+        if b.observing then
+          S.emit b (Obs.Event.Descent_done { cost = hj; evaluations = Budget.ticks clock });
+        b.rejected <- b.rejected - 1;
+        b.descents <- b.descents + 1;
+        S.note_best b
       end
     done;
-    Obs.Span.exit observer run_span;
-    if observing then
-      emit
-        (Obs.Event.Run_end
-           {
-             evaluations = Budget.ticks clock;
-             final_cost = !hi;
-             best_cost = !best_cost;
-             seconds = Obs.now () -. run_t0;
-           });
-    {
-      Mc_problem.best = !best;
-      best_cost = !best_cost;
-      final_cost = !hi;
-      stats =
-        {
-          Mc_problem.evaluations = Budget.ticks clock;
-          improving = !improving;
-          lateral_accepted = !lateral;
-          uphill_accepted = !uphill;
-          rejected = Budget.ticks clock - !steps;
-          temperatures_visited = !temp;
-          descents = !steps;
-        };
-    }
+    S.finish b
 end

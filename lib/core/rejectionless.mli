@@ -33,17 +33,19 @@ module Make (P : Mc_problem.S) : sig
       non-finite.
       @raise Aborted on mid-scan problem failure; see {!Aborted}.
 
-      [delta_ops] switches the neighborhood sweep onto the incremental
-      fast path: every move is priced by [delta_ops.delta] alone
-      (the sweep touches the state only when the sampled move is
-      committed), unweighted and unsampled moves are released through
+      The sweep is one loop over an evaluator built from [delta_ops]
+      when given and from [P] otherwise.  With [delta_ops] every move
+      is priced by [delta_ops.delta] alone and left pending (the sweep
+      touches the state only when the sampled move is committed),
+      unweighted and unsampled moves are released through
       [delta_ops.abandon], and the accumulated current cost is
       resynchronized against a full [P.cost] recompute once at least
       [delta_ops.recost_every] ticks have passed since the previous
       resync (checked at step boundaries).  [delta_ops.propose] is
       unused here — this engine enumerates [P.moves] systematically.
-      When [delta_ops] is absent the sweep is byte-identical to
-      previous releases.
+      Without [delta_ops] each move is priced by [P.apply], [P.cost]
+      and [P.revert], and the sampled one is applied afresh,
+      byte-identical to previous releases.
 
       [sweep_cache] (only meaningful together with [delta_ops])
       memoizes deltas across sweeps: each sweep reuses the previous

@@ -75,7 +75,7 @@ module Event : sig
             tick (1-based), [cost] the proposed configuration's cost,
             [kind] the neighborhood label of the proposing move scheme
             (["2opt"], ["or_opt"], ...) when the adapter declares one
-            via {!Mc_problem.delta_ops} — [None] on the fallback path *)
+            via {!Mc_problem.delta_ops} — [None] on the recompute path *)
     | Accepted of { kind : accept_kind; cost : float; delta : float }
         (** the last proposal was taken; [delta = cost - previous] *)
     | Rejected of { delta : float }  (** the last proposal was reverted *)
@@ -161,11 +161,10 @@ val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]); the clock used by
     {!Span} and the engines' [Run_end] timing. *)
 
-(** Bounded cost-trajectory recorder: the stride-doubling decimation
-    that [Traced.Recorder] exposes (and is now implemented by).  When
-    the buffer fills, every other retained sample is dropped and the
-    sampling stride doubles, so arbitrarily long runs keep an evenly
-    spread series of at most [capacity] points. *)
+(** Bounded cost-trajectory recorder with stride-doubling decimation.
+    When the buffer fills, every other retained sample is dropped and
+    the sampling stride doubles, so arbitrarily long runs keep an
+    evenly spread series of at most [capacity] points. *)
 module Trajectory : sig
   type t
 
@@ -189,9 +188,8 @@ module Trajectory : sig
 
   val observer : t -> Observer.t
   (** Records the cost of every [Run_start] and [Proposed] event — an
-      instrumented engine run therefore records exactly what the
-      [Traced] wrapper records: the initial cost plus one cost per
-      proposal. *)
+      engine run observed through it therefore records the initial
+      cost plus one cost per proposal, on either evaluator path. *)
 end
 
 (** Fixed-capacity in-memory event ring: keeps the latest [capacity]

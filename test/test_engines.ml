@@ -202,59 +202,49 @@ let test_annealing_k () =
     r.Mc_problem.stats.Mc_problem.temperatures_visited;
   Alcotest.check Alcotest.bool "made progress" true (r.Mc_problem.best_cost < 40.)
 
-(* ----------------------------- Traced ---------------------------- *)
+(* --------------- Traced runs (trajectory observer) ---------------- *)
 
-module TLine = Traced.Make (Line)
-module TF1 = Figure1.Make (TLine)
+let traced_run ?(capacity = 512) p rng s =
+  let rec_ = Obs.Trajectory.create capacity in
+  let r = F1.run ~observer:(Obs.Trajectory.observer rec_) rng p s in
+  (r, rec_)
 
 let test_traced_transparent () =
-  (* A run through the wrapper must land exactly where a bare run
-     lands (same rng stream, same decisions). *)
+  (* A traced run must land exactly where a bare run lands (same rng
+     stream, same decisions). *)
+  let p = F1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 2. |])
+      ~budget:(Budget.Evaluations 500) () in
   let bare = { Line.x = 12; cost_fn = double_well } in
-  let pb = F1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 2. |])
-      ~budget:(Budget.Evaluations 500) () in
-  let rb = F1.run (Rng.create ~seed:42) pb bare in
-  let wrapped = TLine.wrap { Line.x = 12; cost_fn = double_well } in
-  let pw = TF1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 2. |])
-      ~budget:(Budget.Evaluations 500) () in
-  let rw = TF1.run (Rng.create ~seed:42) pw wrapped in
+  let rb = F1.run (Rng.create ~seed:42) p bare in
+  let traced = { Line.x = 12; cost_fn = double_well } in
+  let rw, _ = traced_run p (Rng.create ~seed:42) traced in
   Alcotest.check (Alcotest.float 0.) "same best cost" rb.Mc_problem.best_cost
     rw.Mc_problem.best_cost;
-  Alcotest.check Alcotest.int "same final position" bare.Line.x
-    (TLine.unwrap wrapped).Line.x
+  Alcotest.check Alcotest.int "same final position" bare.Line.x traced.Line.x
 
 let test_traced_records_everything () =
-  let wrapped = TLine.wrap { Line.x = 5; cost_fn = vee } in
-  let p = TF1.params ~gfun:never_uphill ~schedule:one_schedule
+  let p = F1.params ~gfun:never_uphill ~schedule:one_schedule
       ~budget:(Budget.Evaluations 300) () in
-  ignore (TF1.run (Rng.create ~seed:43) p wrapped);
-  let rec_ = TLine.recorder wrapped in
-  (* one evaluation at engine start + one per proposal *)
-  Alcotest.check Alcotest.int "count = evals + 1" 301 (Traced.Recorder.count rec_);
-  Alcotest.check (Alcotest.float 0.) "minimum found" 0. (Traced.Recorder.minimum rec_)
+  let _, rec_ = traced_run p (Rng.create ~seed:43) { Line.x = 5; cost_fn = vee } in
+  (* the initial cost + one per proposal *)
+  Alcotest.check Alcotest.int "count = evals + 1" 301 (Obs.Trajectory.count rec_);
+  Alcotest.check (Alcotest.float 0.) "minimum found" 0. (Obs.Trajectory.minimum rec_)
 
 let test_traced_decimation () =
-  let wrapped = TLine.wrap ~capacity:16 { Line.x = 0; cost_fn = vee } in
-  let p = TF1.params ~defer_threshold:2 ~gfun:Gfun.g_one ~schedule:one_schedule
+  let p = F1.params ~defer_threshold:2 ~gfun:Gfun.g_one ~schedule:one_schedule
       ~budget:(Budget.Evaluations 10_000) () in
-  ignore (TF1.run (Rng.create ~seed:44) p wrapped);
-  let rec_ = TLine.recorder wrapped in
-  let series = Traced.Recorder.series rec_ in
+  let _, rec_ =
+    traced_run ~capacity:16 p (Rng.create ~seed:44) { Line.x = 0; cost_fn = vee }
+  in
+  let series = Obs.Trajectory.series rec_ in
   Alcotest.check Alcotest.bool "bounded memory" true (Array.length series <= 16);
-  Alcotest.check Alcotest.bool "stride grew" true (Traced.Recorder.stride rec_ > 1);
-  Alcotest.check Alcotest.int "counted all" 10_001 (Traced.Recorder.count rec_);
+  Alcotest.check Alcotest.bool "stride grew" true (Obs.Trajectory.stride rec_ > 1);
+  Alcotest.check Alcotest.int "counted all" 10_001 (Obs.Trajectory.count rec_);
   (* indices strictly increasing *)
   for i = 1 to Array.length series - 1 do
     Alcotest.check Alcotest.bool "monotone indices" true
       (fst series.(i) > fst series.(i - 1))
   done
-
-let test_traced_copy_shares_recorder () =
-  let wrapped = TLine.wrap { Line.x = 3; cost_fn = vee } in
-  let snapshot = TLine.copy wrapped in
-  ignore (TLine.cost snapshot);
-  Alcotest.check Alcotest.int "recorded through the snapshot" 1
-    (Traced.Recorder.count (TLine.recorder wrapped))
 
 (* ---------------------------- Figure 2 --------------------------- *)
 
@@ -712,7 +702,6 @@ let suite =
     case "traced: transparent to the engine" test_traced_transparent;
     case "traced: records every evaluation" test_traced_records_everything;
     case "traced: decimation bounds memory" test_traced_decimation;
-    case "traced: snapshots share the recorder" test_traced_copy_shares_recorder;
     case "figure2: descends before uphill" test_f2_descends_before_uphill;
     case "figure2: re-descends after uphill" test_f2_redescends_after_uphill;
     case "figure2: stops when schedule done" test_f2_stops_when_schedule_done;

@@ -162,19 +162,20 @@ let test_tuner_on_tsp () =
     (outcome.Tsp_tuner.total_reduction > 0.)
 
 let test_traced_over_partition () =
-  let module TPart = Traced.Make (Partition_problem) in
-  let module E = Figure1.Make (TPart) in
+  let module E = Figure1.Make (Partition_problem) in
   let nl = Netlist.random_gola (Rng.create ~seed:13) ~elements:16 ~nets:40 in
-  let start = TPart.wrap (Bipartition.random_balanced (Rng.create ~seed:14) nl) in
+  let start = Bipartition.random_balanced (Rng.create ~seed:14) nl in
   let p =
     E.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
       ~budget:(Budget.Evaluations 1000) ()
   in
-  let r = E.run (Rng.create ~seed:15) p start in
-  let rec_ = TPart.recorder start in
-  Alcotest.check Alcotest.int "1001 evaluations traced" 1001 (Traced.Recorder.count rec_);
+  let rec_ = Obs.Trajectory.create 512 in
+  let r =
+    E.run ~observer:(Obs.Trajectory.observer rec_) (Rng.create ~seed:15) p start
+  in
+  Alcotest.check Alcotest.int "1001 evaluations traced" 1001 (Obs.Trajectory.count rec_);
   Alcotest.check (Alcotest.float 1e-9) "trace minimum = engine best"
-    r.Mc_problem.best_cost (Traced.Recorder.minimum rec_)
+    r.Mc_problem.best_cost (Obs.Trajectory.minimum rec_)
 
 module Arr_multi = Multi_start.Make (Linarr_problem.Swap)
 
@@ -231,5 +232,5 @@ let suite =
     case "Figure 2 over floorplans" test_figure2_on_floorplan;
     case "whole g-catalog drives wiring" test_wiring_all_gfuns_finite;
     case "tuner over TSP" test_tuner_on_tsp;
-    case "traced wrapper over partitions" test_traced_over_partition;
+    case "traced run over partitions" test_traced_over_partition;
   ]

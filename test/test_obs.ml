@@ -157,15 +157,6 @@ let prop_trajectory_invariants =
       && Obs.Trajectory.count t = n
       && (n = 0 || Obs.Trajectory.minimum t = !true_min))
 
-let test_recorder_is_trajectory () =
-  (* Traced.Recorder is the same module; the type equation compiles and
-     values flow both ways. *)
-  let t : Traced.Recorder.t = Obs.Trajectory.create 4 in
-  Obs.Trajectory.record t 3.;
-  Traced.Recorder.record t 1.;
-  Alcotest.check Alcotest.int "both records counted" 2 (Traced.Recorder.count t);
-  Alcotest.check (Alcotest.float 0.) "minimum shared" 1. (Obs.Trajectory.minimum t)
-
 let test_trajectory_observer_records () =
   let t = Obs.Trajectory.create 16 in
   let o = Obs.Trajectory.observer t in
@@ -583,7 +574,6 @@ let suite =
     case "event: json round-trip (all constructors)" test_event_roundtrip;
     case "event: malformed events rejected" test_event_bad_json;
     QCheck_alcotest.to_alcotest prop_trajectory_invariants;
-    case "recorder: Traced.Recorder = Obs.Trajectory" test_recorder_is_trajectory;
     case "trajectory: observer records run_start + proposals"
       test_trajectory_observer_records;
     case "log_hist: bucket boundaries" test_log_hist_boundaries;

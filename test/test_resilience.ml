@@ -399,6 +399,108 @@ let chaos_matrix_cases =
         faults)
     engines
 
+(* The same matrix on the delta fast path: faults are injected into a
+   wrapped [Linarr_problem.Swap.delta_ops] (non-finite deltas, raising
+   propose/delta/commit), and a NaN resync cost comes from [Chaos_swap]
+   itself under a short [recost_every]. *)
+type delta_fault = Nan_delta | Inf_delta | Raise_propose | Raise_delta | Raise_commit
+
+let faulty_delta_ops ~fired fault =
+  let d = Linarr_problem.Swap.delta_ops in
+  let after = match fault with Raise_commit -> 10 | _ -> 60 in
+  let calls = ref 0 in
+  let fire () =
+    incr calls;
+    let now = !calls = after + 1 in
+    if now then incr fired;
+    now
+  in
+  let fault_exn op = Chaos_swap.Fault ("injected " ^ op) in
+  match fault with
+  | Nan_delta | Inf_delta ->
+      let bad = if fault = Nan_delta then Float.nan else Float.infinity in
+      { d with delta = (fun s m -> let v = d.delta s m in if fire () then bad else v) }
+  | Raise_propose ->
+      { d with propose = (fun rng s -> if fire () then raise (fault_exn "propose") else d.propose rng s) }
+  | Raise_delta ->
+      { d with delta = (fun s m -> if fire () then raise (fault_exn "delta") else d.delta s m) }
+  | Raise_commit ->
+      { d with commit = (fun s m -> if fire () then raise (fault_exn "commit") else d.commit s m) }
+
+let delta_engines delta_ops =
+  [
+    ( "figure1",
+      fun state ->
+        CF1.run ~delta_ops (Rng.create ~seed:22) (Lazy.force cf1_params) state );
+    ( "figure2",
+      fun state ->
+        CF2.run ~delta_ops (Rng.create ~seed:22) (Lazy.force cf2_params) state );
+    ( "rejectionless",
+      fun state ->
+        CRL.run ~delta_ops (Rng.create ~seed:22) (Lazy.force crl_params) state );
+  ]
+
+let delta_chaos_case (fault_name, fault, expected, message) engine_name () =
+  Chaos_swap.reset ();
+  let fired = ref 0 in
+  let delta_ops = faulty_delta_ops ~fired fault in
+  let engine = List.assoc engine_name (delta_engines delta_ops) in
+  let e, state = abort_of engine in
+  let name = engine_name ^ "/delta/" ^ fault_name in
+  let reason, partial = partial_of_abort name e in
+  Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 !fired;
+  Alcotest.check Alcotest.bool (name ^ ": reason names the fault") true
+    (contains ~sub:message (Printexc.to_string reason));
+  check_aborted_cleanly ~name ~fault_is_cost:expected (reason, partial, state)
+
+let resync_chaos_case (fault_name, fault) engine_name () =
+  Chaos_swap.reset ();
+  (* Dormant through the initial cost and two resyncs. *)
+  Chaos_swap.plan ~after:3 fault;
+  let delta_ops = { Linarr_problem.Swap.delta_ops with Mc_problem.recost_every = 7 } in
+  let engine = List.assoc engine_name (delta_engines delta_ops) in
+  let e, state = abort_of engine in
+  let name = engine_name ^ "/resync/" ^ fault_name in
+  let reason, partial = partial_of_abort name e in
+  Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 (Chaos_swap.injected ());
+  Chaos_swap.reset ();
+  Alcotest.check Alcotest.bool (name ^ ": reason names the resync") true
+    (contains ~sub:"at resync" (Printexc.to_string reason));
+  check_aborted_cleanly ~name ~fault_is_cost:`Invalid (reason, partial, state)
+
+let delta_chaos_cases =
+  let faults =
+    [
+      ("nan-delta", Nan_delta, `Invalid, "non-finite delta");
+      ("inf-delta", Inf_delta, `Invalid, "non-finite delta");
+      ("raise-propose", Raise_propose, `Fault, "injected propose");
+      ("raise-delta", Raise_delta, `Fault, "injected delta");
+      ("raise-commit", Raise_commit, `Fault, "injected commit");
+    ]
+  in
+  List.concat_map
+    (fun (engine_name, _) ->
+      List.filter_map
+        (fun ((fault_name, fault, _, _) as f) ->
+          (* The rejectionless engine enumerates [P.moves] and never
+             calls [propose]. *)
+          if engine_name = "rejectionless" && fault = Raise_propose then None
+          else
+            Some
+              (case
+                 (Printf.sprintf "chaos: %s delta path survives %s" engine_name
+                    fault_name)
+                 (delta_chaos_case f engine_name)))
+        faults
+      @ List.map
+          (fun ((fault_name, _) as f) ->
+            case
+              (Printf.sprintf "chaos: %s delta path survives %s at resync"
+                 engine_name fault_name)
+              (resync_chaos_case f engine_name))
+          [ ("nan-cost", Chaos_swap.Nan_cost); ("inf-cost", Chaos_swap.Inf_cost) ])
+    engines
+
 let test_chaos_slow_move_completes () =
   Chaos_swap.reset ();
   Chaos_swap.plan ~after:5 (Chaos_swap.Slow_move 0.002);
@@ -638,6 +740,7 @@ let suite =
     case "resume argument validation" test_resume_argument_validation;
   ]
   @ chaos_matrix_cases
+  @ delta_chaos_cases
   @ [
       case "chaos: slow moves only delay" test_chaos_slow_move_completes;
       case "chaos: plan validation" test_chaos_plan_validation;
