@@ -1,644 +1,406 @@
-(* Schema validator for the repo's machine-readable JSON documents:
-   `check_json PATH` exits non-zero (with a message naming the failing
-   check) when the file is missing, malformed, or structurally wrong.
-   The top-level "schema" field selects the rule set:
+(* Schema validator for the repo's machine-readable JSON documents.
+   `check_json FILE.json` exits 0 when the document is valid, 1 with a
+   message naming the offending value by its dotted path (for example
+   rounds[2].culled[0]) when it is missing, malformed or wrong, and 2 on
+   bad usage.  The document's "schema" member picks a row of [schemas]
+   at the bottom: a declarative shape, plus named cross-field invariants
+   written as plain code and run once the shape holds.  To add a
+   schema, declare both and add a row.  The documents come from the
+   bench-smoke, @lint, resilience-smoke, portfolio-smoke and
+   telemetry-smoke aliases; check-json-mutants pins what is accepted. *)
 
-   - sa-lab/bench-results/v1     (bench/main.exe --json; bench-smoke alias)
-   - sa-lab/lint-report/v2       (sa_lint --json / --json-file; @lint alias)
-   - sa-lab/checkpoint/v1        (sa_lab run --checkpoint; resilience-smoke)
-   - sa-lab/supervisor-report/v1 (sa_lab supervise --report; resilience-smoke)
-   - sa-lab/portfolio-report/v1  (sa_lab portfolio --report; portfolio-smoke)
-   - sa-lab/telemetry/v1         (the /runs endpoint; telemetry-smoke)
+type shape =
+  | Any
+  | Int of string * (int -> bool)  (** description, predicate *)
+  | Number of string * (float -> bool)  (** an Int or a Float *)
+  | Str of { non_empty : bool }
+  | Bool
+  | Enum of string list
+  | Nullable of shape
+  | List of { non_empty : bool; item : shape }
+  | Obj of (string * [ `Required | `Optional ] * shape) list
+  | Tagged of string * (string * shape) list
+      (** an object whose tag member selects the shape of the whole object *)
 
-   Run by `dune runtest` through the aliases, so a regression that
-   breaks any machine-readable output fails the tier-1 gate. *)
+let req name shape = (name, `Required, shape)
+let opt name shape = (name, `Optional, shape)
+let reqs shape names = List.map (fun name -> req name shape) names
+let int = Int ("an integer", Fun.const true)
+let positive_int = Int ("a positive integer", fun n -> n > 0)
+let non_negative_int = Int ("a non-negative integer", fun n -> n >= 0)
+let number = Number ("a number", Fun.const true)
+let positive = Number ("a positive finite number", fun v -> v > 0. && Float.is_finite v)
+let non_negative = Number ("a non-negative finite number", fun v -> v >= 0. && Float.is_finite v)
+let string = Str { non_empty = false }
+let non_empty_string = Str { non_empty = true }
+let list item = List { non_empty = false; item }
+let non_empty_list item = List { non_empty = true; item }
 
-let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("check_json: " ^ msg); exit 1) fmt
+let rec describe = function
+  | Any -> "anything"
+  | Int (what, _) | Number (what, _) -> what
+  | Str { non_empty } -> if non_empty then "a non-empty string" else "a string"
+  | Bool -> "a boolean"
+  | Enum names -> "one of " ^ String.concat ", " (List.map (Printf.sprintf "%S") names)
+  | Nullable s -> describe s ^ " or null"
+  | List { non_empty; _ } -> if non_empty then "a non-empty list" else "a list"
+  | Obj _ | Tagged _ -> "an object"
 
-(* The sampling-profiler summary embedded in bench results.  The
-   profiler is evaluation-driven, so its arithmetic is exact: samples
-   is events / cadence (integer division), and the per-span self
-   samples can never exceed the total. *)
-let check_profile path p =
-  let field name =
-    match Obs.Json.member name p with
-    | Some v -> v
-    | None -> fail "%s: profile missing field %S" path name
+(* A rejection: the dotted path of the offending value, and what is
+   wrong with it. *)
+exception Invalid of string * string
+
+(* [ensure ok path fmt ...] rejects the value at [path] unless [ok]. *)
+let ensure ok path fmt = Printf.ksprintf (fun msg -> if not ok then raise (Invalid (path, msg))) fmt
+let member_path path name = if path = "" then name else path ^ "." ^ name
+let index_path path i = Printf.sprintf "%s[%d]" path i
+
+let rec check path shape v =
+  let bad () =
+    let text = Obs.Json.to_string v in
+    let text = if String.length text > 40 then String.sub text 0 37 ^ "..." else text in
+    raise (Invalid (path, Printf.sprintf "expected %s, got %s" (describe shape) text))
   in
-  let int_field name =
-    match Obs.Json.to_int (field name) with
-    | Some v -> v
-    | None -> fail "%s: profile.%s is not an integer" path name
-  in
-  let cadence = int_field "cadence" in
-  if cadence <= 0 then fail "%s: profile.cadence = %d is not positive" path cadence;
-  let events = int_field "events" in
-  if events < 0 then fail "%s: profile.events is negative" path;
-  let samples = int_field "samples" in
-  if samples <> events / cadence then
-    fail "%s: profile.samples = %d but %d events at cadence %d predict %d" path
-      samples events cadence (events / cadence);
-  match field "spans" with
-  | Obs.Json.List spans ->
-      let self_total = ref 0 in
-      List.iteri
-        (fun i s ->
-          let sfield name =
-            match Obs.Json.member name s with
-            | Some v -> v
-            | None -> fail "%s: profile.spans[%d] missing field %S" path i name
-          in
-          (match sfield "span" with
-          | Obs.Json.String name when name <> "" -> ()
-          | _ -> fail "%s: profile.spans[%d].span is not a non-empty string" path i);
-          match Obs.Json.to_int (sfield "self") with
-          | Some c when c > 0 -> self_total := !self_total + c
-          | _ ->
-              fail "%s: profile.spans[%d].self is not a positive integer" path i)
-        spans;
-      if !self_total > samples then
-        fail "%s: profile.spans claim %d self samples but only %d were taken"
-          path !self_total samples;
-      if samples > 0 && spans = [] then
-        fail "%s: profile took %d samples but lists no spans" path samples
-  | _ -> fail "%s: profile.spans is not a list" path
-
-let check_bench path member =
-  (match Obs.Json.to_float (member "engine_evals_per_sec") with
-  | Some v when v > 0. && Float.is_finite v -> ()
-  | Some v -> fail "%s: engine_evals_per_sec = %g is not positive" path v
-  | None -> fail "%s: engine_evals_per_sec is not a number" path);
-  check_profile path (member "profile");
-  (match Obs.Json.to_float (member "scale") with
-  | Some _ -> ()
-  | None -> fail "%s: scale is not a number" path);
-  let tables_skipped =
-    match member "tables_skipped" with
-    | Obs.Json.Bool b -> b
-    | _ -> fail "%s: tables_skipped is not a boolean" path
-  in
-  (match member "tables" with
-  | Obs.Json.List [] when not tables_skipped ->
-      fail "%s: tables is empty but tables_skipped is false" path
-  | Obs.Json.List (_ :: _) when tables_skipped ->
-      fail "%s: tables is non-empty but tables_skipped is true" path
-  | Obs.Json.List tables ->
-      List.iteri
-        (fun i t ->
-          let tmember name =
-            match Obs.Json.member name t with
-            | Some v -> v
-            | None -> fail "%s: tables[%d] missing field %S" path i name
-          in
-          (match tmember "name" with
-          | Obs.Json.String _ -> ()
-          | _ -> fail "%s: tables[%d].name is not a string" path i);
-          (match Obs.Json.to_float (tmember "wall_seconds") with
-          | Some v when v >= 0. -> ()
-          | _ -> fail "%s: tables[%d].wall_seconds is not a non-negative number" path i);
-          match Obs.Json.to_int (tmember "rows") with
-          | Some r when r > 0 -> ()
-          | _ -> fail "%s: tables[%d].rows is not a positive integer" path i)
-        tables
-  | _ -> fail "%s: tables is not a list" path);
-  (match member "micro" with
-  | Obs.Json.List _ -> ()
-  | _ -> fail "%s: micro is not a list" path);
-  (match member "delta" with
-  | Obs.Json.List [] -> fail "%s: delta is empty" path
-  | Obs.Json.List entries ->
-      List.iteri
-        (fun i d ->
-          let dmember name =
-            match Obs.Json.member name d with
-            | Some v -> v
-            | None -> fail "%s: delta[%d] missing field %S" path i name
-          in
-          (match dmember "domain" with
-          | Obs.Json.String s when s <> "" -> ()
-          | _ -> fail "%s: delta[%d].domain is not a non-empty string" path i);
-          (match Obs.Json.to_int (dmember "evals") with
-          | Some e when e > 0 -> ()
-          | _ -> fail "%s: delta[%d].evals is not a positive integer" path i);
-          let positive_rate name =
-            match Obs.Json.to_float (dmember name) with
-            | Some v when v > 0. && Float.is_finite v -> ()
-            | _ -> fail "%s: delta[%d].%s is not a positive finite number" path i name
-          in
-          positive_rate "recompute_evals_per_sec";
-          positive_rate "delta_evals_per_sec";
-          positive_rate "speedup";
-          match dmember "costs_agree" with
-          | Obs.Json.Bool _ -> ()
-          | _ -> fail "%s: delta[%d].costs_agree is not a boolean" path i)
-        entries;
-      (* The paper's own benchmark may not silently drop off the perf
-         trajectory: a linarr row per move kind must be present, and its
-         fast path must agree with the recompute path bit-for-bit.  (The
-         speedup itself is a measurement, not a schema target.) *)
+  match (shape, v) with
+  | Any, _ | Bool, Obs.Json.Bool _ | Nullable _, Obs.Json.Null -> ()
+  | Int (_, ok), Obs.Json.Int n when ok n -> ()
+  | Number (_, ok), _ when Option.fold ~none:false ~some:ok (Obs.Json.to_float v) -> ()
+  | Str { non_empty }, Obs.Json.String s when s <> "" || not non_empty -> ()
+  | Enum names, Obs.Json.String s when List.mem s names -> ()
+  | Nullable s, _ -> ( try check path s v with Invalid _ -> bad ())
+  | List { non_empty; item }, Obs.Json.List l when l <> [] || not non_empty ->
+      List.iteri (fun i x -> check (index_path path i) item x) l
+  | Obj fields, Obs.Json.Obj _ ->
       List.iter
-        (fun prefix ->
-          let matching =
-            List.filter
-              (fun d ->
-                match Obs.Json.member "domain" d with
-                | Some (Obs.Json.String s) ->
-                    String.length s >= String.length prefix
-                    && String.sub s 0 (String.length prefix) = prefix
-                | _ -> false)
-              entries
-          in
-          if matching = [] then
-            fail "%s: delta has no %s-* row (linarr dropped off the trajectory)"
-              path prefix;
-          List.iter
-            (fun d ->
-              match Obs.Json.member "costs_agree" d with
-              | Some (Obs.Json.Bool true) -> ()
-              | _ ->
-                  fail "%s: a %s-* delta row does not have costs_agree: true"
-                    path prefix)
-            matching)
-        [ "linarr-swap"; "linarr-relocate" ]
-  | _ -> fail "%s: delta is not a list" path);
-  (match member "scaling" with
-  | Obs.Json.List entries ->
-      List.iteri
-        (fun i s ->
-          let smember name =
-            match Obs.Json.member name s with
-            | Some v -> v
-            | None -> fail "%s: scaling[%d] missing field %S" path i name
-          in
-          (match smember "case" with
-          | Obs.Json.String c when c <> "" -> ()
-          | _ -> fail "%s: scaling[%d].case is not a non-empty string" path i);
-          (match Obs.Json.to_int (smember "domains") with
-          | Some d when d >= 1 -> ()
-          | _ -> fail "%s: scaling[%d].domains is not a positive integer" path i);
-          (match Obs.Json.to_float (smember "wall_seconds") with
-          | Some w when w >= 0. && Float.is_finite w -> ()
-          | _ ->
-              fail "%s: scaling[%d].wall_seconds is not a non-negative number"
-                path i);
-          (* The speedup is a measurement, not a target: any positive
-             finite value is structurally valid (a 1-CPU machine will
-             legitimately report < 1x at several domains). *)
-          (match Obs.Json.to_float (smember "speedup") with
-          | Some v when v > 0. && Float.is_finite v -> ()
-          | _ -> fail "%s: scaling[%d].speedup is not a positive finite number" path i);
-          match smember "report_identical" with
-          | Obs.Json.Bool true -> ()
-          | Obs.Json.Bool false ->
-              fail "%s: scaling[%d].report_identical is false — the portfolio \
-                    determinism contract is broken"
-                path i
-          | _ -> fail "%s: scaling[%d].report_identical is not a boolean" path i)
-        entries
-  | _ -> fail "%s: scaling is not a list" path);
-  (match member "lint" with
-  | Obs.Json.Obj _ as l ->
-      let lmember name =
-        match Obs.Json.member name l with
-        | Some v -> v
-        | None -> fail "%s: lint missing field %S" path name
-      in
-      (match Obs.Json.to_int (lmember "files") with
-      | Some f when f > 0 -> ()
-      | _ -> fail "%s: lint.files is not a positive integer" path);
-      (match Obs.Json.to_int (lmember "cold_reanalyzed") with
-      | Some c when c > 0 -> ()
-      | _ -> fail "%s: lint.cold_reanalyzed is not a positive integer" path);
-      (* The contract the cache bench exists to witness: a warm run over
-         an unchanged tree re-analyzes nothing. *)
-      (match Obs.Json.to_int (lmember "warm_reanalyzed") with
-      | Some 0 -> ()
-      | Some n ->
-          fail "%s: lint.warm_reanalyzed = %d — the warm cache re-analyzed files"
-            path n
-      | None -> fail "%s: lint.warm_reanalyzed is not an integer" path);
-      let nonneg name =
-        match Obs.Json.to_float (lmember name) with
-        | Some v when v >= 0. && Float.is_finite v -> ()
-        | _ -> fail "%s: lint.%s is not a non-negative finite number" path name
-      in
-      nonneg "cold_seconds";
-      nonneg "warm_seconds";
-      (match Obs.Json.to_float (lmember "speedup") with
-      | Some v when v > 0. && Float.is_finite v -> ()
-      | _ -> fail "%s: lint.speedup is not a positive finite number" path)
-  | _ -> fail "%s: lint is not an object" path);
-  (* The sa_labd load bench: concurrent jobs over real sockets must
-     have completed, the quota must actually have rejected someone,
-     and the kill-and-restart phase must have resumed a job. *)
-  match member "service" with
-  | Obs.Json.Obj _ as s ->
-      let smember name =
-        match Obs.Json.member name s with
-        | Some v -> v
-        | None -> fail "%s: service missing field %S" path name
-      in
-      let positive_int name =
-        match Obs.Json.to_int (smember name) with
-        | Some v when v >= 1 -> v
-        | _ -> fail "%s: service.%s is not a positive integer" path name
-      in
-      let jobs = positive_int "jobs" in
-      let completed = positive_int "completed" in
-      if completed < jobs then
-        fail "%s: service completed %d of %d submitted jobs" path completed jobs;
-      ignore (positive_int "rejected");
-      ignore (positive_int "resumed");
-      (match Obs.Json.to_int (smember "rejected_queue") with
-      | Some v when v >= 0 -> ()
-      | _ -> fail "%s: service.rejected_queue is not a non-negative integer" path);
-      let latency name =
-        match Obs.Json.to_float (smember name) with
-        | Some v when v >= 0. && Float.is_finite v -> v
-        | _ -> fail "%s: service.%s is not a non-negative finite number" path name
-      in
-      let p50 = latency "p50_ms" in
-      let p99 = latency "p99_ms" in
-      if p99 < p50 then
-        fail "%s: service.p99_ms = %g is below service.p50_ms = %g" path p99 p50
-  | _ -> fail "%s: service is not an object" path
+        (fun (name, presence, s) ->
+          match Obs.Json.member name v with
+          | Some x -> check (member_path path name) s x
+          | None -> ensure (presence = `Optional) (member_path path name) "missing")
+        fields
+  | Tagged (tag, cases), Obs.Json.Obj _ -> (
+      check path (Obj [ req tag (Enum (List.map fst cases)) ]) v;
+      match Obs.Json.member tag v with
+      | Some (Obs.Json.String t) -> check path (List.assoc t cases) v
+      | _ -> ())
+  | _ -> bad ()
 
-let check_lint path json member =
-  let non_negative_int name =
-    match Obs.Json.to_int (member name) with
-    | Some v when v >= 0 -> v
-    | _ -> fail "%s: %s is not a non-negative integer" path name
-  in
-  let files = non_negative_int "files_scanned" in
-  let reanalyzed = non_negative_int "files_reanalyzed" in
-  if reanalyzed > files then
-    fail "%s: files_reanalyzed = %d exceeds files_scanned = %d" path
-      reanalyzed files;
-  let _typed = non_negative_int "typed_modules" in
-  let _supp = non_negative_int "suppressions" in
-  let errors = non_negative_int "error_count" in
-  let warnings = non_negative_int "warning_count" in
-  (match member "rules" with
-  | Obs.Json.List [] -> fail "%s: rules is empty" path
-  | Obs.Json.List rules ->
-      List.iteri
-        (fun i r ->
-          let field name =
-            match Obs.Json.member name r with
-            | Some (Obs.Json.String s) when s <> "" -> s
-            | _ -> fail "%s: rules[%d].%s is not a non-empty string" path i name
-          in
-          let _ = field "name" in
-          let _ = field "doc" in
-          match field "severity" with
-          | "error" | "warning" -> ()
-          | s -> fail "%s: rules[%d].severity %S is not error/warning" path i s)
-        rules
-  | _ -> fail "%s: rules is not a list" path);
-  let counted = ref 0 in
-  let baselined_true = ref 0 in
-  (match member "diagnostics" with
-  | Obs.Json.List diags ->
-      List.iteri
-        (fun i d ->
-          let field name =
-            match Obs.Json.member name d with
-            | Some v -> v
-            | None -> fail "%s: diagnostics[%d] missing field %S" path i name
-          in
-          (match (field "rule", field "file", field "message") with
-          | Obs.Json.String _, Obs.Json.String _, Obs.Json.String _ -> ()
-          | _ -> fail "%s: diagnostics[%d] rule/file/message must be strings" path i);
-          (match Obs.Json.to_int (field "line") with
-          | Some l when l >= 1 -> ()
-          | _ -> fail "%s: diagnostics[%d].line is not a positive integer" path i);
-          (match Obs.Json.to_int (field "col") with
-          | Some c when c >= 0 -> ()
-          | _ -> fail "%s: diagnostics[%d].col is not a non-negative integer" path i);
-          (* Typed rules attach their witness as a call-path trace;
-             syntactic rules attach []. *)
-          (match field "trace" with
-          | Obs.Json.List frames ->
-              List.iteri
-                (fun j f ->
-                  let ffield name =
-                    match Obs.Json.member name f with
-                    | Some v -> v
-                    | None ->
-                        fail "%s: diagnostics[%d].trace[%d] missing field %S"
-                          path i j name
-                  in
-                  (match (ffield "symbol", ffield "file") with
-                  | Obs.Json.String s, Obs.Json.String _ when s <> "" -> ()
-                  | _ ->
-                      fail
-                        "%s: diagnostics[%d].trace[%d] symbol/file must be \
-                         non-empty strings"
-                        path i j);
-                  match (Obs.Json.to_int (ffield "line"),
-                         Obs.Json.to_int (ffield "col")) with
-                  | Some l, Some c when l >= 1 && c >= 0 -> ()
-                  | _ ->
-                      fail "%s: diagnostics[%d].trace[%d] line/col out of range"
-                        path i j)
-                frames
-          | _ -> fail "%s: diagnostics[%d].trace is not a list" path i);
-          (match Obs.Json.member "baselined" d with
-          | Some (Obs.Json.Bool true) -> incr baselined_true
-          | Some (Obs.Json.Bool false) | None -> ()
-          | Some _ ->
-              fail "%s: diagnostics[%d].baselined is not a boolean" path i);
-          match field "severity" with
-          | Obs.Json.String ("error" | "warning") -> incr counted
-          | _ -> fail "%s: diagnostics[%d].severity is not error/warning" path i)
-        diags;
-      if !counted <> errors + warnings then
-        fail "%s: error_count + warning_count = %d but %d diagnostics listed"
-          path (errors + warnings) !counted
-  | _ -> fail "%s: diagnostics is not a list" path);
-  match Obs.Json.member "baseline" json with
-  | None -> ()
-  | Some b ->
-      let stat name =
-        match Option.bind (Obs.Json.member name b) Obs.Json.to_int with
-        | Some v when v >= 0 -> v
-        | _ -> fail "%s: baseline.%s is not a non-negative integer" path name
-      in
-      let matched = stat "matched" in
-      let fresh = stat "fresh" in
-      let _stale = stat "stale" in
-      if matched + fresh <> !counted then
-        fail
-          "%s: baseline claims %d matched + %d fresh but %d diagnostics listed"
-          path matched fresh !counted;
-      if matched <> !baselined_true then
-        fail "%s: baseline.matched = %d but %d diagnostics carry baselined=true"
-          path matched !baselined_true
+(* Invariants run only once the document matches its shape, so these
+   accessors always find a present, well-typed member. *)
+let field name j = Option.get (Obs.Json.member name j)
+let int_of name j = Option.get (Obs.Json.to_int (field name j))
+let items name j = match field name j with Obs.Json.List l -> l | _ -> []
+let string_of name j = match field name j with Obs.Json.String s -> s | _ -> ""
+let is_true name j = Obs.Json.member name j = Some (Obs.Json.Bool true)
+let count p l = List.length (List.filter p l)
 
-(* The checkpoint rule set leans on the resilience library itself:
-   [Checkpoint.read] re-verifies the CRC, and [snapshot_of_json]
-   re-runs the exact decoder a resume would use, so "check_json says
-   ok" means "a resume would accept this file". *)
-let check_checkpoint path =
-  let payload =
-    match Checkpoint.read ~path with Ok p -> p | Error msg -> fail "%s" msg
-  in
-  let pmember name =
-    match Obs.Json.member name payload with
-    | Some v -> v
-    | None -> fail "%s: payload missing field %S" path name
-  in
-  (match pmember "engine" with
-  | Obs.Json.String "" -> fail "%s: payload.engine is empty" path
-  | Obs.Json.String _ -> ()
-  | _ -> fail "%s: payload.engine is not a string" path);
-  ignore (pmember "fingerprint");
-  ignore (pmember "current");
-  ignore (pmember "best");
-  let snap =
-    match Checkpoint.snapshot_of_json (pmember "snapshot") with
-    | Ok s -> s
-    | Error msg -> fail "%s: payload.snapshot: %s" path msg
-  in
-  if snap.Figure1.ticks < 0 then
-    fail "%s: snapshot.ticks = %d is negative" path snap.Figure1.ticks;
-  if not (Float.is_finite snap.Figure1.current_cost) then
-    fail "%s: snapshot.current_cost is not finite" path;
-  if not (Float.is_finite snap.Figure1.best_cost) then
-    fail "%s: snapshot.best_cost is not finite" path;
-  if snap.Figure1.best_cost > snap.Figure1.current_cost then
-    fail "%s: snapshot.best_cost %g exceeds current_cost %g" path
-      snap.Figure1.best_cost snap.Figure1.current_cost;
-  match Rng.of_state snap.Figure1.rng with
-  | Ok _ -> ()
-  | Error msg -> fail "%s: snapshot.rng: %s" path msg
+(* [within name f] runs [f path value] on a member when present,
+   [each name f] on every element of a member list. *)
+let within name f j = Option.iter (f name) (Obs.Json.member name j)
 
-let check_supervisor_report path member =
-  let non_negative_int name =
-    match Obs.Json.to_int (member name) with
-    | Some v when v >= 0 -> v
-    | _ -> fail "%s: %s is not a non-negative integer" path name
-  in
-  let completed = non_negative_int "completed" in
-  let quarantined = non_negative_int "quarantined" in
-  let _retries = non_negative_int "retries" in
-  match member "outcomes" with
-  | Obs.Json.List outcomes ->
-      let seen_completed = ref 0 and seen_quarantined = ref 0 in
-      List.iteri
-        (fun i o ->
-          let field name =
-            match Obs.Json.member name o with
-            | Some v -> v
-            | None -> fail "%s: outcomes[%d] missing field %S" path i name
-          in
-          (match field "label" with
-          | Obs.Json.String s when s <> "" -> ()
-          | _ -> fail "%s: outcomes[%d].label is not a non-empty string" path i);
-          (match Obs.Json.to_int (field "attempts") with
-          | Some a when a >= 1 -> ()
-          | _ -> fail "%s: outcomes[%d].attempts is not a positive integer" path i);
-          match field "status" with
-          | Obs.Json.String "completed" -> (
-              incr seen_completed;
-              match Obs.Json.to_float (field "seconds") with
-              | Some s when s >= 0. && Float.is_finite s -> ()
-              | _ ->
-                  fail "%s: outcomes[%d].seconds is not a non-negative number"
-                    path i)
-          | Obs.Json.String "quarantined" -> (
-              incr seen_quarantined;
-              match field "reason" with
-              | Obs.Json.String r when r <> "" -> ()
-              | _ ->
-                  fail "%s: outcomes[%d].reason is not a non-empty string" path
-                    i)
-          | _ ->
-              fail "%s: outcomes[%d].status is not completed/quarantined" path i)
-        outcomes;
-      if !seen_completed <> completed then
-        fail "%s: completed = %d but %d completed outcomes listed" path
-          completed !seen_completed;
-      if !seen_quarantined <> quarantined then
-        fail "%s: quarantined = %d but %d quarantined outcomes listed" path
-          quarantined !seen_quarantined
-  | _ -> fail "%s: outcomes is not a list" path
+let each ?(at = "") name f j =
+  List.iteri (fun i x -> f (index_path (member_path at name) i) x) (items name j)
 
-let check_portfolio_report path member =
-  let check_standing ctx s =
-    let field name =
-      match Obs.Json.member name s with
-      | Some v -> v
-      | None -> fail "%s: %s missing field %S" path ctx name
-    in
-    let label =
-      match field "label" with
-      | Obs.Json.String l when l <> "" -> l
-      | _ -> fail "%s: %s.label is not a non-empty string" path ctx
-    in
-    (* Costs are numbers, or null: a job that could not start scores
-       [infinity], which the JSON writer renders as null. *)
-    List.iter
-      (fun name ->
-        match field name with
-        | Obs.Json.Int _ | Obs.Json.Float _ | Obs.Json.Null -> ()
-        | _ -> fail "%s: %s.%s is not a number or null" path ctx name)
-      [ "best_cost"; "final_cost" ];
-    (match Obs.Json.to_int (field "evaluations") with
-    | Some e when e >= 0 -> ()
-    | _ -> fail "%s: %s.evaluations is not a non-negative integer" path ctx);
-    (match field "failed" with
-    | Obs.Json.Null | Obs.Json.String _ -> ()
-    | _ -> fail "%s: %s.failed is not null or a string" path ctx);
-    label
-  in
-  (match member "mode" with
-  | Obs.Json.String ("race" | "sweep") -> ()
-  | _ -> fail "%s: mode is not \"race\" or \"sweep\"" path);
-  let jobs =
-    match Obs.Json.to_int (member "jobs") with
-    | Some j when j >= 1 -> j
-    | _ -> fail "%s: jobs is not a positive integer" path
-  in
-  (match member "stopped_early" with
-  | Obs.Json.Bool _ -> ()
-  | _ -> fail "%s: stopped_early is not a boolean" path);
-  (match Obs.Json.to_int (member "total_evaluations") with
-  | Some t when t >= 0 -> ()
-  | _ -> fail "%s: total_evaluations is not a non-negative integer" path);
-  let winner_label = check_standing "winner" (member "winner") in
-  match member "rounds" with
-  | Obs.Json.List [] -> fail "%s: rounds is empty" path
-  | Obs.Json.List rounds ->
-      let last_labels = ref [] in
-      List.iteri
-        (fun i r ->
-          let field name =
-            match Obs.Json.member name r with
-            | Some v -> v
-            | None -> fail "%s: rounds[%d] missing field %S" path i name
-          in
-          (match Obs.Json.to_int (field "round") with
-          | Some n when n = i + 1 -> ()
-          | _ -> fail "%s: rounds[%d].round is not %d" path i (i + 1));
-          (match Obs.Json.to_int (field "budget_evaluations") with
-          | Some b when b >= 0 -> ()
-          | _ ->
-              fail "%s: rounds[%d].budget_evaluations is not a non-negative \
-                    integer"
-                path i);
-          (match field "results" with
-          | Obs.Json.List [] -> fail "%s: rounds[%d].results is empty" path i
-          | Obs.Json.List results ->
-              let labels =
-                List.mapi
-                  (fun j s ->
-                    check_standing
-                      (Printf.sprintf "rounds[%d].results[%d]" i j)
-                      s)
-                  results
-              in
-              if i = 0 && List.length labels <> jobs then
-                fail "%s: rounds[0] ran %d jobs but jobs = %d" path
-                  (List.length labels) jobs;
-              last_labels := labels
-          | _ -> fail "%s: rounds[%d].results is not a list" path i);
-          match field "culled" with
-          | Obs.Json.List culled ->
-              List.iteri
-                (fun j c ->
-                  match c with
-                  | Obs.Json.String l when List.mem l !last_labels -> ()
-                  | Obs.Json.String l ->
-                      fail "%s: rounds[%d].culled[%d] %S did not run this round"
-                        path i j l
-                  | _ -> fail "%s: rounds[%d].culled[%d] is not a string" path i j)
-                culled
-          | _ -> fail "%s: rounds[%d].culled is not a list" path i)
-        rounds;
-      if not (List.mem winner_label !last_labels) then
-        fail "%s: winner %S is not in the last round's results" path
-          winner_label
-  | _ -> fail "%s: rounds is not a list" path
+(* Member [small] of the object at [path] is at most member [large]. *)
+let no_more small large path j =
+  let get name = Option.get (Obs.Json.to_float (field name j)) in
+  ensure (get small <= get large) (member_path path small) "is %g, more than %s = %g" (get small)
+    large (get large)
 
-(* The /runs snapshot.  Every run slot must be internally coherent
-   (status from the fixed vocabulary, counters non-negative, accepted
-   never ahead of proposed) and the optional pool block must list one
-   entry per worker for every counter. *)
-let check_telemetry path json member =
-  (match member "runs" with
-  | Obs.Json.List [] -> fail "%s: runs is empty" path
-  | Obs.Json.List runs ->
-      List.iteri
-        (fun i r ->
-          let field name =
-            match Obs.Json.member name r with
-            | Some v -> v
-            | None -> fail "%s: runs[%d] missing field %S" path i name
-          in
-          let non_negative_int name =
-            match Obs.Json.to_int (field name) with
-            | Some v when v >= 0 -> v
-            | _ -> fail "%s: runs[%d].%s is not a non-negative integer" path i name
-          in
-          (match field "label" with
-          | Obs.Json.String l when l <> "" -> ()
-          | _ -> fail "%s: runs[%d].label is not a non-empty string" path i);
-          (match field "status" with
-          | Obs.Json.String ("pending" | "running" | "done" | "culled") -> ()
-          | Obs.Json.String s ->
-              fail "%s: runs[%d].status %S is not pending/running/done/culled"
-                path i s
-          | _ -> fail "%s: runs[%d].status is not a string" path i);
-          let _ = non_negative_int "rung" in
-          let _ = non_negative_int "temp" in
-          let _ = non_negative_int "evaluations" in
-          let proposed = non_negative_int "proposed" in
-          let accepted = non_negative_int "accepted" in
-          if accepted > proposed then
-            fail "%s: runs[%d] accepted %d proposals but only %d were proposed"
-              path i accepted proposed;
+(* The count at [path] is the one [what] implies. *)
+let agree path actual what expected =
+  ensure (actual = expected) path "counts %d, but %s = %d" actual what expected
+
+(* ---- sa-lab/bench-results/v1 ---- *)
+
+let table_row = Obj [ req "name" string; req "rows" positive_int; req "wall_seconds" non_negative ]
+
+let delta_row =
+  let rates = reqs positive [ "recompute_evals_per_sec"; "delta_evals_per_sec"; "speedup" ] in
+  Obj ([ req "domain" non_empty_string; req "evals" positive_int; req "costs_agree" Bool ] @ rates)
+
+let bench_results =
+  Obj
+    [
+      req "engine_evals_per_sec" positive;
+      (* The sampling-profiler summary. *)
+      req "profile"
+        (Obj
+           [
+             req "cadence" positive_int;
+             req "events" non_negative_int;
+             req "samples" int;
+             req "spans" (list (Obj [ req "span" non_empty_string; req "self" positive_int ]));
+           ]);
+      req "scale" number;
+      req "tables_skipped" Bool;
+      req "tables" (list table_row);
+      req "micro" (list Any);
+      req "delta" (non_empty_list delta_row);
+      (* Speedups are measurements, not targets: any positive finite
+         value is valid (a 1-CPU machine reports < 1x at several domains). *)
+      req "scaling"
+        (list
+           (Obj
+              [
+                req "case" non_empty_string;
+                req "domains" positive_int;
+                req "wall_seconds" non_negative;
+                req "speedup" positive;
+                req "report_identical" Bool;
+              ]));
+      req "lint"
+        (Obj
+           (reqs positive_int [ "files"; "cold_reanalyzed" ]
+           @ reqs non_negative [ "cold_seconds"; "warm_seconds" ]
+           @ [ req "warm_reanalyzed" int; req "speedup" positive ]));
+      (* The sa_labd load bench: jobs completed over real sockets, the
+         quota rejected someone, and a killed daemon resumed a job. *)
+      req "service"
+        (Obj
+           (reqs positive_int [ "jobs"; "completed"; "rejected"; "resumed" ]
+           @ reqs non_negative [ "p50_ms"; "p99_ms" ]
+           @ [ req "rejected_queue" non_negative_int ]));
+    ]
+
+let bench_invariants =
+  [
+    (* The profiler is evaluation-driven, so its arithmetic is exact. *)
+    ( "the profile's sample counts add up",
+      within "profile" (fun at p ->
+          let samples = int_of "samples" p and spans = items "spans" p in
+          let events = int_of "events" p and cadence = int_of "cadence" p in
+          agree (at ^ ".samples") samples "events / cadence" (events / cadence);
+          let self = List.fold_left (fun acc s -> acc + int_of "self" s) 0 spans in
+          ensure (self <= samples) (at ^ ".spans") "claim %d self samples of %d" self samples;
+          ensure (samples = 0 || spans <> []) (at ^ ".spans") "is empty, %d samples taken" samples)
+    );
+    ( "tables agrees with tables_skipped",
+      fun doc ->
+        ensure ((items "tables" doc = []) = is_true "tables_skipped" doc) "tables"
+          "disagrees with tables_skipped" );
+    (* The paper's own benchmark may not silently drop off the perf
+       trajectory, and its fast path must agree with the recompute path. *)
+    ( "a linarr-swap and a linarr-relocate delta row, each with costs_agree",
+      fun doc ->
+        List.iter
+          (fun prefix ->
+            let matches d = String.starts_with ~prefix (string_of "domain" d) in
+            let rows = List.filter matches (items "delta" doc) in
+            ensure (rows <> []) "delta" "has no %s-* row" prefix;
+            ensure (List.for_all (is_true "costs_agree") rows) "delta"
+              "has a %s-* row without costs_agree: true" prefix)
+          [ "linarr-swap"; "linarr-relocate" ] );
+    ( "scaling[*].report_identical is true",
+      each "scaling" (fun at s ->
+          ensure (is_true "report_identical" s) (at ^ ".report_identical") "is false") );
+    ( "a warm lint run re-analyzes nothing",
+      within "lint" (fun at l ->
+          let n = int_of "warm_reanalyzed" l in
+          ensure (n = 0) (at ^ ".warm_reanalyzed") "is %d, not 0" n) );
+    ("service.completed >= jobs", within "service" (no_more "jobs" "completed"));
+    ("service.p99_ms >= p50_ms", within "service" (no_more "p50_ms" "p99_ms"));
+  ]
+
+(* ---- sa-lab/lint-report/v2 ---- *)
+
+let severity = Enum [ "error"; "warning" ]
+let position = [ req "line" positive_int; req "col" non_negative_int ]
+
+(* Typed rules attach their witness as a call-path trace; syntactic
+   rules attach []. *)
+let diagnostic =
+  let frame = Obj (req "symbol" non_empty_string :: req "file" string :: position) in
+  Obj
+    (reqs string [ "rule"; "file"; "message" ]
+    @ position
+    @ [ req "trace" (list frame); opt "baselined" Bool; req "severity" severity ])
+
+let lint_report =
+  let counters = [ "files_scanned"; "files_reanalyzed"; "typed_modules"; "suppressions" ] in
+  let rule = Obj (req "severity" severity :: reqs non_empty_string [ "name"; "doc" ]) in
+  Obj
+    (reqs non_negative_int (counters @ [ "error_count"; "warning_count" ])
+    @ [
+        req "rules" (non_empty_list rule);
+        req "diagnostics" (list diagnostic);
+        opt "baseline" (Obj (reqs non_negative_int [ "matched"; "fresh"; "stale" ]));
+      ])
+
+let lint_invariants =
+  let listed doc = List.length (items "diagnostics" doc) in
+  [
+    ("files_reanalyzed <= files_scanned", no_more "files_reanalyzed" "files_scanned" "");
+    ( "error_count + warning_count = the diagnostics listed",
+      fun doc ->
+        agree "diagnostics" (listed doc) "error_count + warning_count"
+          (int_of "error_count" doc + int_of "warning_count" doc) );
+    ( "the baseline accounts for every diagnostic listed",
+      fun doc ->
+        let marked = count (is_true "baselined") (items "diagnostics" doc) in
+        within "baseline"
+          (fun at b ->
+            let matched = int_of "matched" b in
+            agree (at ^ ".matched + fresh") (matched + int_of "fresh" b) "diagnostics" (listed doc);
+            agree (at ^ ".matched") matched "the diagnostics marked baselined" marked)
+          doc );
+  ]
+
+(* ---- sa-lab/checkpoint/v1 ---- *)
+
+(* The rules re-run the decoders a resume would use: "check_json ok"
+   means "a resume would accept this file". *)
+let checkpoint =
+  Obj (req "engine" non_empty_string :: reqs Any [ "fingerprint"; "current"; "best"; "snapshot" ])
+
+let checkpoint_invariants =
+  [
+    ( "the snapshot decodes to a state a resume accepts",
+      fun doc ->
+        let at = "payload.snapshot" in
+        match Checkpoint.snapshot_of_json (field "snapshot" doc) with
+        | Error msg -> raise (Invalid (at, msg))
+        | Ok s ->
+            ensure (s.Figure1.ticks >= 0) (at ^ ".ticks") "is %d, negative" s.ticks;
+            ensure (Float.is_finite s.current_cost) (at ^ ".current_cost") "is not finite";
+            ensure (Float.is_finite s.best_cost) (at ^ ".best_cost") "is not finite";
+            ensure (s.best_cost <= s.current_cost) (at ^ ".best_cost") "%g exceeds current_cost %g"
+              s.best_cost s.current_cost;
+            Result.iter_error
+              (fun msg -> raise (Invalid (at ^ ".rng", msg)))
+              (Rng.of_state s.rng) );
+  ]
+
+(* ---- sa-lab/supervisor-report/v1 ---- *)
+
+let supervisor_report =
+  let outcome extra = Obj [ req "label" non_empty_string; req "attempts" positive_int; extra ] in
+  Obj
+    (reqs non_negative_int [ "completed"; "quarantined"; "retries" ]
+    @ [
+        req "outcomes"
+          (list
+             (Tagged
+                ( "status",
+                  [
+                    ("completed", outcome (req "seconds" non_negative));
+                    ("quarantined", outcome (req "reason" non_empty_string));
+                  ] )));
+      ])
+
+let supervisor_invariants =
+  [
+    ( "the completed and quarantined tallies match the outcomes",
+      fun doc ->
+        List.iter
+          (fun status ->
+            let listed = count (fun o -> string_of "status" o = status) (items "outcomes" doc) in
+            agree status (int_of status doc) "the outcomes with that status" listed)
+          [ "completed"; "quarantined" ] );
+  ]
+
+(* ---- sa-lab/portfolio-report/v1 ---- *)
+
+(* Costs are numbers, or null: a job that could not start scores
+   [infinity], which the JSON writer renders as null. *)
+let standing =
+  Obj
+    (reqs (Nullable number) [ "best_cost"; "final_cost" ]
+    @ [
+        req "label" non_empty_string;
+        req "evaluations" non_negative_int;
+        req "failed" (Nullable string);
+      ])
+
+let portfolio_report =
+  Obj
+    [
+      req "mode" (Enum [ "race"; "sweep" ]);
+      req "jobs" positive_int;
+      req "stopped_early" Bool;
+      req "total_evaluations" non_negative_int;
+      req "winner" standing;
+      req "rounds"
+        (non_empty_list
+           (Obj
+              [
+                req "round" int;
+                req "budget_evaluations" non_negative_int;
+                req "results" (non_empty_list standing);
+                req "culled" (list string);
+              ]));
+    ]
+
+let portfolio_invariants =
+  let labels round = List.map (string_of "label") (items "results" round) in
+  [
+    ( "rounds[i].round = i + 1",
+      fun doc ->
+        List.iteri
+          (fun i r ->
+            ensure (int_of "round" r = i + 1) (index_path "rounds" i ^ ".round") "is %d, not %d"
+              (int_of "round" r) (i + 1))
+          (items "rounds" doc) );
+    ( "round 1 ran every job",
+      fun doc ->
+        let first = List.hd (items "rounds" doc) in
+        agree "rounds[0].results" (List.length (labels first)) "jobs" (int_of "jobs" doc) );
+    ( "every culled label ran in that round",
+      each "rounds" (fun at r ->
+          each ~at "culled" (fun at c ->
+              let label = match c with Obs.Json.String l -> l | _ -> "" in
+              ensure (List.mem label (labels r)) at "%S did not run this round" label)
+            r) );
+    ( "the winner is in the last round",
+      fun doc ->
+        let winner = string_of "label" (field "winner" doc) in
+        let last = List.hd (List.rev (items "rounds" doc)) in
+        ensure (List.mem winner (labels last)) "winner.label"
+          "%S is not in the last round's results" winner );
+  ]
+
+(* ---- sa-lab/telemetry/v1 (the /runs snapshot) ---- *)
+
+let pool_counters = [ "tasks_run"; "steals"; "queue_depth"; "busy_seconds"; "idle_seconds" ]
+
+let run_slot =
+  Obj
+    (reqs non_negative_int [ "rung"; "temp"; "evaluations"; "proposed"; "accepted" ]
+    @ reqs (Nullable number) [ "y"; "best_cost"; "current_cost" ]
+    @ [
+        req "label" non_empty_string;
+        req "status" (Enum [ "pending"; "running"; "done"; "culled" ]);
+        req "seconds" non_negative;
+      ])
+
+let telemetry =
+  let pool = Obj (req "workers" positive_int :: reqs (list non_negative) pool_counters) in
+  Obj [ req "runs" (non_empty_list run_slot); opt "pool" pool ]
+
+let telemetry_invariants =
+  [
+    ("accepted <= proposed", each "runs" (no_more "accepted" "proposed"));
+    ( "every pool.* list has workers entries",
+      within "pool" (fun at pool ->
           List.iter
             (fun name ->
-              match field name with
-              | Obs.Json.Int _ | Obs.Json.Float _ | Obs.Json.Null -> ()
-              | _ -> fail "%s: runs[%d].%s is not a number or null" path i name)
-            [ "y"; "best_cost"; "current_cost" ];
-          match Obs.Json.to_float (field "seconds") with
-          | Some s when s >= 0. && Float.is_finite s -> ()
-          | _ -> fail "%s: runs[%d].seconds is not a non-negative number" path i)
-        runs
-  | _ -> fail "%s: runs is not a list" path);
-  match Obs.Json.member "pool" json with
-  | None -> ()
-  | Some pool ->
-      let pfield name =
-        match Obs.Json.member name pool with
-        | Some v -> v
-        | None -> fail "%s: pool missing field %S" path name
-      in
-      let workers =
-        match Obs.Json.to_int (pfield "workers") with
-        | Some w when w >= 1 -> w
-        | _ -> fail "%s: pool.workers is not a positive integer" path
-      in
-      List.iter
-        (fun name ->
-          match pfield name with
-          | Obs.Json.List cells when List.length cells = workers ->
-              List.iteri
-                (fun w c ->
-                  match Obs.Json.to_float c with
-                  | Some v when v >= 0. && Float.is_finite v -> ()
-                  | _ ->
-                      fail "%s: pool.%s[%d] is not a non-negative number" path
-                        name w)
-                cells
-          | Obs.Json.List cells ->
-              fail "%s: pool.%s lists %d entries for %d workers" path name
-                (List.length cells) workers
-          | _ -> fail "%s: pool.%s is not a list" path name)
-        [ "tasks_run"; "steals"; "queue_depth"; "busy_seconds"; "idle_seconds" ]
+              let workers = int_of "workers" pool in
+              agree (at ^ "." ^ name) (List.length (items name pool)) "workers" workers)
+            pool_counters) );
+  ]
+
+(* ---- Dispatch ---- *)
+
+let schemas =
+  [
+    ("sa-lab/bench-results/v1", (bench_results, bench_invariants));
+    ("sa-lab/lint-report/v2", (lint_report, lint_invariants));
+    (Checkpoint.schema, (checkpoint, checkpoint_invariants));
+    ("sa-lab/supervisor-report/v1", (supervisor_report, supervisor_invariants));
+    ("sa-lab/portfolio-report/v1", (portfolio_report, portfolio_invariants));
+    ("sa-lab/telemetry/v1", (telemetry, telemetry_invariants));
+  ]
+
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("check_json: " ^ msg); exit 1) fmt
 
 let () =
   let path =
@@ -649,34 +411,28 @@ let () =
         exit 2
   in
   if not (Sys.file_exists path) then fail "%s: no such file" path;
-  let text =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   let json =
-    match Obs.Json.parse (String.trim text) with
+    match Obs.Json.parse (String.trim (In_channel.with_open_bin path In_channel.input_all)) with
     | Ok j -> j
     | Error msg -> fail "%s: malformed JSON: %s" path msg
   in
-  let member name =
-    match Obs.Json.member name json with
-    | Some v -> v
-    | None -> fail "%s: missing top-level field %S" path name
+  let schema, (shape, invariants) =
+    match Obs.Json.member "schema" json with
+    | Some (Obs.Json.String s) when List.mem_assoc s schemas -> (s, List.assoc s schemas)
+    | Some (Obs.Json.String s) -> fail "%s: unknown schema %S" path s
+    | _ -> fail "%s: schema: missing, or not a string" path
   in
-  let schema =
-    match member "schema" with
-    | Obs.Json.String s -> s
-    | _ -> fail "%s: schema is not a string" path
+  (* A checkpoint's rules apply to its payload, once the resilience
+     library's own reader has verified the CRC. *)
+  let root, doc =
+    if schema <> Checkpoint.schema then ("", json)
+    else match Checkpoint.read ~path with Ok p -> ("payload", p) | Error msg -> fail "%s" msg
   in
-  (match schema with
-  | "sa-lab/bench-results/v1" -> check_bench path member
-  | "sa-lab/lint-report/v2" -> check_lint path json member
-  | "sa-lab/checkpoint/v1" -> check_checkpoint path
-  | "sa-lab/supervisor-report/v1" -> check_supervisor_report path member
-  | "sa-lab/portfolio-report/v1" -> check_portfolio_report path member
-  | "sa-lab/telemetry/v1" -> check_telemetry path json member
-  | other -> fail "%s: unknown schema %S" path other);
+  (try
+     check root shape doc;
+     List.iter
+       (fun (name, holds) ->
+         try holds doc with Invalid (at, msg) -> raise (Invalid (at, msg ^ " (" ^ name ^ ")")))
+       invariants
+   with Invalid (at, msg) -> fail "%s: %s: %s" path at msg);
   Printf.printf "check_json: %s ok (%s)\n" path schema

@@ -108,16 +108,6 @@ module Engine1 = Figure1.Make (Linarr_problem.Swap)
 module Engine2 = Figure2.Make (Linarr_problem.Swap)
 module EngineRL = Rejectionless.Make (Linarr_problem.Swap)
 
-(* Shared by solve and trace: build the schedule a g-class expects at a
-   base temperature (geometric 0.9 shape for multi-temperature
-   classes, as in the tables). *)
-let schedule_for gfun base =
-  if Gfun.uses_temperature gfun then
-    match Gfun.k gfun with
-    | 1 -> Schedule.of_array [| base |]
-    | k -> Schedule.geometric ~y1:base ~ratio:0.9 ~k
-  else Schedule.constant ~k:(Gfun.k gfun) 1.
-
 let solve_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
@@ -163,7 +153,7 @@ let solve_cmd =
               if goto_start then Goto.arrange nl else Arrangement.random rng nl
             in
             let initial = Arrangement.density state in
-            let schedule = schedule_for gfun base in
+            let schedule = Runner.schedule_for gfun base in
             let budget = Budget.Evaluations evals in
             let result =
               match strategy with
@@ -252,7 +242,7 @@ let trace_cmd =
               if goto_start then Goto.arrange nl else Arrangement.random rng nl
             in
             let initial = Arrangement.density state in
-            let schedule = schedule_for gfun base in
+            let schedule = Runner.schedule_for gfun base in
             let budget = Budget.Evaluations evals in
             let registry = if metrics then Some (Obs.Metrics.create ()) else None in
             let run_with observer =
@@ -755,7 +745,7 @@ let run_cmd =
             else begin
               let codec = Linarr_problem.codec nl in
               let fingerprint = run_fingerprint ~nl ~method_ ~evals ~base ~seed in
-              let schedule = schedule_for gfun base in
+              let schedule = Runner.schedule_for gfun base in
               let budget = Budget.Evaluations evals in
               let params = Engine1.params ~gfun ~schedule ~budget () in
               (* Signals cannot safely write a file from the handler;
@@ -972,7 +962,7 @@ let supervise_cmd =
                 prerr_endline msg;
                 2
             | policy ->
-                let schedule = schedule_for gfun base in
+                let schedule = Runner.schedule_for gfun base in
                 let params =
                   Engine_chaos.params ~gfun ~schedule
                     ~budget:(Budget.Evaluations evals) ()
@@ -1111,7 +1101,7 @@ let portfolio_cmd =
                      Portfolio.Job.figure1
                        (module Linarr_problem.Swap)
                        ~label:(Gfun.name gfun) ~gfun
-                       ~schedule:(schedule_for gfun base)
+                       ~schedule:(Runner.schedule_for gfun base)
                        ~make_state:(fun rng -> Arrangement.random rng nl)
                        ())
                    (Gfun.catalog ~m:(Netlist.n_nets nl))))
@@ -1128,7 +1118,7 @@ let portfolio_cmd =
                      (module Tsp_problem)
                      ~delta_ops:Tsp_problem.delta_ops ~label:(Gfun.name gfun)
                      ~gfun
-                     ~schedule:(schedule_for gfun base)
+                     ~schedule:(Runner.schedule_for gfun base)
                      ~make_state:(fun rng -> Tour.random rng inst)
                      ())
                  (Gfun.catalog ~m:cities))

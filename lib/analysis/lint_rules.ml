@@ -325,82 +325,6 @@ let no_physical_float_eq =
   in
   rule
 
-(* Names whose evaluation can park the calling thread in a syscall.
-   Purely syntactic, like everything here: an ident spelled
-   [output_string] or [Unix.write] in the argument of a Pool
-   scheduling call is what the rule flags. *)
-let blocking_channel_names =
-  [
-    "output_string"; "output_bytes"; "output_char"; "output_value"; "flush";
-    "open_out"; "open_out_bin"; "open_in"; "open_in_bin"; "input_line";
-    "really_input_string"; "read_line";
-  ]
-
-let blocking_unix_names =
-  [
-    "write"; "single_write"; "read"; "send"; "recv"; "connect"; "accept";
-    "select"; "sleep"; "sleepf"; "system"; "waitpid";
-  ]
-
-let no_blocking_io_in_worker =
-  let rec rule =
-    {
-      Lint_rule.name = "no-blocking-io-in-worker";
-      severity = Lint_diagnostic.Error;
-      doc =
-        "a Pool worker task that blocks on IO stalls its whole domain — \
-         every task behind it in the deque waits out the syscall and racing \
-         budgets skew; write to lock-free telemetry cells or Obs sinks and \
-         do the IO on the caller's domain";
-      explain =
-        "Pool workers are domains: a task that parks in a syscall stalls \
-         every task queued behind it, which skews racing-portfolio budgets \
-         and wall-clock comparisons. This syntactic form only sees blocking \
-         names written literally inside the Pool.run/map call; the typed \
-         companion rule typed-blocking-io-in-worker follows calls \
-         interprocedurally through the .cmt call graph.";
-      check = Lint_rule.Structure (fun file str -> check file str);
-    }
-  and blocking_ident = function
-    | [ name ] when List.mem name blocking_channel_names -> Some name
-    | [ "Unix"; name ] when List.mem name blocking_unix_names ->
-        Some ("Unix." ^ name)
-    | [ "Thread"; "delay" ] -> Some "Thread.delay"
-    | _ -> None
-  and scan_arg add arg =
-    let default = Ast_iterator.default_iterator in
-    let expr it e =
-      (match ident_path e with
-      | Some path -> (
-          match blocking_ident path with
-          | Some name ->
-              add e.pexp_loc
-                (Printf.sprintf
-                   "%s blocks inside a Pool worker task; collect results and \
-                    perform the IO on the caller's domain"
-                   name)
-          | None -> ())
-      | None -> ());
-      default.expr it e
-    in
-    let it = { default with expr } in
-    it.expr it arg
-  and check file str =
-    if not file.Lint_rule.in_lib then []
-    else
-      walk ~rule ~file
-        ~on_expr:(fun add e ->
-          match e.pexp_desc with
-          | Pexp_apply (f, args) -> (
-              match ident_path f with
-              | Some [ "Pool"; ("run" | "run'" | "map" | "map'") ] ->
-                  List.iter (fun (_, arg) -> scan_arg add arg) args
-              | _ -> ())
-          | _ -> ())
-        str
-  in
-  rule
-
 let mli_required =
   let rec rule =
     {
@@ -456,7 +380,6 @@ let builtin () =
     no_catchall_exn;
     no_print_in_lib;
     no_exit_in_lib;
-    no_blocking_io_in_worker;
     no_physical_float_eq;
     mli_required;
   ]

@@ -10,10 +10,6 @@
       [Out_of_memory], [Stack_overflow] and contract violations alike.
     - [no-print-in-lib] (error): library code must report through
       [Obs] sinks, not write to the process's std channels.
-    - [no-blocking-io-in-worker] (error): no blocking IO (channel
-      writes, [Unix] syscalls) inside the task closures handed to
-      [Pool.run]/[Pool.map] — a parked worker stalls its whole domain
-      and skews racing budgets.
     - [no-physical-float-eq] (warning): [=]/[==] on float-typed
       operands (syntactic heuristic); compare against an explicit
       tolerance or use [Float.equal] deliberately.

@@ -178,14 +178,14 @@ let blocking_io_in_worker =
   worker_rule ~name:"typed-blocking-io-in-worker"
     ~severity:Lint_diagnostic.Error
     ~doc:
-      "a Pool task that can reach blocking IO through any call chain \
-       (interprocedural form of no-blocking-io-in-worker)"
+      "a Pool task that can reach blocking IO, directly or through any \
+       call chain"
     ~explain:
-      "The syntactic no-blocking-io-in-worker only sees blocking names \
-       written literally inside the Pool.run/map argument. This form walks \
-       the .cmt call graph: every module-level value referenced inside the \
-       task closure is checked for an inferred Blocking_io effect, however \
-       many calls deep, and the diagnostic's trace shows the path. A \
+      "Flags blocking IO written directly inside a Pool.run/map task \
+       closure, and walks the .cmt call graph for the rest: every \
+       module-level value referenced inside the closure is checked for an \
+       inferred Blocking_io effect, however many calls deep, and the \
+       diagnostic's trace shows the path. A \
        blocked worker domain stalls every task queued behind it, skewing \
        racing budgets — collect results in the task and do IO on the \
        caller's domain."

@@ -39,9 +39,9 @@ type report = {
   corrupt : int;
 }
 
-(* Same construction as the CLI: temperature classes get a geometric
-   ladder from the base temperature, temperature-free classes a
-   constant schedule their [eval] ignores. *)
+(* Temperature classes get a geometric ladder from the base
+   temperature, temperature-free classes a constant schedule their
+   [eval] ignores. *)
 let schedule_for gfun base =
   if Gfun.uses_temperature gfun then
     match Gfun.k gfun with

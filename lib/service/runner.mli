@@ -31,9 +31,10 @@ type report = {
 }
 
 val schedule_for : Gfun.t -> float -> Schedule.t
-(** The CLI's schedule construction: a geometric ladder (ratio 0.9)
-    from the base temperature for temperature-using classes, a
-    constant placeholder otherwise. *)
+(** The g-class → schedule policy shared by the CLI, the daemon and
+    the benches: a geometric ladder (ratio 0.9) from the base
+    temperature for temperature-using classes, a constant placeholder
+    otherwise. *)
 
 val result_to_json :
   spec:Job_spec.t -> 'a Mc_problem.run -> Obs.Json.t -> Obs.Json.t
