@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke perf chaos serve load top flame examples doc clean
+.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke perf ledger chaos serve load top flame examples doc clean
 
 all: build
 
@@ -63,6 +63,23 @@ bench-smoke:
 perf:
 	dune exec bench/main.exe -- --skip-tables --skip-micro --json BENCH_results.json
 	dune exec bench/check_json.exe -- BENCH_results.json
+
+# Ledger runs of one workload (W=paper-cli, linarr-n600 or race-tsp1000)
+# for the development seeds 1-10 and the held-out seed 1985, 30 s
+# untraced each; the run documents go one per line into LEDGER_OUT.
+# Run it on two checkouts, then compare the two files:
+#   dune exec bench/ledger/ledger.exe -- compare A.jsonl -- B.jsonl
+W ?= paper-cli
+LEDGER_OUT ?= ledger-$(W).jsonl
+ledger:
+	@rm -f $(LEDGER_OUT)
+	@for s in 1 2 3 4 5 6 7 8 9 10 1985; do \
+	  bash bench/ledger/run.sh --workload $(W) --seed $$s --seconds 30 --trace 0 \
+	    --json $(LEDGER_OUT).run || exit 1; \
+	  cat $(LEDGER_OUT).run >> $(LEDGER_OUT); \
+	done
+	@rm -f $(LEDGER_OUT).run
+	@echo "wrote $(LEDGER_OUT)"
 
 # Chaos demo: a supervised campaign where every run's first attempt is
 # sabotaged (a cost fault injected mid-walk), so each run exercises the

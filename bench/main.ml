@@ -553,11 +553,13 @@ let run_delta_comparison () =
     ~make_state:(fun () -> Placement.copy place_start);
   (* Linarr — the paper's own benchmark.  The swap case runs a NOLA
      multi-pin instance (the paper's Table 4.2 family) from a greedy
-     local optimum, so the measured region is lateral/rejection heavy;
-     the trial evaluation sweeps only the diff region of each touched
-     net instead of removing and re-adding whole spans.  The relocate
-     baseline recomputes every cut per apply *and* per revert, so its
-     budget is small and the win is large. *)
+     local optimum, so the measured region is lateral/rejection heavy.
+     Both paths price through the same window kernel (a swap or
+     relocate sweeps only the positions between its ends), so the
+     recompute baseline pays a kernel call per apply *and* per revert
+     while the delta path prices once and replays only what it keeps.
+     The relocate budget is small because each move's window spans a
+     third of the instance on average. *)
   let nola600 =
     Netlist.random_nola (Rng.create ~seed:46) ~elements:600 ~nets:1500
       ~min_pins:3 ~max_pins:6

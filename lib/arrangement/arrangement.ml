@@ -21,23 +21,22 @@ type t = {
   mutable mark : int;
   touched : int array; (* capacity n_nets *)
   mutable n_touched : int;
-  (* Trial-evaluation scratch (swap_delta / relocate_delta).  A trial
-     records, without committing, the sparse set of boundaries whose cut
-     would change ([diff_pos] / [diff], validity keyed by [diff_stamp])
-     and the new span of every touched net ([pend_lo]/[pend_hi], indexed
-     like [touched]).  A matching commit_* replays the recording instead
-     of re-sweeping; any other mutation invalidates it via [pend_kind]. *)
-  diff : int array; (* length max 0 (n-1); valid where diff_mark = diff_stamp *)
-  diff_mark : int array;
-  mutable diff_stamp : int;
-  diff_pos : int array; (* boundaries recorded by the current trial *)
+  (* Trial scratch (see the move kernel below).  A trial records,
+     without committing, the boundaries whose cut would change
+     ([diff_pos] / [diff], sparse) and the new span of every touched net
+     ([pend_lo] / [pend_hi], indexed like [touched]).  A commit of the
+     same move replays the recording; any other mutation invalidates it
+     via [pend_kind]. *)
+  window : int array; (* length n; difference array, zero outside a trial *)
+  diff_pos : int array; (* length max 0 (n-1) *)
+  diff : int array; (* cut change at diff_pos.(k), never 0 *)
   mutable n_diff : int;
   removed : int array; (* length n_nets + 1; zeroed between trials *)
   pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
   pend_hi : int array;
   mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate *)
-  mutable pend_a : int;
-  mutable pend_b : int;
+  mutable pend_a : int; (* swap: min position; relocate: from_pos *)
+  mutable pend_b : int; (* swap: max position; relocate: to_pos *)
   mutable pend_density : int;
   mutable pend_sum : int;
 }
@@ -64,55 +63,47 @@ let is_permutation n a =
         true))
     a
 
-(* Raise or lower the cut at one boundary by +-1, keeping the histogram,
-   density and sum in sync. *)
-let bump t p delta =
-  let v = t.cuts.(p) in
-  let v' = v + delta in
-  t.cuts.(p) <- v';
-  t.cut_count.(v) <- t.cut_count.(v) - 1;
-  t.cut_count.(v') <- t.cut_count.(v') + 1;
-  t.sum_cuts <- t.sum_cuts + delta;
-  if v' > t.density then t.density <- v'
-  else if v = t.density && t.cut_count.(v) = 0 then begin
-    let d = ref v in
-    while !d > 0 && t.cut_count.(!d) = 0 do
-      decr d
-    done;
-    t.density <- !d
-  end
-
-let net_span t j =
+let span_in netlist pos_of j =
   let lo = ref max_int and hi = ref (-1) in
-  Netlist.iter_pins t.netlist j (fun e ->
-      let p = t.pos_of.(e) in
+  Netlist.iter_pins netlist j (fun e ->
+      let p = pos_of.(e) in
       if p < !lo then lo := p;
       if p > !hi then hi := p);
   (!lo, !hi)
 
-let add_span t j =
-  for p = t.net_lo.(j) to t.net_hi.(j) - 1 do
-    bump t p 1
-  done
+let net_span t j = span_in t.netlist t.pos_of j
 
-let remove_span t j =
-  for p = t.net_lo.(j) to t.net_hi.(j) - 1 do
-    bump t p (-1)
+(* The from-scratch pass, shared by [recompute_all] and
+   [density_of_order] and by no move: every net adds +1 at its leftmost
+   pin and -1 at its rightmost to the zeroed [cuts], and a running sum
+   turns those marks into the cuts.  [span j lo hi] sees every span. *)
+let cuts_from_scratch netlist pos_of cuts span =
+  let nb = Array.length cuts in
+  for j = 0 to Netlist.n_nets netlist - 1 do
+    let lo, hi = span_in netlist pos_of j in
+    span j lo hi;
+    cuts.(lo) <- cuts.(lo) + 1;
+    if hi < nb then cuts.(hi) <- cuts.(hi) - 1
+  done;
+  for p = 1 to nb - 1 do
+    cuts.(p) <- cuts.(p) + cuts.(p - 1)
   done
 
 let recompute_all t =
   t.pend_kind <- 0;
   Array.fill t.cuts 0 (Array.length t.cuts) 0;
+  cuts_from_scratch t.netlist t.pos_of t.cuts (fun j lo hi ->
+      t.net_lo.(j) <- lo;
+      t.net_hi.(j) <- hi);
   Array.fill t.cut_count 0 (Array.length t.cut_count) 0;
-  t.cut_count.(0) <- Array.length t.cuts;
   t.density <- 0;
   t.sum_cuts <- 0;
-  for j = 0 to Netlist.n_nets t.netlist - 1 do
-    let lo, hi = net_span t j in
-    t.net_lo.(j) <- lo;
-    t.net_hi.(j) <- hi;
-    add_span t j
-  done
+  Array.iter
+    (fun v ->
+      t.cut_count.(v) <- t.cut_count.(v) + 1;
+      t.sum_cuts <- t.sum_cuts + v;
+      if v > t.density then t.density <- v)
+    t.cuts
 
 let create ?order netlist =
   let n = Netlist.n_elements netlist in
@@ -142,10 +133,9 @@ let create ?order netlist =
       mark = 0;
       touched = Array.make m 0;
       n_touched = 0;
-      diff = Array.make (max 0 (n - 1)) 0;
-      diff_mark = Array.make (max 0 (n - 1)) 0;
-      diff_stamp = 0;
+      window = Array.make n 0;
       diff_pos = Array.make (max 0 (n - 1)) 0;
+      diff = Array.make (max 0 (n - 1)) 0;
       n_diff = 0;
       removed = Array.make (m + 1) 0;
       pend_lo = Array.make m 0;
@@ -174,49 +164,218 @@ let copy t =
     net_hi = Array.copy t.net_hi;
     net_mark = Array.copy t.net_mark;
     touched = Array.copy t.touched;
-    diff = Array.copy t.diff;
-    diff_mark = Array.copy t.diff_mark;
+    window = Array.copy t.window;
     diff_pos = Array.copy t.diff_pos;
+    diff = Array.copy t.diff;
     removed = Array.copy t.removed;
     pend_lo = Array.copy t.pend_lo;
     pend_hi = Array.copy t.pend_hi;
   }
 
-let touch t j =
-  if t.net_mark.(j) <> t.mark then begin
-    t.net_mark.(j) <- t.mark;
-    t.touched.(t.n_touched) <- j;
-    t.n_touched <- t.n_touched + 1
+let push t j =
+  t.touched.(t.n_touched) <- j;
+  t.n_touched <- t.n_touched + 1
+
+(* {1 The move kernel}
+
+   A swap or relocate moves elements only inside its window [w0, w1]
+   (the two swapped positions, or the shift range), so every boundary
+   outside [w0, w1) keeps its cut: each side of it holds the same
+   elements.  A trial
+   1. computes each touched net's new span;
+   2. adds its changed endpoints (+1 at a new lo, -1 at a new hi, -1 at
+      the old lo, +1 at the old hi; all inside [w0, w1]) to the zeroed
+      difference array [window] ([record_span]);
+   3. sweeps [w0, w1] once, turning the running sum into the sparse
+      [diff_pos] / [diff] list and zeroing [window] behind it;
+   4. resolves the density against the cut histogram.
+   A swap thus costs O(incident pins + |p - q|).  A commit replays the
+   recording; [swap_positions] and [relocate] are a trial, then its
+   replay. *)
+
+let record_span t i lo' hi' =
+  let j = t.touched.(i) in
+  let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
+  t.pend_lo.(i) <- lo';
+  t.pend_hi.(i) <- hi';
+  if lo' <> lo then begin
+    t.window.(lo') <- t.window.(lo') + 1;
+    t.window.(lo) <- t.window.(lo) - 1
+  end;
+  if hi' <> hi then begin
+    t.window.(hi') <- t.window.(hi') - 1;
+    t.window.(hi) <- t.window.(hi) + 1
+  end;
+  t.pend_sum <- t.pend_sum + (hi' - lo') - (hi - lo)
+
+(* Steps 3 and 4.  The density is a max, so "might it drop?" needs the
+   histogram: a changed boundary's old value is tallied in [removed],
+   and the best unchanged level is found by walking
+   [cut_count - removed] down from the current density.  A single move
+   perturbs at most (incident nets) levels, so this walk is short. *)
+let finish_trial t w0 w1 =
+  t.n_diff <- 0;
+  let run = ref 0 and changed_max = ref 0 in
+  for x = w0 to w1 - 1 do
+    run := !run + t.window.(x);
+    t.window.(x) <- 0;
+    if !run <> 0 then begin
+      let v = t.cuts.(x) in
+      t.removed.(v) <- t.removed.(v) + 1;
+      if v + !run > !changed_max then changed_max := v + !run;
+      t.diff_pos.(t.n_diff) <- x;
+      t.diff.(t.n_diff) <- !run;
+      t.n_diff <- t.n_diff + 1
+    end
+  done;
+  t.window.(w1) <- 0;
+  let d = ref t.density in
+  while !d > 0 && t.cut_count.(!d) - t.removed.(!d) = 0 do
+    decr d
+  done;
+  for k = 0 to t.n_diff - 1 do
+    t.removed.(t.cuts.(t.diff_pos.(k))) <- 0
+  done;
+  t.pend_density <- (if !d > !changed_max then !d else !changed_max)
+
+(* Touched net [i] has one pin moving from [src] to [dst]; [pos_of]
+   already holds the would-be positions.  A two-pin net's other pin sits
+   at [lo + hi - src]; otherwise, unless the moving pin was an endpoint
+   moving inward, the new span follows from the old one. *)
+let moved_pin t i ~src ~dst =
+  let j = t.touched.(i) in
+  let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
+  if Netlist.net_size t.netlist j = 2 then begin
+    let o = lo + hi - src in
+    if o < dst then record_span t i o dst else record_span t i dst o
   end
+  else if (src = lo && dst > lo) || (src = hi && dst < hi) then
+    let lo', hi' = net_span t j in
+    record_span t i lo' hi'
+  else record_span t i (if dst < lo then dst else lo) (if dst > hi then dst else hi)
 
-let begin_touch t =
+let price_swap t p q =
+  let p = min p q and q = max p q in
+  let a = t.elem_at.(p) and b = t.elem_at.(q) in
+  (* A net holding both elements keeps its span.  Stamp a's nets with
+     [s], restamp the shared ones [s + 1] while listing b's own (pin
+     q -> p), then list a's own (pin p -> q). *)
+  let s = t.mark + 1 in
+  t.mark <- s + 1;
+  t.n_touched <- 0;
+  Netlist.iter_incident t.netlist a (fun j -> t.net_mark.(j) <- s);
+  Netlist.iter_incident t.netlist b (fun j ->
+      if t.net_mark.(j) = s then t.net_mark.(j) <- s + 1 else push t j);
+  let n_b = t.n_touched in
+  Netlist.iter_incident t.netlist a (fun j -> if t.net_mark.(j) = s then push t j);
+  t.pos_of.(a) <- q;
+  t.pos_of.(b) <- p;
+  t.pend_sum <- 0;
+  for i = 0 to n_b - 1 do
+    moved_pin t i ~src:q ~dst:p
+  done;
+  for i = n_b to t.n_touched - 1 do
+    moved_pin t i ~src:p ~dst:q
+  done;
+  t.pos_of.(a) <- p;
+  t.pos_of.(b) <- q;
+  finish_trial t p q;
+  t.pend_kind <- 1;
+  t.pend_a <- p;
+  t.pend_b <- q
+
+(* Element at [from_pos] goes to [to_pos]; those in between shift one
+   step toward [from_pos]; the rest stay. *)
+let shifted ~from_pos ~to_pos x =
+  if x = from_pos then to_pos
+  else if from_pos < to_pos then if x > from_pos && x <= to_pos then x - 1 else x
+  else if x >= to_pos && x < from_pos then x + 1
+  else x
+
+let price_relocate t ~from_pos ~to_pos =
+  let w0 = min from_pos to_pos and w1 = max from_pos to_pos in
   t.mark <- t.mark + 1;
-  t.n_touched <- 0
+  t.n_touched <- 0;
+  let touch j =
+    if t.net_mark.(j) <> t.mark then begin
+      t.net_mark.(j) <- t.mark;
+      push t j
+    end
+  in
+  (* The moved element's nets come first and are rescanned.  Any other
+     touched net keeps the order of its pins, so its endpoints shift. *)
+  Netlist.iter_incident t.netlist t.elem_at.(from_pos) touch;
+  let n_e = t.n_touched in
+  for x = w0 to w1 do
+    let e = t.elem_at.(x) in
+    Netlist.iter_incident t.netlist e touch;
+    t.pos_of.(e) <- shifted ~from_pos ~to_pos x
+  done;
+  t.pend_sum <- 0;
+  for i = 0 to t.n_touched - 1 do
+    let j = t.touched.(i) in
+    if i < n_e then
+      let lo', hi' = net_span t j in
+      record_span t i lo' hi'
+    else
+      record_span t i
+        (shifted ~from_pos ~to_pos t.net_lo.(j))
+        (shifted ~from_pos ~to_pos t.net_hi.(j))
+  done;
+  for x = w0 to w1 do
+    t.pos_of.(t.elem_at.(x)) <- x
+  done;
+  finish_trial t w0 w1;
+  t.pend_kind <- 2;
+  t.pend_a <- from_pos;
+  t.pend_b <- to_pos
 
-let swap_positions t p q =
+(* Commit the pending trial: move the elements, set the touched nets'
+   spans and apply the sparse cut changes. *)
+let replay t =
+  let a = t.pend_a and b = t.pend_b in
+  if t.pend_kind = 1 then begin
+    let ea = t.elem_at.(a) and eb = t.elem_at.(b) in
+    t.elem_at.(a) <- eb;
+    t.elem_at.(b) <- ea;
+    t.pos_of.(ea) <- b;
+    t.pos_of.(eb) <- a
+  end
+  else begin
+    let e = t.elem_at.(a) in
+    if a < b then Array.blit t.elem_at (a + 1) t.elem_at a (b - a)
+    else Array.blit t.elem_at b t.elem_at (b + 1) (a - b);
+    t.elem_at.(b) <- e;
+    for x = min a b to max a b do
+      t.pos_of.(t.elem_at.(x)) <- x
+    done
+  end;
+  for i = 0 to t.n_touched - 1 do
+    let j = t.touched.(i) in
+    t.net_lo.(j) <- t.pend_lo.(i);
+    t.net_hi.(j) <- t.pend_hi.(i)
+  done;
+  for k = 0 to t.n_diff - 1 do
+    let x = t.diff_pos.(k) in
+    let v = t.cuts.(x) and v' = t.cuts.(x) + t.diff.(k) in
+    t.cut_count.(v) <- t.cut_count.(v) - 1;
+    t.cut_count.(v') <- t.cut_count.(v') + 1;
+    t.cuts.(x) <- v'
+  done;
+  t.sum_cuts <- t.sum_cuts + t.pend_sum;
+  t.density <- t.pend_density;
+  t.pend_kind <- 0
+
+let check_positions name t p q =
   let n = size t in
   if p < 0 || p >= n || q < 0 || q >= n then
-    invalid_arg "Arrangement.swap_positions: position out of range";
+    invalid_arg ("Arrangement." ^ name ^ ": position out of range")
+
+let swap_positions t p q =
+  check_positions "swap_positions" t p q;
   if p <> q then begin
-    t.pend_kind <- 0;
-    let a = t.elem_at.(p) and b = t.elem_at.(q) in
-    begin_touch t;
-    Netlist.iter_incident t.netlist a (fun j -> touch t j);
-    Netlist.iter_incident t.netlist b (fun j -> touch t j);
-    for i = 0 to t.n_touched - 1 do
-      remove_span t t.touched.(i)
-    done;
-    t.elem_at.(p) <- b;
-    t.elem_at.(q) <- a;
-    t.pos_of.(a) <- q;
-    t.pos_of.(b) <- p;
-    for i = 0 to t.n_touched - 1 do
-      let j = t.touched.(i) in
-      let lo, hi = net_span t j in
-      t.net_lo.(j) <- lo;
-      t.net_hi.(j) <- hi;
-      add_span t j
-    done
+    price_swap t p q;
+    replay t
   end
 
 let swap_elements t a b =
@@ -226,224 +385,40 @@ let swap_elements t a b =
   swap_positions t t.pos_of.(a) t.pos_of.(b)
 
 let relocate t ~from_pos ~to_pos =
-  let n = size t in
-  if from_pos < 0 || from_pos >= n || to_pos < 0 || to_pos >= n then
-    invalid_arg "Arrangement.relocate: position out of range";
+  check_positions "relocate" t from_pos to_pos;
   if from_pos <> to_pos then begin
-    t.pend_kind <- 0;
-    let e = t.elem_at.(from_pos) in
-    if from_pos < to_pos then
-      for p = from_pos to to_pos - 1 do
-        t.elem_at.(p) <- t.elem_at.(p + 1);
-        t.pos_of.(t.elem_at.(p)) <- p
-      done
-    else
-      for p = from_pos downto to_pos + 1 do
-        t.elem_at.(p) <- t.elem_at.(p - 1);
-        t.pos_of.(t.elem_at.(p)) <- p
-      done;
-    t.elem_at.(to_pos) <- e;
-    t.pos_of.(e) <- to_pos;
-    (* A block shift can move many nets' spans; recomputing is O(nets ×
-       span) and exact, which dominates correctness at these sizes. *)
-    recompute_all t
+    price_relocate t ~from_pos ~to_pos;
+    replay t
   end
-
-(* {1 Trial evaluation}
-
-   A trial prices a swap/relocate without mutating the arrangement.  Only
-   the boundaries in the symmetric difference of each touched net's old
-   and new span change their cut, so we record exactly those (sparse,
-   deduplicated across nets by [diff_mark]).  The density is a max, so
-   "might it drop?" needs the histogram: a changed boundary's old value
-   is tallied in [removed], and the best unchanged level is found by
-   walking [cut_count - removed] down from the current density. *)
-
-let add_diff t x d =
-  if t.diff_mark.(x) <> t.diff_stamp then begin
-    t.diff_mark.(x) <- t.diff_stamp;
-    t.diff_pos.(t.n_diff) <- x;
-    t.n_diff <- t.n_diff + 1;
-    t.diff.(x) <- d
-  end
-  else t.diff.(x) <- t.diff.(x) + d
-
-(* Cut changes when a net's span goes from [ao,a1) to [bo,b1): -1 on
-   A \ B, +1 on B \ A, nothing on the intersection.  The four segments
-   below cover both set differences exactly, for any pair of intervals
-   (overlapping, nested, disjoint, or empty). *)
-let record_span_change t ao a1 bo b1 =
-  if ao < bo then
-    for x = ao to min a1 bo - 1 do
-      add_diff t x (-1)
-    done;
-  if b1 < a1 then
-    for x = max ao b1 to a1 - 1 do
-      add_diff t x (-1)
-    done;
-  if bo < ao then
-    for x = bo to min b1 ao - 1 do
-      add_diff t x 1
-    done;
-  if a1 < b1 then
-    for x = max bo a1 to b1 - 1 do
-      add_diff t x 1
-    done
-
-(* New span of every touched net under the virtual placement [vpos]
-   (element -> would-be position); records cut diffs and pending spans,
-   returns the sum-of-cuts delta. *)
-let trial_spans t vpos =
-  let sum_delta = ref 0 in
-  for i = 0 to t.n_touched - 1 do
-    let j = t.touched.(i) in
-    let lo = ref max_int and hi = ref (-1) in
-    Netlist.iter_pins t.netlist j (fun e ->
-        let x = vpos e in
-        if x < !lo then lo := x;
-        if x > !hi then hi := x);
-    t.pend_lo.(i) <- !lo;
-    t.pend_hi.(i) <- !hi;
-    sum_delta := !sum_delta + (!hi - !lo) - (t.net_hi.(j) - t.net_lo.(j));
-    record_span_change t t.net_lo.(j) t.net_hi.(j) !lo !hi
-  done;
-  !sum_delta
-
-let finish_trial t =
-  let changed_max = ref 0 in
-  for k = 0 to t.n_diff - 1 do
-    let x = t.diff_pos.(k) in
-    let v = t.cuts.(x) in
-    t.removed.(v) <- t.removed.(v) + 1;
-    let v' = v + t.diff.(x) in
-    if v' > !changed_max then changed_max := v'
-  done;
-  (* Highest level still populated by an unchanged boundary.  A single
-     move perturbs at most (incident nets) levels, so this walk is
-     short. *)
-  let d = ref t.density in
-  while !d > 0 && t.cut_count.(!d) - t.removed.(!d) = 0 do
-    decr d
-  done;
-  let new_density = if t.n_diff = 0 then t.density else max !d !changed_max in
-  for k = 0 to t.n_diff - 1 do
-    t.removed.(t.cuts.(t.diff_pos.(k))) <- 0
-  done;
-  t.pend_density <- new_density;
-  new_density - t.density
 
 let swap_delta t p q =
-  let n = size t in
-  if p < 0 || p >= n || q < 0 || q >= n then
-    invalid_arg "Arrangement.swap_delta: position out of range";
+  check_positions "swap_delta" t p q;
   if p = q then begin
     t.pend_kind <- 0;
     (0, 0)
   end
   else begin
-    let a = t.elem_at.(p) and b = t.elem_at.(q) in
-    begin_touch t;
-    Netlist.iter_incident t.netlist a (fun j -> touch t j);
-    Netlist.iter_incident t.netlist b (fun j -> touch t j);
-    t.diff_stamp <- t.diff_stamp + 1;
-    t.n_diff <- 0;
-    let sum_delta =
-      trial_spans t (fun e ->
-          if e = a then q else if e = b then p else t.pos_of.(e))
-    in
-    let density_delta = finish_trial t in
-    t.pend_kind <- 1;
-    t.pend_a <- p;
-    t.pend_b <- q;
-    t.pend_sum <- sum_delta;
-    (density_delta, sum_delta)
+    price_swap t p q;
+    (t.pend_density - t.density, t.pend_sum)
   end
 
 let relocate_delta t ~from_pos ~to_pos =
-  let n = size t in
-  if from_pos < 0 || from_pos >= n || to_pos < 0 || to_pos >= n then
-    invalid_arg "Arrangement.relocate_delta: position out of range";
+  check_positions "relocate_delta" t from_pos to_pos;
   if from_pos = to_pos then begin
     t.pend_kind <- 0;
     (0, 0)
   end
   else begin
-    (* Every element whose position changes sits in the shift window, so
-       exactly the nets pinned there can change span. *)
-    let lo_w = min from_pos to_pos and hi_w = max from_pos to_pos in
-    begin_touch t;
-    for x = lo_w to hi_w do
-      Netlist.iter_incident t.netlist t.elem_at.(x) (fun j -> touch t j)
-    done;
-    let shift x =
-      if x = from_pos then to_pos
-      else if from_pos < to_pos then
-        if x > from_pos && x <= to_pos then x - 1 else x
-      else if x >= to_pos && x < from_pos then x + 1
-      else x
-    in
-    t.diff_stamp <- t.diff_stamp + 1;
-    t.n_diff <- 0;
-    let sum_delta = trial_spans t (fun e -> shift t.pos_of.(e)) in
-    let density_delta = finish_trial t in
-    t.pend_kind <- 2;
-    t.pend_a <- from_pos;
-    t.pend_b <- to_pos;
-    t.pend_sum <- sum_delta;
-    (density_delta, sum_delta)
+    price_relocate t ~from_pos ~to_pos;
+    (t.pend_density - t.density, t.pend_sum)
   end
-
-(* Replay the recording of the immediately preceding trial: set the
-   touched nets' spans and apply the sparse cut diffs, instead of
-   removing and re-adding whole spans. *)
-let apply_pending t =
-  for i = 0 to t.n_touched - 1 do
-    let j = t.touched.(i) in
-    t.net_lo.(j) <- t.pend_lo.(i);
-    t.net_hi.(j) <- t.pend_hi.(i)
-  done;
-  for k = 0 to t.n_diff - 1 do
-    let x = t.diff_pos.(k) in
-    let d = t.diff.(x) in
-    if d <> 0 then begin
-      let v = t.cuts.(x) in
-      t.cut_count.(v) <- t.cut_count.(v) - 1;
-      t.cut_count.(v + d) <- t.cut_count.(v + d) + 1;
-      t.cuts.(x) <- v + d
-    end
-  done;
-  t.sum_cuts <- t.sum_cuts + t.pend_sum;
-  t.density <- t.pend_density;
-  t.pend_kind <- 0
 
 let commit_swap_delta t p q =
-  if t.pend_kind = 1 && t.pend_a = p && t.pend_b = q then begin
-    let a = t.elem_at.(p) and b = t.elem_at.(q) in
-    t.elem_at.(p) <- b;
-    t.elem_at.(q) <- a;
-    t.pos_of.(a) <- q;
-    t.pos_of.(b) <- p;
-    apply_pending t
-  end
+  if t.pend_kind = 1 && t.pend_a = min p q && t.pend_b = max p q then replay t
   else swap_positions t p q
 
 let commit_relocate_delta t ~from_pos ~to_pos =
-  if t.pend_kind = 2 && t.pend_a = from_pos && t.pend_b = to_pos then begin
-    let e = t.elem_at.(from_pos) in
-    if from_pos < to_pos then
-      for p = from_pos to to_pos - 1 do
-        t.elem_at.(p) <- t.elem_at.(p + 1);
-        t.pos_of.(t.elem_at.(p)) <- p
-      done
-    else
-      for p = from_pos downto to_pos + 1 do
-        t.elem_at.(p) <- t.elem_at.(p - 1);
-        t.pos_of.(t.elem_at.(p)) <- p
-      done;
-    t.elem_at.(to_pos) <- e;
-    t.pos_of.(e) <- to_pos;
-    apply_pending t
-  end
+  if t.pend_kind = 2 && t.pend_a = from_pos && t.pend_b = to_pos then replay t
   else relocate t ~from_pos ~to_pos
 
 let set_order t o =
@@ -483,5 +458,11 @@ let check t =
     t.cut_count
 
 let density_of_order netlist o =
-  let t = create ~order:o netlist in
-  t.density
+  let n = Netlist.n_elements netlist in
+  if not (is_permutation n o) then
+    invalid_arg "Arrangement.density_of_order: order is not a permutation";
+  let pos_of = Array.make n 0 in
+  Array.iteri (fun p e -> pos_of.(e) <- p) o;
+  let cuts = Array.make (max 0 (n - 1)) 0 in
+  cuts_from_scratch netlist pos_of cuts (fun _ _ _ -> ());
+  Array.fold_left max 0 cuts

@@ -7,12 +7,16 @@
     crossing it, and the {e density} of the arrangement is the maximum
     cut — the objective minimized by the NOLA/GOLA problems (§4.1).
 
-    The state is mutable and maintained incrementally: swapping two
-    elements only re-scans the nets incident to them, so a pairwise
-    interchange costs O(incident nets × net span) instead of a full
-    O(nets × n) recompute.  [check] verifies the incremental state
-    against a from-scratch recomputation and is used heavily by the
-    property tests. *)
+    The state is mutable and maintained incrementally.  A move changes
+    cuts only inside its window, the positions between its two ends:
+    every move prices the new spans of the nets it touches, marks their
+    changed endpoints in a difference array and sweeps the window once.
+    A pairwise interchange of positions [p] and [q] thus costs
+    O(pins of the incident nets + |p - q|), and a relocate
+    O(nets incident to the shifted elements + pins of the moved
+    element's nets), instead of a full O(pins + n) rebuild.  [check] verifies the incremental state against a
+    from-scratch recomputation and is used heavily by the property
+    tests. *)
 
 type t
 
@@ -57,7 +61,8 @@ val sum_of_cuts : t -> int
 
 (** {1 Moves}
 
-    All moves update cuts, density, and sum-of-cuts incrementally. *)
+    All moves update cuts, density, and sum-of-cuts incrementally: each
+    is its own trial (below) followed by the replay of that trial. *)
 
 val swap_positions : t -> int -> int -> unit
 (** Exchange the elements at two positions (the paper's "pairwise
@@ -78,22 +83,24 @@ val set_order : t -> int array -> unit
 (** {1 Trial evaluation}
 
     [swap_delta] / [relocate_delta] price a move {e without} applying
-    it: only the boundaries in the symmetric difference of each touched
-    net's old and new span can change, and the "density might drop"
-    case is resolved against the maintained cut histogram.  Both return
+    it.  Only boundaries inside the move's window can change; the
+    changed endpoints of the touched nets' spans go into a difference
+    array whose single sweep over the window yields the sparse cut
+    changes, and the "density might drop" case is resolved against the
+    maintained cut histogram.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
     untouched, recording the move as {e pending}.
 
     [commit_swap_delta] / [commit_relocate_delta] apply a move; when it
-    is exactly the pending trial they replay the recorded sparse diffs
-    (cheaper than the generic [swap_positions] / [relocate] re-sweep),
-    otherwise they fall back to the generic path.  Any other mutation
+    is the pending trial (a swap in either argument order) they replay
+    the recorded sparse changes, otherwise they price it first, as
+    [swap_positions] / [relocate] do.  Any other mutation
     ([swap_positions], [relocate], [set_order]) clears the pending
-    trial. *)
+    trial; [copy] carries it. *)
 
 val swap_delta : t -> int -> int -> int * int
 (** [swap_delta t p q] — would-be [(density, sum_of_cuts)] change of
-    [swap_positions t p q].
+    [swap_positions t p q]; equal to [swap_delta t q p].
     @raise Invalid_argument if a position is out of range. *)
 
 val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
@@ -111,5 +118,7 @@ val check : t -> unit
     state.  @raise Failure on any mismatch (indicates a bug). *)
 
 val density_of_order : Netlist.t -> int array -> int
-(** One-shot density of a given order, without building mutable
-    state. *)
+(** One-shot density of a given order, from scratch: one pass over the
+    nets' spans and one over the boundaries, without the moves'
+    incremental state, so it can re-price what they produced.
+    @raise Invalid_argument if the order is not a permutation. *)

@@ -11,15 +11,12 @@ let pairwise_descent ?(steepest = false) state =
   while !improved do
     improved := false;
     if steepest then begin
-      (* Evaluate the whole neighborhood; apply the best improving swap. *)
-      let before = Arrangement.density state in
+      (* Price the whole neighborhood; commit the best improving swap. *)
       let best_delta = ref 0 and best_move = ref None in
       for p = 0 to n - 2 do
         for q = p + 1 to n - 1 do
           incr tested;
-          Arrangement.swap_positions state p q;
-          let delta = Arrangement.density state - before in
-          Arrangement.swap_positions state p q;
+          let delta, _ = Arrangement.swap_delta state p q in
           if delta < !best_delta then begin
             best_delta := delta;
             best_move := Some (p, q)
@@ -28,7 +25,7 @@ let pairwise_descent ?(steepest = false) state =
       done;
       match !best_move with
       | Some (p, q) ->
-          Arrangement.swap_positions state p q;
+          Arrangement.commit_swap_delta state p q;
           incr taken;
           improved := true
       | None -> ()
@@ -40,13 +37,11 @@ let pairwise_descent ?(steepest = false) state =
         for p = 0 to n - 2 do
           for q = p + 1 to n - 1 do
             incr tested;
-            let before = Arrangement.density state in
-            Arrangement.swap_positions state p q;
-            if Arrangement.density state < before then begin
+            if fst (Arrangement.swap_delta state p q) < 0 then begin
+              Arrangement.commit_swap_delta state p q;
               incr taken;
               raise Improved
             end
-            else Arrangement.swap_positions state p q
           done
         done
       with Improved -> improved := true

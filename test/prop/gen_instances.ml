@@ -34,9 +34,14 @@ let qap_recipe = recipe "qap" ~lo:3 ~hi:12
 let make_qap r = Qap.random_instance (instance_rng r) ~n:r.n ~max_entry:9
 
 (* Alternates between the paper's two instance families by seed parity:
-   2-pin GOLA nets stress the every-boundary-in-between diff case,
-   multi-pin NOLA nets the stationary-pins-shrink-the-diff case. *)
+   2-pin GOLA nets take the move kernel's two-pin span update, multi-pin
+   NOLA nets its extend-or-rescan case. *)
 let linarr_recipe = recipe "linarr" ~lo:2 ~hi:20
+
+(* Larger instances, so a random move's window spans tens of positions,
+   and the smallest one, where every window is the whole arrangement. *)
+let linarr_large_recipe = recipe "linarr" ~lo:40 ~hi:120
+let linarr_pair_recipe = recipe "linarr" ~lo:2 ~hi:2
 
 let make_arrangement r =
   let rng = instance_rng r in

@@ -5,7 +5,13 @@
      abandoned trials, the maintained cuts / cut histogram / density /
      sum-of-cuts all equal a from-scratch recomputation;
    - [swap_delta] / [relocate_delta] agree with apply-then-measure on
-     every probe, and pricing a move leaves the state untouched. *)
+     every probe, and pricing a move leaves the state untouched;
+   - the edges of a move's window (adjacent positions, the first and the
+     last position, n = 2, either argument order, a copy taken while a
+     trial is pending) keep both of the above.
+
+   Each runs on small instances (n in 2-20) and on larger ones (n in
+   40-120), where a random move's window spans tens of positions. *)
 
 let density = Arrangement.density
 let sum = Arrangement.sum_of_cuts
@@ -22,63 +28,131 @@ let agrees_with_fresh t =
   && sum t = sum fresh
   && Arrangement.cuts t = Arrangement.cuts fresh
 
-let prop_walk_matches_recompute =
-  QCheck.Test.make ~count:120
-    ~name:"arrangement: random swap/relocate walk = from-scratch recompute"
-    Gen_instances.linarr_recipe
-    (fun r ->
-      let t = Gen_instances.make_arrangement r in
-      let rng = Gen_instances.walk_rng r in
-      let n = Arrangement.size t in
-      for _ = 1 to 150 do
-        let p, q = Rng.pair_distinct rng n in
-        match Rng.int rng 5 with
-        | 0 -> Arrangement.swap_positions t p q
-        | 1 -> Arrangement.relocate t ~from_pos:p ~to_pos:q
-        | 2 ->
-            (* trial, then replay commit *)
-            ignore (Arrangement.swap_delta t p q : int * int);
-            Arrangement.commit_swap_delta t p q
-        | 3 ->
-            ignore (Arrangement.relocate_delta t ~from_pos:p ~to_pos:q
-                     : int * int);
-            Arrangement.commit_relocate_delta t ~from_pos:p ~to_pos:q
-        | _ ->
-            (* trial abandoned: a later unrelated mutation must not
-               pick up the stale pending recording *)
-            ignore (Arrangement.swap_delta t p q : int * int);
-            Arrangement.relocate t ~from_pos:q ~to_pos:p
-      done;
-      agrees_with_fresh t)
+let walk_matches_recompute r =
+  let t = Gen_instances.make_arrangement r in
+  let rng = Gen_instances.walk_rng r in
+  let n = Arrangement.size t in
+  for _ = 1 to 150 do
+    let p, q = Rng.pair_distinct rng n in
+    match Rng.int rng 5 with
+    | 0 -> Arrangement.swap_positions t p q
+    | 1 -> Arrangement.relocate t ~from_pos:p ~to_pos:q
+    | 2 ->
+        (* trial, then replay commit *)
+        ignore (Arrangement.swap_delta t p q : int * int);
+        Arrangement.commit_swap_delta t p q
+    | 3 ->
+        ignore (Arrangement.relocate_delta t ~from_pos:p ~to_pos:q
+                 : int * int);
+        Arrangement.commit_relocate_delta t ~from_pos:p ~to_pos:q
+    | _ ->
+        (* trial abandoned: a later unrelated mutation must not
+           pick up the stale pending recording *)
+        ignore (Arrangement.swap_delta t p q : int * int);
+        Arrangement.relocate t ~from_pos:q ~to_pos:p
+  done;
+  agrees_with_fresh t
 
-let prop_deltas_match_apply_then_measure =
-  QCheck.Test.make ~count:120
-    ~name:"arrangement: swap/relocate delta = apply-then-measure, every probe"
-    Gen_instances.linarr_recipe
-    (fun r ->
-      let t = Gen_instances.make_arrangement r in
-      let rng = Gen_instances.walk_rng r in
-      let n = Arrangement.size t in
-      let ok = ref true in
-      for _ = 1 to 80 do
-        let p, q = Rng.pair_distinct rng n in
-        let d0 = density t and s0 = sum t in
-        (* pricing must not move the state *)
-        let dd, ds = Arrangement.swap_delta t p q in
-        ok := !ok && density t = d0 && sum t = s0;
+let deltas_match_apply_then_measure r =
+  let t = Gen_instances.make_arrangement r in
+  let rng = Gen_instances.walk_rng r in
+  let n = Arrangement.size t in
+  let ok = ref true in
+  for _ = 1 to 80 do
+    let p, q = Rng.pair_distinct rng n in
+    let d0 = density t and s0 = sum t in
+    (* pricing must not move the state *)
+    let dd, ds = Arrangement.swap_delta t p q in
+    ok := !ok && density t = d0 && sum t = s0;
+    Arrangement.commit_swap_delta t p q;
+    ok := !ok && density t - d0 = dd && sum t - s0 = ds;
+    (* undo through the generic path: exact restoration *)
+    Arrangement.swap_positions t p q;
+    ok := !ok && density t = d0 && sum t = s0;
+    let f, g = Rng.pair_distinct rng n in
+    let dd, ds = Arrangement.relocate_delta t ~from_pos:f ~to_pos:g in
+    ok := !ok && density t = d0 && sum t = s0;
+    Arrangement.commit_relocate_delta t ~from_pos:f ~to_pos:g;
+    ok := !ok && density t - d0 = dd && sum t - s0 = ds;
+    (* keep every other relocate so the walk visits many states *)
+    if Rng.bool rng then Arrangement.relocate t ~from_pos:g ~to_pos:f
+  done;
+  !ok && agrees_with_fresh t
+
+(* The move kernel only sweeps the window between a move's positions;
+   these probes sit on its edges: adjacent positions, the first and the
+   last position, the whole arrangement, either argument order. *)
+let edge_pair rng n =
+  let p, q = Rng.pair_distinct rng n in
+  let p, q =
+    match Rng.int rng 4 with
+    | 0 ->
+        let p = Rng.int rng (n - 1) in
+        (p, p + 1)
+    | 1 -> (0, q)
+    | 2 -> (p, n - 1)
+    | _ -> if Rng.bool rng then (0, n - 1) else (p, q)
+  in
+  if Rng.bool rng then (p, q) else (q, p)
+
+let window_edges_hold r =
+  let t = Gen_instances.make_arrangement r in
+  let rng = Gen_instances.walk_rng r in
+  let n = Arrangement.size t in
+  let ok = ref true in
+  for _ = 1 to 60 do
+    let p, q = edge_pair rng n in
+    let d0 = density t and s0 = sum t in
+    let forward = Arrangement.swap_delta t p q in
+    let backward = Arrangement.swap_delta t q p in
+    ok := !ok && forward = backward && density t = d0 && sum t = s0;
+    (match Rng.int rng 4 with
+    | 0 ->
+        (* the pending trial is (q, p); commit it as (p, q) *)
         Arrangement.commit_swap_delta t p q;
-        ok := !ok && density t - d0 = dd && sum t - s0 = ds;
-        (* undo through the generic path: exact restoration *)
-        Arrangement.swap_positions t p q;
-        ok := !ok && density t = d0 && sum t = s0;
-        let f, g = Rng.pair_distinct rng n in
-        let dd, ds = Arrangement.relocate_delta t ~from_pos:f ~to_pos:g in
-        ok := !ok && density t = d0 && sum t = s0;
-        Arrangement.commit_relocate_delta t ~from_pos:f ~to_pos:g;
-        ok := !ok && density t - d0 = dd && sum t - s0 = ds;
-        (* keep every other relocate so the walk visits many states *)
-        if Rng.bool rng then Arrangement.relocate t ~from_pos:g ~to_pos:f
-      done;
-      !ok && agrees_with_fresh t)
+        ok := !ok && (density t - d0, sum t - s0) = forward
+    | 1 ->
+        (* a copy taken mid-trial carries the pending trial with it *)
+        let c = Arrangement.copy t in
+        Arrangement.commit_swap_delta t p q;
+        Arrangement.commit_swap_delta c q p;
+        Arrangement.check c;
+        ok :=
+          !ok
+          && Arrangement.order c = Arrangement.order t
+          && (density c - d0, sum c - s0) = forward
+    | 2 ->
+        (* another swap sharing position p must not replay (q, p) *)
+        let r = Rng.int rng n in
+        let e = Arrangement.element_at t r in
+        Arrangement.commit_swap_delta t p r;
+        ok := !ok && Arrangement.element_at t p = e
+    | _ ->
+        let dd, ds = Arrangement.relocate_delta t ~from_pos:p ~to_pos:q in
+        Arrangement.commit_relocate_delta t ~from_pos:p ~to_pos:q;
+        ok := !ok && density t - d0 = dd && sum t - s0 = ds);
+    Arrangement.check t
+  done;
+  !ok && agrees_with_fresh t
 
-let tests = [ prop_walk_matches_recompute; prop_deltas_match_apply_then_measure ]
+let prop ~count recipe name law = QCheck.Test.make ~count ~name recipe law
+
+let tests =
+  let small = Gen_instances.linarr_recipe
+  and large = Gen_instances.linarr_large_recipe in
+  [
+    prop ~count:120 small "arrangement: random swap/relocate walk = from-scratch recompute"
+      walk_matches_recompute;
+    prop ~count:120 small "arrangement: swap/relocate delta = apply-then-measure, every probe"
+      deltas_match_apply_then_measure;
+    prop ~count:120 small
+      "arrangement: window edges (adjacent, ends, either order, copy mid-trial)"
+      window_edges_hold;
+    prop ~count:40 Gen_instances.linarr_pair_recipe "arrangement: window edges, n = 2"
+      window_edges_hold;
+    prop ~count:40 large "arrangement: walk = from-scratch recompute, n in 40-120"
+      walk_matches_recompute;
+    prop ~count:40 large "arrangement: delta = apply-then-measure, n in 40-120"
+      deltas_match_apply_then_measure;
+    prop ~count:40 large "arrangement: window edges, n in 40-120" window_edges_hold;
+  ]

@@ -84,6 +84,64 @@ let test_descent_on_optimal_is_noop () =
   Alcotest.check Alcotest.int "no moves taken" 0 r.Local_search.moves_taken;
   Alcotest.check Alcotest.int "density unchanged" 1 r.Local_search.final_density
 
+(* Apply, measure, revert: the descent [pairwise_descent] must reproduce
+   move for move while pricing through [swap_delta]. *)
+let reference_descent ~steepest arr =
+  let n = Arrangement.size arr in
+  let taken = ref 0 and tested = ref 0 and improved = ref true in
+  let swap_delta p q =
+    let before = Arrangement.density arr in
+    Arrangement.swap_positions arr p q;
+    let d = Arrangement.density arr - before in
+    Arrangement.swap_positions arr p q;
+    d
+  in
+  while !improved do
+    improved := false;
+    let best = ref None and best_delta = ref 0 in
+    (try
+       for p = 0 to n - 2 do
+         for q = p + 1 to n - 1 do
+           incr tested;
+           let d = swap_delta p q in
+           if d < !best_delta then begin
+             best_delta := d;
+             best := Some (p, q);
+             if not steepest then raise Exit
+           end
+         done
+       done
+     with Exit -> ());
+    Option.iter
+      (fun (p, q) ->
+        Arrangement.swap_positions arr p q;
+        incr taken;
+        improved := true)
+      !best
+  done;
+  (!taken, !tested, Arrangement.density arr)
+
+let test_descent_matches_reference () =
+  let rng = Rng.create ~seed:17 in
+  for i = 1 to 6 do
+    let nl =
+      if i mod 2 = 0 then Netlist.random_gola (Rng.split rng) ~elements:12 ~nets:40
+      else Netlist.random_nola (Rng.split rng) ~elements:12 ~nets:25 ~min_pins:2 ~max_pins:5
+    in
+    let start = Arrangement.random (Rng.split rng) nl in
+    List.iter
+      (fun steepest ->
+        let a = Arrangement.copy start and b = Arrangement.copy start in
+        let r = Local_search.pairwise_descent ~steepest a in
+        Alcotest.(check (triple int int int))
+          "taken, tested, final density" (reference_descent ~steepest b)
+          (r.Local_search.moves_taken, r.Local_search.moves_tested,
+           r.Local_search.final_density);
+        Alcotest.(check (array int)) "same local optimum" (Arrangement.order b)
+          (Arrangement.order a))
+      [ false; true ]
+  done
+
 let test_random_restart () =
   let rng = Rng.create ~seed:6 in
   let nl = Netlist.random_gola rng ~elements:10 ~nets:40 in
@@ -285,6 +343,7 @@ let suite =
     case "descent: reaches a pairwise local optimum" test_descent_reaches_local_optimum;
     case "descent: steepest variant descends too" test_descent_steepest_matches_quality;
     case "descent: no-op at an optimum" test_descent_on_optimal_is_noop;
+    case "descent: same moves as apply-measure-revert" test_descent_matches_reference;
     case "random restart: more restarts never hurt" test_random_restart;
     case "swap adapter: apply/revert roundtrip" test_swap_adapter_roundtrip;
     case "swap adapter: cost is density" test_swap_adapter_cost;
