@@ -25,6 +25,14 @@ let read_netlist path =
   | Ok nl -> Ok nl
   | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
 
+(* Load a netlist, or print why not and exit 1. *)
+let with_netlist path f =
+  match read_netlist path with
+  | Error msg ->
+      prerr_endline msg;
+      1
+  | Ok nl -> f nl
+
 (* ---------------------------------------------------------------- *)
 (* tables                                                            *)
 (* ---------------------------------------------------------------- *)
@@ -101,93 +109,183 @@ let tables_cmd =
     Term.(const run $ scale $ seed $ csv $ which)
 
 (* ---------------------------------------------------------------- *)
-(* solve                                                             *)
+(* the paper's walk: solve, trace, run, supervise, route --optimize  *)
 (* ---------------------------------------------------------------- *)
+
+(* A value no run can use (a negative budget, a zero base temperature)
+   is a usage error at parse time, not an Invalid_argument from deep
+   inside the library. *)
+let checked conv ~must ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', must be %s" s must))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_from lo = checked Arg.int ~must:(Printf.sprintf ">= %d" lo) (fun n -> n >= lo)
+let positive = checked Arg.float ~must:"> 0" (fun y -> y > 0.)
+
+let netlist_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
+         ~doc:"Netlist file in the textual format (see $(b,generate)).")
+
+let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+let stats_arg =
+  Arg.(value & flag & info [ "stats" ] ~doc:"Print the run's engine statistics.")
+
+let goto_start_arg =
+  Arg.(value & flag & info [ "goto-start" ]
+         ~doc:"Start from the Goto arrangement instead of a random one.")
+
+(* The paper's experiment, as every walk subcommand takes it: a netlist,
+   a g-class, a base temperature Y for its schedule, a budget and a
+   seed.  Each subcommand picks its own defaults. *)
+type walk_args = { file : string; method_ : string; evals : int; base : float; seed : int }
+
+let walk_args ~method_ ~evals =
+  let method_ =
+    Arg.(value & opt string method_ & info [ "method"; "m" ] ~docv:"NAME"
+           ~doc:"g-function class name as in Table 4.1 (e.g. 'g = 1', 'Six Temperature Annealing', 'Cubic Diff').")
+  in
+  let evals =
+    Arg.(value & opt (int_from 0) evals & info [ "evals"; "n" ] ~docv:"N"
+           ~doc:"Perturbation budget.")
+  in
+  let base =
+    Arg.(value & opt positive 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
+           ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
+  in
+  let make file method_ evals base seed = { file; method_; evals; base; seed } in
+  Term.(const make $ netlist_arg $ method_ $ evals $ base $ seed_arg)
+
+type walk = { nl : Netlist.t; gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
+
+(* Load the netlist and resolve the class, or print why not and exit 1. *)
+let with_walk a f =
+  with_netlist a.file (fun nl ->
+      match Gfun.find_by_name ~m:(Netlist.n_nets nl) a.method_ with
+      | None ->
+          Printf.eprintf "unknown method %S; see Table 4.1 for names\n" a.method_;
+          1
+      | Some gfun ->
+          f { nl; gfun; schedule = Runner.schedule_for gfun a.base;
+              budget = Budget.Evaluations a.evals })
+
+let start ~goto_start w rng =
+  if goto_start then Goto.arrange w.nl else Arrangement.random rng w.nl
 
 module Engine1 = Figure1.Make (Linarr_problem.Swap)
 module Engine2 = Figure2.Make (Linarr_problem.Swap)
 module EngineRL = Rejectionless.Make (Linarr_problem.Swap)
 
+(* The one strategy -> engine dispatch.  Only Figure 1 checkpoints, so
+   the checkpoint arguments reach only its engine. *)
+let anneal ?observer ?checkpoint_every ?on_checkpoint ?resume w strategy rng state =
+  let { gfun; schedule; budget; _ } = w in
+  match strategy with
+  | `Figure1 ->
+      Engine1.run ?observer ?checkpoint_every ?on_checkpoint ?resume rng
+        (Engine1.params ~gfun ~schedule ~budget ()) state
+  | `Figure2 -> Engine2.run ?observer rng (Engine2.params ~gfun ~schedule ~budget ()) state
+  | `Rejectionless ->
+      EngineRL.run ?observer rng (EngineRL.params ~gfun ~schedule ~budget) state
+
+let order_line arr =
+  String.concat " " (Array.to_list (Array.map string_of_int (Arrangement.order arr)))
+
+(* A walk's result: solve ends on the best order, trace and run on the
+   final density. *)
+let print_walk ~initial ~last ~stats (r : Arrangement.t Mc_problem.run) =
+  Printf.printf "initial density: %d\n" initial;
+  Printf.printf "best density:    %.0f\n" r.Mc_problem.best_cost;
+  (match last with
+  | `Order -> Printf.printf "order: %s\n" (order_line r.Mc_problem.best)
+  | `Final -> Printf.printf "final density:   %.0f\n" r.Mc_problem.final_cost);
+  if stats then Format.printf "%a@." Mc_problem.pp_stats r.Mc_problem.stats
+
+let write_json path json =
+  let oc = open_out path in
+  output_string oc (Obs.Json.to_string json);
+  output_char oc '\n';
+  close_out oc
+
+(* ---------------------------------------------------------------- *)
+(* solve                                                             *)
+(* ---------------------------------------------------------------- *)
+
 let solve_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
-           ~doc:"Netlist file in the textual format (see $(b,generate)).")
-  in
-  let method_ =
-    Arg.(value & opt string "g = 1" & info [ "method"; "m" ] ~docv:"NAME"
-           ~doc:"g-function class name as in Table 4.1 (e.g. 'g = 1', 'Six Temperature Annealing', 'Cubic Diff').")
-  in
   let strategy =
     Arg.(value & opt (enum [ ("figure1", `Figure1); ("figure2", `Figure2) ]) `Figure1
          & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"figure1 or figure2.")
   in
-  let evals =
-    Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N"
-           ~doc:"Perturbation budget.")
-  in
-  let base =
-    Arg.(value & opt float 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature (geometric 0.9 shape for k = 6 classes).")
-  in
-  let goto_start =
-    Arg.(value & flag & info [ "goto-start" ]
-           ~doc:"Start from the Goto arrangement instead of a random one.")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print the run's engine statistics.")
-  in
-  let run file method_ strategy evals base goto_start seed stats =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl -> (
-        match Gfun.find_by_name ~m:(Netlist.n_nets nl) method_ with
-        | None ->
-            Printf.eprintf "unknown method %S; see Table 4.1 for names\n" method_;
-            1
-        | Some gfun ->
-            let rng = Rng.create ~seed in
-            let state =
-              if goto_start then Goto.arrange nl else Arrangement.random rng nl
-            in
-            let initial = Arrangement.density state in
-            let schedule = Runner.schedule_for gfun base in
-            let budget = Budget.Evaluations evals in
-            let result =
-              match strategy with
-              | `Figure1 ->
-                  Engine1.run rng (Engine1.params ~gfun ~schedule ~budget ()) state
-              | `Figure2 ->
-                  Engine2.run rng (Engine2.params ~gfun ~schedule ~budget ()) state
-            in
-            Printf.printf "initial density: %d\n" initial;
-            Printf.printf "best density:    %.0f\n" result.Mc_problem.best_cost;
-            Printf.printf "order: %s\n"
-              (String.concat " "
-                 (Array.to_list (Array.map string_of_int (Arrangement.order result.Mc_problem.best))));
-            if stats then
-              Format.printf "%a@." Mc_problem.pp_stats result.Mc_problem.stats;
-            0)
+  let run a strategy goto_start stats =
+    with_walk a (fun w ->
+        let rng = Rng.create ~seed:a.seed in
+        let state = start ~goto_start w rng in
+        let initial = Arrangement.density state in
+        print_walk ~initial ~last:`Order ~stats (anneal w strategy rng state);
+        0)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Minimize the density of a netlist with a chosen method.")
-    Term.(const run $ file $ method_ $ strategy $ evals $ base $ goto_start $ seed $ stats)
+    Term.(const run $ walk_args ~method_:"g = 1" ~evals:20_000 $ strategy
+          $ goto_start_arg $ stats_arg)
 
 (* ---------------------------------------------------------------- *)
 (* trace                                                             *)
 (* ---------------------------------------------------------------- *)
 
+(* The counters a trace's events must reproduce.  The rejectionless
+   engine never rejects; its [rejected] stat counts scan overhead and
+   has no event counterpart. *)
+let reconciled_counts strategy (s : Mc_problem.stats) =
+  [
+    ("evaluations", s.evaluations);
+    ("improving", s.improving);
+    ("lateral_accepted", s.lateral_accepted);
+    ("uphill_accepted", s.uphill_accepted);
+    ("temperatures_visited", s.temperatures_visited);
+    ("descents", s.descents);
+  ]
+  @ if strategy = `Rejectionless then [] else [ ("rejected", s.rejected) ]
+
+let reconcile ~strategy ~downsample stats path =
+  match Obs.Jsonl.read_file path with
+  | Error msg ->
+      Printf.eprintf "trace re-read failed: %s\n" msg;
+      1
+  | Ok events -> (
+      Printf.printf "trace: %d events in %s\n" (List.length events) path;
+      if downsample <> None then begin
+        print_endline "trace: downsampled; skipping exact reconciliation";
+        0
+      end
+      else
+        let derived = Mc_problem.stats_of_events events in
+        let mismatches =
+          List.filter_map
+            (fun ((name, from_events), (_, from_stats)) ->
+              if from_events = from_stats then None
+              else
+                Some
+                  (Printf.sprintf "%s: events say %d, stats say %d" name from_events
+                     from_stats))
+            (List.combine
+               (reconciled_counts strategy derived)
+               (reconciled_counts strategy stats))
+        in
+        match mismatches with
+        | [] ->
+            print_endline "trace: event counts reconcile with stats";
+            0
+        | ms ->
+            List.iter (fun m -> Printf.eprintf "reconciliation mismatch: %s\n" m) ms;
+            1)
+
 let trace_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
-           ~doc:"Netlist file in the textual format (see $(b,generate)).")
-  in
-  let method_ =
-    Arg.(value & opt string "Metropolis" & info [ "method"; "m" ] ~docv:"NAME"
-           ~doc:"g-function class name as in Table 4.1.")
-  in
   let strategy =
     Arg.(value
          & opt (enum [ ("figure1", `Figure1); ("figure2", `Figure2);
@@ -195,19 +293,6 @@ let trace_cmd =
          & info [ "strategy" ] ~docv:"STRATEGY"
              ~doc:"figure1, figure2, or rejectionless.")
   in
-  let evals =
-    Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N"
-           ~doc:"Perturbation budget.")
-  in
-  let base =
-    Arg.(value & opt float 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
-  in
-  let goto_start =
-    Arg.(value & flag & info [ "goto-start" ]
-           ~doc:"Start from the Goto arrangement instead of a random one.")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
            ~doc:"Write one JSON event per line to $(docv), then re-read the file
@@ -220,133 +305,51 @@ let trace_cmd =
                  phase spans).")
   in
   let downsample =
-    Arg.(value & opt (some int) None & info [ "downsample" ] ~docv:"CAP"
+    Arg.(value & opt (some (int_from 2)) None & info [ "downsample" ] ~docv:"CAP"
            ~doc:"Thin the $(b,proposed) events written to the trace with the
                  stride-doubling rule at capacity $(docv) (other events pass
                  through).  The trace no longer reconciles exactly.")
   in
-  let run file method_ strategy evals base goto_start seed trace_file metrics
-      downsample =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl -> (
-        match Gfun.find_by_name ~m:(Netlist.n_nets nl) method_ with
-        | None ->
-            Printf.eprintf "unknown method %S; see Table 4.1 for names\n" method_;
-            1
-        | Some gfun ->
-            let rng = Rng.create ~seed in
-            let state =
-              if goto_start then Goto.arrange nl else Arrangement.random rng nl
-            in
-            let initial = Arrangement.density state in
-            let schedule = Runner.schedule_for gfun base in
-            let budget = Budget.Evaluations evals in
-            let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-            let run_with observer =
-              let observer =
-                match registry with
-                | Some r -> Obs.Observer.tee [ observer; Obs.Metrics.observer r ]
-                | None -> observer
-              in
-              match strategy with
-              | `Figure1 ->
-                  Engine1.run ~observer rng
-                    (Engine1.params ~gfun ~schedule ~budget ())
-                    state
-              | `Figure2 ->
-                  Engine2.run ~observer rng
-                    (Engine2.params ~gfun ~schedule ~budget ())
-                    state
-              | `Rejectionless ->
-                  EngineRL.run ~observer rng
-                    (EngineRL.params ~gfun ~schedule ~budget)
-                    state
-            in
-            let result =
-              match trace_file with
-              | None -> run_with Obs.Observer.null
-              | Some path -> (
-                  try
-                    Obs.Jsonl.with_file path (fun sink ->
-                        let sink =
-                          match downsample with
-                          | Some cap -> Obs.Downsample.observer ~capacity:cap sink
-                          | None -> sink
-                        in
-                        run_with sink)
-                  with Sys_error msg ->
-                    prerr_endline msg;
-                    exit 1)
-            in
-            let stats = result.Mc_problem.stats in
-            Printf.printf "initial density: %d\n" initial;
-            Printf.printf "best density:    %.0f\n" result.Mc_problem.best_cost;
-            Printf.printf "final density:   %.0f\n" result.Mc_problem.final_cost;
-            Format.printf "%a@." Mc_problem.pp_stats stats;
-            (match registry with
-            | Some r -> Format.printf "%a@." Obs.Metrics.pp r
-            | None -> ());
-            let reconcile path =
-              match Obs.Jsonl.read_file path with
-              | Error msg ->
-                  Printf.eprintf "trace re-read failed: %s\n" msg;
-                  1
-              | Ok events ->
-                  Printf.printf "trace: %d events in %s\n" (List.length events) path;
-                  if downsample <> None then begin
-                    print_endline
-                      "trace: downsampled; skipping exact reconciliation";
-                    0
-                  end
-                  else begin
-                    let derived = Mc_problem.stats_of_events events in
-                    let mismatches =
-                      List.filter_map
-                        (fun (name, from_events, from_stats) ->
-                          if from_events = from_stats then None
-                          else
-                            Some
-                              (Printf.sprintf "%s: events say %d, stats say %d"
-                                 name from_events from_stats))
-                        ([
-                           ("evaluations", derived.Mc_problem.evaluations, stats.Mc_problem.evaluations);
-                           ("improving", derived.Mc_problem.improving, stats.Mc_problem.improving);
-                           ("lateral_accepted", derived.Mc_problem.lateral_accepted, stats.Mc_problem.lateral_accepted);
-                           ("uphill_accepted", derived.Mc_problem.uphill_accepted, stats.Mc_problem.uphill_accepted);
-                           ("temperatures_visited", derived.Mc_problem.temperatures_visited, stats.Mc_problem.temperatures_visited);
-                           ("descents", derived.Mc_problem.descents, stats.Mc_problem.descents);
-                         ]
-                        @
-                        (* The rejectionless engine never rejects; its
-                           [rejected] stat counts scan overhead and has no
-                           event counterpart. *)
-                        (match strategy with
-                        | `Rejectionless -> []
-                        | `Figure1 | `Figure2 ->
-                            [ ("rejected", derived.Mc_problem.rejected, stats.Mc_problem.rejected) ]))
-                    in
-                    match mismatches with
-                    | [] ->
-                        print_endline "trace: event counts reconcile with stats";
-                        0
-                    | ms ->
-                        List.iter
-                          (fun m -> Printf.eprintf "reconciliation mismatch: %s\n" m)
-                          ms;
-                        1
-                  end
-            in
-            (match trace_file with Some path -> reconcile path | None -> 0))
+  let run a strategy goto_start trace_file metrics downsample =
+    with_walk a (fun w ->
+        let rng = Rng.create ~seed:a.seed in
+        let state = start ~goto_start w rng in
+        let initial = Arrangement.density state in
+        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
+        let run_with sink =
+          let observer =
+            match registry with
+            | Some r -> Obs.Observer.tee [ sink; Obs.Metrics.observer r ]
+            | None -> sink
+          in
+          anneal ~observer w strategy rng state
+        in
+        let result =
+          match trace_file with
+          | None -> run_with Obs.Observer.null
+          | Some path -> (
+              try
+                Obs.Jsonl.with_file path (fun sink ->
+                    run_with
+                      (match downsample with
+                      | Some cap -> Obs.Downsample.observer ~capacity:cap sink
+                      | None -> sink))
+              with Sys_error msg ->
+                prerr_endline msg;
+                exit 1)
+        in
+        print_walk ~initial ~last:`Final ~stats:true result;
+        Option.iter (Format.printf "%a@." Obs.Metrics.pp) registry;
+        match trace_file with
+        | Some path -> reconcile ~strategy ~downsample result.Mc_problem.stats path
+        | None -> 0)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Solve a netlist while streaming engine events to a JSONL trace
              and/or a metrics registry.")
-    Term.(const run $ file $ method_ $ strategy $ evals $ base $ goto_start
-          $ seed $ trace_file $ metrics $ downsample)
+    Term.(const run $ walk_args ~method_:"Metropolis" ~evals:20_000 $ strategy
+          $ goto_start_arg $ trace_file $ metrics $ downsample)
 
 (* ---------------------------------------------------------------- *)
 (* generate                                                          *)
@@ -360,7 +363,6 @@ let generate_cmd =
   let multi =
     Arg.(value & flag & info [ "nola" ] ~doc:"Multi-pin nets (2-5 pins) instead of two-pin.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let run elements nets multi seed =
     let rng = Rng.create ~seed in
     let nl =
@@ -372,25 +374,18 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Emit a random instance in the textual netlist format.")
-    Term.(const run $ elements $ nets $ multi $ seed)
+    Term.(const run $ elements $ nets $ multi $ seed_arg)
 
 let goto_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST" ~doc:"Netlist file.")
-  in
   let run file =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl ->
+    with_netlist file (fun nl ->
         let arr = Goto.arrange nl in
         Printf.printf "density: %d\n" (Arrangement.density arr);
-        Printf.printf "order: %s\n"
-          (String.concat " " (Array.to_list (Array.map string_of_int (Arrangement.order arr))));
-        0
+        Printf.printf "order: %s\n" (order_line arr);
+        0)
   in
-  Cmd.v (Cmd.info "goto" ~doc:"Run the [GOTO77] constructive heuristic.") Term.(const run $ file)
+  Cmd.v (Cmd.info "goto" ~doc:"Run the [GOTO77] constructive heuristic.")
+    Term.(const run $ netlist_arg)
 
 (* ---------------------------------------------------------------- *)
 (* tsp                                                               *)
@@ -405,7 +400,7 @@ let tsp_cmd =
            ~doc:"TSPLIB EUC_2D instance; omit to use a random one.")
   in
   let cities =
-    Arg.(value & opt int 60 & info [ "cities" ] ~docv:"N" ~doc:"Random-instance size.")
+    Arg.(value & opt (int_from 3) 60 & info [ "cities" ] ~docv:"N" ~doc:"Random-instance size.")
   in
   let method_ =
     Arg.(value
@@ -418,7 +413,6 @@ let tsp_cmd =
     Arg.(value & opt int 30_000 & info [ "evals"; "n" ] ~docv:"N"
            ~doc:"Budget for the Monte Carlo methods.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let show_tour = Arg.(value & flag & info [ "tour" ] ~doc:"Print the visiting order.") in
   let run file cities method_ evals seed show_tour =
     let instance =
@@ -466,7 +460,7 @@ let tsp_cmd =
   in
   Cmd.v
     (Cmd.info "tsp" ~doc:"Solve a travelling-salesperson instance (TSPLIB EUC_2D or random).")
-    Term.(const run $ file $ cities $ method_ $ evals $ seed $ show_tour)
+    Term.(const run $ file $ cities $ method_ $ evals $ seed_arg $ show_tour)
 
 (* ---------------------------------------------------------------- *)
 (* partition                                                         *)
@@ -475,9 +469,6 @@ let tsp_cmd =
 module Part_engine = Figure1.Make (Partition_problem)
 
 let partition_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST" ~doc:"Netlist file.")
-  in
   let method_ =
     Arg.(value
          & opt (enum [ ("kl", `Kl); ("fm", `Fm); ("sa", `Sa); ("g1", `G1) ]) `Fm
@@ -491,71 +482,64 @@ let partition_cmd =
     Arg.(value & opt int 2 & info [ "parts"; "k" ] ~docv:"K"
            ~doc:"Number of parts (power of two). K > 2 uses recursive FM bisection.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let run file method_ evals kparts seed =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl when kparts <> 2 -> (
-        match Kway.partition (Rng.create ~seed) nl ~k:kparts with
-        | r ->
-            Printf.printf "parts: %d\nspanning nets: %d\nsizes: %s\n" r.Kway.k
-              r.Kway.spanning_nets
-              (String.concat " "
-                 (Array.to_list (Array.map string_of_int (Kway.part_sizes r))));
-            0
-        | exception Invalid_argument msg ->
-            prerr_endline msg;
-            1)
-    | Ok nl -> (
-        let rng = Rng.create ~seed in
-        let start = Bipartition.random_balanced rng nl in
-        match
-          match method_ with
-          | `Kl ->
-              ignore (Kl.refine start);
-              start
-          | `Fm ->
-              ignore (Fm.refine start);
-              start
-          | `Sa ->
-              let p =
-                Part_engine.params ~gfun:Gfun.six_temp_annealing
-                  ~schedule:(Schedule.kirkpatrick ()) ~budget:(Budget.Evaluations evals) ()
-              in
-              (Part_engine.run rng p start).Mc_problem.best
-          | `G1 ->
-              let p =
-                Part_engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-                  ~budget:(Budget.Evaluations evals) ()
-              in
-              (Part_engine.run rng p start).Mc_problem.best
-        with
-        | part ->
-            Printf.printf "cut: %d\nimbalance: %d\nside B:" (Bipartition.cut part)
-              (Bipartition.imbalance part);
-            for e = 0 to Netlist.n_elements nl - 1 do
-              if Bipartition.side part e then Printf.printf " %d" e
-            done;
-            print_newline ();
-            0
-        | exception Invalid_argument msg ->
-            prerr_endline msg;
-            1)
+    with_netlist file (fun nl ->
+        if kparts <> 2 then (
+          match Kway.partition (Rng.create ~seed) nl ~k:kparts with
+          | r ->
+              Printf.printf "parts: %d\nspanning nets: %d\nsizes: %s\n" r.Kway.k
+                r.Kway.spanning_nets
+                (String.concat " "
+                   (Array.to_list (Array.map string_of_int (Kway.part_sizes r))));
+              0
+          | exception Invalid_argument msg ->
+              prerr_endline msg;
+              1)
+        else (
+          let rng = Rng.create ~seed in
+          let start = Bipartition.random_balanced rng nl in
+          match
+            match method_ with
+            | `Kl ->
+                ignore (Kl.refine start);
+                start
+            | `Fm ->
+                ignore (Fm.refine start);
+                start
+            | `Sa ->
+                let p =
+                  Part_engine.params ~gfun:Gfun.six_temp_annealing
+                    ~schedule:(Schedule.kirkpatrick ()) ~budget:(Budget.Evaluations evals) ()
+                in
+                (Part_engine.run rng p start).Mc_problem.best
+            | `G1 ->
+                let p =
+                  Part_engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
+                    ~budget:(Budget.Evaluations evals) ()
+                in
+                (Part_engine.run rng p start).Mc_problem.best
+          with
+          | part ->
+              Printf.printf "cut: %d\nimbalance: %d\nside B:" (Bipartition.cut part)
+                (Bipartition.imbalance part);
+              for e = 0 to Netlist.n_elements nl - 1 do
+                if Bipartition.side part e then Printf.printf " %d" e
+              done;
+              print_newline ();
+              0
+          | exception Invalid_argument msg ->
+              prerr_endline msg;
+              1))
   in
   Cmd.v
     (Cmd.info "partition" ~doc:"Balanced partition of a netlist (2-way methods, or k-way FM).")
-    Term.(const run $ file $ method_ $ evals $ kparts $ seed)
+    Term.(const run $ netlist_arg $ method_ $ evals $ kparts $ seed_arg)
 
 (* ---------------------------------------------------------------- *)
 (* route                                                             *)
 (* ---------------------------------------------------------------- *)
 
 let route_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST" ~doc:"Netlist file.")
-  in
   let optimize =
     Arg.(value & flag & info [ "optimize" ]
            ~doc:"Minimize density with g = 1 before routing (instead of the Goto order).")
@@ -563,23 +547,15 @@ let route_cmd =
   let evals =
     Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Budget when optimizing.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let run file optimize evals seed =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl ->
+    with_netlist file (fun nl ->
         let arr =
-          if optimize then begin
-            let rng = Rng.create ~seed in
-            let start = Goto.arrange nl in
-            let p =
-              Engine1.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-                ~budget:(Budget.Evaluations evals) ()
+          if optimize then
+            let w =
+              { nl; gfun = Gfun.g_one; schedule = Schedule.constant ~k:1 1.;
+                budget = Budget.Evaluations evals }
             in
-            (Engine1.run rng p start).Mc_problem.best
-          end
+            (anneal w `Figure1 (Rng.create ~seed) (Goto.arrange nl)).Mc_problem.best
           else Goto.arrange nl
         in
         let layout = Single_row.assign arr in
@@ -589,26 +565,19 @@ let route_cmd =
         Printf.printf "density %d -> %d tracks\n%s" (Arrangement.density arr)
           layout.Single_row.track_count
           (Single_row.render arr layout);
-        0
+        0)
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Single-row channel routing of a netlist (left-edge algorithm).")
-    Term.(const run $ file $ optimize $ evals $ seed)
+    Term.(const run $ netlist_arg $ optimize $ evals $ seed_arg)
 
 (* ---------------------------------------------------------------- *)
 (* info                                                              *)
 (* ---------------------------------------------------------------- *)
 
 let info_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST" ~doc:"Netlist file.")
-  in
   let run file =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl ->
+    with_netlist file (fun nl ->
         let n = Netlist.n_elements nl and m = Netlist.n_nets nl in
         Printf.printf "elements: %d\nnets: %d\n" n m;
         Printf.printf "graph (all two-pin): %b\n" (Netlist.is_graph nl);
@@ -629,9 +598,9 @@ let info_cmd =
         Printf.printf "goto density: %d\n" (Goto.density nl);
         if n <= 10 then
           Printf.printf "exact optimal density: %d\n" (Linarr_exact.optimal_density nl);
-        0
+        0)
   in
-  Cmd.v (Cmd.info "info" ~doc:"Summarize a netlist file.") Term.(const run $ file)
+  Cmd.v (Cmd.info "info" ~doc:"Summarize a netlist file.") Term.(const run $ netlist_arg)
 
 (* ---------------------------------------------------------------- *)
 (* telemetry plumbing (run, portfolio, top)                          *)
@@ -672,36 +641,18 @@ exception Interrupted
 (* A run fingerprint pins a checkpoint to one exact run configuration;
    load refuses a checkpoint whose fingerprint differs (stale file from
    another netlist, method, seed, or budget). *)
-let run_fingerprint ~nl ~method_ ~evals ~base ~seed =
+let run_fingerprint nl a =
   Obs.Json.Obj
     [
       ("engine", Obs.Json.String "figure1");
-      ("method", Obs.Json.String method_);
-      ("evals", Obs.Json.Int evals);
-      ("y", Obs.Json.String (Printf.sprintf "%h" base));
-      ("seed", Obs.Json.Int seed);
+      ("method", Obs.Json.String a.method_);
+      ("evals", Obs.Json.Int a.evals);
+      ("y", Obs.Json.String (Printf.sprintf "%h" a.base));
+      ("seed", Obs.Json.Int a.seed);
       ("netlist_md5", Obs.Json.String (Digest.to_hex (Digest.string (Netlist.to_string nl))));
     ]
 
 let run_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
-           ~doc:"Netlist file in the textual format (see $(b,generate)).")
-  in
-  let method_ =
-    Arg.(value & opt string "Six Temperature Annealing"
-         & info [ "method"; "m" ] ~docv:"NAME"
-             ~doc:"g-function class name as in Table 4.1.")
-  in
-  let evals =
-    Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N"
-           ~doc:"Perturbation budget.")
-  in
-  let base =
-    Arg.(value & opt float 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Write a CRC-guarded resume snapshot to $(docv) every
@@ -709,7 +660,7 @@ let run_cmd =
                  and on SIGINT/SIGTERM (at the next safe point).")
   in
   let every =
-    Arg.(value & opt int 1000 & info [ "checkpoint-every" ] ~docv:"N"
+    Arg.(value & opt (int_from 1) 1000 & info [ "checkpoint-every" ] ~docv:"N"
            ~doc:"Evaluations between checkpoints (default 1000).")
   in
   let resume =
@@ -717,162 +668,116 @@ let run_cmd =
            ~doc:"Resume from the $(b,--checkpoint) file; the continued run
                  reproduces the uninterrupted trajectory bit for bit.")
   in
-  let stats =
-    Arg.(value & flag & info [ "stats" ] ~doc:"Print the run's engine statistics.")
-  in
   let profile =
     Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE.folded"
            ~doc:"Sample the engine span stack every 97th evaluation
                  (deterministic under a fixed seed) and write folded-stack
                  lines to $(docv) for flamegraph.pl / speedscope.")
   in
-  let run file method_ evals base seed checkpoint every resume stats
-      telemetry_port profile =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl -> (
-        match Gfun.find_by_name ~m:(Netlist.n_nets nl) method_ with
-        | None ->
-            Printf.eprintf "unknown method %S; see Table 4.1 for names\n" method_;
-            1
-        | Some gfun -> (
-            if resume && checkpoint = None then begin
-              prerr_endline "--resume needs --checkpoint FILE";
-              2
-            end
-            else begin
-              let codec = Linarr_problem.codec nl in
-              let fingerprint = run_fingerprint ~nl ~method_ ~evals ~base ~seed in
-              let schedule = Runner.schedule_for gfun base in
-              let budget = Budget.Evaluations evals in
-              let params = Engine1.params ~gfun ~schedule ~budget () in
-              (* Signals cannot safely write a file from the handler;
-                 they raise a flag that the next checkpoint-safe point
-                 turns into a final save plus a clean stop. *)
-              let interrupted = ref false in
-              let note_signal (_ : int) = interrupted := true in
-              Sys.set_signal Sys.sigint (Sys.Signal_handle note_signal);
-              Sys.set_signal Sys.sigterm (Sys.Signal_handle note_signal);
-              let on_checkpoint path snap ~current ~best =
-                Checkpoint.save_figure1 ~path ~codec ~fingerprint snap ~current
-                  ~best;
-                if !interrupted then raise Interrupted
-              in
-              let restored =
-                match (resume, checkpoint) with
-                | true, Some path -> (
-                    match Checkpoint.load_figure1 ~path ~codec ~fingerprint with
-                    | Error e ->
-                        prerr_endline (Checkpoint.load_error_message e);
-                        Error 1
-                    | Ok (snap, current, best_state, rng) ->
-                        let live =
-                          Int64.bits_of_float
-                            (float_of_int (Arrangement.density current))
-                        in
-                        let saved = Int64.bits_of_float snap.Figure1.current_cost in
-                        if not (Int64.equal live saved) then begin
-                          Printf.eprintf
-                            "checkpoint %s: decoded state's cost %h does not \
-                             match the snapshot's %h — refusing to resume\n"
-                            path
-                            (Int64.float_of_bits live)
-                            (Int64.float_of_bits saved);
-                          Error 1
-                        end
-                        else begin
-                          Printf.printf "resuming from %s at evaluation %d\n"
-                            path snap.Figure1.ticks;
-                          Ok (Some (snap, best_state), current, rng)
-                        end)
-                | _, _ ->
-                    let rng = Rng.create ~seed in
-                    Ok (None, Arrangement.random rng nl, rng)
-              in
-              match restored with
-              | Error code -> code
-              | Ok (resume_arg, state, rng) ->
-                  with_telemetry ?port:telemetry_port ~workers:1
-                    ~labels:[ "run" ] (fun tele ->
-                  (* Report the run's original starting point, not the
-                     resume point, so resumed output matches the
-                     uninterrupted run byte-for-byte. *)
-                  let initial =
-                    match resume_arg with
-                    | Some (snap, _) -> int_of_float snap.Figure1.initial_cost
-                    | None -> Arrangement.density state
-                  in
-                  let profiler = Option.map (fun _ -> Telemetry_profile.create ()) profile in
-                  let observer =
-                    Obs.Observer.tee
-                      ((match tele with
-                       | Some t ->
-                           [ Telemetry.job_observer t ~worker:0 ~job:0 ~label:"run" ]
-                       | None -> [])
-                      @
-                      match profiler with
-                      | Some p -> [ Telemetry_profile.observer p ]
-                      | None -> [])
-                  in
-                  let finish result =
-                    Printf.printf "initial density: %d\n" initial;
-                    Printf.printf "best density:    %.0f\n"
-                      result.Mc_problem.best_cost;
-                    Printf.printf "final density:   %.0f\n"
-                      result.Mc_problem.final_cost;
-                    if stats then
-                      Format.printf "%a@." Mc_problem.pp_stats
-                        result.Mc_problem.stats;
-                    match (profiler, profile) with
-                    | Some p, Some path ->
-                        Telemetry_profile.write_folded p path;
-                        Printf.eprintf "profile: %d samples -> %s\n"
-                          (Telemetry_profile.samples p) path
-                    | _ -> ()
-                  in
-                  let run_engine () =
-                    match (checkpoint, resume_arg) with
-                    | None, _ -> Engine1.run ~observer rng params state
-                    | Some path, None ->
-                        Engine1.run ~observer
-                          ~checkpoint_every:every
-                          ~on_checkpoint:(on_checkpoint path) rng params state
-                    | Some path, Some r ->
-                        Engine1.run ~observer
-                          ~checkpoint_every:every
-                          ~on_checkpoint:(on_checkpoint path) ~resume:r rng
-                          params state
-                  in
-                  match run_engine () with
-                  | result ->
-                      finish result;
-                      0
-                  | exception Interrupted ->
-                      (match checkpoint with
-                      | Some path ->
-                          Printf.eprintf
-                            "interrupted; checkpoint saved to %s (resume with \
-                             --resume)\n"
-                            path
-                      | None -> ());
-                      130
-                  | exception Engine1.Aborted { reason; partial } ->
-                      Printf.eprintf "run aborted: %s\n"
-                        (Printexc.to_string reason);
+  let run a checkpoint every resume stats telemetry_port profile =
+    with_walk a (fun w ->
+        if resume && checkpoint = None then begin
+          prerr_endline "--resume needs --checkpoint FILE";
+          2
+        end
+        else begin
+          let codec = Linarr_problem.codec w.nl in
+          let fingerprint = run_fingerprint w.nl a in
+          (* Signals cannot safely write a file from the handler; they
+             raise a flag that the next checkpoint-safe point turns into
+             a final save plus a clean stop. *)
+          let interrupted = ref false in
+          let note_signal (_ : int) = interrupted := true in
+          Sys.set_signal Sys.sigint (Sys.Signal_handle note_signal);
+          Sys.set_signal Sys.sigterm (Sys.Signal_handle note_signal);
+          let on_checkpoint path snap ~current ~best =
+            Checkpoint.save_figure1 ~path ~codec ~fingerprint snap ~current ~best;
+            if !interrupted then raise Interrupted
+          in
+          let restored =
+            match (resume, checkpoint) with
+            | true, Some path -> (
+                match Checkpoint.load_figure1 ~path ~codec ~fingerprint with
+                | Error e ->
+                    prerr_endline (Checkpoint.load_error_message e);
+                    Error 1
+                | Ok (snap, current, best_state, rng) ->
+                    let live =
+                      Int64.bits_of_float (float_of_int (Arrangement.density current))
+                    in
+                    let saved = Int64.bits_of_float snap.Figure1.current_cost in
+                    if not (Int64.equal live saved) then begin
                       Printf.eprintf
-                        "best density so far: %.0f (after %d evaluations)\n"
-                        partial.Mc_problem.best_cost
-                        partial.Mc_problem.stats.Mc_problem.evaluations;
-                      1)
-            end))
+                        "checkpoint %s: decoded state's cost %h does not match the \
+                         snapshot's %h — refusing to resume\n"
+                        path (Int64.float_of_bits live) (Int64.float_of_bits saved);
+                      Error 1
+                    end
+                    else begin
+                      Printf.printf "resuming from %s at evaluation %d\n" path
+                        snap.Figure1.ticks;
+                      Ok (Some (snap, best_state), current, rng)
+                    end)
+            | _, _ ->
+                let rng = Rng.create ~seed:a.seed in
+                Ok (None, start ~goto_start:false w rng, rng)
+          in
+          match restored with
+          | Error code -> code
+          | Ok (resume, state, rng) -> (
+              with_telemetry ?port:telemetry_port ~workers:1 ~labels:[ "run" ]
+              @@ fun tele ->
+              (* Report the run's original starting point, not the resume
+                 point, so resumed output matches the uninterrupted run
+                 byte-for-byte. *)
+              let initial =
+                match resume with
+                | Some (snap, _) -> int_of_float snap.Figure1.initial_cost
+                | None -> Arrangement.density state
+              in
+              let profiler = Option.map (fun _ -> Telemetry_profile.create ()) profile in
+              let observer =
+                Obs.Observer.tee
+                  (Option.to_list
+                     (Option.map
+                        (fun t -> Telemetry.job_observer t ~worker:0 ~job:0 ~label:"run")
+                        tele)
+                  @ Option.to_list (Option.map Telemetry_profile.observer profiler))
+              in
+              match
+                anneal ~observer
+                  ?checkpoint_every:(Option.map (fun _ -> every) checkpoint)
+                  ?on_checkpoint:(Option.map on_checkpoint checkpoint) ?resume w
+                  `Figure1 rng state
+              with
+              | result ->
+                  print_walk ~initial ~last:`Final ~stats result;
+                  (match (profiler, profile) with
+                  | Some p, Some path ->
+                      Telemetry_profile.write_folded p path;
+                      Printf.eprintf "profile: %d samples -> %s\n"
+                        (Telemetry_profile.samples p) path
+                  | _ -> ());
+                  0
+              | exception Interrupted ->
+                  Option.iter
+                    (Printf.eprintf
+                       "interrupted; checkpoint saved to %s (resume with --resume)\n")
+                    checkpoint;
+                  130
+              | exception Engine1.Aborted { reason; partial } ->
+                  Printf.eprintf "run aborted: %s\n" (Printexc.to_string reason);
+                  Printf.eprintf "best density so far: %.0f (after %d evaluations)\n"
+                    partial.Mc_problem.best_cost
+                    partial.Mc_problem.stats.Mc_problem.evaluations;
+                  1)
+        end)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Minimize density with the Figure 1 engine, with checkpoint/resume.")
-    Term.(const run $ file $ method_ $ evals $ base $ seed $ checkpoint $ every
-          $ resume $ stats $ telemetry_port_arg $ profile)
+    Term.(const run $ walk_args ~method_:"Six Temperature Annealing" ~evals:20_000
+          $ checkpoint $ every $ resume $ stats_arg $ telemetry_port_arg $ profile)
 
 (* ---------------------------------------------------------------- *)
 (* supervise                                                         *)
@@ -881,38 +786,10 @@ let run_cmd =
 module Chaos_swap = Mc_problem.Chaos (Linarr_problem.Swap)
 module Engine_chaos = Figure1.Make (Chaos_swap)
 
-let chaos_classes =
-  [
-    ("nan", Chaos_swap.Nan_cost);
-    ("inf", Chaos_swap.Inf_cost);
-    ("raise-cost", Chaos_swap.Raise_cost);
-    ("raise-apply", Chaos_swap.Raise_apply);
-    ("raise-revert", Chaos_swap.Raise_revert);
-    ("slow", Chaos_swap.Slow_move 0.05);
-  ]
-
 let supervise_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST"
-           ~doc:"Netlist file in the textual format (see $(b,generate)).")
-  in
   let runs =
-    Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Runs in the campaign.")
+    Arg.(value & opt (int_from 0) 5 & info [ "runs" ] ~docv:"N" ~doc:"Runs in the campaign.")
   in
-  let method_ =
-    Arg.(value & opt string "Six Temperature Annealing"
-         & info [ "method"; "m" ] ~docv:"NAME"
-             ~doc:"g-function class name as in Table 4.1.")
-  in
-  let evals =
-    Arg.(value & opt int 10_000 & info [ "evals"; "n" ] ~docv:"N"
-           ~doc:"Perturbation budget per run.")
-  in
-  let base =
-    Arg.(value & opt float 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature.")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed.") in
   let max_attempts =
     Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"K"
            ~doc:"Attempts per run before quarantine.")
@@ -930,7 +807,7 @@ let supervise_cmd =
            ~doc:"Per-run deadline in seconds (enforced post hoc).")
   in
   let chaos =
-    Arg.(value & opt (some (enum chaos_classes)) None & info [ "chaos" ] ~docv:"FAULT"
+    Arg.(value & opt (some (enum Mc_problem.fault_names)) None & info [ "chaos" ] ~docv:"FAULT"
            ~doc:"Inject a fault into every run's problem: nan, inf, raise-cost,
                  raise-apply, raise-revert, or slow.")
   in
@@ -943,103 +820,77 @@ let supervise_cmd =
     Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE"
            ~doc:"Write the sa-lab/supervisor-report/v1 JSON to $(docv).")
   in
-  let run file runs method_ evals base seed max_attempts base_delay backoff
-      deadline chaos chaos_attempts report_file =
-    match read_netlist file with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok nl -> (
-        match Gfun.find_by_name ~m:(Netlist.n_nets nl) method_ with
-        | None ->
-            Printf.eprintf "unknown method %S; see Table 4.1 for names\n" method_;
-            1
-        | Some gfun -> (
-            match
-              Supervisor.policy ~max_attempts ~base_delay ~backoff ?deadline ()
-            with
-            | exception Invalid_argument msg ->
-                prerr_endline msg;
-                2
-            | policy ->
-                let schedule = Runner.schedule_for gfun base in
-                let params =
-                  Engine_chaos.params ~gfun ~schedule
-                    ~budget:(Budget.Evaluations evals) ()
-                in
-                let work r ~attempt =
-                  (* Retries are not bitwise replays: each attempt
-                     derives its own seed. *)
-                  let rng = Rng.create ~seed:(seed + (1000 * r) + attempt) in
-                  let state = Arrangement.random rng nl in
-                  Chaos_swap.reset ();
-                  (match chaos with
-                  | Some fault when attempt <= chaos_attempts ->
-                      Chaos_swap.plan ~after:100 fault
-                  | Some _ | None -> ());
-                  match Engine_chaos.run rng params state with
-                  | result -> result.Mc_problem.best_cost
-                  | exception Engine_chaos.Aborted { reason; partial } ->
-                      failwith
-                        (Printf.sprintf
-                           "aborted at evaluation %d (best so far %.0f): %s"
-                           partial.Mc_problem.stats.Mc_problem.evaluations
-                           partial.Mc_problem.best_cost
-                           (Printexc.to_string reason))
-                in
-                let jobs =
-                  List.init runs (fun r ->
-                      { Supervisor.label = Printf.sprintf "run-%d" r;
-                        work = work r })
-                in
-                let observer =
-                  Obs.Observer.of_fun (fun ev ->
-                      match ev with
-                      | Obs.Event.Retry { label; attempt; delay; reason } ->
-                          Printf.eprintf
-                            "retry %s: attempt %d failed (%s); backing off \
-                             %.3fs\n%!"
-                            label attempt reason delay
-                      | Obs.Event.Quarantined { label; attempts; reason } ->
-                          Printf.eprintf
-                            "quarantined %s after %d attempts: %s\n%!" label
-                            attempts reason
-                      | _ -> ())
-                in
-                let report = Supervisor.run ~observer policy jobs in
-                List.iter
-                  (fun outcome ->
-                    match outcome with
-                    | Supervisor.Completed { label; attempts; value; seconds } ->
-                        Printf.printf
-                          "%s: completed (attempt %d, %.3fs, best %.0f)\n" label
-                          attempts seconds value
-                    | Supervisor.Quarantined { label; attempts; reason } ->
-                        Printf.printf "%s: quarantined after %d attempts: %s\n"
-                          label attempts reason)
-                  report.Supervisor.outcomes;
-                Printf.printf "retries: %d, quarantined: %d/%d\n"
-                  report.Supervisor.retries report.Supervisor.quarantined runs;
-                (match report_file with
-                | Some path ->
-                    let oc = open_out path in
-                    output_string oc
-                      (Obs.Json.to_string
-                         (Supervisor.report_to_json
-                            ~value:(fun c -> Obs.Json.Float c)
-                            report));
-                    output_char oc '\n';
-                    close_out oc
-                | None -> ());
-                if report.Supervisor.quarantined < runs then 0 else 1))
+  let run a runs max_attempts base_delay backoff deadline chaos chaos_attempts
+      report_file =
+    with_walk a (fun w ->
+        match Supervisor.policy ~max_attempts ~base_delay ~backoff ?deadline () with
+        | exception Invalid_argument msg ->
+            prerr_endline msg;
+            2
+        | policy ->
+            let params =
+              Engine_chaos.params ~gfun:w.gfun ~schedule:w.schedule ~budget:w.budget ()
+            in
+            let work r ~attempt =
+              (* Retries are not bitwise replays: each attempt derives its
+                 own seed. *)
+              let rng = Rng.create ~seed:(a.seed + (1000 * r) + attempt) in
+              let state = start ~goto_start:false w rng in
+              Chaos_swap.reset ();
+              (match chaos with
+              | Some fault when attempt <= chaos_attempts -> Chaos_swap.plan ~after:100 fault
+              | Some _ | None -> ());
+              match Engine_chaos.run rng params state with
+              | result -> result.Mc_problem.best_cost
+              | exception Engine_chaos.Aborted { reason; partial } ->
+                  failwith
+                    (Printf.sprintf "aborted at evaluation %d (best so far %.0f): %s"
+                       partial.Mc_problem.stats.Mc_problem.evaluations
+                       partial.Mc_problem.best_cost (Printexc.to_string reason))
+            in
+            let jobs =
+              List.init runs (fun r ->
+                  { Supervisor.label = Printf.sprintf "run-%d" r; work = work r })
+            in
+            let observer =
+              Obs.Observer.of_fun (fun ev ->
+                  match ev with
+                  | Obs.Event.Retry { label; attempt; delay; reason } ->
+                      Printf.eprintf
+                        "retry %s: attempt %d failed (%s); backing off %.3fs\n%!"
+                        label attempt reason delay
+                  | Obs.Event.Quarantined { label; attempts; reason } ->
+                      Printf.eprintf "quarantined %s after %d attempts: %s\n%!" label
+                        attempts reason
+                  | _ -> ())
+            in
+            let report = Supervisor.run ~observer policy jobs in
+            List.iter
+              (fun outcome ->
+                match outcome with
+                | Supervisor.Completed { label; attempts; value; seconds } ->
+                    Printf.printf "%s: completed (attempt %d, %.3fs, best %.0f)\n" label
+                      attempts seconds value
+                | Supervisor.Quarantined { label; attempts; reason } ->
+                    Printf.printf "%s: quarantined after %d attempts: %s\n" label
+                      attempts reason)
+              report.Supervisor.outcomes;
+            Printf.printf "retries: %d, quarantined: %d/%d\n" report.Supervisor.retries
+              report.Supervisor.quarantined runs;
+            Option.iter
+              (fun path ->
+                write_json path
+                  (Supervisor.report_to_json ~value:(fun c -> Obs.Json.Float c) report))
+              report_file;
+            if report.Supervisor.quarantined < runs then 0 else 1)
   in
   Cmd.v
     (Cmd.info "supervise"
        ~doc:"Drive a campaign of runs with retries, backoff, quarantine, and
              optional chaos fault injection.")
-    Term.(const run $ file $ runs $ method_ $ evals $ base $ seed $ max_attempts
-          $ base_delay $ backoff $ deadline $ chaos $ chaos_attempts
-          $ report_file)
+    Term.(const run $ walk_args ~method_:"Six Temperature Annealing" ~evals:10_000
+          $ runs $ max_attempts $ base_delay $ backoff $ deadline $ chaos
+          $ chaos_attempts $ report_file)
 
 (* ---------------------------------------------------------------- *)
 (* portfolio                                                         *)
@@ -1077,7 +928,6 @@ let portfolio_cmd =
            ~doc:"Base temperature (geometric 0.9 shape for
                  multi-temperature classes).")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let deadline =
     Arg.(value & opt (some int) None & info [ "deadline-evals" ] ~docv:"N"
            ~doc:"Whole-race evaluation allowance, checked between rungs;
@@ -1181,14 +1031,9 @@ let portfolio_cmd =
               report.Portfolio.winner.Portfolio.label
               report.Portfolio.winner.Portfolio.cost
               report.Portfolio.total_evaluations;
-            (match report_file with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc
-                  (Obs.Json.to_string (Portfolio.report_to_json report));
-                output_char oc '\n';
-                close_out oc
-            | None -> ());
+            Option.iter
+              (fun path -> write_json path (Portfolio.report_to_json report))
+              report_file;
             0)
   in
   Cmd.v
@@ -1197,7 +1042,7 @@ let portfolio_cmd =
              other (successive halving or a full sweep), optionally on
              several domains.")
     Term.(const run $ file $ cities $ mode $ initial_evals $ domains $ base
-          $ seed $ deadline $ report_file $ telemetry_port_arg)
+          $ seed_arg $ deadline $ report_file $ telemetry_port_arg)
 
 (* ---------------------------------------------------------------- *)
 (* top                                                               *)
@@ -1400,7 +1245,6 @@ let floorplan_cmd =
   let evals =
     Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Move budget.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.") in
   let run blocks max_side evals seed =
     if blocks < 1 || max_side < 2 then begin
       prerr_endline "need at least 1 block and max-side >= 2";
@@ -1434,7 +1278,7 @@ let floorplan_cmd =
   in
   Cmd.v
     (Cmd.info "floorplan" ~doc:"Anneal a slicing floorplan of random blocks.")
-    Term.(const run $ blocks $ max_side $ evals $ seed)
+    Term.(const run $ blocks $ max_side $ evals $ seed_arg)
 
 let () =
   let info =

@@ -319,6 +319,28 @@ module Contract (P : S) = struct
     { d with propose; delta; commit; abandon }
 end
 
+type fault =
+  | Nan_cost
+  | Inf_cost
+  | Raise_cost
+  | Raise_apply
+  | Raise_revert
+  | Slow_move of float
+
+let fault_names =
+  [
+    ("nan", Nan_cost);
+    ("inf", Inf_cost);
+    ("raise-cost", Raise_cost);
+    ("raise-apply", Raise_apply);
+    ("raise-revert", Raise_revert);
+    ("slow", Slow_move 0.05);
+  ]
+
+let fault_name = function
+  | Slow_move _ -> "slow"
+  | f -> fst (List.find (fun (_, g) -> g = f) fault_names)
+
 (* Fault-injection counterpart of [Contract]: instead of checking that
    [P] behaves, [Chaos (P)] makes it misbehave on schedule, so the
    engine-hardening paths (non-finite cost rejection, exception-safe
@@ -332,13 +354,13 @@ module Chaos (P : S) = struct
   type state = P.state
   type move = P.move
 
-  type fault =
-    | Nan_cost  (** [cost] returns [nan] *)
-    | Inf_cost  (** [cost] returns [infinity] *)
-    | Raise_cost  (** [cost] raises {!Fault} *)
-    | Raise_apply  (** [apply] raises {!Fault} before mutating *)
-    | Raise_revert  (** [revert] raises {!Fault} before restoring *)
-    | Slow_move of float  (** [random_move] busy-waits this many CPU s *)
+  type nonrec fault = fault =
+    | Nan_cost
+    | Inf_cost
+    | Raise_cost
+    | Raise_apply
+    | Raise_revert
+    | Slow_move of float
 
   exception Fault of string
 

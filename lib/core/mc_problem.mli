@@ -202,6 +202,26 @@ module Contract (P : S) : sig
       @raise Invalid_argument on a negative [tol]. *)
 end
 
+(** The faults {!Chaos} can plan. *)
+type fault =
+  | Nan_cost  (** [cost] returns [nan] *)
+  | Inf_cost  (** [cost] returns [infinity] *)
+  | Raise_cost  (** [cost] raises [Chaos(P).Fault] *)
+  | Raise_apply  (** [apply] raises [Chaos(P).Fault] before mutating *)
+  | Raise_revert  (** [revert] raises [Chaos(P).Fault] before restoring *)
+  | Slow_move of float
+      (** [random_move] busy-waits this many CPU seconds first *)
+
+val fault_names : (string * fault) list
+(** The one name table for faults, shared by [sa_lab supervise
+    --chaos] and the daemon's job specs: ["nan"], ["inf"],
+    ["raise-cost"], ["raise-apply"], ["raise-revert"], and ["slow"]
+    ([Slow_move 0.05]). *)
+
+val fault_name : fault -> string
+(** The table's name for a fault ([Slow_move] of any length is
+    ["slow"]). *)
+
 (** [Chaos (P)] is the fault-injection counterpart of {!Contract}: it
     presents [P]'s own state and move types so it drops into any engine
     functor, but makes planned calls misbehave — returning NaN/infinite
@@ -213,14 +233,13 @@ end
 module Chaos (P : S) : sig
   include S with type state = P.state and type move = P.move
 
-  type fault =
-    | Nan_cost  (** [cost] returns [nan] *)
-    | Inf_cost  (** [cost] returns [infinity] *)
-    | Raise_cost  (** [cost] raises {!Fault} *)
-    | Raise_apply  (** [apply] raises {!Fault} before mutating *)
-    | Raise_revert  (** [revert] raises {!Fault} before restoring *)
+  type nonrec fault = fault =
+    | Nan_cost
+    | Inf_cost
+    | Raise_cost
+    | Raise_apply
+    | Raise_revert
     | Slow_move of float
-        (** [random_move] busy-waits this many CPU seconds first *)
 
   exception Fault of string
 

@@ -17,7 +17,7 @@ type problem =
 
 type mode = Anneal | Race
 
-type chaos = { fault : string; attempts : int }
+type chaos = { fault : Mc_problem.fault; attempts : int }
 
 type t = {
   problem : problem;
@@ -143,13 +143,14 @@ let of_json ~max_budget json =
     match field json "chaos" with
     | None | Some Obs.Json.Null -> Ok None
     | Some c ->
-        let* fault = string_field c "fault" in
-        let* () =
-          if
-            List.mem fault
-              [ "nan"; "inf"; "raise-cost"; "raise-apply"; "raise-revert" ]
-          then Ok ()
-          else Error (Printf.sprintf "unknown chaos fault %S" fault)
+        let* name = string_field c "fault" in
+        (* A stalling move would only burn a worker; the daemon takes
+           the faults that abort a walk. *)
+        let* fault =
+          match List.assoc_opt name Mc_problem.fault_names with
+          | Some (Mc_problem.Slow_move _) | None ->
+              Error (Printf.sprintf "unknown chaos fault %S" name)
+          | Some fault -> Ok fault
         in
         let* attempts = int_field ~default:1 c "attempts" in
         let* attempts = bounded "chaos.attempts" 1 100 attempts in
@@ -211,7 +212,7 @@ let to_json t =
           | Some { fault; attempts } ->
               Obs.Json.Obj
                 [
-                  ("fault", Obs.Json.String fault);
+                  ("fault", Obs.Json.String (Mc_problem.fault_name fault));
                   ("attempts", Obs.Json.Int attempts);
                 ] );
       ])

@@ -22,7 +22,8 @@ type problem =
 
 type mode = Anneal | Race
 
-type chaos = { fault : string; attempts : int }
+type chaos = { fault : Mc_problem.fault; attempts : int }
+(** [fault] is any of {!Mc_problem.fault_names} but ["slow"]. *)
 
 type t = {
   problem : problem;

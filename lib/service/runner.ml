@@ -283,20 +283,10 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
   | Some { fault; attempts } ->
       let module C = Mc_problem.Chaos (P) in
       C.reset ();
-      if attempt <= attempts then begin
-        let f =
-          match fault with
-          | "nan" -> C.Nan_cost
-          | "inf" -> C.Inf_cost
-          | "raise-cost" -> C.Raise_cost
-          | "raise-apply" -> C.Raise_apply
-          | "raise-revert" -> C.Raise_revert
-          | other -> failwith (Printf.sprintf "unknown chaos fault %S" other)
-        in
-        (* Let at least one checkpoint land first, so the retry proves
-           fault-then-resume rather than fault-then-restart. *)
-        C.plan ~after:(checkpoint_every + (checkpoint_every / 2)) f
-      end;
+      (* Let at least one checkpoint land first, so the retry proves
+         fault-then-resume rather than fault-then-restart. *)
+      if attempt <= attempts then
+        C.plan ~after:(checkpoint_every + (checkpoint_every / 2)) fault;
       run_engine
         (module C)
         ~delta_ops:None ~codec:inst.codec ~make_state:inst.make_state ~resume

@@ -223,6 +223,9 @@ let test_bad_specs () =
               ~extra:{|,"mode":"race","chaos":{"fault":"nan"}|} () );
           ( "unknown chaos fault",
             tsp_spec ~budget:100 ~extra:{|,"chaos":{"fault":"gremlins"}|} () );
+          (* sa_lab supervise knows "slow"; the daemon does not take it. *)
+          ( "slow chaos fault",
+            tsp_spec ~budget:100 ~extra:{|,"chaos":{"fault":"slow"}|} () );
           ("cities out of range", {|{"problem":"tsp","cities":2,"budget":10}|});
         ])
 
@@ -442,6 +445,20 @@ let test_chaos_transient_recovers () =
       let faults = [ "nan"; "inf"; "raise-cost"; "raise-apply"; "raise-revert" ] in
       List.iteri
         (fun i fault ->
+          (* The typed fault survives the manifest round trip: the
+             canonical JSON names it as submitted and re-parses to the
+             same spec. *)
+          (match Job_spec.parse ~max_budget:max_int (chaos_spec ~fault ~attempts:1) with
+          | Error e -> Alcotest.failf "%s: %s" fault e
+          | Ok spec -> (
+              let json = Job_spec.to_json spec in
+              Alcotest.check Alcotest.bool (fault ^ " named in canonical JSON") true
+                (Option.bind (Obs.Json.member "chaos" json) (Obs.Json.member "fault")
+                = Some (Obs.Json.String fault));
+              match Job_spec.of_json_stored json with
+              | Ok back ->
+                  Alcotest.check Alcotest.bool (fault ^ " round-trips") true (back = spec)
+              | Error e -> Alcotest.failf "%s: stored spec refused: %s" fault e));
           check_status ("submit " ^ fault) 202
             (submit svc (chaos_spec ~fault ~attempts:1));
           let id = i + 1 in
