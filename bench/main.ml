@@ -555,9 +555,10 @@ let run_delta_comparison () =
      multi-pin instance (the paper's Table 4.2 family) from a greedy
      local optimum, so the measured region is lateral/rejection heavy.
      Both paths price through the same window kernel (a swap or
-     relocate sweeps only the positions between its ends), so the
-     recompute baseline pays a kernel call per apply *and* per revert
-     while the delta path prices once and replays only what it keeps.
+     relocate sweeps only the positions between its ends), and a revert
+     replays the inverse trial the apply left pending, so both pay one
+     kernel call per move; the recompute baseline adds only the replays
+     of each rejected move and its revert.
      The relocate budget is small because each move's window spans a
      third of the instance on average. *)
   let nola600 =
@@ -570,7 +571,7 @@ let run_delta_comparison () =
     for _ = 1 to 50_000 do
       let p, q = Rng.pair_distinct rng (Arrangement.size t) in
       let dd, _ = Arrangement.swap_delta t p q in
-      if dd < 0 then Arrangement.commit_swap_delta t p q
+      if dd < 0 then Arrangement.swap_positions t p q
     done;
     t
   in

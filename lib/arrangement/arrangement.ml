@@ -8,6 +8,7 @@
 
 type t = {
   netlist : Netlist.t;
+  nv : Netlist.view; (* the netlist's flat arrays, walked by the moves *)
   elem_at : int array;
   pos_of : int array;
   cuts : int array; (* length max 0 (n-1) *)
@@ -25,8 +26,9 @@ type t = {
      without committing, the boundaries whose cut would change
      ([diff_pos] / [diff], sparse) and the new span of every touched net
      ([pend_lo] / [pend_hi], indexed like [touched]).  A commit of the
-     same move replays the recording; any other mutation invalidates it
-     via [pend_kind]. *)
+     same move replays the recording and leaves the inverse move's
+     trial in its place; any other mutation invalidates it via
+     [pend_kind]. *)
   window : int array; (* length n; difference array, zero outside a trial *)
   diff_pos : int array; (* length max 0 (n-1) *)
   diff : int array; (* cut change at diff_pos.(k), never 0 *)
@@ -63,15 +65,16 @@ let is_permutation n a =
         true))
     a
 
-let span_in netlist pos_of j =
+let span_in (nv : Netlist.view) pos_of j =
   let lo = ref max_int and hi = ref (-1) in
-  Netlist.iter_pins netlist j (fun e ->
-      let p = pos_of.(e) in
-      if p < !lo then lo := p;
-      if p > !hi then hi := p);
+  for k = nv.pin_start.(j) to nv.pin_start.(j + 1) - 1 do
+    let p = pos_of.(nv.pins.(k)) in
+    if p < !lo then lo := p;
+    if p > !hi then hi := p
+  done;
   (!lo, !hi)
 
-let net_span t j = span_in t.netlist t.pos_of j
+let net_span t j = span_in t.nv t.pos_of j
 
 (* The from-scratch pass, shared by [recompute_all] and
    [density_of_order] and by no move: every net adds +1 at its leftmost
@@ -79,8 +82,9 @@ let net_span t j = span_in t.netlist t.pos_of j
    turns those marks into the cuts.  [span j lo hi] sees every span. *)
 let cuts_from_scratch netlist pos_of cuts span =
   let nb = Array.length cuts in
+  let nv = Netlist.view netlist in
   for j = 0 to Netlist.n_nets netlist - 1 do
-    let lo, hi = span_in netlist pos_of j in
+    let lo, hi = span_in nv pos_of j in
     span j lo hi;
     cuts.(lo) <- cuts.(lo) + 1;
     if hi < nb then cuts.(hi) <- cuts.(hi) - 1
@@ -121,6 +125,7 @@ let create ?order netlist =
   let t =
     {
       netlist;
+      nv = Netlist.view netlist;
       elem_at;
       pos_of;
       cuts = Array.make (max 0 (n - 1)) 0;
@@ -172,7 +177,7 @@ let copy t =
     pend_hi = Array.copy t.pend_hi;
   }
 
-let push t j =
+let[@inline] push t j =
   t.touched.(t.n_touched) <- j;
   t.n_touched <- t.n_touched + 1
 
@@ -190,10 +195,16 @@ let push t j =
       [diff_pos] / [diff] list and zeroing [window] behind it;
    4. resolves the density against the cut histogram.
    A swap thus costs O(incident pins + |p - q|).  A commit replays the
-   recording; [swap_positions] and [relocate] are a trial, then its
-   replay. *)
+   recording ([replay]), which leaves the inverse move's trial pending.
+   [swap_positions] and [relocate] replay when the pending trial is
+   theirs and price first otherwise, so a rejected move's revert costs
+   only a replay.
 
-let record_span t i lo' hi' =
+   The loops below read the netlist's flat arrays directly rather than
+   through [Netlist.iter_pins] / [iter_incident]: a closure passed
+   across a module boundary is called, not inlined, once per pin. *)
+
+let[@inline] record_span t i lo' hi' =
   let j = t.touched.(i) in
   let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
   t.pend_lo.(i) <- lo';
@@ -242,10 +253,10 @@ let finish_trial t w0 w1 =
    already holds the would-be positions.  A two-pin net's other pin sits
    at [lo + hi - src]; otherwise, unless the moving pin was an endpoint
    moving inward, the new span follows from the old one. *)
-let moved_pin t i ~src ~dst =
+let[@inline] moved_pin t i ~src ~dst =
   let j = t.touched.(i) in
   let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
-  if Netlist.net_size t.netlist j = 2 then begin
+  if t.nv.pin_start.(j + 1) - t.nv.pin_start.(j) = 2 then begin
     let o = lo + hi - src in
     if o < dst then record_span t i o dst else record_span t i dst o
   end
@@ -254,8 +265,9 @@ let moved_pin t i ~src ~dst =
     record_span t i lo' hi'
   else record_span t i (if dst < lo then dst else lo) (if dst > hi then dst else hi)
 
+(* [p < q]. *)
 let price_swap t p q =
-  let p = min p q and q = max p q in
+  let nv = t.nv in
   let a = t.elem_at.(p) and b = t.elem_at.(q) in
   (* A net holding both elements keeps its span.  Stamp a's nets with
      [s], restamp the shared ones [s + 1] while listing b's own (pin
@@ -263,11 +275,19 @@ let price_swap t p q =
   let s = t.mark + 1 in
   t.mark <- s + 1;
   t.n_touched <- 0;
-  Netlist.iter_incident t.netlist a (fun j -> t.net_mark.(j) <- s);
-  Netlist.iter_incident t.netlist b (fun j ->
-      if t.net_mark.(j) = s then t.net_mark.(j) <- s + 1 else push t j);
+  let a0 = nv.inc_start.(a) and a1 = nv.inc_start.(a + 1) - 1 in
+  for k = a0 to a1 do
+    t.net_mark.(nv.incident.(k)) <- s
+  done;
+  for k = nv.inc_start.(b) to nv.inc_start.(b + 1) - 1 do
+    let j = nv.incident.(k) in
+    if t.net_mark.(j) = s then t.net_mark.(j) <- s + 1 else push t j
+  done;
   let n_b = t.n_touched in
-  Netlist.iter_incident t.netlist a (fun j -> if t.net_mark.(j) = s then push t j);
+  for k = a0 to a1 do
+    let j = nv.incident.(k) in
+    if t.net_mark.(j) = s then push t j
+  done;
   t.pos_of.(a) <- q;
   t.pos_of.(b) <- p;
   t.pend_sum <- 0;
@@ -293,22 +313,29 @@ let shifted ~from_pos ~to_pos x =
   else x
 
 let price_relocate t ~from_pos ~to_pos =
+  let nv = t.nv in
   let w0 = min from_pos to_pos and w1 = max from_pos to_pos in
-  t.mark <- t.mark + 1;
+  let s = t.mark + 1 in
+  t.mark <- s;
   t.n_touched <- 0;
-  let touch j =
-    if t.net_mark.(j) <> t.mark then begin
-      t.net_mark.(j) <- t.mark;
-      push t j
-    end
-  in
   (* The moved element's nets come first and are rescanned.  Any other
      touched net keeps the order of its pins, so its endpoints shift. *)
-  Netlist.iter_incident t.netlist t.elem_at.(from_pos) touch;
+  let e = t.elem_at.(from_pos) in
+  for k = nv.inc_start.(e) to nv.inc_start.(e + 1) - 1 do
+    let j = nv.incident.(k) in
+    t.net_mark.(j) <- s;
+    push t j
+  done;
   let n_e = t.n_touched in
   for x = w0 to w1 do
     let e = t.elem_at.(x) in
-    Netlist.iter_incident t.netlist e touch;
+    for k = nv.inc_start.(e) to nv.inc_start.(e + 1) - 1 do
+      let j = nv.incident.(k) in
+      if t.net_mark.(j) <> s then begin
+        t.net_mark.(j) <- s;
+        push t j
+      end
+    done;
     t.pos_of.(e) <- shifted ~from_pos ~to_pos x
   done;
   t.pend_sum <- 0;
@@ -331,7 +358,10 @@ let price_relocate t ~from_pos ~to_pos =
   t.pend_b <- to_pos
 
 (* Commit the pending trial: move the elements, set the touched nets'
-   spans and apply the sparse cut changes. *)
+   spans and apply the sparse cut changes.  Each value written trades
+   places with the one it replaces, so the record left pending is the
+   inverse move's trial: the old spans, the negated cut changes, the old
+   density and sum, and for a relocate the two ends exchanged. *)
 let replay t =
   let a = t.pend_a and b = t.pend_b in
   if t.pend_kind = 1 then begin
@@ -348,33 +378,52 @@ let replay t =
     t.elem_at.(b) <- e;
     for x = min a b to max a b do
       t.pos_of.(t.elem_at.(x)) <- x
-    done
+    done;
+    t.pend_a <- b;
+    t.pend_b <- a
   end;
   for i = 0 to t.n_touched - 1 do
     let j = t.touched.(i) in
+    let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
     t.net_lo.(j) <- t.pend_lo.(i);
-    t.net_hi.(j) <- t.pend_hi.(i)
+    t.net_hi.(j) <- t.pend_hi.(i);
+    t.pend_lo.(i) <- lo;
+    t.pend_hi.(i) <- hi
   done;
   for k = 0 to t.n_diff - 1 do
-    let x = t.diff_pos.(k) in
-    let v = t.cuts.(x) and v' = t.cuts.(x) + t.diff.(k) in
+    let x = t.diff_pos.(k) and d = t.diff.(k) in
+    let v = t.cuts.(x) in
     t.cut_count.(v) <- t.cut_count.(v) - 1;
-    t.cut_count.(v') <- t.cut_count.(v') + 1;
-    t.cuts.(x) <- v'
+    t.cut_count.(v + d) <- t.cut_count.(v + d) + 1;
+    t.cuts.(x) <- v + d;
+    t.diff.(k) <- -d
   done;
   t.sum_cuts <- t.sum_cuts + t.pend_sum;
+  t.pend_sum <- -t.pend_sum;
+  let d = t.density in
   t.density <- t.pend_density;
-  t.pend_kind <- 0
+  t.pend_density <- d
 
 let check_positions name t p q =
   let n = size t in
   if p < 0 || p >= n || q < 0 || q >= n then
     invalid_arg ("Arrangement." ^ name ^ ": position out of range")
 
+(* Make a move's trial the pending one, pricing it unless it already
+   is.  A swap is recorded with its smaller position first. *)
+let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
+
+let trial_swap t p q =
+  let p = min p q and q = max p q in
+  if not (pending t 1 p q) then price_swap t p q
+
+let trial_relocate t ~from_pos ~to_pos =
+  if not (pending t 2 from_pos to_pos) then price_relocate t ~from_pos ~to_pos
+
 let swap_positions t p q =
   check_positions "swap_positions" t p q;
   if p <> q then begin
-    price_swap t p q;
+    trial_swap t p q;
     replay t
   end
 
@@ -387,39 +436,25 @@ let swap_elements t a b =
 let relocate t ~from_pos ~to_pos =
   check_positions "relocate" t from_pos to_pos;
   if from_pos <> to_pos then begin
-    price_relocate t ~from_pos ~to_pos;
+    trial_relocate t ~from_pos ~to_pos;
     replay t
   end
 
 let swap_delta t p q =
   check_positions "swap_delta" t p q;
-  if p = q then begin
-    t.pend_kind <- 0;
-    (0, 0)
-  end
+  if p = q then (0, 0)
   else begin
-    price_swap t p q;
+    trial_swap t p q;
     (t.pend_density - t.density, t.pend_sum)
   end
 
 let relocate_delta t ~from_pos ~to_pos =
   check_positions "relocate_delta" t from_pos to_pos;
-  if from_pos = to_pos then begin
-    t.pend_kind <- 0;
-    (0, 0)
-  end
+  if from_pos = to_pos then (0, 0)
   else begin
-    price_relocate t ~from_pos ~to_pos;
+    trial_relocate t ~from_pos ~to_pos;
     (t.pend_density - t.density, t.pend_sum)
   end
-
-let commit_swap_delta t p q =
-  if t.pend_kind = 1 && t.pend_a = min p q && t.pend_b = max p q then replay t
-  else swap_positions t p q
-
-let commit_relocate_delta t ~from_pos ~to_pos =
-  if t.pend_kind = 2 && t.pend_a = from_pos && t.pend_b = to_pos then replay t
-  else relocate t ~from_pos ~to_pos
 
 let set_order t o =
   if not (is_permutation (size t) o) then

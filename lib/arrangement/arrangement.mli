@@ -62,7 +62,8 @@ val sum_of_cuts : t -> int
 (** {1 Moves}
 
     All moves update cuts, density, and sum-of-cuts incrementally: each
-    is its own trial (below) followed by the replay of that trial. *)
+    is its own trial (below) followed by the replay of that trial.
+    Undoing the last move only replays (below). *)
 
 val swap_positions : t -> int -> int -> unit
 (** Exchange the elements at two positions (the paper's "pairwise
@@ -91,12 +92,14 @@ val set_order : t -> int array -> unit
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
     untouched, recording the move as {e pending}.
 
-    [commit_swap_delta] / [commit_relocate_delta] apply a move; when it
-    is the pending trial (a swap in either argument order) they replay
-    the recorded sparse changes, otherwise they price it first, as
-    [swap_positions] / [relocate] do.  Any other mutation
-    ([swap_positions], [relocate], [set_order]) clears the pending
-    trial; [copy] carries it. *)
+    [swap_positions] / [relocate] replay the pending trial when it is
+    their move (a swap in either argument order) and price the move
+    first otherwise.  A replay leaves the inverse move's trial pending
+    (the same swap, or the relocate from [to_pos] back to [from_pos]),
+    so undoing a move costs no pricing.  Any other mutation clears it:
+    [set_order], or a move that is not pending, which prices its own
+    trial first.  Pricing another move replaces it; [copy] carries
+    it. *)
 
 val swap_delta : t -> int -> int -> int * int
 (** [swap_delta t p q] — would-be [(density, sum_of_cuts)] change of
@@ -106,12 +109,6 @@ val swap_delta : t -> int -> int -> int * int
 val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
 (** Would-be [(density, sum_of_cuts)] change of [relocate].
     @raise Invalid_argument if a position is out of range. *)
-
-val commit_swap_delta : t -> int -> int -> unit
-(** Apply a swap, replaying the pending trial when it matches. *)
-
-val commit_relocate_delta : t -> from_pos:int -> to_pos:int -> unit
-(** Apply a relocate, replaying the pending trial when it matches. *)
 
 val check : t -> unit
 (** Recompute every cut from scratch and compare with the incremental

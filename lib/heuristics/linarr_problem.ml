@@ -1,6 +1,7 @@
 (* Move = a pair of positions.  [apply]/[revert] for a swap are the
    same operation (a swap is an involution); relocation reverses by
-   relocating back. *)
+   relocating back.  Either revert replays the inverse trial the apply
+   left pending in the arrangement, so it prices nothing. *)
 
 (* Lexicographic pairs p < q, constant work per element.  (The previous
    version unranked each index from scratch in O(n), making a full
@@ -37,7 +38,7 @@ module Swap = struct
     Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
       ~delta:(fun state (p, q) ->
         float_of_int (fst (Arrangement.swap_delta state p q)))
-      ~commit:(fun state (p, q) -> Arrangement.commit_swap_delta state p q)
+      ~commit:(fun state (p, q) -> Arrangement.swap_positions state p q)
       ~abandon:(fun _ _ -> ())
       ()
 end
@@ -66,7 +67,7 @@ module Relocate = struct
       ~delta:(fun state (from_pos, to_pos) ->
         float_of_int (fst (Arrangement.relocate_delta state ~from_pos ~to_pos)))
       ~commit:(fun state (from_pos, to_pos) ->
-        Arrangement.commit_relocate_delta state ~from_pos ~to_pos)
+        Arrangement.relocate state ~from_pos ~to_pos)
       ~abandon:(fun _ _ -> ())
       ()
 end
@@ -84,7 +85,7 @@ module Swap_sum_cuts = struct
     Mc_problem.delta_ops ~kind:"swap-sum-cuts" ~propose:random_move
       ~delta:(fun state (p, q) ->
         float_of_int (snd (Arrangement.swap_delta state p q)))
-      ~commit:(fun state (p, q) -> Arrangement.commit_swap_delta state p q)
+      ~commit:(fun state (p, q) -> Arrangement.swap_positions state p q)
       ~abandon:(fun _ _ -> ())
       ()
 end

@@ -25,7 +25,7 @@ let pairwise_descent ?(steepest = false) state =
       done;
       match !best_move with
       | Some (p, q) ->
-          Arrangement.commit_swap_delta state p q;
+          Arrangement.swap_positions state p q;
           incr taken;
           improved := true
       | None -> ()
@@ -38,7 +38,7 @@ let pairwise_descent ?(steepest = false) state =
           for q = p + 1 to n - 1 do
             incr tested;
             if fst (Arrangement.swap_delta state p q) < 0 then begin
-              Arrangement.commit_swap_delta state p q;
+              Arrangement.swap_positions state p q;
               incr taken;
               raise Improved
             end

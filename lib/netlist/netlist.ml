@@ -1,11 +1,23 @@
-type t = {
-  n_elements : int;
-  pins : int array array; (* net -> sorted element ids *)
-  incident : int array array; (* element -> net ids *)
+(* Flat layout: net [j]'s pins are [pins.(pin_start.(j)) ..
+   pins.(pin_start.(j + 1) - 1)], ascending, and element [e]'s nets are
+   [incident.(inc_start.(e)) .. incident.(inc_start.(e + 1) - 1)],
+   ascending. *)
+type view = {
+  pin_start : int array; (* length n_nets + 1 *)
+  pins : int array;
+  inc_start : int array; (* length n_elements + 1 *)
+  incident : int array;
 }
 
-let validate ~n_elements ~pins =
+type t = view
+
+(* Each net is checked, sorted and laid out in one pass, net by net. *)
+let create ~n_elements ~pins:nets =
   if n_elements < 0 then invalid_arg "Netlist.create: negative element count";
+  let m = Array.length nets in
+  let pin_start = Array.make (m + 1) 0 in
+  Array.iteri (fun j net -> pin_start.(j + 1) <- pin_start.(j) + Array.length net) nets;
+  let pins = Array.make pin_start.(m) 0 in
   Array.iteri
     (fun j net ->
       if Array.length net < 2 then
@@ -16,59 +28,65 @@ let validate ~n_elements ~pins =
             invalid_arg (Printf.sprintf "Netlist.create: net %d pin %d out of range" j e))
         net;
       let sorted = Array.copy net in
-      Array.sort compare sorted;
+      Array.sort Int.compare sorted;
       for i = 1 to Array.length sorted - 1 do
         if sorted.(i) = sorted.(i - 1) then
           invalid_arg (Printf.sprintf "Netlist.create: net %d repeats element %d" j sorted.(i))
-      done)
-    pins
+      done;
+      Array.blit sorted 0 pins pin_start.(j) (Array.length sorted))
+    nets;
+  let inc_start = Array.make (n_elements + 1) 0 in
+  Array.iter (fun e -> inc_start.(e + 1) <- inc_start.(e + 1) + 1) pins;
+  for e = 1 to n_elements do
+    inc_start.(e) <- inc_start.(e) + inc_start.(e - 1)
+  done;
+  let incident = Array.make inc_start.(n_elements) 0 in
+  let fill = Array.sub inc_start 0 n_elements in
+  for j = 0 to m - 1 do
+    for k = pin_start.(j) to pin_start.(j + 1) - 1 do
+      let e = pins.(k) in
+      incident.(fill.(e)) <- j;
+      fill.(e) <- fill.(e) + 1
+    done
+  done;
+  { pin_start; pins; inc_start; incident }
 
-let create ~n_elements ~pins =
-  validate ~n_elements ~pins;
-  let pins =
-    Array.map
-      (fun net ->
-        let c = Array.copy net in
-        Array.sort compare c;
-        c)
-      pins
-  in
-  let deg = Array.make n_elements 0 in
-  Array.iter (fun net -> Array.iter (fun e -> deg.(e) <- deg.(e) + 1) net) pins;
-  let incident = Array.init n_elements (fun e -> Array.make deg.(e) 0) in
-  let fill = Array.make n_elements 0 in
-  Array.iteri
-    (fun j net ->
-      Array.iter
-        (fun e ->
-          incident.(e).(fill.(e)) <- j;
-          fill.(e) <- fill.(e) + 1)
-        net)
-    pins;
-  { n_elements; pins; incident }
+let view t = t
+let n_elements t = Array.length t.inc_start - 1
+let n_nets t = Array.length t.pin_start - 1
+let net_size t j = t.pin_start.(j + 1) - t.pin_start.(j)
+let pins t j = Array.sub t.pins t.pin_start.(j) (net_size t j)
 
-let n_elements t = t.n_elements
-let n_nets t = Array.length t.pins
-let pins t j = Array.copy t.pins.(j)
-let net_size t j = Array.length t.pins.(j)
-let iter_pins t j f = Array.iter f t.pins.(j)
-let incident t e = Array.copy t.incident.(e)
-let degree t e = Array.length t.incident.(e)
-let iter_incident t e f = Array.iter f t.incident.(e)
-let is_graph t = Array.for_all (fun net -> Array.length net = 2) t.pins
+let iter_pins t j f =
+  for k = t.pin_start.(j) to t.pin_start.(j + 1) - 1 do
+    f t.pins.(k)
+  done
+
+let degree t e = t.inc_start.(e + 1) - t.inc_start.(e)
+let incident t e = Array.sub t.incident t.inc_start.(e) (degree t e)
+
+let iter_incident t e f =
+  for k = t.inc_start.(e) to t.inc_start.(e + 1) - 1 do
+    f t.incident.(k)
+  done
+
+(* Every net has at least two pins, so [2 m] pins means exactly two
+   each. *)
+let is_graph t = Array.length t.pins = 2 * n_nets t
 
 let lightest_element t =
-  if t.n_elements = 0 then invalid_arg "Netlist.lightest_element: empty netlist";
+  if n_elements t = 0 then invalid_arg "Netlist.lightest_element: empty netlist";
   let best = ref 0 in
-  for e = 1 to t.n_elements - 1 do
+  for e = 1 to n_elements t - 1 do
     if degree t e < degree t !best then best := e
   done;
   !best
 
 let equal a b =
-  a.n_elements = b.n_elements
-  && Array.length a.pins = Array.length b.pins
-  && Array.for_all2 (fun x y -> x = y) a.pins b.pins
+  n_elements a = n_elements b
+  && n_nets a = n_nets b
+  && Array.for_all2 Int.equal a.pin_start b.pin_start
+  && Array.for_all2 Int.equal a.pins b.pins
 
 let random_gola rng ~elements ~nets =
   if elements < 2 then invalid_arg "Netlist.random_gola: need >= 2 elements";
@@ -93,14 +111,12 @@ let random_nola rng ~elements ~nets ~min_pins ~max_pins =
 
 let to_string t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "netlist %d %d\n" t.n_elements (Array.length t.pins));
-  Array.iter
-    (fun net ->
-      Buffer.add_string buf "net";
-      Array.iter (fun e -> Buffer.add_string buf (" " ^ string_of_int e)) net;
-      Buffer.add_char buf '\n')
-    t.pins;
+  Buffer.add_string buf (Printf.sprintf "netlist %d %d\n" (n_elements t) (n_nets t));
+  for j = 0 to n_nets t - 1 do
+    Buffer.add_string buf "net";
+    iter_pins t j (fun e -> Buffer.add_string buf (" " ^ string_of_int e));
+    Buffer.add_char buf '\n'
+  done;
   Buffer.contents buf
 
 let of_string s =

@@ -44,6 +44,31 @@ val iter_incident : t -> int -> (int -> unit) -> unit
 (** [iter_incident t e f] applies [f] to each net containing [e],
     without allocation. *)
 
+(** {1 Flat incidence}
+
+    The pins and the incidence lists are stored flat, each as one array
+    of offsets and one array of entries, built once by [create].  A move
+    kernel walks them with plain [for] loops: a loop that calls
+    [iter_pins] / [iter_incident] pays one closure call per entry, since
+    callers in another module cannot inline them. *)
+
+type view = private {
+  pin_start : int array;
+      (** Length [n_nets + 1]: net [j]'s pins are
+          [pins.(pin_start.(j)) .. pins.(pin_start.(j + 1) - 1)],
+          ascending. *)
+  pins : int array;
+  inc_start : int array;
+      (** Length [n_elements + 1]: element [e]'s nets are
+          [incident.(inc_start.(e)) .. incident.(inc_start.(e + 1) - 1)],
+          ascending. *)
+  incident : int array;
+}
+
+val view : t -> view
+(** The netlist's own arrays, borrowed without a copy.  They are shared
+    by every holder of the netlist and must never be written. *)
+
 val is_graph : t -> bool
 (** True iff every net has exactly two pins (a GOLA instance). *)
 

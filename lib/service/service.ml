@@ -297,51 +297,58 @@ let rec runner_loop t =
             corrupt = 0;
           }
       in
-      let flush, drop_snapshots =
-        locked t (fun () ->
-            job.attempts <- job.attempts + report.Runner.attempts;
-            if report.Runner.resumed then begin
-              job.was_resumed <- true;
-              t.c.resumed <- t.c.resumed + 1
-            end;
-            t.c.stale_snapshots <- t.c.stale_snapshots + report.Runner.stale;
-            t.c.corrupt_snapshots <-
-              t.c.corrupt_snapshots + report.Runner.corrupt;
-            (match report.Runner.status with
-            | Runner.Done json ->
-                job.state <- Finished;
-                job.result <- Some json;
-                t.c.completed <- t.c.completed + 1
-            | Runner.Halted ->
-                if Atomic.get job.cancel then begin
-                  job.state <- Cancelled;
-                  t.c.cancelled <- t.c.cancelled + 1
-                end
-                else begin
-                  job.state <- Interrupted;
-                  t.c.interrupted <- t.c.interrupted + 1
-                end
-            | Runner.Failed reason ->
-                job.state <- Failed;
-                job.error <- Some reason;
-                t.c.failed <- t.c.failed + 1);
-            let drop =
-              match job.state with
-              | Finished | Failed | Cancelled ->
-                  job.events.closed <- true;
-                  true
-              | Interrupted ->
-                  job.events.closed <- true;
-                  false
-              | Queued | Running -> false
-            in
-            Condition.broadcast t.cv;
-            (persist_later t job, drop))
+      (* Snapshots are reaped before the terminal state is published: a
+         client that sees a job finished, failed or cancelled finds them
+         gone.  Only a cancel can change the outcome meanwhile, from
+         interrupted to cancelled, and a cancel is never withdrawn, so a
+         second pass settles it. *)
+      let outcome () =
+        match report.Runner.status with
+        | Runner.Done _ -> Finished
+        | Runner.Halted -> if Atomic.get job.cancel then Cancelled else Interrupted
+        | Runner.Failed _ -> Failed
       in
-      (* Disk work happens off the lock; the job is terminal, so no
-         other mutator races these. *)
-      flush ();
-      if drop_snapshots then delete_snapshots t job.id;
+      let reaps state = state <> Interrupted in
+      let publish state =
+        job.attempts <- job.attempts + report.Runner.attempts;
+        if report.Runner.resumed then begin
+          job.was_resumed <- true;
+          t.c.resumed <- t.c.resumed + 1
+        end;
+        t.c.stale_snapshots <- t.c.stale_snapshots + report.Runner.stale;
+        t.c.corrupt_snapshots <- t.c.corrupt_snapshots + report.Runner.corrupt;
+        (match report.Runner.status with
+        | Runner.Done json -> job.result <- Some json
+        | Runner.Failed reason -> job.error <- Some reason
+        | Runner.Halted -> ());
+        (match state with
+        | Finished -> t.c.completed <- t.c.completed + 1
+        | Cancelled -> t.c.cancelled <- t.c.cancelled + 1
+        | Interrupted -> t.c.interrupted <- t.c.interrupted + 1
+        | Failed -> t.c.failed <- t.c.failed + 1
+        | Queued | Running -> ());
+        job.state <- state;
+        job.events.closed <- true;
+        Condition.broadcast t.cv;
+        persist_later t job
+      in
+      let rec settle ~reaped_snapshots =
+        if (not reaped_snapshots) && reaps (outcome ()) then begin
+          delete_snapshots t job.id;
+          settle ~reaped_snapshots:true
+        end
+        else
+          match
+            locked t (fun () ->
+                let state = outcome () in
+                if reaps state && not reaped_snapshots then None
+                else Some (publish state))
+          with
+          | Some flush -> flush ()
+          | None -> settle ~reaped_snapshots
+      in
+      (* Disk work happens off the lock. *)
+      settle ~reaped_snapshots:false;
       runner_loop t
 
 let create ?quota_now cfg =

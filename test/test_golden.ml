@@ -131,6 +131,71 @@ let pinned_runs =
       "best=402653f82b64532b final=402653f82b64532b evals=4000 imp=13 lat=1 up=1 rej=3985 temps=1 desc=15 events=7b354a1b71306ba6468395fb8d28a3c5" );
   ]
 
+(* The single-exchange move ([Linarr_problem.Relocate]) under the same
+   engines and settings, on the paper's two instance shapes: two-pin
+   GOLA and 2–5-pin NOLA, 15 elements and 150 nets. *)
+module Relocate = Linarr_problem.Relocate
+module F1_rel = Figure1.Make (Relocate)
+module F2_rel = Figure2.Make (Relocate)
+module RL_rel = Rejectionless.Make (Relocate)
+
+let nola15 () =
+  let rng = Rng.create ~seed:7 in
+  let nl = Netlist.random_nola rng ~elements:15 ~nets:150 ~min_pins:2 ~max_pins:5 in
+  (Arrangement.random rng nl, rng)
+
+let relocate_delta = { Relocate.delta_ops with Mc_problem.recost_every = 250 }
+
+let relocate_run engine instance ~fast observer =
+  let state, rng = instance () in
+  let delta_ops = if fast then Some relocate_delta else None in
+  match engine with
+  | `Figure1 ->
+      F1_rel.run ~observer ?delta_ops rng (F1_rel.params ~gfun ~schedule ~budget ()) state
+  | `Figure2 ->
+      F2_rel.run ~observer ?delta_ops rng
+        (F2_rel.params ~counter_limit:20 ~gfun ~schedule ~budget ())
+        state
+  | `Rejectionless ->
+      RL_rel.run ~observer ?delta_ops rng (RL_rel.params ~gfun ~schedule ~budget) state
+
+let relocate_row (instance_name, instance) (engine_name, engine) (path, fast) expected =
+  ( Printf.sprintf "relocate/%s/%s/%s" instance_name engine_name path,
+    (fun () -> fingerprint (relocate_run engine instance ~fast)),
+    expected )
+
+let relocate_runs =
+  let gola = ("gola15", gola15) and nola = ("nola15", nola15) in
+  let f1 = ("figure1", `Figure1) and f2 = ("figure2", `Figure2)
+  and rl = ("rejectionless", `Rejectionless) in
+  let slow = ("recompute", false) and fast = ("delta", true) in
+  [
+    relocate_row gola f1 slow
+      "best=404e800000000000 final=404e800000000000 evals=3000 imp=125 lat=1079 up=111 rej=1685 temps=6 desc=0 events=fb2129aab23068b7ab37b942f124f39f";
+    relocate_row gola f1 fast
+      "best=404e800000000000 final=404e800000000000 evals=3000 imp=125 lat=1079 up=111 rej=1685 temps=6 desc=0 events=98969ba5e511908f9a666805017d4367";
+    relocate_row gola f2 slow
+      "best=4051400000000000 final=4051400000000000 evals=3000 imp=14 lat=8 up=1 rej=7 temps=1 desc=10 events=cf15b5d8603248a17b5ff3eca709274f";
+    relocate_row gola f2 fast
+      "best=4051400000000000 final=4051400000000000 evals=3000 imp=14 lat=8 up=1 rej=7 temps=1 desc=10 events=5b3d63564c2f1435dbe64607de08ecc1";
+    relocate_row gola rl slow
+      "best=4053000000000000 final=4053000000000000 evals=3000 imp=3 lat=12 up=0 rej=2985 temps=6 desc=15 events=a774fa42fd608831db8d877cda272b94";
+    relocate_row gola rl fast
+      "best=4053000000000000 final=4053000000000000 evals=3000 imp=3 lat=12 up=0 rej=2985 temps=6 desc=15 events=d1a12a933f686f59726a1e525e456551";
+    relocate_row nola f1 slow
+      "best=405bc00000000000 final=405bc00000000000 evals=3000 imp=147 lat=1273 up=137 rej=1443 temps=6 desc=0 events=505f345655ab48ec10c3d12be317ba5d";
+    relocate_row nola f1 fast
+      "best=405bc00000000000 final=405bc00000000000 evals=3000 imp=147 lat=1273 up=137 rej=1443 temps=6 desc=0 events=4855e679c8689c6323efd851874d4f4d";
+    relocate_row nola f2 slow
+      "best=405b800000000000 final=405c000000000000 evals=3000 imp=13 lat=6 up=3 rej=3 temps=1 desc=10 events=07a9df7c0fb1d3ddd2cdb57aa1537ae5";
+    relocate_row nola f2 fast
+      "best=405b800000000000 final=405c000000000000 evals=3000 imp=13 lat=6 up=3 rej=3 temps=1 desc=10 events=19009a575a0eb7eaf71bfd9bd3ab7d98";
+    relocate_row nola rl slow
+      "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=657d36eb96137448a41a1e0ea66817ce";
+    relocate_row nola rl fast
+      "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=a5a29d716a0c7c8b722e2e7bedafd579";
+  ]
+
 let pinned_case (name, run, expected) =
   case ("pinned run: " ^ name) (fun () ->
       Alcotest.check Alcotest.string name expected (run ()))
@@ -182,4 +247,4 @@ let suite =
     case "cross-substrate replay identical" test_cross_substrate_replay;
     case "suite totals locked (EXPERIMENTS.md constants)" test_suite_totals_locked;
   ]
-  @ List.map pinned_case pinned_runs
+  @ List.map pinned_case (pinned_runs @ relocate_runs)
