@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke perf ledger chaos serve load top flame examples doc clean
+.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke ledger chaos serve top flame examples doc clean
 
 all: build
 
@@ -41,7 +41,9 @@ lint-baseline: build
 	dune exec bin/sa_lint.exe -- --typed --write-baseline lint_baseline.json \
 	  lib bin bench test
 
-# Full reproduction run: every table of the paper + extensions + micro-benches.
+# Full reproduction run: every table of the paper, the extensions and
+# the ablations, printed to bench_output.txt and summarised in
+# BENCH_results.json.  Speed claims come from `make ledger`, not here.
 bench:
 	dune exec bench/main.exe 2>/dev/null | tee bench_output.txt
 
@@ -53,15 +55,7 @@ bench-quick:
 # malformed BENCH_results.json.  (dune runtest runs the same check via
 # the bench-smoke alias.)
 bench-smoke:
-	dune exec bench/main.exe -- --scale 0.05 --skip-micro --json BENCH_results.json > /dev/null
-	dune exec bench/check_json.exe -- BENCH_results.json
-
-# Perf check: skip the reproduction tables, run the delta-vs-recompute
-# comparison (fixed budgets, independent of --scale) plus the engine
-# throughput probe, and schema-validate the JSON — including the
-# per-domain "delta" entries and their speedup fields.
-perf:
-	dune exec bench/main.exe -- --skip-tables --skip-micro --json BENCH_results.json
+	dune exec bench/main.exe -- --scale 0.05 --json BENCH_results.json > /dev/null
 	dune exec bench/check_json.exe -- BENCH_results.json
 
 # Ledger runs of one workload (W=paper-cli, linarr-n600 or race-tsp1000)
@@ -100,14 +94,6 @@ STATE_DIR ?= sa_labd_state
 SA_LABD_PORT ?= 8080
 serve:
 	dune exec bin/sa_labd.exe -- --state-dir $(STATE_DIR) --port $(SA_LABD_PORT)
-
-# Service load bench: the full-scale concurrent-tenant run (quota
-# storm, 8 submitting clients, p50/p99 submit-to-complete, plus a
-# kill/restart resume), written into BENCH_results.json and
-# schema-validated.
-load:
-	dune exec bench/main.exe -- --skip-tables --skip-micro --json BENCH_results.json
-	dune exec bench/check_json.exe -- BENCH_results.json
 
 # Live dashboard for a run started with --telemetry-port (default 9090;
 # override with TELEMETRY_PORT=...).

@@ -29,7 +29,6 @@ let int = Int ("an integer", Fun.const true)
 let positive_int = Int ("a positive integer", fun n -> n > 0)
 let non_negative_int = Int ("a non-negative integer", fun n -> n >= 0)
 let number = Number ("a number", Fun.const true)
-let positive = Number ("a positive finite number", fun v -> v > 0. && Float.is_finite v)
 let non_negative = Number ("a non-negative finite number", fun v -> v >= 0. && Float.is_finite v)
 let string = Str { non_empty = false }
 let non_empty_string = Str { non_empty = true }
@@ -110,96 +109,13 @@ let no_more small large path j =
 let agree path actual what expected =
   ensure (actual = expected) path "counts %d, but %s = %d" actual what expected
 
-(* ---- sa-lab/bench-results/v1 ---- *)
+(* ---- sa-lab/bench-results/v2 ---- *)
 
 let table_row = Obj [ req "name" string; req "rows" positive_int; req "wall_seconds" non_negative ]
 
-let delta_row =
-  let rates = reqs positive [ "recompute_evals_per_sec"; "delta_evals_per_sec"; "speedup" ] in
-  Obj ([ req "domain" non_empty_string; req "evals" positive_int; req "costs_agree" Bool ] @ rates)
-
+(* The reproduction harness's summary: one roll-up per table. *)
 let bench_results =
-  Obj
-    [
-      req "engine_evals_per_sec" positive;
-      (* The sampling-profiler summary. *)
-      req "profile"
-        (Obj
-           [
-             req "cadence" positive_int;
-             req "events" non_negative_int;
-             req "samples" int;
-             req "spans" (list (Obj [ req "span" non_empty_string; req "self" positive_int ]));
-           ]);
-      req "scale" number;
-      req "tables_skipped" Bool;
-      req "tables" (list table_row);
-      req "micro" (list Any);
-      req "delta" (non_empty_list delta_row);
-      (* Speedups are measurements, not targets: any positive finite
-         value is valid (a 1-CPU machine reports < 1x at several domains). *)
-      req "scaling"
-        (list
-           (Obj
-              [
-                req "case" non_empty_string;
-                req "domains" positive_int;
-                req "wall_seconds" non_negative;
-                req "speedup" positive;
-                req "report_identical" Bool;
-              ]));
-      req "lint"
-        (Obj
-           (reqs positive_int [ "files"; "cold_reanalyzed" ]
-           @ reqs non_negative [ "cold_seconds"; "warm_seconds" ]
-           @ [ req "warm_reanalyzed" int; req "speedup" positive ]));
-      (* The sa_labd load bench: jobs completed over real sockets, the
-         quota rejected someone, and a killed daemon resumed a job. *)
-      req "service"
-        (Obj
-           (reqs positive_int [ "jobs"; "completed"; "rejected"; "resumed" ]
-           @ reqs non_negative [ "p50_ms"; "p99_ms" ]
-           @ [ req "rejected_queue" non_negative_int ]));
-    ]
-
-let bench_invariants =
-  [
-    (* The profiler is evaluation-driven, so its arithmetic is exact. *)
-    ( "the profile's sample counts add up",
-      within "profile" (fun at p ->
-          let samples = int_of "samples" p and spans = items "spans" p in
-          let events = int_of "events" p and cadence = int_of "cadence" p in
-          agree (at ^ ".samples") samples "events / cadence" (events / cadence);
-          let self = List.fold_left (fun acc s -> acc + int_of "self" s) 0 spans in
-          ensure (self <= samples) (at ^ ".spans") "claim %d self samples of %d" self samples;
-          ensure (samples = 0 || spans <> []) (at ^ ".spans") "is empty, %d samples taken" samples)
-    );
-    ( "tables agrees with tables_skipped",
-      fun doc ->
-        ensure ((items "tables" doc = []) = is_true "tables_skipped" doc) "tables"
-          "disagrees with tables_skipped" );
-    (* The paper's own benchmark may not silently drop off the perf
-       trajectory, and its fast path must agree with the recompute path. *)
-    ( "a linarr-swap and a linarr-relocate delta row, each with costs_agree",
-      fun doc ->
-        List.iter
-          (fun prefix ->
-            let matches d = String.starts_with ~prefix (string_of "domain" d) in
-            let rows = List.filter matches (items "delta" doc) in
-            ensure (rows <> []) "delta" "has no %s-* row" prefix;
-            ensure (List.for_all (is_true "costs_agree") rows) "delta"
-              "has a %s-* row without costs_agree: true" prefix)
-          [ "linarr-swap"; "linarr-relocate" ] );
-    ( "scaling[*].report_identical is true",
-      each "scaling" (fun at s ->
-          ensure (is_true "report_identical" s) (at ^ ".report_identical") "is false") );
-    ( "a warm lint run re-analyzes nothing",
-      within "lint" (fun at l ->
-          let n = int_of "warm_reanalyzed" l in
-          ensure (n = 0) (at ^ ".warm_reanalyzed") "is %d, not 0" n) );
-    ("service.completed >= jobs", within "service" (no_more "jobs" "completed"));
-    ("service.p99_ms >= p50_ms", within "service" (no_more "p50_ms" "p99_ms"));
-  ]
+  Obj [ req "scale" number; req "seed" int; req "tables" (non_empty_list table_row) ]
 
 (* ---- sa-lab/lint-report/v2 ---- *)
 
@@ -392,7 +308,7 @@ let telemetry_invariants =
 
 let schemas =
   [
-    ("sa-lab/bench-results/v1", (bench_results, bench_invariants));
+    ("sa-lab/bench-results/v2", (bench_results, []));
     ("sa-lab/lint-report/v2", (lint_report, lint_invariants));
     (Checkpoint.schema, (checkpoint, checkpoint_invariants));
     ("sa-lab/supervisor-report/v1", (supervisor_report, supervisor_invariants));

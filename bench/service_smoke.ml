@@ -4,20 +4,32 @@
 
    - phase 1: boot on a fresh state directory with an ephemeral port,
      submit a small TSP job over a real socket, follow its JSONL event
-     stream, record the final report, SIGTERM, and require exit 0 (the
-     graceful-drain contract);
-   - phase 2: same job on a second directory, SIGKILL the daemon as
-     soon as a cadence checkpoint exists, restart over the directory,
-     and require the resumed job's report to be byte-identical to the
-     uninterrupted phase-1 report, with /healthz counting the
-     resume. *)
+     stream, and record the final report;
+   - phase 2: concurrent tenants on the same daemon — client threads,
+     each with its own x-client, submit small TSP jobs over real
+     sockets (retrying on 429/503) and every job must reach done;
+     then SIGTERM, and require exit 0 (the graceful-drain contract);
+   - phase 3: the phase-1 job on a second directory, SIGKILL the
+     daemon as soon as a cadence checkpoint exists, restart over the
+     directory, and require the resumed job's report to be
+     byte-identical to the uninterrupted phase-1 report, with /healthz
+     counting the resume. *)
+
+(* Daemons spawned and not yet reaped; a failing smoke kills them so
+   none outlives it. *)
+let live = ref []
 
 let fail fmt =
   Printf.ksprintf
     (fun msg ->
       prerr_endline ("service-smoke: " ^ msg);
+      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) !live;
       exit 1)
     fmt
+
+let reap pid =
+  live := List.filter (( <> ) pid) !live;
+  snd (Unix.waitpid [] pid)
 
 let job_body =
   {|{"problem":"tsp","cities":50,"budget":3000000,"seed":23,"gfun":"Metropolis"}|}
@@ -32,6 +44,7 @@ let spawn exe ~dir =
       [| exe; "--state-dir"; dir; "--runners"; "1"; "--checkpoint-every"; "2000" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
+  live := pid :: !live;
   let rec wait_port tries =
     if tries = 0 then fail "daemon on %s never wrote its port file" dir
     else
@@ -53,17 +66,25 @@ let get ~port path =
   | Ok (status, body) -> (status, body)
   | Error e -> fail "GET %s: %s" path e
 
-let submit ~port =
-  match Telemetry_http.request ~meth:"POST" ~port ~body:job_body "/jobs" with
-  | Ok (202, _, body) -> (
-      match Obs.Json.parse body with
-      | Ok json -> (
-          match Obs.Json.member "id" json with
-          | Some (Obs.Json.Int id) -> id
-          | _ -> fail "POST /jobs answered 202 without an id")
-      | Error e -> fail "POST /jobs: bad body: %s" e)
-  | Ok (status, _, body) -> fail "POST /jobs: status %d, body %s" status body
-  | Error e -> fail "POST /jobs: %s" e
+(* POST a job; with [retry], a 429 (quota) or 503 (queue full) is
+   retried after a short pause instead of failing the smoke. *)
+let submit ?(retry = false) ?(headers = []) ?(body = job_body) ~port () =
+  let rec go () =
+    match Telemetry_http.request ~meth:"POST" ~port ~headers ~body "/jobs" with
+    | Ok (202, _, answer) -> (
+        match Obs.Json.parse answer with
+        | Ok json -> (
+            match Obs.Json.member "id" json with
+            | Some (Obs.Json.Int id) -> id
+            | _ -> fail "POST /jobs answered 202 without an id")
+        | Error e -> fail "POST /jobs: bad body: %s" e)
+    | Ok ((429 | 503), _, _) when retry ->
+        Thread.delay 0.01;
+        go ()
+    | Ok (status, _, answer) -> fail "POST /jobs: status %d, body %s" status answer
+    | Error e -> fail "POST /jobs: %s" e
+  in
+  go ()
 
 let await_result ~port id =
   let path = Printf.sprintf "/jobs/%d" id in
@@ -90,7 +111,7 @@ let await_result ~port id =
 
 let terminate pid =
   Unix.kill pid Sys.sigterm;
-  match snd (Unix.waitpid [] pid) with
+  match reap pid with
   | Unix.WEXITED 0 -> ()
   | Unix.WEXITED n -> fail "daemon exited %d after SIGTERM, want 0" n
   | Unix.WSIGNALED s -> fail "daemon died on signal %d after SIGTERM" s
@@ -105,7 +126,7 @@ let () =
   (* Phase 1: uninterrupted reference run plus the streaming check. *)
   let dir1 = Filename.temp_dir "sa_labd_smoke1" "" in
   let pid1, port1 = spawn exe ~dir:dir1 in
-  let id1 = submit ~port:port1 in
+  let id1 = submit ~port:port1 () in
   let reference = await_result ~port:port1 id1 in
   (let status, body =
      match
@@ -129,12 +150,30 @@ let () =
      lines;
    Printf.printf "phase 1: job done, %d JSONL events streamed\n%!"
      (List.length lines));
+  (* Phase 2: concurrent tenants, every job to done. *)
+  let clients = 4 and per_client = 10 in
+  let tenant c =
+    let headers = [ ("x-client", Printf.sprintf "tenant-%d" c) ] in
+    let ids =
+      List.init per_client (fun i ->
+          let body =
+            Printf.sprintf
+              {|{"problem":"tsp","cities":12,"budget":300,"seed":%d,"gfun":"Metropolis"}|}
+              ((c * per_client) + i)
+          in
+          submit ~retry:true ~headers ~body ~port:port1 ())
+    in
+    List.iter (fun id -> ignore (await_result ~port:port1 id)) ids
+  in
+  List.iter Thread.join (List.init clients (Thread.create tenant));
+  Printf.printf "phase 2: %d jobs from %d concurrent tenants all done\n%!"
+    (clients * per_client) clients;
   terminate pid1;
-  Printf.printf "phase 1: SIGTERM drained, exit 0\n%!";
-  (* Phase 2: SIGKILL once a checkpoint exists, restart, compare. *)
+  Printf.printf "phase 2: SIGTERM drained, exit 0\n%!";
+  (* Phase 3: SIGKILL once a checkpoint exists, restart, compare. *)
   let dir2 = Filename.temp_dir "sa_labd_smoke2" "" in
   let pid2, port2 = spawn exe ~dir:dir2 in
-  let id2 = submit ~port:port2 in
+  let id2 = submit ~port:port2 () in
   let rec wait_snapshot tries =
     if tries = 0 then fail "no cadence checkpoint ever appeared"
     else if Store.snapshots ~dir:dir2 id2 = [] then begin
@@ -144,8 +183,8 @@ let () =
   in
   wait_snapshot 2_000;
   Unix.kill pid2 Sys.sigkill;
-  ignore (Unix.waitpid [] pid2);
-  Printf.printf "phase 2: SIGKILL with %d snapshot(s) on disk\n%!"
+  ignore (reap pid2);
+  Printf.printf "phase 3: SIGKILL with %d snapshot(s) on disk\n%!"
     (List.length (Store.snapshots ~dir:dir2 id2));
   let pid3, port3 = spawn exe ~dir:dir2 in
   let resumed_result = await_result ~port:port3 id2 in
@@ -161,5 +200,5 @@ let () =
    | Error e -> fail "healthz: %s" e);
   terminate pid3;
   Printf.printf
-    "phase 2: restart resumed job %d bit-identically; drained, exit 0\n%!" id2;
+    "phase 3: restart resumed job %d bit-identically; drained, exit 0\n%!" id2;
   print_endline "service-smoke: ok"

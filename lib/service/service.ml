@@ -556,33 +556,42 @@ let get_job t id =
   | None -> error_response 404 "no such job"
   | Some json -> json_response 200 json
 
+(* A cancelled queued job has no useful snapshots (only a re-queued
+   interrupted job has any).  As in the runner's [settle], they are
+   reaped off the lock before [cancelled] is published; if a runner
+   picks the job up meanwhile, the second pass cancels it running. *)
 let delete_job t id =
-  match
-    locked t (fun () ->
-        match Hashtbl.find_opt t.jobs id with
-        | None -> `Missing
-        | Some job -> (
-            match job.state with
-            | Queued ->
-                job.state <- Cancelled;
-                t.c.cancelled <- t.c.cancelled + 1;
-                job.events.closed <- true;
-                `Cancelled (persist_later t job)
-            | Running ->
-                Atomic.set job.cancel true;
-                `Cancelling
-            | _ -> `Terminal (state_name job.state)))
-  with
-  | `Missing -> error_response 404 "no such job"
-  | `Cancelled flush ->
-      flush ();
-      (* A cancelled queued job has no useful snapshots. *)
-      delete_snapshots t id;
-      json_response 200 (Obs.Json.Obj [ ("status", Obs.Json.String "cancelled") ])
-  | `Cancelling ->
-      json_response 202 (Obs.Json.Obj [ ("status", Obs.Json.String "cancelling") ])
-  | `Terminal s ->
-      json_response 200 (Obs.Json.Obj [ ("status", Obs.Json.String s) ])
+  let rec go ~reaped_snapshots =
+    match
+      locked t (fun () ->
+          match Hashtbl.find_opt t.jobs id with
+          | None -> `Missing
+          | Some job -> (
+              match job.state with
+              | Queued when not reaped_snapshots -> `Reap
+              | Queued ->
+                  job.state <- Cancelled;
+                  t.c.cancelled <- t.c.cancelled + 1;
+                  job.events.closed <- true;
+                  `Cancelled (persist_later t job)
+              | Running ->
+                  Atomic.set job.cancel true;
+                  `Cancelling
+              | _ -> `Terminal (state_name job.state)))
+    with
+    | `Reap ->
+        delete_snapshots t id;
+        go ~reaped_snapshots:true
+    | `Missing -> error_response 404 "no such job"
+    | `Cancelled flush ->
+        flush ();
+        json_response 200 (Obs.Json.Obj [ ("status", Obs.Json.String "cancelled") ])
+    | `Cancelling ->
+        json_response 202 (Obs.Json.Obj [ ("status", Obs.Json.String "cancelling") ])
+    | `Terminal s ->
+        json_response 200 (Obs.Json.Obj [ ("status", Obs.Json.String s) ])
+  in
+  go ~reaped_snapshots:false
 
 (* Follow a job's event log as JSONL chunks: everything recorded so
    far, then new lines as they land, until the log closes.  The poll

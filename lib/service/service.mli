@@ -67,7 +67,7 @@ val draining : t -> bool
 
 val counters : t -> int * int * int * int * int
 (** (submitted, completed, rejected by quota, rejected by queue
-    bound, resumed) — the load bench's scoreboard. *)
+    bound, resumed), for tests that hold the service to its counts. *)
 
 val find_result : t -> int -> Obs.Json.t option
 (** The result document of a finished job, if any. *)

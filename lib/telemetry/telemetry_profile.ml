@@ -61,35 +61,3 @@ let write_folded t path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (folded t))
-
-(* Self time per span: samples whose stack has that span as the
-   deepest open frame. *)
-let self_by_span t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (k, v) ->
-      let leaf =
-        match String.rindex_opt k ';' with
-        | None -> k
-        | Some i -> String.sub k (i + 1) (String.length k - i - 1)
-      in
-      Hashtbl.replace tbl leaf (v + Option.value ~default:0 (Hashtbl.find_opt tbl leaf)))
-    (stacks t);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (n1, c1) (n2, c2) ->
-         match Int.compare c2 c1 with 0 -> String.compare n1 n2 | c -> c)
-
-let summary ?(top = 10) t : Obs.Json.t =
-  let spans =
-    self_by_span t
-    |> List.filteri (fun i _ -> i < top)
-    |> List.map (fun (name, count) ->
-           Obs.Json.Obj [ ("span", Obs.Json.String name); ("self", Int count) ])
-  in
-  Obj
-    [
-      ("cadence", Int t.cadence);
-      ("events", Int t.events);
-      ("samples", Int t.samples);
-      ("spans", List spans);
-    ]

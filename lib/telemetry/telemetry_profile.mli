@@ -41,12 +41,3 @@ val folded : t -> string
 
 val write_folded : t -> string -> unit
 (** Write {!folded} to a path. *)
-
-val self_by_span : t -> (string * int) list
-(** Self-time samples per span name (samples whose deepest open frame
-    is that span), most sampled first. *)
-
-val summary : ?top:int -> t -> Obs.Json.t
-(** The profiler block embedded in [BENCH_results.json]:
-    [{cadence; events; samples; spans}] with the [top] (default 10)
-    spans by self time. *)

@@ -144,25 +144,38 @@ let test_quota_bounded_buckets () =
   Alcotest.check Alcotest.bool "table stays bounded" true
     (Quota.clients q <= 2)
 
+(* A client posts its burst plus [excess] under a frozen quota clock,
+   so no bucket refills between posts: exactly [excess] bounce, each
+   with a Retry-After. *)
 let test_submit_over_quota () =
-  let dir = tmp () in
-  with_service
-    ~quota_now:(fun () -> 0.)
-    (config ~dir ~quota_burst:1 ())
-    (fun svc ->
-      check_status "first submit" 202 (submit svc (tsp_spec ()));
-      let resp = submit svc (tsp_spec ()) in
-      check_status "over quota" 429 resp;
-      (match header resp "Retry-After" with
-      | Some s ->
-          Alcotest.check Alcotest.bool "Retry-After is a positive int" true
-            (match int_of_string_opt s with Some n -> n >= 1 | None -> false)
-      | None -> Alcotest.fail "429 without Retry-After");
-      (* A different tenant still gets in. *)
-      check_status "other client" 202
-        (submit ~headers:[ ("x-client", "tenant-b") ] svc (tsp_spec ()));
-      let _, _, rejected_quota, _, _ = Service.counters svc in
-      Alcotest.check Alcotest.int "rejection counted" 1 rejected_quota)
+  List.iter
+    (fun (burst, excess) ->
+      let dir = tmp () in
+      with_service
+        ~quota_now:(fun () -> 0.)
+        (config ~dir ~quota_burst:burst ())
+        (fun svc ->
+          for i = 1 to burst do
+            check_status (Printf.sprintf "submit %d of %d" i burst) 202
+              (submit svc (tsp_spec ()))
+          done;
+          for i = 1 to excess do
+            let resp = submit svc (tsp_spec ()) in
+            check_status (Printf.sprintf "over quota %d of %d" i excess) 429 resp;
+            match header resp "Retry-After" with
+            | Some s ->
+                Alcotest.check Alcotest.bool "Retry-After is a positive int" true
+                  (match int_of_string_opt s with Some n -> n >= 1 | None -> false)
+            | None -> Alcotest.fail "429 without Retry-After"
+          done;
+          (* A different tenant still gets in. *)
+          check_status "other client" 202
+            (submit ~headers:[ ("x-client", "tenant-b") ] svc (tsp_spec ()));
+          let _, _, rejected_quota, _, _ = Service.counters svc in
+          Alcotest.check Alcotest.int
+            (Printf.sprintf "burst %d: rejections counted" burst)
+            excess rejected_quota))
+    [ (1, 1); (16, 8) ]
 
 (* -------------------------- backpressure ------------------------- *)
 
@@ -368,6 +381,32 @@ let test_drain_resumes_bit_identically () =
     (Store.snapshots ~dir 1 <> []);
   ignore (resume_and_check ~dir ~reference)
 
+(* A re-queued interrupted job is the one queued job with snapshots.
+   DELETE reaps them before publishing [cancelled], so a client that
+   sees the job cancelled finds them gone: one thread cancels while
+   this one polls the status. *)
+let test_delete_requeued_interrupted () =
+  let dir = tmp () in
+  ignore (interrupt_after_snapshots ~dir 1);
+  with_service (config ~dir ()) (fun svc ->
+      Alcotest.check Alcotest.string "re-queued" "queued" (job_status svc 1);
+      Alcotest.check Alcotest.bool "snapshots on disk" true
+        (Store.snapshots ~dir 1 <> []);
+      let answer = ref None in
+      let canceller =
+        Thread.create
+          (fun () ->
+            answer := Some (Service.handle svc (req "DELETE" "/jobs/1") ~body:""))
+          ()
+      in
+      await "job 1 cancelled" (fun () -> job_status svc 1 = "cancelled");
+      let left = Store.snapshots ~dir 1 in
+      Thread.join canceller;
+      Alcotest.check (Alcotest.list Alcotest.string) "no snapshots once cancelled" [] left;
+      match !answer with
+      | Some resp -> check_status "cancel re-queued" 200 resp
+      | None -> Alcotest.fail "DELETE returned nothing")
+
 let corrupt_file path =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "{\"schema\":\"garbage\"")
@@ -494,6 +533,8 @@ let suite =
     case "malformed specs are admission-time 400s" test_bad_specs;
     case "DELETE cancels a queued job durably" test_delete_queued;
     case "DELETE stops a running job at a checkpoint" test_delete_running;
+    case "DELETE reaps a re-queued interrupted job before cancelling"
+      test_delete_requeued_interrupted;
     case "sweep_stale prunes by sequence, spares foreigners"
       test_sweep_stale;
     case "drain interrupts, 503s, and resumes bit-identically"
