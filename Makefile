@@ -51,12 +51,13 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --scale 0.1 2>/dev/null
 
-# Miniature tables + JSON summary, validated; fails on missing or
-# malformed BENCH_results.json.  (dune runtest runs the same check via
-# the bench-smoke alias.)
+# Miniature tables + JSON summary, validated; fails on a missing or
+# malformed summary.  The summary goes under _build/, so the committed
+# full-scale BENCH_results.json is left alone.  (dune runtest runs the
+# same check via the bench-smoke alias.)
 bench-smoke:
-	dune exec bench/main.exe -- --scale 0.05 --json BENCH_results.json > /dev/null
-	dune exec bench/check_json.exe -- BENCH_results.json
+	dune exec bench/main.exe -- --scale 0.05 --json _build/bench_smoke.json > /dev/null
+	dune exec bench/check_json.exe -- _build/bench_smoke.json
 
 # Ledger runs of one workload (W=paper-cli, linarr-n600 or race-tsp1000)
 # for the development seeds 1-10 and the held-out seed 1985, 30 s

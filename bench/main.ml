@@ -1,8 +1,9 @@
 (* The reproduction harness.  Every table of the paper's evaluation
    (4.1, 4.2(a)-(d)) plus the extension tables (E1-E7), the ablations
    (A1-A9) and the scaling table (S1) is regenerated and printed in the
-   paper's row layout.  EXPERIMENTS.md records the paper-vs-measured
-   comparison of this output.
+   paper's row layout, in the order of the [Tables] registry.
+   EXPERIMENTS.md records the paper-vs-measured comparison of this
+   output.
 
    Flags: --scale F (budget multiplier for the tables, default 1.0),
    --seed N, --wide-tuning, --json PATH.
@@ -118,53 +119,16 @@ let print_tables () =
     }
   in
   prerr_endline "[bench] tuning temperatures (section 4.2.1 protocol)...";
-  let ctx = Linarr_tables.make_context ~config () in
-  let emit_keep name f =
-    prerr_endline ("[bench] " ^ name ^ "...");
-    print_newline ();
-    let t0 = Obs.now () in
-    let table = f () in
-    summarize_table name (Obs.now () -. t0) table;
-    print_string (Report.render table);
-    table
-  in
-  let emit name f = ignore (emit_keep name f) in
-  emit "tuning table" (fun () -> Linarr_tables.tuning_table ctx);
-  let measured_4_1 = emit_keep "table 4.1" (fun () -> Linarr_tables.table_4_1 ctx) in
-  emit "agreement with the paper" (fun () ->
-      Paper_data.agreement_table ctx ~measured:measured_4_1);
-  emit "table 4.2(a)" (fun () -> Linarr_tables.table_4_2a ctx);
-  emit "table 4.2(b)" (fun () -> Linarr_tables.table_4_2b ctx);
-  emit "table 4.2(c)" (fun () -> Linarr_tables.table_4_2c ctx);
-  emit "table 4.2(d)" (fun () -> Linarr_tables.table_4_2d ctx);
-  emit "table E1 (TSP)" (fun () -> Ext_tables.table_tsp ~seed:!seed ~scale:!scale ());
-  emit "table E2 (partition)" (fun () ->
-      Ext_tables.table_partition ~seed:!seed ~scale:!scale ());
-  emit "table E3 (placement)" (fun () ->
-      Ext_tables.table_placement ~seed:!seed ~scale:!scale ());
-  emit "table E5 (global wiring)" (fun () ->
-      Ext_tables.table_wiring ~seed:!seed ~scale:!scale ());
-  emit "table E6 (floorplanning)" (fun () ->
-      Ext_tables.table_floorplan ~seed:!seed ~scale:!scale ());
-  emit "table S1 (scaling)" (fun () -> Ext_tables.table_scaling ~seed:!seed ~scale:!scale ());
-  emit "table E4 (convergence to optimum)" (fun () ->
-      Ext_tables.table_convergence ~seed:!seed ~scale:!scale ());
-  emit "table A8 (run-to-run variance)" (fun () ->
-      Ext_tables.table_variance ~seed:!seed ~scale:!scale ());
-  emit "table A1 (schedule sensitivity)" (fun () ->
-      Ablation_tables.table_schedule_sensitivity ctx);
-  emit "table A2 (defer threshold)" (fun () -> Ablation_tables.table_defer_threshold ctx);
-  emit "table A3 (rejectionless)" (fun () -> Ablation_tables.table_rejectionless ctx);
-  emit "table A4 (schedule shapes)" (fun () -> Ablation_tables.table_schedule_shapes ctx);
-  emit "table A5 (temperature control)" (fun () ->
-      Ablation_tables.table_temperature_control ctx);
-  emit "table A6 (neighborhood)" (fun () -> Ablation_tables.table_neighborhood ctx);
-  emit "table A7 (objective surrogate)" (fun () ->
-      Ablation_tables.table_objective_surrogate ctx);
-  emit "table A9 (tuning-grid resolution)" (fun () ->
-      Ablation_tables.table_tuning_grid ctx);
-  emit "table E7 (quadratic assignment)" (fun () ->
-      Ext_tables.table_qap ~seed:!seed ~scale:!scale ());
+  let ctx = Lazy.from_val (Linarr_tables.make_context ~config ()) in
+  List.iter
+    (fun (entry : Tables.entry) ->
+      prerr_endline ("[bench] " ^ entry.label ^ "...");
+      print_newline ();
+      let t0 = Obs.now () in
+      let table = entry.build config ctx in
+      summarize_table entry.label (Obs.now () -. t0) table;
+      print_string (Report.render table))
+    Tables.all;
   Printf.printf "\n[tables regenerated in %.1f s CPU]\n" (Sys.time () -. t0)
 
 let () =

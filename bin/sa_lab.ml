@@ -37,12 +37,6 @@ let with_netlist path f =
 (* tables                                                            *)
 (* ---------------------------------------------------------------- *)
 
-let all_table_names =
-  [
-    "tuning"; "4.1"; "4.2a"; "4.2b"; "4.2c"; "4.2d"; "E1"; "E2"; "E3"; "E4"; "E5"; "E6";
-    "E7"; "S1"; "A1"; "A2"; "A3"; "A4"; "A5"; "A6"; "A7"; "A8"; "A9";
-  ]
-
 let tables_cmd =
   let scale =
     Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"FACTOR"
@@ -52,55 +46,25 @@ let tables_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
   in
   let which =
-    Arg.(value & pos_all string all_table_names & info [] ~docv:"TABLE"
-           ~doc:"Tables to produce (default: all); see the table index in DESIGN.md.")
+    let ids = List.map (fun (e : Tables.entry) -> (e.id, e)) Tables.all in
+    Arg.(value & pos_all (enum ids) Tables.all & info [] ~docv:"TABLE"
+           ~doc:(Printf.sprintf
+                   "Tables to produce, in the order given (default: all, in bench order). \
+                    $(docv) must be %s; see the table index in DESIGN.md."
+                   (Arg.doc_alts_enum ids)))
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned text.") in
   let run scale seed csv which =
-    let render t = if csv then Report.to_csv t else Report.render t in
-    let needs_ctx =
-      List.exists
-        (fun t -> not (List.mem t [ "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E7"; "S1"; "A8" ]))
-        which
-    in
+    let config = { Linarr_tables.default_config with scale; seed } in
     let ctx =
-      if needs_ctx then begin
-        prerr_endline "building suites and tuning temperatures (section 4.2.1)...";
-        Some
-          (Linarr_tables.make_context
-             ~config:{ Linarr_tables.default_config with scale; seed }
-             ())
-      end
-      else None
+      lazy
+        (prerr_endline "building suites and tuning temperatures (section 4.2.1)...";
+         Linarr_tables.make_context ~config ())
     in
-    let with_ctx f = match ctx with Some c -> print_string (render (f c)) | None -> () in
     List.iter
-      (fun name ->
-        match name with
-        | "tuning" -> with_ctx Linarr_tables.tuning_table
-        | "4.1" -> with_ctx Linarr_tables.table_4_1
-        | "4.2a" -> with_ctx Linarr_tables.table_4_2a
-        | "4.2b" -> with_ctx Linarr_tables.table_4_2b
-        | "4.2c" -> with_ctx Linarr_tables.table_4_2c
-        | "4.2d" -> with_ctx Linarr_tables.table_4_2d
-        | "E1" -> print_string (render (Ext_tables.table_tsp ~seed ~scale ()))
-        | "E2" -> print_string (render (Ext_tables.table_partition ~seed ~scale ()))
-        | "S1" -> print_string (render (Ext_tables.table_scaling ~seed ~scale ()))
-        | "E3" -> print_string (render (Ext_tables.table_placement ~seed ~scale ()))
-        | "E4" -> print_string (render (Ext_tables.table_convergence ~seed ~scale ()))
-        | "E5" -> print_string (render (Ext_tables.table_wiring ~seed ~scale ()))
-        | "E6" -> print_string (render (Ext_tables.table_floorplan ~seed ~scale ()))
-        | "A8" -> print_string (render (Ext_tables.table_variance ~seed ~scale ()))
-        | "A1" -> with_ctx Ablation_tables.table_schedule_sensitivity
-        | "A2" -> with_ctx Ablation_tables.table_defer_threshold
-        | "A3" -> with_ctx Ablation_tables.table_rejectionless
-        | "A4" -> with_ctx Ablation_tables.table_schedule_shapes
-        | "A5" -> with_ctx Ablation_tables.table_temperature_control
-        | "A6" -> with_ctx Ablation_tables.table_neighborhood
-        | "A7" -> with_ctx Ablation_tables.table_objective_surrogate
-        | "A9" -> with_ctx Ablation_tables.table_tuning_grid
-        | "E7" -> print_string (render (Ext_tables.table_qap ~seed ~scale ()))
-        | other -> Printf.eprintf "unknown table %S (skipped)\n" other)
+      (fun (e : Tables.entry) ->
+        let t = e.build config ctx in
+        print_string (if csv then Report.to_csv t else Report.render t))
       which;
     0
   in
@@ -171,7 +135,7 @@ let with_walk a f =
           Printf.eprintf "unknown method %S; see Table 4.1 for names\n" a.method_;
           1
       | Some gfun ->
-          f { nl; gfun; schedule = Runner.schedule_for gfun a.base;
+          f { nl; gfun; schedule = Gfun.schedule gfun a.base;
               budget = Budget.Evaluations a.evals })
 
 let start ~goto_start w rng =
@@ -697,27 +661,17 @@ let run_cmd =
           let restored =
             match (resume, checkpoint) with
             | true, Some path -> (
-                match Checkpoint.load_figure1 ~path ~codec ~fingerprint with
+                match
+                  Checkpoint.resume_figure1 ~path ~codec ~cost:Linarr_problem.Swap.cost
+                    ~fingerprint
+                with
                 | Error e ->
                     prerr_endline (Checkpoint.load_error_message e);
                     Error 1
                 | Ok (snap, current, best_state, rng) ->
-                    let live =
-                      Int64.bits_of_float (float_of_int (Arrangement.density current))
-                    in
-                    let saved = Int64.bits_of_float snap.Figure1.current_cost in
-                    if not (Int64.equal live saved) then begin
-                      Printf.eprintf
-                        "checkpoint %s: decoded state's cost %h does not match the \
-                         snapshot's %h — refusing to resume\n"
-                        path (Int64.float_of_bits live) (Int64.float_of_bits saved);
-                      Error 1
-                    end
-                    else begin
-                      Printf.printf "resuming from %s at evaluation %d\n" path
-                        snap.Figure1.ticks;
-                      Ok (Some (snap, best_state), current, rng)
-                    end)
+                    Printf.printf "resuming from %s at evaluation %d\n" path
+                      snap.Figure1.ticks;
+                    Ok (Some (snap, best_state), current, rng))
             | _, _ ->
                 let rng = Rng.create ~seed:a.seed in
                 Ok (None, start ~goto_start:false w rng, rng)
@@ -951,7 +905,7 @@ let portfolio_cmd =
                      Portfolio.Job.figure1
                        (module Linarr_problem.Swap)
                        ~label:(Gfun.name gfun) ~gfun
-                       ~schedule:(Runner.schedule_for gfun base)
+                       ~schedule:(Gfun.schedule gfun base)
                        ~make_state:(fun rng -> Arrangement.random rng nl)
                        ())
                    (Gfun.catalog ~m:(Netlist.n_nets nl))))
@@ -968,7 +922,7 @@ let portfolio_cmd =
                      (module Tsp_problem)
                      ~delta_ops:Tsp_problem.delta_ops ~label:(Gfun.name gfun)
                      ~gfun
-                     ~schedule:(Runner.schedule_for gfun base)
+                     ~schedule:(Gfun.schedule gfun base)
                      ~make_state:(fun rng -> Tour.random rng inst)
                      ())
                  (Gfun.catalog ~m:cities))

@@ -18,6 +18,11 @@ let make ?(uses_temperature = true) ?(defer_uphill = false) ~name ~k eval =
 
 let custom ~name ~k eval = make ~name ~k eval
 
+let schedule t base =
+  if not t.uses_temperature then Schedule.constant ~k:t.k 1.
+  else if t.k = 1 then Schedule.of_array [| base |]
+  else Schedule.geometric ~y1:base ~ratio:0.9 ~k:t.k
+
 (* The paper never evaluates g on a strict improvement (Figure 1 Step 3
    / Figure 2 Step 2 take those unconditionally), so [hj >= hi] holds at
    every call.  Lateral moves ([hj = hi]) need explicit handling in the

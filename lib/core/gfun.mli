@@ -27,6 +27,13 @@ val uses_temperature : t -> bool
 val defer_uphill : t -> bool
 val eval : t -> temp:int -> y:float -> hi:float -> hj:float -> float
 
+val schedule : t -> float -> Schedule.t
+(** [schedule g base] is the class's schedule from one base temperature
+    (§4.2.1): [[base]] for [k = 1], the Kirkpatrick geometric shape
+    [base * 0.9^i] for [k > 1], and a constant placeholder that [eval]
+    ignores for the classes without temperatures.  The tuner, the
+    tables, the CLI and the daemon all build schedules this way. *)
+
 (** {1 The paper's catalog (numbering of §3)} *)
 
 val metropolis : t

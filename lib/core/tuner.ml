@@ -26,13 +26,13 @@ module Make (P : Mc_problem.S) = struct
         acc +. (initial -. result.Mc_problem.best_cost))
       0. instances
 
-  let grid_search rng ~gfun ~candidates ~shape ~budget ~instances =
+  let grid_search rng ~gfun ~candidates ~budget ~instances =
     if candidates = [] then invalid_arg "Tuner.grid_search: no candidates";
     if instances = [] then invalid_arg "Tuner.grid_search: no instances";
     let scored =
       List.map
         (fun base ->
-          let schedule = shape base in
+          let schedule = Gfun.schedule gfun base in
           (* Each candidate gets its own derived stream so that adding
              or removing candidates does not shift the others' runs. *)
           let candidate_rng = Rng.split rng in

@@ -6,7 +6,7 @@
 module Make (P : Mc_problem.S) : sig
   type outcome = {
     base : float;  (** winning candidate *)
-    schedule : Schedule.t;  (** [shape base] *)
+    schedule : Schedule.t;  (** [Gfun.schedule gfun base] *)
     total_reduction : float;  (** its training-set score *)
     per_candidate : (float * float) list;  (** (base, score) for all *)
   }
@@ -15,15 +15,14 @@ module Make (P : Mc_problem.S) : sig
     Rng.t ->
     gfun:Gfun.t ->
     candidates:float list ->
-    shape:(float -> Schedule.t) ->
     budget:Budget.t ->
     instances:(unit -> P.state) list ->
     outcome
-  (** [shape] turns a base temperature into a full schedule of the
-      g-function's [k] (e.g. [Schedule.geometric ~y1:base ~ratio:0.9
-      ~k:6]).  [instances] are thunks producing fresh starting states
-      (each candidate sees the same starting arrangements, as in the
-      paper).  Deterministic given [rng]'s state.
+  (** Each candidate base becomes a full schedule through
+      {!Gfun.schedule}.  [instances] are thunks producing fresh
+      starting states (each candidate sees the same starting
+      arrangements, as in the paper).  Deterministic given [rng]'s
+      state.
 
       @raise Invalid_argument if [candidates] or [instances] is
       empty. *)

@@ -2,23 +2,23 @@ module Fig1 = Figure1.Make (Linarr_problem.Swap)
 module Rless = Rejectionless.Make (Linarr_problem.Swap)
 module Temp_est = Temperature.Make (Linarr_problem.Swap)
 
-let suite_runs ctx ~f =
-  let suite = Linarr_tables.gola_suite ctx in
-  let n = Array.length suite.Suites.netlists in
-  let sum = ref 0 and extra = ref 0. in
-  for i = 0 to n - 1 do
-    let state = Suites.initial_arrangement suite i in
-    let initial = Arrangement.density state in
-    let best_density, info = f i state in
-    sum := !sum + (initial - best_density);
-    extra := !extra +. info
-  done;
-  (!sum, !extra /. float_of_int n)
-
 let budget_for ctx s =
   Budget.scale (Linarr_tables.config_of ctx).Linarr_tables.scale (Suites.seconds s)
 
 let seed_for ctx salt = (Linarr_tables.config_of ctx).Linarr_tables.seed + Hashtbl.hash salt
+
+(* Total density reduction over the GOLA suite, on a stream seeded by
+   [salt]. *)
+let gola_total ctx salt run =
+  Suites.total_reduction (Rng.create ~seed:(seed_for ctx salt)) (Linarr_tables.gola_suite ctx) run
+
+(* Mean over the GOLA instances of a per-instance quantity summed in
+   instance order. *)
+let gola_mean ctx sum =
+  sum /. float_of_int (Array.length (Linarr_tables.gola_suite ctx).Suites.netlists)
+
+let fig1 ~gfun ~schedule ~budget rng state =
+  Fig1.run rng (Fig1.params ~gfun ~schedule ~budget ()) state
 
 let table_schedule_sensitivity ctx =
   let gfun = Gfun.six_temp_annealing in
@@ -29,25 +29,13 @@ let table_schedule_sensitivity ctx =
     List.map
       (fun factor ->
         let schedule = Schedule.scaled tuned factor in
-        let rng = Rng.create ~seed:(seed_for ctx ("a1", factor)) in
-        let total, _ =
-          suite_runs ctx ~f:(fun _ state ->
-              let p = Fig1.params ~gfun ~schedule ~budget () in
-              let run = Fig1.run (Rng.split rng) p state in
-              (int_of_float run.Mc_problem.best_cost, 0.))
-        in
+        let total = gola_total ctx ("a1", factor) (fig1 ~gfun ~schedule ~budget) in
         (Printf.sprintf "tuned schedule x %.2f" factor, [ Report.Int total ]))
       factors
   in
   let g1_row =
-    let rng = Rng.create ~seed:(seed_for ctx "a1-g1") in
-    let total, _ =
-      suite_runs ctx ~f:(fun _ state ->
-          let p =
-            Fig1.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.) ~budget ()
-          in
-          let run = Fig1.run (Rng.split rng) p state in
-          (int_of_float run.Mc_problem.best_cost, 0.))
+    let total =
+      gola_total ctx "a1-g1" (fig1 ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.) ~budget)
     in
     ("g = 1 (no schedule)", [ Report.Int total ])
   in
@@ -65,16 +53,11 @@ let table_defer_threshold ctx =
   let rows =
     List.map
       (fun threshold ->
-        let rng = Rng.create ~seed:(seed_for ctx ("a2", threshold)) in
-        let total, _ =
-          suite_runs ctx ~f:(fun _ state ->
-              let p =
-                Fig1.params ~defer_threshold:threshold ~gfun:Gfun.g_one
-                  ~schedule:(Schedule.constant ~k:1 1.) ~budget ()
-              in
-              let run = Fig1.run (Rng.split rng) p state in
-              (int_of_float run.Mc_problem.best_cost, 0.))
+        let p =
+          Fig1.params ~defer_threshold:threshold ~gfun:Gfun.g_one
+            ~schedule:(Schedule.constant ~k:1 1.) ~budget ()
         in
+        let total = gola_total ctx ("a2", threshold) (fun rng state -> Fig1.run rng p state) in
         (Printf.sprintf "defer threshold %d" threshold, [ Report.Int total ]))
       thresholds
   in
@@ -91,30 +74,18 @@ let table_rejectionless ctx =
     List.concat_map
       (fun (name, gfun) ->
         let schedule = Linarr_tables.schedule_of ctx gfun in
-        let fig1 =
-          let rng = Rng.create ~seed:(seed_for ctx ("a3-f1", name)) in
-          let total, _ =
-            suite_runs ctx ~f:(fun _ state ->
-                let p = Fig1.params ~gfun ~schedule ~budget () in
-                let run = Fig1.run (Rng.split rng) p state in
-                (int_of_float run.Mc_problem.best_cost, 0.))
-          in
-          total
+        let fig1 = gola_total ctx ("a3-f1", name) (fig1 ~gfun ~schedule ~budget) in
+        let ratios = ref 0. in
+        let rless =
+          gola_total ctx ("a3-rl", name) (fun rng state ->
+              let run = Rless.run rng (Rless.params ~gfun ~schedule ~budget) state in
+              let { Mc_problem.descents; evaluations; _ } = run.Mc_problem.stats in
+              ratios :=
+                !ratios
+                +. if evaluations = 0 then 0. else float_of_int descents /. float_of_int evaluations;
+              run)
         in
-        let rless, step_ratio =
-          let rng = Rng.create ~seed:(seed_for ctx ("a3-rl", name)) in
-          suite_runs ctx ~f:(fun _ state ->
-              let p = Rless.params ~gfun ~schedule ~budget in
-              let run = Rless.run (Rng.split rng) p state in
-              let stats = run.Mc_problem.stats in
-              let ratio =
-                if stats.Mc_problem.evaluations = 0 then 0.
-                else
-                  float_of_int stats.Mc_problem.descents
-                  /. float_of_int stats.Mc_problem.evaluations
-              in
-              (int_of_float run.Mc_problem.best_cost, ratio))
-        in
+        let step_ratio = gola_mean ctx !ratios in
         [
           (name ^ " / Figure 1", [ Report.Int fig1; Report.Missing ]);
           ( name ^ " / rejectionless",
@@ -138,13 +109,9 @@ let table_schedule_shapes ctx =
   let tuned_metropolis = Linarr_tables.schedule_of ctx Gfun.metropolis in
   let y1 = Schedule.get tuned_six 1 in
   let run name gfun schedule_of_state =
-    let rng = Rng.create ~seed:(seed_for ctx ("a4", name)) in
-    let total, _ =
-      suite_runs ctx ~f:(fun _ state ->
-          let schedule = schedule_of_state state in
-          let p = Fig1.params ~gfun ~schedule ~budget () in
-          let r = Fig1.run (Rng.split rng) p state in
-          (int_of_float r.Mc_problem.best_cost, 0.))
+    let total =
+      gola_total ctx ("a4", name) (fun rng state ->
+          fig1 ~gfun ~schedule:(schedule_of_state state) ~budget rng state)
     in
     (name, [ Report.Int total ])
   in
@@ -176,15 +143,15 @@ let table_temperature_control ctx =
   let gfun = Gfun.six_temp_annealing in
   let schedule = Linarr_tables.schedule_of ctx gfun in
   let run name params_of =
-    let rng = Rng.create ~seed:(seed_for ctx ("a5", name)) in
-    let total, evals =
-      suite_runs ctx ~f:(fun _ state ->
-          let p = params_of () in
-          let r = Fig1.run (Rng.split rng) p state in
-          ( int_of_float r.Mc_problem.best_cost,
-            float_of_int r.Mc_problem.stats.Mc_problem.evaluations ))
+    let evals = ref 0. in
+    let total =
+      gola_total ctx ("a5", name) (fun rng state ->
+          let r = Fig1.run rng (params_of ()) state in
+          evals := !evals +. float_of_int r.Mc_problem.stats.Mc_problem.evaluations;
+          r)
     in
-    (name, [ Report.Int total; Report.Text (Printf.sprintf "%.0f" evals) ])
+    ( name,
+      [ Report.Int total; Report.Text (Printf.sprintf "%.0f" (gola_mean ctx !evals)) ] )
   in
   Report.make
     ~title:
@@ -211,40 +178,23 @@ let table_temperature_control ctx =
 module Fig1_relocate = Figure1.Make (Linarr_problem.Relocate)
 module Fig1_sum = Figure1.Make (Linarr_problem.Swap_sum_cuts)
 
+(* The A6/A7 rows: the tuned annealer and the schedule-free g = 1. *)
+let annealer_and_g_one =
+  [ ("Six Temperature Annealing", Gfun.six_temp_annealing); ("g = 1", Gfun.g_one) ]
+
 let table_neighborhood ctx =
   let budget = budget_for ctx 12. in
-  let methods =
-    [
-      ("Six Temperature Annealing", Gfun.six_temp_annealing);
-      ("g = 1", Gfun.g_one);
-    ]
-  in
   let rows =
-    List.concat_map
+    List.map
       (fun (name, gfun) ->
         let schedule = Linarr_tables.schedule_of ctx gfun in
-        let swap =
-          let rng = Rng.create ~seed:(seed_for ctx ("a6-swap", name)) in
-          let total, _ =
-            suite_runs ctx ~f:(fun _ state ->
-                let p = Fig1.params ~gfun ~schedule ~budget () in
-                (int_of_float (Fig1.run (Rng.split rng) p state).Mc_problem.best_cost, 0.))
-          in
-          total
-        in
+        let swap = gola_total ctx ("a6-swap", name) (fig1 ~gfun ~schedule ~budget) in
         let relocate =
-          let rng = Rng.create ~seed:(seed_for ctx ("a6-rel", name)) in
-          let total, _ =
-            suite_runs ctx ~f:(fun _ state ->
-                let p = Fig1_relocate.params ~gfun ~schedule ~budget () in
-                ( int_of_float
-                    (Fig1_relocate.run (Rng.split rng) p state).Mc_problem.best_cost,
-                  0. ))
-          in
-          total
+          let p = Fig1_relocate.params ~gfun ~schedule ~budget () in
+          gola_total ctx ("a6-rel", name) (fun rng state -> Fig1_relocate.run rng p state)
         in
-        [ (name, [ Report.Int swap; Report.Int relocate ]) ])
-      methods
+        (name, [ Report.Int swap; Report.Int relocate ]))
+      annealer_and_g_one
   in
   Report.make
     ~title:"Table A6 -- perturbation neighborhood (GOLA, 12 s): pairwise interchange vs single exchange"
@@ -258,47 +208,25 @@ let table_neighborhood ctx =
 
 let table_objective_surrogate ctx =
   let budget = budget_for ctx 12. in
-  let methods =
-    [
-      ("Six Temperature Annealing", Gfun.six_temp_annealing);
-      ("g = 1", Gfun.g_one);
-    ]
-  in
   let rows =
-    List.concat_map
+    List.map
       (fun (name, gfun) ->
         let schedule = Linarr_tables.schedule_of ctx gfun in
-        let direct =
-          let rng = Rng.create ~seed:(seed_for ctx ("a7-d", name)) in
-          let total, _ =
-            suite_runs ctx ~f:(fun _ state ->
-                let p = Fig1.params ~gfun ~schedule ~budget () in
-                (int_of_float (Fig1.run (Rng.split rng) p state).Mc_problem.best_cost, 0.))
-          in
-          total
-        in
+        let direct = gola_total ctx ("a7-d", name) (fig1 ~gfun ~schedule ~budget) in
         let surrogate =
           (* Optimize sum-of-cuts, then measure the density of the best
              sum-of-cuts arrangement. *)
-          let rng = Rng.create ~seed:(seed_for ctx ("a7-s", name)) in
-          let total, _ =
-            suite_runs ctx ~f:(fun _ state ->
-                let schedule_s =
-                  (* the surrogate's cost scale is ~n/2 times larger *)
-                  Schedule.scaled schedule
-                    (float_of_int (Arrangement.size state) /. 2.)
-                in
-                let schedule_s =
-                  if Gfun.uses_temperature gfun then schedule_s else schedule
-                in
-                let p = Fig1_sum.params ~gfun ~schedule:schedule_s ~budget () in
-                let r = Fig1_sum.run (Rng.split rng) p state in
-                (Arrangement.density r.Mc_problem.best, 0.))
-          in
-          total
+          gola_total ctx ("a7-s", name) (fun rng state ->
+              let schedule_s =
+                (* the surrogate's cost scale is ~n/2 times larger *)
+                if Gfun.uses_temperature gfun then
+                  Schedule.scaled schedule (float_of_int (Arrangement.size state) /. 2.)
+                else schedule
+              in
+              Fig1_sum.run rng (Fig1_sum.params ~gfun ~schedule:schedule_s ~budget ()) state)
         in
-        [ (name, [ Report.Int direct; Report.Int surrogate ]) ])
-      methods
+        (name, [ Report.Int direct; Report.Int surrogate ]))
+      annealer_and_g_one
   in
   Report.make
     ~title:"Table A7 -- objective choice (GOLA, 12 s): direct density vs sum-of-cuts surrogate"
@@ -324,24 +252,13 @@ let table_tuning_grid ctx =
     List.init (Array.length suite.Suites.netlists) (fun i () ->
         Suites.initial_arrangement suite i)
   in
-  let shape gfun base =
-    match Gfun.k gfun with
-    | 1 -> Schedule.of_array [| base |]
-    | k -> Schedule.geometric ~y1:base ~ratio:0.9 ~k
-  in
   let tuned_run gfun candidates =
     let rng = Rng.create ~seed:(seed_for ctx ("a9", Gfun.name gfun, List.length candidates)) in
     let outcome =
-      Tune.grid_search (Rng.split rng) ~gfun ~candidates ~shape:(shape gfun)
-        ~budget:tuning_budget ~instances
+      Tune.grid_search (Rng.split rng) ~gfun ~candidates ~budget:tuning_budget ~instances
     in
-    let total, _ =
-      suite_runs ctx ~f:(fun _ state ->
-          let p = Fig1.params ~gfun ~schedule:outcome.Tune.schedule ~budget () in
-          let r = Fig1.run (Rng.split rng) p state in
-          (int_of_float r.Mc_problem.best_cost, 0.))
-    in
-    (outcome.Tune.base, total)
+    ( outcome.Tune.base,
+      Suites.total_reduction rng suite (fig1 ~gfun ~schedule:outcome.Tune.schedule ~budget) )
   in
   let classes =
     [

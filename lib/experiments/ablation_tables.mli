@@ -4,15 +4,19 @@
     temperature-bearing classes is schedule-sensitive while [g = 1] has
     nothing to tune.  A2 probes the magic constant 18 of the
     deferred-uphill rule (§3).  A3 sets the Figure 1 engine against the
-    rejectionless engine of [GREE84] at an equal budget. *)
+    rejectionless engine of [GREE84] at an equal budget.  A4–A7 and A9
+    vary one more design choice each.  Every cell is a
+    {!Suites.total_reduction} over the context's GOLA suite (A8, which
+    needs no tuned context, lives in {!Ext_tables}). *)
 
 val table_schedule_sensitivity : Linarr_tables.context -> Report.t
 (** Six-temperature annealing under the tuned schedule scaled by
     0.25/0.5/1/2/4, 12 s budget, GOLA suite; [g = 1] reference row. *)
 
 val table_defer_threshold : Linarr_tables.context -> Report.t
-(** [g = 1] with deferred-uphill thresholds 2..64 at 6/9/12 s on the
-    GOLA suite (paper value: 18). *)
+(** [g = 1] with deferred-uphill thresholds 1, 2, 4, 8, 18, 32, 64
+    and 256 at 12 s on the GOLA suite (paper value: 18; threshold 1 is
+    the pure random walk the rule exists to avoid). *)
 
 val table_rejectionless : Linarr_tables.context -> Report.t
 (** Figure 1 vs the rejectionless engine, six-temperature annealing and

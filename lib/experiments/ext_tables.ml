@@ -3,6 +3,15 @@ module Tsp_temp = Temperature.Make (Tsp_problem)
 module Part_fig1 = Figure1.Make (Partition_problem)
 module Part_temp = Temperature.Make (Partition_problem)
 
+(* One row of an extension table: [f] run on a fresh copy of every
+   instance, each on its own stream seeded by the row name and the
+   instance index. *)
+let row ~seed instances name f =
+  ( name,
+    List.mapi
+      (fun i fresh -> f (Rng.create ~seed:(seed + Hashtbl.hash (name, i))) (fresh ()))
+      (Array.to_list instances) )
+
 (* ------------------------------------------------------------------ *)
 (* E1: travelling salesperson                                          *)
 (* ------------------------------------------------------------------ *)
@@ -21,35 +30,28 @@ let table_tsp ?(seed = 7485) ?(scale = 1.) ?(instances = 5) ?(cities = 60) () =
      Monte Carlo budget. *)
   let descent_cost = cities * cities * 4 in
   let restarts = max 1 (budget_evals / descent_cost) in
-  let run_mc name make_run =
-    ( name,
-      Array.to_list insts
-      |> List.mapi (fun i inst ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             make_run rng inst (Tour.copy starts.(i))) )
-  in
+  let run_mc = row ~seed (Array.mapi (fun i inst () -> (inst, Tour.copy starts.(i))) insts) in
   let sa_method name gfun schedule_of_inst =
-    run_mc name (fun rng inst start ->
-        ignore inst;
+    run_mc name (fun rng (_inst, start) ->
         let schedule = schedule_of_inst rng start in
         let p = Tsp_fig1.params ~gfun ~schedule ~budget () in
         (Tsp_fig1.run rng p start).Mc_problem.best_cost)
   in
   let methods =
     [
-      run_mc "Nearest neighbor" (fun _rng inst _start ->
+      run_mc "Nearest neighbor" (fun _rng (inst, _start) ->
           Tour.length (Tsp_heuristics.nearest_neighbor inst ~start:0));
-      run_mc "Cheapest insertion" (fun _rng inst _start ->
+      run_mc "Cheapest insertion" (fun _rng (inst, _start) ->
           Tour.length (Tsp_heuristics.cheapest_insertion inst));
-      run_mc "Hull+insertion (CCAO)" (fun _rng inst _start ->
+      run_mc "Hull+insertion (CCAO)" (fun _rng (inst, _start) ->
           Tour.length (Tsp_heuristics.hull_insertion inst));
-      run_mc "2-opt descent (NN start)" (fun _rng inst _start ->
+      run_mc "2-opt descent (NN start)" (fun _rng (inst, _start) ->
           let tour = Tsp_heuristics.nearest_neighbor inst ~start:0 in
           ignore (Tsp_heuristics.two_opt_descent tour);
           Tour.length tour);
       run_mc
         (Printf.sprintf "2-opt, %d random restarts" restarts)
-        (fun rng inst _start ->
+        (fun rng (inst, _start) ->
           Tour.length (Tsp_heuristics.two_opt_restarts rng inst ~restarts));
       sa_method "Six Temperature Annealing" Gfun.six_temp_annealing (fun rng start ->
           Tsp_temp.suggest_schedule ~k:6 rng start);
@@ -61,7 +63,7 @@ let table_tsp ?(seed = 7485) ?(scale = 1.) ?(instances = 5) ?(cities = 60) () =
           Schedule.of_array
             [| Float.max e.Temperature.suggested_yk (e.Temperature.suggested_y1 /. 32.) |]);
       sa_method "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
-      run_mc "g = 1 (defer threshold 400)" (fun rng _inst start ->
+      run_mc "g = 1 (defer threshold 400)" (fun rng (_inst, start) ->
           (* On a continuous objective, the paper's threshold of 18
              accepts magnitude-blind climbs too often; a higher
              threshold shows the rule's sensitivity to the cost
@@ -114,35 +116,31 @@ let table_partition ?(seed = 8385) ?(scale = 1.) ?(instances = 5) ?(elements = 8
   let starts = Array.map (fun nl -> Bipartition.random_balanced (Rng.split master) nl) insts in
   let budget = Budget.scale scale (Suites.seconds 60.) in
   let budget_evals = Budget.evaluations_or budget ~default:120_000 in
-  let run_all name f =
-    ( name,
-      Array.to_list insts
-      |> List.mapi (fun i nl ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             f rng nl (Bipartition.copy starts.(i))) )
+  let run_all =
+    row ~seed (Array.mapi (fun i nl () -> (nl, Bipartition.copy starts.(i))) insts)
   in
   let sa_method name gfun schedule_of_start =
-    run_all name (fun rng _nl start ->
+    run_all name (fun rng (_nl, start) ->
         let schedule = schedule_of_start rng start in
         let p = Part_fig1.params ~gfun ~schedule ~budget () in
         int_of_float (Part_fig1.run rng p start).Mc_problem.best_cost)
   in
   let methods =
     [
-      run_all "Kernighan-Lin" (fun _rng _nl start ->
+      run_all "Kernighan-Lin" (fun _rng (_nl, start) ->
           ignore (Kl.refine start);
           Bipartition.cut start);
-      run_all "Kernighan-Lin, best of 5" (fun rng nl _start ->
+      run_all "Kernighan-Lin, best of 5" (fun rng (nl, _start) ->
           let best = ref max_int in
           for _ = 1 to 5 do
             let part = Kl.run rng nl in
             if Bipartition.cut part < !best then best := Bipartition.cut part
           done;
           !best);
-      run_all "Fiduccia-Mattheyses" (fun _rng _nl start ->
+      run_all "Fiduccia-Mattheyses" (fun _rng (_nl, start) ->
           ignore (Fm.refine start);
           Bipartition.cut start);
-      run_all "Fiduccia-Mattheyses, best of 5" (fun rng nl _start ->
+      run_all "Fiduccia-Mattheyses, best of 5" (fun rng (nl, _start) ->
           let best = ref max_int in
           for _ = 1 to 5 do
             let part = Fm.run rng nl in
@@ -274,15 +272,8 @@ let table_variance ?(seed = 4385) ?(scale = 1.) ?(replications = 5) () =
     ]
   in
   let one_total gfun schedule rng =
-    let sum = ref 0 in
-    for i = 0 to Array.length suite.Suites.netlists - 1 do
-      let state = Suites.initial_arrangement suite i in
-      let initial = Arrangement.density state in
-      let p = Linarr_fig1.params ~gfun ~schedule ~budget () in
-      let r = Linarr_fig1.run (Rng.split rng) p state in
-      sum := !sum + (initial - int_of_float r.Mc_problem.best_cost)
-    done;
-    float_of_int !sum
+    let p = Linarr_fig1.params ~gfun ~schedule ~budget () in
+    float_of_int (Suites.total_reduction rng suite (fun rng state -> Linarr_fig1.run rng p state))
   in
   let rows =
     List.map
@@ -334,14 +325,11 @@ let table_convergence ?(seed = 4485) ?(scale = 1.) ?(instances = 12) ?(elements 
       [ 250; 1000; 4000; 16000 ]
   in
   let hits name run_one budget =
-    let count = ref 0 in
-    Array.iteri
-      (fun i (nl, opt, order) ->
-        let state = Arrangement.create ~order nl in
-        let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-        if run_one rng budget state <= opt then incr count)
-      insts;
-    !count
+    row ~seed
+      (Array.map (fun (nl, opt, order) () -> (Arrangement.create ~order nl, opt)) insts)
+      name
+      (fun rng (state, opt) -> run_one rng budget state <= opt)
+    |> snd |> List.filter Fun.id |> List.length
   in
   let mc name gfun schedule =
     ( name,
@@ -420,15 +408,11 @@ let table_placement ?(seed = 4585) ?(scale = 1.) ?(instances = 5) ?(rows = 6)
   let starts = Array.map (fun nl -> Placement.random (Rng.split master) ~rows ~cols nl) insts in
   let budget = Budget.scale scale (Suites.seconds 120.) in
   let budget_evals = Budget.evaluations_or budget ~default:30_000 in
-  let run_all name f =
-    ( name,
-      Array.to_list insts
-      |> List.mapi (fun i nl ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             f rng nl (Placement.copy starts.(i))) )
+  let run_all =
+    row ~seed (Array.mapi (fun i nl () -> (nl, Placement.copy starts.(i))) insts)
   in
   let sa name gfun schedule_of_start =
-    run_all name (fun rng _nl start ->
+    run_all name (fun rng (_nl, start) ->
         let schedule = schedule_of_start rng start in
         let p = Place_fig1.params ~gfun ~schedule ~budget () in
         int_of_float (Place_fig1.run rng p start).Mc_problem.best_cost)
@@ -453,10 +437,10 @@ let table_placement ?(seed = 4585) ?(scale = 1.) ?(instances = 5) ?(rows = 6)
   in
   let methods =
     [
-      run_all "random start (no search)" (fun _rng _nl start -> Placement.hpwl start);
-      run_all "Goto order, row-major [KANG83]" (fun _rng nl _start ->
+      run_all "random start (no search)" (fun _rng (_nl, start) -> Placement.hpwl start);
+      run_all "Goto order, row-major [KANG83]" (fun _rng (nl, _start) ->
           Placement.hpwl (Placement.goto_seeded ~rows ~cols nl));
-      run_all "swap descent" (fun _rng _nl start -> descend start (Budget.start budget));
+      run_all "swap descent" (fun _rng (_nl, start) -> descend start (Budget.start budget));
       sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
         (fun rng start -> Place_temp.suggest_schedule ~k:6 rng start);
       sa "Metropolis" Gfun.metropolis (fun rng start ->
@@ -503,13 +487,7 @@ let table_wiring ?(seed = 4685) ?(scale = 1.) ?(instances = 5) ?(grid = 10)
   in
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
-  let run_all name f =
-    ( name,
-      Array.to_list ends
-      |> List.mapi (fun i e ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             f rng (Wiring.create ~width:grid ~height:grid e)) )
-  in
+  let run_all = row ~seed (Array.map (fun e () -> Wiring.create ~width:grid ~height:grid e) ends) in
   let sa name gfun schedule_of_start =
     run_all name (fun rng start ->
         let schedule = schedule_of_start rng start in
@@ -569,13 +547,7 @@ let table_floorplan ?(seed = 4785) ?(scale = 1.) ?(instances = 5) ?(blocks = 20)
   let insts = Array.init instances (fun _ -> dims_of (Rng.split master)) in
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
-  let run_all name f =
-    ( name,
-      Array.to_list insts
-      |> List.mapi (fun i dims ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             f rng dims) )
-  in
+  let run_all = row ~seed (Array.map Fun.const insts) in
   let sa name gfun schedule_of_start =
     run_all name (fun rng dims ->
         let start = Floorplan.create dims in
@@ -640,13 +612,7 @@ let table_qap ?(seed = 4885) ?(scale = 1.) ?(instances = 5) ?(n = 20) () =
   in
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
-  let run_all name f =
-    ( name,
-      Array.to_list insts
-      |> List.mapi (fun i q ->
-             let rng = Rng.create ~seed:(seed + Hashtbl.hash (name, i)) in
-             f rng (Qap.copy q)) )
-  in
+  let run_all = row ~seed (Array.map (fun q () -> Qap.copy q) insts) in
   let sa name gfun schedule_of_start =
     run_all name (fun rng start ->
         let schedule = schedule_of_start rng start in

@@ -1,11 +1,16 @@
-(** Extension tables E1 (TSP) and E2 (circuit partition).
+(** The tables that need no tuned context: extensions E1–E7, the
+    scaling study S1 and the run-to-run variance ablation A8.
 
     §5 of the paper reports that the same experiments were run on the
     travelling salesperson and circuit-partition problems ([NAHA84]);
-    these drivers reproduce that protocol: simulated annealing and
-    [g = 1] under equal budgets against the problems' classical
-    heuristics (the [GOLD84] comparison for TSP, [KIRK83]'s own problem
-    for partition). *)
+    E1 and E2 reproduce that protocol: simulated annealing and [g = 1]
+    under equal budgets against the problems' classical heuristics (the
+    [GOLD84] comparison for TSP, [KIRK83]'s own problem for partition).
+    E3, E5, E6 and E7 repeat it on placement, global wiring, slicing
+    floorplans and quadratic assignment; E4 checks convergence to the
+    exact optimum on small instances.  Each table takes its own seed
+    and a budget [scale]; every run gets a stream seeded by its row
+    name and instance index. *)
 
 val table_tsp :
   ?seed:int -> ?scale:float -> ?instances:int -> ?cities:int -> unit -> Report.t

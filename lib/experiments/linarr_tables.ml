@@ -17,20 +17,14 @@ type context = {
   config : config;
   gola : Suites.linarr_suite;
   nola : Suites.linarr_suite;
-  tuned : (string * (float * Schedule.t)) list; (* by class name *)
+  tuned : (string * float) list; (* base Y by class name *)
+  table_4_1 : Report.t Lazy.t;
 }
 
 let config_of c = c.config
 let gola_suite c = c.gola
 let nola_suite c = c.nola
 let net_count = 150
-
-(* Shape of the schedule grid-searched for a class: single temperature
-   for k = 1, the Kirkpatrick geometric shape (ratio 0.9) for k = 6. *)
-let shape_for gfun base =
-  match Gfun.k gfun with
-  | 1 -> Schedule.of_array [| base |]
-  | k -> Schedule.geometric ~y1:base ~ratio:0.9 ~k
 
 let budget_seconds config s = Budget.scale config.scale (Suites.seconds s)
 
@@ -44,65 +38,25 @@ let tune_class config suite gfun =
   let candidates =
     if config.wide_tuning then Tune.default_candidates else Tune.coarse_candidates
   in
-  Tune.grid_search rng ~gfun ~candidates ~shape:(shape_for gfun) ~budget ~instances
+  (Tune.grid_search rng ~gfun ~candidates ~budget ~instances).Tune.base
 
-let make_context ?(config = default_config) () =
-  let gola = Suites.gola () in
-  let nola = Suites.nola () in
-  let tuned =
-    List.filter_map
-      (fun gfun ->
-        if Gfun.uses_temperature gfun then begin
-          let outcome = tune_class config gola gfun in
-          Some (Gfun.name gfun, (outcome.Tune.base, outcome.Tune.schedule))
-        end
-        else None)
-      (Gfun.catalog ~m:net_count)
-  in
-  { config; gola; nola; tuned }
-
-let tuned_bases c = List.map (fun (name, (base, _)) -> (name, base)) c.tuned
+let tuned_bases c = c.tuned
 
 let schedule_of c gfun =
-  if Gfun.uses_temperature gfun then
-    match List.assoc_opt (Gfun.name gfun) c.tuned with
-    | Some (_, schedule) -> schedule
-    | None -> shape_for gfun 1.
-  else Schedule.constant ~k:(Gfun.k gfun) 1.
+  Gfun.schedule gfun
+    (Option.value ~default:1. (List.assoc_opt (Gfun.name gfun) c.tuned))
 
-type start = Random_start | Goto_start
-
-let start_arrangement suite start i =
-  match start with
-  | Random_start -> Suites.initial_arrangement suite i
-  | Goto_start -> Suites.goto_arrangement suite i
-
-(* Total density reduction of one method over a whole suite: the sum,
-   over instances, of (starting density - best density found). *)
+(* Total density reduction of one method over a whole suite. *)
 let total_reduction c suite ~start ~gfun ~budget ~strategy ~column =
-  let n = Array.length suite.Suites.netlists in
   let rng =
     Rng.create
       ~seed:(c.config.seed + Hashtbl.hash (Gfun.name gfun, column, strategy))
   in
   let schedule = schedule_of c gfun in
-  let sum = ref 0 in
-  for i = 0 to n - 1 do
-    let state = start_arrangement suite start i in
-    let initial = Arrangement.density state in
-    let run_rng = Rng.split rng in
-    let best_cost =
+  Suites.total_reduction ~start rng suite (fun rng state ->
       match strategy with
-      | `Figure1 ->
-          let p = Fig1.params ~gfun ~schedule ~budget () in
-          (Fig1.run run_rng p state).Mc_problem.best_cost
-      | `Figure2 ->
-          let p = Fig2.params ~gfun ~schedule ~budget () in
-          (Fig2.run run_rng p state).Mc_problem.best_cost
-    in
-    sum := !sum + (initial - int_of_float best_cost)
-  done;
-  !sum
+      | `Figure1 -> Fig1.run rng (Fig1.params ~gfun ~schedule ~budget ()) state
+      | `Figure2 -> Fig2.run rng (Fig2.params ~gfun ~schedule ~budget ()) state)
 
 let goto_reduction suite =
   let n = Array.length suite.Suites.netlists in
@@ -114,23 +68,6 @@ let goto_reduction suite =
     sum := !sum + (initial - Goto.density suite.Suites.netlists.(i))
   done;
   !sum
-
-let times_header = [ "g function"; "6 sec"; "9 sec"; "12 sec" ]
-
-let timed_rows c suite ~start ~classes =
-  List.map
-    (fun gfun ->
-      let cells =
-        List.map
-          (fun s ->
-            Report.Int
-              (total_reduction c suite ~start ~gfun
-                 ~budget:(budget_seconds c.config s) ~strategy:`Figure1
-                 ~column:s))
-          Suites.paper_times
-      in
-      (Gfun.name gfun, cells))
-    classes
 
 let suite_note suite label =
   Printf.sprintf "%d instances, %d elements, %d nets (%s); sum of starting densities = %d"
@@ -144,30 +81,59 @@ let scale_note config =
     "budgets: 1 paper-second = %d proposed perturbations, scale factor %.2f"
     Suites.evals_per_second config.scale
 
-let table_4_1 c =
-  let suite = c.gola in
-  let goto_row = ("Goto", [ Report.Int (goto_reduction suite); Report.Missing; Report.Missing ]) in
-  let rows = goto_row :: timed_rows c suite ~start:Random_start ~classes:(Gfun.catalog ~m:net_count) in
-  Report.make ~title:"Table 4.1 -- GOLA, Figure 1 strategy, random starts (total density reduction)"
-    ~header:times_header
-    ~notes:[ suite_note suite "GOLA: all nets two-pin"; scale_note c.config ]
-    rows
+(* One of the 6/9/12 s Figure 1 tables over [suite]: from the shared
+   random starts with the Goto row first, or, with [goto_start], from
+   the Goto arrangements. *)
+let timed_table c suite ~goto_start ~classes ~title ~notes =
+  let start, goto_rows, goto_notes =
+    if goto_start then
+      ( Suites.goto_arrangement,
+        [],
+        [ Printf.sprintf "sum of Goto densities = %d" (Suites.total_goto_density suite) ] )
+    else
+      ( Suites.initial_arrangement,
+        [ ("Goto", [ Report.Int (goto_reduction suite); Report.Missing; Report.Missing ]) ],
+        [] )
+  in
+  let row gfun =
+    ( Gfun.name gfun,
+      List.map
+        (fun s ->
+          Report.Int
+            (total_reduction c suite ~start ~gfun ~budget:(budget_seconds c.config s)
+               ~strategy:`Figure1 ~column:s))
+        Suites.paper_times )
+  in
+  Report.make ~title
+    ~header:[ "g function"; "6 sec"; "9 sec"; "12 sec" ]
+    ~notes:(notes @ goto_notes @ [ scale_note c.config ])
+    (goto_rows @ List.map row classes)
+
+let build_4_1 c =
+  timed_table c c.gola ~goto_start:false ~classes:(Gfun.catalog ~m:net_count)
+    ~title:"Table 4.1 -- GOLA, Figure 1 strategy, random starts (total density reduction)"
+    ~notes:[ suite_note c.gola "GOLA: all nets two-pin" ]
+
+let make_context ?(config = default_config) () =
+  let gola = Suites.gola () in
+  let nola = Suites.nola () in
+  let tuned =
+    List.filter_map
+      (fun gfun ->
+        if Gfun.uses_temperature gfun then Some (Gfun.name gfun, tune_class config gola gfun)
+        else None)
+      (Gfun.catalog ~m:net_count)
+  in
+  let rec c = { config; gola; nola; tuned; table_4_1 = lazy (build_4_1 c) } in
+  c
+
+let table_4_1 c = Lazy.force c.table_4_1
 
 let table_4_2a c =
-  let suite = c.gola in
-  let rows =
-    timed_rows c suite ~start:Goto_start ~classes:(Gfun.short_catalog ~m:net_count)
-  in
-  Report.make
-    ~title:"Table 4.2(a) -- GOLA, Figure 1, starting from the Goto arrangement (improvement over Goto)"
-    ~header:times_header
-    ~notes:
-      [
-        suite_note suite "GOLA";
-        Printf.sprintf "sum of Goto densities = %d" (Suites.total_goto_density suite);
-        scale_note c.config;
-      ]
-    rows
+  timed_table c c.gola ~goto_start:true ~classes:(Gfun.short_catalog ~m:net_count)
+    ~title:
+      "Table 4.2(a) -- GOLA, Figure 1, starting from the Goto arrangement (improvement over Goto)"
+    ~notes:[ suite_note c.gola "GOLA" ]
 
 let table_4_2b c =
   let suite = c.gola in
@@ -178,7 +144,7 @@ let table_4_2b c =
     List.map
       (fun gfun ->
         let run strategy =
-          total_reduction c suite ~start:Random_start ~gfun ~budget ~strategy
+          total_reduction c suite ~start:Suites.initial_arrangement ~gfun ~budget ~strategy
             ~column:180.
         in
         (Gfun.name gfun, [ Report.Int (run `Figure1); Report.Int (run `Figure2) ]))
@@ -197,37 +163,19 @@ let table_4_2b c =
     rows
 
 let table_4_2c c =
-  let suite = c.nola in
-  let goto_row = ("Goto", [ Report.Int (goto_reduction suite); Report.Missing; Report.Missing ]) in
-  let rows =
-    goto_row :: timed_rows c suite ~start:Random_start ~classes:(Gfun.short_catalog ~m:net_count)
-  in
-  Report.make
+  timed_table c c.nola ~goto_start:false ~classes:(Gfun.short_catalog ~m:net_count)
     ~title:"Table 4.2(c) -- NOLA, Figure 1, random starts (total density reduction)"
-    ~header:times_header
     ~notes:
       [
-        suite_note suite "NOLA: 2-5 pins per net";
+        suite_note c.nola "NOLA: 2-5 pins per net";
         "temperatures reused from the GOLA tuning, as in the paper (section 4.3.1)";
-        scale_note c.config;
       ]
-    rows
 
 let table_4_2d c =
-  let suite = c.nola in
-  let rows =
-    timed_rows c suite ~start:Goto_start ~classes:(Gfun.short_catalog ~m:net_count)
-  in
-  Report.make
-    ~title:"Table 4.2(d) -- NOLA, Figure 1, starting from the Goto arrangement (improvement over Goto)"
-    ~header:times_header
-    ~notes:
-      [
-        suite_note suite "NOLA";
-        Printf.sprintf "sum of Goto densities = %d" (Suites.total_goto_density suite);
-        scale_note c.config;
-      ]
-    rows
+  timed_table c c.nola ~goto_start:true ~classes:(Gfun.short_catalog ~m:net_count)
+    ~title:
+      "Table 4.2(d) -- NOLA, Figure 1, starting from the Goto arrangement (improvement over Goto)"
+    ~notes:[ suite_note c.nola "NOLA" ]
 
 let tuning_table c =
   let rows =

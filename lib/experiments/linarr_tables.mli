@@ -1,9 +1,11 @@
 (** Drivers for the paper's evaluation tables on linear arrangement.
 
-    A [context] bundles the two instance suites and the tuned
-    temperature schedules (the §4.2.1 protocol: grid search per
-    g-function class on the GOLA training set, Figure 1 strategy); the
-    five table functions then regenerate Tables 4.1 and 4.2(a)–(d).
+    A [context] bundles the two instance suites and the tuned base
+    temperatures (the §4.2.1 protocol: grid search per g-function class
+    on the GOLA training set, Figure 1 strategy; {!Gfun.schedule} turns
+    a base into the class's schedule); the five table functions then
+    regenerate Tables 4.1 and 4.2(a)–(d), each cell a
+    {!Suites.total_reduction}.
 
     Budgets follow [Suites.seconds] scaled by [config.scale]; the
     three-minute runs of Table 4.2(b) are additionally scaled by
@@ -43,12 +45,13 @@ val tuned_bases : context -> (string * float) list
 (** (class name, winning base temperature) — for the report. *)
 
 val schedule_of : context -> Gfun.t -> Schedule.t
-(** Tuned schedule of a class (constant 1s for classes without
-    temperatures). *)
+(** [Gfun.schedule] of the class at its tuned base (at base 1. for a
+    class the context did not tune). *)
 
 val table_4_1 : context -> Report.t
 (** GOLA, Figure 1, random starts: total density reduction over the 30
-    instances at 6/9/12 s for Goto + the 21 g-function rows. *)
+    instances at 6/9/12 s for Goto + the 21 g-function rows.  Computed
+    once per context; later calls return the same report. *)
 
 val table_4_2a : context -> Report.t
 (** GOLA, Figure 1, Goto starts: improvement over the Goto

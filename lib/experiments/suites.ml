@@ -26,6 +26,16 @@ let initial_arrangement suite i =
 let goto_arrangement suite i =
   Arrangement.create ~order:(Lazy.force suite.goto_orders).(i) suite.netlists.(i)
 
+let total_reduction ?(start = initial_arrangement) rng suite run =
+  let sum = ref 0 in
+  for i = 0 to Array.length suite.netlists - 1 do
+    let state = start suite i in
+    let initial = Arrangement.density state in
+    let r = run (Rng.split rng) state in
+    sum := !sum + (initial - Arrangement.density r.Mc_problem.best)
+  done;
+  !sum
+
 let total_initial_density suite =
   let sum = ref 0 in
   Array.iteri

@@ -27,6 +27,18 @@ val initial_arrangement : linarr_suite -> int -> Arrangement.t
 val goto_arrangement : linarr_suite -> int -> Arrangement.t
 (** Fresh arrangement for instance [i] at the [GOTO77] start. *)
 
+val total_reduction :
+  ?start:(linarr_suite -> int -> Arrangement.t) ->
+  Rng.t ->
+  linarr_suite ->
+  (Rng.t -> Arrangement.t -> Arrangement.t Mc_problem.run) ->
+  int
+(** [total_reduction rng suite run] is the measure of every linear
+    arrangement table: the sum over the suite's instances, in order, of
+    the starting density minus the density of the best arrangement
+    [run] finds.  Each instance starts at [start suite i] (default
+    {!initial_arrangement}) and runs on its own [Rng.split rng]. *)
+
 val total_initial_density : linarr_suite -> int
 val total_goto_density : linarr_suite -> int
 

@@ -304,3 +304,25 @@ let load_figure1 ~path ~codec ~fingerprint =
   let* best = corrupt (codec.Mc_problem.decode best_json) in
   let* rng = corrupt (Rng.of_state snapshot.Figure1.rng) in
   Ok (snapshot, current, best, rng)
+
+let resume_figure1 ~path ~codec ~cost ~fingerprint =
+  let* ((snapshot, current, best, _) as loaded) =
+    load_figure1 ~path ~codec ~fingerprint
+  in
+  (* A CRC-clean file can still hold states its costs do not describe
+     (a codec bug, a hand edit rewritten through [write]); resuming
+     from one would continue a walk that never happened. *)
+  let priced what state saved =
+    let live = cost state in
+    if Int64.equal (Int64.bits_of_float live) (Int64.bits_of_float saved) then Ok ()
+    else
+      Error
+        (Corrupt
+           (Printf.sprintf
+              "checkpoint %s: decoded %s cost %h does not match the snapshot's \
+               %h — refusing to resume"
+              path what live saved))
+  in
+  let* () = priced "state's" current snapshot.Figure1.current_cost in
+  let* () = priced "best state's" best snapshot.Figure1.best_cost in
+  Ok loaded

@@ -85,3 +85,15 @@ val load_figure1 :
     for a clean checkpoint from another run configuration, {!Corrupt}
     for everything else — so callers count them structurally instead of
     parsing message text. *)
+
+val resume_figure1 :
+  path:string ->
+  codec:'state Mc_problem.codec ->
+  cost:('state -> float) ->
+  fingerprint:Obs.Json.t ->
+  (Figure1.snapshot * 'state * 'state * Rng.t, load_error) result
+(** {!load_figure1}, then check that the decoded current and best
+    states re-price under [cost] to the snapshot's [current_cost] and
+    [best_cost] bit for bit; a state that does not is {!Corrupt}.
+    Every resume goes through here.  Pass the problem's own [cost],
+    not a fault-injecting wrapper's. *)

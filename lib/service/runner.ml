@@ -6,12 +6,12 @@
    (atomic, CRC-guarded, fingerprinted with the spec), so at any
    instant the newest readable snapshot is a valid resume point.  On
    entry the runner scans the job's snapshots newest-first and resumes
-   from the first clean one — corrupt files (torn by a crash) and
-   stale ones (written under a different spec) are skipped and
-   counted, never trusted.  Because a resumed walk replays the exact
-   trajectory of its uninterrupted twin, the final report is
-   byte-identical either way; the kill-and-restart tests assert
-   exactly that.
+   from the first clean one — corrupt files (torn by a crash, or
+   holding states that do not re-price to their saved costs) and stale
+   ones (written under a different spec) are skipped and counted, never
+   trusted.  Because a resumed walk replays the exact trajectory of its
+   uninterrupted twin, the final report is byte-identical either way;
+   the kill-and-restart tests assert exactly that.
 
    Attempts are supervised: a job whose problem misbehaves (the chaos
    matrix: NaN costs, raising operations) aborts, is retried with
@@ -39,15 +39,7 @@ type report = {
   corrupt : int;
 }
 
-(* Temperature classes get a geometric ladder from the base
-   temperature, temperature-free classes a constant schedule their
-   [eval] ignores. *)
-let schedule_for gfun base =
-  if Gfun.uses_temperature gfun then
-    match Gfun.k gfun with
-    | 1 -> Schedule.of_array [| base |]
-    | k -> Schedule.geometric ~y1:base ~ratio:0.9 ~k
-  else Schedule.constant ~k:(Gfun.k gfun) 1.
+let schedule_for = Gfun.schedule
 
 (* Everything mode-independent a problem kind provides: the adapter
    module, its checkpoint codec, the deterministic instance-and-state
@@ -220,7 +212,7 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
     | Some g -> g
     | None -> failwith (Printf.sprintf "unknown gfun %S" spec.gfun)
   in
-  let schedule = schedule_for gfun spec.y in
+  let schedule = Gfun.schedule gfun spec.y in
   let fingerprint = Job_spec.fingerprint spec in
   (* Newest snapshot that loads cleanly wins; everything skipped on
      the way down is classified for the health counters. *)
@@ -229,7 +221,8 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
       | [] -> None
       | path :: rest -> (
           match
-            Checkpoint.load_figure1 ~path ~codec:inst.codec ~fingerprint
+            Checkpoint.resume_figure1 ~path ~codec:inst.codec ~cost:P.cost
+              ~fingerprint
           with
           | Ok r ->
               tally.resumed <- true;
@@ -300,7 +293,7 @@ let run_race ~observer ~stop (spec : Job_spec.t) (Pack inst) =
            Portfolio.Job.figure1
              (module P)
              ?delta_ops:inst.delta_ops ~label:(Gfun.name gfun) ~gfun
-             ~schedule:(schedule_for gfun spec.y) ~make_state ())
+             ~schedule:(Gfun.schedule gfun spec.y) ~make_state ())
   in
   let rng = Rng.create ~seed:spec.seed in
   let initial_budget = Budget.Evaluations (max 1 (spec.budget / 8)) in

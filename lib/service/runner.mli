@@ -27,14 +27,13 @@ type report = {
   attempts : int;  (** supervisor attempts consumed (1 = no retry) *)
   resumed : bool;  (** some attempt started from a snapshot *)
   stale : int;  (** snapshots skipped: fingerprint mismatch *)
-  corrupt : int;  (** snapshots skipped: CRC/JSON/decode failure *)
+  corrupt : int;
+      (** snapshots skipped: CRC/JSON/decode failure, or states that do
+          not re-price to the snapshot's costs *)
 }
 
 val schedule_for : Gfun.t -> float -> Schedule.t
-(** The g-class → schedule policy shared by the CLI, the daemon and
-    the benches: a geometric ladder (ratio 0.9) from the base
-    temperature for temperature-using classes, a constant placeholder
-    otherwise. *)
+(** {!Gfun.schedule}, under the name the ledger workloads call. *)
 
 val result_to_json :
   spec:Job_spec.t -> 'a Mc_problem.run -> Obs.Json.t -> Obs.Json.t

@@ -82,6 +82,12 @@ let cases =
     ("bad-supervise-y", [ "supervise"; "nola15.net"; "-y"; "0" ], []);
     ("bad-supervise-runs", [ "supervise"; "nola15.net"; "-n"; "100"; "--runs=-1" ], []);
     ("bad-tsp-cities", [ "tsp"; "--cities"; "2" ], []);
+    (* tables: a selection in the order given, CSV under another seed,
+       the agreement table, and an unknown id (a usage error) *)
+    ("tables-tuned", [ "tables"; "--scale"; "0.01"; "tuning"; "4.1"; "4.2b" ], []);
+    ("tables-csv", [ "tables"; "--scale"; "0.01"; "--seed"; "7"; "--csv"; "E4"; "A2"; "A8" ], []);
+    ("tables-agreement", [ "tables"; "--scale"; "0.01"; "agreement" ], []);
+    ("tables-unknown-id", [ "tables"; "--scale"; "0.01"; "4.3" ], []);
   ]
 
 (* The one documented substitution: wall-clock values become <wall>. *)

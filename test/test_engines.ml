@@ -364,7 +364,6 @@ let test_tuner_picks_better_candidate () =
   let run () =
     Line_tuner.grid_search (Rng.create ~seed:22) ~gfun:Gfun.metropolis
       ~candidates:[ 0.01; 2. ]
-      ~shape:(fun base -> Schedule.of_array [| base |])
       ~budget:(Budget.Evaluations 300) ~instances
   in
   let o = run () in
@@ -381,11 +380,9 @@ let test_tuner_empty_args () =
   in
   invalid (fun () ->
       Line_tuner.grid_search (Rng.create ~seed:1) ~gfun:Gfun.metropolis ~candidates:[]
-        ~shape:(fun b -> Schedule.of_array [| b |])
         ~budget:(Budget.Evaluations 1) ~instances:[ (fun () -> { Line.x = 0; cost_fn = vee }) ]);
   invalid (fun () ->
       Line_tuner.grid_search (Rng.create ~seed:1) ~gfun:Gfun.metropolis ~candidates:[ 1. ]
-        ~shape:(fun b -> Schedule.of_array [| b |])
         ~budget:(Budget.Evaluations 1) ~instances:[])
 
 (* -------------------------- Move contract ------------------------ *)

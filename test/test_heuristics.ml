@@ -293,16 +293,54 @@ let test_exact_matches_exhaustive_density () =
     Alcotest.check Alcotest.int "matches exhaustive" !best exact
   done
 
+module Fig1 = Figure1.Make (Linarr_problem.Swap)
+module Fig2 = Figure2.Make (Linarr_problem.Swap)
+module Rless = Rejectionless.Make (Linarr_problem.Swap)
+
+(* Every engine, on the recompute path and on [Swap.delta_ops], ends at
+   or above the exact optimum, and the best cost it reports is the
+   density of the best arrangement it returns, recomputed from its
+   order. *)
+let check_engines_against_exact label nl exact =
+  let gfun = Gfun.six_temp_annealing in
+  let schedule = Gfun.schedule gfun 1. and budget = Budget.Evaluations 2_000 in
+  let check name (r : Arrangement.t Mc_problem.run) =
+    let what = Printf.sprintf "%s, %s" label name in
+    Alcotest.check Alcotest.bool (what ^ " >= optimum") true
+      (r.Mc_problem.best_cost >= float_of_int exact);
+    Alcotest.check (Alcotest.float 0.) (what ^ ": best_cost is the best's density")
+      (float_of_int (Arrangement.density_of_order nl (Arrangement.order r.Mc_problem.best)))
+      r.Mc_problem.best_cost
+  in
+  List.iter
+    (fun (path, delta_ops) ->
+      let start () = Arrangement.random (Rng.create ~seed:1) nl in
+      let rng () = Rng.create ~seed:2 in
+      check ("figure1 " ^ path)
+        (Fig1.run ?delta_ops (rng ()) (Fig1.params ~gfun ~schedule ~budget ()) (start ()));
+      check ("figure2 " ^ path)
+        (Fig2.run ?delta_ops (rng ()) (Fig2.params ~gfun ~schedule ~budget ()) (start ()));
+      check ("rejectionless " ^ path)
+        (Rless.run ?delta_ops (rng ()) (Rless.params ~gfun ~schedule ~budget) (start ())))
+    [ ("recompute", None); ("delta", Some Linarr_problem.Swap.delta_ops) ]
+
 let test_no_heuristic_beats_exact () =
   let rng = Rng.create ~seed:52 in
-  for _ = 1 to 5 do
+  for i = 1 to 5 do
     let nl = Netlist.random_nola (Rng.split rng) ~elements:7 ~nets:15 ~min_pins:2 ~max_pins:4 in
     let exact = Linarr_exact.optimal_density nl in
     Alcotest.check Alcotest.bool "Goto >= optimum" true (Goto.density nl >= exact);
     let arr = Arrangement.random (Rng.split rng) nl in
     let r = Local_search.pairwise_descent arr in
     Alcotest.check Alcotest.bool "descent >= optimum" true
-      (r.Local_search.final_density >= exact)
+      (r.Local_search.final_density >= exact);
+    check_engines_against_exact (Printf.sprintf "NOLA %d" i) nl exact
+  done;
+  let rng = Rng.create ~seed:53 in
+  for i = 1 to 5 do
+    let nl = Netlist.random_gola (Rng.split rng) ~elements:8 ~nets:20 in
+    check_engines_against_exact (Printf.sprintf "GOLA %d" i) nl
+      (Linarr_exact.optimal_density nl)
   done
 
 let prop_goto_never_worse_than_worst =

@@ -152,7 +152,6 @@ let test_tuner_on_tsp () =
   let outcome =
     Tsp_tuner.grid_search (Rng.create ~seed:11) ~gfun:Gfun.metropolis
       ~candidates:[ 0.001; 0.05; 1. ]
-      ~shape:(fun base -> Schedule.of_array [| base |])
       ~budget:(Budget.Evaluations 1500)
       ~instances:[ (fun () -> Tour.random (Rng.create ~seed:12) inst) ]
   in

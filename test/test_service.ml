@@ -449,6 +449,61 @@ let test_stale_snapshot_classified () =
   | Obs.Json.Int n -> Alcotest.check Alcotest.bool "staleness counted" true (n >= 1)
   | _ -> Alcotest.fail "stale_snapshots is not an int"
 
+(* A CRC-clean snapshot whose costs do not describe its states is
+   corrupt too: the job's only snapshot, re-written through
+   [Checkpoint.write] with one bit of [current_cost] flipped, must be
+   counted and skipped, and the restarted job must report the bytes of
+   the uninterrupted run. *)
+let test_mispriced_snapshot_restarts () =
+  let spec =
+    match Job_spec.parse ~max_budget:10_000_000 (tsp_spec ~budget:20_000 ~seed:3 ()) with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let run ~dir ~stop =
+    Runner.run ~dir ~id:1 ~checkpoint_every:4_000 ~max_attempts:1 ~base_delay:0.001
+      ~stop spec
+  in
+  let result (r : Runner.report) =
+    match r.Runner.status with
+    | Runner.Done j -> Obs.Json.to_string j
+    | Runner.Halted | Runner.Failed _ -> Alcotest.fail "job did not complete"
+  in
+  let reference = result (run ~dir:(tmp ()) ~stop:(fun () -> false)) in
+  let dir = tmp () in
+  (match (run ~dir ~stop:(fun () -> true)).Runner.status with
+  | Runner.Halted -> ()
+  | Runner.Done _ | Runner.Failed _ -> Alcotest.fail "job did not halt");
+  let path =
+    match Store.snapshots ~dir 1 with
+    | [ path ] -> path
+    | _ -> Alcotest.fail "expected exactly one snapshot"
+  in
+  let update name f = function
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj (List.map (fun (k, v) -> if k = name then (k, f v) else (k, v)) fields)
+    | _ -> Alcotest.failf "no object holding %S" name
+  in
+  let flip_bit = function
+    | Obs.Json.String hex -> (
+        match Checkpoint.float_of_hex hex with
+        | Ok x ->
+            Obs.Json.String
+              (Checkpoint.hex_of_float
+                 (Int64.float_of_bits (Int64.logxor 1L (Int64.bits_of_float x))))
+        | Error e -> Alcotest.fail e)
+    | _ -> Alcotest.fail "current_cost is not a hex string"
+  in
+  (match Checkpoint.read ~path with
+  | Ok payload ->
+      Checkpoint.write ~path (update "snapshot" (update "current_cost" flip_bit) payload)
+  | Error e -> Alcotest.fail e);
+  let r = run ~dir ~stop:(fun () -> false) in
+  Alcotest.check Alcotest.bool "not resumed" false r.Runner.resumed;
+  Alcotest.check Alcotest.int "counted corrupt" 1 r.Runner.corrupt;
+  Alcotest.check Alcotest.string "restart matches the uninterrupted run" reference
+    (result r)
+
 let test_events_stream_terminal () =
   let dir = tmp () in
   with_service (config ~dir ~runners:1 ()) (fun svc ->
@@ -543,6 +598,8 @@ let suite =
       test_corrupt_snapshot_falls_back;
     case "stale snapshot is classified, not resumed"
       test_stale_snapshot_classified;
+    case "snapshot whose cost does not re-price is corrupt"
+      test_mispriced_snapshot_restarts;
     case "terminal event stream is complete JSONL" test_events_stream_terminal;
     case "chaos: every transient fault retries to done"
       test_chaos_transient_recovers;
