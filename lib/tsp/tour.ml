@@ -6,6 +6,7 @@ let undo_depth = 64
 
 type t = {
   inst : Tsp_instance.t;
+  pts : Tsp_instance.view; (* the instance's coordinates, read by [dist] *)
   order : int array;
   mutable len : float;
   undo : float array;
@@ -18,17 +19,21 @@ let size t = Array.length t.order
 let city_at t p = t.order.(((p mod size t) + size t) mod size t)
 let order t = Array.copy t.order
 let length t = t.len
-let dist t a b = Tsp_instance.distance t.inst a b
+(* [Tsp_instance.distance]'s formula, computed here: a call into
+   another module cannot be inlined and returns a boxed float. *)
+let[@inline] dist (pts : Tsp_instance.view) a b =
+  let dx = pts.xs.(a) -. pts.xs.(b) and dy = pts.ys.(a) -. pts.ys.(b) in
+  sqrt ((dx *. dx) +. (dy *. dy))
 
-let compute_length inst order =
+let compute_length pts order =
   let n = Array.length order in
   let total = ref 0. in
   for p = 0 to n - 1 do
-    total := !total +. Tsp_instance.distance inst order.(p) order.((p + 1) mod n)
+    total := !total +. dist pts order.(p) order.((p + 1) mod n)
   done;
   !total
 
-let recompute_length t = compute_length t.inst t.order
+let recompute_length t = compute_length t.pts t.order
 
 let is_permutation n a =
   Array.length a = n
@@ -45,11 +50,12 @@ let is_permutation n a =
 let of_order inst o =
   if not (is_permutation (Tsp_instance.size inst) o) then
     invalid_arg "Tour.of_order: not a permutation of the cities";
-  let order = Array.copy o in
+  let order = Array.copy o and pts = Tsp_instance.view inst in
   {
     inst;
+    pts;
     order;
-    len = compute_length inst order;
+    len = compute_length pts order;
     undo = Array.make undo_depth 0.;
     undo_top = 0;
     undo_used = 0;
@@ -87,7 +93,8 @@ let two_opt_delta t i j =
     and b = t.order.(i)
     and c = t.order.(j)
     and d = t.order.((j + 1) mod n) in
-    dist t a c +. dist t b d -. dist t a b -. dist t c d
+    let pts = t.pts in
+    dist pts a c +. dist pts b d -. dist pts a b -. dist pts c d
 
 let reverse_segment t i j =
   let lo = ref i and hi = ref j in
@@ -110,10 +117,11 @@ let two_opt_undo t i j =
   (* The reversal is its own inverse; the length is restored from the
      saved value rather than recomputed, because fl(fl(len + d) - d)
      generally differs from len in the last bits. *)
-  let saved = pop_len t in
-  let delta = two_opt_delta t i j in
+  let len =
+    match pop_len t with Some len -> len | None -> t.len +. two_opt_delta t i j
+  in
   reverse_segment t i j;
-  t.len <- (match saved with Some len -> len | None -> t.len +. delta)
+  t.len <- len
 
 let restore t ~order ~len =
   if Array.length order <> size t then
@@ -138,7 +146,9 @@ let or_opt_delta t ~seg ~len ~dest =
   and d = t.order.((seg + len) mod n)
   and e = t.order.(dest)
   and f = t.order.((dest + 1) mod n) in
-  dist t a d +. dist t e b +. dist t c f -. dist t a b -. dist t c d -. dist t e f
+  let pts = t.pts in
+  dist pts a d +. dist pts e b +. dist pts c f -. dist pts a b -. dist pts c d
+  -. dist pts e f
 
 let or_opt t ~seg ~len ~dest =
   let delta = or_opt_delta t ~seg ~len ~dest in

@@ -4,7 +4,13 @@
     the visiting order and wrap around.  The length is maintained
     incrementally: a 2-opt move (reversing a contiguous segment)
     changes only two edges, so applying it is O(segment) for the
-    reversal and O(1) for the length. *)
+    reversal and O(1) for the length.
+
+    Cost model: a tour borrows its instance's coordinate arrays
+    ({!Tsp_instance.view}) and computes each distance in place, with
+    [Tsp_instance.distance]'s formula and bits.  A 2-opt delta reads
+    four distances (sixteen coordinate loads and four square roots),
+    an Or-opt delta six, and a from-scratch length n. *)
 
 type t
 

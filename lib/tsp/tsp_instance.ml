@@ -1,27 +1,23 @@
-type t = {
+type view = {
   xs : float array;
   ys : float array;
-  dist : float array; (* row-major n*n matrix *)
 }
 
+type t = view
+
+let view t = t
 let size t = Array.length t.xs
 let coord t i = (t.xs.(i), t.ys.(i))
-let distance t i j = t.dist.((i * Array.length t.xs) + j)
+
+(* [xs.(i) -. xs.(j)] is exactly [-.(xs.(j) -. xs.(i))] and the squares
+   agree, so both argument orders return the same bits. *)
+let distance t i j =
+  let dx = t.xs.(i) -. t.xs.(j) and dy = t.ys.(i) -. t.ys.(j) in
+  sqrt ((dx *. dx) +. (dy *. dy))
 
 let create points =
-  let n = Array.length points in
-  if n < 3 then invalid_arg "Tsp_instance.create: need at least 3 cities";
-  let xs = Array.map fst points and ys = Array.map snd points in
-  let dist = Array.make (n * n) 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
-      let d = sqrt ((dx *. dx) +. (dy *. dy)) in
-      dist.((i * n) + j) <- d;
-      dist.((j * n) + i) <- d
-    done
-  done;
-  { xs; ys; dist }
+  if Array.length points < 3 then invalid_arg "Tsp_instance.create: need at least 3 cities";
+  { xs = Array.map fst points; ys = Array.map snd points }
 
 let random_uniform rng ~n =
   if n < 3 then invalid_arg "Tsp_instance.random_uniform: n < 3";

@@ -1,8 +1,9 @@
 (** Euclidean travelling-salesperson instances.
 
     Cities are points in the plane; the cost of travelling between two
-    cities is their Euclidean distance.  Distances are precomputed into
-    a matrix so tour-length deltas are O(1) lookups. *)
+    cities is their Euclidean distance.  An instance holds its
+    coordinates only — O(n) memory — and every distance is computed
+    where it is used. *)
 
 type t
 
@@ -24,4 +25,18 @@ val size : t -> int
 val coord : t -> int -> float * float
 
 val distance : t -> int -> int -> float
-(** O(1) matrix lookup. *)
+(** [sqrt (dx *. dx +. dy *. dy)] with [dx = x_i -. x_j] and
+    [dy = y_i -. y_j]: symmetric bit for bit, and [0.] for [i = j]
+    when the coordinates are finite. *)
+
+type view = private {
+  xs : float array;
+  ys : float array;
+}
+
+val view : t -> view
+(** The instance's own coordinate arrays, borrowed without a copy, so a
+    kernel in another module can compute distances inline — a call to
+    [distance] from outside this module returns a boxed float.  The
+    arrays are shared by every holder of the instance and must never be
+    written. *)

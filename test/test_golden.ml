@@ -196,6 +196,53 @@ let relocate_runs =
       "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=a5a29d716a0c7c8b722e2e7bedafd579";
   ]
 
+(* The ledger's TSP size: Figure 1 on a 1000-city tour, both evaluator
+   paths, and the report of a full 21-class race on the same instance.
+   These pin the 2-opt pricing bit for bit where the ledger times it. *)
+module Tsp_f1 = Figure1.Make (Tsp_problem)
+
+let tsp1000 () = Tsp_instance.random_uniform (Rng.create ~seed:1000) ~n:1000
+
+let tsp1000_figure1 ~fast observer =
+  let rng = Rng.create ~seed:21 in
+  let tour = Tour.random rng (tsp1000 ()) in
+  let delta_ops = if fast then Some Tsp_problem.delta_ops else None in
+  Tsp_f1.run ~observer ?delta_ops rng
+    (Tsp_f1.params ~gfun ~schedule:(Schedule.geometric ~y1:0.2 ~ratio:0.6 ~k:6)
+       ~budget:(Budget.Evaluations 20_000) ())
+    tour
+
+let tsp1000_race () =
+  let inst = tsp1000 () in
+  let jobs =
+    List.map
+      (fun g ->
+        Portfolio.Job.figure1
+          (module Tsp_problem)
+          ~delta_ops:Tsp_problem.delta_ops ~label:(Gfun.name g) ~gfun:g
+          ~schedule:(Gfun.schedule g 1.0)
+          ~make_state:(fun rng -> Tour.random rng inst)
+          ())
+      (Gfun.catalog ~m:1)
+  in
+  let report =
+    Portfolio.race ~domains:1 (Rng.create ~seed:22)
+      ~initial_budget:(Budget.Evaluations 500) jobs
+  in
+  Printf.sprintf "evals=%d report=%s" report.Portfolio.total_evaluations
+    (Digest.to_hex (Digest.string (Obs.Json.to_string (Portfolio.report_to_json report))))
+
+let tsp1000_runs =
+  [
+    ( "tsp1000/figure1/recompute",
+      (fun () -> fingerprint (tsp1000_figure1 ~fast:false)),
+      "best=4062deb50bf92145 final=4062df588622def3 evals=20000 imp=2812 lat=0 up=1386 rej=15802 temps=6 desc=0 events=a2aab01e9b6242e131f9ad13a251c630" );
+    ( "tsp1000/figure1/delta",
+      (fun () -> fingerprint (tsp1000_figure1 ~fast:true)),
+      "best=4062deb50bf92145 final=4062df588622def3 evals=20000 imp=2812 lat=0 up=1386 rej=15802 temps=6 desc=0 events=98ac0250006bb9c8b9c6da31c0784891" );
+    ("tsp1000/race", tsp1000_race, "evals=61500 report=29e85b29b06bd4e93cf3994151343b4c");
+  ]
+
 let pinned_case (name, run, expected) =
   case ("pinned run: " ^ name) (fun () ->
       Alcotest.check Alcotest.string name expected (run ()))
@@ -247,4 +294,4 @@ let suite =
     case "cross-substrate replay identical" test_cross_substrate_replay;
     case "suite totals locked (EXPERIMENTS.md constants)" test_suite_totals_locked;
   ]
-  @ List.map pinned_case (pinned_runs @ relocate_runs)
+  @ List.map pinned_case (pinned_runs @ relocate_runs @ tsp1000_runs)

@@ -242,6 +242,16 @@ let test_bad_specs () =
           ("cities out of range", {|{"problem":"tsp","cities":2,"budget":10}|});
         ])
 
+(* The largest TSP job admission accepts.  An instance holds its
+   coordinates only, so the job needs O(cities) memory. *)
+let test_largest_tsp_job_completes () =
+  let dir = tmp () in
+  with_service (config ~dir ~runners:1 ()) (fun svc ->
+      check_status "submit" 202
+        (submit svc
+           {|{"problem":"tsp","cities":20000,"budget":5000,"seed":3,"gfun":"Metropolis"}|});
+      await_done svc 1)
+
 (* ----------------------------- cancel ---------------------------- *)
 
 let test_delete_queued () =
@@ -586,6 +596,7 @@ let suite =
     case "full queue gets 503 with the depth" test_queue_full;
     case "routing: 404s, and 405s carry Allow" test_routing;
     case "malformed specs are admission-time 400s" test_bad_specs;
+    case "a 20 000-city TSP job runs to done" test_largest_tsp_job_completes;
     case "DELETE cancels a queued job durably" test_delete_queued;
     case "DELETE stops a running job at a checkpoint" test_delete_running;
     case "DELETE reaps a re-queued interrupted job before cancelling"

@@ -14,6 +14,71 @@ let test_instance_distances () =
   checkf 1e-9 "symmetric" (Tsp_instance.distance inst 1 3) (Tsp_instance.distance inst 3 1);
   checkf 1e-9 "self zero" 0. (Tsp_instance.distance inst 2 2)
 
+let bits = Int64.bits_of_float
+
+(* Uniform cities, and clustered ones whose Gaussian spread pushes some
+   coordinates below zero. *)
+let bit_instances () =
+  let rng = Rng.create ~seed:17 in
+  let clustered = Tsp_instance.random_clustered rng ~n:60 ~clusters:3 ~spread:0.3 in
+  let negative = ref false in
+  for i = 0 to 59 do
+    let x, y = Tsp_instance.coord clustered i in
+    if x < 0. || y < 0. then negative := true
+  done;
+  Alcotest.check Alcotest.bool "clustered instance has negative coordinates" true !negative;
+  [ ("uniform", Tsp_instance.random_uniform rng ~n:60); ("clustered", clustered) ]
+
+let test_distance_bits () =
+  List.iter
+    (fun (name, inst) ->
+      let n = Tsp_instance.size inst in
+      for i = 0 to n - 1 do
+        Alcotest.check Alcotest.int64 (name ^ ": self distance is 0.") (bits 0.)
+          (bits (Tsp_instance.distance inst i i));
+        for j = 0 to n - 1 do
+          if bits (Tsp_instance.distance inst i j) <> bits (Tsp_instance.distance inst j i)
+          then Alcotest.failf "%s: distance %d %d and %d %d differ in bits" name i j j i
+        done
+      done)
+    (bit_instances ())
+
+(* [Tour] computes distances itself; its length and 2-opt deltas must be
+   the instance's distances summed in the same order, bit for bit. *)
+let test_tour_prices_with_instance_distances () =
+  List.iter
+    (fun (name, inst) ->
+      let d = Tsp_instance.distance inst in
+      let rng = Rng.create ~seed:18 in
+      let t = Tour.random rng inst in
+      let n = Tour.size t in
+      let sum = ref 0. in
+      for p = 0 to n - 1 do
+        sum := !sum +. d (Tour.city_at t p) (Tour.city_at t (p + 1))
+      done;
+      Alcotest.check Alcotest.int64 (name ^ ": length") (bits !sum) (bits (Tour.length t));
+      for _ = 1 to 200 do
+        let a, b = Rng.pair_distinct rng n in
+        let i = min a b and j = max a b in
+        if not (i = 0 && j = n - 1) then begin
+          let a = Tour.city_at t (i - 1) and b = Tour.city_at t i
+          and c = Tour.city_at t j and e = Tour.city_at t (j + 1) in
+          Alcotest.check Alcotest.int64 (name ^ ": 2-opt delta")
+            (bits (d a c +. d b e -. d a b -. d c e))
+            (bits (Tour.two_opt_delta t i j))
+        end
+      done)
+    (bit_instances ())
+
+(* Coordinates only: two float arrays of n words plus headers. *)
+let test_instance_memory_linear () =
+  let n = 2000 in
+  let inst = Tsp_instance.random_uniform (Rng.create ~seed:19) ~n in
+  let words = Obj.reachable_words (Obj.repr inst) in
+  if words > (4 * n) + 64 then
+    Alcotest.failf "a %d-city instance reaches %d words, over 4n + 64 = %d" n words
+      ((4 * n) + 64)
+
 let test_instance_validation () =
   match Tsp_instance.create [| (0., 0.); (1., 1.) |] with
   | exception Invalid_argument _ -> ()
@@ -289,6 +354,9 @@ let prop_two_opt_keeps_permutation =
 let suite =
   [
     case "instance distances" test_instance_distances;
+    case "distances symmetric bit for bit" test_distance_bits;
+    case "tour prices with the instance's distances" test_tour_prices_with_instance_distances;
+    case "instance memory is O(n)" test_instance_memory_linear;
     case "instance validation" test_instance_validation;
     case "random instances" test_random_instances;
     case "tour identity length" test_tour_identity_length;
