@@ -17,25 +17,26 @@ type t = {
   mutable sum_cuts : int;
   net_lo : int array;
   net_hi : int array;
-  (* scratch for de-duplicating nets touched by a move *)
-  net_mark : int array;
+  (* Trial scratch (see the move kernel below), allocated by a state's
+     first trial ([alloc_scratch]) and never copied, so a snapshot holds
+     only the arrays above.  [net_mark] / [touched] de-duplicate the
+     nets a move touches.  A trial records, without committing, the
+     boundaries whose cut would change ([diff_pos] / [diff], sparse) and
+     the new span of every touched net ([pend_lo] / [pend_hi], indexed
+     like [touched]).  A commit of the same move replays the recording
+     and leaves the inverse move's trial in its place; any other
+     mutation invalidates it via [pend_kind]. *)
+  mutable net_mark : int array; (* length n_nets *)
   mutable mark : int;
-  touched : int array; (* capacity n_nets *)
+  mutable touched : int array; (* capacity n_nets *)
   mutable n_touched : int;
-  (* Trial scratch (see the move kernel below).  A trial records,
-     without committing, the boundaries whose cut would change
-     ([diff_pos] / [diff], sparse) and the new span of every touched net
-     ([pend_lo] / [pend_hi], indexed like [touched]).  A commit of the
-     same move replays the recording and leaves the inverse move's
-     trial in its place; any other mutation invalidates it via
-     [pend_kind]. *)
-  window : int array; (* length n; difference array, zero outside a trial *)
-  diff_pos : int array; (* length max 0 (n-1) *)
-  diff : int array; (* cut change at diff_pos.(k), never 0 *)
+  mutable window : int array; (* length n; difference array, zero outside a trial *)
+  mutable diff_pos : int array; (* length max 0 (n-1) *)
+  mutable diff : int array; (* cut change at diff_pos.(k), never 0 *)
   mutable n_diff : int;
-  removed : int array; (* length n_nets + 1; zeroed between trials *)
-  pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
-  pend_hi : int array;
+  mutable removed : int array; (* length n_nets + 1; zeroed between trials *)
+  mutable pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
+  mutable pend_hi : int array;
   mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate *)
   mutable pend_a : int; (* swap: min position; relocate: from_pos *)
   mutable pend_b : int; (* swap: max position; relocate: to_pos *)
@@ -134,17 +135,17 @@ let create ?order netlist =
       sum_cuts = 0;
       net_lo = Array.make m 0;
       net_hi = Array.make m 0;
-      net_mark = Array.make m 0;
+      net_mark = [||];
       mark = 0;
-      touched = Array.make m 0;
+      touched = [||];
       n_touched = 0;
-      window = Array.make n 0;
-      diff_pos = Array.make (max 0 (n - 1)) 0;
-      diff = Array.make (max 0 (n - 1)) 0;
+      window = [||];
+      diff_pos = [||];
+      diff = [||];
       n_diff = 0;
-      removed = Array.make (m + 1) 0;
-      pend_lo = Array.make m 0;
-      pend_hi = Array.make m 0;
+      removed = [||];
+      pend_lo = [||];
+      pend_hi = [||];
       pend_kind = 0;
       pend_a = 0;
       pend_b = 0;
@@ -167,15 +168,28 @@ let copy t =
     cut_count = Array.copy t.cut_count;
     net_lo = Array.copy t.net_lo;
     net_hi = Array.copy t.net_hi;
-    net_mark = Array.copy t.net_mark;
-    touched = Array.copy t.touched;
-    window = Array.copy t.window;
-    diff_pos = Array.copy t.diff_pos;
-    diff = Array.copy t.diff;
-    removed = Array.copy t.removed;
-    pend_lo = Array.copy t.pend_lo;
-    pend_hi = Array.copy t.pend_hi;
+    net_mark = [||];
+    touched = [||];
+    window = [||];
+    diff_pos = [||];
+    diff = [||];
+    removed = [||];
+    pend_lo = [||];
+    pend_hi = [||];
+    pend_kind = 0;
   }
+
+let alloc_scratch t =
+  let n = size t and m = Netlist.n_nets t.netlist in
+  t.net_mark <- Array.make m 0;
+  t.mark <- 0;
+  t.touched <- Array.make m 0;
+  t.window <- Array.make n 0;
+  t.diff_pos <- Array.make (max 0 (n - 1)) 0;
+  t.diff <- Array.make (max 0 (n - 1)) 0;
+  t.removed <- Array.make (m + 1) 0;
+  t.pend_lo <- Array.make m 0;
+  t.pend_hi <- Array.make m 0
 
 let[@inline] push t j =
   t.touched.(t.n_touched) <- j;
@@ -410,15 +424,23 @@ let check_positions name t p q =
     invalid_arg ("Arrangement." ^ name ^ ": position out of range")
 
 (* Make a move's trial the pending one, pricing it unless it already
-   is.  A swap is recorded with its smaller position first. *)
+   is.  A swap is recorded with its smaller position first.  A trial
+   needs two distinct positions, so [n >= 2] and an empty [window]
+   means the scratch is not allocated yet. *)
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
 
 let trial_swap t p q =
   let p = min p q and q = max p q in
-  if not (pending t 1 p q) then price_swap t p q
+  if not (pending t 1 p q) then begin
+    if Array.length t.window = 0 then alloc_scratch t;
+    price_swap t p q
+  end
 
 let trial_relocate t ~from_pos ~to_pos =
-  if not (pending t 2 from_pos to_pos) then price_relocate t ~from_pos ~to_pos
+  if not (pending t 2 from_pos to_pos) then begin
+    if Array.length t.window = 0 then alloc_scratch t;
+    price_relocate t ~from_pos ~to_pos
+  end
 
 let swap_positions t p q =
   check_positions "swap_positions" t p q;

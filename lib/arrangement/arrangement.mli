@@ -32,7 +32,11 @@ val random : Rng.t -> Netlist.t -> t
     random linear arrangement"). *)
 
 val copy : t -> t
-(** Deep copy; the copy evolves independently. *)
+(** Deep copy of the arrangement, its cuts and its net spans; the copy
+    evolves independently.  The trial scratch is not copied: a state
+    allocates it on its first trial (a copy or a fresh [create]
+    alike), so a snapshot that is never moved holds O(n + nets)
+    words. *)
 
 val netlist : t -> Netlist.t
 val size : t -> int
@@ -98,8 +102,8 @@ val set_order : t -> int array -> unit
     (the same swap, or the relocate from [to_pos] back to [from_pos]),
     so undoing a move costs no pricing.  Any other mutation clears it:
     [set_order], or a move that is not pending, which prices its own
-    trial first.  Pricing another move replaces it; [copy] carries
-    it. *)
+    trial first.  Pricing another move replaces it; [copy] drops it,
+    so the copy prices its first move afresh. *)
 
 val swap_delta : t -> int -> int -> int * int
 (** [swap_delta t p q] — would-be [(density, sum_of_cuts)] change of

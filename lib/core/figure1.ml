@@ -116,6 +116,7 @@ module Make (P : Mc_problem.S) = struct
       | None -> ()
       | Some f ->
           last_ckpt := Budget.ticks clock;
+          let best, best_cost = S.best b in
           f
             {
               ticks = Budget.ticks clock;
@@ -125,14 +126,14 @@ module Make (P : Mc_problem.S) = struct
               defer_run = !defer_run;
               initial_cost = s0.initial_cost;
               current_cost = b.hi;
-              best_cost = b.best_cost;
+              best_cost;
               improving = b.improving;
               lateral_accepted = b.lateral;
               uphill_accepted = b.uphill;
               rejected = b.rejected;
               rng = Rng.to_state rng;
             }
-            ~current:state ~best:b.best
+            ~current:state ~best
     in
     (* Loop-top is the one point where no move is half-applied and the
        counters are mutually consistent; the [last_ckpt] guard keeps a
@@ -220,8 +221,7 @@ module Make (P : Mc_problem.S) = struct
         let m = ev.propose rng in
         let hj = ev.price m in
         if decide hj then begin
-          ev.keep m;
-          S.accept b hj;
+          S.accept b ev m hj;
           counter := 0;
           incr accepted_at_temp;
           S.note_best b

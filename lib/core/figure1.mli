@@ -64,7 +64,9 @@ module Make (P : Mc_problem.S) : sig
       ([reason] is that exception).  The walk's state is restored (a
       half-evaluated move is reverted before the raise) and [partial]
       carries the best-so-far snapshot and the counters at the point of
-      failure, so no progress is lost. *)
+      failure, so no progress is lost.  A [commit] that raises halfway
+      through a move that beats the best leaves the partial at the last
+      snapshot taken, an earlier best, with that snapshot's own cost. *)
 
   val run :
     ?observer:Obs.Observer.t ->

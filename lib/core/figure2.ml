@@ -68,8 +68,7 @@ module Make (P : Mc_problem.S) = struct
             | Seq.Cons (m, rest) ->
                 let hj = ev.price m in
                 if hj < b.hi then begin
-                  ev.keep m;
-                  S.accept b hj;
+                  S.accept b ev m hj;
                   improved_this_pass := true
                   (* restart the pass from the new configuration *)
                 end
@@ -116,8 +115,7 @@ module Make (P : Mc_problem.S) = struct
         let y = Schedule.get p.schedule !temp in
         let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj in
         if Rng.unit_float rng < g then begin
-          ev.keep m;
-          S.accept b hj;
+          S.accept b ev m hj;
           S.note_best b;
           descend ()
         end

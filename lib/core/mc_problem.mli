@@ -26,7 +26,10 @@ module type S = sig
       LIFO, and the cost must come back bit-for-bit. *)
 
   val copy : state -> state
-  (** Independent snapshot, used to record the best solution found. *)
+  (** Independent snapshot, used to record the best solution found.
+      The engines take one when the walk leaves a best it has not
+      beaten (and when a run ends or checkpoints on its best), not on
+      every new best. *)
 
   val moves : state -> move Seq.t
   (** Systematic enumeration of the neighborhood of the current state.

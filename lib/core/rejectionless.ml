@@ -167,8 +167,7 @@ module Make (P : Mc_problem.S) = struct
         let idx = Rng.categorical rng weights in
         let m, hj, _ = weighted.(idx) in
         Array.iteri (fun i (m', _, _) -> if i <> idx then ev.drop m') weighted;
-        ev.keep m;
-        S.accept b hj;
+        S.accept b ev m hj;
         if b.observing then
           S.emit b (Obs.Event.Descent_done { cost = hj; evaluations = Budget.ticks clock });
         b.rejected <- b.rejected - 1;

@@ -16,7 +16,9 @@ module Make (P : Mc_problem.S) = struct
     t0 : float;
     mutable hi : float;
     mutable best : P.state;
+    mutable snap_cost : float;
     mutable best_cost : float;
+    mutable live : bool;
     mutable improving : int;
     mutable lateral : int;
     mutable uphill : int;
@@ -57,7 +59,9 @@ module Make (P : Mc_problem.S) = struct
       t0;
       hi;
       best;
+      snap_cost = best_cost;
       best_cost;
+      live = false;
       improving = 0;
       lateral = 0;
       uphill = 0;
@@ -66,10 +70,24 @@ module Make (P : Mc_problem.S) = struct
       descents = 0;
     }
 
+  (* A best the walk still sits on is copied only when something reads
+     it or the walk is about to leave it. *)
+  let snapshot b =
+    if b.live then begin
+      b.best <- P.copy b.state;
+      b.snap_cost <- b.best_cost;
+      b.live <- false
+    end
+
+  let best b =
+    snapshot b;
+    (b.best, b.snap_cost)
+
   let result b =
+    let best, best_cost = best b in
     {
-      Mc_problem.best = b.best;
-      best_cost = b.best_cost;
+      Mc_problem.best;
+      best_cost;
       final_cost = b.hi;
       stats =
         {
@@ -106,32 +124,10 @@ module Make (P : Mc_problem.S) = struct
     if b.observing then
       emit b (Obs.Event.Temp_advance { temp = t; y = Schedule.get schedule t })
 
-  let accept b hj =
-    (* Classify by comparison and only materialise the delta when an
-       observer is attached: a [let delta = hj -. b.hi] used in the
-       event record would be boxed on every acceptance, observer or
-       not. *)
-    let kind =
-      if hj < b.hi then begin
-        b.improving <- b.improving + 1;
-        Obs.Event.Improving
-      end
-      else if hj = b.hi then begin
-        b.lateral <- b.lateral + 1;
-        Obs.Event.Lateral
-      end
-      else begin
-        b.uphill <- b.uphill + 1;
-        Obs.Event.Uphill
-      end
-    in
-    if b.observing then emit b (Obs.Event.Accepted { kind; cost = hj; delta = hj -. b.hi });
-    b.hi <- hj
-
   let note_best b =
     if b.hi < b.best_cost then begin
-      b.best <- P.copy b.state;
       b.best_cost <- b.hi;
+      b.live <- true;
       if b.observing then
         emit b (Obs.Event.New_best { evaluation = Budget.ticks b.clock; cost = b.hi })
     end
@@ -154,6 +150,37 @@ module Make (P : Mc_problem.S) = struct
     recost_every : int;
   }
 
+  let accept b ev m hj =
+    (* Only a move that does not beat a live best needs the copy: one
+       that beats it leads to a better best, which the engine's next
+       [note_best] records.  Such a move is kept with the best no
+       longer live, so a [keep] that raises halfway aborts with the
+       previous snapshot. *)
+    if b.live then begin
+      if hj < b.best_cost then b.live <- false else snapshot b
+    end;
+    ev.keep m;
+    (* Classify by comparison and only materialise the delta when an
+       observer is attached: a [let delta = hj -. b.hi] used in the
+       event record would be boxed on every acceptance, observer or
+       not. *)
+    let kind =
+      if hj < b.hi then begin
+        b.improving <- b.improving + 1;
+        Obs.Event.Improving
+      end
+      else if hj = b.hi then begin
+        b.lateral <- b.lateral + 1;
+        Obs.Event.Lateral
+      end
+      else begin
+        b.uphill <- b.uphill + 1;
+        Obs.Event.Uphill
+      end
+    in
+    if b.observing then emit b (Obs.Event.Accepted { kind; cost = hj; delta = hj -. b.hi });
+    b.hi <- hj
+
   let reject b ev m hj =
     if b.observing then emit b (Obs.Event.Rejected { delta = hj -. b.hi });
     ev.drop m;
@@ -167,7 +194,11 @@ module Make (P : Mc_problem.S) = struct
   let recompute ?(restore = false) b =
     let state = b.state in
     let revert m = try P.revert state m with e -> abort b e in
-    let apply m = try P.apply state m with e -> abort b e in
+    (* [apply] leaves the state, so a live best is copied first. *)
+    let apply m =
+      snapshot b;
+      try P.apply state m with e -> abort b e
+    in
     (* Leaves [m] applied; on failure the state is restored first. *)
     let cost_applied m =
       Budget.tick b.clock;

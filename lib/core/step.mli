@@ -2,7 +2,7 @@
     share — internal to the engines.
 
     An engine opens the run's {e books} ({!Make.t}: current and best
-    cost, best state, counters), builds one {e evaluator} from either
+    cost, best snapshot, counters), builds one {e evaluator} from either
     the problem itself or its {!Mc_problem.delta_ops}, and then runs a
     single step loop: [propose], [price] (an absolute candidate cost),
     and [keep] or [drop].  Each evaluator's sequence of calls into the
@@ -25,7 +25,13 @@ module Make (P : Mc_problem.S) : sig
     t0 : float;
     mutable hi : float;  (** cost of the current state *)
     mutable best : P.state;
-    mutable best_cost : float;
+        (** the latest snapshot; stale while [live] — read it through
+            {!best} *)
+    mutable snap_cost : float;  (** cost of [best] *)
+    mutable best_cost : float;  (** the best cost seen *)
+    mutable live : bool;
+        (** the best seen is the current state, not yet copied into
+            [best] *)
     mutable improving : int;
     mutable lateral : int;
     mutable uphill : int;
@@ -41,12 +47,17 @@ module Make (P : Mc_problem.S) : sig
     P.state ->
     t
   (** Open the books on [state]: price it (or take [(current cost,
-      best cost, best state)] from [resume]), snapshot the best, emit
+      best cost, best state)] from [resume]), copy the best, emit
       [Run_start] and enter the ["run"] span.  Counters start at zero
       and [temperatures] at 1.
       @raise Mc_problem.Invalid_cost if the initial cost is non-finite. *)
 
   val emit : t -> Obs.Event.t -> unit
+
+  val best : t -> P.state * float
+  (** The best state and its cost, copying the current state first if
+      the best is still live.  {!finish}, {!abort} and Figure 1's
+      checkpoints read the best through it. *)
 
   val abort : t -> exn -> 'a
   (** Unwind the span stack and raise {!Aborted} with [reason] and the
@@ -58,13 +69,11 @@ module Make (P : Mc_problem.S) : sig
   val enter_temp : t -> Schedule.t -> int -> unit
   (** Emit [Temp_advance] for temperature index [i]. *)
 
-  val accept : t -> float -> unit
-  (** Take a move to cost [hj]: count it as improving, lateral or
-      uphill, emit [Accepted], and make [hj] the current cost. *)
-
   val note_best : t -> unit
-  (** Snapshot the state (and emit [New_best]) if the current cost
-      beats the best. *)
+  (** If the current cost beats the best, record it as the best cost,
+      mark the current state as the live best and emit [New_best].  No
+      copy is taken: the walk copies a live best only when it leaves
+      it (see {!accept}). *)
 
   val resync : t -> unit
   (** Replace the current cost with a full [P.cost] recompute, then
@@ -85,11 +94,21 @@ module Make (P : Mc_problem.S) : sig
   (** Every operation aborts (via {!abort}) when the problem raises or
       prices a move at a non-finite cost, with the state restored. *)
 
+  val accept : t -> evaluator -> P.move -> float -> unit
+  (** Take the priced move [m] to cost [hj]: copy a live best first
+      unless [hj] beats it, [keep] the move, count it as improving,
+      lateral or uphill, emit [Accepted], and make [hj] the current
+      cost.  A move that beats a live best is kept with the best no
+      longer live, so a [keep] that raises aborts with the previous
+      snapshot and that snapshot's own cost; the engine's next
+      {!note_best} records the better best. *)
+
   val recompute : ?restore:bool -> t -> evaluator
   (** Price by [P.apply] then [P.cost]; [keep] does nothing, [drop] is
       [P.revert].  With [restore] (for a sweep that holds several priced
       moves pending at once) [price] reverts right after the cost,
-      [keep] applies the move afresh and [drop] does nothing. *)
+      [keep] applies the move afresh and [drop] does nothing.  Every
+      [P.apply] copies a live best first, since the state leaves it. *)
 
   val of_delta : t -> (P.state, P.move) Mc_problem.delta_ops -> evaluator
   (** Price as the current cost plus [delta]; [keep] is [commit], [drop]

@@ -17,6 +17,8 @@ let distance t i j =
 
 let create points =
   if Array.length points < 3 then invalid_arg "Tsp_instance.create: need at least 3 cities";
+  if Array.exists (fun (x, y) -> not (Float.is_finite x && Float.is_finite y)) points then
+    invalid_arg "Tsp_instance.create: non-finite coordinate";
   { xs = Array.map fst points; ys = Array.map snd points }
 
 let random_uniform rng ~n =

@@ -9,7 +9,8 @@ type t
 
 val create : (float * float) array -> t
 (** Instance over explicit coordinates (copied).
-    @raise Invalid_argument with fewer than 3 cities. *)
+    @raise Invalid_argument with fewer than 3 cities or a coordinate
+    that is not finite (a NaN or an infinity). *)
 
 val random_uniform : Rng.t -> n:int -> t
 (** [n] cities uniform in the unit square.

@@ -26,7 +26,8 @@ let of_string text =
           with
           | [ _idx; x; y ] -> (
               match (float_of_string_opt x, float_of_string_opt y) with
-              | Some x, Some y -> coords := (x, y) :: !coords
+              | Some x, Some y when Float.is_finite x && Float.is_finite y ->
+                  coords := (x, y) :: !coords
               | _ -> fail (Printf.sprintf "malformed coordinate line: %S" line))
           | _ -> fail (Printf.sprintf "malformed coordinate line: %S" line)
       end

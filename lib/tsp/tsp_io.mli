@@ -9,6 +9,10 @@
     this library, not against TSPLIB optima). *)
 
 val of_string : string -> (Tsp_instance.t, string) result
+(** Parse an instance.  Every line of the coordinate section but [EOF]
+    must hold an index and two finite numbers; any other (a [nan] or an
+    infinite coordinate included) is an error naming it a malformed
+    coordinate line. *)
 
 val to_string : ?name:string -> Tsp_instance.t -> string
 (** Render an instance in the same format ([name] defaults to

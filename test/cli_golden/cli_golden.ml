@@ -14,8 +14,8 @@
    transcript.
 
    Cases run in a fresh temporary directory holding copies of
-   DATA_DIR/*.net plus a malformed bad.net, so every path in the
-   transcript is a bare file name.  Children get the caller's
+   DATA_DIR/*.net plus a malformed bad.net and nan.tsp, so every path
+   in the transcript is a bare file name.  Children get the caller's
    environment minus OCAMLRUNPARAM (a backtrace setting would change
    the text of uncaught exceptions).
 
@@ -88,6 +88,8 @@ let cases =
     ("tables-csv", [ "tables"; "--scale"; "0.01"; "--seed"; "7"; "--csv"; "E4"; "A2"; "A8" ], []);
     ("tables-agreement", [ "tables"; "--scale"; "0.01"; "agreement" ], []);
     ("tables-unknown-id", [ "tables"; "--scale"; "0.01"; "4.3" ], []);
+    (* a TSPLIB file with a non-finite coordinate is malformed *)
+    ("tsp-nan-coordinate", [ "tsp"; "-f"; "nan.tsp"; "-m"; "2opt" ], []);
   ]
 
 (* The one documented substitution: wall-clock values become <wall>. *)
@@ -168,6 +170,7 @@ let () =
       Sys.chdir dir;
       List.iter (fun (f, text) -> write_file f text) texts;
       write_file "bad.net" "not a netlist\n";
+      write_file "nan.tsp" "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 1 1\nEOF\n";
       List.iter (run_case exe env) cases;
       Array.iter Sys.remove (Sys.readdir ".");
       Sys.chdir Filename.parent_dir_name;

@@ -116,7 +116,8 @@ let window_edges_hold r =
         Arrangement.swap_positions t p q;
         ok := !ok && (density t - d0, sum t - s0) = forward
     | 1 ->
-        (* a copy taken mid-trial carries the pending trial with it *)
+        (* a copy taken mid-trial drops the pending trial and prices
+           the move afresh, to the same change *)
         let c = Arrangement.copy t in
         Arrangement.swap_positions t p q;
         Arrangement.swap_positions c q p;

@@ -241,6 +241,32 @@ let prop_reversal_preserves_density =
       in
       Arrangement.density_of_order nl reversed = d)
 
+(* A copy holds the arrangement, its cuts and its spans: 3n + 3m words
+   of arrays plus headers and the record.  The trial scratch stays with
+   the state that priced the trial. *)
+let test_copy_words () =
+  let rng = Rng.create ~seed:60 in
+  let n = 600 and m = 1500 in
+  let nl = Netlist.random_nola rng ~elements:n ~nets:m ~min_pins:3 ~max_pins:6 in
+  let t = Arrangement.random rng nl in
+  for _ = 1 to 50 do
+    let p, q = Rng.pair_distinct rng n in
+    Arrangement.swap_positions t p q
+  done;
+  ignore (Arrangement.swap_delta t 3 500);
+  let c = Arrangement.copy t in
+  let words = Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr nl) in
+  let bound = (3 * n) + (3 * m) + 64 in
+  if words > bound then
+    Alcotest.failf "a copy at n = %d, m = %d holds %d words, over 3n + 3m + 64 = %d" n m
+      words bound;
+  Arrangement.check c;
+  Alcotest.check Alcotest.(array int) "same order" (Arrangement.order t) (Arrangement.order c);
+  Arrangement.swap_positions c 3 500;
+  Arrangement.swap_positions t 3 500;
+  Arrangement.check c;
+  Alcotest.check Alcotest.(array int) "same move" (Arrangement.order t) (Arrangement.order c)
+
 let suite =
   [
     case "identity path cuts" test_identity_path;
@@ -265,6 +291,7 @@ let suite =
     case "random walk consistency (GOLA)" test_walk_gola;
     case "random walk consistency (NOLA)" test_walk_nola;
     case "random walk consistency (paper size)" test_walk_paper_size;
+    case "copy holds no trial scratch" test_copy_words;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;

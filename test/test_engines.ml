@@ -546,6 +546,66 @@ let test_contract_catches_mutating_moves () =
       let (_ : int Seq.t) = CMutating_moves.moves { Mutating_moves.x = 0 } in
       ())
 
+(* ------------------------- Best snapshots ------------------------ *)
+
+(* The 2-opt adapter with every [copy] counted. *)
+module Counting_tsp = struct
+  include Tsp_problem
+
+  let copies = ref 0
+
+  let copy t =
+    incr copies;
+    Tsp_problem.copy t
+end
+
+module Count_f1 = Figure1.Make (Counting_tsp)
+
+(* A Figure 1 walk copies a best only when it leaves it.  From the event
+   stream, a best is left when the walk takes a move that does not beat
+   it; the start state, which the books copy when they open, counts as
+   left once the walk takes any move.  The result adds one copy. *)
+let test_f1_copies_only_left_bests () =
+  let rng = Rng.create ~seed:80 in
+  let tour = Tour.random rng (Tsp_instance.random_uniform rng ~n:200) in
+  let best = ref infinity and on_best = ref true and moved = ref false in
+  let leaves = ref 0 and new_bests = ref 0 in
+  let observer =
+    Obs.Observer.of_fun (function
+      | Obs.Event.Run_start { cost } -> best := cost
+      | Obs.Event.Accepted { cost; _ } ->
+          if not !moved then incr leaves
+          else if !on_best && not (cost < !best) then incr leaves;
+          moved := true;
+          on_best := false
+      | Obs.Event.New_best { cost; _ } ->
+          incr new_bests;
+          best := cost;
+          on_best := true
+      | _ -> ())
+  in
+  let p =
+    Count_f1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 0.02 |])
+      ~budget:(Budget.Evaluations 40_000) ()
+  in
+  Counting_tsp.copies := 0;
+  let r =
+    Count_f1.run ~observer ~delta_ops:Tsp_problem.delta_ops (Rng.create ~seed:81) p tour
+  in
+  let copies = !Counting_tsp.copies in
+  if copies > !leaves + 1 then
+    Alcotest.failf "%d copies for %d bests left (%d new bests)" copies !leaves !new_bests;
+  (* The same walk as when every new best was copied. *)
+  Alcotest.check Alcotest.int "new bests" 717 !new_bests;
+  Alcotest.check Alcotest.int64 "best cost bits" 4624342171690310050L
+    (Int64.bits_of_float r.Mc_problem.best_cost);
+  let order = Array.to_list (Array.map string_of_int (Tour.order r.Mc_problem.best)) in
+  Alcotest.check Alcotest.string "best tour" "417e4b14025dc531c37c72b4c42e2742"
+    (Digest.to_hex (Digest.string (String.concat " " order)));
+  Alcotest.check Alcotest.string "stats"
+    {|{"evaluations":40000,"improving":816,"lateral_accepted":5,"uphill_accepted":280,"rejected":38899,"temperatures_visited":1,"descents":0}|}
+    (Obs.Json.to_string (Mc_problem.stats_to_json r.Mc_problem.stats))
+
 (* ----------------------- Arrangement integration ------------------ *)
 
 module AF1 = Figure1.Make (Linarr_problem.Swap)
@@ -728,4 +788,6 @@ let suite =
     case "integration: best snapshot consistent" test_integration_best_cost_consistent;
     case "integration: Figure 2 reduces density" test_integration_f2_reduces_density;
     case "integration: stats add up" test_integration_stats_add_up;
+    case "figure1: a best is copied only when the walk leaves it"
+      test_f1_copies_only_left_bests;
   ]

@@ -427,17 +427,17 @@ let faulty_delta_ops ~fired fault =
   | Raise_commit ->
       { d with commit = (fun s m -> if fire () then raise (fault_exn "commit") else d.commit s m) }
 
-let delta_engines delta_ops =
+let delta_engines ?observer delta_ops =
   [
     ( "figure1",
       fun state ->
-        CF1.run ~delta_ops (Rng.create ~seed:22) (Lazy.force cf1_params) state );
+        CF1.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force cf1_params) state );
     ( "figure2",
       fun state ->
-        CF2.run ~delta_ops (Rng.create ~seed:22) (Lazy.force cf2_params) state );
+        CF2.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force cf2_params) state );
     ( "rejectionless",
       fun state ->
-        CRL.run ~delta_ops (Rng.create ~seed:22) (Lazy.force crl_params) state );
+        CRL.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force crl_params) state );
   ]
 
 let delta_chaos_case (fault_name, fault, expected, message) engine_name () =
@@ -499,6 +499,62 @@ let delta_chaos_cases =
                  engine_name fault_name)
               (resync_chaos_case f engine_name))
           [ ("nan-cost", Chaos_swap.Nan_cost); ("inf-cost", Chaos_swap.Inf_cost) ])
+    engines
+
+(* A commit that completes the swap and then raises, on the first
+   commit after the [nth] new best.  The walk is either leaving that
+   best for a state that does not beat it (the partial is the copy
+   taken before the commit) or for a better one (the partial is the
+   copy before that, with its own cost).  Either way the partial is a
+   state the walk held as its best, at the cost it had then. *)
+let abort_after_new_best_case engine_name nth () =
+  Chaos_swap.reset ();
+  let walked = ref None and bests = ref [] and armed = ref false and fired = ref 0 in
+  let held cost = bests := (Arrangement.order (Option.get !walked), cost) :: !bests in
+  let observer =
+    Obs.Observer.of_fun (function
+      | Obs.Event.Run_start { cost } -> held cost
+      | Obs.Event.New_best { cost; _ } ->
+          held cost;
+          if List.length !bests = nth + 1 then armed := true
+      | _ -> ())
+  in
+  let d = Linarr_problem.Swap.delta_ops in
+  let commit s m =
+    d.commit s m;
+    if !armed then begin
+      armed := false;
+      incr fired;
+      raise (Chaos_swap.Fault "injected commit after a new best")
+    end
+  in
+  let run = List.assoc engine_name (delta_engines ~observer { d with commit }) in
+  let e, _ =
+    abort_of (fun state ->
+        walked := Some state;
+        run state)
+  in
+  let name = Printf.sprintf "%s/commit after new best %d" engine_name nth in
+  let _, partial = partial_of_abort name e in
+  Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 !fired;
+  let best = partial.Mc_problem.best and best_cost = partial.Mc_problem.best_cost in
+  Arrangement.check best;
+  Alcotest.check (Alcotest.float 0.) (name ^ ": best re-prices to its cost")
+    (float_of_int (Arrangement.density_of_order netlist (Arrangement.order best)))
+    best_cost;
+  Alcotest.check Alcotest.bool (name ^ ": best is a best the walk held") true
+    (List.mem (Arrangement.order best, best_cost) !bests)
+
+let abort_after_new_best_cases =
+  List.concat_map
+    (fun (engine_name, _) ->
+      List.map
+        (fun nth ->
+          case
+            (Printf.sprintf "chaos: %s commit raising after new best %d keeps a priced best"
+               engine_name nth)
+            (abort_after_new_best_case engine_name nth))
+        [ 1; 2 ])
     engines
 
 let test_chaos_slow_move_completes () =
@@ -741,6 +797,7 @@ let suite =
   ]
   @ chaos_matrix_cases
   @ delta_chaos_cases
+  @ abort_after_new_best_cases
   @ [
       case "chaos: slow moves only delay" test_chaos_slow_move_completes;
       case "chaos: plan validation" test_chaos_plan_validation;

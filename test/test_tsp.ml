@@ -84,6 +84,32 @@ let test_instance_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for n < 3"
 
+(* A NaN or infinite coordinate would poison every distance it enters. *)
+let non_finite = [ ("nan", Float.nan); ("inf", Float.infinity); ("-inf", Float.neg_infinity) ]
+
+let test_instance_rejects_non_finite () =
+  List.iter
+    (fun (name, v) ->
+      List.iter
+        (fun pt ->
+          match Tsp_instance.create [| (0., 0.); pt; (1., 1.) |] with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "coordinate %s accepted" name)
+        [ (v, 1.); (1., v) ])
+    non_finite
+
+let test_io_rejects_non_finite () =
+  List.iter
+    (fun (name, _) ->
+      let line = Printf.sprintf "2 %s 1" name in
+      match Tsp_io.of_string ("NODE_COORD_SECTION\n1 0 0\n" ^ line ^ "\n3 1 1\nEOF\n") with
+      | Error msg ->
+          Alcotest.check Alcotest.string (name ^ ": message")
+            (Printf.sprintf "malformed coordinate line: %S" line)
+            msg
+      | Ok _ -> Alcotest.failf "coordinate %s accepted" name)
+    non_finite
+
 let test_random_instances () =
   let rng = Rng.create ~seed:1 in
   let inst = Tsp_instance.random_uniform rng ~n:20 in
@@ -358,6 +384,7 @@ let suite =
     case "tour prices with the instance's distances" test_tour_prices_with_instance_distances;
     case "instance memory is O(n)" test_instance_memory_linear;
     case "instance validation" test_instance_validation;
+    case "instance rejects non-finite coordinates" test_instance_rejects_non_finite;
     case "random instances" test_random_instances;
     case "tour identity length" test_tour_identity_length;
     case "tour order validation" test_tour_of_order_validation;
@@ -381,6 +408,7 @@ let suite =
     case "tsplib roundtrip" test_io_roundtrip;
     case "tsplib parsing" test_io_parses_tsplib_style;
     case "tsplib rejects bad input" test_io_rejects_bad_input;
+    case "tsplib rejects non-finite coordinates" test_io_rejects_non_finite;
     case "tsplib tolerates tabs and blanks" test_io_tolerates_tabs_and_blanks;
     QCheck_alcotest.to_alcotest prop_two_opt_keeps_permutation;
   ]
