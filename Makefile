@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke ledger chaos serve top flame examples doc clean
+.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke ledger ledger-ab chaos serve top flame examples doc clean
 
 all: build
 
@@ -75,6 +75,32 @@ ledger:
 	done
 	@rm -f $(LEDGER_OUT).run
 	@echo "wrote $(LEDGER_OUT)"
+
+# A/B ledger of one workload against a base revision:
+#   make ledger-ab W=race-tsp1000 BASE=HEAD~1
+# BASE is exported with git archive into _build/ledger-base and built
+# there.  Base and working-tree runs then alternate seed by seed (1-10,
+# then the held-out 1985), 30 s untraced each, so host contention that
+# drifts over minutes lands on both sides of every pair instead of on
+# one whole file; `ledger compare` reads the two files at the end.
+BASE ?= HEAD
+LEDGER_BASE_DIR = _build/ledger-base
+LEDGER_AB_BASE = ledger-ab-base-$(W).jsonl
+LEDGER_AB_WORK = ledger-ab-work-$(W).jsonl
+ledger-ab:
+	@rm -rf $(LEDGER_BASE_DIR) && mkdir -p $(LEDGER_BASE_DIR)
+	git archive $(BASE) | tar -x -C $(LEDGER_BASE_DIR)
+	@rm -f $(LEDGER_AB_BASE) $(LEDGER_AB_WORK)
+	@for s in 1 2 3 4 5 6 7 8 9 10 1985; do \
+	  (cd $(LEDGER_BASE_DIR) && bash bench/ledger/run.sh --workload $(W) --seed $$s \
+	    --seconds 30 --trace 0 --json ledger-ab.run) || exit 1; \
+	  cat $(LEDGER_BASE_DIR)/ledger-ab.run >> $(LEDGER_AB_BASE); \
+	  bash bench/ledger/run.sh --workload $(W) --seed $$s --seconds 30 --trace 0 \
+	    --json $(LEDGER_AB_WORK).run || exit 1; \
+	  cat $(LEDGER_AB_WORK).run >> $(LEDGER_AB_WORK); \
+	done
+	@rm -f $(LEDGER_AB_WORK).run
+	dune exec bench/ledger/ledger.exe -- compare $(LEDGER_AB_BASE) -- $(LEDGER_AB_WORK)
 
 # Chaos demo: a supervised campaign where every run's first attempt is
 # sabotaged (a cost fault injected mid-walk), so each run exercises the

@@ -328,7 +328,7 @@ let shifted ~from_pos ~to_pos x =
 
 let price_relocate t ~from_pos ~to_pos =
   let nv = t.nv in
-  let w0 = min from_pos to_pos and w1 = max from_pos to_pos in
+  let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
   let s = t.mark + 1 in
   t.mark <- s;
   t.n_touched <- 0;
@@ -390,7 +390,7 @@ let replay t =
     if a < b then Array.blit t.elem_at (a + 1) t.elem_at a (b - a)
     else Array.blit t.elem_at b t.elem_at (b + 1) (a - b);
     t.elem_at.(b) <- e;
-    for x = min a b to max a b do
+    for x = Int.min a b to Int.max a b do
       t.pos_of.(t.elem_at.(x)) <- x
     done;
     t.pend_a <- b;
@@ -430,7 +430,7 @@ let check_positions name t p q =
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
 
 let trial_swap t p q =
-  let p = min p q and q = max p q in
+  let p = Int.min p q and q = Int.max p q in
   if not (pending t 1 p q) then begin
     if Array.length t.window = 0 then alloc_scratch t;
     price_swap t p q

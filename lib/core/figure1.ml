@@ -33,6 +33,17 @@ type snapshot = {
   rng : string;  (** [Rng.to_state] of the generator at this point *)
 }
 
+(* Below tick [temp * n / k - 1] of an [Evaluations n] budget,
+   [ticks / n] falls short of [temp / k] by at least [2 / n].  For
+   [n <= 2^52] the ints convert exactly and each quotient rounds by at
+   most [2^-53] relative, far less than that gap, so the exact test in
+   [run] cannot pass there.  A [Seconds] budget, a larger [n] or a
+   product that would overflow gets no guard. *)
+let temp_guard budget ~k ~temp =
+  match (budget : Budget.t) with
+  | Evaluations n when n <= 1 lsl 52 && n <= max_int / k -> (temp * n / k) - 1
+  | Evaluations _ | Seconds _ -> min_int
+
 module Make (P : Mc_problem.S) = struct
   module S = Step.Make (P)
 
@@ -156,9 +167,11 @@ module Make (P : Mc_problem.S) = struct
     S.enter_temp b p.schedule !temp;
     let epoch = ref (Obs.Span.enter observer (Printf.sprintf "temp:%d" !temp)) in
     let close_epoch () = Obs.Span.exit observer !epoch in
+    let guard = ref (temp_guard p.budget ~k ~temp:!temp) in
     let advance_temp () =
       close_epoch ();
       incr temp;
+      guard := temp_guard p.budget ~k ~temp:!temp;
       b.temperatures <- !temp;
       counter := 0;
       accepted_at_temp := 0;
@@ -195,21 +208,30 @@ module Make (P : Mc_problem.S) = struct
        recost on a deterministic tick cadence, so compensated float
        drift is bounded and a resumed run resyncs at the same ticks as
        its uninterrupted twin.  The recompute evaluator's cadence never
-       comes due. *)
-    let last_resync = ref s0.ticks in
+       comes due.  [next_resync] is the first multiple of the cadence
+       past the ticks already handled, so a step compares instead of
+       dividing. *)
+    let every = ev.recost_every in
+    let next_multiple t =
+      let q = (t / every) + 1 in
+      if q > max_int / every then max_int else q * every
+    in
+    let next_resync = ref (next_multiple s0.ticks) in
     let maybe_resync () =
       let t = Budget.ticks clock in
-      if t > 0 && t mod ev.recost_every = 0 && t <> !last_resync then begin
-        last_resync := t;
-        S.resync b
+      if t >= !next_resync then begin
+        if t mod every = 0 then S.resync b;
+        next_resync := next_multiple t
       end
     in
     while (not !stop) && not (Budget.exhausted clock) do
       maybe_resync ();
       maybe_checkpoint ();
-      (* Catch the temperature up with the spent budget fraction. *)
+      (* Catch the temperature up with the spent budget fraction; the
+         exact float test runs only from the guard tick on. *)
       while
         !temp < k
+        && Budget.ticks clock >= !guard
         && Budget.used_fraction clock >= float_of_int !temp /. float_of_int k
       do
         advance_temp ()

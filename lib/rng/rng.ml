@@ -2,12 +2,17 @@
 
    The LCG state advances as [state * mult + inc]; output applies the
    xorshift-high + random-rotate permutation to the old state.  The
-   stream increment must be odd, which [create] and [split] enforce. *)
+   stream increment must be odd, which [create] and [split] enforce.
 
-type t = {
-  mutable state : int64;
-  mutable inc : int64; (* always odd *)
-}
+   The two words live in a 16-byte buffer (state at byte 0, increment
+   at byte 8), read and written with the bounds-checked 64-bit bytes
+   primitives.  A [mutable int64] record field would box every store;
+   these loads and stores keep a draw free of allocation. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let multiplier = 6364136223846793005L
 
@@ -19,30 +24,33 @@ let splitmix64 x =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let advance t = t.state <- Int64.(add (mul t.state multiplier) t.inc)
+let make ~state ~inc =
+  let t = Bytes.create 16 in
+  set64 t 0 state;
+  set64 t 8 inc;
+  t
 
-let output old_state =
-  let open Int64 in
-  let xorshifted =
-    to_int32 (shift_right_logical (logxor (shift_right_logical old_state 18) old_state) 27)
-  in
-  let rot = to_int (shift_right_logical old_state 59) in
-  let rot = rot land 31 in
-  if rot = 0 then xorshifted
-  else
-    Int32.logor
-      (Int32.shift_right_logical xorshifted rot)
-      (Int32.shift_left xorshifted (32 - rot))
+let[@inline] advance t = set64 t 0 Int64.(add (mul (get64 t 0) multiplier) (get64 t 8))
 
-let bits32 t =
-  let old = t.state in
+(* The next 32 output bits as an unsigned OCaml int.  The rotation is
+   done on the 32-bit value in a 63-bit int: for [rot = 0] the left
+   half shifts out of the mask entirely. *)
+let[@inline] next t =
+  let old = get64 t 0 in
   advance t;
-  output old
+  let x =
+    Int64.(to_int (shift_right_logical (logxor (shift_right_logical old 18) old) 27))
+    land 0xFFFFFFFF
+  in
+  let rot = Int64.(to_int (shift_right_logical old 59)) in
+  ((x lsr rot) lor (x lsl (32 - rot))) land 0xFFFFFFFF
+
+let bits32 t = Int32.of_int (next t)
 
 let of_words ~state_word ~inc_word =
-  let t = { state = 0L; inc = Int64.logor (Int64.shift_left inc_word 1) 1L } in
+  let t = make ~state:0L ~inc:(Int64.logor (Int64.shift_left inc_word 1) 1L) in
   advance t;
-  t.state <- Int64.add t.state state_word;
+  set64 t 0 (Int64.add (get64 t 0) state_word);
   advance t;
   t
 
@@ -51,27 +59,26 @@ let create ~seed =
   let s1 = splitmix64 s0 in
   of_words ~state_word:s0 ~inc_word:s1
 
+(* Each word is built from two draws, low half first: the order every
+   recorded split stream (checkpoints, the known-answer test) used. *)
 let split t =
-  let w0 =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int32 (bits32 t)) 32)
-      (Int64.logand (Int64.of_int32 (bits32 t)) 0xFFFFFFFFL)
+  let word () =
+    let lo = next t in
+    let hi = next t in
+    Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
   in
-  let w1 =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int32 (bits32 t)) 32)
-      (Int64.logand (Int64.of_int32 (bits32 t)) 0xFFFFFFFFL)
-  in
+  let w0 = word () in
+  let w1 = word () in
   of_words ~state_word:(splitmix64 w0) ~inc_word:(splitmix64 w1)
 
-let copy t = { state = t.state; inc = t.inc }
+let copy = Bytes.copy
 
 (* Serialized form: "pcg32:<state>:<inc>", each word as exactly 16
    lowercase hex digits.  The format is deliberately rigid so a
    truncated or hand-mangled checkpoint is rejected instead of seeding
    a garbage stream. *)
 
-let to_state t = Printf.sprintf "pcg32:%016Lx:%016Lx" t.state t.inc
+let to_state t = Printf.sprintf "pcg32:%016Lx:%016Lx" (get64 t 0) (get64 t 8)
 
 let of_state s =
   let fail msg = Error (Printf.sprintf "Rng.of_state: %s in %S" msg s) in
@@ -90,37 +97,36 @@ let of_state s =
   | [ "pcg32"; sw; iw ] -> (
       match (word sw, word iw) with
       | Some state, Some inc ->
-          if Int64.logand inc 1L = 1L then Ok { state; inc }
+          if Int64.logand inc 1L = 1L then Ok (make ~state ~inc)
           else fail "stream increment is even"
       | _ -> fail "expected two 16-digit lowercase hex words")
   | _ -> fail "expected \"pcg32:<state>:<inc>\""
 
-(* Treat the signed int32 as an unsigned 32-bit value in an OCaml int. *)
-let bits_as_int t = Int32.to_int (bits32 t) land 0xFFFFFFFF
+(* Rejection sampling over the 2^32 draws: a draw [v] is kept iff its
+   whole bucket [v - v mod bound, v - v mod bound + bound) fits below
+   2^32, which is exactly [v < 2^32 - 2^32 mod bound] and costs no
+   second division.  A top-level loop, so a call allocates no closure. *)
+let rec below t bound =
+  let v = next t in
+  let r = v mod bound in
+  if v - r + bound <= 0x100000000 then r else below t bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound > 0xFFFFFFFF then invalid_arg "Rng.int: bound exceeds 32 bits";
-  (* Lemire-style rejection: reject the partial final bucket. *)
-  let range = 0x100000000 in
-  let limit = range - (range mod bound) in
-  let rec loop () =
-    let v = bits_as_int t in
-    if v < limit then v mod bound else loop ()
-  in
-  loop ()
+  below t bound
 
 let int_range t lo hi =
   if lo > hi then invalid_arg "Rng.int_range: lo > hi";
   lo + int t (hi - lo + 1)
 
-let unit_float t = float_of_int (bits_as_int t) /. 4294967296.
+let unit_float t = float_of_int (next t) /. 4294967296.
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
   unit_float t *. bound
 
-let bool t = bits_as_int t land 1 = 1
+let bool t = next t land 1 = 1
 
 let bernoulli t p = if p <= 0. then false else if p >= 1. then true else unit_float t < p
 
@@ -177,12 +183,17 @@ let sample_without_replacement t ~k ~n =
   done;
   Array.sub a 0 k
 
+(* A non-finite weight or total would make [target] infinite (or NaN),
+   which no partial sum exceeds, so the scan would fall through to the
+   last index whatever the weights say. *)
 let categorical t weights =
   let total = Array.fold_left (fun acc w ->
       if w < 0. || Float.is_nan w then invalid_arg "Rng.categorical: negative weight"
+      else if w = Float.infinity then invalid_arg "Rng.categorical: infinite weight"
       else acc +. w)
       0. weights
   in
+  if total = Float.infinity then invalid_arg "Rng.categorical: weights sum past max_float";
   if total <= 0. then invalid_arg "Rng.categorical: weights sum to zero";
   let target = unit_float t *. total in
   let n = Array.length weights in

@@ -11,7 +11,8 @@
     this. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: PCG32's 64-bit LCG state and odd stream
+    increment.  Drawing from it allocates nothing. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator deterministically from [seed].
@@ -93,7 +94,9 @@ val sample_without_replacement : t -> k:int -> n:int -> int array
 
 val categorical : t -> float array -> int
 (** [categorical t weights] samples an index with probability
-    proportional to [weights.(i)]; weights must be non-negative with a
-    positive sum.
+    proportional to [weights.(i)]; weights must be finite and
+    non-negative, with a positive sum no larger than [max_float].
 
-    @raise Invalid_argument otherwise. *)
+    @raise Invalid_argument otherwise: a negative or NaN weight, an
+    infinite weight, a total that overflows to infinity, or a zero
+    total. *)

@@ -3,8 +3,11 @@
     A tour visits every city exactly once; positions are indices into
     the visiting order and wrap around.  The length is maintained
     incrementally: a 2-opt move (reversing a contiguous segment)
-    changes only two edges, so applying it is O(segment) for the
-    reversal and O(1) for the length.
+    changes only two edges, so applying it is O(1) for the length and
+    O(min(segment, n - segment)) for the reversal, since the tour may
+    reverse the segment's complement instead and read itself the other
+    way round.  Positions are always those of the visiting order,
+    whichever way the tour is stored.
 
     Cost model: a tour borrows its instance's coordinate arrays
     ({!Tsp_instance.view}) and computes each distance in place, with
@@ -40,9 +43,11 @@ val two_opt_delta : t -> int -> int -> float
     Reversing the whole tour or a single city is a 0-delta no-op. *)
 
 val two_opt : t -> int -> int -> unit
-(** Apply the reversal and update the cached length.  The previous
-    length is remembered (up to a small bounded depth) so that
-    [two_opt_undo] can restore it exactly.
+(** Apply the reversal and update the cached length.  When the last
+    call on this tour was [two_opt_delta t i j], its delta is reused
+    rather than priced again.  The previous length is remembered (up
+    to a small bounded depth) so that [two_opt_undo] can restore it
+    exactly.
     @raise Invalid_argument unless [0 <= i < j < size]. *)
 
 val two_opt_undo : t -> int -> int -> unit

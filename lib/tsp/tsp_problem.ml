@@ -7,7 +7,7 @@ let random_move rng tour =
   let n = Tour.size tour in
   let rec draw () =
     let a, b = Rng.pair_distinct rng n in
-    let i = min a b and j = max a b in
+    let i = Int.min a b and j = Int.max a b in
     (* Reversing the whole tour is a no-op; redraw. *)
     if i = 0 && j = n - 1 then draw () else (i, j)
   in

@@ -320,6 +320,39 @@ let prop_metropolis_in_unit_interval =
       let v = Gfun.eval Gfun.metropolis ~temp:1 ~y ~hi ~hj:(hi +. delta) in
       v > 0. && v <= 1.)
 
+(* Figure 1 tests its temperature catch-up only from
+   [Figure1.temp_guard] on.  Below the guard the exact predicate must
+   never hold, or skipping the test would change a run; two ticks past
+   it, it always holds, so the guard skips nearly all of the epoch. *)
+let prop_temp_guard_sound =
+  QCheck.Test.make ~count:300
+    ~name:"qcheck: no tick below Figure 1's temperature guard reaches temp/k"
+    QCheck.(
+      triple
+        (oneof [ int_range 1 1000; int_range 1 10_000_000; int_range 1 (1 lsl 40) ])
+        (int_range 2 64) (int_range 1 63))
+    (fun (n, k, temp) ->
+      let temp = 1 + (temp mod (k - 1)) in
+      let budget = Budget.Evaluations n in
+      let reached t =
+        Budget.used_fraction (Budget.start_at ~ticks:t budget)
+        >= float_of_int temp /. float_of_int k
+      in
+      let g = Figure1.temp_guard budget ~k ~temp in
+      let below = ref true in
+      for t = Int.max 0 (g - 2000) to g - 1 do
+        if reached t then below := false
+      done;
+      !below && reached (g + 2))
+
+let test_temp_guard_off () =
+  Alcotest.check Alcotest.int "seconds: no guard" min_int
+    (Figure1.temp_guard (Budget.Seconds 5.) ~k:6 ~temp:3);
+  Alcotest.check Alcotest.int "past 2^52 evaluations: no guard" min_int
+    (Figure1.temp_guard (Budget.Evaluations ((1 lsl 52) + 1)) ~k:6 ~temp:3);
+  Alcotest.check Alcotest.int "zero budget: from the first tick" (-1)
+    (Figure1.temp_guard (Budget.Evaluations 0) ~k:6 ~temp:3)
+
 let suite =
   [
     case "budget: evaluations count down" test_budget_evaluations;
@@ -332,6 +365,8 @@ let suite =
     case "budget: seconds survives a non-monotonic clock" test_budget_seconds_clock_regression;
     case "budget: seconds never negative" test_budget_seconds_negative_from_start;
     case "budget: start_at resumes the tick count" test_budget_start_at;
+    case "figure 1 temperature guard: off where unsound" test_temp_guard_off;
+    QCheck_alcotest.to_alcotest prop_temp_guard_sound;
     case "schedule: constant" test_schedule_constant;
     case "schedule: geometric" test_schedule_geometric;
     case "schedule: kirkpatrick literal" test_schedule_kirkpatrick;

@@ -42,6 +42,69 @@ let test_split_deterministic () =
   in
   check Alcotest.int32 "split is deterministic" (mk ()) (mk ())
 
+(* Known answers for the PCG32 stream, recorded from the int64-record
+   generator this buffer-backed one replaced.  Bound 3 * 2^30 rejects a
+   quarter of the raw draws and 2^32 - 1 rejects only 2^32 - 1, so both
+   ends of the rejection test are pinned. *)
+let test_known_answers () =
+  let bits seed expected =
+    let r = Rng.create ~seed in
+    check Alcotest.(list int32) (Printf.sprintf "bits32, seed %d" seed) expected
+      (List.init 16 (fun _ -> Rng.bits32 r))
+  in
+  bits 1
+    [ 1176794182l; 1124680625l; -2013485625l; -1276753482l; -1941971481l; -476004432l;
+      342234589l; 1323167418l; 388259015l; 677939790l; 1815020449l; -657110639l;
+      1806968391l; -681949166l; 1519936950l; 636606779l ];
+  bits 1985
+    [ -1219888696l; -1988501125l; 1272854092l; -1709924324l; -655526673l; -2105577855l;
+      1951201312l; -670880052l; 2048014362l; 313292346l; 550243749l; 1291617990l;
+      2123311769l; 42657657l; -1178357848l; -664630135l ];
+  let ints bound expected =
+    let r = Rng.create ~seed:1985 in
+    check Alcotest.(list int) (Printf.sprintf "int, bound %d" bound) expected
+      (List.init 16 (fun _ -> Rng.int r bound))
+  in
+  ints 1 (List.init 16 (fun _ -> 0));
+  ints 7 [ 6; 2; 6; 1; 0; 1; 4; 1; 2; 3; 6; 5; 5; 0; 1; 3 ];
+  ints 1000 [ 600; 171; 92; 972; 623; 441; 312; 244; 362; 346; 749; 990; 769; 657; 448; 161 ];
+  ints (3 lsl 30)
+    [ 3075078600; 2306466171; 1272854092; 2585042972; 2189389441; 1951201312; 2048014362;
+      313292346; 550243749; 1291617990; 2123311769; 42657657; 3116609448; 1023011120;
+      2601541391; 2512089982 ];
+  ints ((1 lsl 32) - 1)
+    [ 3075078600; 2306466171; 1272854092; 2585042972; 3639440623; 2189389441; 1951201312;
+      3624087244; 2048014362; 313292346; 550243749; 1291617990; 2123311769; 42657657;
+      3116609448; 3630337161 ];
+  let r = Rng.create ~seed:1985 in
+  check Alcotest.(list string) "unit_float bits"
+    [ "0x1.6e93f39p-1"; "0x1.12f3c2f6p-1"; "0x1.2f78d93p-2"; "0x1.34294038p-1";
+      "0x1.b1dae9dep-1"; "0x1.04fedd02p-1"; "0x1.d133e08p-2"; "0x1.b0065d98p-1" ]
+    (List.init 8 (fun _ -> Printf.sprintf "%h" (Rng.unit_float r)));
+  let r = Rng.create ~seed:1985 in
+  check Alcotest.(list (pair int int)) "pair_distinct 1000"
+    [ (600, 946); (92, 603); (623, 22); (312, 959); (362, 952); (749, 901); (769, 357);
+      (448, 132) ]
+    (List.init 8 (fun _ -> Rng.pair_distinct r 1000));
+  let parent = Rng.create ~seed:1985 in
+  let child = Rng.split parent in
+  check Alcotest.string "child state after split" "pcg32:42559ffd6378bba7:950a08d0c29a9951"
+    (Rng.to_state child);
+  check Alcotest.string "parent state after split" "pcg32:6d74f485d02dbf15:fc22ac469c4f2791"
+    (Rng.to_state parent)
+
+(* Drawing keeps the generator's words unboxed: no minor allocation. *)
+let test_int_allocates_nothing () =
+  let rng = Rng.create ~seed:7 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    sum := !sum + Rng.int rng 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words for 10^5 draws" 0. words;
+  check Alcotest.bool "draws happened" true (!sum > 0)
+
 let test_int_bounds () =
   let rng = Rng.create ~seed:3 in
   for _ = 1 to 1000 do
@@ -242,6 +305,29 @@ let test_categorical_invalid () =
   Alcotest.check_raises "negative" (Invalid_argument "Rng.categorical: negative weight")
     (fun () -> ignore (Rng.categorical rng [| 1.; -1. |]))
 
+(* An infinite weight or total used to make every draw land on the last
+   index, whatever the weights said. *)
+let test_categorical_non_finite () =
+  let rng = Rng.create ~seed:24 in
+  Alcotest.check_raises "infinite weight" (Invalid_argument "Rng.categorical: infinite weight")
+    (fun () -> ignore (Rng.categorical rng [| Float.infinity; 1. |]));
+  Alcotest.check_raises "total past max_float"
+    (Invalid_argument "Rng.categorical: weights sum past max_float") (fun () ->
+      ignore (Rng.categorical rng [| Float.max_float; Float.max_float; 1. |]));
+  Alcotest.check_raises "NaN weight" (Invalid_argument "Rng.categorical: negative weight")
+    (fun () -> ignore (Rng.categorical rng [| 1.; Float.nan |]));
+  Alcotest.check_raises "negative beside a huge weight"
+    (Invalid_argument "Rng.categorical: negative weight") (fun () ->
+      ignore (Rng.categorical rng [| Float.max_float; -1. |]));
+  (* A total just below max_float still draws in proportion. *)
+  let half = Float.max_float /. 2. in
+  let counts = Array.make 2 0 in
+  for _ = 1 to 2000 do
+    let i = Rng.categorical rng [| half; half |] in
+    counts.(i) <- counts.(i) + 1
+  done;
+  check Alcotest.bool "both halves drawn" true (counts.(0) > 800 && counts.(1) > 800)
+
 let test_state_roundtrip_exact () =
   let a = Rng.create ~seed:31 in
   for _ = 1 to 17 do
@@ -317,6 +403,8 @@ let prop_permutation_sorted =
 let suite =
   [
     case "determinism" test_determinism;
+    case "PCG32 known answers" test_known_answers;
+    case "int draws allocate nothing" test_int_allocates_nothing;
     case "seed sensitivity" test_seed_sensitivity;
     case "copy continues identically" test_copy_independent;
     case "split decorrelated" test_split_decorrelated;
@@ -344,6 +432,7 @@ let suite =
     case "categorical rates" test_categorical_rates;
     case "categorical skips zero weights" test_categorical_zero_weight_skipped;
     case "categorical invalid weights" test_categorical_invalid;
+    case "categorical rejects non-finite weights" test_categorical_non_finite;
     case "to_state/of_state exact round-trip" test_state_roundtrip_exact;
     case "of_state rejects corrupt input" test_state_rejects_corrupt;
     QCheck_alcotest.to_alcotest prop_state_roundtrip;

@@ -358,6 +358,152 @@ let test_io_tolerates_tabs_and_blanks () =
   | Error msg -> Alcotest.fail msg
   | Ok inst -> Alcotest.check Alcotest.int "3 cities" 3 (Tsp_instance.size inst)
 
+(* Model check: [Tour] against a plain array that reverses [i..j]
+   literally and prices each move with [Tsp_instance.distance].  The
+   tour reverses the shorter of the segment and its complement and
+   then reads itself the other way round; every logical view must
+   agree with the model, lengths to the bit. *)
+module Model = struct
+  let dist = Tsp_instance.distance
+
+  let delta inst m i j =
+    let n = Array.length m in
+    if i = 0 && j = n - 1 then 0.
+    else
+      let a = m.((i + n - 1) mod n) and b = m.(i) and c = m.(j) and d = m.((j + 1) mod n) in
+      dist inst a c +. dist inst b d -. dist inst a b -. dist inst c d
+
+  let reverse m i j =
+    for k = 0 to ((j - i + 1) / 2) - 1 do
+      let x = m.(i + k) in
+      m.(i + k) <- m.(j - k);
+      m.(j - k) <- x
+    done
+
+  let length inst m =
+    let n = Array.length m in
+    let total = ref 0. in
+    for p = 0 to n - 1 do
+      total := !total +. dist inst m.(p) m.((p + 1) mod n)
+    done;
+    !total
+
+  let or_opt_delta inst m ~seg ~len ~dest =
+    let n = Array.length m in
+    let a = m.((seg + n - 1) mod n)
+    and b = m.(seg)
+    and c = m.(seg + len - 1)
+    and d = m.((seg + len) mod n)
+    and e = m.(dest)
+    and f = m.((dest + 1) mod n) in
+    dist inst a d +. dist inst e b +. dist inst c f -. dist inst a b -. dist inst c d
+    -. dist inst e f
+
+  (* Remove the segment, then put it back after the city at [dest]. *)
+  let or_opt m ~seg ~len ~dest =
+    let segment = Array.to_list (Array.sub m seg len) and dest_city = m.(dest) in
+    let rest = List.filteri (fun p _ -> p < seg || p >= seg + len) (Array.to_list m) in
+    let out =
+      List.concat_map (fun c -> if c = dest_city then c :: segment else [ c ]) rest
+    in
+    Array.blit (Array.of_list out) 0 m 0 (Array.length m)
+end
+
+let agrees name inst t m len =
+  let n = Array.length m in
+  Alcotest.check Alcotest.(array int) (name ^ ": order") m (Tour.order t);
+  for p = -n to (2 * n) - 1 do
+    if Tour.city_at t p <> m.(((p mod n) + n) mod n) then
+      Alcotest.failf "%s: city_at %d is %d, model %d" name p (Tour.city_at t p)
+        m.(((p mod n) + n) mod n)
+  done;
+  Alcotest.check Alcotest.int64 (name ^ ": length bits") (bits len) (bits (Tour.length t));
+  Alcotest.check Alcotest.int64 (name ^ ": recompute bits") (bits (Model.length inst m))
+    (bits (Tour.recompute_length t))
+
+let model_walk ~n ~seed ~steps =
+  let rng = Rng.create ~seed in
+  let inst = Tsp_instance.random_uniform rng ~n in
+  let t = ref (Tour.random rng inst) in
+  let m = Tour.order !t in
+  let len = ref (Tour.length !t) in
+  let saved = ref (Array.copy m, !len) in
+  let two_opt ~priced i j =
+    if priced then ignore (Tour.two_opt_delta !t i j);
+    let d = Model.delta inst m i j in
+    Tour.two_opt !t i j;
+    Model.reverse m i j;
+    len := !len +. d
+  in
+  (* The edges first: the whole tour, both ends, and arcs either side
+     of half the tour. *)
+  let edges =
+    [ (0, n - 1); (0, 1); (n - 2, n - 1); (0, n - 2); (1, n - 1); (0, n / 2); (n / 2, n - 1) ]
+    |> List.filter (fun (i, j) -> 0 <= i && i < j && j < n)
+  in
+  List.iteri (fun k (i, j) -> two_opt ~priced:(k mod 2 = 0) i j) edges;
+  agrees "edges" inst !t m !len;
+  for step = 1 to steps do
+    let name = Printf.sprintf "n=%d seed=%d step %d" n seed step in
+    let a, b = Rng.pair_distinct rng n in
+    let i = Int.min a b and j = Int.max a b in
+    (match Rng.int rng 8 with
+    | 0 ->
+        (* A priced move that is then undone: order and length back. *)
+        let before = !len in
+        two_opt ~priced:true i j;
+        Tour.two_opt_undo !t i j;
+        Model.reverse m i j;
+        len := before
+    | 1 ->
+        (* A stale record: another pair priced, then [i..j] applied. *)
+        let c, d = Rng.pair_distinct rng n in
+        ignore (Tour.two_opt_delta !t (Int.min c d) (Int.max c d));
+        two_opt ~priced:false i j
+    | 2 ->
+        (* Walk on from a copy; the original must not move with it. *)
+        let original = !t and frozen = Array.copy m and frozen_len = !len in
+        t := Tour.copy original;
+        agrees (name ^ " copy") inst !t m !len;
+        two_opt ~priced:true i j;
+        agrees (name ^ " original after copy moved") inst original frozen frozen_len
+    | 3 -> saved := (Tour.order !t, Tour.length !t)
+    | 4 ->
+        let order, l = !saved in
+        Tour.restore !t ~order ~len:l;
+        Array.blit order 0 m 0 n;
+        len := l
+    | 5 when n >= 4 ->
+        (* The adapter's move snapshots the flipped tour and restores it. *)
+        let mv = Tsp_problem.Or_opt.random_move rng !t in
+        Tsp_problem.Or_opt.apply !t mv;
+        Tsp_problem.Or_opt.revert !t mv
+    | 6 when n >= 3 ->
+        let rec draw () =
+          let l = Rng.int_range rng 1 (Int.min 3 (n - 2)) in
+          let seg = Rng.int rng (n - l + 1) and dest = Rng.int rng n in
+          if (dest >= seg - 1 && dest < seg + l) || (seg = 0 && dest = n - 1) then draw ()
+          else (seg, l, dest)
+        in
+        let seg, l, dest = draw () in
+        let d = Model.or_opt_delta inst m ~seg ~len:l ~dest in
+        Alcotest.check Alcotest.int64 (name ^ ": or_opt delta bits") (bits d)
+          (bits (Tour.or_opt_delta !t ~seg ~len:l ~dest));
+        Tour.or_opt !t ~seg ~len:l ~dest;
+        Model.or_opt m ~seg ~len:l ~dest;
+        len := !len +. d
+    | _ -> two_opt ~priced:(Rng.bool rng) i j);
+    agrees name inst !t m !len
+  done
+
+let test_tour_model () =
+  for n = 3 to 9 do
+    for seed = 1 to 12 do
+      model_walk ~n ~seed ~steps:60
+    done
+  done;
+  model_walk ~n:1000 ~seed:1985 ~steps:200
+
 let prop_two_opt_keeps_permutation =
   QCheck.Test.make ~name:"qcheck: random 2-opt walks keep tours valid"
     (QCheck.make
@@ -410,5 +556,6 @@ let suite =
     case "tsplib rejects bad input" test_io_rejects_bad_input;
     case "tsplib rejects non-finite coordinates" test_io_rejects_non_finite;
     case "tsplib tolerates tabs and blanks" test_io_tolerates_tabs_and_blanks;
+    case "tour agrees with a literal-reversal model" test_tour_model;
     QCheck_alcotest.to_alcotest prop_two_opt_keeps_permutation;
   ]
