@@ -34,7 +34,6 @@ type t = {
   mutable diff_pos : int array; (* length max 0 (n-1) *)
   mutable diff : int array; (* cut change at diff_pos.(k), never 0 *)
   mutable n_diff : int;
-  mutable removed : int array; (* length n_nets + 1; zeroed between trials *)
   mutable pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
   mutable pend_hi : int array;
   mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate *)
@@ -143,7 +142,6 @@ let create ?order netlist =
       diff_pos = [||];
       diff = [||];
       n_diff = 0;
-      removed = [||];
       pend_lo = [||];
       pend_hi = [||];
       pend_kind = 0;
@@ -173,7 +171,6 @@ let copy t =
     window = [||];
     diff_pos = [||];
     diff = [||];
-    removed = [||];
     pend_lo = [||];
     pend_hi = [||];
     pend_kind = 0;
@@ -187,7 +184,6 @@ let alloc_scratch t =
   t.window <- Array.make n 0;
   t.diff_pos <- Array.make (max 0 (n - 1)) 0;
   t.diff <- Array.make (max 0 (n - 1)) 0;
-  t.removed <- Array.make (m + 1) 0;
   t.pend_lo <- Array.make m 0;
   t.pend_hi <- Array.make m 0
 
@@ -206,10 +202,15 @@ let[@inline] push t j =
       the old lo, +1 at the old hi; all inside [w0, w1]) to the zeroed
       difference array [window] ([record_span]);
    3. sweeps [w0, w1] once, turning the running sum into the sparse
-      [diff_pos] / [diff] list and zeroing [window] behind it;
-   4. resolves the density against the cut histogram.
-   A swap thus costs O(incident pins + |p - q|).  A commit replays the
-   recording ([replay]), which leaves the inverse move's trial pending.
+      [diff_pos] / [diff] list and zeroing [window] behind it, while
+      locals track the window's max cut after the move and how many
+      changed boundaries sat at the density;
+   4. resolves the new density from those two values and one read of
+      the cut histogram, or, when every boundary at the density drops,
+      from a scan of the cuts outside the window ([finish_trial]).
+   A swap thus costs O(incident pins + |p - q|), and O(n) in that rare
+   fallback.  A commit replays the recording ([replay]), which leaves
+   the inverse move's trial pending.
    [swap_positions] and [relocate] replay when the pending trial is
    theirs and price first otherwise, so a rejected move's revert costs
    only a replay.
@@ -233,35 +234,47 @@ let[@inline] record_span t i lo' hi' =
   end;
   t.pend_sum <- t.pend_sum + (hi' - lo') - (hi - lo)
 
-(* Steps 3 and 4.  The density is a max, so "might it drop?" needs the
-   histogram: a changed boundary's old value is tallied in [removed],
-   and the best unchanged level is found by walking
-   [cut_count - removed] down from the current density.  A single move
-   perturbs at most (incident nets) levels, so this walk is short. *)
+(* Steps 3 and 4.  The sweep keeps its running values in locals: the
+   cut change [run], the max cut after the move over the window [top],
+   and [hit], the changed boundaries whose old cut is the density [d].
+   Every boundary outside the window keeps its cut, which is at most
+   [d].  So the new density is
+   - [top] when [top >= d];
+   - else [d] when [cut_count.(d) > hit]: a boundary at [d] is
+     unchanged, and it lies outside the window, where [top < d];
+   - else the max of [top] and the cuts outside the window, every one
+     below [d].  This plain scan is the rare case. *)
 let finish_trial t w0 w1 =
-  t.n_diff <- 0;
-  let run = ref 0 and changed_max = ref 0 in
+  let window = t.window and cuts = t.cuts in
+  let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
+  let run = ref 0 and nd = ref 0 and hit = ref 0 and top = ref 0 in
   for x = w0 to w1 - 1 do
-    run := !run + t.window.(x);
-    t.window.(x) <- 0;
-    if !run <> 0 then begin
-      let v = t.cuts.(x) in
-      t.removed.(v) <- t.removed.(v) + 1;
-      if v + !run > !changed_max then changed_max := v + !run;
-      t.diff_pos.(t.n_diff) <- x;
-      t.diff.(t.n_diff) <- !run;
-      t.n_diff <- t.n_diff + 1
-    end
+    let r = !run + window.(x) in
+    run := r;
+    window.(x) <- 0;
+    let v = cuts.(x) in
+    if r <> 0 then begin
+      if v = d then incr hit;
+      diff_pos.(!nd) <- x;
+      diff.(!nd) <- r;
+      incr nd
+    end;
+    if v + r > !top then top := v + r
   done;
-  t.window.(w1) <- 0;
-  let d = ref t.density in
-  while !d > 0 && t.cut_count.(!d) - t.removed.(!d) = 0 do
-    decr d
-  done;
-  for k = 0 to t.n_diff - 1 do
-    t.removed.(t.cuts.(t.diff_pos.(k))) <- 0
-  done;
-  t.pend_density <- (if !d > !changed_max then !d else !changed_max)
+  window.(w1) <- 0;
+  t.n_diff <- !nd;
+  t.pend_density <-
+    (if !top >= d then !top
+     else if t.cut_count.(d) > !hit then d
+     else begin
+       for x = 0 to w0 - 1 do
+         if cuts.(x) > !top then top := cuts.(x)
+       done;
+       for x = w1 to Array.length cuts - 1 do
+         if cuts.(x) > !top then top := cuts.(x)
+       done;
+       !top
+     end)
 
 (* Touched net [i] has one pin moving from [src] to [dst]; [pos_of]
    already holds the would-be positions.  A two-pin net's other pin sits
@@ -487,6 +500,8 @@ let set_order t o =
 
 let check t =
   let n = size t in
+  if Array.exists (fun w -> w <> 0) t.window then
+    failwith "Arrangement.check: trial window not cleared";
   for e = 0 to n - 1 do
     if t.elem_at.(t.pos_of.(e)) <> e then
       failwith "Arrangement.check: pos_of/elem_at are not inverse"

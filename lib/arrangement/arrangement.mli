@@ -91,8 +91,11 @@ val set_order : t -> int array -> unit
     it.  Only boundaries inside the move's window can change; the
     changed endpoints of the touched nets' spans go into a difference
     array whose single sweep over the window yields the sparse cut
-    changes, and the "density might drop" case is resolved against the
-    maintained cut histogram.  Both return
+    changes.  The new density is the window's max cut after the move
+    when that reaches the current density; otherwise the current density
+    stays when the maintained cut histogram shows a boundary at it that
+    the move leaves untouched; otherwise it is the max of the window and
+    a scan of the cuts outside it.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
     untouched, recording the move as {e pending}.
 

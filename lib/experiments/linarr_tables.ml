@@ -53,10 +53,11 @@ let total_reduction c suite ~start ~gfun ~budget ~strategy ~column =
       ~seed:(c.config.seed + Hashtbl.hash (Gfun.name gfun, column, strategy))
   in
   let schedule = schedule_of c gfun in
+  let delta_ops = Linarr_problem.Swap.delta_ops in
   Suites.total_reduction ~start rng suite (fun rng state ->
       match strategy with
-      | `Figure1 -> Fig1.run rng (Fig1.params ~gfun ~schedule ~budget ()) state
-      | `Figure2 -> Fig2.run rng (Fig2.params ~gfun ~schedule ~budget ()) state)
+      | `Figure1 -> Fig1.run ~delta_ops rng (Fig1.params ~gfun ~schedule ~budget ()) state
+      | `Figure2 -> Fig2.run ~delta_ops rng (Fig2.params ~gfun ~schedule ~budget ()) state)
 
 let goto_reduction suite =
   let n = Array.length suite.Suites.netlists in

@@ -267,6 +267,112 @@ let test_copy_words () =
   Arrangement.check c;
   Alcotest.check Alcotest.(array int) "same move" (Arrangement.order t) (Arrangement.order c)
 
+(* Every trial resolves the new density one of three ways (see
+   [finish_trial]): the window's max after the move reaches the old
+   density [d]; a boundary at [d] keeps its cut outside the window; or
+   a fallback takes the max of the window and the cuts outside it.
+   [branch] replays that rule on the cuts before and after a move whose
+   window covers boundaries [w0, w1), and tells apart a fallback whose
+   answer lies outside the window. *)
+let branch ~before ~after w0 w1 =
+  let d = Array.fold_left max 0 before in
+  let top = ref 0 and hit = ref 0 in
+  for x = w0 to w1 - 1 do
+    top := max !top after.(x);
+    if before.(x) = d && after.(x) <> before.(x) then incr hit
+  done;
+  let at_d = Array.fold_left (fun acc v -> if v = d then acc + 1 else acc) 0 before in
+  if !top >= d then `Window_max
+  else if at_d > !hit then `Kept
+  else if Array.fold_left max 0 after > !top then `Fallback_outside
+  else `Fallback_window
+
+(* Price every swap and every relocate of [order] on [nl], check each
+   delta against a from-scratch recompute of the moved order, and
+   return the branch and window of each move. *)
+let density_branches nl order =
+  let n = Array.length order in
+  let arr = Arrangement.create ~order nl in
+  let before = Arrangement.cuts arr in
+  let seen = ref [] in
+  let try_move name w0 w1 delta apply =
+    let d_delta, s_delta = delta () in
+    let moved = Arrangement.copy arr in
+    apply moved;
+    let after = Arrangement.cuts moved in
+    let fresh = Arrangement.density_of_order nl (Arrangement.order moved) in
+    Alcotest.check Alcotest.int (name ^ " density") fresh (Arrangement.density arr + d_delta);
+    Alcotest.check Alcotest.int (name ^ " sum")
+      (Array.fold_left ( + ) 0 after)
+      (Arrangement.sum_of_cuts arr + s_delta);
+    Arrangement.check arr;
+    seen := (branch ~before ~after w0 w1, w0, w1) :: !seen
+  in
+  for p = 0 to n - 1 do
+    for q = 0 to n - 1 do
+      if p <> q then begin
+        let w0 = min p q and w1 = max p q in
+        if p < q then
+          try_move (Printf.sprintf "swap %d %d" p q) w0 w1
+            (fun () -> Arrangement.swap_delta arr p q)
+            (fun t -> Arrangement.swap_positions t p q);
+        try_move (Printf.sprintf "relocate %d -> %d" p q) w0 w1
+          (fun () -> Arrangement.relocate_delta arr ~from_pos:p ~to_pos:q)
+          (fun t -> Arrangement.relocate t ~from_pos:p ~to_pos:q)
+      end
+    done
+  done;
+  !seen
+
+let test_density_branches () =
+  (* Element 0 has three nets to elements 2, 3, 4 and two parallel nets
+     to element 1; element 5 hangs off element 4.  At the identity the
+     cuts are [5; 3; 2; 1; 1]: the density sits at boundary 0 alone, so
+     swapping positions 0 and 1 drops it to 2 and the new density, 3,
+     is found outside the window. *)
+  let nl =
+    Netlist.create ~n_elements:6
+      ~pins:[| [| 0; 2 |]; [| 0; 3 |]; [| 0; 4 |]; [| 0; 1 |]; [| 0; 1 |]; [| 4; 5 |] |]
+  in
+  let n = 6 in
+  let id = Array.init n Fun.id in
+  let rev = Array.init n (fun p -> n - 1 - p) in
+  let arr = Arrangement.create ~order:id nl in
+  Alcotest.check Alcotest.(array int) "cuts" [| 5; 3; 2; 1; 1 |] (Arrangement.cuts arr);
+  Alcotest.check Alcotest.(pair int int) "swap 0 1 falls back outside" (-2, -3)
+    (Arrangement.swap_delta arr 0 1);
+  (* Mirrored, the lone maximum is the last boundary. *)
+  let arr = Arrangement.create ~order:rev nl in
+  Alcotest.check Alcotest.(pair int int) "swap n-2 n-1 falls back outside" (-2, -3)
+    (Arrangement.swap_delta arr (n - 2) (n - 1));
+  let seen = density_branches nl id @ density_branches nl rev in
+  let reached what pred =
+    if not (List.exists pred seen) then Alcotest.failf "no move reached %s" what
+  in
+  reached "a window max at the density" (fun (b, _, _) -> b = `Window_max);
+  reached "an unchanged boundary at the density" (fun (b, _, _) -> b = `Kept);
+  reached "a fallback inside the window" (fun (b, _, _) -> b = `Fallback_window);
+  reached "a fallback outside a window at position 0" (fun (b, w0, _) ->
+      b = `Fallback_outside && w0 = 0);
+  reached "a fallback outside a window at position n-1" (fun (b, _, w1) ->
+      b = `Fallback_outside && w1 = n - 1)
+
+(* The scratch a state allocates on its first trial: per net a mark, a
+   touched slot and a pending span (4m words), per position the window
+   and the sparse cut changes (3n), plus array headers. *)
+let test_scratch_words () =
+  let rng = Rng.create ~seed:61 in
+  let n = 600 and m = 1500 in
+  let nl = Netlist.random_nola rng ~elements:n ~nets:m ~min_pins:3 ~max_pins:6 in
+  let t = Arrangement.random rng nl in
+  ignore (Arrangement.swap_delta t 3 500);
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr (Arrangement.copy t)) in
+  let bound = (4 * m) + (3 * n) + 64 in
+  if words > bound then
+    Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + 3n + 64 = %d" n m
+      words bound;
+  Arrangement.check t
+
 let suite =
   [
     case "identity path cuts" test_identity_path;
@@ -292,6 +398,8 @@ let suite =
     case "random walk consistency (NOLA)" test_walk_nola;
     case "random walk consistency (paper size)" test_walk_paper_size;
     case "copy holds no trial scratch" test_copy_words;
+    case "density branches of a trial" test_density_branches;
+    case "trial scratch words" test_scratch_words;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;

@@ -77,8 +77,8 @@ let swap_delta = { Swap.delta_ops with Mc_problem.recost_every = 250 }
 
 let delta_opt fast = if fast then Some swap_delta else None
 
-let figure1 ~fast observer =
-  let state, rng = gola15 () in
+let figure1 ?(instance = gola15) ~fast observer =
+  let state, rng = instance () in
   F1.run ~observer ?delta_ops:(delta_opt fast) rng
     (F1.params ~gfun ~schedule ~budget ())
     state
@@ -196,6 +196,27 @@ let relocate_runs =
       "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=a5a29d716a0c7c8b722e2e7bedafd579";
   ]
 
+(* The ledger's linear-arrangement size (linarr-n600): Figure 1 on a
+   600-element NOLA instance with 1500 nets of 3-6 pins, the swap on
+   both evaluator paths and the relocate on the delta path.  These pin
+   the density trial bit for bit where the ledger times it. *)
+let nola600 () =
+  let rng = Rng.create ~seed:600 in
+  let nl = Netlist.random_nola rng ~elements:600 ~nets:1500 ~min_pins:3 ~max_pins:6 in
+  (Arrangement.random rng nl, rng)
+
+let nola600_runs =
+  [
+    ( "nola600/figure1/recompute",
+      (fun () -> fingerprint (figure1 ~instance:nola600 ~fast:false)),
+      "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=d24959f4d6425a026a6a4cb2abce5cd1" );
+    ( "nola600/figure1/delta",
+      (fun () -> fingerprint (figure1 ~instance:nola600 ~fast:true)),
+      "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=2b56c7af96064bb9c1d21a825704d345" );
+    relocate_row ("nola600", nola600) ("figure1", `Figure1) ("delta", true)
+      "best=4092180000000000 final=4092180000000000 evals=3000 imp=295 lat=1768 up=181 rej=756 temps=6 desc=0 events=55b09301ecd99eae99973143b204a69a";
+  ]
+
 (* The ledger's TSP size: Figure 1 on a 1000-city tour, both evaluator
    paths, and the report of a full 21-class race on the same instance.
    These pin the 2-opt pricing bit for bit where the ledger times it. *)
@@ -294,4 +315,4 @@ let suite =
     case "cross-substrate replay identical" test_cross_substrate_replay;
     case "suite totals locked (EXPERIMENTS.md constants)" test_suite_totals_locked;
   ]
-  @ List.map pinned_case (pinned_runs @ relocate_runs @ tsp1000_runs)
+  @ List.map pinned_case (pinned_runs @ relocate_runs @ nola600_runs @ tsp1000_runs)
