@@ -1,7 +1,11 @@
 (* Invariants maintained by every operation:
    - elem_at and pos_of are inverse permutations;
-   - net_lo.(j) / net_hi.(j) are the min/max positions of net j's pins;
-   - cuts.(p) = #{ j | net_lo.(j) <= p < net_hi.(j) } for 0 <= p < n-1;
+   - span mode: net_lo.(j) / net_hi.(j) are the min/max positions of
+     net j's pins;
+   - table mode: pre.(k) is the bit mask of the elements at positions
+     < k, for 0 <= k <= n;
+   - cuts.(p) = #{ j | net_lo.(j) <= p < net_hi.(j) } for 0 <= p < n-1,
+     the cut of the set pre.(p + 1) in table mode;
    - cut_count.(v) = #{ p | cuts.(p) = v };
    - density = max { v | cut_count.(v) > 0 } (0 if there are no boundaries);
    - sum_cuts = sum of cuts. *)
@@ -15,12 +19,15 @@ type t = {
   cut_count : int array; (* length n_nets + 1 *)
   mutable density : int;
   mutable sum_cuts : int;
-  net_lo : int array;
+  net_lo : int array; (* span mode, else empty *)
   net_hi : int array;
+  pre : int array; (* table mode, length n + 1; else empty *)
+  mutable table : Bytes.t; (* the netlist's [cut_table], fetched by the first trial *)
   (* Trial scratch (see the move kernel below), allocated by a state's
      first trial ([alloc_scratch]) and never copied, so a snapshot holds
-     only the arrays above.  [net_mark] / [touched] de-duplicate the
-     nets a move touches.  A trial records, without committing, the
+     only the arrays above; table mode allocates only [diff_pos] /
+     [diff].  [net_mark] / [touched] de-duplicate the nets a move
+     touches.  A trial records, without committing, the
      boundaries whose cut would change ([diff_pos] / [diff], sparse) and
      the new span of every touched net ([pend_lo] / [pend_hi], indexed
      like [touched]).  A commit of the same move replays the recording
@@ -76,6 +83,19 @@ let span_in (nv : Netlist.view) pos_of j =
 
 let net_span t j = span_in t.nv t.pos_of j
 
+(* Netlists of at most [table_max_elements] elements (and fewer than
+   2^16 nets, so a cut fits a uint16 cell) price a move from the
+   netlist's table of subset cuts: the cut after position x depends
+   only on the set of elements at positions <= x.  Larger ones track
+   per-net spans. *)
+let table_max_elements = 16
+
+(* Rebuild [pre.(w0 + 1) .. pre.(w1)] from [pre.(w0)] and [elem_at]. *)
+let fill_prefixes t w0 w1 =
+  for x = w0 to w1 - 1 do
+    t.pre.(x + 1) <- t.pre.(x) lor (1 lsl t.elem_at.(x))
+  done
+
 (* The from-scratch pass, shared by [recompute_all] and
    [density_of_order] and by no move: every net adds +1 at its leftmost
    pin and -1 at its rightmost to the zeroed [cuts], and a running sum
@@ -96,9 +116,14 @@ let cuts_from_scratch netlist pos_of cuts span =
 let recompute_all t =
   t.pend_kind <- 0;
   Array.fill t.cuts 0 (Array.length t.cuts) 0;
-  cuts_from_scratch t.netlist t.pos_of t.cuts (fun j lo hi ->
-      t.net_lo.(j) <- lo;
-      t.net_hi.(j) <- hi);
+  if Array.length t.pre > 0 then begin
+    fill_prefixes t 0 (size t);
+    cuts_from_scratch t.netlist t.pos_of t.cuts (fun _ _ _ -> ())
+  end
+  else
+    cuts_from_scratch t.netlist t.pos_of t.cuts (fun j lo hi ->
+        t.net_lo.(j) <- lo;
+        t.net_hi.(j) <- hi);
   Array.fill t.cut_count 0 (Array.length t.cut_count) 0;
   t.density <- 0;
   t.sum_cuts <- 0;
@@ -122,6 +147,8 @@ let create ?order netlist =
   let pos_of = Array.make n 0 in
   Array.iteri (fun p e -> pos_of.(e) <- p) elem_at;
   let m = Netlist.n_nets netlist in
+  let table = n <= table_max_elements && m <= 0xffff in
+  let per_net = if table then 0 else m in
   let t =
     {
       netlist;
@@ -132,8 +159,10 @@ let create ?order netlist =
       cut_count = Array.make (m + 1) 0;
       density = 0;
       sum_cuts = 0;
-      net_lo = Array.make m 0;
-      net_hi = Array.make m 0;
+      net_lo = Array.make per_net 0;
+      net_hi = Array.make per_net 0;
+      pre = (if table then Array.make (n + 1) 0 else [||]);
+      table = Bytes.empty;
       net_mark = [||];
       mark = 0;
       touched = [||];
@@ -166,6 +195,7 @@ let copy t =
     cut_count = Array.copy t.cut_count;
     net_lo = Array.copy t.net_lo;
     net_hi = Array.copy t.net_hi;
+    pre = Array.copy t.pre;
     net_mark = [||];
     touched = [||];
     window = [||];
@@ -178,14 +208,17 @@ let copy t =
 
 let alloc_scratch t =
   let n = size t and m = Netlist.n_nets t.netlist in
-  t.net_mark <- Array.make m 0;
-  t.mark <- 0;
-  t.touched <- Array.make m 0;
-  t.window <- Array.make n 0;
   t.diff_pos <- Array.make (max 0 (n - 1)) 0;
   t.diff <- Array.make (max 0 (n - 1)) 0;
-  t.pend_lo <- Array.make m 0;
-  t.pend_hi <- Array.make m 0
+  if Array.length t.pre > 0 then t.table <- Netlist.cut_table t.netlist
+  else begin
+    t.net_mark <- Array.make m 0;
+    t.mark <- 0;
+    t.touched <- Array.make m 0;
+    t.window <- Array.make n 0;
+    t.pend_lo <- Array.make m 0;
+    t.pend_hi <- Array.make m 0
+  end
 
 let[@inline] push t j =
   t.touched.(t.n_touched) <- j;
@@ -209,8 +242,10 @@ let[@inline] push t j =
       the cut histogram, or, when every boundary at the density drops,
       from a scan of the cuts outside the window ([finish_trial]).
    A swap thus costs O(incident pins + |p - q|), and O(n) in that rare
-   fallback.  A commit replays the recording ([replay]), which leaves
-   the inverse move's trial pending.
+   fallback.  In table mode steps 1-3 are one sweep that reads each
+   window boundary's new cut from the table of subset cuts
+   ([table_trial]); step 4 is shared.  A commit replays the recording
+   ([replay]), which leaves the inverse move's trial pending.
    [swap_positions] and [relocate] replay when the pending trial is
    theirs and price first otherwise, so a rejected move's revert costs
    only a replay.
@@ -234,16 +269,33 @@ let[@inline] record_span t i lo' hi' =
   end;
   t.pend_sum <- t.pend_sum + (hi' - lo') - (hi - lo)
 
-(* Steps 3 and 4.  The sweep keeps its running values in locals: the
-   cut change [run], the max cut after the move over the window [top],
-   and [hit], the changed boundaries whose old cut is the density [d].
-   Every boundary outside the window keeps its cut, which is at most
-   [d].  So the new density is
+(* Step 4, from the window's max cut after the move [top] and [hit], the
+   changed boundaries whose old cut is the density [d].  Every boundary
+   outside the window keeps its cut, which is at most [d].  So the new
+   density is
    - [top] when [top >= d];
    - else [d] when [cut_count.(d) > hit]: a boundary at [d] is
      unchanged, and it lies outside the window, where [top < d];
    - else the max of [top] and the cuts outside the window, every one
      below [d].  This plain scan is the rare case. *)
+let[@inline] resolve t w0 w1 top hit =
+  let cuts = t.cuts and d = t.density in
+  t.pend_density <-
+    (if top >= d then top
+     else if t.cut_count.(d) > hit then d
+     else begin
+       let top = ref top in
+       for x = 0 to w0 - 1 do
+         if cuts.(x) > !top then top := cuts.(x)
+       done;
+       for x = w1 to Array.length cuts - 1 do
+         if cuts.(x) > !top then top := cuts.(x)
+       done;
+       !top
+     end)
+
+(* Step 3.  The sweep keeps its running values in locals: the cut
+   change [run], [top] and [hit]. *)
 let finish_trial t w0 w1 =
   let window = t.window and cuts = t.cuts in
   let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
@@ -263,18 +315,42 @@ let finish_trial t w0 w1 =
   done;
   window.(w1) <- 0;
   t.n_diff <- !nd;
-  t.pend_density <-
-    (if !top >= d then !top
-     else if t.cut_count.(d) > !hit then d
-     else begin
-       for x = 0 to w0 - 1 do
-         if cuts.(x) > !top then top := cuts.(x)
-       done;
-       for x = w1 to Array.length cuts - 1 do
-         if cuts.(x) > !top then top := cuts.(x)
-       done;
-       !top
-     end)
+  resolve t w0 w1 !top !hit
+
+(* Table mode, steps 1-3 in one sweep.  After the move, the elements
+   left of boundary x in [w0, w1) are the set [pre.(x + off) lxor flip]:
+   - a swap of a and b at p < q: [pre.(x + 1)] with a out and b in, so
+     [off = 1] and [flip = {a, b}];
+   - element e relocated forward: [pre.(x + 2)] without e ([off = 2]);
+   - relocated backward: [pre.(x)] with e ([off = 0]);
+   with [flip = {e}] for both relocates.  The table stores only the
+   sets without element n-1; a set holding it reads its complement's
+   cell, the same cut.  A trial touches no net, so [n_touched] stays 0
+   and the replay moves no span. *)
+let[@inline] table_cut table ~high s =
+  let full = (2 lsl high) - 1 in
+  Bytes.get_uint16_le table (2 * (s lxor (full land -(s lsr high))))
+
+let table_trial t w0 w1 ~off ~flip =
+  let pre = t.pre and table = t.table and cuts = t.cuts in
+  let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
+  let high = size t - 1 in
+  let nd = ref 0 and hit = ref 0 and top = ref 0 and sum = ref 0 in
+  for x = w0 to w1 - 1 do
+    let v' = table_cut table ~high (pre.(x + off) lxor flip) in
+    let v = cuts.(x) in
+    if v' <> v then begin
+      if v = d then incr hit;
+      diff_pos.(!nd) <- x;
+      diff.(!nd) <- v' - v;
+      incr nd;
+      sum := !sum + v' - v
+    end;
+    if v' > !top then top := v'
+  done;
+  t.n_diff <- !nd;
+  t.pend_sum <- !sum;
+  resolve t w0 w1 !top !hit
 
 (* Touched net [i] has one pin moving from [src] to [dst]; [pos_of]
    already holds the would-be positions.  A two-pin net's other pin sits
@@ -293,7 +369,7 @@ let[@inline] moved_pin t i ~src ~dst =
   else record_span t i (if dst < lo then dst else lo) (if dst > hi then dst else hi)
 
 (* [p < q]. *)
-let price_swap t p q =
+let span_swap t p q =
   let nv = t.nv in
   let a = t.elem_at.(p) and b = t.elem_at.(q) in
   (* A net holding both elements keeps its span.  Stamp a's nets with
@@ -326,10 +402,7 @@ let price_swap t p q =
   done;
   t.pos_of.(a) <- p;
   t.pos_of.(b) <- q;
-  finish_trial t p q;
-  t.pend_kind <- 1;
-  t.pend_a <- p;
-  t.pend_b <- q
+  finish_trial t p q
 
 (* Element at [from_pos] goes to [to_pos]; those in between shift one
    step toward [from_pos]; the rest stay. *)
@@ -339,9 +412,8 @@ let shifted ~from_pos ~to_pos x =
   else if x >= to_pos && x < from_pos then x + 1
   else x
 
-let price_relocate t ~from_pos ~to_pos =
+let span_relocate t ~from_pos ~to_pos ~w0 ~w1 =
   let nv = t.nv in
-  let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
   let s = t.mark + 1 in
   t.mark <- s;
   t.n_touched <- 0;
@@ -379,18 +451,17 @@ let price_relocate t ~from_pos ~to_pos =
   for x = w0 to w1 do
     t.pos_of.(t.elem_at.(x)) <- x
   done;
-  finish_trial t w0 w1;
-  t.pend_kind <- 2;
-  t.pend_a <- from_pos;
-  t.pend_b <- to_pos
+  finish_trial t w0 w1
 
 (* Commit the pending trial: move the elements, set the touched nets'
-   spans and apply the sparse cut changes.  Each value written trades
-   places with the one it replaces, so the record left pending is the
-   inverse move's trial: the old spans, the negated cut changes, the old
-   density and sum, and for a relocate the two ends exchanged. *)
+   spans (table mode: refresh the window's prefix masks) and apply the
+   sparse cut changes.  Each value written trades places with the one
+   it replaces, so the record left pending is the inverse move's trial:
+   the old spans, the negated cut changes, the old density and sum, and
+   for a relocate the two ends exchanged. *)
 let replay t =
   let a = t.pend_a and b = t.pend_b in
+  let w0 = Int.min a b and w1 = Int.max a b in
   if t.pend_kind = 1 then begin
     let ea = t.elem_at.(a) and eb = t.elem_at.(b) in
     t.elem_at.(a) <- eb;
@@ -403,12 +474,13 @@ let replay t =
     if a < b then Array.blit t.elem_at (a + 1) t.elem_at a (b - a)
     else Array.blit t.elem_at b t.elem_at (b + 1) (a - b);
     t.elem_at.(b) <- e;
-    for x = Int.min a b to Int.max a b do
+    for x = w0 to w1 do
       t.pos_of.(t.elem_at.(x)) <- x
     done;
     t.pend_a <- b;
     t.pend_b <- a
   end;
+  if Array.length t.pre > 0 then fill_prefixes t w0 w1;
   for i = 0 to t.n_touched - 1 do
     let j = t.touched.(i) in
     let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
@@ -438,21 +510,35 @@ let check_positions name t p q =
 
 (* Make a move's trial the pending one, pricing it unless it already
    is.  A swap is recorded with its smaller position first.  A trial
-   needs two distinct positions, so [n >= 2] and an empty [window]
+   needs two distinct positions, so [n >= 2] and an empty [diff_pos]
    means the scratch is not allocated yet. *)
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
+
+let set_pending t kind a b =
+  t.pend_kind <- kind;
+  t.pend_a <- a;
+  t.pend_b <- b
 
 let trial_swap t p q =
   let p = Int.min p q and q = Int.max p q in
   if not (pending t 1 p q) then begin
-    if Array.length t.window = 0 then alloc_scratch t;
-    price_swap t p q
+    if Array.length t.diff_pos = 0 then alloc_scratch t;
+    if Array.length t.pre > 0 then
+      table_trial t p q ~off:1 ~flip:((1 lsl t.elem_at.(p)) lor (1 lsl t.elem_at.(q)))
+    else span_swap t p q;
+    set_pending t 1 p q
   end
 
 let trial_relocate t ~from_pos ~to_pos =
   if not (pending t 2 from_pos to_pos) then begin
-    if Array.length t.window = 0 then alloc_scratch t;
-    price_relocate t ~from_pos ~to_pos
+    if Array.length t.diff_pos = 0 then alloc_scratch t;
+    let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
+    if Array.length t.pre > 0 then
+      table_trial t w0 w1
+        ~off:(if from_pos < to_pos then 2 else 0)
+        ~flip:(1 lsl t.elem_at.(from_pos))
+    else span_relocate t ~from_pos ~to_pos ~w0 ~w1;
+    set_pending t 2 from_pos to_pos
   end
 
 let swap_positions t p q =
@@ -508,15 +594,29 @@ let check t =
   done;
   let fresh = Array.make (max 0 (n - 1)) 0 in
   let sum = ref 0 in
+  let table_mode = Array.length t.pre > 0 in
   for j = 0 to Netlist.n_nets t.netlist - 1 do
     let lo, hi = net_span t j in
-    if t.net_lo.(j) <> lo || t.net_hi.(j) <> hi then
+    if (not table_mode) && (t.net_lo.(j) <> lo || t.net_hi.(j) <> hi) then
       failwith "Arrangement.check: stale net span";
     for p = lo to hi - 1 do
       fresh.(p) <- fresh.(p) + 1;
       incr sum
     done
   done;
+  if table_mode then begin
+    let table = Netlist.cut_table t.netlist in
+    let set = ref 0 in
+    for x = 0 to n do
+      if t.pre.(x) <> !set then failwith "Arrangement.check: stale prefix mask";
+      if x < n then set := !set lor (1 lsl t.elem_at.(x))
+    done;
+    Array.iteri
+      (fun x c ->
+        if table_cut table ~high:(n - 1) t.pre.(x + 1) <> c then
+          failwith "Arrangement.check: table cut differs from the recount")
+      fresh
+  end;
   Array.iteri
     (fun p c -> if t.cuts.(p) <> c then failwith "Arrangement.check: stale cut")
     fresh;

@@ -8,17 +8,33 @@
     cut — the objective minimized by the NOLA/GOLA problems (§4.1).
 
     The state is mutable and maintained incrementally.  A move changes
-    cuts only inside its window, the positions between its two ends:
-    every move prices the new spans of the nets it touches, marks their
-    changed endpoints in a difference array and sweeps the window once.
-    A pairwise interchange of positions [p] and [q] thus costs
-    O(pins of the incident nets + |p - q|), and a relocate
-    O(nets incident to the shifted elements + pins of the moved
-    element's nets), instead of a full O(pins + n) rebuild.  [check] verifies the incremental state against a
+    cuts only inside its window, the positions between its two ends,
+    and is priced by one of two kernels, picked by the netlist's size:
+    - {b table} (at most {!table_max_elements} elements and fewer than
+      2^16 nets, the paper's n = 15 instances among them): the cut
+      after position [x] depends only on the set of elements at
+      positions [<= x].  The state keeps that set per boundary as a bit
+      mask, and a move reads each window boundary's new cut from the
+      netlist's table of subset cuts ({!Netlist.cut_table}), one lookup
+      per boundary: O(|p - q|) for any move, whatever the nets.  The
+      first trial on a netlist builds its table, [create] never does.
+    - {b span} (larger netlists): the state keeps each net's leftmost
+      and rightmost position.  A move prices the new spans of the nets
+      it touches, marks their changed endpoints in a difference array
+      and sweeps the window once.  A pairwise interchange of positions
+      [p] and [q] thus costs O(pins of the incident nets + |p - q|),
+      and a relocate O(nets incident to the shifted elements + pins of
+      the moved element's nets).
+    Either replaces a full O(pins + n) rebuild, and both give the same
+    results.  [check] verifies the incremental state against a
     from-scratch recomputation and is used heavily by the property
     tests. *)
 
 type t
+
+val table_max_elements : int
+(** 16: the largest netlist, in elements, priced by table lookup.  A
+    fixed constant, not a setting. *)
 
 val create : ?order:int array -> Netlist.t -> t
 (** [create ?order nl] places element [order.(p)] at position [p]
@@ -32,11 +48,11 @@ val random : Rng.t -> Netlist.t -> t
     random linear arrangement"). *)
 
 val copy : t -> t
-(** Deep copy of the arrangement, its cuts and its net spans; the copy
-    evolves independently.  The trial scratch is not copied: a state
-    allocates it on its first trial (a copy or a fresh [create]
-    alike), so a snapshot that is never moved holds O(n + nets)
-    words. *)
+(** Deep copy of the arrangement, its cuts and its net spans or prefix
+    masks; the copy evolves independently.  The trial scratch is not
+    copied: a state allocates it on its first trial (a copy or a fresh
+    [create] alike), so a snapshot that is never moved holds
+    O(n + nets) words, and no per-net array in table mode. *)
 
 val netlist : t -> Netlist.t
 val size : t -> int
@@ -88,14 +104,20 @@ val set_order : t -> int array -> unit
 (** {1 Trial evaluation}
 
     [swap_delta] / [relocate_delta] price a move {e without} applying
-    it.  Only boundaries inside the move's window can change; the
-    changed endpoints of the touched nets' spans go into a difference
-    array whose single sweep over the window yields the sparse cut
-    changes.  The new density is the window's max cut after the move
-    when that reaches the current density; otherwise the current density
-    stays when the maintained cut histogram shows a boundary at it that
-    the move leaves untouched; otherwise it is the max of the window and
-    a scan of the cuts outside it.  Both return
+    it.  Only boundaries inside the move's window can change, and one
+    sweep over the window yields the sparse cut changes.  In table
+    mode the sweep reads each boundary's new cut from the table, keyed
+    by the boundary's element set after the move: its current mask
+    with the two swapped elements exchanged, or, for a relocate of
+    element [e], the next boundary's mask without [e] (forward) or the
+    previous one's with [e] (backward).  In span mode the changed
+    endpoints of the touched nets' spans go into a difference array
+    whose running sum the sweep reads.  The new density is the
+    window's max cut after the move when that reaches the current
+    density; otherwise the current density stays when the maintained
+    cut histogram shows a boundary at it that the move leaves
+    untouched; otherwise it is the max of the window and a scan of the
+    cuts outside it.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
     untouched, recording the move as {e pending}.
 
@@ -119,7 +141,9 @@ val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
 
 val check : t -> unit
 (** Recompute every cut from scratch and compare with the incremental
-    state.  @raise Failure on any mismatch (indicates a bug). *)
+    state: the net spans in span mode; in table mode the prefix masks,
+    and the table's cut of each mask (building the table if no trial
+    has).  @raise Failure on any mismatch (indicates a bug). *)
 
 val density_of_order : Netlist.t -> int array -> int
 (** One-shot density of a given order, from scratch: one pass over the

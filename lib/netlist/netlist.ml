@@ -9,7 +9,9 @@ type view = {
   incident : int array;
 }
 
-type t = view
+(* [cut_table] is the one memo: [Bytes.empty] until the first
+   [cut_table] call builds it. *)
+type t = { view : view; cut_table : Bytes.t Atomic.t }
 
 (* Each net is checked, sorted and laid out in one pass, net by net. *)
 let create ~n_elements ~pins:nets =
@@ -49,30 +51,79 @@ let create ~n_elements ~pins:nets =
       fill.(e) <- fill.(e) + 1
     done
   done;
-  { pin_start; pins; inc_start; incident }
+  { view = { pin_start; pins; inc_start; incident }; cut_table = Atomic.make Bytes.empty }
 
-let view t = t
-let n_elements t = Array.length t.inc_start - 1
-let n_nets t = Array.length t.pin_start - 1
-let net_size t j = t.pin_start.(j + 1) - t.pin_start.(j)
-let pins t j = Array.sub t.pins t.pin_start.(j) (net_size t j)
+let view t = t.view
+let n_elements t = Array.length t.view.inc_start - 1
+let n_nets t = Array.length t.view.pin_start - 1
+let net_size t j = t.view.pin_start.(j + 1) - t.view.pin_start.(j)
+let pins t j = Array.sub t.view.pins t.view.pin_start.(j) (net_size t j)
 
 let iter_pins t j f =
-  for k = t.pin_start.(j) to t.pin_start.(j + 1) - 1 do
-    f t.pins.(k)
+  for k = t.view.pin_start.(j) to t.view.pin_start.(j + 1) - 1 do
+    f t.view.pins.(k)
   done
 
-let degree t e = t.inc_start.(e + 1) - t.inc_start.(e)
-let incident t e = Array.sub t.incident t.inc_start.(e) (degree t e)
+let degree t e = t.view.inc_start.(e + 1) - t.view.inc_start.(e)
+let incident t e = Array.sub t.view.incident t.view.inc_start.(e) (degree t e)
 
 let iter_incident t e f =
-  for k = t.inc_start.(e) to t.inc_start.(e + 1) - 1 do
-    f t.incident.(k)
+  for k = t.view.inc_start.(e) to t.view.inc_start.(e + 1) - 1 do
+    f t.view.incident.(k)
   done
 
 (* Every net has at least two pins, so [2 m] pins means exactly two
    each. *)
-let is_graph t = Array.length t.pins = 2 * n_nets t
+let is_graph t = Array.length t.view.pins = 2 * n_nets t
+
+let max_table_elements = 20
+
+(* inside(S), the nets with every pin in S, is a subset sum: count each
+   net at its own pin mask, then fold every mask into its supersets one
+   element at a time, in place.  A net crosses S iff it lies neither
+   inside S nor inside the complement, and since
+   cut(S) = cut(complement S) only the sets without element n-1 are
+   kept.  Every count is at most m < 2^16, so each fits one uint16. *)
+let build_cut_table t =
+  let n = n_elements t and m = n_nets t and v = t.view in
+  let full = (1 lsl n) - 1 in
+  let inside = Bytes.make (2 * (full + 1)) '\000' in
+  let get s = Bytes.get_uint16_le inside (2 * s) in
+  for j = 0 to m - 1 do
+    let s = ref 0 in
+    for k = v.pin_start.(j) to v.pin_start.(j + 1) - 1 do
+      s := !s lor (1 lsl v.pins.(k))
+    done;
+    Bytes.set_uint16_le inside (2 * !s) (get !s + 1)
+  done;
+  for e = 0 to n - 1 do
+    let bit = 1 lsl e in
+    (* Each block of [2 bit] masks: the upper half, with e, gains the
+       lower half, without it. *)
+    for block = 0 to full lsr (e + 1) do
+      for s = (block lsl (e + 1)) + bit to (block lsl (e + 1)) + (2 * bit) - 1 do
+        Bytes.set_uint16_le inside (2 * s) (get s + get (s - bit))
+      done
+    done
+  done;
+  let half = max 1 ((full + 1) / 2) in
+  let table = Bytes.create (2 * half) in
+  for s = 0 to half - 1 do
+    Bytes.set_uint16_le table (2 * s) (m - get s - get (full lxor s))
+  done;
+  table
+
+(* Two domains that race may both build the table; the first to publish
+   wins and the other adopts it. *)
+let cut_table t =
+  let b = Atomic.get t.cut_table in
+  if Bytes.length b > 0 then b
+  else begin
+    if n_elements t > max_table_elements || n_nets t > 0xffff then
+      invalid_arg "Netlist.cut_table: netlist too large";
+    let b = build_cut_table t in
+    if Atomic.compare_and_set t.cut_table Bytes.empty b then b else Atomic.get t.cut_table
+  end
 
 let lightest_element t =
   if n_elements t = 0 then invalid_arg "Netlist.lightest_element: empty netlist";
@@ -85,8 +136,8 @@ let lightest_element t =
 let equal a b =
   n_elements a = n_elements b
   && n_nets a = n_nets b
-  && Array.for_all2 Int.equal a.pin_start b.pin_start
-  && Array.for_all2 Int.equal a.pins b.pins
+  && Array.for_all2 Int.equal a.view.pin_start b.view.pin_start
+  && Array.for_all2 Int.equal a.view.pins b.view.pins
 
 let random_gola rng ~elements ~nets =
   if elements < 2 then invalid_arg "Netlist.random_gola: need >= 2 elements";

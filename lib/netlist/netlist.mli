@@ -6,9 +6,10 @@
       (a multigraph);
     - NOLA instances have general multi-pin nets.
 
-    Values of type [t] are immutable after construction; element↔net
-    incidence is precomputed so that the arrangement layer can find the
-    nets touched by a move in O(degree). *)
+    Values of type [t] are immutable after construction, but for one
+    memo: the table of subset cuts ({!cut_table}), built on first use.
+    Element↔net incidence is precomputed so that the arrangement layer
+    can find the nets touched by a move in O(degree). *)
 
 type t
 
@@ -68,6 +69,24 @@ type view = private {
 val view : t -> view
 (** The netlist's own arrays, borrowed without a copy.  They are shared
     by every holder of the netlist and must never be written. *)
+
+(** {1 Subset cuts} *)
+
+val cut_table : t -> Bytes.t
+(** [cut_table t] holds cut(S), the number of nets with pins both in
+    and out of S, for every element subset S, as a bit mask (element
+    [e] is bit [e]).  Since cut(S) = cut(complement of S), only the
+    [2^(n-1)] sets without element [n-1] are stored: cut(S) is the
+    little-endian uint16 at byte [2 * S] for such S, and at
+    [2 * (S lxor (2^n - 1))] otherwise.
+
+    Built on the first call in O(2^n n + pins) time and kept in [t], so
+    it costs nothing until an arrangement asks for it.  Domains that
+    race on the first call may build it twice; all get the same bytes.
+    They are borrowed and must never be written.
+
+    @raise Invalid_argument if [t] has more than 20 elements or more
+    than 65535 nets. *)
 
 val is_graph : t -> bool
 (** True iff every net has exactly two pins (a GOLA instance). *)

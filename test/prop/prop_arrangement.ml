@@ -269,6 +269,23 @@ let lifecycle_holds r =
 
 let prop ~count recipe name law = QCheck.Test.make ~count ~name recipe law
 
+(* The small range must keep both pricing kernels under test: sizes up
+   to [Arrangement.table_max_elements] take the table lookup, larger
+   ones the span kernel.  A fixed stream of 120 draws, as many as each
+   small-range property makes, lands on both sides. *)
+let small_range_straddles_the_table_bound () =
+  let rand = Random.State.make [| 24 |] (* sa-lint: allow no-stdlib-random *) in
+  let sizes =
+    List.map
+      (fun (r : Gen_instances.recipe) -> r.n)
+      (QCheck.Gen.generate ~rand ~n:120 (QCheck.gen Gen_instances.linarr_recipe))
+  in
+  let bound = Arrangement.table_max_elements in
+  let table = List.length (List.filter (fun n -> n <= bound) sizes) in
+  if table = 0 || table = List.length sizes then
+    Alcotest.failf "%d of %d small-range sizes at most %d: one kernel untested" table
+      (List.length sizes) bound
+
 let tests =
   let small = Gen_instances.linarr_recipe
   and large = Gen_instances.linarr_large_recipe in

@@ -20,5 +20,8 @@ let () =
       ("gfun", List.map to_case Prop_gfun.tests);
       ("stats-online", List.map to_case Prop_stats.tests);
       ("problems", List.map to_case Prop_problems.tests);
-      ("arrangement", List.map to_case Prop_arrangement.tests);
+      ( "arrangement",
+        Alcotest.test_case "small range straddles the table bound" `Quick
+          Prop_arrangement.small_range_straddles_the_table_bound
+        :: List.map to_case Prop_arrangement.tests );
     ]

@@ -324,21 +324,25 @@ let density_branches nl order =
   done;
   !seen
 
-let test_density_branches () =
+(* [pad] elements without nets follow the six that carry them, so the
+   same cuts, padded with zeros, can be priced by either kernel. *)
+let density_branches_hold ~pad =
   (* Element 0 has three nets to elements 2, 3, 4 and two parallel nets
      to element 1; element 5 hangs off element 4.  At the identity the
      cuts are [5; 3; 2; 1; 1]: the density sits at boundary 0 alone, so
      swapping positions 0 and 1 drops it to 2 and the new density, 3,
      is found outside the window. *)
+  let n = 6 + pad in
   let nl =
-    Netlist.create ~n_elements:6
+    Netlist.create ~n_elements:n
       ~pins:[| [| 0; 2 |]; [| 0; 3 |]; [| 0; 4 |]; [| 0; 1 |]; [| 0; 1 |]; [| 4; 5 |] |]
   in
-  let n = 6 in
   let id = Array.init n Fun.id in
   let rev = Array.init n (fun p -> n - 1 - p) in
   let arr = Arrangement.create ~order:id nl in
-  Alcotest.check Alcotest.(array int) "cuts" [| 5; 3; 2; 1; 1 |] (Arrangement.cuts arr);
+  Alcotest.check Alcotest.(array int) "cuts"
+    (Array.append [| 5; 3; 2; 1; 1 |] (Array.make pad 0))
+    (Arrangement.cuts arr);
   Alcotest.check Alcotest.(pair int int) "swap 0 1 falls back outside" (-2, -3)
     (Arrangement.swap_delta arr 0 1);
   (* Mirrored, the lone maximum is the last boundary. *)
@@ -357,6 +361,12 @@ let test_density_branches () =
   reached "a fallback outside a window at position n-1" (fun (b, _, w1) ->
       b = `Fallback_outside && w1 = n - 1)
 
+(* Six elements take the table kernel; padded past its bound, the same
+   moves take the span kernel. *)
+let test_density_branches () =
+  density_branches_hold ~pad:0;
+  density_branches_hold ~pad:(Arrangement.table_max_elements - 5)
+
 (* The scratch a state allocates on its first trial: per net a mark, a
    touched slot and a pending span (4m words), per position the window
    and the sparse cut changes (3n), plus array headers. *)
@@ -372,6 +382,54 @@ let test_scratch_words () =
     Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + 3n + 64 = %d" n m
       words bound;
   Arrangement.check t
+
+(* In table mode [check] also reads every cut back from the netlist's
+   table of subset cuts, so one corrupt cell fails it. *)
+let test_check_reads_table () =
+  let rng = Rng.create ~seed:62 in
+  let n = 10 in
+  let nl = Netlist.random_nola rng ~elements:n ~nets:40 ~min_pins:2 ~max_pins:4 in
+  let t = Arrangement.random rng nl in
+  ignore (Arrangement.swap_delta t 2 7);
+  Arrangement.check t;
+  (* The cell of the set left of boundary 0, folded as documented. *)
+  let e = Arrangement.element_at t 0 in
+  let cell = if e = n - 1 then (1 lsl n) - 1 - (1 lsl e) else 1 lsl e in
+  let table = Netlist.cut_table nl in
+  let v = Bytes.get_uint16_le table (2 * cell) in
+  Bytes.set_uint16_le table (2 * cell) (v + 1);
+  let caught = match Arrangement.check t with () -> false | exception Failure _ -> true in
+  Bytes.set_uint16_le table (2 * cell) v;
+  Alcotest.check Alcotest.bool "a corrupt table cell fails check" true caught;
+  Arrangement.check t
+
+(* At the table bound a state's first trial allocates only the sparse
+   cut changes (2n words), and its copy holds no per-net array: the
+   subset cuts live in the netlist.  One element more and the span
+   kernel's 4m words of scratch are back. *)
+let test_table_scratch_words () =
+  let rng = Rng.create ~seed:63 in
+  let m = 300 in
+  let words n =
+    let nl = Netlist.random_nola rng ~elements:n ~nets:m ~min_pins:2 ~max_pins:5 in
+    let t = Arrangement.random rng nl in
+    ignore (Arrangement.swap_delta t 1 (n - 2));
+    Arrangement.check t;
+    let c = Arrangement.copy t in
+    ( Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr c),
+      Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr nl) )
+  in
+  let n = Arrangement.table_max_elements in
+  let scratch, copy = words n in
+  if scratch > (2 * n) + 8 then
+    Alcotest.failf "first trial at n = %d allocates %d words, over 2n + 8" n scratch;
+  (* order, positions, cuts and prefix masks, and the cut histogram *)
+  if copy > (4 * n) + m + 64 then
+    Alcotest.failf "a copy at n = %d holds %d words, over 4n + m + 64" n copy;
+  let scratch, _ = words (n + 1) in
+  if scratch < 4 * m then
+    Alcotest.failf "first trial at n = %d allocates %d words, under the span scratch's 4m"
+      (n + 1) scratch
 
 let suite =
   [
@@ -400,6 +458,8 @@ let suite =
     case "copy holds no trial scratch" test_copy_words;
     case "density branches of a trial" test_density_branches;
     case "trial scratch words" test_scratch_words;
+    case "check reads the subset cut table" test_check_reads_table;
+    case "table mode holds no per-net arrays" test_table_scratch_words;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;

@@ -156,6 +156,59 @@ let prop_roundtrip =
       | Ok nl' -> Netlist.equal nl nl'
       | Error _ -> false)
 
+(* cut(S) read from the table by its documented layout, against a
+   direct count of the nets with pins on both sides of S. *)
+let table_matches_recount what nl =
+  let n = Netlist.n_elements nl in
+  let full = (1 lsl n) - 1 in
+  let table = Netlist.cut_table nl in
+  Alcotest.check Alcotest.int (what ^ ": 2^(n-1) cells") (2 * max 1 (1 lsl (n - 1)))
+    (Bytes.length table);
+  let masks =
+    Array.init (Netlist.n_nets nl) (fun j ->
+        Array.fold_left (fun acc e -> acc lor (1 lsl e)) 0 (Netlist.pins nl j))
+  in
+  for s = 0 to full do
+    let direct =
+      Array.fold_left
+        (fun acc mk -> if mk land s <> 0 && mk land (full lxor s) <> 0 then acc + 1 else acc)
+        0 masks
+    in
+    let cell = if n > 0 && s land (1 lsl (n - 1)) <> 0 then s lxor full else s in
+    let got = Bytes.get_uint16_le table (2 * cell) in
+    if got <> direct then Alcotest.failf "%s: cut of set %#x is %d, recount %d" what s got direct
+  done
+
+let test_cut_table () =
+  let create n pins = Netlist.create ~n_elements:n ~pins in
+  table_matches_recount "n = 2" (create 2 [| [| 0; 1 |] |]);
+  table_matches_recount "parallel nets" (create 3 [| [| 0; 1 |]; [| 0; 1 |]; [| 0; 1 |]; [| 1; 2 |] |]);
+  table_matches_recount "a net on every element"
+    (create 5 [| [| 0; 1; 2; 3; 4 |]; [| 0; 4 |]; [| 2; 3 |] |]);
+  table_matches_recount "no nets" (create 4 [||]);
+  table_matches_recount "one element" (create 1 [||]);
+  let rng = Rng.create ~seed:17 in
+  List.iter
+    (fun n ->
+      table_matches_recount (Printf.sprintf "GOLA n = %d" n)
+        (Netlist.random_gola rng ~elements:n ~nets:(10 * n));
+      table_matches_recount (Printf.sprintf "NOLA n = %d" n)
+        (Netlist.random_nola rng ~elements:n ~nets:(10 * n) ~min_pins:2 ~max_pins:(min n 5)))
+    [ 2; 3; 7; 12 ];
+  table_matches_recount "NOLA n = 16"
+    (Netlist.random_nola rng ~elements:16 ~nets:60 ~min_pins:2 ~max_pins:6)
+
+(* The table is built once and kept in the netlist, so every caller
+   reads the same bytes; netlists past the table's size are refused. *)
+let test_cut_table_memo () =
+  let nl = small () in
+  Alcotest.check Alcotest.bool "built once" true (Netlist.cut_table nl == Netlist.cut_table nl);
+  Alcotest.check Alcotest.bool "per netlist" false
+    (Netlist.cut_table nl == Netlist.cut_table (small ()));
+  Alcotest.check_raises "21 elements refused"
+    (Invalid_argument "Netlist.cut_table: netlist too large") (fun () ->
+      ignore (Netlist.cut_table (Netlist.create ~n_elements:21 ~pins:[||])))
+
 let suite =
   [
     case "sizes" test_sizes;
@@ -175,5 +228,7 @@ let suite =
     case "text roundtrip" test_roundtrip;
     case "parser skips comments/blanks" test_parse_comments_and_blanks;
     case "parser error cases" test_parse_errors;
+    case "subset cut table = direct count" test_cut_table;
+    case "subset cut table is a per-netlist memo" test_cut_table_memo;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]

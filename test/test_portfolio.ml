@@ -267,6 +267,37 @@ let test_multi_start_on_pool () =
         base.MS.total_evaluations o.MS.total_evaluations)
     [ 2; 4 ]
 
+(* Arrangements at n = 15 price from their netlist's table of subset
+   cuts, built by the first trial on it.  A two-domain race on a fresh
+   parse has jobs start on both domains at once, so the two may both
+   build it; the report must still equal a one-domain race on a second
+   fresh parse, and each netlist keeps its own table. *)
+let test_race_builds_cut_table_safely () =
+  let text =
+    Netlist.to_string
+      (Netlist.random_nola (Rng.create ~seed:24) ~elements:15 ~nets:150 ~min_pins:2
+         ~max_pins:5)
+  in
+  let parse () = match Netlist.of_string text with Ok nl -> nl | Error e -> failwith e in
+  let race ~domains nl =
+    Portfolio.race ~domains (Rng.create ~seed:11) ~initial_budget:(Budget.Evaluations 400)
+      (List.map
+         (fun g ->
+           Portfolio.Job.figure1
+             (module Linarr_problem.Swap)
+             ~delta_ops:Linarr_problem.Swap.delta_ops ~label:(Gfun.name g) ~gfun:g
+             ~schedule:(Schedule.constant ~k:(Gfun.k g) 1.)
+             ~make_state:(fun rng -> Arrangement.random rng nl)
+             ())
+         (Gfun.catalog ~m:150))
+  in
+  let a = parse () and b = parse () in
+  Alcotest.check Alcotest.string "2 domains on a fresh netlist = 1 domain on another"
+    (json_of (race ~domains:1 b))
+    (json_of (race ~domains:2 a));
+  Alcotest.check Alcotest.bool "each netlist holds its own table" false
+    (Netlist.cut_table a == Netlist.cut_table b)
+
 let suite =
   [
     case "pool: map covers every index" test_pool_map_covers_every_index;
@@ -281,4 +312,5 @@ let suite =
     case "race: failures contained per job" test_race_contains_failures;
     case "portfolio: argument validation" test_validation;
     case "multi-start: identical across domains" test_multi_start_on_pool;
+    case "race: two domains build a netlist's cut table safely" test_race_builds_cut_table_safely;
   ]
