@@ -13,30 +13,76 @@ type view = {
    [cut_table] call builds it. *)
 type t = { view : view; cut_table : Bytes.t Atomic.t }
 
-(* Each net is checked, sorted and laid out in one pass, net by net. *)
+(* Sorts [a.(lo) .. a.(hi - 1)] ascending in place, allocating nothing:
+   insertion sort for the short nets real netlists have, heapsort above
+   [short_net] pins so that no net sorts in quadratic time. *)
+let short_net = 16
+
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let k = ref (i - 1) in
+    while !k >= lo && a.(!k) > x do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- x
+  done
+
+(* Max-heap on [a.(lo) ..], node [r] at [a.(lo + r)], [len] nodes. *)
+let rec sift_down (a : int array) lo len r =
+  let c = (2 * r) + 1 in
+  if c < len then begin
+    let c = if c + 1 < len && a.(lo + c + 1) > a.(lo + c) then c + 1 else c in
+    let x = a.(lo + r) in
+    if a.(lo + c) > x then begin
+      a.(lo + r) <- a.(lo + c);
+      a.(lo + c) <- x;
+      sift_down a lo len c
+    end
+  end
+
+let sort_slice a lo hi =
+  let len = hi - lo in
+  if len <= short_net then insertion_sort a lo hi
+  else begin
+    for r = (len / 2) - 1 downto 0 do
+      sift_down a lo len r
+    done;
+    for last = len - 1 downto 1 do
+      let x = a.(lo) in
+      a.(lo) <- a.(lo + last);
+      a.(lo + last) <- x;
+      sift_down a lo last 0
+    done
+  end
+
+(* Each net is copied into its slice of [pins], range-checked in input
+   order on the way, then sorted and checked for repeats in place. *)
 let create ~n_elements ~pins:nets =
   if n_elements < 0 then invalid_arg "Netlist.create: negative element count";
   let m = Array.length nets in
   let pin_start = Array.make (m + 1) 0 in
-  Array.iteri (fun j net -> pin_start.(j + 1) <- pin_start.(j) + Array.length net) nets;
+  for j = 0 to m - 1 do
+    pin_start.(j + 1) <- pin_start.(j) + Array.length nets.(j)
+  done;
   let pins = Array.make pin_start.(m) 0 in
-  Array.iteri
-    (fun j net ->
-      if Array.length net < 2 then
-        invalid_arg (Printf.sprintf "Netlist.create: net %d has fewer than 2 pins" j);
-      Array.iter
-        (fun e ->
-          if e < 0 || e >= n_elements then
-            invalid_arg (Printf.sprintf "Netlist.create: net %d pin %d out of range" j e))
-        net;
-      let sorted = Array.copy net in
-      Array.sort Int.compare sorted;
-      for i = 1 to Array.length sorted - 1 do
-        if sorted.(i) = sorted.(i - 1) then
-          invalid_arg (Printf.sprintf "Netlist.create: net %d repeats element %d" j sorted.(i))
-      done;
-      Array.blit sorted 0 pins pin_start.(j) (Array.length sorted))
-    nets;
+  for j = 0 to m - 1 do
+    let net = nets.(j) and lo = pin_start.(j) and hi = pin_start.(j + 1) in
+    if hi - lo < 2 then
+      invalid_arg (Printf.sprintf "Netlist.create: net %d has fewer than 2 pins" j);
+    for k = lo to hi - 1 do
+      let e = net.(k - lo) in
+      if e < 0 || e >= n_elements then
+        invalid_arg (Printf.sprintf "Netlist.create: net %d pin %d out of range" j e);
+      pins.(k) <- e
+    done;
+    sort_slice pins lo hi;
+    for k = lo + 1 to hi - 1 do
+      if pins.(k) = pins.(k - 1) then
+        invalid_arg (Printf.sprintf "Netlist.create: net %d repeats element %d" j pins.(k))
+    done
+  done;
   let inc_start = Array.make (n_elements + 1) 0 in
   Array.iter (fun e -> inc_start.(e + 1) <- inc_start.(e + 1) + 1) pins;
   for e = 1 to n_elements do

@@ -17,7 +17,10 @@ val create : n_elements:int -> pins:int array array -> t
 (** [create ~n_elements ~pins] builds a netlist where net [j] connects
     the elements [pins.(j)].  Every net must have at least 2 pins, all
     pin indices must lie in [0, n_elements), and a net must not list
-    the same element twice.  The [pins] arrays are copied.
+    the same element twice.  The [pins] arrays are copied.  Each net is
+    checked and sorted in place in the netlist's own pin array, so
+    [create] allocates little beyond what the netlist keeps, and no net
+    sorts in quadratic time.
 
     @raise Invalid_argument if any condition fails. *)
 

@@ -171,17 +171,47 @@ let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
 
+(* The displaced-slot table: open addressing with linear probing over
+   [cap] cells, a power of two, each two words (slot, value) with slot
+   [-1] for an empty cell.  A slot is its own hash: the slots stored are
+   uniform draws, so their low bits spread evenly.  [find] returns the
+   index of the slot's cell, or of the empty cell it would take. *)
+let[@inline] find table mask slot =
+  let h = ref (slot land mask) in
+  while
+    let key = table.(2 * !h) in
+    key <> slot && key >= 0
+  do
+    h := (!h + 1) land mask
+  done;
+  2 * !h
+
+let[@inline] value table cell slot = if table.(cell) < 0 then slot else table.(cell + 1)
+
+(* Partial Fisher–Yates over the virtual index array [a.(i) = i].  Step
+   [i] swaps [a.(i)] with [a.(j)], [j] drawn from [i, n-1]; [a.(i)] is
+   final from then on, so it goes straight to the output and only
+   [a.(j)] is stored.  That is one store per step, so a table of at
+   least [2 k] cells stays at most half full; when [n < 2 k], [n] cells
+   give every slot a cell of its own. *)
 let sample_without_replacement t ~k ~n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
-  (* Partial Fisher-Yates over an index array. *)
-  let a = Array.init n (fun i -> i) in
+  let cap = ref 1 in
+  while !cap < min (2 * k) n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let table = Array.make (2 * !cap) (-1) in
+  let out = Array.make k 0 in
   for i = 0 to k - 1 do
     let j = int_range t i (n - 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
+    let ai = value table (find table mask i) i in
+    let cj = find table mask j in
+    out.(i) <- value table cj j;
+    table.(cj) <- j;
+    table.(cj + 1) <- ai
   done;
-  Array.sub a 0 k
+  out
 
 (* A non-finite weight or total would make [target] infinite (or NaN),
    which no partial sum exceeds, so the scan would fall through to the

@@ -90,7 +90,12 @@ val pick : t -> 'a array -> 'a
 
 val sample_without_replacement : t -> k:int -> n:int -> int array
 (** [sample_without_replacement t ~k ~n] draws [k] distinct values from
-    [0..n-1], in random order.  Requires [0 <= k <= n]. *)
+    [0..n-1], in random order.  Requires [0 <= k <= n].
+
+    O(k) time and memory, whatever [n]: the partial Fisher–Yates
+    shuffle runs over a virtual index array and stores only the slots
+    its swaps displaced, so drawing a few pins of a large netlist costs
+    a few words, not an [n]-word array. *)
 
 val categorical : t -> float array -> int
 (** [categorical t weights] samples an index with probability

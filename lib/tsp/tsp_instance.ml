@@ -21,19 +21,31 @@ let create points =
     invalid_arg "Tsp_instance.create: non-finite coordinate";
   { xs = Array.map fst points; ys = Array.map snd points }
 
+(* The generators fill [xs] and [ys] directly, their coordinates finite
+   by construction.  Each city draws y before x: every recorded instance
+   was drawn from [(x, y)] pair literals, which ocamlopt evaluates right
+   to left, so this order keeps them bit-identical. *)
+let uniform_points rng n =
+  let xs = Array.make n 0. and ys = Array.make n 0. in
+  for i = 0 to n - 1 do
+    ys.(i) <- Rng.unit_float rng;
+    xs.(i) <- Rng.unit_float rng
+  done;
+  { xs; ys }
+
 let random_uniform rng ~n =
   if n < 3 then invalid_arg "Tsp_instance.random_uniform: n < 3";
-  create (Array.init n (fun _ -> (Rng.unit_float rng, Rng.unit_float rng)))
+  uniform_points rng n
 
 let random_clustered rng ~n ~clusters ~spread =
   if n < 3 then invalid_arg "Tsp_instance.random_clustered: n < 3";
   if clusters < 1 then invalid_arg "Tsp_instance.random_clustered: clusters < 1";
   if spread <= 0. then invalid_arg "Tsp_instance.random_clustered: spread <= 0";
-  let centres =
-    Array.init clusters (fun _ -> (Rng.unit_float rng, Rng.unit_float rng))
-  in
-  create
-    (Array.init n (fun _ ->
-         let cx, cy = centres.(Rng.int rng clusters) in
-         ( cx +. Rng.gaussian rng ~mu:0. ~sigma:spread,
-           cy +. Rng.gaussian rng ~mu:0. ~sigma:spread )))
+  let centres = uniform_points rng clusters in
+  let xs = Array.make n 0. and ys = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let c = Rng.int rng clusters in
+    ys.(i) <- centres.ys.(c) +. Rng.gaussian rng ~mu:0. ~sigma:spread;
+    xs.(i) <- centres.xs.(c) +. Rng.gaussian rng ~mu:0. ~sigma:spread
+  done;
+  { xs; ys }

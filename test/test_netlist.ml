@@ -68,11 +68,58 @@ let invalid_arg_any f =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* The exact texts, and which error a netlist with several is refused
+   for: nets are checked in order, and within a net a short net first,
+   then the first out-of-range pin in input order, then the smallest
+   repeated element. *)
 let test_create_validation () =
-  invalid_arg_any (fun () -> Netlist.create ~n_elements:3 ~pins:[| [| 0 |] |]);
-  invalid_arg_any (fun () -> Netlist.create ~n_elements:3 ~pins:[| [| 0; 3 |] |]);
-  invalid_arg_any (fun () -> Netlist.create ~n_elements:3 ~pins:[| [| 0; -1 |] |]);
-  invalid_arg_any (fun () -> Netlist.create ~n_elements:3 ~pins:[| [| 1; 1 |] |])
+  let refused name n_elements pins expected =
+    match Netlist.create ~n_elements ~pins with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument msg -> Alcotest.check Alcotest.string name expected msg
+  in
+  refused "one pin" 3 [| [| 0 |] |] "Netlist.create: net 0 has fewer than 2 pins";
+  refused "pin past the end" 3 [| [| 0; 3 |] |] "Netlist.create: net 0 pin 3 out of range";
+  refused "repeat" 3 [| [| 1; 1 |] |] "Netlist.create: net 0 repeats element 1";
+  refused "short net" 3 [| [| 0; 1 |]; [| 2 |] |] "Netlist.create: net 1 has fewer than 2 pins";
+  refused "empty net" 3 [| [| 0; 1 |]; [||] |] "Netlist.create: net 1 has fewer than 2 pins";
+  refused "first out-of-range pin in input order" 3
+    [| [| 0; 1 |]; [| 1; 7; -2; 5 |] |]
+    "Netlist.create: net 1 pin 7 out of range";
+  refused "negative pin" 3 [| [| 2; -1; 0; 3 |] |] "Netlist.create: net 0 pin -1 out of range";
+  refused "smallest repeat" 5 [| [| 4; 2; 4; 2; 0 |] |] "Netlist.create: net 0 repeats element 2";
+  refused "range before repeat" 3 [| [| 1; 1; 9 |] |] "Netlist.create: net 0 pin 9 out of range";
+  refused "earlier net first" 3 [| [| 0; 0 |]; [| 1 |] |] "Netlist.create: net 0 repeats element 0";
+  (* Past the insertion-sort length: 29 down to 5, then 29 down to 25. *)
+  refused "smallest repeat, long net" 30
+    [| [| 0; 1 |]; Array.init 30 (fun i -> 29 - (i mod 25)) |]
+    "Netlist.create: net 1 repeats element 25";
+  refused "negative element count" (-1) [||] "Netlist.create: negative element count"
+
+(* One net of 10^5 pins in descending order: a quadratic sort needs
+   about 5 * 10^9 moves, seconds at least; an n log n one a few
+   milliseconds. *)
+let test_create_long_net () =
+  let n = 100_000 in
+  let t0 = Unix.gettimeofday () in
+  let nl = Netlist.create ~n_elements:n ~pins:[| Array.init n (fun i -> n - 1 - i) |] in
+  let seconds = Unix.gettimeofday () -. t0 in
+  Alcotest.check Alcotest.(array int) "sorted" (Array.init n Fun.id) (Netlist.pins nl 0);
+  if seconds > 1. then Alcotest.failf "a 10^5-pin net took %.2f s to build" seconds
+
+(* Set-up allocates O(pins): the netlist keeps about two words per pin,
+   and the sampler's scratch adds about seven more.  An n-word index
+   array per net would cost n / 4 = 5000 words per pin here. *)
+let test_random_nola_allocates_o_pins () =
+  let before = Test_rng.allocated_words () in
+  let nl =
+    Netlist.random_nola (Rng.create ~seed:5) ~elements:20_000 ~nets:50_000 ~min_pins:2
+      ~max_pins:6
+  in
+  let words = Test_rng.allocated_words () -. before in
+  let pins = Array.length (Netlist.view nl).pins in
+  if words > 12. *. float_of_int pins then
+    Alcotest.failf "random_nola allocated %.0f words for %d pins, over 12 per pin" words pins
 
 let test_pins_arrays_copied_on_create () =
   let raw = [| [| 0; 1 |] |] in
@@ -220,6 +267,8 @@ let suite =
     case "lightest element and ties" test_lightest_element;
     case "structural equality" test_equal;
     case "create validation" test_create_validation;
+    case "create sorts a 10^5-pin net fast" test_create_long_net;
+    case "random NOLA allocates O(pins)" test_random_nola_allocates_o_pins;
     case "create copies pin arrays" test_pins_arrays_copied_on_create;
     case "random GOLA shape" test_random_gola_shape;
     case "random GOLA deterministic" test_random_gola_deterministic;

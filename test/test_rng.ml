@@ -279,6 +279,65 @@ let test_sample_without_replacement () =
   check Alcotest.int "k = 0 ok" 0 (Array.length (Rng.sample_without_replacement rng ~k:0 ~n:5));
   check Alcotest.int "k = n ok" 5 (Array.length (Rng.sample_without_replacement rng ~k:5 ~n:5))
 
+(* The dense partial Fisher–Yates the sampler replaced: an n-word index
+   array swapped in place.  The sparse sampler must reproduce it draw for
+   draw: the same values in the same order, and the generator left at the
+   same point of its stream. *)
+let dense_sample rng ~k ~n =
+  let a = Array.init n (fun i -> i) in
+  for i = 0 to k - 1 do
+    let j = Rng.int_range rng i (n - 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  Array.sub a 0 k
+
+let test_sample_matches_dense () =
+  let same ~seed ~k ~n =
+    let sparse = Rng.create ~seed and dense = Rng.create ~seed in
+    let name = Printf.sprintf "seed %d, k %d, n %d" seed k n in
+    check Alcotest.(array int) name (dense_sample dense ~k ~n)
+      (Rng.sample_without_replacement sparse ~k ~n);
+    check Alcotest.int32 (name ^ ": next draw") (Rng.bits32 dense) (Rng.bits32 sparse)
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (k, n) -> same ~seed ~k ~n)
+        [ (0, 0); (0, 1); (1, 1); (0, 5); (1, 5); (3, 5); (5, 5); (2, 16); (16, 16);
+          (6, 600); (300, 600); (599, 600); (600, 600); (0, 100_000); (1, 100_000);
+          (6, 100_000); (50_000, 100_000); (100_000, 100_000) ])
+    [ 1; 2; 3; 21; 1985 ];
+  (* Small n and k near n: the most displaced slots per table cell. *)
+  let grid = Rng.create ~seed:99 in
+  for _ = 1 to 300 do
+    let n = 1 + Rng.int grid 64 in
+    same ~seed:(Rng.int grid 1_000_000) ~k:(Rng.int grid (n + 1)) ~n
+  done
+
+(* Words allocated since start-up, minor and major heap alike.
+   [Gc.minor] first brings the counters up to date; each word promoted is
+   counted in both [major_words] and [promoted_words], so the difference
+   counts it once.  A reading allocates a few dozen words itself. *)
+let allocated_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.minor_words +. s.major_words -. s.promoted_words
+
+(* Memory is O(k), whatever n: a few pins of a large netlist cost a few
+   words, not an n-word index array. *)
+let test_sample_allocates_o_k () =
+  let rng = Rng.create ~seed:23 in
+  List.iter
+    (fun k ->
+      let before = allocated_words () in
+      ignore (Sys.opaque_identity (Rng.sample_without_replacement rng ~k ~n:1_000_000));
+      let words = allocated_words () -. before in
+      if words > float_of_int ((8 * k) + 64) then
+        Alcotest.failf "k = %d of n = 10^6 allocated %.0f words, over 8k + 64" k words)
+    [ 0; 1; 6; 32; 1000 ]
+
 let test_categorical_rates () =
   let rng = Rng.create ~seed:22 in
   let counts = Array.make 3 0 in
@@ -429,6 +488,8 @@ let suite =
     case "shuffle preserves multiset" test_shuffle_preserves_multiset;
     case "pick membership and empty" test_pick;
     case "sample without replacement" test_sample_without_replacement;
+    case "sample matches the dense Fisher-Yates" test_sample_matches_dense;
+    case "sample allocates O(k)" test_sample_allocates_o_k;
     case "categorical rates" test_categorical_rates;
     case "categorical skips zero weights" test_categorical_zero_weight_skipped;
     case "categorical invalid weights" test_categorical_invalid;

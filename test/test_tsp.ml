@@ -121,6 +121,39 @@ let test_random_instances () =
   let clustered = Tsp_instance.random_clustered rng ~n:20 ~clusters:3 ~spread:0.01 in
   Alcotest.check Alcotest.int "clustered size" 20 (Tsp_instance.size clustered)
 
+(* Seed 7's coordinates as the generators first drew them, each city's
+   y before its x.  Exact bits: a swapped draw order, or any other change
+   to the stream, moves every value. *)
+let test_random_coordinates_pinned () =
+  let pinned name inst expected =
+    Array.iteri
+      (fun i (x, y) ->
+        let x', y' = Tsp_instance.coord inst i in
+        if not (Float.equal x x' && Float.equal y y') then
+          Alcotest.failf "%s city %d: expected (%h, %h), got (%h, %h)" name i x y x' y')
+      expected;
+    Alcotest.check Alcotest.int (name ^ " size") (Array.length expected) (Tsp_instance.size inst)
+  in
+  pinned "uniform"
+    (Tsp_instance.random_uniform (Rng.create ~seed:7) ~n:5)
+    [|
+      (0x1.d20f0948p-2, 0x1.9bdecd6p-3);
+      (0x1.93db703ap-1, 0x1.6788e9d6p-1);
+      (0x1.6ea63bdp-4, 0x1.f3d5a6e6p-1);
+      (0x1.755360e4p-2, 0x1.b5bffb94p-1);
+      (0x1.34c1dfbap-1, 0x1.2e0c8f7ap-1);
+    |];
+  pinned "clustered"
+    (Tsp_instance.random_clustered (Rng.create ~seed:7) ~n:6 ~clusters:2 ~spread:0.1)
+    [|
+      (0x1.566e6ffdd8a96p-1, 0x1.ac77878ec70e8p-1);
+      (0x1.aa813e1e79937p-1, 0x1.5d9ebc64a92ecp-1);
+      (0x1.dda2b3eb6da1dp-2, 0x1.32c1f4296887cp-4);
+      (0x1.eaff5ee5c1dcdp-2, 0x1.23bc0f57e50b6p-3);
+      (0x1.6c515bd8e0a5ap-2, 0x1.1fd1b64ca5a87p-2);
+      (0x1.362332631d2d9p-1, 0x1.d832da109b32cp-2);
+    |]
+
 let test_tour_identity_length () =
   let t = Tour.identity (square ()) in
   checkf 1e-9 "perimeter" 4. (Tour.length t);
@@ -532,6 +565,7 @@ let suite =
     case "instance validation" test_instance_validation;
     case "instance rejects non-finite coordinates" test_instance_rejects_non_finite;
     case "random instances" test_random_instances;
+    case "random coordinates pinned" test_random_coordinates_pinned;
     case "tour identity length" test_tour_identity_length;
     case "tour order validation" test_tour_of_order_validation;
     case "city_at wraps" test_tour_city_at_wraps;
