@@ -560,7 +560,7 @@ let info_cmd =
         Printf.printf "identity-order density: %d\n"
           (Arrangement.density (Arrangement.create nl));
         Printf.printf "goto density: %d\n" (Goto.density nl);
-        if n <= 10 then
+        if Netlist.fits_cut_table nl then
           Printf.printf "exact optimal density: %d\n" (Linarr_exact.optimal_density nl);
         0)
   in

@@ -63,19 +63,6 @@ let delta_ops ?(recost_every = 10_000) ?kind ~propose ~delta ~commit ~abandon ()
   | Some _ | None -> ());
   { propose; delta; commit; abandon; recost_every; kind }
 
-(* Cross-sweep memoization hints for the rejectionless engine.  A
-   committed step leaves most of the neighborhood's deltas unchanged, so
-   the next sweep can reuse the previous sweep's prices and re-evaluate
-   only the moves the step [affects].  Soundness is the adapter's
-   burden: [affects] must answer [true] for every move whose delta
-   could have changed (called on the post-commit state). *)
-type ('state, 'move) sweep_cache = {
-  equal_move : 'move -> 'move -> bool;
-  affects : 'state -> committed:'move -> 'move -> bool;
-}
-
-let sweep_cache ~equal_move ~affects = { equal_move; affects }
-
 (** Outcome counters common to all engines. *)
 type stats = {
   evaluations : int;  (** perturbations proposed (budget ticks) *)

@@ -107,32 +107,6 @@ val delta_ops :
     @raise Invalid_argument if [recost_every <= 0] or [kind] is the
     empty string. *)
 
-type ('state, 'move) sweep_cache = {
-  equal_move : 'move -> 'move -> bool;
-      (** Structural equality of moves; a cached delta is only reused
-          when the neighborhood re-enumerates the same move at the same
-          index. *)
-  affects : 'state -> committed:'move -> 'move -> bool;
-      (** [affects state ~committed m]: could committing [committed]
-          have changed the delta of [m]?  Called on the post-commit
-          state.  Must answer [true] for every move whose delta could
-          have changed — false negatives make the cache unsound, false
-          positives only cost a re-evaluation. *)
-}
-(** Cross-sweep memoization hints for {!Rejectionless}: a committed
-    step leaves most of the neighborhood's deltas unchanged, so the
-    next sweep reuses the previous sweep's prices and re-evaluates only
-    the moves the step [affects].  Deltas are cached bit-for-bit, so a
-    cached sweep stays bit-identical to an uncached one.  Only useful
-    for domains with a cheap, local [affects] predicate — objectives
-    with global coupling (a max over the whole state, like linarr
-    density) cannot give one and should not provide this record. *)
-
-val sweep_cache :
-  equal_move:('move -> 'move -> bool) ->
-  affects:('state -> committed:'move -> 'move -> bool) ->
-  ('state, 'move) sweep_cache
-
 (** Outcome counters common to all engines. *)
 type stats = {
   evaluations : int;  (** perturbations proposed (budget ticks) *)

@@ -24,85 +24,18 @@ module Make (P : Mc_problem.S) = struct
       invalid_arg "Rejectionless.params: schedule length mismatch";
     { gfun; schedule; budget }
 
-  (* Per-run storage for the [?sweep_cache] path: the previous sweep's
-     move and delta at each neighborhood index, plus a validity byte
-     cleared when a committed step affects the entry. *)
-  type cache = {
-    mutable cm : P.move array;
-    mutable cdv : float array;
-    mutable cvalid : Bytes.t;
-    mutable filled : int; (* entries 0..filled-1 belong to the last sweep *)
-    mutable count : int; (* entries priced so far in this sweep *)
-  }
-
-  let cache_ensure mc n m =
-    if Array.length mc.cm < n then begin
-      let cap = max 256 (max n (2 * Array.length mc.cm)) in
-      let cm = Array.make cap m in
-      Array.blit mc.cm 0 cm 0 (Array.length mc.cm);
-      let cdv = Array.make cap 0. in
-      Array.blit mc.cdv 0 cdv 0 (Array.length mc.cdv);
-      let cvalid = Bytes.make cap '\000' in
-      Bytes.blit mc.cvalid 0 cvalid 0 (Bytes.length mc.cvalid);
-      mc.cm <- cm;
-      mc.cdv <- cdv;
-      mc.cvalid <- cvalid
-    end
-
-  (* [d] with its deltas memoized across sweeps by the index [pos] of
-     the move within its sweep, and a [commit] that drops every cached
-     delta the committed step could have changed; the rest carry over
-     to the next sweep.  Raw deltas are reused bit-for-bit and the
-     budget still ticks per move scanned, so the sweep's decisions (and
-     its stats) are identical with or without the cache. *)
-  let cached pos hints (d : _ Mc_problem.delta_ops) =
-    let mc = { cm = [||]; cdv = [||]; cvalid = Bytes.empty; filled = 0; count = 0 } in
-    let delta state m =
-      let i = !pos in
-      if i = 0 then mc.filled <- mc.count;
-      mc.count <- i + 1;
-      if
-        i < mc.filled
-        && Bytes.get mc.cvalid i = '\001'
-        && hints.Mc_problem.equal_move mc.cm.(i) m
-      then mc.cdv.(i)
-      else begin
-        let dv = d.delta state m in
-        cache_ensure mc (i + 1) m;
-        mc.cm.(i) <- m;
-        mc.cdv.(i) <- dv;
-        Bytes.set mc.cvalid i '\001';
-        dv
-      end
-    in
-    let commit state m =
-      d.commit state m;
-      for i = 0 to mc.count - 1 do
-        if
-          Bytes.get mc.cvalid i = '\001'
-          && hints.Mc_problem.affects state ~committed:m mc.cm.(i)
-        then Bytes.set mc.cvalid i '\000'
-      done
-    in
-    { d with delta; commit }
-
-  let run ?(observer = Obs.Observer.null) ?delta_ops ?sweep_cache rng p state =
+  let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =
     let k = Gfun.k p.gfun in
     let clock = Budget.start p.budget in
     let b = S.start ~observer clock state in
     S.enter_temp b p.schedule 1;
-    (* Index of the move being priced within the current sweep; the sweep
-       cache keys on it. *)
-    let pos = ref (-1) in
     (* The sweep keeps every weighted move pending until one is sampled:
        the delta evaluator leaves the state untouched while pricing; the
        recompute one restores it after each price. *)
     let ev =
       match delta_ops with
       | None -> S.recompute ~restore:true b
-      | Some d ->
-          S.of_delta b
-            (match sweep_cache with None -> d | Some hints -> cached pos hints d)
+      | Some d -> S.of_delta b d
     in
     (* Delta path only: replace the accumulated [hi] with a full recost
        once [recost_every] ticks have passed since the last one,
@@ -140,13 +73,11 @@ module Make (P : Mc_problem.S) = struct
       (* Weigh every move by its acceptance probability.  A scanned move
          counts as rejected until it is taken, so [rejected] is the scan
          overhead (evaluations - steps) at every point of the sweep. *)
-      pos := -1;
       let weighted =
         (try P.moves state with e -> S.abort b e)
         |> Seq.filter_map (fun m ->
                if Budget.exhausted clock then None
                else begin
-                 incr pos;
                  b.rejected <- b.rejected + 1;
                  let hj = ev.price m in
                  let w = weight hj in

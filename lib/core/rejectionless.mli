@@ -24,7 +24,6 @@ module Make (P : Mc_problem.S) : sig
   val run :
     ?observer:Obs.Observer.t ->
     ?delta_ops:(P.state, P.move) Mc_problem.delta_ops ->
-    ?sweep_cache:(P.state, P.move) Mc_problem.sweep_cache ->
     Rng.t ->
     params ->
     P.state ->
@@ -46,15 +45,6 @@ module Make (P : Mc_problem.S) : sig
       Without [delta_ops] each move is priced by [P.apply], [P.cost]
       and [P.revert], and the sampled one is applied afresh,
       byte-identical to previous releases.
-
-      [sweep_cache] (only meaningful together with [delta_ops])
-      memoizes deltas across sweeps: each sweep reuses the previous
-      sweep's price for a move unless a committed step [affects] it,
-      turning the per-step cost from |neighborhood| × delta into
-      |neighborhood| × cache-lookup + affected × delta.  Deltas are
-      reused bit-for-bit and the budget still ticks per scanned move,
-      so a cached run's decisions, statistics and events are identical
-      to an uncached one.
 
       [observer] (default {!Obs.null}) receives one [Proposed] per
       neighborhood evaluation, an [Accepted] plus a [Descent_done] per

@@ -51,7 +51,7 @@ val table_convergence :
   ?seed:int -> ?scale:float -> ?instances:int -> ?elements:int -> unit -> Report.t
 (** E4: empirical check of the asymptotic-optimality results the paper
     cites ([LUND83], [ROME84a/b], [GEM83]).  On instances small enough
-    for [Linarr_exact] to brute-force (default 8 elements), counts how
+    for [Linarr_exact] (default 8 elements, at most 20), counts how
     many runs of each method reach the true optimum as the budget
     grows 250 → 16000 evaluations. *)
 

@@ -1,58 +1,43 @@
-(* Permutation enumeration with two prunings:
-   - reversal symmetry: element 0 is kept in the left half, halving the
-     space (a reversed order has the same cuts);
-   - branch and bound: cuts are built left to right, so the running
-     maximum cut of a prefix lower-bounds the density of all its
-     completions. *)
-
-let optimum ?(limit = 10) netlist =
+(* Density is the largest cut over the boundaries of an order, and the
+   cut after the first k elements depends only on the set S they form.
+   So f(S), the least largest cut over the orders of S, obeys
+   f(S) = max(cut S, min over v in S of f(S minus v)) with
+   f(empty) = 0, and masks in increasing order reach every set after
+   its subsets.  f(full) is the optimum; an optimal order ends with the
+   element whose removal leaves the least f, and so on back to the
+   empty set. *)
+let optimum netlist =
   let n = Netlist.n_elements netlist in
   if n = 0 then invalid_arg "Linarr_exact.optimum: empty netlist";
-  if n > limit then
+  if not (Netlist.fits_cut_table netlist) then
     invalid_arg
-      (Printf.sprintf "Linarr_exact.optimum: %d elements exceeds the limit %d" n limit);
-  let m = Netlist.n_nets netlist in
-  let placed_pins = Array.make m 0 in
-  let used = Array.make n false in
-  let prefix = Array.make n 0 in
-  let best_density = ref max_int in
-  let best_order = Array.init n (fun i -> i) in
-  (* Nets crossing the boundary after position [pos]: placed_pins
-     strictly between 0 and the net size. *)
-  let frontier_cut () =
-    let cut = ref 0 in
-    for j = 0 to m - 1 do
-      if placed_pins.(j) > 0 && placed_pins.(j) < Netlist.net_size netlist j then incr cut
-    done;
-    !cut
-  in
-  let rec extend pos max_cut_so_far =
-    if pos = n then begin
-      if max_cut_so_far < !best_density then begin
-        best_density := max_cut_so_far;
-        Array.blit prefix 0 best_order 0 n
+      (Printf.sprintf "Linarr_exact.optimum: %d elements, %d nets: too large for the cut table"
+         n (Netlist.n_nets netlist));
+  let table = Netlist.cut_table netlist in
+  let full = (1 lsl n) - 1 and high = 1 lsl (n - 1) in
+  let cut s = Bytes.get_uint16_le table (2 * if s land high = 0 then s else s lxor full) in
+  let f = Bytes.make (2 * (full + 1)) '\000' in
+  let get s = Bytes.get_uint16_le f (2 * s) in
+  (* The element of [s] whose removal leaves the least f, lowest index
+     on ties. *)
+  let last s =
+    let best = ref (-1) and least = ref max_int in
+    for v = 0 to n - 1 do
+      if s land (1 lsl v) <> 0 && get (s lxor (1 lsl v)) < !least then begin
+        best := v;
+        least := get (s lxor (1 lsl v))
       end
-    end
-    else
-      for e = 0 to n - 1 do
-        (* Reversal symmetry: element 0 may only appear while it still
-           fits in the left half. *)
-        let symmetric_ok = e <> 0 || pos <= (n - 1) / 2 in
-        if (not used.(e)) && symmetric_ok then begin
-          used.(e) <- true;
-          prefix.(pos) <- e;
-          Netlist.iter_incident netlist e (fun j ->
-              placed_pins.(j) <- placed_pins.(j) + 1);
-          let cut = if pos = n - 1 then 0 else frontier_cut () in
-          let max_cut = max max_cut_so_far cut in
-          if max_cut < !best_density then extend (pos + 1) max_cut;
-          Netlist.iter_incident netlist e (fun j ->
-              placed_pins.(j) <- placed_pins.(j) - 1);
-          used.(e) <- false
-        end
-      done
+    done;
+    !best
   in
-  extend 0 0;
-  (!best_density, best_order)
+  for s = 1 to full do
+    Bytes.set_uint16_le f (2 * s) (max (cut s) (get (s lxor (1 lsl last s))))
+  done;
+  let order = Array.make n 0 and s = ref full in
+  for k = n - 1 downto 0 do
+    order.(k) <- last !s;
+    s := !s lxor (1 lsl order.(k))
+  done;
+  (get full, order)
 
-let optimal_density ?limit netlist = fst (optimum ?limit netlist)
+let optimal_density netlist = fst (optimum netlist)

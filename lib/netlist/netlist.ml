@@ -122,7 +122,7 @@ let iter_incident t e f =
    each. *)
 let is_graph t = Array.length t.view.pins = 2 * n_nets t
 
-let max_table_elements = 20
+let fits_cut_table t = n_elements t <= 20 && n_nets t <= 0xffff
 
 (* inside(S), the nets with every pin in S, is a subset sum: count each
    net at its own pin mask, then fold every mask into its supersets one
@@ -165,7 +165,7 @@ let cut_table t =
   let b = Atomic.get t.cut_table in
   if Bytes.length b > 0 then b
   else begin
-    if n_elements t > max_table_elements || n_nets t > 0xffff then
+    if not (fits_cut_table t) then
       invalid_arg "Netlist.cut_table: netlist too large";
     let b = build_cut_table t in
     if Atomic.compare_and_set t.cut_table Bytes.empty b then b else Atomic.get t.cut_table

@@ -88,8 +88,11 @@ val cut_table : t -> Bytes.t
     race on the first call may build it twice; all get the same bytes.
     They are borrowed and must never be written.
 
-    @raise Invalid_argument if [t] has more than 20 elements or more
-    than 65535 nets. *)
+    @raise Invalid_argument unless [fits_cut_table t]. *)
+
+val fits_cut_table : t -> bool
+(** True iff [t] has at most 20 elements and at most 65535 nets, the
+    bound of {!cut_table}. *)
 
 val is_graph : t -> bool
 (** True iff every net has exactly two pins (a GOLA instance). *)

@@ -75,7 +75,9 @@ let verify arr layout =
     match !bad with None -> Ok () | Some msg -> Error msg
   end
 
-let render ?(max_width = 120) arr layout =
+let max_width = 120
+
+let render arr layout =
   let nl = Arrangement.netlist arr in
   let n = Arrangement.size arr in
   let m = Netlist.n_nets nl in

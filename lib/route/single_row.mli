@@ -26,7 +26,7 @@ val verify : Arrangement.t -> layout -> (unit, string) result
 (** Check that every net has a track, no track index is out of range,
     and no two nets sharing a track overlap (share a boundary). *)
 
-val render : ?max_width:int -> Arrangement.t -> layout -> string
+val render : Arrangement.t -> layout -> string
 (** ASCII picture of the channel: one row per track, element indices
     along the bottom.  Intended for the examples; layouts wider than
-    [max_width] (default 120) columns are truncated with an ellipsis. *)
+    120 columns are truncated with an ellipsis. *)

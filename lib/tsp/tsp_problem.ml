@@ -43,18 +43,6 @@ let delta_ops =
     ~abandon:(fun _ _ -> ())
     ()
 
-(* [two_opt_delta i j] reads the cities at order positions i-1, i, j
-   and j+1 (mod n); a committed 2-opt reverses positions a..b
-   inclusive, so a cached delta goes stale exactly when one of those
-   four positions falls inside the reversed segment. *)
-let sweep_cache =
-  Mc_problem.sweep_cache
-    ~equal_move:(fun (i, j) ((i', j') : int * int) -> i = i' && j = j')
-    ~affects:(fun tour ~committed:(a, b) (i, j) ->
-      let n = Tour.size tour in
-      let hit p = p >= a && p <= b in
-      hit ((i + n - 1) mod n) || hit i || hit j || hit ((j + 1) mod n))
-
 module Or_opt = struct
   type state = Tour.t
 

@@ -12,12 +12,6 @@ val delta_ops : (state, move) Mc_problem.delta_ops
     the fast path visits bit-identical costs and accept/reject
     decisions as the full-recompute path. *)
 
-val sweep_cache : (state, move) Mc_problem.sweep_cache
-(** Cross-sweep memoization hints for the rejectionless engine: a
-    2-opt delta depends only on the four tour positions bordering the
-    reversed segment, so a committed reversal of [a..b] invalidates
-    exactly the cached moves with a bordering position inside [a, b]. *)
-
 (** Or-opt neighborhood over the same tours: relocate a segment of 1–3
     consecutive cities to after another position.  Not self-inverse, so
     [apply] snapshots the order and cached length and [revert] restores

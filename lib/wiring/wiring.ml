@@ -149,9 +149,9 @@ let greedy_pass t =
   done;
   !flips
 
-let greedy_fixpoint ?(max_passes = 50) t =
+let greedy_fixpoint t =
   let passes = ref 0 in
-  while !passes < max_passes && greedy_pass t > 0 do
+  while !passes < 50 && greedy_pass t > 0 do
     incr passes
   done;
   !passes

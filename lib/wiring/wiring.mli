@@ -56,8 +56,8 @@ val greedy_pass : t -> int
 (** One rip-up-and-reroute sweep: every net, in index order, is set to
     its locally cheaper orientation.  Returns the number of flips. *)
 
-val greedy_fixpoint : ?max_passes:int -> t -> int
-(** Sweeps until no flip helps (or [max_passes], default 50).  Returns
+val greedy_fixpoint : t -> int
+(** Sweeps until no flip helps, or for at most 50 passes.  Returns the
     passes used. *)
 
 (** [Mc_problem.S] adapter: a move names the net whose orientation

@@ -183,6 +183,33 @@ let test_linarr_contract_wrap_delta () =
     ~delta_ops:(C.wrap_delta P.delta_ops)
     ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:32) nl)
 
+(* The two TSP delta records under the same sanitizer, on all three
+   engines: every probed 2-opt and or-opt delta must match its apply /
+   cost / revert round trip, and the probed runs must still match the
+   full-recompute runs bit-for-bit. *)
+let test_tsp_contract_wrap_delta () =
+  let gfun, schedule = metro 0.05 in
+  (let module P = Tsp_problem in
+   let module C = Mc_problem.Contract (P) in
+   let module E = Equiv (P) in
+   let inst = Tsp_instance.random_uniform (Rng.create ~seed:41) ~n:16 in
+   let before = C.checks_performed () in
+   E.engines ~msg:"tsp-2opt/contract" ~seed:42 ~evals:1500 ~gfun ~schedule
+     ~delta_ops:(C.wrap_delta P.delta_ops)
+     ~make_state:(fun () -> Tsp_heuristics.nearest_neighbor inst ~start:0);
+   Alcotest.check Alcotest.bool "tsp-2opt/contract: checks advanced" true
+     (C.checks_performed () > before));
+  let module P = Tsp_problem.Or_opt in
+  let module C = Mc_problem.Contract (P) in
+  let module E = Equiv (P) in
+  let inst = Tsp_instance.random_uniform (Rng.create ~seed:43) ~n:16 in
+  let before = C.checks_performed () in
+  E.engines ~msg:"tsp-oropt/contract" ~seed:44 ~evals:1500 ~gfun ~schedule
+    ~delta_ops:(C.wrap_delta P.delta_ops)
+    ~make_state:(fun () -> Tsp_heuristics.nearest_neighbor inst ~start:0);
+  Alcotest.check Alcotest.bool "tsp-oropt/contract: checks advanced" true
+    (C.checks_performed () > before)
+
 (* The two objectives sharing the swap move must not share a price:
    [Swap.delta] is the density change, [Swap_sum_cuts.delta] the
    sum-of-cuts change, verified against apply-then-measure — and the
@@ -362,67 +389,6 @@ let test_linarr_delta_checkpoint_resume_bit_identical () =
     (bits resumed.Mc_problem.final_cost);
   Alcotest.check Alcotest.bool "stats" true
     (base.Mc_problem.stats = resumed.Mc_problem.stats)
-
-(* --------------------- rejectionless sweep cache ----------------------- *)
-
-let test_rejectionless_sweep_cache_bit_identical () =
-  (* The cross-sweep delta cache must be invisible: same weights, same
-     sampled moves, same budget accounting, bit-identical costs — at
-     the default resync cadence and at an awkward prime one. *)
-  let module RL = Rejectionless.Make (Tsp_problem) in
-  let inst = Tsp_instance.random_uniform (Rng.create ~seed:39) ~n:28 in
-  let make_state () = Tsp_heuristics.nearest_neighbor inst ~start:0 in
-  let check ~msg ~delta_ops =
-    let params =
-      RL.params ~gfun:Gfun.metropolis
-        ~schedule:(Schedule.of_array [| 0.05 |])
-        ~budget:(Budget.Evaluations 6000)
-    in
-    let plain =
-      RL.run ~delta_ops (Rng.create ~seed:40) params (make_state ())
-    in
-    let cached =
-      RL.run ~delta_ops ~sweep_cache:Tsp_problem.sweep_cache
-        (Rng.create ~seed:40) params (make_state ())
-    in
-    Alcotest.check Alcotest.int64 (msg ^ ": best_cost")
-      (bits plain.Mc_problem.best_cost) (bits cached.Mc_problem.best_cost);
-    Alcotest.check Alcotest.int64 (msg ^ ": final_cost")
-      (bits plain.Mc_problem.final_cost) (bits cached.Mc_problem.final_cost);
-    Alcotest.check Alcotest.bool (msg ^ ": stats") true
-      (plain.Mc_problem.stats = cached.Mc_problem.stats);
-    cached
-  in
-  let r = check ~msg:"cached" ~delta_ops:Tsp_problem.delta_ops in
-  Alcotest.check Alcotest.bool "walk actually stepped" true
-    (r.Mc_problem.stats.Mc_problem.descents > 1);
-  ignore
-    (check ~msg:"cached/recost-7"
-       ~delta_ops:(with_recost Tsp_problem.delta_ops 7))
-
-let test_rejectionless_sweep_cache_under_contract () =
-  (* Same run with every reused delta still routed through committed
-     state changes: the Contract-wrapped delta_ops recompute and compare
-     on every *evaluation* that misses the cache, so a stale cache entry
-     surfacing as a wrong commit decision would diverge from the
-     uncached twin above; here we additionally check the sanitizer
-     itself stays quiet with the cache on. *)
-  let module C = Mc_problem.Contract (Tsp_problem) in
-  let module RL = Rejectionless.Make (Tsp_problem) in
-  let inst = Tsp_instance.random_uniform (Rng.create ~seed:41) ~n:16 in
-  let params =
-    RL.params ~gfun:Gfun.metropolis
-      ~schedule:(Schedule.of_array [| 0.05 |])
-      ~budget:(Budget.Evaluations 1500)
-  in
-  let r =
-    RL.run
-      ~delta_ops:(C.wrap_delta Tsp_problem.delta_ops)
-      ~sweep_cache:Tsp_problem.sweep_cache (Rng.create ~seed:42) params
-      (Tsp_heuristics.nearest_neighbor inst ~start:0)
-  in
-  Alcotest.check Alcotest.int "budget spent" 1500
-    r.Mc_problem.stats.Mc_problem.evaluations
 
 (* ----------------------- Contract.wrap_delta --------------------------- *)
 
@@ -617,6 +583,8 @@ let suite =
       test_equiv_linarr_swap_sum_cuts;
     case "linarr delta_ops under Contract.wrap_delta, all engines"
       test_linarr_contract_wrap_delta;
+    case "tsp delta_ops under Contract.wrap_delta, all engines"
+      test_tsp_contract_wrap_delta;
     case "swap density / sum-of-cuts objectives not cross-wired"
       test_swap_objectives_not_cross_wired;
     QCheck_alcotest.to_alcotest prop_tsp_fast_path_matches;
@@ -624,10 +592,6 @@ let suite =
       test_delta_checkpoint_resume_bit_identical;
     case "linarr delta-path kill/resume through codec is bit-identical"
       test_linarr_delta_checkpoint_resume_bit_identical;
-    case "rejectionless sweep cache is bit-identical"
-      test_rejectionless_sweep_cache_bit_identical;
-    case "rejectionless sweep cache under Contract.wrap_delta"
-      test_rejectionless_sweep_cache_under_contract;
     case "wrap_delta passes an honest adapter"
       test_wrap_delta_passes_honest_adapter;
     case "wrap_delta catches a lying delta" test_wrap_delta_catches_lying_delta;

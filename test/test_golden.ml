@@ -95,12 +95,11 @@ let rejectionless ~fast observer =
     (RL.params ~gfun ~schedule ~budget)
     state
 
-let tsp_rejectionless_cached observer =
+let tsp_rejectionless observer =
   let rng = Rng.create ~seed:9 in
   let inst = Tsp_instance.random_uniform rng ~n:24 in
   let tour = Tour.random rng inst in
-  Tsp_rl.run ~observer ~delta_ops:Tsp_problem.delta_ops
-    ~sweep_cache:Tsp_problem.sweep_cache rng
+  Tsp_rl.run ~observer ~delta_ops:Tsp_problem.delta_ops rng
     (Tsp_rl.params ~gfun:Gfun.metropolis
        ~schedule:(Schedule.constant ~k:1 0.05)
        ~budget:(Budget.Evaluations 4000))
@@ -126,8 +125,8 @@ let pinned_runs =
     ( "rejectionless/delta",
       (fun () -> fingerprint (rejectionless ~fast:true)),
       "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=0cee0c35b005b8bd852122eca00d2853" );
-    ( "rejectionless/tsp-2opt-sweep-cache",
-      (fun () -> fingerprint (tsp_rejectionless_cached)),
+    ( "rejectionless/tsp-2opt",
+      (fun () -> fingerprint tsp_rejectionless),
       "best=402653f82b64532b final=402653f82b64532b evals=4000 imp=13 lat=1 up=1 rej=3985 temps=1 desc=15 events=7b354a1b71306ba6468395fb8d28a3c5" );
   ]
 
@@ -300,12 +299,17 @@ let test_cross_substrate_replay () =
 
 let test_suite_totals_locked () =
   (* The headline constants quoted in EXPERIMENTS.md. *)
+  let optimum (s : Suites.linarr_suite) =
+    Array.fold_left (fun acc nl -> acc + Linarr_exact.optimal_density nl) 0 s.Suites.netlists
+  in
   let gola = Suites.gola () in
   Alcotest.check Alcotest.int "GOLA starting total" 2457 (Suites.total_initial_density gola);
   Alcotest.check Alcotest.int "GOLA Goto total" 1882 (Suites.total_goto_density gola);
+  Alcotest.check Alcotest.int "GOLA optimum total" 1813 (optimum gola);
   let nola = Suites.nola () in
   Alcotest.check Alcotest.int "NOLA starting total" 3685 (Suites.total_initial_density nola);
-  Alcotest.check Alcotest.int "NOLA Goto total" 3296 (Suites.total_goto_density nola)
+  Alcotest.check Alcotest.int "NOLA Goto total" 3296 (Suites.total_goto_density nola);
+  Alcotest.check Alcotest.int "NOLA optimum total" 3226 (optimum nola)
 
 let suite =
   [

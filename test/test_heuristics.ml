@@ -266,17 +266,27 @@ let test_exact_star () =
   Alcotest.check Alcotest.int "star optimum" 2 (Linarr_exact.optimal_density nl)
 
 let test_exact_limit () =
-  let nl = Netlist.random_gola (Rng.create ~seed:50) ~elements:12 ~nets:20 in
-  match Linarr_exact.optimum nl with
+  (* The cut table's bound: 21 elements are refused, 20 are solved. *)
+  let nl = Netlist.random_gola (Rng.create ~seed:50) ~elements:21 ~nets:30 in
+  (match Linarr_exact.optimum nl with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "limit not enforced"
+  | _ -> Alcotest.fail "21 elements accepted");
+  let nl =
+    Netlist.random_nola (Rng.create ~seed:50) ~elements:20 ~nets:40 ~min_pins:2 ~max_pins:5
+  in
+  let d, order = Linarr_exact.optimum nl in
+  let sorted = Array.copy order in
+  Array.sort compare sorted;
+  Alcotest.(check (array int)) "order is a permutation" (Array.init 20 Fun.id) sorted;
+  Alcotest.check Alcotest.int "order reaches the density" d
+    (Arrangement.density_of_order nl order);
+  Alcotest.check Alcotest.bool "Goto >= optimum" true (Goto.density nl >= d)
 
 let test_exact_matches_exhaustive_density () =
-  (* Cross-check the branch-and-bound against plain enumeration. *)
+  (* Cross-check the subset DP against plain enumeration, on GOLA and
+     NOLA inputs of every size from 1 to 8 elements. *)
   let rng = Rng.create ~seed:51 in
-  for _ = 1 to 5 do
-    let nl = Netlist.random_gola (Rng.split rng) ~elements:6 ~nets:12 in
-    let exact = Linarr_exact.optimal_density nl in
+  let exhaustive nl =
     let best = ref max_int in
     let rec permutations prefix remaining =
       match remaining with
@@ -289,8 +299,22 @@ let test_exact_matches_exhaustive_density () =
               permutations (e :: prefix) (List.filter (fun x -> x <> e) remaining))
             remaining
     in
-    permutations [] [ 0; 1; 2; 3; 4; 5 ];
-    Alcotest.check Alcotest.int "matches exhaustive" !best exact
+    permutations [] (List.init (Netlist.n_elements nl) Fun.id);
+    !best
+  in
+  let check label nl =
+    let d, order = Linarr_exact.optimum nl in
+    Alcotest.check Alcotest.int (label ^ ": matches exhaustive") (exhaustive nl) d;
+    Alcotest.check Alcotest.int (label ^ ": order reaches it") d
+      (Arrangement.density_of_order nl order)
+  in
+  check "n=1" (Netlist.create ~n_elements:1 ~pins:[||]);
+  for n = 2 to 8 do
+    check (Printf.sprintf "GOLA n=%d" n)
+      (Netlist.random_gola (Rng.split rng) ~elements:n ~nets:(2 * n));
+    check (Printf.sprintf "NOLA n=%d" n)
+      (Netlist.random_nola (Rng.split rng) ~elements:n ~nets:(2 * n) ~min_pins:2
+         ~max_pins:(min 4 n))
   done
 
 module Fig1 = Figure1.Make (Linarr_problem.Swap)
@@ -341,7 +365,19 @@ let test_no_heuristic_beats_exact () =
     let nl = Netlist.random_gola (Rng.split rng) ~elements:8 ~nets:20 in
     check_engines_against_exact (Printf.sprintf "GOLA %d" i) nl
       (Linarr_exact.optimal_density nl)
-  done
+  done;
+  (* The paper's own suites, n = 15. *)
+  List.iter
+    (fun (name, (suite : Suites.linarr_suite)) ->
+      Array.iteri
+        (fun i nl ->
+          let exact = Linarr_exact.optimal_density nl in
+          let label = Printf.sprintf "%s suite %d" name i in
+          Alcotest.check Alcotest.bool (label ^ ": Goto >= optimum") true
+            (Goto.density nl >= exact);
+          check_engines_against_exact label nl exact)
+        suite.Suites.netlists)
+    [ ("GOLA", Suites.gola ()); ("NOLA", Suites.nola ()) ]
 
 let prop_goto_never_worse_than_worst =
   QCheck.Test.make ~name:"qcheck: Goto density within [best possible, netlist nets]"

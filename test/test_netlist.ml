@@ -256,6 +256,30 @@ let test_cut_table_memo () =
     (Invalid_argument "Netlist.cut_table: netlist too large") (fun () ->
       ignore (Netlist.cut_table (Netlist.create ~n_elements:21 ~pins:[||])))
 
+(* [fits_cut_table] is the one bound shared by the table, the exact
+   solver and [sa_lab info]: 20 elements and 65535 nets fit, one more
+   of either does not; at the net bound the fullest cut still fits its
+   uint16 cell. *)
+let test_fits_cut_table_bound () =
+  let parallel n_elements m = Netlist.create ~n_elements ~pins:(Array.make m [| 0; 1 |]) in
+  let fits what expected nl =
+    Alcotest.check Alcotest.bool what expected (Netlist.fits_cut_table nl)
+  in
+  fits "20 elements" true (Netlist.create ~n_elements:20 ~pins:[||]);
+  fits "21 elements" false (Netlist.create ~n_elements:21 ~pins:[||]);
+  let at_bound = parallel 2 0xffff in
+  fits "65535 nets" true at_bound;
+  Alcotest.check Alcotest.int "cut of {0} at 65535 nets" 0xffff
+    (Bytes.get_uint16_le (Netlist.cut_table at_bound) 2);
+  let over = parallel 2 0x10000 in
+  fits "65536 nets" false over;
+  Alcotest.check_raises "65536 nets refused by the table"
+    (Invalid_argument "Netlist.cut_table: netlist too large") (fun () ->
+      ignore (Netlist.cut_table over));
+  match Linarr_exact.optimum over with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "exact solver accepted 65536 nets"
+
 let suite =
   [
     case "sizes" test_sizes;
@@ -279,5 +303,6 @@ let suite =
     case "parser error cases" test_parse_errors;
     case "subset cut table = direct count" test_cut_table;
     case "subset cut table is a per-netlist memo" test_cut_table_memo;
+    case "fits_cut_table is the table's bound" test_fits_cut_table_bound;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]
