@@ -45,7 +45,7 @@ lint-baseline: build
 # the ablations, printed to bench_output.txt and summarised in
 # BENCH_results.json.  Speed claims come from `make ledger`, not here.
 bench:
-	dune exec bench/main.exe 2>/dev/null | tee bench_output.txt
+	dune exec bench/main.exe -- --json BENCH_results.json 2>/dev/null | tee bench_output.txt
 
 # ~10x faster, noisier tables for a smoke check.
 bench-quick:

@@ -10,7 +10,9 @@
 
    Besides the human-readable text on stdout, a machine-readable
    summary (sa-lab/bench-results/v2: per-table best/mean cost and wall
-   time) is written to --json (default BENCH_results.json).  Speed
+   time) is written to PATH when --json PATH is given, and nowhere
+   otherwise; `make bench` writes the full-scale summary to
+   BENCH_results.json.  Speed
    claims are not made here: they come from the ledger
    (bench/ledger/README.md), which repeats trials and records the
    noise band, commit and host. *)
@@ -18,7 +20,7 @@
 let scale = ref 1.0
 let seed = ref 42
 let wide_tuning = ref false
-let json_path = ref "BENCH_results.json"
+let json_path = ref None
 
 let () =
   let specs =
@@ -31,8 +33,8 @@ let () =
         Arg.Set wide_tuning,
         " tune temperatures over the wide grid (slower)" );
       ( "--json",
-        Arg.Set_string json_path,
-        "PATH  write the machine-readable summary to PATH (default BENCH_results.json)" );
+        Arg.String (fun p -> json_path := Some p),
+        "PATH  write the machine-readable summary to PATH (default: no summary)" );
     ]
   in
   let usage = "usage: bench [options]\n\noptions:" in
@@ -84,7 +86,7 @@ let summarize_table name wall (t : Report.t) =
       ]
     :: !table_summaries
 
-let write_json () =
+let write_json path =
   let json =
     Obs.Json.Obj
       [
@@ -94,11 +96,11 @@ let write_json () =
         ("tables", Obs.Json.List (List.rev !table_summaries));
       ]
   in
-  let oc = open_out !json_path in
+  let oc = open_out path in
   output_string oc (Obs.Json.to_string json);
   output_char oc '\n';
   close_out oc;
-  Printf.eprintf "[bench] summary written to %s\n" !json_path
+  Printf.eprintf "[bench] summary written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Reproduction tables                                                 *)
@@ -133,5 +135,5 @@ let print_tables () =
 
 let () =
   print_tables ();
-  write_json ();
+  Option.iter write_json !json_path;
   print_newline ()

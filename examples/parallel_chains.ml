@@ -1,36 +1,37 @@
-(* Independent multi-start chains, optionally on separate OCaml 5
-   domains: the standard way to spend cores on simulated annealing.
-   Results are identical whatever the domain count, because each
-   chain's RNG stream is fixed before any domain spawns.
+(* Independent annealing walks side by side, optionally on separate
+   OCaml 5 domains: the standard way to spend cores on simulated
+   annealing.  [Portfolio.sweep] splits every walk's RNG stream before
+   any domain spawns, so its report is byte-identical whatever the
+   domain count.
 
    Run with: dune exec examples/parallel_chains.exe *)
-
-module Multi = Multi_start.Make (Linarr_problem.Swap)
 
 let () =
   let rng = Rng.create ~seed:99 in
   let netlist = Netlist.random_gola rng ~elements:20 ~nets:200 in
-  let params =
-    Multi.Engine.params ~gfun:Gfun.six_temp_annealing
-      ~schedule:(Schedule.geometric ~y1:2. ~ratio:0.8 ~k:6)
-      ~budget:(Budget.Evaluations 4_000) ()
+  let walks = 8 and evals = 4_000 in
+  let jobs =
+    List.init walks (fun i ->
+        Portfolio.Job.figure1
+          (module Linarr_problem.Swap)
+          ~label:(Printf.sprintf "walk %d" i) ~gfun:Gfun.six_temp_annealing
+          ~schedule:(Schedule.geometric ~y1:2. ~ratio:0.8 ~k:6)
+          ~make_state:(fun rng -> Arrangement.random rng netlist)
+          ())
   in
-  let make_state i = Arrangement.random (Rng.create ~seed:(1000 + i)) netlist in
-  let chains = 8 in
-  let o1 = Multi.run ~domains:1 (Rng.create ~seed:5) ~chains ~params ~make_state in
-  let o4 =
-    Multi.run
-      ~domains:(min 4 (Domain.recommended_domain_count ()))
-      (Rng.create ~seed:5) ~chains ~params ~make_state
+  let sweep domains =
+    Portfolio.sweep ~domains (Rng.create ~seed:5)
+      ~budget:(Budget.Evaluations evals) jobs
   in
-  Printf.printf "%d chains x %d evaluations each\n" chains 4_000;
-  Printf.printf "chain bests (sequential): %s\n"
-    (String.concat " "
-       (Array.to_list (Array.map (fun c -> Printf.sprintf "%.0f" c) o1.Multi.chain_costs)));
-  Printf.printf "chain bests (parallel):   %s\n"
-    (String.concat " "
-       (Array.to_list (Array.map (fun c -> Printf.sprintf "%.0f" c) o4.Multi.chain_costs)));
-  Printf.printf "best of all chains: %.0f (identical across domain counts: %b)\n"
-    o1.Multi.best.Mc_problem.best_cost
-    (o1.Multi.chain_costs = o4.Multi.chain_costs);
-  Printf.printf "total evaluations: %d\n" o1.Multi.total_evaluations
+  let json r = Obs.Json.to_string (Portfolio.report_to_json r) in
+  let domains = min 4 (Domain.recommended_domain_count ()) in
+  let r1 = sweep 1 and rn = sweep domains in
+  Printf.printf "%d walks x %d evaluations each\n" walks evals;
+  List.iter
+    (fun (s : Portfolio.standing) -> Printf.printf "  %s: best %.0f\n" s.label s.cost)
+    (List.hd r1.Portfolio.rounds).Portfolio.results;
+  Printf.printf "best of all walks: %.0f (%s)\n" r1.Portfolio.winner.Portfolio.cost
+    r1.Portfolio.winner.Portfolio.label;
+  Printf.printf "total evaluations: %d\n" r1.Portfolio.total_evaluations;
+  Printf.printf "report at 1 domain = report at %d domains: %b\n" domains
+    (json r1 = json rn)

@@ -56,7 +56,7 @@ type policy = {
 let repo_policy =
   {
     pool_modules = [ "Pool" ];
-    pool_functions = [ "run"; "run'"; "map"; "map'" ];
+    pool_functions = [ "map" ];
     sink_patterns =
       [
         (* the determinism bargain's report surfaces: racing/sweep

@@ -25,7 +25,7 @@ type def = {
 
 type pool_site = {
   in_def : string;  (** enclosing definition's key *)
-  callee : string;  (** e.g. ["Pool.map'"] *)
+  callee : string;  (** e.g. ["Pool.map"] *)
   file : string;
   line : int;
   col : int;
@@ -50,7 +50,7 @@ type policy = {
 }
 
 val repo_policy : policy
-(** This repository's policy: [Pool.run/run'/map/map'] tasks, and the
+(** This repository's policy: [Pool.map] tasks, and the
     portfolio-report / checkpoint / JSON-writer sinks. *)
 
 val policy_fingerprint : policy -> string

@@ -181,7 +181,7 @@ let blocking_io_in_worker =
       "a Pool task that can reach blocking IO, directly or through any \
        call chain"
     ~explain:
-      "Flags blocking IO written directly inside a Pool.run/map task \
+      "Flags blocking IO written directly inside a Pool.map task \
        closure, and walks the .cmt call graph for the rest: every \
        module-level value referenced inside the closure is checked for an \
        inferred Blocking_io effect, however many calls deep, and the \

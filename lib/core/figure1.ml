@@ -206,26 +206,12 @@ module Make (P : Mc_problem.S) = struct
     let ev = match delta_ops with None -> S.recompute b | Some d -> S.of_delta b d in
     (* On the delta path the accumulated [hi] is replaced by a full
        recost on a deterministic tick cadence, so compensated float
-       drift is bounded and a resumed run resyncs at the same ticks as
-       its uninterrupted twin.  The recompute evaluator's cadence never
-       comes due.  [next_resync] is the first multiple of the cadence
-       past the ticks already handled, so a step compares instead of
-       dividing. *)
-    let every = ev.recost_every in
-    let next_multiple t =
-      let q = (t / every) + 1 in
-      if q > max_int / every then max_int else q * every
-    in
-    let next_resync = ref (next_multiple s0.ticks) in
-    let maybe_resync () =
-      let t = Budget.ticks clock in
-      if t >= !next_resync then begin
-        if t mod every = 0 then S.resync b;
-        next_resync := next_multiple t
-      end
-    in
+       drift is bounded; a step advances one tick at most and the loop
+       top sees every tick, so resyncs fall on the multiples of the
+       cadence and a resumed run resyncs where its uninterrupted twin
+       does.  The recompute evaluator's cadence never comes due. *)
     while (not !stop) && not (Budget.exhausted clock) do
-      maybe_resync ();
+      S.maybe_resync b ev;
       maybe_checkpoint ();
       (* Catch the temperature up with the spent budget fraction; the
          exact float test runs only from the guard tick on. *)

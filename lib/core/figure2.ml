@@ -38,18 +38,6 @@ module Make (P : Mc_problem.S) = struct
     let b = S.start ~observer clock state in
     S.enter_temp b p.schedule 1;
     let ev = match delta_ops with None -> S.recompute b | Some d -> S.of_delta b d in
-    (* Delta path only: replace the accumulated [hi] with a full recost
-       once [recost_every] ticks have passed since the last one,
-       bounding compensated float drift (the recompute evaluator's
-       cadence never comes due).  Called only at step boundaries (no
-       move half-applied). *)
-    let last_resync = ref 0 in
-    let maybe_resync () =
-      if Budget.ticks clock - !last_resync >= ev.recost_every then begin
-        last_resync := Budget.ticks clock;
-        S.resync b
-      end
-    in
     (* First-improvement descent: rescan the neighborhood after every
        accepted move until a full pass finds nothing better.  Every
        tested move costs one budget tick.  On the delta path a tested,
@@ -60,7 +48,7 @@ module Make (P : Mc_problem.S) = struct
       let improved_this_pass = ref true in
       while !improved_this_pass && not (Budget.exhausted clock) do
         improved_this_pass := false;
-        maybe_resync ();
+        S.maybe_resync b ev;
         let rec scan seq =
           if not (Budget.exhausted clock) then
             match seq () with
@@ -109,7 +97,7 @@ module Make (P : Mc_problem.S) = struct
         end
       else begin
         incr counter;
-        maybe_resync ();
+        S.maybe_resync b ev;
         let m = ev.propose rng in
         let hj = ev.price m in
         let y = Schedule.get p.schedule !temp in

@@ -37,17 +37,6 @@ module Make (P : Mc_problem.S) = struct
       | None -> S.recompute ~restore:true b
       | Some d -> S.of_delta b d
     in
-    (* Delta path only: replace the accumulated [hi] with a full recost
-       once [recost_every] ticks have passed since the last one,
-       bounding compensated float drift.  Called only at the outer loop
-       top (no move half-applied). *)
-    let last_resync = ref 0 in
-    let maybe_resync () =
-      if Budget.ticks clock - !last_resync >= ev.recost_every then begin
-        last_resync := Budget.ticks clock;
-        S.resync b
-      end
-    in
     let stop = ref false in
     let temp = ref 1 in
     let advance_temp () =
@@ -56,7 +45,7 @@ module Make (P : Mc_problem.S) = struct
       S.enter_temp b p.schedule !temp
     in
     while (not !stop) && not (Budget.exhausted clock) do
-      maybe_resync ();
+      S.maybe_resync b ev;
       while
         !temp < k
         && Budget.used_fraction clock >= float_of_int !temp /. float_of_int k

@@ -25,6 +25,7 @@ module Make (P : Mc_problem.S) = struct
     mutable rejected : int;
     mutable temperatures : int;
     mutable descents : int;
+    mutable last_resync : int;
   }
 
   let emit b ev = Obs.Observer.emit b.observer ev
@@ -68,6 +69,7 @@ module Make (P : Mc_problem.S) = struct
       rejected = 0;
       temperatures = 1;
       descents = 0;
+      last_resync = 0;
     }
 
   (* A best the walk still sits on is copied only when something reads
@@ -149,6 +151,13 @@ module Make (P : Mc_problem.S) = struct
     drop : P.move -> unit;
     recost_every : int;
   }
+
+  let maybe_resync b ev =
+    let t = Budget.ticks b.clock in
+    if t - b.last_resync >= ev.recost_every then begin
+      b.last_resync <- t;
+      resync b
+    end
 
   let accept b ev m hj =
     (* Only a move that does not beat a live best needs the copy: one
@@ -235,6 +244,11 @@ module Make (P : Mc_problem.S) = struct
 
   let of_delta b (d : _ Mc_problem.delta_ops) =
     let state = b.state in
+    (* A resumed run's cadence counts from the last multiple of
+       [recost_every] it had passed, so it resyncs at the ticks its
+       uninterrupted twin does. *)
+    let t = Budget.ticks b.clock in
+    b.last_resync <- t - (t mod d.recost_every);
     let price m =
       Budget.tick b.clock;
       let dv = try d.delta state m with e -> abort b e in

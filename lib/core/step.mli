@@ -38,6 +38,9 @@ module Make (P : Mc_problem.S) : sig
     mutable rejected : int;
     mutable temperatures : int;  (** reported as [temperatures_visited] *)
     mutable descents : int;
+    mutable last_resync : int;
+        (** tick of the last resync; {!of_delta} starts it at the last
+            multiple of [recost_every] at or before the clock's ticks *)
   }
 
   val start :
@@ -75,10 +78,6 @@ module Make (P : Mc_problem.S) : sig
       copy is taken: the walk copies a live best only when it leaves
       it (see {!accept}). *)
 
-  val resync : t -> unit
-  (** Replace the current cost with a full [P.cost] recompute, then
-      {!note_best}.  Aborts on a raising or non-finite cost. *)
-
   type evaluator = {
     propose : Rng.t -> P.move;
     price : P.move -> float;
@@ -93,6 +92,14 @@ module Make (P : Mc_problem.S) : sig
   }
   (** Every operation aborts (via {!abort}) when the problem raises or
       prices a move at a non-finite cost, with the state restored. *)
+
+  val maybe_resync : t -> evaluator -> unit
+  (** Once [recost_every] ticks have passed since the last resync,
+      replace the current cost with a full [P.cost] recompute, then
+      {!note_best}; aborts on a raising or non-finite cost.  Engines
+      call it only where no move is half-applied; an engine that checks
+      at every tick resyncs exactly at the multiples of
+      [recost_every]. *)
 
   val accept : t -> evaluator -> P.move -> float -> unit
   (** Take the priced move [m] to cost [hj]: copy a live best first

@@ -146,9 +146,9 @@ module Observer : sig
 
   val serialized : t -> t
   (** Wrap an observer so that emissions are serialized behind a fresh
-      mutex: when several domains share one observer (the multi-start
-      driver, the portfolio scheduler), a single-domain sink receives
-      one whole event at a time, with no torn writes.  The interleaving
+      mutex: when several domains share one observer (a portfolio
+      sweep or race), a single-domain sink receives one whole event at
+      a time, with no torn writes.  The interleaving
       of events {e across} domains still depends on scheduling.
       Returns {!null} unchanged, so a disabled observer stays free. *)
 end

@@ -96,13 +96,12 @@ let steal_back dq =
       end
       else None)
 
-let run' ?stats t f n =
-  if n < 0 then invalid_arg "Pool.run: negative task count";
+let run ?stats t f n =
   if n > 0 then begin
     let workers = min t.domains n in
     (match stats with
     | Some s when Stats.workers s < workers ->
-        invalid_arg "Pool.run: stats sized below worker count"
+        invalid_arg "Pool.map: stats sized below worker count"
     | _ -> ());
     let deques =
       Array.init workers (fun w ->
@@ -180,14 +179,8 @@ let run' ?stats t f n =
       failures
   end
 
-let run ?stats t f n = run' ?stats t (fun ~worker:_ i -> f i) n
-
 let map ?stats t f n =
+  if n < 0 then invalid_arg "Pool.map: negative task count";
   let results = Array.make n None in
-  run ?stats t (fun i -> results.(i) <- Some (f i)) n;
-  Array.map (function Some v -> v | None -> assert false) results
-
-let map' ?stats t f n =
-  let results = Array.make n None in
-  run' ?stats t (fun ~worker i -> results.(i) <- Some (f ~worker i)) n;
+  run ?stats t (fun ~worker i -> results.(i) <- Some (f ~worker i)) n;
   Array.map (function Some v -> v | None -> assert false) results

@@ -1,15 +1,15 @@
 (** Work-stealing domain pool.
 
-    The schedulers in this repository (the multi-start driver, the
-    portfolio racer) all have the same shape: a fixed set of
-    independent, coarse-grained tasks whose inputs — in particular
-    every task's RNG stream — are pinned {e before} any task starts,
-    so the results cannot depend on which domain runs what, or when.
-    This module supplies the execution half of that bargain: tasks are
-    dealt round-robin into one deque per worker, each worker drains its
-    own deque front to back, and a worker whose deque runs dry steals
-    from the {e back} of the others — so a straggler worker sheds its
-    tail of work instead of serializing the whole run behind it.
+    The portfolio scheduler's sweeps and racing rungs have one shape:
+    a fixed set of independent, coarse-grained tasks whose inputs — in
+    particular every task's RNG stream — are pinned {e before} any task
+    starts, so the results cannot depend on which domain runs what, or
+    when.  This module supplies the execution half of that bargain:
+    tasks are dealt round-robin into one deque per worker, each worker
+    drains its own deque front to back, and a worker whose deque runs
+    dry steals from the {e back} of the others — so a straggler worker
+    sheds its tail of work instead of serializing the whole run behind
+    it.
 
     The calling domain always participates as worker 0; [domains = 1]
     therefore runs every task in index order on the caller with no
@@ -17,7 +17,7 @@
     debuggable as a plain loop. *)
 
 type t
-(** A pool configuration.  Cheap; workers are spawned per {!run} call
+(** A pool configuration.  Cheap; workers are spawned per {!map} call
     and joined before it returns, so no threads outlive the pool. *)
 
 val create : ?domains:int -> unit -> t
@@ -36,7 +36,7 @@ val domains : t -> int
     clock is {e injected} to keep this library dependency-free: pass a
     monotonic seconds-returning function such as [Obs.now], or omit it
     and the busy/idle times stay zero while the integer counters still
-    count.  A [Stats.t] may be reused across {!run} calls, in which
+    count.  A [Stats.t] may be reused across {!map} calls, in which
     case counters accumulate; {!reset} zeroes them. *)
 module Stats : sig
   type t
@@ -72,14 +72,20 @@ module Stats : sig
   (** Zero every counter. *)
 end
 
-val run : ?stats:Stats.t -> t -> (int -> unit) -> int -> unit
-(** [run t f n] executes [f i] exactly once for every [i] in
-    [0 .. n - 1], on at most [domains t] domains (never more than [n]).
-    Returns when every started task has finished.
+val map : ?stats:Stats.t -> t -> (worker:int -> int -> 'a) -> int -> 'a array
+(** [map t f n] is [[| f ~worker 0; ...; f ~worker (n - 1) |]]: it
+    executes [f ~worker i] exactly once for every [i] in [0 .. n - 1],
+    on at most [domains t] domains (never more than [n]), and returns
+    when every started task has finished.
 
     [f] is called from worker domains and must confine its mutation to
-    per-task state (the usual pattern writes [results.(i)]); reading
-    immutable shared inputs is fine.
+    per-task state; reading immutable shared inputs is fine.  [worker]
+    names the worker slot that executes the call, the hook telemetry
+    uses to route a task's events into that worker's metrics shard
+    without locking.  Worker numbers are scheduling slots, not domain
+    identities: the same task set may land on different workers from
+    run to run (except with one domain, where everything runs on
+    worker 0 in index order).
 
     If a task raises, no {e new} task is started anywhere, already
     running tasks complete, and after all workers drain the exception
@@ -90,17 +96,3 @@ val run : ?stats:Stats.t -> t -> (int -> unit) -> int -> unit
     progresses; it must have at least [min (domains t) n] worker slots.
     @raise Invalid_argument if [n < 0], or if [stats] has fewer slots
     than the run has workers. *)
-
-val map : ?stats:Stats.t -> t -> (int -> 'a) -> int -> 'a array
-(** [map t f n] is [run] collecting [[| f 0; ...; f (n - 1) |]]. *)
-
-val run' : ?stats:Stats.t -> t -> (worker:int -> int -> unit) -> int -> unit
-(** [run' t f n] is {!run} except each call [f ~worker i] is told which
-    worker slot executes it — the hook telemetry uses to route a task's
-    events into that worker's metrics shard without locking.  Worker
-    numbers are scheduling slots, not domain identities: the same task
-    set may land on different workers from run to run (except with one
-    domain, where everything runs on worker 0 in index order). *)
-
-val map' : ?stats:Stats.t -> t -> (worker:int -> int -> 'a) -> int -> 'a array
-(** [map' t f n] is {!run'} collecting [[| f ~worker 0; ... |]]. *)

@@ -1,98 +1,3 @@
-type outcome = {
-  best_cost : float;
-  final_cost : float;
-  stats : Mc_problem.stats;
-  failure : string option;
-}
-
-module Job = struct
-  type t = {
-    label : string;
-    work : Rng.t -> Budget.t -> Obs.Observer.t -> outcome;
-  }
-
-  let label t = t.label
-  let v ~label work = { label; work }
-
-  let of_run (run : _ Mc_problem.run) =
-    {
-      best_cost = run.best_cost;
-      final_cost = run.final_cost;
-      stats = run.stats;
-      failure = None;
-    }
-
-  let of_abort reason (partial : _ Mc_problem.run) =
-    {
-      best_cost = partial.best_cost;
-      final_cost = partial.final_cost;
-      stats = partial.stats;
-      failure = Some (Printexc.to_string reason);
-    }
-
-  (* A problem that cannot even start (non-finite initial cost, or
-     [make_state] itself raising [Invalid_cost]) has no partial to
-     preserve; it competes at [infinity] and loses every ranking. *)
-  let stillborn msg =
-    {
-      best_cost = infinity;
-      final_cost = infinity;
-      stats = Mc_problem.empty_stats;
-      failure = Some msg;
-    }
-
-  let figure1 (type s m)
-      (module P : Mc_problem.S with type state = s and type move = m)
-      ?counter_limit ?acceptance_limit ?defer_threshold ?delta_ops ~label
-      ~gfun ~schedule ~make_state () =
-    let module E = Figure1.Make (P) in
-    let params budget =
-      E.params ?counter_limit ?acceptance_limit ?defer_threshold ~gfun
-        ~schedule ~budget ()
-    in
-    (* Validate schedule/g-function/threshold agreement now, at
-       portfolio-assembly time, rather than on a worker domain mid-race. *)
-    ignore (params (Budget.Evaluations 1));
-    let work rng budget observer =
-      match E.run ~observer ?delta_ops rng (params budget) (make_state rng) with
-      | run -> of_run run
-      | exception E.Aborted { reason; partial } -> of_abort reason partial
-      | exception Mc_problem.Invalid_cost msg -> stillborn msg
-    in
-    { label; work }
-
-  let figure2 (type s m)
-      (module P : Mc_problem.S with type state = s and type move = m)
-      ?counter_limit ?restart_schedule ?delta_ops ~label ~gfun ~schedule
-      ~make_state () =
-    let module E = Figure2.Make (P) in
-    let params budget =
-      E.params ?counter_limit ?restart_schedule ~gfun ~schedule ~budget ()
-    in
-    ignore (params (Budget.Evaluations 1));
-    let work rng budget observer =
-      match E.run ~observer ?delta_ops rng (params budget) (make_state rng) with
-      | run -> of_run run
-      | exception E.Aborted { reason; partial } -> of_abort reason partial
-      | exception Mc_problem.Invalid_cost msg -> stillborn msg
-    in
-    { label; work }
-
-  let rejectionless (type s m)
-      (module P : Mc_problem.S with type state = s and type move = m)
-      ?delta_ops ~label ~gfun ~schedule ~make_state () =
-    let module E = Rejectionless.Make (P) in
-    let params budget = E.params ~gfun ~schedule ~budget in
-    ignore (params (Budget.Evaluations 1));
-    let work rng budget observer =
-      match E.run ~observer ?delta_ops rng (params budget) (make_state rng) with
-      | run -> of_run run
-      | exception E.Aborted { reason; partial } -> of_abort reason partial
-      | exception Mc_problem.Invalid_cost msg -> stillborn msg
-    in
-    { label; work }
-end
-
 type standing = {
   label : string;
   cost : float;
@@ -100,6 +5,51 @@ type standing = {
   evaluations : int;
   failure : string option;
 }
+
+module Job = struct
+  type t = {
+    label : string;
+    work : Rng.t -> Budget.t -> Obs.Observer.t -> standing;
+  }
+
+  let label t = t.label
+
+  let figure1 (type s m)
+      (module P : Mc_problem.S with type state = s and type move = m)
+      ?delta_ops ~label ~gfun ~schedule ~make_state () =
+    let module E = Figure1.Make (P) in
+    let params budget = E.params ~gfun ~schedule ~budget () in
+    (* Validate schedule/g-function agreement now, at portfolio-assembly
+       time, rather than on a worker domain mid-race. *)
+    ignore (params (Budget.Evaluations 1));
+    let standing (r : _ Mc_problem.run) failure =
+      {
+        label;
+        cost = r.best_cost;
+        final_cost = r.final_cost;
+        evaluations = r.stats.evaluations;
+        failure;
+      }
+    in
+    let work rng budget observer =
+      match E.run ~observer ?delta_ops rng (params budget) (make_state rng) with
+      | run -> standing run None
+      | exception E.Aborted { reason; partial } ->
+          standing partial (Some (Printexc.to_string reason))
+      (* A problem that cannot even start (non-finite initial cost, or
+         [make_state] itself raising [Invalid_cost]) has no partial to
+         preserve; it competes at [infinity] and loses every ranking. *)
+      | exception Mc_problem.Invalid_cost msg ->
+          {
+            label;
+            cost = infinity;
+            final_cost = infinity;
+            evaluations = 0;
+            failure = Some msg;
+          }
+    in
+    { label; work }
+end
 
 type round = {
   index : int;
@@ -117,15 +67,6 @@ type report = {
   stopped_early : bool;
 }
 
-let standing_of_outcome (job : Job.t) (o : outcome) =
-  {
-    label = job.label;
-    cost = o.best_cost;
-    final_cost = o.final_cost;
-    evaluations = o.stats.Mc_problem.evaluations;
-    failure = o.failure;
-  }
-
 (* One rung: run every surviving job at [budget] on the pool, each from
    a fresh copy of its pinned stream, and rank.  Returns
    (original index, standing) best first; ties break by job-list
@@ -134,8 +75,8 @@ let run_rung ?job_observer ?pool_stats pool observer (jobs : Job.t array)
     job_rngs alive budget =
   let alive = Array.of_list alive in
   let n = Array.length alive in
-  let outcomes =
-    Pool.map' ?stats:pool_stats pool
+  let standings =
+    Pool.map ?stats:pool_stats pool
       (fun ~worker i ->
         let j = alive.(i) in
         let observer =
@@ -148,10 +89,7 @@ let run_rung ?job_observer ?pool_stats pool observer (jobs : Job.t array)
         jobs.(j).Job.work (Rng.copy job_rngs.(j)) budget observer)
       n
   in
-  let ranked =
-    List.init n (fun i ->
-        (alive.(i), standing_of_outcome jobs.(alive.(i)) outcomes.(i)))
-  in
+  let ranked = List.init n (fun i -> (alive.(i), standings.(i))) in
   List.sort
     (fun (i1, s1) (i2, s2) ->
       match Float.compare s1.cost s2.cost with

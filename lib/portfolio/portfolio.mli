@@ -3,11 +3,11 @@
     The paper's evaluation is itself a portfolio: 21 acceptance-function
     classes × 2 strategies raced on the same instances under equal
     budgets (Tables 4.1–4.2).  This module runs such a portfolio on the
-    {!Pool}: each {e job} pairs a label with a closure over any engine
-    (Figure 1 / Figure 2 / rejectionless), any g-class, and any problem
-    adapter; jobs run on worker domains with per-job RNG streams split
-    up front, so every mode below returns bit-identical results — and
-    byte-identical reports — for any domain count.
+    {!Pool}: each {e job} pairs a label with a Figure 1 walk over any
+    g-class and any problem adapter; jobs run on worker domains with
+    per-job RNG streams split up front, so every mode below returns
+    bit-identical results — and byte-identical reports — for any domain
+    count.
 
     Two modes:
 
@@ -33,33 +33,14 @@
     whose problem cannot start (non-finite initial cost) is scored
     [infinity] with no evaluations. *)
 
-type outcome = {
-  best_cost : float;
-  final_cost : float;
-  stats : Mc_problem.stats;
-  failure : string option;
-      (** [Some reason] when the run aborted mid-walk; the cost fields
-          then describe the best-so-far partial. *)
-}
-
-(** Portfolio entries.  Use the engine constructors below for the
-    bundled engines; [v] is the escape hatch for anything else. *)
+(** Portfolio entries: Figure 1 walks over any problem adapter. *)
 module Job : sig
   type t
 
   val label : t -> string
 
-  val v : label:string -> (Rng.t -> Budget.t -> Obs.Observer.t -> outcome) -> t
-  (** [v ~label work]: [work rng budget observer] must run one complete
-      attempt within [budget] and be deterministic in [rng] — it is
-      called once per racing rung, each time with a fresh copy of the
-      job's pinned stream. *)
-
   val figure1 :
     (module Mc_problem.S with type state = 's and type move = 'm) ->
-    ?counter_limit:int ->
-    ?acceptance_limit:int ->
-    ?defer_threshold:int ->
     ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
     label:string ->
     gfun:Gfun.t ->
@@ -70,33 +51,10 @@ module Job : sig
   (** A Figure 1 job.  [make_state] builds the starting configuration
       from the job's stream (draws it consumes are part of the
       trajectory, so racing rungs still extend one another); engine
-      aborts are contained as described above.
+      aborts are contained as described above.  The job runs once per
+      racing rung, each time from a fresh copy of its pinned stream.
       @raise Invalid_argument if the schedule length differs from the
       g-function's [k] (checked now, not at race time). *)
-
-  val figure2 :
-    (module Mc_problem.S with type state = 's and type move = 'm) ->
-    ?counter_limit:int ->
-    ?restart_schedule:bool ->
-    ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
-    label:string ->
-    gfun:Gfun.t ->
-    schedule:Schedule.t ->
-    make_state:(Rng.t -> 's) ->
-    unit ->
-    t
-  (** A Figure 2 job; same conventions as {!figure1}. *)
-
-  val rejectionless :
-    (module Mc_problem.S with type state = 's and type move = 'm) ->
-    ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
-    label:string ->
-    gfun:Gfun.t ->
-    schedule:Schedule.t ->
-    make_state:(Rng.t -> 's) ->
-    unit ->
-    t
-  (** A rejectionless-engine job; same conventions as {!figure1}. *)
 end
 
 type standing = {
@@ -105,6 +63,8 @@ type standing = {
   final_cost : float;
   evaluations : int;  (** budget ticks of the job's latest run *)
   failure : string option;
+      (** [Some reason] when the run aborted mid-walk (the cost fields
+          then describe the best-so-far partial) or could not start *)
 }
 
 type round = {

@@ -1,8 +1,11 @@
 (* Stale documentation references.  Every backquoted [Module.name] in
    the given markdown files, where [Module] is a source file under the
    given directories, must name something that still appears in that
-   module's .ml or .mli.  Prints one line per stale reference and exits
-   1 if there is any.  Fenced code blocks are skipped.
+   module's .ml or .mli; and every backquoted path under one of
+   [path_roots] must name a file or directory, a [.exe] or
+   extensionless name standing for its [.ml].  Prints one line per
+   stale reference and exits 1 if there is any.  Fenced code blocks are
+   skipped.  Paths resolve against the working directory.
 
    Usage: doc_refs DIR... -- DOC... *)
 
@@ -72,6 +75,35 @@ let paths span =
   in
   go 0 []
 
+let path_roots = [ "lib/"; "bin/"; "bench/"; "test/"; "examples/"; "data/" ]
+
+(* The repo paths a span names: its words under [path_roots], with
+   surrounding punctuation and a [:LINE] suffix dropped; patterns and
+   placeholders ([data/*.net], [examples/<name>.exe]) are not paths. *)
+let repo_paths span =
+  String.split_on_char ' ' (String.map (fun c -> if c = '\n' then ' ' else c) span)
+  |> List.filter_map (fun word ->
+         let word = List.hd (String.split_on_char ':' word) in
+         let word =
+           let strip = "()[],;'\"" in
+           let n = String.length word in
+           let i = ref 0 and j = ref n in
+           while !i < n && String.contains strip word.[!i] do incr i done;
+           while !j > !i && String.contains strip word.[!j - 1] do decr j done;
+           String.sub word !i (!j - !i)
+         in
+         if
+           List.exists (fun prefix -> String.starts_with ~prefix word) path_roots
+           && not (String.exists (fun c -> String.contains "*<>{}$" c) word)
+         then Some word
+         else None)
+
+let path_exists path =
+  Sys.file_exists path
+  || (Filename.check_suffix path ".exe"
+     && Sys.file_exists (Filename.remove_extension path ^ ".ml"))
+  || (Filename.extension path = "" && Sys.file_exists (path ^ ".ml"))
+
 let check modules doc =
   let text = inline_text doc in
   let stale = ref 0 in
@@ -87,6 +119,14 @@ let check modules doc =
         match String.index_from_opt text (a + 1) '`' with
         | None -> ()
         | Some b ->
+            let span = String.sub text (a + 1) (b - a - 1) in
+            List.iter
+              (fun path ->
+                if not (path_exists path) then begin
+                  incr stale;
+                  Printf.printf "%s:%d: `%s`: no such file or directory\n" doc (line_of a) path
+                end)
+              (repo_paths span);
             List.iter
               (function
                 | m :: name :: _ -> (
@@ -97,7 +137,7 @@ let check modules doc =
                           name
                     | _ -> ())
                 | _ -> ())
-              (paths (String.sub text (a + 1) (b - a - 1)));
+              (paths span);
             spans (b + 1))
   in
   spans 0;

@@ -4,7 +4,7 @@
    same accept/reject decisions, same counters, bit-identical costs.
    Plus the satellites that ride along: delta-path checkpoint resume,
    the [Contract.wrap_delta] sanitizer, the difference-class plateau
-   fix in [Gfun], and the serialized multi-start observer. *)
+   fix in [Gfun], and the serialized sweep observer. *)
 
 let case name f = Alcotest.test_case name `Quick f
 let bits = Int64.bits_of_float
@@ -126,32 +126,48 @@ let nola_nl seed =
   Netlist.random_nola (Rng.create ~seed) ~elements:36 ~nets:90 ~min_pins:2
     ~max_pins:5
 
+(* Both families again at n = 48, each adapter once at its own cadence. *)
+let gola48 = Netlist.random_gola (Rng.create ~seed:2) ~elements:48 ~nets:140
+
+let nola48 =
+  Netlist.random_nola (Rng.create ~seed:1) ~elements:48 ~nets:120 ~min_pins:2
+    ~max_pins:5
+
 let test_equiv_linarr_swap () =
   let module E = Equiv (Linarr_problem.Swap) in
   let nl = nola_nl 21 in
   let gfun, schedule = metro 0.05 in
-  E.all ~msg:"linarr-swap" ~seed:106 ~evals:3000 ~gfun ~schedule
-    ~delta_ops:Linarr_problem.Swap.delta_ops
+  let delta_ops = Linarr_problem.Swap.delta_ops in
+  E.all ~msg:"linarr-swap" ~seed:106 ~evals:3000 ~gfun ~schedule ~delta_ops
     ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:22) nl)
-    ()
+    ();
+  E.engines ~msg:"swap/nola48" ~seed:3 ~evals:4000 ~gfun ~schedule ~delta_ops
+    ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:4) nola48);
+  E.engines ~msg:"swap/gola48" ~seed:5 ~evals:4000 ~gfun ~schedule ~delta_ops
+    ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:6) gola48)
 
 let test_equiv_linarr_relocate () =
   let module E = Equiv (Linarr_problem.Relocate) in
   let nl = gola_nl 23 in
   let gfun, schedule = metro 0.05 in
-  E.all ~msg:"linarr-relocate" ~seed:107 ~evals:3000 ~gfun ~schedule
-    ~delta_ops:Linarr_problem.Relocate.delta_ops
+  let delta_ops = Linarr_problem.Relocate.delta_ops in
+  E.all ~msg:"linarr-relocate" ~seed:107 ~evals:3000 ~gfun ~schedule ~delta_ops
     ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:24) nl)
-    ()
+    ();
+  E.engines ~msg:"relocate/gola48" ~seed:7 ~evals:4000 ~gfun ~schedule ~delta_ops
+    ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:8) gola48)
 
 let test_equiv_linarr_swap_sum_cuts () =
   let module E = Equiv (Linarr_problem.Swap_sum_cuts) in
   let nl = nola_nl 25 in
+  let delta_ops = Linarr_problem.Swap_sum_cuts.delta_ops in
   let gfun, schedule = metro 0.5 in
-  E.all ~msg:"linarr-swap-sum-cuts" ~seed:108 ~evals:3000 ~gfun ~schedule
-    ~delta_ops:Linarr_problem.Swap_sum_cuts.delta_ops
+  E.all ~msg:"linarr-swap-sum-cuts" ~seed:108 ~evals:3000 ~gfun ~schedule ~delta_ops
     ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:26) nl)
-    ()
+    ();
+  let gfun, schedule = metro 0.05 in
+  E.engines ~msg:"swap-sum-cuts/nola48" ~seed:9 ~evals:4000 ~gfun ~schedule ~delta_ops
+    ~make_state:(fun () -> Arrangement.random (Rng.create ~seed:10) nola48)
 
 (* The three linarr delta records under the Contract sanitizer: every
    delta is probed against an apply/cost/revert round trip, and the
@@ -335,6 +351,49 @@ let test_delta_checkpoint_resume_bit_identical () =
     (bits resumed.Mc_problem.final_cost);
   Alcotest.check Alcotest.bool "stats" true
     (base.Mc_problem.stats = resumed.Mc_problem.stats)
+
+let test_drifting_delta_resume_resyncs_on_cadence () =
+  (* The TSP delta is exact, so a resync there changes nothing and the
+     test above cannot see when one happens.  Here every priced move
+     drifts by 2^-20, so [hi] parts from the true cost between resyncs
+     and the resumed run's costs match its uninterrupted twin's only if
+     it resyncs at the same ticks: the multiples of 7, counted from
+     1995 for a kill at 2000, not from the kill tick. *)
+  let module F1 = Figure1.Make (Tsp_problem) in
+  let inst = Tsp_instance.random_uniform (Rng.create ~seed:11) ~n:40 in
+  let d = Tsp_problem.delta_ops in
+  let delta_ops =
+    Mc_problem.delta_ops ~recost_every:7 ~propose:d.Mc_problem.propose
+      ~delta:(fun s m -> d.Mc_problem.delta s m +. 0x1p-20)
+      ~commit:d.Mc_problem.commit ~abandon:d.Mc_problem.abandon ()
+  in
+  (* Hot enough that most moves are taken, so the drift piles up. *)
+  let params =
+    F1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1. |])
+      ~budget:(Budget.Evaluations 4000) ()
+  in
+  let start () = Tsp_heuristics.nearest_neighbor inst ~start:0 in
+  let base = F1.run ~delta_ops (Rng.create ~seed:12) params (start ()) in
+  let captured = ref None in
+  let killing snap ~current ~best =
+    if snap.Figure1.ticks = 2000 then begin
+      captured := Some (snap, Tour.copy current, Tour.copy best);
+      raise Simulated_kill
+    end
+  in
+  (match
+     F1.run ~delta_ops ~checkpoint_every:1000 ~on_checkpoint:killing
+       (Rng.create ~seed:12) params (start ())
+   with
+  | (_ : Tour.t Mc_problem.run) -> Alcotest.fail "run was not interrupted"
+  | exception Simulated_kill -> ());
+  let snap, current, best = Option.get !captured in
+  let rng = Result.get_ok (Rng.of_state snap.Figure1.rng) in
+  let resumed = F1.run ~delta_ops ~resume:(snap, best) rng params current in
+  Alcotest.check Alcotest.int64 "best_cost" (bits base.Mc_problem.best_cost)
+    (bits resumed.Mc_problem.best_cost);
+  Alcotest.check Alcotest.int64 "final_cost" (bits base.Mc_problem.final_cost)
+    (bits resumed.Mc_problem.final_cost)
 
 let test_linarr_delta_checkpoint_resume_bit_identical () =
   (* Linarr variant, with the states routed through the checkpoint
@@ -542,27 +601,31 @@ let test_find_by_name_cached_lookup () =
   let workers = Array.init 4 (fun _ -> Domain.spawn lookup) in
   Array.iter Domain.join workers
 
-(* ------------------- serialized multi-start observer ------------------- *)
+(* ------------------- serialized sweep observer ------------------- *)
 
-let test_multi_start_observer_serialized () =
+let test_sweep_observer_serialized () =
   (* Regression: with several worker domains funnelling events into one
      plain (non-atomic) sink, unserialized emits lose increments.  The
-     driver's mutex wrapper must deliver exactly the event count a
+     sweep's mutex wrapper must deliver exactly the event count a
      sequential run produces. *)
-  let module MS = Multi_start.Make (Line) in
-  let params =
-    MS.Engine.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1. |])
-      ~budget:(Budget.Evaluations 500) ()
+  let jobs =
+    List.init 8 (fun i ->
+        Portfolio.Job.figure1
+          (module Line)
+          ~label:(string_of_int i) ~gfun:Gfun.metropolis
+          ~schedule:(Schedule.of_array [| 1. |])
+          ~make_state:(fun _ -> { Line.x = 10 + i; cost_fn = vee })
+          ())
   in
   let count ~domains =
     let n = ref 0 in
     let observer = Obs.Observer.of_fun (fun _ -> incr n) in
-    let outcome =
-      MS.run ~domains ~observer (Rng.create ~seed:15) ~chains:8 ~params
-        ~make_state:(fun i -> { Line.x = 10 + i; cost_fn = vee })
+    let report =
+      Portfolio.sweep ~domains ~observer (Rng.create ~seed:15)
+        ~budget:(Budget.Evaluations 500) jobs
     in
     Alcotest.check Alcotest.int "budgets add up" (8 * 500)
-      outcome.MS.total_evaluations;
+      report.Portfolio.total_evaluations;
     !n
   in
   let sequential = count ~domains:1 in
@@ -592,6 +655,8 @@ let suite =
       test_delta_checkpoint_resume_bit_identical;
     case "linarr delta-path kill/resume through codec is bit-identical"
       test_linarr_delta_checkpoint_resume_bit_identical;
+    case "drifting delta: a resumed run resyncs on the same ticks"
+      test_drifting_delta_resume_resyncs_on_cadence;
     case "wrap_delta passes an honest adapter"
       test_wrap_delta_passes_honest_adapter;
     case "wrap_delta catches a lying delta" test_wrap_delta_catches_lying_delta;
@@ -604,6 +669,6 @@ let suite =
       test_diff_class_walk_does_not_freeze;
     case "find_by_name: cached, case-insensitive, domain-safe"
       test_find_by_name_cached_lookup;
-    case "multi-start observer is serialized across domains"
-      test_multi_start_observer_serialized;
+    case "sweep observer is serialized across domains"
+      test_sweep_observer_serialized;
   ]

@@ -176,52 +176,45 @@ let test_traced_over_partition () =
   Alcotest.check (Alcotest.float 1e-9) "trace minimum = engine best"
     r.Mc_problem.best_cost (Obs.Trajectory.minimum rec_)
 
-module Arr_multi = Multi_start.Make (Linarr_problem.Swap)
-
-let multi_outcome ~domains =
+(* Six independent Figure 1 walks over one arrangement instance, run
+   side by side: the paper's equal-budget protocol as [Portfolio.sweep]
+   runs it. *)
+let arrangement_sweep ~domains =
   let nl = Netlist.random_gola (Rng.create ~seed:20) ~elements:12 ~nets:60 in
-  let params =
-    Arr_multi.Engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-      ~budget:(Budget.Evaluations 800) ()
-  in
-  Arr_multi.run ~domains (Rng.create ~seed:21) ~chains:6 ~params
-    ~make_state:(fun i -> Arrangement.random (Rng.create ~seed:(100 + i)) nl)
+  Portfolio.sweep ~domains (Rng.create ~seed:21) ~budget:(Budget.Evaluations 800)
+    (List.init 6 (fun i ->
+         Portfolio.Job.figure1
+           (module Linarr_problem.Swap)
+           ~label:(string_of_int i) ~gfun:Gfun.g_one
+           ~schedule:(Schedule.constant ~k:1 1.)
+           ~make_state:(fun rng -> Arrangement.random rng nl)
+           ()))
 
-let test_multi_start_basics () =
-  let o = multi_outcome ~domains:1 in
-  Alcotest.check Alcotest.int "6 chain costs" 6 (Array.length o.Arr_multi.chain_costs);
-  Alcotest.check Alcotest.int "evaluations add up" (6 * 800) o.Arr_multi.total_evaluations;
-  let best = Array.fold_left Float.min infinity o.Arr_multi.chain_costs in
-  Alcotest.check (Alcotest.float 0.) "best is the minimum chain"
-    best o.Arr_multi.best.Mc_problem.best_cost
+let test_sweep_on_arrangements_basics () =
+  let r = arrangement_sweep ~domains:1 in
+  let standings = (List.hd r.Portfolio.rounds).Portfolio.results in
+  Alcotest.check Alcotest.int "6 job standings" 6 (List.length standings);
+  Alcotest.check Alcotest.int "evaluations add up" (6 * 800) r.Portfolio.total_evaluations;
+  let best = List.fold_left (fun acc s -> Float.min acc s.Portfolio.cost) infinity standings in
+  Alcotest.check (Alcotest.float 0.) "best is the minimum job" best
+    r.Portfolio.winner.Portfolio.cost
 
-let test_multi_start_domain_count_invariant () =
-  let sequential = multi_outcome ~domains:1 in
-  let parallel = multi_outcome ~domains:4 in
-  Alcotest.check (Alcotest.array (Alcotest.float 0.)) "identical chain costs"
-    sequential.Arr_multi.chain_costs parallel.Arr_multi.chain_costs
-
-let test_multi_start_validation () =
-  let invalid f = match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  let nl = Netlist.random_gola (Rng.create ~seed:22) ~elements:5 ~nets:6 in
-  let params =
-    Arr_multi.Engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-      ~budget:(Budget.Evaluations 10) ()
-  in
-  let make_state _ = Arrangement.random (Rng.create ~seed:23) nl in
-  invalid (fun () -> Arr_multi.run (Rng.create ~seed:24) ~chains:0 ~params ~make_state);
-  invalid (fun () ->
-      Arr_multi.run ~domains:0 (Rng.create ~seed:24) ~chains:2 ~params ~make_state)
+let test_sweep_on_arrangements_domain_count_invariant () =
+  let json r = Obs.Json.to_string (Portfolio.report_to_json r) in
+  let sequential = json (arrangement_sweep ~domains:1) in
+  List.iter
+    (fun domains ->
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "report at %d domains = report at 1 domain" domains)
+        sequential
+        (json (arrangement_sweep ~domains)))
+    [ 2; 4 ]
 
 let suite =
   [
-    case "multi-start: basics" test_multi_start_basics;
-    case "multi-start: domain count does not change results"
-      test_multi_start_domain_count_invariant;
-    case "multi-start: validation" test_multi_start_validation;
+    case "sweep over arrangements: basics" test_sweep_on_arrangements_basics;
+    case "sweep over arrangements: domain count does not change results"
+      test_sweep_on_arrangements_domain_count_invariant;
     case "Figure 1 over the relocate neighborhood" test_relocate_engine;
     case "Figure 2 over TSP" test_figure2_on_tsp;
     case "rejectionless over arrangements" test_rejectionless_on_arrangement;

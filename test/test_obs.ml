@@ -472,16 +472,18 @@ let test_rl_jsonl_reconciles () =
     { r.Mc_problem.stats with Mc_problem.rejected = 0 }
     derived
 
-let test_multi_start_observed () =
-  let module MS = Multi_start.Make (Line) in
+let test_sweep_observed () =
   let ring = Obs.Ring.create 100_000 in
-  let params =
-    MS.Engine.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1. |])
-      ~budget:(Budget.Evaluations 100) ()
-  in
-  let outcome =
-    MS.run ~observer:(Obs.Ring.observer ring) (Rng.create ~seed:7) ~chains:4 ~params
-      ~make_state:(fun i -> { Line.x = 10 + i; cost_fn = vee })
+  let report =
+    Portfolio.sweep ~observer:(Obs.Ring.observer ring) (Rng.create ~seed:7)
+      ~budget:(Budget.Evaluations 100)
+      (List.init 4 (fun i ->
+           Portfolio.Job.figure1
+             (module Line)
+             ~label:(string_of_int i) ~gfun:Gfun.metropolis
+             ~schedule:(Schedule.of_array [| 1. |])
+             ~make_state:(fun _ -> { Line.x = 10 + i; cost_fn = vee })
+             ()))
   in
   let starts =
     List.length
@@ -489,8 +491,8 @@ let test_multi_start_observed () =
          (function Obs.Event.Run_start _ -> true | _ -> false)
          (Obs.Ring.to_list ring))
   in
-  Alcotest.check Alcotest.int "one run_start per chain" 4 starts;
-  Alcotest.check Alcotest.int "budgets add up" 400 outcome.MS.total_evaluations
+  Alcotest.check Alcotest.int "one run_start per job" 4 starts;
+  Alcotest.check Alcotest.int "budgets add up" 400 report.Portfolio.total_evaluations
 
 (* -------------------- NOLA acceptance criterion ------------------- *)
 
@@ -589,7 +591,7 @@ let suite =
     case "figure1: deferred-uphill trace reconciles" test_f1_defer_jsonl_reconciles;
     case "figure2: jsonl trace reconciles with stats" test_f2_jsonl_reconciles;
     case "rejectionless: jsonl trace reconciles" test_rl_jsonl_reconciles;
-    case "multi_start: observer sees every chain" test_multi_start_observed;
+    case "sweep: observer sees every job" test_sweep_observed;
     case "nola15: Metropolis trace reconciles (acceptance criterion)"
       test_nola_metropolis_trace_reconciles;
     case "mc_problem: stats printers" test_stats_printers;

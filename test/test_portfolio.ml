@@ -11,7 +11,7 @@ let case name f = Alcotest.test_case name `Quick f
 
 let test_pool_map_covers_every_index () =
   let pool = Pool.create ~domains:3 () in
-  let got = Pool.map pool (fun i -> i * i) 17 in
+  let got = Pool.map pool (fun ~worker:_ i -> i * i) 17 in
   Alcotest.(check (array int)) "every task ran once"
     (Array.init 17 (fun i -> i * i))
     got
@@ -19,13 +19,13 @@ let test_pool_map_covers_every_index () =
 let test_pool_more_domains_than_tasks () =
   let pool = Pool.create ~domains:8 () in
   Alcotest.check Alcotest.int "cap recorded" 8 (Pool.domains pool);
-  let got = Pool.map pool (fun i -> 10 * i) 3 in
+  let got = Pool.map pool (fun ~worker:_ i -> 10 * i) 3 in
   Alcotest.(check (array int)) "3 tasks on 8 domains" [| 0; 10; 20 |] got
 
 let test_pool_zero_tasks () =
   let pool = Pool.create ~domains:4 () in
   let called = ref false in
-  Pool.run pool (fun _ -> called := true) 0;
+  ignore (Pool.map pool (fun ~worker:_ _ -> called := true) 0);
   Alcotest.check Alcotest.bool "f never called" false !called
 
 let test_pool_validation () =
@@ -34,8 +34,8 @@ let test_pool_validation () =
       ignore (Pool.create ~domains:0 ()));
   let pool = Pool.create ~domains:2 () in
   Alcotest.check_raises "negative task count rejected"
-    (Invalid_argument "Pool.run: negative task count") (fun () ->
-      Pool.run pool ignore (-1))
+    (Invalid_argument "Pool.map: negative task count") (fun () ->
+      ignore (Pool.map pool (fun ~worker:_ _ -> ()) (-1)))
 
 (* The failure rule: the lowest-indexed *recorded* failure is
    re-raised.  Which tasks even start after a failure depends on
@@ -51,17 +51,19 @@ let test_pool_lowest_index_failure () =
         (Printf.sprintf "lone failure surfaces at %d domains" domains)
         (Failure "boom 7")
         (fun () ->
-          Pool.run pool
-            (fun i -> if i = 7 then failwith (Printf.sprintf "boom %d" i))
-            12))
+          ignore
+            (Pool.map pool
+               (fun ~worker:_ i -> if i = 7 then failwith (Printf.sprintf "boom %d" i))
+               12)))
     [ 1; 2; 4 ];
   let pool = Pool.create ~domains:1 () in
   Alcotest.check_raises "first of many failures wins on one worker"
     (Failure "boom 3")
     (fun () ->
-      Pool.run pool
-        (fun i -> if i >= 3 then failwith (Printf.sprintf "boom %d" i))
-        12)
+      ignore
+        (Pool.map pool
+           (fun ~worker:_ i -> if i >= 3 then failwith (Printf.sprintf "boom %d" i))
+           12))
 
 (* --------------------------- Portfolio --------------------------- *)
 
@@ -229,6 +231,12 @@ let test_validation () =
     (Invalid_argument "Portfolio.sweep: no jobs") (fun () ->
       ignore
         (Portfolio.sweep (Rng.create ~seed:1) ~budget:(Budget.Evaluations 1) []));
+  Alcotest.check_raises "domains = 0 rejected"
+    (Invalid_argument "Pool.create: domains <= 0") (fun () ->
+      ignore
+        (Portfolio.sweep ~domains:0 (Rng.create ~seed:1)
+           ~budget:(Budget.Evaluations 1)
+           [ fuse_job ~label:"one" ~evals_left:max_int ]));
   Alcotest.check_raises "schedule length checked at job build"
     (Invalid_argument
        "Figure1.params: schedule length 2 but Metropolis expects k = 1")
@@ -241,30 +249,35 @@ let test_validation () =
            ~make_state:(fun _ -> { Fuse.x = 0; evals_left = max_int })
            ()))
 
-(* Multi_start now runs on the same pool; its cross-domain determinism
-   contract must keep holding through the rewrite. *)
-let test_multi_start_on_pool () =
-  let module MS = Multi_start.Make (Fuse) in
-  let outcome domains =
-    let p =
-      MS.Engine.params ~gfun:Gfun.metropolis
-        ~schedule:(Schedule.of_array [| 1. |])
-        ~budget:(Budget.Evaluations 300) ()
-    in
-    MS.run ~domains (Rng.create ~seed:21) ~chains:5 ~params:p
-      ~make_state:(fun i -> { Fuse.x = 20 + i; evals_left = max_int })
+(* A sweep's per-job standings, its winner and its evaluation total
+   must not depend on how many domains ran the jobs. *)
+let test_sweep_identical_across_domains () =
+  let report domains =
+    Portfolio.sweep ~domains (Rng.create ~seed:21) ~budget:(Budget.Evaluations 300)
+      (List.init 5 (fun i ->
+           Portfolio.Job.figure1
+             (module Fuse)
+             ~label:(string_of_int i) ~gfun:Gfun.metropolis
+             ~schedule:(Schedule.of_array [| 1. |])
+             ~make_state:(fun _ -> { Fuse.x = 20 + i; evals_left = max_int })
+             ()))
   in
-  let base = outcome 1 in
+  let costs r =
+    List.map
+      (fun s -> (s.Portfolio.label, s.Portfolio.cost))
+      (List.hd r.Portfolio.rounds).Portfolio.results
+  in
+  let base = report 1 in
   List.iter
     (fun domains ->
-      let o = outcome domains in
-      Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "chain costs identical at %d domains" domains)
-        base.MS.chain_costs o.MS.chain_costs;
+      let r = report domains in
+      Alcotest.(check (list (pair string (float 0.))))
+        (Printf.sprintf "job costs identical at %d domains" domains)
+        (costs base) (costs r);
       Alcotest.check (Alcotest.float 0.) "best identical"
-        base.MS.best.Mc_problem.best_cost o.MS.best.Mc_problem.best_cost;
+        base.Portfolio.winner.Portfolio.cost r.Portfolio.winner.Portfolio.cost;
       Alcotest.check Alcotest.int "evaluations identical"
-        base.MS.total_evaluations o.MS.total_evaluations)
+        base.Portfolio.total_evaluations r.Portfolio.total_evaluations)
     [ 2; 4 ]
 
 (* Arrangements at n = 15 price from their netlist's table of subset
@@ -311,6 +324,6 @@ let suite =
     case "race: deadline stops early, deterministically" test_race_deadline_stops_early;
     case "race: failures contained per job" test_race_contains_failures;
     case "portfolio: argument validation" test_validation;
-    case "multi-start: identical across domains" test_multi_start_on_pool;
+    case "sweep: identical across domains" test_sweep_identical_across_domains;
     case "race: two domains build a netlist's cut table safely" test_race_builds_cut_table_safely;
   ]

@@ -2,7 +2,7 @@
    and staleness detection), the kill-and-resume acceptance property
    (a resumed run is bit-identical to its uninterrupted twin), the
    chaos fault-injection matrix across all three engines, failure
-   containment in the multi-start driver, and the supervisor's
+   containment in a portfolio sweep, and the supervisor's
    retry/backoff/deadline/quarantine logic. *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -599,42 +599,43 @@ let test_chaos_plan_after_and_times () =
   Alcotest.check Alcotest.bool "reset clears the plans" true
     (Float.is_finite (Chaos_swap.cost state))
 
-(* ------------------- multi-start containment --------------------- *)
+(* --------------------- sweep containment ----------------------- *)
 
-module CMS = Multi_start.Make (Chaos_swap)
-
-let test_multi_start_contains_aborts () =
+let test_sweep_contains_aborts () =
   Chaos_swap.reset ();
-  (* One single-shot fault: the first chain to pass 200 cost calls
-     absorbs it; the other chains must complete untouched. *)
+  (* One single-shot fault: the first job to pass 200 cost calls
+     absorbs it; the other jobs must complete untouched. *)
   Chaos_swap.plan ~after:200 Chaos_swap.Raise_cost;
-  let params =
-    CMS.Engine.params ~gfun:chaos_gfun ~schedule:chaos_schedule
-      ~budget:(Budget.Evaluations 1000) ()
-  in
-  let outcome =
-    CMS.run (Rng.create ~seed:31) ~chains:3 ~params
-      ~make_state:(fun i -> Arrangement.random (Rng.create ~seed:(100 + i)) netlist)
+  let report =
+    Portfolio.sweep (Rng.create ~seed:31) ~budget:(Budget.Evaluations 1000)
+      (List.init 3 (fun i ->
+           Portfolio.Job.figure1
+             (module Chaos_swap)
+             ~label:(string_of_int i) ~gfun:chaos_gfun ~schedule:chaos_schedule
+             ~make_state:(fun _ -> Arrangement.random (Rng.create ~seed:(100 + i)) netlist)
+             ()))
   in
   Chaos_swap.reset ();
-  (match outcome.CMS.failures with
-  | [ (0, reason) ] ->
+  let standings = (List.hd report.Portfolio.rounds).Portfolio.results in
+  (match
+     List.filter_map
+       (fun s -> Option.map (fun r -> (s.Portfolio.label, r)) s.Portfolio.failure)
+       standings
+   with
+  | [ ("0", reason) ] ->
       Alcotest.check Alcotest.bool "reason names the chaos fault" true
         (contains ~sub:"Fault" reason)
   | fs ->
       Alcotest.fail
-        (Printf.sprintf "expected chain 0 to fail alone, got %d failures"
+        (Printf.sprintf "expected job 0 to fail alone, got %d failures"
            (List.length fs)));
-  Alcotest.check Alcotest.int "all chains reported" 3
-    (Array.length outcome.CMS.chain_costs);
-  Array.iteri
-    (fun i c ->
+  Alcotest.check Alcotest.int "all jobs reported" 3 (List.length standings);
+  List.iter
+    (fun s ->
       Alcotest.check Alcotest.bool
-        (Printf.sprintf "chain %d cost finite" i)
-        true (Float.is_finite c))
-    outcome.CMS.chain_costs;
-  Alcotest.check Alcotest.bool "winner is finite" true
-    (Float.is_finite outcome.CMS.best.Mc_problem.best_cost)
+        (Printf.sprintf "job %s cost finite" s.Portfolio.label)
+        true (Float.is_finite s.Portfolio.cost))
+    standings
 
 (* --------------------------- supervisor -------------------------- *)
 
@@ -802,7 +803,7 @@ let suite =
       case "chaos: slow moves only delay" test_chaos_slow_move_completes;
       case "chaos: plan validation" test_chaos_plan_validation;
       case "chaos: after/times/reset semantics" test_chaos_plan_after_and_times;
-      case "multi-start contains an aborted chain" test_multi_start_contains_aborts;
+      case "sweep contains an aborted job" test_sweep_contains_aborts;
       case "supervisor retries then completes" test_supervisor_retries_then_completes;
       case "supervisor quarantines after max attempts"
         test_supervisor_quarantines_after_max_attempts;
