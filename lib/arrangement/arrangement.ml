@@ -90,7 +90,9 @@ let net_span t j = span_in t.nv t.pos_of j
    per-net spans. *)
 let table_max_elements = 16
 
-(* Rebuild [pre.(w0 + 1) .. pre.(w1)] from [pre.(w0)] and [elem_at]. *)
+(* Rebuild [pre.(w0 + 1) .. pre.(w1)] from [pre.(w0)] and [elem_at],
+   each mask from the one before: [recompute_all] only.  A move's
+   [replay] derives each mask from its own old value instead. *)
 let fill_prefixes t w0 w1 =
   for x = w0 to w1 - 1 do
     t.pre.(x + 1) <- t.pre.(x) lor (1 lsl t.elem_at.(x))
@@ -134,7 +136,7 @@ let recompute_all t =
       if v > t.density then t.density <- v)
     t.cuts
 
-let create ?order netlist =
+let create_on ~kernel ?order netlist =
   let n = Netlist.n_elements netlist in
   let elem_at =
     match order with
@@ -147,7 +149,7 @@ let create ?order netlist =
   let pos_of = Array.make n 0 in
   Array.iteri (fun p e -> pos_of.(e) <- p) elem_at;
   let m = Netlist.n_nets netlist in
-  let table = n <= table_max_elements && m <= 0xffff in
+  let table = kernel = `Table && n <= table_max_elements && m <= 0xffff in
   let per_net = if table then 0 else m in
   let t =
     {
@@ -182,6 +184,8 @@ let create ?order netlist =
   in
   recompute_all t;
   t
+
+let create ?order netlist = create_on ~kernel:`Table ?order netlist
 
 let random rng netlist =
   create ~order:(Rng.permutation rng (Netlist.n_elements netlist)) netlist
@@ -327,26 +331,33 @@ let finish_trial t w0 w1 =
    sets without element n-1; a set holding it reads its complement's
    cell, the same cut.  A trial touches no net, so [n_touched] stays 0
    and the replay moves no span. *)
-let[@inline] table_cut table ~high s =
-  let full = (2 lsl high) - 1 in
+let[@inline] table_cut table ~high ~full s =
   Bytes.get_uint16_le table (2 * (s lxor (full land -(s lsr high))))
 
+(* The sweep has no branch on the data: every boundary writes its entry
+   at [diff_pos.(nd)] / [diff.(nd)], and [nd] advances only past a
+   nonzero change, so an unchanged boundary's entry is overwritten by
+   the next one.  [nd] counts changed boundaries before [x], so it never
+   passes n - 2.  [hit] counts with the same 0/1 and [top] takes the
+   max by the sign of the difference. *)
 let table_trial t w0 w1 ~off ~flip =
   let pre = t.pre and table = t.table and cuts = t.cuts in
   let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
   let high = size t - 1 in
+  let full = (2 lsl high) - 1 in
   let nd = ref 0 and hit = ref 0 and top = ref 0 and sum = ref 0 in
   for x = w0 to w1 - 1 do
-    let v' = table_cut table ~high (pre.(x + off) lxor flip) in
+    let v' = table_cut table ~high ~full (pre.(x + off) lxor flip) in
     let v = cuts.(x) in
-    if v' <> v then begin
-      if v = d then incr hit;
-      diff_pos.(!nd) <- x;
-      diff.(!nd) <- v' - v;
-      incr nd;
-      sum := !sum + v' - v
-    end;
-    if v' > !top then top := v'
+    let dv = v' - v in
+    let changed = Bool.to_int (dv <> 0) in
+    diff_pos.(!nd) <- x;
+    diff.(!nd) <- dv;
+    nd := !nd + changed;
+    hit := !hit + (changed land Bool.to_int (v = d));
+    sum := !sum + dv;
+    let up = v' - !top in
+    top := !top + (up land lnot (up asr (Sys.int_size - 1)))
   done;
   t.n_diff <- !nd;
   t.pend_sum <- !sum;
@@ -453,6 +464,28 @@ let span_relocate t ~from_pos ~to_pos ~w0 ~w1 =
   done;
   finish_trial t w0 w1
 
+(* Table mode: the masks [pre.(w0 + 1) .. pre.(w1)] after the move,
+   each from one old mask by the [off] / [flip] rule of [table_trial],
+   so no store waits on the one before:
+   - a swap: [pre.(x) lxor flip];
+   - a forward relocate: [pre.(x + 1) lxor flip], ascending, so
+     [pre.(x + 1)] is read before it is rewritten;
+   - a backward relocate: [pre.(x - 1) lxor flip], descending. *)
+let refresh_prefixes t w0 w1 ~off ~flip =
+  let pre = t.pre in
+  if off = 1 then
+    for x = w0 + 1 to w1 do
+      pre.(x) <- pre.(x) lxor flip
+    done
+  else if off = 2 then
+    for x = w0 + 1 to w1 do
+      pre.(x) <- pre.(x + 1) lxor flip
+    done
+  else
+    for x = w1 downto w0 + 1 do
+      pre.(x) <- pre.(x - 1) lxor flip
+    done
+
 (* Commit the pending trial: move the elements, set the touched nets'
    spans (table mode: refresh the window's prefix masks) and apply the
    sparse cut changes.  Each value written trades places with the one
@@ -462,12 +495,14 @@ let span_relocate t ~from_pos ~to_pos ~w0 ~w1 =
 let replay t =
   let a = t.pend_a and b = t.pend_b in
   let w0 = Int.min a b and w1 = Int.max a b in
+  let table_mode = Array.length t.pre > 0 in
   if t.pend_kind = 1 then begin
     let ea = t.elem_at.(a) and eb = t.elem_at.(b) in
     t.elem_at.(a) <- eb;
     t.elem_at.(b) <- ea;
     t.pos_of.(ea) <- b;
-    t.pos_of.(eb) <- a
+    t.pos_of.(eb) <- a;
+    if table_mode then refresh_prefixes t w0 w1 ~off:1 ~flip:((1 lsl ea) lor (1 lsl eb))
   end
   else begin
     let e = t.elem_at.(a) in
@@ -477,10 +512,11 @@ let replay t =
     for x = w0 to w1 do
       t.pos_of.(t.elem_at.(x)) <- x
     done;
+    if table_mode then
+      refresh_prefixes t w0 w1 ~off:(if a < b then 2 else 0) ~flip:(1 lsl e);
     t.pend_a <- b;
     t.pend_b <- a
   end;
-  if Array.length t.pre > 0 then fill_prefixes t w0 w1;
   for i = 0 to t.n_touched - 1 do
     let j = t.touched.(i) in
     let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
@@ -613,7 +649,7 @@ let check t =
     done;
     Array.iteri
       (fun x c ->
-        if table_cut table ~high:(n - 1) t.pre.(x + 1) <> c then
+        if table_cut table ~high:(n - 1) ~full:((1 lsl n) - 1) t.pre.(x + 1) <> c then
           failwith "Arrangement.check: table cut differs from the recount")
       fresh
   end;
@@ -638,3 +674,9 @@ let density_of_order netlist o =
   let cuts = Array.make (max 0 (n - 1)) 0 in
   cuts_from_scratch netlist pos_of cuts (fun _ _ _ -> ());
   Array.fold_left max 0 cuts
+
+module Private = struct
+  let create_span ?order netlist = create_on ~kernel:`Span ?order netlist
+  let is_table t = Array.length t.pre > 0
+  let pending_diff t = List.init t.n_diff (fun k -> (t.diff_pos.(k), t.diff.(k)))
+end

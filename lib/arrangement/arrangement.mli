@@ -150,3 +150,19 @@ val density_of_order : Netlist.t -> int array -> int
     nets' spans and one over the boundaries, without the moves'
     incremental state, so it can re-price what they produced.
     @raise Invalid_argument if the order is not a permutation. *)
+
+(** Tests only: hooks that let a test run both kernels side by side.
+    Not for use outside the test suite. *)
+module Private : sig
+  val create_span : ?order:int array -> Netlist.t -> t
+  (** [create] on the span kernel, whatever the netlist's size. *)
+
+  val is_table : t -> bool
+  (** Whether the state prices moves by table lookup. *)
+
+  val pending_diff : t -> (int * int) list
+  (** The sparse cut changes of the last trial recorded,
+      [(boundary, change)] in boundary order, every change nonzero.
+      After a replay these are the inverse move's: each change
+      negated. *)
+end

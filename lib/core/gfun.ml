@@ -51,9 +51,15 @@ let two_level =
   make ~name:"Two level g" ~k:2 ~uses_temperature:false
     (fun ~temp ~y:_ ~hi:_ ~hj:_ -> if temp = 1 then 1. else 0.5)
 
+(* [x *. x *. ... *. x] from the left, starting at [1.].  A loop, so the
+   accumulator stays unboxed: a recursive helper's float argument is
+   boxed at every call. *)
 let pow_int x p =
-  let rec go acc p = if p = 0 then acc else go (acc *. x) (p - 1) in
-  go 1. p
+  let acc = ref 1. in
+  for _ = 1 to p do
+    acc := !acc *. x
+  done;
+  !acc
 
 let poly_name degree =
   match degree with

@@ -188,29 +188,47 @@ let[@inline] find table mask slot =
 
 let[@inline] value table cell slot = if table.(cell) < 0 then slot else table.(cell + 1)
 
+(* The same for a cell per slot, indexed by the slot itself. *)
+let[@inline] own a slot =
+  let v = a.(slot) in
+  if v < 0 then slot else v
+
 (* Partial Fisher–Yates over the virtual index array [a.(i) = i].  Step
    [i] swaps [a.(i)] with [a.(j)], [j] drawn from [i, n-1]; [a.(i)] is
    final from then on, so it goes straight to the output and only
    [a.(j)] is stored.  That is one store per step, so a table of at
-   least [2 k] cells stays at most half full; when [n < 2 k], [n] cells
-   give every slot a cell of its own. *)
+   least [2 k] cells stays at most half full.  When that table would
+   have [n] cells or more, every slot gets a cell of its own: [a.(j)]
+   sits at index [j] of an [n]-word array, [-1] while it is still [j],
+   with no key and no probe. *)
 let sample_without_replacement t ~k ~n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
   let cap = ref 1 in
   while !cap < min (2 * k) n do
     cap := 2 * !cap
   done;
-  let mask = !cap - 1 in
-  let table = Array.make (2 * !cap) (-1) in
   let out = Array.make k 0 in
-  for i = 0 to k - 1 do
-    let j = int_range t i (n - 1) in
-    let ai = value table (find table mask i) i in
-    let cj = find table mask j in
-    out.(i) <- value table cj j;
-    table.(cj) <- j;
-    table.(cj + 1) <- ai
-  done;
+  if !cap >= n then begin
+    let a = Array.make n (-1) in
+    for i = 0 to k - 1 do
+      let j = int_range t i (n - 1) in
+      let ai = own a i in
+      out.(i) <- own a j;
+      a.(j) <- ai
+    done
+  end
+  else begin
+    let mask = !cap - 1 in
+    let table = Array.make (2 * !cap) (-1) in
+    for i = 0 to k - 1 do
+      let j = int_range t i (n - 1) in
+      let ai = value table (find table mask i) i in
+      let cj = find table mask j in
+      out.(i) <- value table cj j;
+      table.(cj) <- j;
+      table.(cj + 1) <- ai
+    done
+  end;
   out
 
 (* A non-finite weight or total would make [target] infinite (or NaN),

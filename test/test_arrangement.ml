@@ -431,6 +431,74 @@ let test_table_scratch_words () =
     Alcotest.failf "first trial at n = %d allocates %d words, under the span scratch's 4m"
       (n + 1) scratch
 
+(* The two kernels, move by move.  At every size from 2 to the table
+   bound a table-mode state and a span-mode state of the same order
+   ([Private.create_span]) walk the same seeded moves, about 10^4 in
+   all: swaps, and relocates in both directions.  Every trial must price
+   the same density and sum changes and record the same sparse cut
+   changes.  Every replay of the move, and every revert by its inverse
+   (half the moves), must leave the same order, cuts, density and sum,
+   and the same pending trial of the inverse move. *)
+let test_kernels_agree () =
+  let open Alcotest in
+  let rng = Rng.create ~seed:64 in
+  let sizes = Arrangement.table_max_elements - 1 in
+  let moves = (10_000 + sizes - 1) / sizes in
+  for n = 2 to Arrangement.table_max_elements do
+    let nl =
+      Netlist.random_nola rng ~elements:n ~nets:(3 * n) ~min_pins:2 ~max_pins:(min n 5)
+    in
+    let order = Rng.permutation rng n in
+    let tab = Arrangement.create ~order nl in
+    let span = Arrangement.Private.create_span ~order nl in
+    check bool "table kernel" true (Arrangement.Private.is_table tab);
+    check bool "span kernel" false (Arrangement.Private.is_table span);
+    let same what =
+      check (list (pair int int)) (what ^ ": cut changes")
+        (Arrangement.Private.pending_diff tab)
+        (Arrangement.Private.pending_diff span);
+      check (array int) (what ^ ": order") (Arrangement.order tab) (Arrangement.order span);
+      check (array int) (what ^ ": cuts") (Arrangement.cuts tab) (Arrangement.cuts span);
+      check int (what ^ ": density") (Arrangement.density tab) (Arrangement.density span);
+      check int (what ^ ": sum") (Arrangement.sum_of_cuts tab) (Arrangement.sum_of_cuts span)
+    in
+    for step = 1 to moves do
+      let p, q = Rng.pair_distinct rng n in
+      let swap = Rng.bool rng in
+      let what =
+        Printf.sprintf "n = %d, move %d, %s %d %d" n step (if swap then "swap" else "relocate") p q
+      in
+      let price t =
+        if swap then Arrangement.swap_delta t p q
+        else Arrangement.relocate_delta t ~from_pos:p ~to_pos:q
+      in
+      check (pair int int) (what ^ ": priced") (price tab) (price span);
+      check (list (pair int int)) (what ^ ": cut changes")
+        (Arrangement.Private.pending_diff tab)
+        (Arrangement.Private.pending_diff span);
+      let apply t =
+        if swap then Arrangement.swap_positions t p q
+        else Arrangement.relocate t ~from_pos:p ~to_pos:q
+      in
+      apply tab;
+      apply span;
+      same (what ^ ", replayed");
+      if Rng.bool rng then begin
+        let revert t =
+          if swap then Arrangement.swap_positions t p q
+          else Arrangement.relocate t ~from_pos:q ~to_pos:p
+        in
+        revert tab;
+        revert span;
+        same (what ^ ", reverted")
+      end;
+      if step mod 50 = 0 then begin
+        Arrangement.check tab;
+        Arrangement.check span
+      end
+    done
+  done
+
 let suite =
   [
     case "identity path cuts" test_identity_path;
@@ -460,6 +528,7 @@ let suite =
     case "trial scratch words" test_scratch_words;
     case "check reads the subset cut table" test_check_reads_table;
     case "table mode holds no per-net arrays" test_table_scratch_words;
+    case "table and span kernels agree move by move" test_kernels_agree;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;

@@ -656,6 +656,54 @@ let test_integration_stats_add_up () =
     (s.Mc_problem.improving + s.Mc_problem.lateral_accepted + s.Mc_problem.uphill_accepted
    + s.Mc_problem.rejected)
 
+(* Allocation guard for the paper's own walk: the 21 catalog classes
+   under Figure 1 with pairwise interchange on both sample instances,
+   recompute path, fixed seeds, as `sa_lab run` walks them.  The walks
+   allocate about 10 minor words per evaluation.  They allocated 27 when
+   every library was compiled with -opaque (no call between modules
+   inlined, every float crossing one boxed) and [Gfun.pow_int] boxed its
+   accumulator, 23.5 with -opaque alone and 13.6 with the boxed
+   [pow_int] alone; the bound is 12.  Tier-1 (`dune build && dune
+   runtest`) is defined under the workspace's release profile
+   (dune-workspace), which drops -opaque; dune's dev profile fails this
+   check. *)
+let read_sample name =
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../data/" ^ name; "data/" ^ name; "../../data/" ^ name; "../../../data/" ^ name ]
+  in
+  match path with
+  | None -> Alcotest.failf "sample netlist %s not found" name
+  | Some path -> (
+      match Netlist.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok nl -> nl
+      | Error e -> Alcotest.failf "%s: %s" path e)
+
+let test_paper_walk_words () =
+  let nets = List.map read_sample [ "gola15.net"; "nola15.net" ] in
+  let evals = ref 0 in
+  let before = Gc.minor_words () in
+  List.iter
+    (fun nl ->
+      List.iter
+        (fun gfun ->
+          List.iter
+            (fun seed ->
+              let rng = Rng.create ~seed in
+              let arr = Arrangement.random rng nl in
+              let p =
+                AF1.params ~gfun ~schedule:(Gfun.schedule gfun 1.0)
+                  ~budget:(Budget.Evaluations 10_000) ()
+              in
+              let r = AF1.run rng p arr in
+              evals := !evals + r.Mc_problem.stats.Mc_problem.evaluations)
+            [ 1; 2 ])
+        (Gfun.catalog ~m:(Netlist.n_nets nl)))
+    nets;
+  let per_eval = (Gc.minor_words () -. before) /. float_of_int !evals in
+  if per_eval > 12. then
+    Alcotest.failf "the paper walk allocates %.1f minor words per evaluation, over 12" per_eval
+
 (* Figure 2's core claim (the invariant behind the strategy): an
    uphill move is only ever taken from a local optimum, i.e. whenever
    [Descent_done] fires with budget left the full [moves] neighborhood
@@ -790,4 +838,6 @@ let suite =
     case "integration: stats add up" test_integration_stats_add_up;
     case "figure1: a best is copied only when the walk leaves it"
       test_f1_copies_only_left_bests;
+    case "figure1: the paper walk allocates at most 12 minor words per evaluation"
+      test_paper_walk_words;
   ]
