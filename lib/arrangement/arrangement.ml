@@ -8,7 +8,10 @@
      the cut of the set pre.(p + 1) in table mode;
    - cut_count.(v) = #{ p | cuts.(p) = v };
    - density = max { v | cut_count.(v) > 0 } (0 if there are no boundaries);
-   - sum_cuts = sum of cuts. *)
+   - sum_cuts = sum of cuts.
+   They describe the arrangement as it stands unless [applied] is set:
+   then the arrangement is the one the pending trial's move leads to,
+   and the fields above still hold the one before it (see [settle]). *)
 
 type t = {
   netlist : Netlist.t;
@@ -30,9 +33,11 @@ type t = {
      touches.  A trial records, without committing, the
      boundaries whose cut would change ([diff_pos] / [diff], sparse) and
      the new span of every touched net ([pend_lo] / [pend_hi], indexed
-     like [touched]).  A commit of the same move replays the recording
-     and leaves the inverse move's trial in its place; any other
-     mutation invalidates it via [pend_kind]. *)
+     like [touched]).  A move marks its trial [applied]; the next use of
+     the state replays the recording, which leaves the inverse move's
+     trial in its place, unless that use is the inverse move, which
+     only clears the mark.  [set_order] invalidates the recording via
+     [pend_kind]. *)
   mutable net_mark : int array; (* length n_nets *)
   mutable mark : int;
   mutable touched : int array; (* capacity n_nets *)
@@ -48,17 +53,11 @@ type t = {
   mutable pend_b : int; (* swap: max position; relocate: to_pos *)
   mutable pend_density : int;
   mutable pend_sum : int;
+  mutable applied : bool; (* the pending trial's move is made, not yet replayed *)
 }
 
 let size t = Array.length t.elem_at
 let netlist t = t.netlist
-let element_at t p = t.elem_at.(p)
-let position_of t e = t.pos_of.(e)
-let order t = Array.copy t.elem_at
-let cut t p = t.cuts.(p)
-let cuts t = Array.copy t.cuts
-let density t = t.density
-let sum_of_cuts t = t.sum_cuts
 
 let is_permutation n a =
   Array.length a = n
@@ -117,6 +116,7 @@ let cuts_from_scratch netlist pos_of cuts span =
 
 let recompute_all t =
   t.pend_kind <- 0;
+  t.applied <- false;
   Array.fill t.cuts 0 (Array.length t.cuts) 0;
   if Array.length t.pre > 0 then begin
     fill_prefixes t 0 (size t);
@@ -180,6 +180,7 @@ let create_on ~kernel ?order netlist =
       pend_b = 0;
       pend_density = 0;
       pend_sum = 0;
+      applied = false;
     }
   in
   recompute_all t;
@@ -189,26 +190,6 @@ let create ?order netlist = create_on ~kernel:`Table ?order netlist
 
 let random rng netlist =
   create ~order:(Rng.permutation rng (Netlist.n_elements netlist)) netlist
-
-let copy t =
-  {
-    t with
-    elem_at = Array.copy t.elem_at;
-    pos_of = Array.copy t.pos_of;
-    cuts = Array.copy t.cuts;
-    cut_count = Array.copy t.cut_count;
-    net_lo = Array.copy t.net_lo;
-    net_hi = Array.copy t.net_hi;
-    pre = Array.copy t.pre;
-    net_mark = [||];
-    touched = [||];
-    window = [||];
-    diff_pos = [||];
-    diff = [||];
-    pend_lo = [||];
-    pend_hi = [||];
-    pend_kind = 0;
-  }
 
 let alloc_scratch t =
   let n = size t and m = Netlist.n_nets t.netlist in
@@ -250,9 +231,11 @@ let[@inline] push t j =
    window boundary's new cut from the table of subset cuts
    ([table_trial]); step 4 is shared.  A commit replays the recording
    ([replay]), which leaves the inverse move's trial pending.
-   [swap_positions] and [relocate] replay when the pending trial is
-   theirs and price first otherwise, so a rejected move's revert costs
-   only a replay.
+   [swap_positions] and [relocate] price their move unless the pending
+   trial is theirs, and mark it [applied] without replaying it; the
+   state's next use replays it ([settle]), unless that use is the
+   inverse move, which only clears the mark.  So a rejected move costs
+   one trial, and an accepted one a trial and a replay.
 
    The loops below read the netlist's flat arrays directly rather than
    through [Netlist.iter_pins] / [iter_incident]: a closure passed
@@ -539,15 +522,70 @@ let replay t =
   t.density <- t.pend_density;
   t.pend_density <- d
 
+(* Replay the applied move, if any: every entry point but a move's own
+   pricing ([density], [sum_of_cuts]) and its inverse settles first. *)
+let[@inline] settle t =
+  if t.applied then begin
+    t.applied <- false;
+    replay t
+  end
+
+let element_at t p =
+  settle t;
+  t.elem_at.(p)
+
+let position_of t e =
+  settle t;
+  t.pos_of.(e)
+
+let order t =
+  settle t;
+  Array.copy t.elem_at
+
+let cut t p =
+  settle t;
+  t.cuts.(p)
+
+let cuts t =
+  settle t;
+  Array.copy t.cuts
+
+let density t = if t.applied then t.pend_density else t.density
+let sum_of_cuts t = if t.applied then t.sum_cuts + t.pend_sum else t.sum_cuts
+
+let copy t =
+  settle t;
+  {
+    t with
+    elem_at = Array.copy t.elem_at;
+    pos_of = Array.copy t.pos_of;
+    cuts = Array.copy t.cuts;
+    cut_count = Array.copy t.cut_count;
+    net_lo = Array.copy t.net_lo;
+    net_hi = Array.copy t.net_hi;
+    pre = Array.copy t.pre;
+    net_mark = [||];
+    touched = [||];
+    window = [||];
+    n_touched = 0;
+    diff_pos = [||];
+    diff = [||];
+    n_diff = 0;
+    pend_lo = [||];
+    pend_hi = [||];
+    pend_kind = 0;
+  }
+
 let check_positions name t p q =
   let n = size t in
   if p < 0 || p >= n || q < 0 || q >= n then
     invalid_arg ("Arrangement." ^ name ^ ": position out of range")
 
-(* Make a move's trial the pending one, pricing it unless it already
-   is.  A swap is recorded with its smaller position first.  A trial
-   needs two distinct positions, so [n >= 2] and an empty [diff_pos]
-   means the scratch is not allocated yet. *)
+(* Make a move's trial the pending one, settling first and pricing the
+   move unless it is pending already.  A swap is recorded with its
+   smaller position first.  A trial needs two distinct positions, so
+   [n >= 2] and an empty [diff_pos] means the scratch is not allocated
+   yet. *)
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
 
 let set_pending t kind a b =
@@ -556,6 +594,7 @@ let set_pending t kind a b =
   t.pend_b <- b
 
 let trial_swap t p q =
+  settle t;
   let p = Int.min p q and q = Int.max p q in
   if not (pending t 1 p q) then begin
     if Array.length t.diff_pos = 0 then alloc_scratch t;
@@ -566,6 +605,7 @@ let trial_swap t p q =
   end
 
 let trial_relocate t ~from_pos ~to_pos =
+  settle t;
   if not (pending t 2 from_pos to_pos) then begin
     if Array.length t.diff_pos = 0 then alloc_scratch t;
     let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
@@ -577,25 +617,33 @@ let trial_relocate t ~from_pos ~to_pos =
     set_pending t 2 from_pos to_pos
   end
 
+(* A swap undoes itself, so the applied swap of the same two positions
+   only clears the mark; a relocate is undone by the one with its ends
+   exchanged.  The trial left pending is the move's own, as after a
+   replay and the inverse's replay. *)
 let swap_positions t p q =
   check_positions "swap_positions" t p q;
-  if p <> q then begin
-    trial_swap t p q;
-    replay t
-  end
+  if p <> q then
+    if t.applied && pending t 1 (Int.min p q) (Int.max p q) then t.applied <- false
+    else begin
+      trial_swap t p q;
+      t.applied <- true
+    end
 
 let swap_elements t a b =
   let n = size t in
   if a < 0 || a >= n || b < 0 || b >= n then
     invalid_arg "Arrangement.swap_elements: element out of range";
-  swap_positions t t.pos_of.(a) t.pos_of.(b)
+  swap_positions t (position_of t a) (position_of t b)
 
 let relocate t ~from_pos ~to_pos =
   check_positions "relocate" t from_pos to_pos;
-  if from_pos <> to_pos then begin
-    trial_relocate t ~from_pos ~to_pos;
-    replay t
-  end
+  if from_pos <> to_pos then
+    if t.applied && pending t 2 to_pos from_pos then t.applied <- false
+    else begin
+      trial_relocate t ~from_pos ~to_pos;
+      t.applied <- true
+    end
 
 let swap_delta t p q =
   check_positions "swap_delta" t p q;
@@ -613,6 +661,7 @@ let relocate_delta t ~from_pos ~to_pos =
     (t.pend_density - t.density, t.pend_sum)
   end
 
+(* The applied move, if any, is dropped with the rest of the state. *)
 let set_order t o =
   if not (is_permutation (size t) o) then
     invalid_arg "Arrangement.set_order: not a permutation";
@@ -621,6 +670,7 @@ let set_order t o =
   recompute_all t
 
 let check t =
+  settle t;
   let n = size t in
   if Array.exists (fun w -> w <> 0) t.window then
     failwith "Arrangement.check: trial window not cleared";
@@ -678,5 +728,11 @@ let density_of_order netlist o =
 module Private = struct
   let create_span ?order netlist = create_on ~kernel:`Span ?order netlist
   let is_table t = Array.length t.pre > 0
-  let pending_diff t = List.init t.n_diff (fun k -> (t.diff_pos.(k), t.diff.(k)))
+  let pending_diff t =
+    settle t;
+    List.init t.n_diff (fun k -> (t.diff_pos.(k), t.diff.(k)))
+
+  let arrays t =
+    [ t.elem_at; t.pos_of; t.cuts; t.cut_count; t.net_lo; t.net_hi; t.pre; t.diff_pos; t.diff;
+      t.pend_lo; t.pend_hi ]
 end

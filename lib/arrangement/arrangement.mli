@@ -28,7 +28,19 @@
     Either replaces a full O(pins + n) rebuild, and both give the same
     results.  [check] verifies the incremental state against a
     from-scratch recomputation and is used heavily by the property
-    tests. *)
+    tests.
+
+    A move is committed lazily.  [swap_positions] and [relocate] price
+    their move and mark it {e applied} without writing the state; the
+    state's next use commits it, unless that use is the move's inverse,
+    which only clears the mark.  So a move that is tried and undone
+    costs one pricing pass, and one that is kept a pricing pass and a
+    commit.  [density] and [sum_of_cuts] read an applied move's priced
+    values; every other call ([element_at], [position_of], [order],
+    [cut], [cuts], [copy], [check], [swap_elements], and the next move
+    or trial) commits it first, and [set_order] drops it.  Reads may
+    therefore write the state: a state must not be read from two
+    domains at once, even if neither moves it. *)
 
 type t
 
@@ -82,8 +94,8 @@ val sum_of_cuts : t -> int
 (** {1 Moves}
 
     All moves update cuts, density, and sum-of-cuts incrementally: each
-    is its own trial (below) followed by the replay of that trial.
-    Undoing the last move only replays (below). *)
+    is its own trial (below), replayed at the state's next use.
+    Undoing the last move before that use only clears its mark. *)
 
 val swap_positions : t -> int -> int -> unit
 (** Exchange the elements at two positions (the paper's "pairwise
@@ -119,16 +131,21 @@ val set_order : t -> int array -> unit
     untouched; otherwise it is the max of the window and a scan of the
     cuts outside it.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
-    untouched, recording the move as {e pending}.
+    as it stands (committing an applied move first), recording the
+    move as {e pending}.
 
-    [swap_positions] / [relocate] replay the pending trial when it is
+    [swap_positions] / [relocate] take the pending trial when it is
     their move (a swap in either argument order) and price the move
-    first otherwise.  A replay leaves the inverse move's trial pending
-    (the same swap, or the relocate from [to_pos] back to [from_pos]),
-    so undoing a move costs no pricing.  Any other mutation clears it:
-    [set_order], or a move that is not pending, which prices its own
-    trial first.  Pricing another move replaces it; [copy] drops it,
-    so the copy prices its first move afresh. *)
+    first otherwise, then mark it applied.  The commit that follows,
+    at the state's next use, replays the trial: it writes the move and
+    leaves the inverse move's trial pending (the same swap, or the
+    relocate from [to_pos] back to [from_pos]), so undoing a committed
+    move costs no pricing either.  Undoing an applied move, with the
+    same swap or the relocate back, writes nothing: it clears the mark
+    and leaves the move's own trial pending.  [set_order] clears the
+    pending trial, and a move that is not pending prices its own.
+    Pricing another move replaces it; [copy] drops it, so the copy
+    prices its first move afresh. *)
 
 val swap_delta : t -> int -> int -> int * int
 (** [swap_delta t p q] — would-be [(density, sum_of_cuts)] change of
@@ -163,6 +180,13 @@ module Private : sig
   val pending_diff : t -> (int * int) list
   (** The sparse cut changes of the last trial recorded,
       [(boundary, change)] in boundary order, every change nonzero.
-      After a replay these are the inverse move's: each change
-      negated. *)
+      Commits an applied move first, so after a move these are the
+      inverse move's: each change negated. *)
+
+  val arrays : t -> int array list
+  (** The state's arrays themselves, not copies, read without
+      committing an applied move: the order, positions, cuts, cut
+      histogram, net spans, prefix masks and the trial's records.  A
+      test compares their contents around a call to see that it wrote
+      none. *)
 end

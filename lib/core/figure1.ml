@@ -101,9 +101,9 @@ module Make (P : Mc_problem.S) = struct
             counter = 0;
             accepted_at_temp = 0;
             defer_run = 0;
-            initial_cost = b.hi;
-            current_cost = b.hi;
-            best_cost = b.hi;
+            initial_cost = b.costs.hi;
+            current_cost = b.costs.hi;
+            best_cost = b.costs.hi;
             improving = 0;
             lateral_accepted = 0;
             uphill_accepted = 0;
@@ -136,7 +136,7 @@ module Make (P : Mc_problem.S) = struct
               accepted_at_temp = !accepted_at_temp;
               defer_run = !defer_run;
               initial_cost = s0.initial_cost;
-              current_cost = b.hi;
+              current_cost = b.costs.hi;
               best_cost;
               improving = b.improving;
               lateral_accepted = b.lateral;
@@ -168,10 +168,14 @@ module Make (P : Mc_problem.S) = struct
     let epoch = ref (Obs.Span.enter observer (Printf.sprintf "temp:%d" !temp)) in
     let close_epoch () = Obs.Span.exit observer !epoch in
     let guard = ref (temp_guard p.budget ~k ~temp:!temp) in
+    (* [Gfun.eval] takes its floats boxed; the temperature's [y] is boxed
+       once per temperature, in this ref, rather than at every call. *)
+    let y = ref (Schedule.get p.schedule !temp) in
     let advance_temp () =
       close_epoch ();
       incr temp;
       guard := temp_guard p.budget ~k ~temp:!temp;
+      y := Schedule.get p.schedule !temp;
       b.temperatures <- !temp;
       counter := 0;
       accepted_at_temp := 0;
@@ -182,13 +186,14 @@ module Make (P : Mc_problem.S) = struct
        [defer_run] and may consume one RNG draw; both evaluators propose
        from the same stream, so an adapter whose delta path replays the
        recompute path's draws visits the same decisions on either. *)
-    let decide hj =
-      if hj < b.hi then begin
+    let c = b.costs in
+    let decide () =
+      if c.hj < c.hi then begin
         defer_run := 0;
         true
       end
       else if Gfun.defer_uphill p.gfun then
-        if hj = b.hi then true
+        if c.hj = c.hi then true
         else begin
           incr defer_run;
           if !defer_run >= p.defer_threshold then begin
@@ -198,8 +203,7 @@ module Make (P : Mc_problem.S) = struct
           else false
         end
       else begin
-        let y = Schedule.get p.schedule !temp in
-        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj in
+        let g = Gfun.eval p.gfun ~temp:!temp ~y:!y ~hi:c.hi ~hj:c.hj in
         Rng.unit_float rng < g
       end
     in
@@ -227,15 +231,15 @@ module Make (P : Mc_problem.S) = struct
         else advance_temp ()
       else begin
         let m = ev.propose rng in
-        let hj = ev.price m in
-        if decide hj then begin
-          S.accept b ev m hj;
+        ev.price m;
+        if decide () then begin
+          S.accept b ev m;
           counter := 0;
           incr accepted_at_temp;
           S.note_best b
         end
         else begin
-          S.reject b ev m hj;
+          S.reject b ev m;
           incr counter
         end
       end

@@ -54,9 +54,9 @@ module Make (P : Mc_problem.S) = struct
             match seq () with
             | Seq.Nil -> ()
             | Seq.Cons (m, rest) ->
-                let hj = ev.price m in
-                if hj < b.hi then begin
-                  S.accept b ev m hj;
+                ev.price m;
+                if b.costs.hj < b.costs.hi then begin
+                  S.accept b ev m;
                   improved_this_pass := true
                   (* restart the pass from the new configuration *)
                 end
@@ -73,7 +73,7 @@ module Make (P : Mc_problem.S) = struct
       Obs.Span.exit observer span;
       if b.observing then
         S.emit b
-          (Obs.Event.Descent_done { cost = b.hi; evaluations = Budget.ticks clock });
+          (Obs.Event.Descent_done { cost = b.costs.hi; evaluations = Budget.ticks clock });
       S.note_best b
     in
     let stop = ref false in
@@ -99,15 +99,15 @@ module Make (P : Mc_problem.S) = struct
         incr counter;
         S.maybe_resync b ev;
         let m = ev.propose rng in
-        let hj = ev.price m in
+        ev.price m;
         let y = Schedule.get p.schedule !temp in
-        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj in
+        let g = Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.costs.hi ~hj:b.costs.hj in
         if Rng.unit_float rng < g then begin
-          S.accept b ev m hj;
+          S.accept b ev m;
           S.note_best b;
           descend ()
         end
-        else S.reject b ev m hj
+        else S.reject b ev m
       end
     done;
     S.finish b

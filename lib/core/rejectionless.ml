@@ -54,10 +54,10 @@ module Make (P : Mc_problem.S) = struct
       done;
       let y = Schedule.get p.schedule !temp in
       let weight hj =
-        if hj < b.hi then 1.
+        if hj < b.costs.hi then 1.
         else
           Float.max 0.
-            (Float.min 1. (Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.hi ~hj))
+            (Float.min 1. (Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.costs.hi ~hj))
       in
       (* Weigh every move by its acceptance probability.  A scanned move
          counts as rejected until it is taken, so [rejected] is the scan
@@ -68,7 +68,8 @@ module Make (P : Mc_problem.S) = struct
                if Budget.exhausted clock then None
                else begin
                  b.rejected <- b.rejected + 1;
-                 let hj = ev.price m in
+                 ev.price m;
+                 let hj = b.costs.hj in
                  let w = weight hj in
                  if w > 0. then Some (m, hj, w)
                  else begin
@@ -87,7 +88,8 @@ module Make (P : Mc_problem.S) = struct
         let idx = Rng.categorical rng weights in
         let m, hj, _ = weighted.(idx) in
         Array.iteri (fun i (m', _, _) -> if i <> idx then ev.drop m') weighted;
-        S.accept b ev m hj;
+        b.costs.hj <- hj;
+        S.accept b ev m;
         if b.observing then
           S.emit b (Obs.Event.Descent_done { cost = hj; evaluations = Budget.ticks clock });
         b.rejected <- b.rejected - 1;

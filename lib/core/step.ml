@@ -3,6 +3,15 @@
    full recompute or by delta, so each engine runs one step loop
    whatever the path. *)
 
+(* Every field a float, so OCaml stores them flat: a write boxes
+   nothing and needs no write barrier. *)
+type costs = {
+  mutable hi : float;
+  mutable hj : float;
+  mutable best_cost : float;
+  mutable snap_cost : float;
+}
+
 module Make (P : Mc_problem.S) = struct
   exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
 
@@ -14,10 +23,8 @@ module Make (P : Mc_problem.S) = struct
     span_depth : int;
     run_span : Obs.Span.t;
     t0 : float;
-    mutable hi : float;
+    costs : costs;
     mutable best : P.state;
-    mutable snap_cost : float;
-    mutable best_cost : float;
     mutable live : bool;
     mutable improving : int;
     mutable lateral : int;
@@ -58,10 +65,8 @@ module Make (P : Mc_problem.S) = struct
       span_depth;
       run_span;
       t0;
-      hi;
+      costs = { hi; hj = hi; best_cost; snap_cost = best_cost };
       best;
-      snap_cost = best_cost;
-      best_cost;
       live = false;
       improving = 0;
       lateral = 0;
@@ -77,20 +82,20 @@ module Make (P : Mc_problem.S) = struct
   let snapshot b =
     if b.live then begin
       b.best <- P.copy b.state;
-      b.snap_cost <- b.best_cost;
+      b.costs.snap_cost <- b.costs.best_cost;
       b.live <- false
     end
 
   let best b =
     snapshot b;
-    (b.best, b.snap_cost)
+    (b.best, b.costs.snap_cost)
 
   let result b =
     let best, best_cost = best b in
     {
       Mc_problem.best;
       best_cost;
-      final_cost = b.hi;
+      final_cost = b.costs.hi;
       stats =
         {
           Mc_problem.evaluations = Budget.ticks b.clock;
@@ -116,8 +121,8 @@ module Make (P : Mc_problem.S) = struct
         (Obs.Event.Run_end
            {
              evaluations = Budget.ticks b.clock;
-             final_cost = b.hi;
-             best_cost = b.best_cost;
+             final_cost = b.costs.hi;
+             best_cost = b.costs.best_cost;
              seconds = Obs.now () -. b.t0;
            });
     result b
@@ -127,11 +132,12 @@ module Make (P : Mc_problem.S) = struct
       emit b (Obs.Event.Temp_advance { temp = t; y = Schedule.get schedule t })
 
   let note_best b =
-    if b.hi < b.best_cost then begin
-      b.best_cost <- b.hi;
+    let c = b.costs in
+    if c.hi < c.best_cost then begin
+      c.best_cost <- c.hi;
       b.live <- true;
       if b.observing then
-        emit b (Obs.Event.New_best { evaluation = Budget.ticks b.clock; cost = b.hi })
+        emit b (Obs.Event.New_best { evaluation = Budget.ticks b.clock; cost = c.hi })
     end
 
   let resync b =
@@ -141,12 +147,12 @@ module Make (P : Mc_problem.S) = struct
         (Mc_problem.Invalid_cost
            (Printf.sprintf "non-finite cost %h at resync (evaluation %d)" c
               (Budget.ticks b.clock)));
-    b.hi <- c;
+    b.costs.hi <- c;
     note_best b
 
   type evaluator = {
     propose : Rng.t -> P.move;
-    price : P.move -> float;
+    price : P.move -> unit;
     keep : P.move -> unit;
     drop : P.move -> unit;
     recost_every : int;
@@ -159,26 +165,27 @@ module Make (P : Mc_problem.S) = struct
       resync b
     end
 
-  let accept b ev m hj =
+  let accept b ev m =
+    let c = b.costs in
     (* Only a move that does not beat a live best needs the copy: one
        that beats it leads to a better best, which the engine's next
        [note_best] records.  Such a move is kept with the best no
        longer live, so a [keep] that raises halfway aborts with the
        previous snapshot. *)
     if b.live then begin
-      if hj < b.best_cost then b.live <- false else snapshot b
+      if c.hj < c.best_cost then b.live <- false else snapshot b
     end;
     ev.keep m;
     (* Classify by comparison and only materialise the delta when an
-       observer is attached: a [let delta = hj -. b.hi] used in the
+       observer is attached: a [let delta = c.hj -. c.hi] used in the
        event record would be boxed on every acceptance, observer or
        not. *)
     let kind =
-      if hj < b.hi then begin
+      if c.hj < c.hi then begin
         b.improving <- b.improving + 1;
         Obs.Event.Improving
       end
-      else if hj = b.hi then begin
+      else if c.hj = c.hi then begin
         b.lateral <- b.lateral + 1;
         Obs.Event.Lateral
       end
@@ -187,18 +194,18 @@ module Make (P : Mc_problem.S) = struct
         Obs.Event.Uphill
       end
     in
-    if b.observing then emit b (Obs.Event.Accepted { kind; cost = hj; delta = hj -. b.hi });
-    b.hi <- hj
+    if b.observing then
+      emit b (Obs.Event.Accepted { kind; cost = c.hj; delta = c.hj -. c.hi });
+    c.hi <- c.hj
 
-  let reject b ev m hj =
-    if b.observing then emit b (Obs.Event.Rejected { delta = hj -. b.hi });
+  let reject b ev m =
+    if b.observing then emit b (Obs.Event.Rejected { delta = b.costs.hj -. b.costs.hi });
     ev.drop m;
     b.rejected <- b.rejected + 1
 
-  (* Callers test [b.observing] first, so an unobserved step never
-     boxes [hj] for the call. *)
-  let proposed b kind hj =
-    emit b (Obs.Event.Proposed { evaluation = Budget.ticks b.clock; cost = hj; kind })
+  let proposed b kind =
+    emit b
+      (Obs.Event.Proposed { evaluation = Budget.ticks b.clock; cost = b.costs.hj; kind })
 
   let recompute ?(restore = false) b =
     let state = b.state in
@@ -208,7 +215,8 @@ module Make (P : Mc_problem.S) = struct
       snapshot b;
       try P.apply state m with e -> abort b e
     in
-    (* Leaves [m] applied; on failure the state is restored first. *)
+    (* Leaves [m] applied and its cost in [hj]; on failure the state is
+       restored first. *)
     let cost_applied m =
       Budget.tick b.clock;
       apply m;
@@ -220,7 +228,7 @@ module Make (P : Mc_problem.S) = struct
              (Printf.sprintf "non-finite cost %h at evaluation %d" hj
                 (Budget.ticks b.clock)))
       end;
-      hj
+      b.costs.hj <- hj
     in
     let propose rng = try P.random_move rng state with e -> abort b e in
     if restore then
@@ -228,27 +236,28 @@ module Make (P : Mc_problem.S) = struct
          keeps several priced moves pending prices each by apply, cost
          and revert, and applies the one it keeps afresh. *)
       let price m =
-        let hj = cost_applied m in
+        cost_applied m;
         revert m;
-        if b.observing then proposed b None hj;
-        hj
+        if b.observing then proposed b None
       in
       { propose; price; keep = apply; drop = ignore; recost_every = max_int }
     else
       let price m =
-        let hj = cost_applied m in
-        if b.observing then proposed b None hj;
-        hj
+        cost_applied m;
+        if b.observing then proposed b None
       in
       { propose; price; keep = ignore; drop = revert; recost_every = max_int }
 
   let of_delta b (d : _ Mc_problem.delta_ops) =
     let state = b.state in
-    (* A resumed run's cadence counts from the last multiple of
-       [recost_every] it had passed, so it resyncs at the ticks its
-       uninterrupted twin does. *)
-    let t = Budget.ticks b.clock in
-    b.last_resync <- t - (t mod d.recost_every);
+    (* A resumed run resyncs at the ticks its uninterrupted twin does,
+       the multiples of [recost_every], so its cadence counts from the
+       last multiple before its first tick.  At a multiple [t > 0] that
+       is the one before [t]: a run that ended on its budget at [t] saved
+       its snapshot before the resync due there, and a snapshot taken
+       after it re-prices the same state to the same cost. *)
+    let t = Budget.ticks b.clock and every = d.recost_every in
+    b.last_resync <- (if t > 0 && t mod every = 0 then t - every else t - (t mod every));
     let price m =
       Budget.tick b.clock;
       let dv = try d.delta state m with e -> abort b e in
@@ -257,9 +266,8 @@ module Make (P : Mc_problem.S) = struct
           (Mc_problem.Invalid_cost
              (Printf.sprintf "non-finite delta %h at evaluation %d" dv
                 (Budget.ticks b.clock)));
-      let hj = b.hi +. dv in
-      if b.observing then proposed b d.kind hj;
-      hj
+      b.costs.hj <- b.costs.hi +. dv;
+      if b.observing then proposed b d.kind
     in
     {
       propose = (fun rng -> try d.propose rng state with e -> abort b e);

@@ -4,12 +4,22 @@
     An engine opens the run's {e books} ({!Make.t}: current and best
     cost, best snapshot, counters), builds one {e evaluator} from either
     the problem itself or its {!Mc_problem.delta_ops}, and then runs a
-    single step loop: [propose], [price] (an absolute candidate cost),
-    and [keep] or [drop].  Each evaluator's sequence of calls into the
+    single step loop: [propose], [price] (an absolute candidate cost,
+    left in the books' [hj]), and [keep] or [drop].  Each evaluator's sequence of calls into the
     problem and its [delta_ops] is observable (fault-injection plans
     count calls, the Contract sanitizer pairs them), and the recompute
     one matches the engines' releases from before [delta_ops] existed;
     [test/test_golden.ml] pins the resulting event streams. *)
+
+type costs = {
+  mutable hi : float;  (** cost of the current state *)
+  mutable hj : float;  (** cost of the candidate last priced *)
+  mutable best_cost : float;  (** the best cost seen *)
+  mutable snap_cost : float;  (** cost of the best snapshot *)
+}
+(** The books' costs.  Every field is a float, so OCaml stores them
+    flat: setting one boxes nothing, and an engine reads the candidate's
+    cost from [hj] rather than from a boxed return. *)
 
 module Make (P : Mc_problem.S) : sig
   exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
@@ -23,12 +33,10 @@ module Make (P : Mc_problem.S) : sig
     span_depth : int;  (** span-stack floor an abort unwinds to *)
     run_span : Obs.Span.t;
     t0 : float;
-    mutable hi : float;  (** cost of the current state *)
+    costs : costs;
     mutable best : P.state;
-        (** the latest snapshot; stale while [live] — read it through
-            {!best} *)
-    mutable snap_cost : float;  (** cost of [best] *)
-    mutable best_cost : float;  (** the best cost seen *)
+        (** the latest snapshot, of cost [costs.snap_cost]; stale while
+            [live] — read it through {!best} *)
     mutable live : bool;
         (** the best seen is the current state, not yet copied into
             [best] *)
@@ -40,7 +48,7 @@ module Make (P : Mc_problem.S) : sig
     mutable descents : int;
     mutable last_resync : int;
         (** tick of the last resync; {!of_delta} starts it at the last
-            multiple of [recost_every] at or before the clock's ticks *)
+            multiple of [recost_every] before the clock's ticks, or at 0 *)
   }
 
   val start :
@@ -80,10 +88,10 @@ module Make (P : Mc_problem.S) : sig
 
   type evaluator = {
     propose : Rng.t -> P.move;
-    price : P.move -> float;
+    price : P.move -> unit;
         (** Charge one budget tick, price the move to the candidate's
-            absolute cost, and emit [Proposed].  The move stays pending
-            until [keep] or [drop]. *)
+            absolute cost, set [costs.hj] to it, and emit [Proposed].
+            The move stays pending until [keep] or [drop]. *)
     keep : P.move -> unit;
     drop : P.move -> unit;
     recost_every : int;
@@ -101,11 +109,11 @@ module Make (P : Mc_problem.S) : sig
       at every tick resyncs exactly at the multiples of
       [recost_every]. *)
 
-  val accept : t -> evaluator -> P.move -> float -> unit
-  (** Take the priced move [m] to cost [hj]: copy a live best first
-      unless [hj] beats it, [keep] the move, count it as improving,
-      lateral or uphill, emit [Accepted], and make [hj] the current
-      cost.  A move that beats a live best is kept with the best no
+  val accept : t -> evaluator -> P.move -> unit
+  (** Take the priced move [m] to its cost [costs.hj]: copy a live best
+      first unless [hj] beats it, [keep] the move, count it as
+      improving, lateral or uphill, emit [Accepted], and make [hj] the
+      current cost.  A move that beats a live best is kept with the best no
       longer live, so a [keep] that raises aborts with the previous
       snapshot and that snapshot's own cost; the engine's next
       {!note_best} records the better best. *)
@@ -121,6 +129,7 @@ module Make (P : Mc_problem.S) : sig
   (** Price as the current cost plus [delta]; [keep] is [commit], [drop]
       is [abandon]. *)
 
-  val reject : t -> evaluator -> P.move -> float -> unit
-  (** Emit [Rejected], [drop] the move and count the rejection. *)
+  val reject : t -> evaluator -> P.move -> unit
+  (** Emit [Rejected] for the move priced at [costs.hj], [drop] it and
+      count the rejection. *)
 end

@@ -120,7 +120,9 @@ let int_range t lo hi =
   if lo > hi then invalid_arg "Rng.int_range: lo > hi";
   lo + int t (hi - lo + 1)
 
-let unit_float t = float_of_int (next t) /. 4294967296.
+(* Inlined, so a caller comparing the draw (Figure 1's [u < g]) keeps it
+   unboxed: a float returned from a call is boxed. *)
+let[@inline] unit_float t = float_of_int (next t) /. 4294967296.
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";

@@ -433,71 +433,173 @@ let test_table_scratch_words () =
 
 (* The two kernels, move by move.  At every size from 2 to the table
    bound a table-mode state and a span-mode state of the same order
-   ([Private.create_span]) walk the same seeded moves, about 10^4 in
-   all: swaps, and relocates in both directions.  Every trial must price
-   the same density and sum changes and record the same sparse cut
-   changes.  Every replay of the move, and every revert by its inverse
-   (half the moves), must leave the same order, cuts, density and sum,
-   and the same pending trial of the inverse move. *)
+   ([Private.create_span]) take the same seeded mix of about 10^4
+   operations: swaps and relocates (both directions) priced, applied,
+   or undone by their inverse while still applied, and copies that
+   replace the state.  Every trial must price the same density and sum
+   changes in both kernels, and the change a fresh [create] of the
+   moved order shows.  After every operation both states must read the
+   density and sum of a fresh [create] of the order they should hold;
+   after a third of them, drawn at random so that moves also meet an
+   applied move unread, every accessor must read as that replica does,
+   both kernels must hold the same pending trial, and [check] must
+   pass. *)
 let test_kernels_agree () =
   let open Alcotest in
   let rng = Rng.create ~seed:64 in
   let sizes = Arrangement.table_max_elements - 1 in
-  let moves = (10_000 + sizes - 1) / sizes in
+  let steps = (10_000 + sizes - 1) / sizes in
   for n = 2 to Arrangement.table_max_elements do
     let nl =
       Netlist.random_nola rng ~elements:n ~nets:(3 * n) ~min_pins:2 ~max_pins:(min n 5)
     in
     let order = Rng.permutation rng n in
-    let tab = Arrangement.create ~order nl in
-    let span = Arrangement.Private.create_span ~order nl in
-    check bool "table kernel" true (Arrangement.Private.is_table tab);
-    check bool "span kernel" false (Arrangement.Private.is_table span);
-    let same what =
-      check (list (pair int int)) (what ^ ": cut changes")
-        (Arrangement.Private.pending_diff tab)
-        (Arrangement.Private.pending_diff span);
-      check (array int) (what ^ ": order") (Arrangement.order tab) (Arrangement.order span);
-      check (array int) (what ^ ": cuts") (Arrangement.cuts tab) (Arrangement.cuts span);
-      check int (what ^ ": density") (Arrangement.density tab) (Arrangement.density span);
-      check int (what ^ ": sum") (Arrangement.sum_of_cuts tab) (Arrangement.sum_of_cuts span)
+    let tab = ref (Arrangement.create ~order nl) in
+    let span = ref (Arrangement.Private.create_span ~order nl) in
+    check bool "table kernel" true (Arrangement.Private.is_table !tab);
+    check bool "span kernel" false (Arrangement.Private.is_table !span);
+    (* The order both states should hold, moved eagerly, and the move
+       still applied since the states were last read, if any. *)
+    let replica = Array.copy order in
+    let applied = ref None in
+    let move_replica swap p q =
+      if swap then begin
+        let e = replica.(p) in
+        replica.(p) <- replica.(q);
+        replica.(q) <- e
+      end
+      else begin
+        let e = replica.(p) in
+        if p < q then Array.blit replica (p + 1) replica p (q - p)
+        else Array.blit replica q replica (q + 1) (p - q);
+        replica.(q) <- e
+      end
     in
-    for step = 1 to moves do
+    (* Any read but [density] and [sum_of_cuts] commits an applied move,
+       so only the first can find one: a random reader goes first. *)
+    let reads what t =
+      let r = Arrangement.create ~order:replica nl in
+      let cuts = Arrangement.cuts r in
+      let readers =
+        [|
+          (fun () -> check (array int) (what ^ ": order") replica (Arrangement.order t));
+          (fun () ->
+            for p = 0 to n - 1 do
+              check int (what ^ ": element_at") replica.(p) (Arrangement.element_at t p)
+            done);
+          (fun () ->
+            for p = 0 to n - 1 do
+              check int (what ^ ": position_of") p (Arrangement.position_of t replica.(p))
+            done);
+          (fun () -> check (array int) (what ^ ": cuts") cuts (Arrangement.cuts t));
+          (fun () -> Array.iteri (fun p c -> check int (what ^ ": cut") c (Arrangement.cut t p)) cuts);
+          (fun () -> check (array int) (what ^ ": copy") replica (Arrangement.order (Arrangement.copy t)));
+          (fun () -> Arrangement.check t);
+        |]
+      in
+      let first = Rng.int rng (Array.length readers) in
+      Array.iteri (fun i _ -> readers.((first + i) mod Array.length readers) ()) readers
+    in
+    let costs what t =
+      let r = Arrangement.create ~order:replica nl in
+      check int (what ^ ": density") (Arrangement.density r) (Arrangement.density t);
+      check int (what ^ ": sum") (Arrangement.sum_of_cuts r) (Arrangement.sum_of_cuts t)
+    in
+    for step = 1 to steps do
       let p, q = Rng.pair_distinct rng n in
       let swap = Rng.bool rng in
       let what =
-        Printf.sprintf "n = %d, move %d, %s %d %d" n step (if swap then "swap" else "relocate") p q
+        Printf.sprintf "n = %d, step %d, %s %d %d" n step (if swap then "swap" else "relocate") p q
       in
-      let price t =
-        if swap then Arrangement.swap_delta t p q
-        else Arrangement.relocate_delta t ~from_pos:p ~to_pos:q
-      in
-      check (pair int int) (what ^ ": priced") (price tab) (price span);
-      check (list (pair int int)) (what ^ ": cut changes")
-        (Arrangement.Private.pending_diff tab)
-        (Arrangement.Private.pending_diff span);
       let apply t =
         if swap then Arrangement.swap_positions t p q
         else Arrangement.relocate t ~from_pos:p ~to_pos:q
       in
-      apply tab;
-      apply span;
-      same (what ^ ", replayed");
-      if Rng.bool rng then begin
-        let revert t =
-          if swap then Arrangement.swap_positions t p q
-          else Arrangement.relocate t ~from_pos:q ~to_pos:p
-        in
-        revert tab;
-        revert span;
-        same (what ^ ", reverted")
-      end;
-      if step mod 50 = 0 then begin
-        Arrangement.check tab;
-        Arrangement.check span
+      (match Rng.int rng 4 with
+      | 0 ->
+          let price t =
+            if swap then Arrangement.swap_delta t p q
+            else Arrangement.relocate_delta t ~from_pos:p ~to_pos:q
+          in
+          let priced = price !tab in
+          check (pair int int) (what ^ ": priced") priced (price !span);
+          let r = Arrangement.create ~order:replica nl in
+          let saved = Array.copy replica in
+          move_replica swap p q;
+          let moved = Arrangement.create ~order:replica nl in
+          Array.blit saved 0 replica 0 n;
+          check (pair int int) (what ^ ": priced as recounted")
+            ( Arrangement.density moved - Arrangement.density r,
+              Arrangement.sum_of_cuts moved - Arrangement.sum_of_cuts r )
+            priced;
+          applied := None
+      | 1 ->
+          apply !tab;
+          apply !span;
+          move_replica swap p q;
+          applied := Some (swap, p, q)
+      | 2 -> (
+          match !applied with
+          | Some (swap, p, q) ->
+              let revert t =
+                if swap then Arrangement.swap_positions t p q
+                else Arrangement.relocate t ~from_pos:q ~to_pos:p
+              in
+              revert !tab;
+              revert !span;
+              if swap then move_replica true p q else move_replica false q p;
+              applied := None
+          | None -> ())
+      | _ ->
+          tab := Arrangement.copy !tab;
+          span := Arrangement.copy !span;
+          applied := None);
+      costs (what ^ ", table") !tab;
+      costs (what ^ ", span") !span;
+      if Rng.int rng 3 = 0 then begin
+        reads (what ^ ", table") !tab;
+        reads (what ^ ", span") !span;
+        check (list (pair int int)) (what ^ ": pending cut changes")
+          (Arrangement.Private.pending_diff !tab)
+          (Arrangement.Private.pending_diff !span);
+        applied := None
       end
     done
   done
+
+(* A move applied and undone before the state is read costs one trial
+   and writes nothing: the undo finds the move applied and clears the
+   mark.  In both kernels, every array of the state (order, positions,
+   cuts, histogram, spans or prefix masks, and the trial's records) must
+   hold, after the undo, what it held right after the move. *)
+let test_undo_writes_nothing () =
+  let rng = Rng.create ~seed:65 in
+  let n = 12 in
+  let nl = Netlist.random_nola rng ~elements:n ~nets:36 ~min_pins:2 ~max_pins:5 in
+  List.iter
+    (fun (kernel, t) ->
+      for step = 1 to 200 do
+        let p, q = Rng.pair_distinct rng n in
+        let swap = Rng.bool rng in
+        let before = Arrangement.order t in
+        if swap then Arrangement.swap_positions t p q
+        else Arrangement.relocate t ~from_pos:p ~to_pos:q;
+        let held = List.map Array.copy (Arrangement.Private.arrays t) in
+        if swap then Arrangement.swap_positions t p q
+        else Arrangement.relocate t ~from_pos:q ~to_pos:p;
+        List.iteri
+          (fun i a ->
+            Alcotest.check
+              Alcotest.(array int)
+              (Printf.sprintf "%s, step %d: array %d after the undo" kernel step i)
+              (List.nth held i) a)
+          (Arrangement.Private.arrays t);
+        Alcotest.check Alcotest.(array int) "order after the undo" before (Arrangement.order t);
+        (* Keep one move in three, so later moves start from new orders. *)
+        if Rng.int rng 3 = 0 then Arrangement.swap_positions t p q
+      done;
+      Arrangement.check t)
+    [ ("table", Arrangement.create nl); ("span", Arrangement.Private.create_span nl) ]
 
 let suite =
   [
@@ -529,6 +631,7 @@ let suite =
     case "check reads the subset cut table" test_check_reads_table;
     case "table mode holds no per-net arrays" test_table_scratch_words;
     case "table and span kernels agree move by move" test_kernels_agree;
+    case "undoing an applied move writes no array" test_undo_writes_nothing;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;

@@ -357,8 +357,13 @@ let test_drifting_delta_resume_resyncs_on_cadence () =
      test above cannot see when one happens.  Here every priced move
      drifts by 2^-20, so [hi] parts from the true cost between resyncs
      and the resumed run's costs match its uninterrupted twin's only if
-     it resyncs at the same ticks: the multiples of 7, counted from
-     1995 for a kill at 2000, not from the kill tick. *)
+     it resyncs at the same ticks: the multiples of 7.  A run killed at
+     a mid-run checkpoint (2000) resumes counting from 1995, not from
+     the kill tick.  A run that ends on its budget at a multiple (1995,
+     2002) saves its final snapshot before the resync due there, which
+     the resumed run must then perform; one that ends elsewhere (2001)
+     has no resync pending.  Each resumed run must propose every
+     candidate at the cost its twin does. *)
   let module F1 = Figure1.Make (Tsp_problem) in
   let inst = Tsp_instance.random_uniform (Rng.create ~seed:11) ~n:40 in
   let d = Tsp_problem.delta_ops in
@@ -368,12 +373,40 @@ let test_drifting_delta_resume_resyncs_on_cadence () =
       ~commit:d.Mc_problem.commit ~abandon:d.Mc_problem.abandon ()
   in
   (* Hot enough that most moves are taken, so the drift piles up. *)
-  let params =
+  let params evals =
     F1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1. |])
-      ~budget:(Budget.Evaluations 4000) ()
+      ~budget:(Budget.Evaluations evals) ()
   in
   let start () = Tsp_heuristics.nearest_neighbor inst ~start:0 in
-  let base = F1.run ~delta_ops (Rng.create ~seed:12) params (start ()) in
+  (* The [Proposed] costs by evaluation, as bits. *)
+  let proposals () =
+    let seen = ref [] in
+    let observer =
+      Obs.Observer.of_fun (function
+        | Obs.Event.Proposed { evaluation; cost; _ } -> seen := (evaluation, bits cost) :: !seen
+        | _ -> ())
+    in
+    (observer, fun () -> List.rev !seen)
+  in
+  let observer, base_proposals = proposals () in
+  let base = F1.run ~observer ~delta_ops (Rng.create ~seed:12) (params 4000) (start ()) in
+  let base_proposals = base_proposals () in
+  let resume_from what (snap, current, best) =
+    let rng = Result.get_ok (Rng.of_state snap.Figure1.rng) in
+    let observer, seen = proposals () in
+    let resumed =
+      F1.run ~observer ~delta_ops ~resume:(snap, best) rng (params 4000) current
+    in
+    Alcotest.check Alcotest.int64 (what ^ ": best_cost") (bits base.Mc_problem.best_cost)
+      (bits resumed.Mc_problem.best_cost);
+    Alcotest.check Alcotest.int64 (what ^ ": final_cost") (bits base.Mc_problem.final_cost)
+      (bits resumed.Mc_problem.final_cost);
+    Alcotest.check
+      Alcotest.(list (pair int int64))
+      (what ^ ": proposed costs")
+      (List.filter (fun (e, _) -> e > snap.Figure1.ticks) base_proposals)
+      (seen ())
+  in
   let captured = ref None in
   let killing snap ~current ~best =
     if snap.Figure1.ticks = 2000 then begin
@@ -383,17 +416,23 @@ let test_drifting_delta_resume_resyncs_on_cadence () =
   in
   (match
      F1.run ~delta_ops ~checkpoint_every:1000 ~on_checkpoint:killing
-       (Rng.create ~seed:12) params (start ())
+       (Rng.create ~seed:12) (params 4000) (start ())
    with
   | (_ : Tour.t Mc_problem.run) -> Alcotest.fail "run was not interrupted"
   | exception Simulated_kill -> ());
-  let snap, current, best = Option.get !captured in
-  let rng = Result.get_ok (Rng.of_state snap.Figure1.rng) in
-  let resumed = F1.run ~delta_ops ~resume:(snap, best) rng params current in
-  Alcotest.check Alcotest.int64 "best_cost" (bits base.Mc_problem.best_cost)
-    (bits resumed.Mc_problem.best_cost);
-  Alcotest.check Alcotest.int64 "final_cost" (bits base.Mc_problem.final_cost)
-    (bits resumed.Mc_problem.final_cost)
+  resume_from "killed at 2000" (Option.get !captured);
+  List.iter
+    (fun evals ->
+      let last = ref None in
+      let keep snap ~current ~best = last := Some (snap, Tour.copy current, Tour.copy best) in
+      ignore
+        (F1.run ~delta_ops ~checkpoint_every:1000 ~on_checkpoint:keep (Rng.create ~seed:12)
+           (params evals) (start ())
+          : Tour.t Mc_problem.run);
+      let snap, _, _ = Option.get !last in
+      Alcotest.check Alcotest.int "final snapshot tick" evals snap.Figure1.ticks;
+      resume_from (Printf.sprintf "ended at %d" evals) (Option.get !last))
+    [ 1995; 2001; 2002 ]
 
 let test_linarr_delta_checkpoint_resume_bit_identical () =
   (* Linarr variant, with the states routed through the checkpoint

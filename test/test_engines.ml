@@ -659,14 +659,21 @@ let test_integration_stats_add_up () =
 (* Allocation guard for the paper's own walk: the 21 catalog classes
    under Figure 1 with pairwise interchange on both sample instances,
    recompute path, fixed seeds, as `sa_lab run` walks them.  The walks
-   allocate about 10 minor words per evaluation.  They allocated 27 when
-   every library was compiled with -opaque (no call between modules
-   inlined, every float crossing one boxed) and [Gfun.pow_int] boxed its
-   accumulator, 23.5 with -opaque alone and 13.6 with the boxed
-   [pow_int] alone; the bound is 12.  Tier-1 (`dune build && dune
-   runtest`) is defined under the workspace's release profile
-   (dune-workspace), which drops -opaque; dune's dev profile fails this
-   check. *)
+   allocate 9.91 minor words per evaluation: the move tuple (3), the
+   cost [P.cost] returns through the functor (2), and, on the 80% of
+   evaluations that call g, the closure's boxed [hi] and [hj] (3.2 per
+   evaluation) and its boxed result (about 1.2: a constant result, as
+   Two level g's or a plateau's infinity, allocates nothing); the
+   Exponential classes' inner box, best copies and per-walk set-up make
+   the rest.  They allocated 9.98 when the books held their costs boxed
+   and g's [y] and the [u < g] draw were boxed at every call instead of
+   [hi] and [hj], 27 when every library was compiled with -opaque (no
+   call between modules inlined, every float crossing one boxed) and
+   [Gfun.pow_int] boxed its accumulator, 23.5 with -opaque alone and
+   13.6 with the boxed [pow_int] alone; the bound is 11.9.  Tier-1
+   (`dune build && dune runtest`) is defined under the workspace's
+   release profile (dune-workspace), which drops -opaque; dune's dev
+   profile fails this check. *)
 let read_sample name =
   let path =
     List.find_opt Sys.file_exists
@@ -701,8 +708,8 @@ let test_paper_walk_words () =
         (Gfun.catalog ~m:(Netlist.n_nets nl)))
     nets;
   let per_eval = (Gc.minor_words () -. before) /. float_of_int !evals in
-  if per_eval > 12. then
-    Alcotest.failf "the paper walk allocates %.1f minor words per evaluation, over 12" per_eval
+  if per_eval > 11.9 then
+    Alcotest.failf "the paper walk allocates %.2f minor words per evaluation, over 11.9" per_eval
 
 (* Figure 2's core claim (the invariant behind the strategy): an
    uphill move is only ever taken from a local optimum, i.e. whenever
@@ -838,6 +845,6 @@ let suite =
     case "integration: stats add up" test_integration_stats_add_up;
     case "figure1: a best is copied only when the walk leaves it"
       test_f1_copies_only_left_bests;
-    case "figure1: the paper walk allocates at most 12 minor words per evaluation"
+    case "figure1: the paper walk allocates at most 11.9 minor words per evaluation"
       test_paper_walk_words;
   ]
