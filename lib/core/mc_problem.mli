@@ -75,15 +75,15 @@ type ('state, 'move) delta_ops = {
           a full {!S.cost} recompute every [recost_every] budget ticks,
           bounding compensated float drift.  Always positive. *)
   kind : string option;
-      (** Neighborhood label (["2opt"], ["or_opt"], ["swap"], ...)
-          stamped on every fast-path [Obs.Event.Proposed] this record
-          produces, so per-move-kind throughput and acceptance are
-          observable live.  Purely informational: engines never branch
-          on it. *)
+      (** Neighborhood label (["2opt"], ["swap"], ...) stamped on
+          every fast-path [Obs.Event.Proposed] this record produces, so
+          per-move-kind throughput and acceptance are observable live.
+          Purely informational: engines never branch on it. *)
 }
 (** Optional incremental-evaluation capability — the same
-    first-class-record pattern as {!codec}.  Domains with a cheap delta
-    formula ([Tour.two_opt_delta], [Qap.swap_delta], ...) provide one.
+    first-class-record pattern as {!codec}.  Only the moves a program
+    runs provide one: the linarr swap ([Arrangement.swap_delta]), TSP
+    2-opt ([Tour.two_opt_delta]) and QAP ([Qap.swap_delta]).
     Each engine runs a single step loop over an evaluator built from
     this record (price = current cost + [delta], keep = [commit], drop
     = [abandon]) when given, or from {!S} itself otherwise (price =

@@ -202,7 +202,7 @@ let table_neighborhood ctx =
     ~notes:
       [
         "single exchange = remove an element and reinsert it elsewhere ([COHO83a])";
-        "a single-exchange move costs a full O(nets x n) recompute in this implementation";
+        "a single-exchange move is priced by the same windowed trial as an interchange";
       ]
     rows
 

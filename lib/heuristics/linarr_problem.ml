@@ -61,33 +61,15 @@ module Relocate = struct
     let n = Arrangement.size state in
     Seq.init (n * n) (fun idx -> (idx / n, idx mod n))
     |> Seq.filter (fun (p, q) -> p <> q)
-
-  let delta_ops =
-    Mc_problem.delta_ops ~kind:"relocate" ~propose:random_move
-      ~delta:(fun state (from_pos, to_pos) ->
-        float_of_int (fst (Arrangement.relocate_delta state ~from_pos ~to_pos)))
-      ~commit:(fun state (from_pos, to_pos) ->
-        Arrangement.relocate state ~from_pos ~to_pos)
-      ~abandon:(fun _ _ -> ())
-      ()
 end
 
+(* Same move, different objective.  The signature constraint leaves out
+   [Swap.delta_ops], which prices density, so nothing here can price the
+   wrong objective. *)
 module Swap_sum_cuts = struct
-  include Swap
+  include (Swap : Mc_problem.S with type state = Arrangement.t and type move = int * int)
 
   let cost state = float_of_int (Arrangement.sum_of_cuts state)
-
-  (* Same move, different objective: this delta prices [sum_of_cuts]
-     (the second component of the trial), NOT the density priced by
-     [Swap.delta_ops].  Defined explicitly so the objectives cannot be
-     cross-wired by inheriting Swap's machinery. *)
-  let delta_ops =
-    Mc_problem.delta_ops ~kind:"swap-sum-cuts" ~propose:random_move
-      ~delta:(fun state (p, q) ->
-        float_of_int (snd (Arrangement.swap_delta state p q)))
-      ~commit:(fun state (p, q) -> Arrangement.swap_positions state p q)
-      ~abandon:(fun _ _ -> ())
-      ()
 end
 
 (* An arrangement serializes as its order array; decoding rebuilds the

@@ -6,7 +6,10 @@
     exchange" move of [COHO83a] (remove an element, reinsert it
     elsewhere).  [Swap_sum_cuts] swaps under the smoother
     sum-of-all-cuts objective and exists for the objective-shape
-    ablation. *)
+    ablation.  All three price a move by [Arrangement]'s windowed trial,
+    so a rejected move costs one trial on the recompute path; only
+    [Swap], which the tables, the daemon and the ledger run, also has a
+    {!Mc_problem.delta_ops} fast path. *)
 
 module Swap : sig
   include Mc_problem.S with type state = Arrangement.t and type move = int * int
@@ -17,22 +20,9 @@ module Swap : sig
       fast path is bit-identical to the recompute path. *)
 end
 
-module Relocate : sig
-  include Mc_problem.S with type state = Arrangement.t and type move = int * int
+module Relocate : Mc_problem.S with type state = Arrangement.t and type move = int * int
 
-  val delta_ops : (state, move) Mc_problem.delta_ops
-  (** Incremental density evaluation via {!Arrangement.relocate_delta}
-      — the baseline [apply] recomputes all cuts from scratch, so this
-      is the biggest linarr win. *)
-end
-
-module Swap_sum_cuts : sig
-  include Mc_problem.S with type state = Arrangement.t and type move = int * int
-
-  val delta_ops : (state, move) Mc_problem.delta_ops
-  (** Prices the {e sum-of-cuts} objective (this module's [cost]), not
-      the density priced by {!Swap.delta_ops}. *)
-end
+module Swap_sum_cuts : Mc_problem.S with type state = Arrangement.t and type move = int * int
 
 val codec : Netlist.t -> Arrangement.t Mc_problem.codec
 (** Checkpoint codec: an arrangement serializes as the JSON array of

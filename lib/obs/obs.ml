@@ -455,7 +455,6 @@ module Observer = struct
   let null = Null
   let of_fun f = Fn f
   let enabled = function Null -> false | Fn _ -> true
-  let is_null o = not (enabled o)
   let emit o ev = match o with Null -> () | Fn f -> f ev
 
   let tee observers =

@@ -74,7 +74,7 @@ module Event : sig
         (** a perturbation was evaluated; [evaluation] is the budget
             tick (1-based), [cost] the proposed configuration's cost,
             [kind] the neighborhood label of the proposing move scheme
-            (["2opt"], ["or_opt"], ...) when the adapter declares one
+            (["2opt"], ["swap"], ...) when the adapter declares one
             via {!Mc_problem.delta_ops} — [None] on the recompute path *)
     | Accepted of { kind : accept_kind; cost : float; delta : float }
         (** the last proposal was taken; [delta = cost - previous] *)
@@ -133,9 +133,6 @@ module Observer : sig
   val enabled : t -> bool
   (** [false] exactly for {!null} — engines test this once per event
       site and skip event construction entirely when disabled. *)
-
-  val is_null : t -> bool
-  (** [not (enabled t)]. *)
 
   val emit : t -> Event.t -> unit
   (** No-op on {!null}. *)

@@ -81,32 +81,6 @@ let swap t a b =
     toggle t b
   end
 
-let net_contains t j e =
-  let found = ref false in
-  Netlist.iter_pins t.netlist j (fun p -> if p = e then found := true);
-  !found
-
-(* Cut change [swap] would cause, without applying.  A net incident to
-   both elements keeps its side-B pin count (the two moves cancel), so
-   only the nets private to one of them can change status. *)
-let swap_delta t a b =
-  if t.sides.(a) = t.sides.(b) then 0
-  else begin
-    let delta = ref 0 in
-    let change j d =
-      let before = if is_cut t j then 1 else 0 in
-      let pb = t.pins_b.(j) + d in
-      let after = if pb > 0 && pb < Netlist.net_size t.netlist j then 1 else 0 in
-      delta := !delta + after - before
-    in
-    let da = if t.sides.(a) then -1 else 1 in
-    Netlist.iter_incident t.netlist a (fun j ->
-        if not (net_contains t j b) then change j da);
-    Netlist.iter_incident t.netlist b (fun j ->
-        if not (net_contains t j a) then change j (-da));
-    !delta
-  end
-
 let check t =
   let fresh = copy t in
   recompute fresh;

@@ -44,10 +44,6 @@ val swap : t -> int -> int -> unit
 (** Exchange the sides of two elements; a no-op when they already share
     a side.  Preserves balance when they differ. *)
 
-val swap_delta : t -> int -> int -> int
-(** Cut change {!swap} would cause, without applying it — O(incident
-    nets × net size).  Zero when the elements share a side. *)
-
 val check : t -> unit
 (** Compare the incremental cut against a recomputation.
     @raise Failure on mismatch. *)

@@ -27,12 +27,3 @@ let moves part =
   let side_b = !side_b in
   List.to_seq !side_a
   |> Seq.concat_map (fun a -> List.to_seq side_b |> Seq.map (fun b -> (a, b)))
-
-(* Cuts are exact ints in float, so the fast path's accumulated
-   [hi +. delta] is exact — bit-identical to the slow path. *)
-let delta_ops =
-  Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
-    ~delta:(fun part (a, b) -> float_of_int (Bipartition.swap_delta part a b))
-    ~commit:(fun part (a, b) -> Bipartition.swap part a b)
-    ~abandon:(fun _ _ -> ())
-    ()

@@ -3,9 +3,3 @@
     objective is the cut.  A swap is its own inverse. *)
 
 include Mc_problem.S with type state = Bipartition.t and type move = int * int
-
-val delta_ops : (state, move) Mc_problem.delta_ops
-(** Incremental-evaluation capability over [Bipartition.swap_delta]: a
-    rejected exchange is priced without touching the partition.  Cuts
-    are exact integers in float, so the fast and full-recompute paths
-    agree bit-for-bit. *)

@@ -174,43 +174,6 @@ let swap_slots t s1 s2 =
     end
   end
 
-(* HPWL change [swap_slots] would cause, without applying.  The same
-   touched-net sweep, but each net's bounding box is recomputed with
-   the two slots remapped on the fly instead of mutating occupancy.
-   Uses the mark/touched scratch, which is not part of the logical
-   state. *)
-let swap_delta t s1 s2 =
-  let slots = t.rows * t.cols in
-  if s1 < 0 || s1 >= slots || s2 < 0 || s2 >= slots then
-    invalid_arg "Placement.swap_delta: slot out of range";
-  if s1 = s2 then 0
-  else begin
-    let a = t.cell_at.(s1) and b = t.cell_at.(s2) in
-    if a < 0 && b < 0 then 0
-    else begin
-      t.mark <- t.mark + 1;
-      t.n_touched <- 0;
-      if a >= 0 then Netlist.iter_incident t.netlist a (fun j -> touch t j);
-      if b >= 0 then Netlist.iter_incident t.netlist b (fun j -> touch t j);
-      let delta = ref 0 in
-      for i = 0 to t.n_touched - 1 do
-        let j = t.touched.(i) in
-        let lo_x = ref max_int and hi_x = ref (-1) in
-        let lo_y = ref max_int and hi_y = ref (-1) in
-        Netlist.iter_pins t.netlist j (fun cell ->
-            let s = t.slot_of.(cell) in
-            let s = if s = s1 then s2 else if s = s2 then s1 else s in
-            let y = s / t.cols and x = s mod t.cols in
-            if x < !lo_x then lo_x := x;
-            if x > !hi_x then hi_x := x;
-            if y < !lo_y then lo_y := y;
-            if y > !hi_y then hi_y := y);
-        delta := !delta + (!hi_x - !lo_x) + (!hi_y - !lo_y) - net_hpwl t j
-      done;
-      !delta
-    end
-  end
-
 let check t =
   let n = Netlist.n_elements t.netlist in
   for cell = 0 to n - 1 do
@@ -264,13 +227,4 @@ module Problem = struct
     in
     Seq.init total pair_of
     |> Seq.filter (fun (s1, s2) -> state.cell_at.(s1) >= 0 || state.cell_at.(s2) >= 0)
-
-  (* HPWLs are exact ints in float, so the fast path's accumulated
-     [hi +. delta] is exact — bit-identical to the slow path. *)
-  let delta_ops =
-    Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
-      ~delta:(fun state (s1, s2) -> float_of_int (swap_delta state s1 s2))
-      ~commit:(fun state (s1, s2) -> swap_slots state s1 s2)
-      ~abandon:(fun _ _ -> ())
-      ()
 end

@@ -48,24 +48,10 @@ val swap_slots : t -> int -> int -> unit
 (** Exchange the contents of two slots (by flat index
     [row * cols + col]); a no-op when both are empty or equal. *)
 
-val swap_delta : t -> int -> int -> int
-(** HPWL change {!swap_slots} would cause, without applying it — the
-    touched nets' bounding boxes are recomputed with the two slots
-    remapped on the fly.  Zero when the slots are equal or both empty.
-    @raise Invalid_argument on an out-of-range slot. *)
-
 val check : t -> unit
 (** Recompute all bounding boxes and compare with the incremental
     state.  @raise Failure on mismatch. *)
 
 (** [Mc_problem.S] adapter: a move is a pair of distinct flat slot
     indices, at least one of them occupied. *)
-module Problem : sig
-  include Mc_problem.S with type state = t and type move = int * int
-
-  val delta_ops : (state, move) Mc_problem.delta_ops
-  (** Incremental-evaluation capability over {!swap_delta}: a rejected
-      slot exchange is priced without touching the placement.  HPWLs
-      are exact integers in float, so the fast and full-recompute
-      paths agree bit-for-bit. *)
-end
+module Problem : Mc_problem.S with type state = t and type move = int * int

@@ -63,10 +63,9 @@ val two_opt_undo : t -> int -> int -> unit
 val restore : t -> order:int array -> len:float -> unit
 (** Overwrite the visiting order and the cached length with a snapshot
     previously taken from this tour via [order]/[length] — the exact
-    revert for moves that are not self-inverse (the or-opt adapters use
-    it).  The array is copied in; the caller keeps ownership.  No
-    permutation check is performed: the snapshot must come from the
-    tour itself.
+    revert for moves that are not self-inverse, such as {!or_opt}.
+    The array is copied in; the caller keeps ownership.  No permutation
+    check is performed: the snapshot must come from the tour itself.
     @raise Invalid_argument if the array length does not match. *)
 
 val or_opt_delta : t -> seg:int -> len:int -> dest:int -> float

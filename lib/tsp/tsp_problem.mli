@@ -11,15 +11,3 @@ val delta_ops : (state, move) Mc_problem.delta_ops
     [Tour.two_opt] maintains the cached length by the same delta, so
     the fast path visits bit-identical costs and accept/reject
     decisions as the full-recompute path. *)
-
-(** Or-opt neighborhood over the same tours: relocate a segment of 1–3
-    consecutive cities to after another position.  Not self-inverse, so
-    [apply] snapshots the order and cached length and [revert] restores
-    them bit-for-bit. *)
-module Or_opt : sig
-  include Mc_problem.S with type state = Tour.t
-
-  val delta_ops : (state, move) Mc_problem.delta_ops
-  (** Same contract as the 2-opt {!delta_ops}, over
-      [Tour.or_opt_delta]. *)
-end

@@ -75,11 +75,17 @@ let paths span =
   in
   go 0 []
 
+let mentions_ellipsis word =
+  let n = String.length word in
+  let rec from i = i + 3 <= n && (String.sub word i 3 = "..." || from (i + 1)) in
+  from 0
+
 let path_roots = [ "lib/"; "bin/"; "bench/"; "test/"; "examples/"; "data/" ]
 
 (* The repo paths a span names: its words under [path_roots], with
    surrounding punctuation and a [:LINE] suffix dropped; patterns and
-   placeholders ([data/*.net], [examples/<name>.exe]) are not paths. *)
+   placeholders ([data/*.net], [examples/<name>.exe], [data/...]) are
+   not paths. *)
 let repo_paths span =
   String.split_on_char ' ' (String.map (fun c -> if c = '\n' then ' ' else c) span)
   |> List.filter_map (fun word ->
@@ -95,6 +101,7 @@ let repo_paths span =
          if
            List.exists (fun prefix -> String.starts_with ~prefix word) path_roots
            && not (String.exists (fun c -> String.contains "*<>{}$" c) word)
+           && not (mentions_ellipsis word)
          then Some word
          else None)
 

@@ -490,6 +490,62 @@ let test_contract_placement () =
     (r.Mc_problem.best_cost <= initial);
   Placement.check place
 
+(* The relocate and sum-of-cuts adapters have no delta record: the
+   engines price their moves by [apply] and [cost], which run the
+   arrangement's trial.  Each runs wrapped on all three engines, on a
+   table-kernel (15 elements) and a span-kernel (30 elements) instance,
+   and must end bit-identical to the bare run with the arrangement's
+   incremental state intact. *)
+module Linarr_contract (P : Mc_problem.S with type state = Arrangement.t) = struct
+  module C = Mc_problem.Contract (P)
+  module B1 = Figure1.Make (P)
+  module B2 = Figure2.Make (P)
+  module BRL = Rejectionless.Make (P)
+  module W1 = Figure1.Make (C)
+  module W2 = Figure2.Make (C)
+  module WRL = Rejectionless.Make (C)
+
+  let gfun = Gfun.metropolis
+  let schedule = Schedule.of_array [| 0.5 |]
+  let budget = Budget.Evaluations 1500
+
+  let same msg nl ~bare ~wrapped =
+    let run f =
+      let state = Arrangement.random (Rng.create ~seed:78) nl in
+      let (r : Arrangement.t Mc_problem.run) = f (Rng.create ~seed:79) state in
+      Arrangement.check state;
+      r
+    in
+    let b = run bare and w = run wrapped in
+    let bits = Int64.bits_of_float in
+    Alcotest.check Alcotest.int64 (msg ^ ": best_cost") (bits b.Mc_problem.best_cost)
+      (bits w.Mc_problem.best_cost);
+    Alcotest.check Alcotest.int64 (msg ^ ": final_cost") (bits b.Mc_problem.final_cost)
+      (bits w.Mc_problem.final_cost);
+    Alcotest.check Alcotest.bool (msg ^ ": stats") true (b.Mc_problem.stats = w.Mc_problem.stats)
+
+  let engines name nl =
+    same (name ^ "/figure1") nl
+      ~bare:(fun rng s -> B1.run rng (B1.params ~gfun ~schedule ~budget ()) s)
+      ~wrapped:(fun rng s -> W1.run rng (W1.params ~gfun ~schedule ~budget ()) s);
+    same (name ^ "/figure2") nl
+      ~bare:(fun rng s -> B2.run rng (B2.params ~gfun ~schedule ~budget ()) s)
+      ~wrapped:(fun rng s -> W2.run rng (W2.params ~gfun ~schedule ~budget ()) s);
+    same (name ^ "/rejectionless") nl
+      ~bare:(fun rng s -> BRL.run rng (BRL.params ~gfun ~schedule ~budget) s)
+      ~wrapped:(fun rng s -> WRL.run rng (WRL.params ~gfun ~schedule ~budget) s)
+
+  let test () =
+    let before = C.checks_performed () in
+    engines "gola15" (Netlist.random_gola (Rng.create ~seed:80) ~elements:15 ~nets:60);
+    engines "nola30"
+      (Netlist.random_nola (Rng.create ~seed:81) ~elements:30 ~nets:80 ~min_pins:2 ~max_pins:5);
+    Alcotest.check Alcotest.bool "contract checks ran" true (C.checks_performed () > before)
+end
+
+module Relocate_contract = Linarr_contract (Linarr_problem.Relocate)
+module Sum_cuts_contract = Linarr_contract (Linarr_problem.Swap_sum_cuts)
+
 (* Deliberately broken problems: the sanitizer must catch each break. *)
 
 module Broken_revert = struct
@@ -836,6 +892,8 @@ let suite =
     case "contract: QAP under Figure 2" test_contract_qap;
     case "contract: partition under rejectionless" test_contract_partition;
     case "contract: placement under Figure 1" test_contract_placement;
+    case "contract: linarr relocate under all three engines" Relocate_contract.test;
+    case "contract: linarr sum of cuts under all three engines" Sum_cuts_contract.test;
     case "contract: catches a broken revert" test_contract_catches_bad_revert;
     case "contract: catches an unpaired revert" test_contract_catches_unpaired_revert;
     case "contract: catches mutating enumeration" test_contract_catches_mutating_moves;

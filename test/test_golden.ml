@@ -130,75 +130,114 @@ let pinned_runs =
       "best=402653f82b64532b final=402653f82b64532b evals=4000 imp=13 lat=1 up=1 rej=3985 temps=1 desc=15 events=7b354a1b71306ba6468395fb8d28a3c5" );
   ]
 
-(* The single-exchange move ([Linarr_problem.Relocate]) under the same
-   engines and settings, on the paper's two instance shapes: two-pin
-   GOLA and 2–5-pin NOLA, 15 elements and 150 nets. *)
-module Relocate = Linarr_problem.Relocate
-module F1_rel = Figure1.Make (Relocate)
-module F2_rel = Figure2.Make (Relocate)
-module RL_rel = Rejectionless.Make (Relocate)
+(* The engines and settings above for any problem, one pinned row per
+   (instance, engine) on the recompute path. *)
+module Pinned (P : Mc_problem.S) = struct
+  module E1 = Figure1.Make (P)
+  module E2 = Figure2.Make (P)
+  module ERL = Rejectionless.Make (P)
+
+  let run engine instance observer =
+    let state, rng = instance () in
+    match engine with
+    | `Figure1 -> E1.run ~observer rng (E1.params ~gfun ~schedule ~budget ()) state
+    | `Figure2 ->
+        E2.run ~observer rng (E2.params ~counter_limit:20 ~gfun ~schedule ~budget ()) state
+    | `Rejectionless -> ERL.run ~observer rng (ERL.params ~gfun ~schedule ~budget) state
+
+  let row prefix (instance_name, instance) (engine_name, engine) expected =
+    ( Printf.sprintf "%s/%s/%s/recompute" prefix instance_name engine_name,
+      (fun () -> fingerprint (run engine instance)),
+      expected )
+end
+
+let f1 = ("figure1", `Figure1)
+and f2 = ("figure2", `Figure2)
+and rl = ("rejectionless", `Rejectionless)
+
+(* The single-exchange move ([Linarr_problem.Relocate]) on the paper's
+   two instance shapes: two-pin GOLA and 2–5-pin NOLA, 15 elements and
+   150 nets. *)
+module Relocate_pins = Pinned (Linarr_problem.Relocate)
+
+let relocate_row = Relocate_pins.row "relocate"
 
 let nola15 () =
   let rng = Rng.create ~seed:7 in
   let nl = Netlist.random_nola rng ~elements:15 ~nets:150 ~min_pins:2 ~max_pins:5 in
   (Arrangement.random rng nl, rng)
 
-let relocate_delta = { Relocate.delta_ops with Mc_problem.recost_every = 250 }
-
-let relocate_run engine instance ~fast observer =
-  let state, rng = instance () in
-  let delta_ops = if fast then Some relocate_delta else None in
-  match engine with
-  | `Figure1 ->
-      F1_rel.run ~observer ?delta_ops rng (F1_rel.params ~gfun ~schedule ~budget ()) state
-  | `Figure2 ->
-      F2_rel.run ~observer ?delta_ops rng
-        (F2_rel.params ~counter_limit:20 ~gfun ~schedule ~budget ())
-        state
-  | `Rejectionless ->
-      RL_rel.run ~observer ?delta_ops rng (RL_rel.params ~gfun ~schedule ~budget) state
-
-let relocate_row (instance_name, instance) (engine_name, engine) (path, fast) expected =
-  ( Printf.sprintf "relocate/%s/%s/%s" instance_name engine_name path,
-    (fun () -> fingerprint (relocate_run engine instance ~fast)),
-    expected )
-
 let relocate_runs =
   let gola = ("gola15", gola15) and nola = ("nola15", nola15) in
-  let f1 = ("figure1", `Figure1) and f2 = ("figure2", `Figure2)
-  and rl = ("rejectionless", `Rejectionless) in
-  let slow = ("recompute", false) and fast = ("delta", true) in
   [
-    relocate_row gola f1 slow
+    relocate_row gola f1
       "best=404e800000000000 final=404e800000000000 evals=3000 imp=125 lat=1079 up=111 rej=1685 temps=6 desc=0 events=fb2129aab23068b7ab37b942f124f39f";
-    relocate_row gola f1 fast
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=125 lat=1079 up=111 rej=1685 temps=6 desc=0 events=98969ba5e511908f9a666805017d4367";
-    relocate_row gola f2 slow
+    relocate_row gola f2
       "best=4051400000000000 final=4051400000000000 evals=3000 imp=14 lat=8 up=1 rej=7 temps=1 desc=10 events=cf15b5d8603248a17b5ff3eca709274f";
-    relocate_row gola f2 fast
-      "best=4051400000000000 final=4051400000000000 evals=3000 imp=14 lat=8 up=1 rej=7 temps=1 desc=10 events=5b3d63564c2f1435dbe64607de08ecc1";
-    relocate_row gola rl slow
+    relocate_row gola rl
       "best=4053000000000000 final=4053000000000000 evals=3000 imp=3 lat=12 up=0 rej=2985 temps=6 desc=15 events=a774fa42fd608831db8d877cda272b94";
-    relocate_row gola rl fast
-      "best=4053000000000000 final=4053000000000000 evals=3000 imp=3 lat=12 up=0 rej=2985 temps=6 desc=15 events=d1a12a933f686f59726a1e525e456551";
-    relocate_row nola f1 slow
+    relocate_row nola f1
       "best=405bc00000000000 final=405bc00000000000 evals=3000 imp=147 lat=1273 up=137 rej=1443 temps=6 desc=0 events=505f345655ab48ec10c3d12be317ba5d";
-    relocate_row nola f1 fast
-      "best=405bc00000000000 final=405bc00000000000 evals=3000 imp=147 lat=1273 up=137 rej=1443 temps=6 desc=0 events=4855e679c8689c6323efd851874d4f4d";
-    relocate_row nola f2 slow
+    relocate_row nola f2
       "best=405b800000000000 final=405c000000000000 evals=3000 imp=13 lat=6 up=3 rej=3 temps=1 desc=10 events=07a9df7c0fb1d3ddd2cdb57aa1537ae5";
-    relocate_row nola f2 fast
-      "best=405b800000000000 final=405c000000000000 evals=3000 imp=13 lat=6 up=3 rej=3 temps=1 desc=10 events=19009a575a0eb7eaf71bfd9bd3ab7d98";
-    relocate_row nola rl slow
+    relocate_row nola rl
       "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=657d36eb96137448a41a1e0ea66817ce";
-    relocate_row nola rl fast
-      "best=405cc00000000000 final=405cc00000000000 evals=3000 imp=4 lat=10 up=1 rej=2985 temps=6 desc=15 events=a5a29d716a0c7c8b722e2e7bedafd579";
+  ]
+
+(* The other moves and domains that price every move by [apply] and
+   [cost], with no delta record: the sum-of-cuts objective on the
+   linarr instances above, a balanced bipartition of a 30-element GOLA
+   graph, and a 24-element NOLA netlist placed on a 6x6 grid. *)
+let gola30 () =
+  let rng = Rng.create ~seed:4 in
+  let nl = Netlist.random_gola rng ~elements:30 ~nets:90 in
+  (Bipartition.random_balanced rng nl, rng)
+
+let nola24 () =
+  let rng = Rng.create ~seed:6 in
+  let nl = Netlist.random_nola rng ~elements:24 ~nets:60 ~min_pins:2 ~max_pins:4 in
+  (Placement.random rng ~rows:6 ~cols:6 nl, rng)
+
+module Sum_cuts_pins = Pinned (Linarr_problem.Swap_sum_cuts)
+module Partition_pins = Pinned (Partition_problem)
+module Placement_pins = Pinned (Placement.Problem)
+
+let recompute_runs =
+  let sum = Sum_cuts_pins.row "sum-of-cuts"
+  and part = Partition_pins.row "partition" ("gola30", gola30)
+  and place = Placement_pins.row "placement" ("nola24", nola24) in
+  let gola = ("gola15", gola15) and nola = ("nola15", nola15) in
+  [
+    sum gola f1
+      "best=4083180000000000 final=4083180000000000 evals=3000 imp=72 lat=23 up=53 rej=2852 temps=6 desc=0 events=8cddca78fe81e2a5284de1c38b7298c3";
+    sum gola f2
+      "best=4083280000000000 final=4083380000000000 evals=3000 imp=52 lat=1 up=8 rej=147 temps=6 desc=10 events=bb478545b0c32b9014cbd611b8cfdb09";
+    sum gola rl
+      "best=4084600000000000 final=4084600000000000 evals=3000 imp=25 lat=3 up=1 rej=2971 temps=6 desc=29 events=e16efe8be1666bd4c38c33aba575ab3a";
+    sum nola f1
+      "best=40915c0000000000 final=40915c0000000000 evals=3000 imp=65 lat=86 up=45 rej=2804 temps=6 desc=0 events=3c4a21e63cd0a47eca76d3463e3d2cca";
+    sum nola f2
+      "best=40915c0000000000 final=40915c0000000000 evals=3000 imp=32 lat=3 up=5 rej=112 temps=6 desc=9 events=587f217b37ee128cd4fb53cbc4a658a6";
+    sum nola rl
+      "best=4091640000000000 final=4091640000000000 evals=3000 imp=19 lat=7 up=3 rej=2971 temps=6 desc=29 events=6279d17ffa8b3ab52000753243af56f7";
+    part f1
+      "best=4038000000000000 final=4038000000000000 evals=3000 imp=224 lat=138 up=232 rej=2406 temps=6 desc=0 events=6a31ef506d8c4551d1800056e5d9921b";
+    part f2
+      "best=4039000000000000 final=4039000000000000 evals=3000 imp=25 lat=0 up=8 rej=117 temps=6 desc=9 events=c7bc743cae8c001900c93fdefb0bad01";
+    part rl
+      "best=4042000000000000 final=4042000000000000 evals=3000 imp=6 lat=5 up=3 rej=2986 temps=6 desc=14 events=cce2db783b1b8b5ebc9420fc033a7675";
+    place f1
+      "best=4069000000000000 final=4069000000000000 evals=3000 imp=162 lat=82 up=122 rej=2634 temps=6 desc=0 events=10d2d963766c82355b9cfd17dd050414";
+    place f2
+      "best=406b600000000000 final=406b600000000000 evals=3000 imp=40 lat=0 up=0 rej=0 temps=1 desc=1 events=0564df7d690f14253fe1f98cac5fe96f";
+    place rl
+      "best=4072f00000000000 final=4072f00000000000 evals=3000 imp=6 lat=0 up=0 rej=2994 temps=6 desc=6 events=ffdcb6841e52b48414f469fd78025673";
   ]
 
 (* The ledger's linear-arrangement size (linarr-n600): Figure 1 on a
    600-element NOLA instance with 1500 nets of 3-6 pins, the swap on
-   both evaluator paths and the relocate on the delta path.  These pin
-   the density trial bit for bit where the ledger times it. *)
+   both evaluator paths and the relocate on the recompute path.  These
+   pin the density trial bit for bit where the ledger times it. *)
 let nola600 () =
   let rng = Rng.create ~seed:600 in
   let nl = Netlist.random_nola rng ~elements:600 ~nets:1500 ~min_pins:3 ~max_pins:6 in
@@ -212,8 +251,8 @@ let nola600_runs =
     ( "nola600/figure1/delta",
       (fun () -> fingerprint (figure1 ~instance:nola600 ~fast:true)),
       "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=2b56c7af96064bb9c1d21a825704d345" );
-    relocate_row ("nola600", nola600) ("figure1", `Figure1) ("delta", true)
-      "best=4092180000000000 final=4092180000000000 evals=3000 imp=295 lat=1768 up=181 rej=756 temps=6 desc=0 events=55b09301ecd99eae99973143b204a69a";
+    relocate_row ("nola600", nola600) ("figure1", `Figure1)
+      "best=4092180000000000 final=4092180000000000 evals=3000 imp=295 lat=1768 up=181 rej=756 temps=6 desc=0 events=3bb4311346f473a4d988a68cd88bf1a9";
   ]
 
 (* The ledger's TSP size: Figure 1 on a 1000-city tour, both evaluator
@@ -319,4 +358,4 @@ let suite =
     case "cross-substrate replay identical" test_cross_substrate_replay;
     case "suite totals locked (EXPERIMENTS.md constants)" test_suite_totals_locked;
   ]
-  @ List.map pinned_case (pinned_runs @ relocate_runs @ nola600_runs @ tsp1000_runs)
+  @ List.map pinned_case (pinned_runs @ relocate_runs @ recompute_runs @ nola600_runs @ tsp1000_runs)

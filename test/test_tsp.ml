@@ -468,6 +468,13 @@ let model_walk ~n ~seed ~steps =
     Model.reverse m i j;
     len := !len +. d
   in
+  (* A legal Or-opt move: the destination may not touch the segment. *)
+  let rec draw_or_opt () =
+    let l = Rng.int_range rng 1 (Int.min 3 (n - 2)) in
+    let seg = Rng.int rng (n - l + 1) and dest = Rng.int rng n in
+    if (dest >= seg - 1 && dest < seg + l) || (seg = 0 && dest = n - 1) then draw_or_opt ()
+    else (seg, l, dest)
+  in
   (* The edges first: the whole tour, both ends, and arcs either side
      of half the tour. *)
   let edges =
@@ -507,18 +514,14 @@ let model_walk ~n ~seed ~steps =
         Array.blit order 0 m 0 n;
         len := l
     | 5 when n >= 4 ->
-        (* The adapter's move snapshots the flipped tour and restores it. *)
-        let mv = Tsp_problem.Or_opt.random_move rng !t in
-        Tsp_problem.Or_opt.apply !t mv;
-        Tsp_problem.Or_opt.revert !t mv
+        (* An Or-opt move undone by restoring the snapshot taken before
+           it, whatever the tour's orientation. *)
+        let seg, l, dest = draw_or_opt () in
+        let order = Tour.order !t and before = Tour.length !t in
+        Tour.or_opt !t ~seg ~len:l ~dest;
+        Tour.restore !t ~order ~len:before
     | 6 when n >= 3 ->
-        let rec draw () =
-          let l = Rng.int_range rng 1 (Int.min 3 (n - 2)) in
-          let seg = Rng.int rng (n - l + 1) and dest = Rng.int rng n in
-          if (dest >= seg - 1 && dest < seg + l) || (seg = 0 && dest = n - 1) then draw ()
-          else (seg, l, dest)
-        in
-        let seg, l, dest = draw () in
+        let seg, l, dest = draw_or_opt () in
         let d = Model.or_opt_delta inst m ~seg ~len:l ~dest in
         Alcotest.check Alcotest.int64 (name ^ ": or_opt delta bits") (bits d)
           (bits (Tour.or_opt_delta !t ~seg ~len:l ~dest));
