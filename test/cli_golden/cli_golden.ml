@@ -82,9 +82,14 @@ let cases =
     ("bad-supervise-y", [ "supervise"; "nola15.net"; "-y"; "0" ], []);
     ("bad-supervise-runs", [ "supervise"; "nola15.net"; "-n"; "100"; "--runs=-1" ], []);
     ("bad-tsp-cities", [ "tsp"; "--cities"; "2" ], []);
-    (* tables: a selection in the order given, CSV under another seed,
-       the agreement table, and an unknown id (a usage error) *)
+    (* tables: a selection in the order given, every other table, CSV
+       under another seed, the agreement table, and an unknown id (a
+       usage error) *)
     ("tables-tuned", [ "tables"; "--scale"; "0.01"; "tuning"; "4.1"; "4.2b" ], []);
+    ( "tables-rest",
+      [ "tables"; "--scale"; "0.01"; "4.2a"; "4.2c"; "4.2d"; "E1"; "E2"; "E3"; "E5"; "E6"; "E7";
+        "S1"; "A1"; "A3"; "A4"; "A5"; "A6"; "A7"; "A9" ],
+      [] );
     ("tables-csv", [ "tables"; "--scale"; "0.01"; "--seed"; "7"; "--csv"; "E4"; "A2"; "A8" ], []);
     ("tables-agreement", [ "tables"; "--scale"; "0.01"; "agreement" ], []);
     ("tables-unknown-id", [ "tables"; "--scale"; "0.01"; "4.3" ], []);
