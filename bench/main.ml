@@ -112,14 +112,7 @@ let print_tables () =
   Printf.printf
     "budgets: 1 paper-second = %d proposed perturbations; global scale %.2f; seed %d\n"
     Suites.evals_per_second !scale !seed;
-  let config =
-    {
-      Linarr_tables.default_config with
-      scale = !scale;
-      seed = !seed;
-      wide_tuning = !wide_tuning;
-    }
-  in
+  let config = { Linarr_tables.scale = !scale; seed = !seed; wide_tuning = !wide_tuning } in
   prerr_endline "[bench] tuning temperatures (section 4.2.1 protocol)...";
   let ctx = Lazy.from_val (Linarr_tables.make_context ~config ()) in
   List.iter

@@ -401,7 +401,7 @@ let tsp_cmd =
               t
           | `Sa ->
               let start = Tour.random rng inst in
-              let schedule = Tsp_temp.suggest_schedule ~k:6 (Rng.copy rng) start in
+              let schedule = Tsp_temp.suggest_schedule (Rng.copy rng) start in
               let p =
                 Tsp_engine.params ~gfun:Gfun.six_temp_annealing ~schedule
                   ~budget:(Budget.Evaluations evals) ()
@@ -1214,7 +1214,7 @@ let floorplan_cmd =
       Printf.printf "blocks: %d, total block area: %d\n" blocks (Floorplan.total_block_area f);
       Printf.printf "initial area: %d (utilization %.0f%%)\n" (Floorplan.area f)
         (100. *. Floorplan.utilization f);
-      let schedule = Floor_temp.suggest_schedule ~k:6 (Rng.copy rng) f in
+      let schedule = Floor_temp.suggest_schedule (Rng.copy rng) f in
       let p =
         Floor_engine.params ~gfun:Gfun.six_temp_annealing ~schedule
           ~budget:(Budget.Evaluations evals) ()

@@ -23,7 +23,7 @@ let () =
   report "2-opt, 5 random restarts"
     (Tour.length (Tsp_heuristics.two_opt_restarts (Rng.copy rng) inst ~restarts:5));
   let start = Tour.random rng inst in
-  let schedule = Temp.suggest_schedule ~k:6 (Rng.copy rng) start in
+  let schedule = Temp.suggest_schedule (Rng.copy rng) start in
   let sa =
     Engine.run (Rng.copy rng)
       (Engine.params ~gfun:Gfun.six_temp_annealing ~schedule ~budget ())

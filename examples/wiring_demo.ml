@@ -44,7 +44,7 @@ let () =
   ignore (Wiring.greedy_fixpoint greedy);
   stats "greedy rip-up" greedy;
   let annealed = Wiring.copy naive in
-  let schedule = Temp.suggest_schedule ~k:6 (Rng.copy rng) annealed in
+  let schedule = Temp.suggest_schedule (Rng.copy rng) annealed in
   let params =
     Engine.params ~gfun:Gfun.six_temp_annealing ~schedule
       ~budget:(Budget.Evaluations 20_000) ()

@@ -325,53 +325,6 @@ let no_physical_float_eq =
   in
   rule
 
-let mli_required =
-  let rec rule =
-    {
-      Lint_rule.name = "mli-required";
-      severity = Lint_diagnostic.Error;
-      doc =
-        "every lib/ module ships an interface: the .mli is where the \
-         engine/problem contracts live";
-      explain =
-        "An .mli is the only place a module's contract is written down and \
-         the only thing that keeps internals from leaking into five call \
-         sites. Engine/problem/schedule signatures in this repo are load \
-         bearing — the portfolio and property harness program against them \
-         — so every lib/ module must ship one.";
-      check = Lint_rule.Fileset (fun files -> check files);
-    }
-  and check files =
-    let have_mli =
-      List.filter_map
-        (fun f ->
-          if f.Lint_rule.kind = `Mli then Some f.Lint_rule.path else None)
-        files
-    in
-    List.filter_map
-      (fun f ->
-        if f.Lint_rule.kind = `Ml && f.Lint_rule.in_lib then
-          let want = Filename.remove_extension f.Lint_rule.path ^ ".mli" in
-          if List.mem want have_mli then None
-          else
-            Some
-              {
-                Lint_diagnostic.rule = rule.name;
-                severity = rule.severity;
-                file = f.Lint_rule.path;
-                line = 1;
-                col = 0;
-                end_line = 1;
-                end_col = 0;
-                message =
-                  Printf.sprintf "library module has no interface: add %s" want;
-                trace = [];
-              }
-        else None)
-      files
-  in
-  rule
-
 let builtin () =
   [
     no_stdlib_random;
@@ -381,7 +334,6 @@ let builtin () =
     no_print_in_lib;
     no_exit_in_lib;
     no_physical_float_eq;
-    mli_required;
   ]
 
 let register_builtin () = List.iter Lint_rule.register (builtin ())

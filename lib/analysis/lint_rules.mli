@@ -13,7 +13,9 @@
     - [no-physical-float-eq] (warning): [=]/[==] on float-typed
       operands (syntactic heuristic); compare against an explicit
       tolerance or use [Float.equal] deliberately.
-    - [mli-required] (error): every [lib/] module ships an interface.
+
+    A [lib/] module without an interface is a compile error already
+    (warning 70, made an error in [lib/dune]).
 
     Suppress a deliberate exception at the site with
     [(* sa-lint: allow <rule> *)]. *)

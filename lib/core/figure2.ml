@@ -3,34 +3,27 @@
    consider a single random uphill perturbation with probability
    g_temp, and on acceptance descend again.  The counter of Step 4/5
    counts uphill attempts at the current temperature; after
-   [counter_limit] of them the next temperature begins, and the run
-   ends after the last one (or earlier if the budget runs out).
+   [counter_limit] of them the next temperature begins.
 
-   When [restart_schedule] is set (the default) a completed schedule
-   starts over while budget remains, so that timed comparisons against
-   Figure 1 use the whole allowance — the paper gives each method the
-   same 3 minutes (§4.2.4). *)
+   A completed schedule starts over while budget remains, so that
+   timed comparisons against Figure 1 use the whole allowance — the
+   paper gives each method the same 3 minutes (§4.2.4). *)
 
 module Make (P : Mc_problem.S) = struct
   module S = Step.Make (P)
 
-  type params = {
-    gfun : Gfun.t;
-    schedule : Schedule.t;
-    budget : Budget.t;
-    counter_limit : int;
-    restart_schedule : bool;
-  }
+  type params = { gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
 
   exception Aborted = S.Aborted
 
-  let params ?(counter_limit = 100) ?(restart_schedule = true) ~gfun ~schedule ~budget () =
-    if counter_limit <= 0 then invalid_arg "Figure2.params: counter_limit <= 0";
+  let counter_limit = 100
+
+  let params ~gfun ~schedule ~budget () =
     if Schedule.length schedule <> Gfun.k gfun then
       invalid_arg
         (Printf.sprintf "Figure2.params: schedule length %d but %s expects k = %d"
            (Schedule.length schedule) (Gfun.name gfun) (Gfun.k gfun));
-    { gfun; schedule; budget; counter_limit; restart_schedule }
+    { gfun; schedule; budget }
 
   let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =
     let k = Gfun.k p.gfun in
@@ -76,19 +69,16 @@ module Make (P : Mc_problem.S) = struct
           (Obs.Event.Descent_done { cost = b.costs.hi; evaluations = Budget.ticks clock });
       S.note_best b
     in
-    let stop = ref false in
     let temp = ref 1 in
     let counter = ref 0 in
     descend ();
-    while (not !stop) && not (Budget.exhausted clock) do
-      if !counter >= p.counter_limit then
-        if !temp >= k then
-          if p.restart_schedule then begin
-            temp := 1;
-            counter := 0;
-            S.enter_temp b p.schedule 1
-          end
-          else stop := true
+    while not (Budget.exhausted clock) do
+      if !counter >= counter_limit then
+        if !temp >= k then begin
+          temp := 1;
+          counter := 0;
+          S.enter_temp b p.schedule 1
+        end
         else begin
           incr temp;
           counter := 0;

@@ -2,31 +2,16 @@
     the systematic neighborhood, then accept a random uphill
     perturbation with probability [g_temp] and descend again.
 
-    [counter_limit] is the [n] of Figure 2 Steps 4–5: uphill attempts
-    allowed per temperature.  With [restart_schedule] (default) a
-    finished schedule restarts while budget remains, keeping timed
-    comparisons with Figure 1 fair. *)
+    The [n] of Figure 2 Steps 4–5, the uphill attempts allowed per
+    temperature, is 100.  A finished schedule always restarts while
+    budget remains, keeping timed comparisons with Figure 1 fair. *)
 
 module Make (P : Mc_problem.S) : sig
-  type params = private {
-    gfun : Gfun.t;
-    schedule : Schedule.t;
-    budget : Budget.t;
-    counter_limit : int;
-    restart_schedule : bool;
-  }
+  type params = private { gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
 
-  val params :
-    ?counter_limit:int ->
-    ?restart_schedule:bool ->
-    gfun:Gfun.t ->
-    schedule:Schedule.t ->
-    budget:Budget.t ->
-    unit ->
-    params
-  (** Default [counter_limit] is 100.
-      @raise Invalid_argument if the schedule length differs from the
-      g-function's [k] or [counter_limit <= 0]. *)
+  val params : gfun:Gfun.t -> schedule:Schedule.t -> budget:Budget.t -> unit -> params
+  (** @raise Invalid_argument if the schedule length differs from the
+      g-function's [k]. *)
 
   exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
   (** Raised when the problem misbehaves mid-walk (non-finite cost →

@@ -47,5 +47,3 @@ let of_array a =
   if Array.length a = 0 then invalid_arg "Schedule.of_array: empty";
   Array.iter (check_positive "Schedule.of_array") a;
   Array.copy a
-
-let to_array = Array.copy

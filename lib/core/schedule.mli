@@ -43,5 +43,3 @@ val get : t -> int -> float
 val of_array : float array -> t
 (** Explicit schedule (copied).
     @raise Invalid_argument if empty or non-positive. *)
-
-val to_array : t -> float array

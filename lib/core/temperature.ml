@@ -13,9 +13,13 @@ type estimate = {
   suggested_yk : float;
 }
 
+(* The walk's length and the suggested schedule's number of
+   temperatures (the paper's six-temperature shape). *)
+let samples = 500
+let k = 6
+
 module Make (P : Mc_problem.S) = struct
-  let estimate ?(samples = 500) rng state =
-    if samples < 2 then invalid_arg "Temperature.estimate: samples < 2";
+  let estimate rng state =
     let work = P.copy state in
     let costs = Stats.Online.create () in
     let abs_deltas = Stats.Online.create () in
@@ -45,14 +49,9 @@ module Make (P : Mc_problem.S) = struct
       suggested_yk = Float.max (min_uphill /. 3.) 1e-9;
     }
 
-  let suggest_schedule ?(k = 6) ?samples rng state =
-    let e = estimate ?samples rng state in
-    if k = 1 then Schedule.of_array [| e.suggested_y1 |]
-    else begin
-      let ratio =
-        (e.suggested_yk /. e.suggested_y1) ** (1. /. float_of_int (k - 1))
-      in
-      let ratio = Float.min 1. (Float.max 1e-6 ratio) in
-      Schedule.geometric ~y1:e.suggested_y1 ~ratio ~k
-    end
+  let suggest_schedule rng state =
+    let e = estimate rng state in
+    let ratio = (e.suggested_yk /. e.suggested_y1) ** (1. /. float_of_int (k - 1)) in
+    let ratio = Float.min 1. (Float.max 1e-6 ratio) in
+    Schedule.geometric ~y1:e.suggested_y1 ~ratio ~k
 end

@@ -16,11 +16,10 @@ type estimate = {
 }
 
 module Make (P : Mc_problem.S) : sig
-  val estimate : ?samples:int -> Rng.t -> P.state -> estimate
-  (** Walks a copy of [state] for [samples] (default 500) accepted
-      random moves.  @raise Invalid_argument if [samples < 2]. *)
+  val estimate : Rng.t -> P.state -> estimate
+  (** Walks a copy of [state] for 500 accepted random moves. *)
 
-  val suggest_schedule : ?k:int -> ?samples:int -> Rng.t -> P.state -> Schedule.t
+  val suggest_schedule : Rng.t -> P.state -> Schedule.t
   (** Geometric schedule from [suggested_y1] down to [suggested_yk]
-      over [k] (default 6) temperatures. *)
+      over 6 temperatures. *)
 end

@@ -130,9 +130,7 @@ let table_schedule_shapes ctx =
       run "25 uniform temperatures [GOLD84]" (Gfun.annealing ~k:25) (fun _ ->
           Schedule.uniform_points ~count:25 ~max:y1);
       run "WHIT84 estimate, k = 6" Gfun.six_temp_annealing (fun state ->
-          Temp_est.suggest_schedule ~k:6
-            (Rng.create ~seed:(seed_for ctx "a4-est"))
-            state);
+          Temp_est.suggest_schedule (Rng.create ~seed:(seed_for ctx "a4-est")) state);
       run "single tuned temperature [Metropolis]" Gfun.metropolis (fun _ ->
           tuned_metropolis);
       run "g = 1 (no schedule)" Gfun.g_one (fun _ -> Schedule.constant ~k:1 1.);
@@ -241,13 +239,9 @@ let table_objective_surrogate ctx =
 module Tune = Tuner.Make (Linarr_problem.Swap)
 
 let table_tuning_grid ctx =
-  let config = Linarr_tables.config_of ctx in
   let suite = Linarr_tables.gola_suite ctx in
   let budget = budget_for ctx 12. in
-  let tuning_budget =
-    Budget.scale config.Linarr_tables.scale
-      (Suites.seconds config.Linarr_tables.tuning_seconds)
-  in
+  let tuning_budget = budget_for ctx Linarr_tables.tuning_seconds in
   let instances =
     List.init (Array.length suite.Suites.netlists) (fun i () ->
         Suites.initial_arrangement suite i)

@@ -16,7 +16,8 @@ let row ~seed instances name f =
 (* E1: travelling salesperson                                          *)
 (* ------------------------------------------------------------------ *)
 
-let table_tsp ?(seed = 7485) ?(scale = 1.) ?(instances = 5) ?(cities = 60) () =
+let table_tsp ~seed ~scale =
+  let instances = 5 and cities = 60 in
   let master = Rng.create ~seed in
   let insts = Array.init instances (fun _ -> Tsp_instance.random_uniform (Rng.split master) ~n:cities) in
   let starts = Array.map (fun inst -> Tour.random (Rng.split master) inst) insts in
@@ -53,8 +54,7 @@ let table_tsp ?(seed = 7485) ?(scale = 1.) ?(instances = 5) ?(cities = 60) () =
         (Printf.sprintf "2-opt, %d random restarts" restarts)
         (fun rng (inst, _start) ->
           Tour.length (Tsp_heuristics.two_opt_restarts rng inst ~restarts));
-      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing (fun rng start ->
-          Tsp_temp.suggest_schedule ~k:6 rng start);
+      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing Tsp_temp.suggest_schedule;
       sa_method "Metropolis" Gfun.metropolis (fun rng start ->
           (* a single fixed temperature must sit near the cold end or
              the walk never condenses -- the schedule sensitivity of
@@ -106,8 +106,8 @@ let table_tsp ?(seed = 7485) ?(scale = 1.) ?(instances = 5) ?(cities = 60) () =
 (* E2: circuit partition                                               *)
 (* ------------------------------------------------------------------ *)
 
-let table_partition ?(seed = 8385) ?(scale = 1.) ?(instances = 5) ?(elements = 80)
-    ?(edges = 200) () =
+let table_partition ~seed ~scale =
+  let instances = 5 and elements = 80 and edges = 200 in
   let master = Rng.create ~seed in
   let insts =
     Array.init instances (fun _ ->
@@ -150,7 +150,7 @@ let table_partition ?(seed = 8385) ?(scale = 1.) ?(instances = 5) ?(elements = 8
       sa_method "Six Temp Annealing [KIRK83 schedule]" Gfun.six_temp_annealing
         (fun _rng _start -> Schedule.kirkpatrick ());
       sa_method "Six Temp Annealing [WHIT84 schedule]" Gfun.six_temp_annealing
-        (fun rng start -> Part_temp.suggest_schedule ~k:6 rng start);
+        Part_temp.suggest_schedule;
       sa_method "Metropolis" Gfun.metropolis (fun rng start ->
           let e = Part_temp.estimate rng start in
           Schedule.of_array [| Float.max 0.5 (e.Temperature.suggested_y1 /. 4.) |]);
@@ -184,7 +184,8 @@ let table_partition ?(seed = 8385) ?(scale = 1.) ?(instances = 5) ?(elements = 8
 module Linarr_fig1 = Figure1.Make (Linarr_problem.Swap)
 module Linarr_temp = Temperature.Make (Linarr_problem.Swap)
 
-let table_scaling ?(seed = 4285) ?(scale = 1.) ?(instances = 10) () =
+let table_scaling ~seed ~scale =
+  let instances = 10 in
   let sizes = [ 15; 25; 40 ] in
   let suite_for n =
     let master = Rng.create ~seed:(seed + n) in
@@ -221,8 +222,7 @@ let table_scaling ?(seed = 4285) ?(scale = 1.) ?(instances = 10) () =
       ("Goto", fun n suite -> total_reduction n suite (fun _ nl _ -> Goto.density nl));
       ("g = 1", mc_method Gfun.g_one (fun _ _ -> Schedule.constant ~k:1 1.));
       ( "Six Temperature Annealing [WHIT84 Y's]",
-        mc_method Gfun.six_temp_annealing (fun rng state ->
-            Linarr_temp.suggest_schedule ~k:6 rng state) );
+        mc_method Gfun.six_temp_annealing Linarr_temp.suggest_schedule );
       ("Cubic Diff (Y = 0.3)", mc_method (Gfun.poly_diff ~degree:3) (fun _ _ ->
            Schedule.of_array [| 0.3 |]));
     ]
@@ -258,8 +258,8 @@ let table_scaling ?(seed = 4285) ?(scale = 1.) ?(instances = 10) () =
 (* A8: run-to-run variance                                             *)
 (* ------------------------------------------------------------------ *)
 
-let table_variance ?(seed = 4385) ?(scale = 1.) ?(replications = 5) () =
-  if replications < 2 then invalid_arg "Ext_tables.table_variance: replications < 2";
+let table_variance ~seed ~scale =
+  let replications = 5 in
   let suite = Suites.gola () in
   let budget = Budget.scale scale (Suites.seconds 12.) in
   let methods =
@@ -309,7 +309,8 @@ let table_variance ?(seed = 4385) ?(scale = 1.) ?(replications = 5) () =
 (* E4: convergence to the true optimum                                 *)
 (* ------------------------------------------------------------------ *)
 
-let table_convergence ?(seed = 4485) ?(scale = 1.) ?(instances = 12) ?(elements = 8) () =
+let table_convergence ~seed ~scale =
+  let instances = 12 and elements = 8 in
   let master = Rng.create ~seed in
   let insts =
     Array.init instances (fun _ ->
@@ -396,8 +397,8 @@ let table_convergence ?(seed = 4485) ?(scale = 1.) ?(instances = 12) ?(elements 
 module Place_fig1 = Figure1.Make (Placement.Problem)
 module Place_temp = Temperature.Make (Placement.Problem)
 
-let table_placement ?(seed = 4585) ?(scale = 1.) ?(instances = 5) ?(rows = 6)
-    ?(cols = 8) ?(nets = 120) () =
+let table_placement ~seed ~scale =
+  let instances = 5 and rows = 6 and cols = 8 and nets = 120 in
   let cells = rows * cols in
   let master = Rng.create ~seed in
   let insts =
@@ -442,7 +443,7 @@ let table_placement ?(seed = 4585) ?(scale = 1.) ?(instances = 5) ?(rows = 6)
           Placement.hpwl (Placement.goto_seeded ~rows ~cols nl));
       run_all "swap descent" (fun _rng (_nl, start) -> descend start (Budget.start budget));
       sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        (fun rng start -> Place_temp.suggest_schedule ~k:6 rng start);
+        Place_temp.suggest_schedule;
       sa "Metropolis" Gfun.metropolis (fun rng start ->
           let e = Place_temp.estimate rng start in
           Schedule.of_array [| Float.max 0.5 (e.Temperature.suggested_y1 /. 4.) |]);
@@ -478,8 +479,8 @@ let table_placement ?(seed = 4585) ?(scale = 1.) ?(instances = 5) ?(rows = 6)
 module Wire_fig1 = Figure1.Make (Wiring.Problem)
 module Wire_temp = Temperature.Make (Wiring.Problem)
 
-let table_wiring ?(seed = 4685) ?(scale = 1.) ?(instances = 5) ?(grid = 10)
-    ?(nets = 150) () =
+let table_wiring ~seed ~scale =
+  let instances = 5 and grid = 10 and nets = 150 in
   let master = Rng.create ~seed in
   let ends =
     Array.init instances (fun _ ->
@@ -502,7 +503,7 @@ let table_wiring ?(seed = 4685) ?(scale = 1.) ?(instances = 5) ?(grid = 10)
           ignore (Wiring.greedy_fixpoint w);
           (Wiring.cost w, Wiring.max_usage w));
       sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        (fun rng start -> Wire_temp.suggest_schedule ~k:6 rng start);
+        Wire_temp.suggest_schedule;
       sa "Metropolis" Gfun.metropolis (fun rng start ->
           let e = Wire_temp.estimate rng start in
           Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);
@@ -539,7 +540,8 @@ let table_wiring ?(seed = 4685) ?(scale = 1.) ?(instances = 5) ?(grid = 10)
 module Floor_fig1 = Figure1.Make (Floorplan.Problem)
 module Floor_temp = Temperature.Make (Floorplan.Problem)
 
-let table_floorplan ?(seed = 4785) ?(scale = 1.) ?(instances = 5) ?(blocks = 20) () =
+let table_floorplan ~seed ~scale =
+  let instances = 5 and blocks = 20 in
   let master = Rng.create ~seed in
   let dims_of rng =
     Array.init blocks (fun _ -> (Rng.int_range rng 2 12, Rng.int_range rng 2 12))
@@ -561,7 +563,7 @@ let table_floorplan ?(seed = 4785) ?(scale = 1.) ?(instances = 5) ?(blocks = 20)
           Floorplan.area (Floorplan.create dims));
       run_all "shelf packing (NFDH)" (fun _rng dims -> Floorplan.shelf_pack dims);
       sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        (fun rng start -> Floor_temp.suggest_schedule ~k:6 rng start);
+        Floor_temp.suggest_schedule;
       sa "Metropolis" Gfun.metropolis (fun rng start ->
           let e = Floor_temp.estimate rng start in
           Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);
@@ -602,7 +604,8 @@ let table_floorplan ?(seed = 4785) ?(scale = 1.) ?(instances = 5) ?(blocks = 20)
 module Qap_fig1 = Figure1.Make (Qap.Problem)
 module Qap_temp = Temperature.Make (Qap.Problem)
 
-let table_qap ?(seed = 4885) ?(scale = 1.) ?(instances = 5) ?(n = 20) () =
+let table_qap ~seed ~scale =
+  let instances = 5 and n = 20 in
   let master = Rng.create ~seed in
   let insts =
     Array.init instances (fun _ ->
@@ -634,7 +637,7 @@ let table_qap ?(seed = 4885) ?(scale = 1.) ?(instances = 5) ?(n = 20) () =
           done;
           !best);
       sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        (fun rng start -> Qap_temp.suggest_schedule ~k:6 rng start);
+        Qap_temp.suggest_schedule;
       sa "Metropolis" Gfun.metropolis (fun rng start ->
           let e = Qap_temp.estimate rng start in
           Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);

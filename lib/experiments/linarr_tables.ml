@@ -2,16 +2,10 @@ module Fig1 = Figure1.Make (Linarr_problem.Swap)
 module Fig2 = Figure2.Make (Linarr_problem.Swap)
 module Tune = Tuner.Make (Linarr_problem.Swap)
 
-type config = {
-  scale : float;
-  three_min_scale : float;
-  tuning_seconds : float;
-  wide_tuning : bool;
-  seed : int;
-}
+type config = { scale : float; wide_tuning : bool; seed : int }
 
-let default_config =
-  { scale = 1.; three_min_scale = 1.; tuning_seconds = 6.; wide_tuning = false; seed = 42 }
+let default_config = { scale = 1.; wide_tuning = false; seed = 42 }
+let tuning_seconds = 6.
 
 type context = {
   config : config;
@@ -23,13 +17,12 @@ type context = {
 
 let config_of c = c.config
 let gola_suite c = c.gola
-let nola_suite c = c.nola
 let net_count = 150
 
 let budget_seconds config s = Budget.scale config.scale (Suites.seconds s)
 
 let tune_class config suite gfun =
-  let budget = budget_seconds config config.tuning_seconds in
+  let budget = budget_seconds config tuning_seconds in
   let instances =
     List.init (Array.length suite.Suites.netlists) (fun i () ->
         Suites.initial_arrangement suite i)
@@ -138,9 +131,7 @@ let table_4_2a c =
 
 let table_4_2b c =
   let suite = c.gola in
-  let budget =
-    Budget.scale c.config.three_min_scale (budget_seconds c.config 180.)
-  in
+  let budget = budget_seconds c.config 180. in
   let rows =
     List.map
       (fun gfun ->
@@ -158,8 +149,7 @@ let table_4_2b c =
       [
         suite_note suite "GOLA";
         scale_note c.config;
-        Printf.sprintf "three-minute budgets additionally scaled by %.2f"
-          c.config.three_min_scale;
+        "three-minute budgets additionally scaled by 1.00";
       ]
     rows
 
@@ -190,6 +180,6 @@ let tuning_table c =
     ~notes:
       [
         "k = 1 classes use [base]; k = 6 classes use the geometric shape base * 0.9^i";
-        Printf.sprintf "tuning budget: %.1f paper-seconds per run" c.config.tuning_seconds;
+        Printf.sprintf "tuning budget: %.1f paper-seconds per run" tuning_seconds;
       ]
     rows

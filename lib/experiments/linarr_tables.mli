@@ -7,15 +7,12 @@
     regenerate Tables 4.1 and 4.2(a)–(d), each cell a
     {!Suites.total_reduction}.
 
-    Budgets follow [Suites.seconds] scaled by [config.scale]; the
-    three-minute runs of Table 4.2(b) are additionally scaled by
-    [config.three_min_scale] so the default bench finishes in minutes
-    (set both to 1. for a full-fidelity run). *)
+    Budgets follow [Suites.seconds] scaled by [config.scale], the
+    three-minute runs of Table 4.2(b) and the grid-search runs
+    included. *)
 
 type config = {
   scale : float;  (** multiplies every per-instance budget *)
-  three_min_scale : float;  (** extra factor for the 180 s runs *)
-  tuning_seconds : float;  (** per-run budget during grid search *)
   wide_tuning : bool;
       (** false (default) uses [Tuner.coarse_candidates], the grid a
           1985 manual protocol plausibly used — required to reproduce
@@ -26,8 +23,10 @@ type config = {
 }
 
 val default_config : config
-(** [scale = 1.], [three_min_scale = 1.], [tuning_seconds = 6.],
-    [wide_tuning = false], [seed = 42]. *)
+(** [scale = 1.], [wide_tuning = false], [seed = 42]. *)
+
+val tuning_seconds : float
+(** Paper-seconds per grid-search run (6.), before [config.scale]. *)
 
 type context
 
@@ -39,7 +38,6 @@ val make_context : ?config:config -> unit -> context
 val config_of : context -> config
 
 val gola_suite : context -> Suites.linarr_suite
-val nola_suite : context -> Suites.linarr_suite
 
 val tuned_bases : context -> (string * float) list
 (** (class name, winning base temperature) — for the report. *)

@@ -15,8 +15,6 @@ let cell_to_string = function
   | Text s -> s
   | Missing -> "-"
 
-let int_cells xs = List.map (fun i -> Int i) xs
-
 let float_cells ?(decimals = 1) xs =
   List.map (fun f -> Text (Printf.sprintf "%.*f" decimals f)) xs
 

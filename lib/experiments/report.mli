@@ -26,5 +26,4 @@ val to_csv : t -> string
 
 val cell_to_string : cell -> string
 
-val int_cells : int list -> cell list
 val float_cells : ?decimals:int -> float list -> cell list

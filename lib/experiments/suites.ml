@@ -4,21 +4,20 @@ type linarr_suite = {
   goto_orders : int array array Lazy.t;
 }
 
-let build_suite ~seed ~count ~make =
+let build_suite ~seed ~make =
   let rng = Rng.create ~seed in
-  let netlists = Array.init count (fun _ -> make (Rng.split rng)) in
+  let netlists = Array.init 30 (fun _ -> make (Rng.split rng)) in
   let initial_orders =
     Array.map (fun nl -> Rng.permutation rng (Netlist.n_elements nl)) netlists
   in
   { netlists; initial_orders; goto_orders = lazy (Array.map Goto.order netlists) }
 
-let gola ?(seed = 1985) ?(count = 30) ?(elements = 15) ?(nets = 150) () =
-  build_suite ~seed ~count ~make:(fun rng -> Netlist.random_gola rng ~elements ~nets)
+let gola () =
+  build_suite ~seed:1985 ~make:(fun rng -> Netlist.random_gola rng ~elements:15 ~nets:150)
 
-let nola ?(seed = 2385) ?(count = 30) ?(elements = 15) ?(nets = 150) ?(min_pins = 2)
-    ?(max_pins = 5) () =
-  build_suite ~seed ~count ~make:(fun rng ->
-      Netlist.random_nola rng ~elements ~nets ~min_pins ~max_pins)
+let nola () =
+  build_suite ~seed:2385 ~make:(fun rng ->
+      Netlist.random_nola rng ~elements:15 ~nets:150 ~min_pins:2 ~max_pins:5)
 
 let initial_arrangement suite i =
   Arrangement.create ~order:suite.initial_orders.(i) suite.netlists.(i)

@@ -12,14 +12,11 @@ type linarr_suite = {
   goto_orders : int array array Lazy.t;  (** [GOTO77] orders, cached *)
 }
 
-val gola : ?seed:int -> ?count:int -> ?elements:int -> ?nets:int -> unit -> linarr_suite
-(** Defaults: seed 1985, 30 instances, 15 elements, 150 two-pin nets. *)
+val gola : unit -> linarr_suite
+(** Seed 1985: 30 instances, 15 elements, 150 two-pin nets. *)
 
-val nola :
-  ?seed:int -> ?count:int -> ?elements:int -> ?nets:int ->
-  ?min_pins:int -> ?max_pins:int -> unit -> linarr_suite
-(** Defaults: seed 2385, 30 instances, 15 elements, 150 nets of 2–5
-    pins. *)
+val nola : unit -> linarr_suite
+(** Seed 2385: 30 instances, 15 elements, 150 nets of 2–5 pins. *)
 
 val initial_arrangement : linarr_suite -> int -> Arrangement.t
 (** Fresh arrangement for instance [i] at its shared random start. *)

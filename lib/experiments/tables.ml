@@ -7,7 +7,7 @@ type entry = {
 let tuned id label f = { id; label; build = (fun _ ctx -> f (Lazy.force ctx)) }
 
 let ext id label f =
-  { id; label; build = (fun c _ -> f c.Linarr_tables.seed c.Linarr_tables.scale) }
+  { id; label; build = (fun c _ -> f ~seed:c.Linarr_tables.seed ~scale:c.Linarr_tables.scale) }
 
 let all =
   [
@@ -19,20 +19,14 @@ let all =
     tuned "4.2b" "table 4.2(b)" Linarr_tables.table_4_2b;
     tuned "4.2c" "table 4.2(c)" Linarr_tables.table_4_2c;
     tuned "4.2d" "table 4.2(d)" Linarr_tables.table_4_2d;
-    ext "E1" "table E1 (TSP)" (fun seed scale -> Ext_tables.table_tsp ~seed ~scale ());
-    ext "E2" "table E2 (partition)" (fun seed scale ->
-        Ext_tables.table_partition ~seed ~scale ());
-    ext "E3" "table E3 (placement)" (fun seed scale ->
-        Ext_tables.table_placement ~seed ~scale ());
-    ext "E5" "table E5 (global wiring)" (fun seed scale ->
-        Ext_tables.table_wiring ~seed ~scale ());
-    ext "E6" "table E6 (floorplanning)" (fun seed scale ->
-        Ext_tables.table_floorplan ~seed ~scale ());
-    ext "S1" "table S1 (scaling)" (fun seed scale -> Ext_tables.table_scaling ~seed ~scale ());
-    ext "E4" "table E4 (convergence to optimum)" (fun seed scale ->
-        Ext_tables.table_convergence ~seed ~scale ());
-    ext "A8" "table A8 (run-to-run variance)" (fun seed scale ->
-        Ext_tables.table_variance ~seed ~scale ());
+    ext "E1" "table E1 (TSP)" Ext_tables.table_tsp;
+    ext "E2" "table E2 (partition)" Ext_tables.table_partition;
+    ext "E3" "table E3 (placement)" Ext_tables.table_placement;
+    ext "E5" "table E5 (global wiring)" Ext_tables.table_wiring;
+    ext "E6" "table E6 (floorplanning)" Ext_tables.table_floorplan;
+    ext "S1" "table S1 (scaling)" Ext_tables.table_scaling;
+    ext "E4" "table E4 (convergence to optimum)" Ext_tables.table_convergence;
+    ext "A8" "table A8 (run-to-run variance)" Ext_tables.table_variance;
     tuned "A1" "table A1 (schedule sensitivity)" Ablation_tables.table_schedule_sensitivity;
     tuned "A2" "table A2 (defer threshold)" Ablation_tables.table_defer_threshold;
     tuned "A3" "table A3 (rejectionless)" Ablation_tables.table_rejectionless;
@@ -41,6 +35,5 @@ let all =
     tuned "A6" "table A6 (neighborhood)" Ablation_tables.table_neighborhood;
     tuned "A7" "table A7 (objective surrogate)" Ablation_tables.table_objective_surrogate;
     tuned "A9" "table A9 (tuning-grid resolution)" Ablation_tables.table_tuning_grid;
-    ext "E7" "table E7 (quadratic assignment)" (fun seed scale ->
-        Ext_tables.table_qap ~seed ~scale ());
+    ext "E7" "table E7 (quadratic assignment)" Ext_tables.table_qap;
   ]

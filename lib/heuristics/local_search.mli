@@ -1,9 +1,8 @@
-(** Deterministic descent and restart drivers for linear arrangements.
+(** Deterministic descent for linear arrangements.
 
-    These are the non-Monte-Carlo baselines: plain pairwise-interchange
-    hill climbing (the "perturb until no perturbation results in a
-    decrease" of Figure 2 Step 2, run in isolation) and a
-    random-restart wrapper. *)
+    The non-Monte-Carlo baseline: plain pairwise-interchange hill
+    climbing (the "perturb until no perturbation results in a
+    decrease" of Figure 2 Step 2, run in isolation). *)
 
 type descent_report = {
   moves_taken : int;  (** improving swaps applied *)
@@ -11,13 +10,6 @@ type descent_report = {
   final_density : int;
 }
 
-val pairwise_descent : ?steepest:bool -> Arrangement.t -> descent_report
-(** Descend in place to a pairwise-interchange local optimum.
-    [steepest] (default false) picks the best improving swap of each
-    pass instead of the first. *)
-
-val random_restart :
-  Rng.t -> Netlist.t -> restarts:int -> best_of_descents:bool -> Arrangement.t
-(** [restarts] random arrangements; when [best_of_descents] each is
-    descended to a local optimum first.  Returns the best arrangement
-    seen.  @raise Invalid_argument if [restarts <= 0]. *)
+val pairwise_descent : Arrangement.t -> descent_report
+(** Descend in place to a pairwise-interchange local optimum, taking
+    the first improving swap of each scan. *)

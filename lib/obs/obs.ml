@@ -547,40 +547,6 @@ module Trajectory = struct
       | _ -> ())
 end
 
-module Ring = struct
-  type t = {
-    capacity : int;
-    buf : Event.t array;
-    mutable len : int;
-    mutable next : int;
-    mutable seen : int;
-  }
-
-  let create capacity =
-    if capacity <= 0 then invalid_arg "Obs.Ring.create: capacity <= 0";
-    {
-      capacity;
-      buf = Array.make capacity (Event.Run_start { cost = 0. });
-      len = 0;
-      next = 0;
-      seen = 0;
-    }
-
-  let add t ev =
-    t.buf.(t.next) <- ev;
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1;
-    t.seen <- t.seen + 1
-
-  let observer t = Observer.of_fun (add t)
-  let seen t = t.seen
-  let length t = t.len
-
-  let to_list t =
-    List.init t.len (fun i ->
-        t.buf.((t.next - t.len + i + (2 * t.capacity)) mod t.capacity))
-end
-
 module Jsonl = struct
   let observer oc =
     Observer.of_fun (fun ev ->
@@ -936,10 +902,6 @@ module Span = struct
     end
 
   let exit = close
-
-  let time obs name f =
-    let span = enter obs name in
-    Fun.protect ~finally:(fun () -> close obs span) f
 
   let stack () = List.rev !(Domain.DLS.get stack_key)
   let depth () = List.length !(Domain.DLS.get stack_key)

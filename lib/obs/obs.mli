@@ -11,9 +11,8 @@
     site and no allocation, so instrumentation stays always-compiled
     without a measurable throughput tax.
 
-    Sinks compose through {!Observer.tee}: an in-memory {!Ring} for
-    tests and postmortems, a {!Jsonl} line-per-event file writer for
-    offline analysis, a {!Downsample} adapter that thins the
+    Sinks compose through {!Observer.tee}: a {!Jsonl} line-per-event
+    file writer for offline analysis, a {!Downsample} adapter that thins the
     high-frequency [Proposed] stream with the stride-doubling rule of
     {!Trajectory}, and a {!Metrics} registry (counters, gauges,
     log-bucketed histograms) for end-of-run summaries such as the
@@ -189,26 +188,6 @@ module Trajectory : sig
       cost plus one cost per proposal, on either evaluator path. *)
 end
 
-(** Fixed-capacity in-memory event ring: keeps the latest [capacity]
-    events.  Single-domain only. *)
-module Ring : sig
-  type t
-
-  val create : int -> t
-  (** @raise Invalid_argument if the capacity is non-positive. *)
-
-  val observer : t -> Observer.t
-
-  val seen : t -> int
-  (** Events observed, including overwritten ones. *)
-
-  val length : t -> int
-  (** Events currently retained ([<= capacity]). *)
-
-  val to_list : t -> Event.t list
-  (** Oldest retained first. *)
-end
-
 (** Line-per-event JSONL sink. *)
 module Jsonl : sig
   val observer : out_channel -> Observer.t
@@ -348,10 +327,6 @@ module Span : sig
   val enter : Observer.t -> string -> t
   val exit : Observer.t -> t -> unit
   (** Emits [Span {name; seconds}] with the elapsed wall time. *)
-
-  val time : Observer.t -> string -> (unit -> 'a) -> 'a
-  (** [time obs name f] wraps [f ()] in {!enter}/{!exit} (exit also on
-      exception). *)
 
   val stack : unit -> string list
   (** The names of the spans currently open {e on this domain},

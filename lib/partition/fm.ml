@@ -71,7 +71,11 @@ let gain part e =
       if from_count = 1 then incr g else if from_count = size then decr g);
   !g
 
-let one_pass part ~max_imbalance =
+(* Both side sizes stay within one of each other: as tight as parity
+   allows. *)
+let max_imbalance = 1
+
+let one_pass part =
   let nl = Bipartition.netlist part in
   let n = Netlist.n_elements nl in
   if n = 0 then false
@@ -149,17 +153,16 @@ let one_pass part ~max_imbalance =
     !best_cut < initial_cut
   end
 
-let refine ?(max_imbalance = 1) part =
-  if max_imbalance < 1 then invalid_arg "Fm.refine: max_imbalance < 1";
+let refine part =
   if Bipartition.imbalance part > max_imbalance then
     invalid_arg "Fm.refine: initial imbalance exceeds the bound";
   let passes = ref 0 in
-  while one_pass part ~max_imbalance do
+  while one_pass part do
     incr passes
   done;
   !passes
 
-let run ?max_imbalance rng netlist =
+let run rng netlist =
   let part = Bipartition.random_balanced rng netlist in
-  ignore (refine ?max_imbalance part);
+  ignore (refine part);
   part

@@ -8,14 +8,13 @@
     with the lowest cut that respects the balance bound; passes repeat
     until one fails to improve.
 
-    Balance: a move is legal when both side sizes stay within
-    [max_imbalance] of each other (default 1 — as tight as parity
-    allows). *)
+    Balance: a committed prefix keeps both side sizes within 1 of each
+    other — as tight as parity allows. *)
 
-val refine : ?max_imbalance:int -> Bipartition.t -> int
+val refine : Bipartition.t -> int
 (** Refine in place; returns the number of improving passes.
-    @raise Invalid_argument if [max_imbalance < 1] or the partition's
-    initial imbalance already exceeds it. *)
+    @raise Invalid_argument if the partition's initial imbalance
+    already exceeds 1. *)
 
-val run : ?max_imbalance:int -> Rng.t -> Netlist.t -> Bipartition.t
+val run : Rng.t -> Netlist.t -> Bipartition.t
 (** Random balanced start followed by [refine]. *)

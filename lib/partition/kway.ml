@@ -37,7 +37,7 @@ let induce nl elements =
   done;
   Netlist.create ~n_elements:n ~pins:(Array.of_list !nets)
 
-let partition ?(max_imbalance = 1) rng nl ~k =
+let partition rng nl ~k =
   let n = Netlist.n_elements nl in
   if not (is_power_of_two k) then invalid_arg "Kway.partition: k must be a power of two";
   if n > 0 && k > n then invalid_arg "Kway.partition: k exceeds the element count";
@@ -45,7 +45,7 @@ let partition ?(max_imbalance = 1) rng nl ~k =
   let rec bisect elements k base =
     if k > 1 then begin
       let induced = induce nl elements in
-      let split = Fm.run ~max_imbalance rng induced in
+      let split = Fm.run rng induced in
       let side_a = ref [] and side_b = ref [] in
       Array.iteri
         (fun local global ->

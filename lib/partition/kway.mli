@@ -14,10 +14,9 @@ type result = {
   spanning_nets : int;  (** nets touching ≥ 2 parts *)
 }
 
-val partition : ?max_imbalance:int -> Rng.t -> Netlist.t -> k:int -> result
+val partition : Rng.t -> Netlist.t -> k:int -> result
 (** [partition rng nl ~k] recursively bisects with [Fm.refine] from
-    random balanced starts.  [max_imbalance] is passed to each
-    bisection (default 1).
+    random balanced starts.
 
     @raise Invalid_argument if [k] is not a positive power of two or
     exceeds the element count (for [n > 0]). *)

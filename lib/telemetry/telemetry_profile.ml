@@ -14,19 +14,13 @@
    flamegraph.pl and speedscope both ingest directly. *)
 
 type t = {
-  cadence : int;
   counts : (string, int) Hashtbl.t;  (* folded stack -> samples *)
   mutable events : int;  (* Proposed events seen *)
   mutable samples : int;  (* samples taken (stack may still be empty) *)
 }
 
-let default_cadence = 97
-
-let create ?(cadence = default_cadence) () =
-  if cadence <= 0 then invalid_arg "Telemetry_profile.create: cadence <= 0";
-  { cadence; counts = Hashtbl.create 16; events = 0; samples = 0 }
-
-let cadence t = t.cadence
+let cadence = 97
+let create () = { counts = Hashtbl.create 16; events = 0; samples = 0 }
 let samples t = t.samples
 
 let sample t =
@@ -42,7 +36,7 @@ let observer t =
   Obs.Observer.of_fun (function
     | Obs.Event.Proposed _ ->
         t.events <- t.events + 1;
-        if t.events mod t.cadence = 0 then sample t
+        if t.events mod cadence = 0 then sample t
     | _ -> ())
 
 (* Distinct stacks with their sample counts, sorted by stack string

@@ -13,15 +13,12 @@
 
 type t
 
-val default_cadence : int
+val cadence : int
 (** 97 — co-prime with the powers of two that budget schedules and
     racing rungs favour, so sampling never beats against epoch
     boundaries. *)
 
-val create : ?cadence:int -> unit -> t
-(** @raise Invalid_argument if [cadence <= 0]. *)
-
-val cadence : t -> int
+val create : unit -> t
 
 val samples : t -> int
 (** Samples taken so far. *)

@@ -86,7 +86,7 @@ let figure1 ?(instance = gola15) ~fast observer =
 let figure2 ~fast observer =
   let state, rng = gola15 () in
   F2.run ~observer ?delta_ops:(delta_opt fast) rng
-    (F2.params ~counter_limit:20 ~gfun ~schedule ~budget ())
+    (F2.params ~gfun ~schedule ~budget ())
     state
 
 let rejectionless ~fast observer =
@@ -115,10 +115,10 @@ let pinned_runs =
       "best=404e800000000000 final=404e800000000000 evals=3000 imp=112 lat=1024 up=101 rej=1763 temps=6 desc=0 events=5007b460cebb05ca0bd70efd30319f44" );
     ( "figure2/recompute",
       (fun () -> fingerprint (figure2 ~fast:false)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=10 lat=23 up=1 rej=50 temps=4 desc=25 events=23644491a57b911c686ed9e2ee30a524" );
+      "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=c15308b8cbefbdce9e54dc2d6cc820cc" );
     ( "figure2/delta",
       (fun () -> fingerprint (figure2 ~fast:true)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=10 lat=23 up=1 rej=50 temps=4 desc=25 events=93d2ab851afc176d139274f340cda1e5" );
+      "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=83dc1629bcc33705d65dc9189e1ab3b2" );
     ( "rejectionless/recompute",
       (fun () -> fingerprint (rejectionless ~fast:false)),
       "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=ac719fd52e4553361e5a85f16fc99a1c" );
@@ -142,7 +142,7 @@ module Pinned (P : Mc_problem.S) = struct
     match engine with
     | `Figure1 -> E1.run ~observer rng (E1.params ~gfun ~schedule ~budget ()) state
     | `Figure2 ->
-        E2.run ~observer rng (E2.params ~counter_limit:20 ~gfun ~schedule ~budget ()) state
+        E2.run ~observer rng (E2.params ~gfun ~schedule ~budget ()) state
     | `Rejectionless -> ERL.run ~observer rng (ERL.params ~gfun ~schedule ~budget) state
 
   let row prefix (instance_name, instance) (engine_name, engine) expected =
@@ -211,19 +211,19 @@ let recompute_runs =
     sum gola f1
       "best=4083180000000000 final=4083180000000000 evals=3000 imp=72 lat=23 up=53 rej=2852 temps=6 desc=0 events=8cddca78fe81e2a5284de1c38b7298c3";
     sum gola f2
-      "best=4083280000000000 final=4083380000000000 evals=3000 imp=52 lat=1 up=8 rej=147 temps=6 desc=10 events=bb478545b0c32b9014cbd611b8cfdb09";
+      "best=4083280000000000 final=4083280000000000 evals=3000 imp=54 lat=1 up=8 rej=62 temps=1 desc=10 events=3e127e167180996aa84ff9ae0fddafe5";
     sum gola rl
       "best=4084600000000000 final=4084600000000000 evals=3000 imp=25 lat=3 up=1 rej=2971 temps=6 desc=29 events=e16efe8be1666bd4c38c33aba575ab3a";
     sum nola f1
       "best=40915c0000000000 final=40915c0000000000 evals=3000 imp=65 lat=86 up=45 rej=2804 temps=6 desc=0 events=3c4a21e63cd0a47eca76d3463e3d2cca";
     sum nola f2
-      "best=40915c0000000000 final=40915c0000000000 evals=3000 imp=32 lat=3 up=5 rej=112 temps=6 desc=9 events=587f217b37ee128cd4fb53cbc4a658a6";
+      "best=40915c0000000000 final=40915c0000000000 evals=3000 imp=34 lat=1 up=7 rej=39 temps=1 desc=9 events=1748f3e5959c461b4af0cb062b0c36eb";
     sum nola rl
       "best=4091640000000000 final=4091640000000000 evals=3000 imp=19 lat=7 up=3 rej=2971 temps=6 desc=29 events=6279d17ffa8b3ab52000753243af56f7";
     part f1
       "best=4038000000000000 final=4038000000000000 evals=3000 imp=224 lat=138 up=232 rej=2406 temps=6 desc=0 events=6a31ef506d8c4551d1800056e5d9921b";
     part f2
-      "best=4039000000000000 final=4039000000000000 evals=3000 imp=25 lat=0 up=8 rej=117 temps=6 desc=9 events=c7bc743cae8c001900c93fdefb0bad01";
+      "best=4039000000000000 final=4039000000000000 evals=3000 imp=25 lat=0 up=8 rej=31 temps=1 desc=9 events=8859934f02cf36171527e8fb3c1f10d1";
     part rl
       "best=4042000000000000 final=4042000000000000 evals=3000 imp=6 lat=5 up=3 rej=2986 temps=6 desc=14 events=cce2db783b1b8b5ebc9420fc033a7675";
     place f1

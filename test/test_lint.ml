@@ -82,7 +82,7 @@ let test_skip_marker_respected () =
         && String.sub p 0 (String.length fixtures_root) = fixtures_root))
     parent;
   let direct = Lint.scan_files ~root:fixtures_root [ "." ] in
-  Alcotest.check Alcotest.int "explicit scan sees all fixture sources" 12
+  Alcotest.check Alcotest.int "explicit scan sees all fixture sources" 9
     (List.length direct)
 
 let test_directive_parsing () =

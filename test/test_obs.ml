@@ -241,28 +241,10 @@ let test_online_merge () =
   Alcotest.check (Alcotest.float 1e-12) "merge with empty keeps mean"
     (Stats.Online.mean a) (Stats.Online.mean m2)
 
-(* ------------------------------- Ring ----------------------------- *)
-
-let test_ring () =
-  let r = Obs.Ring.create 3 in
-  let o = Obs.Ring.observer r in
-  for i = 1 to 5 do
-    Obs.Observer.emit o
-      (Obs.Event.Proposed { evaluation = i; cost = float_of_int i; kind = None })
-  done;
-  Alcotest.check Alcotest.int "seen all" 5 (Obs.Ring.seen r);
-  Alcotest.check Alcotest.int "keeps capacity" 3 (Obs.Ring.length r);
-  let kept =
-    List.map
-      (function Obs.Event.Proposed { evaluation; _ } -> evaluation | _ -> -1)
-      (Obs.Ring.to_list r)
-  in
-  Alcotest.check (Alcotest.list Alcotest.int) "latest three, oldest first" [ 3; 4; 5 ] kept;
-  Alcotest.check Alcotest.bool "zero capacity rejected" true
-    (try
-       ignore (Obs.Ring.create 0);
-       false
-     with Invalid_argument _ -> true)
+(* Every event an observer sees, oldest first. *)
+let recorder () =
+  let events = ref [] in
+  (Obs.Observer.of_fun (fun ev -> events := ev :: !events), fun () -> List.rev !events)
 
 (* ---------------------------- Observer ---------------------------- *)
 
@@ -270,18 +252,19 @@ let test_observer_tee_and_null () =
   Alcotest.check Alcotest.bool "null disabled" false (Obs.Observer.enabled Obs.null);
   Alcotest.check Alcotest.bool "tee of nulls collapses" false
     (Obs.Observer.enabled (Obs.Observer.tee [ Obs.null; Obs.null ]));
-  let a = Obs.Ring.create 8 and b = Obs.Ring.create 8 in
-  let t = Obs.Observer.tee [ Obs.Ring.observer a; Obs.null; Obs.Ring.observer b ] in
+  let a = ref 0 and b = ref 0 in
+  let counter n = Obs.Observer.of_fun (fun _ -> incr n) in
+  let t = Obs.Observer.tee [ counter a; Obs.null; counter b ] in
   Obs.Observer.emit t (Obs.Event.Run_start { cost = 1. });
   Obs.Observer.emit t (Obs.Event.Rejected { delta = 1. });
-  Alcotest.check Alcotest.int "a sees both" 2 (Obs.Ring.seen a);
-  Alcotest.check Alcotest.int "b sees both" 2 (Obs.Ring.seen b)
+  Alcotest.check Alcotest.int "a sees both" 2 !a;
+  Alcotest.check Alcotest.int "b sees both" 2 !b
 
 (* --------------------------- Downsample --------------------------- *)
 
 let test_downsample () =
-  let r = Obs.Ring.create 100_000 in
-  let o = Obs.Downsample.observer ~capacity:8 (Obs.Ring.observer r) in
+  let sink, seen = recorder () in
+  let o = Obs.Downsample.observer ~capacity:8 sink in
   let n = 10_000 in
   for i = 1 to n do
     Obs.Observer.emit o
@@ -289,7 +272,7 @@ let test_downsample () =
   done;
   Obs.Observer.emit o (Obs.Event.Run_end
                          { evaluations = n; final_cost = 0.; best_cost = 0.; seconds = 0. });
-  let events = Obs.Ring.to_list r in
+  let events = seen () in
   let proposed =
     List.length
       (List.filter (function Obs.Event.Proposed _ -> true | _ -> false) events)
@@ -371,16 +354,16 @@ let test_metrics_observer_standard_set () =
 (* ------------------------------- Span ----------------------------- *)
 
 let test_span () =
-  let r = Obs.Ring.create 4 in
-  let o = Obs.Ring.observer r in
-  let v = Obs.Span.time o "phase" (fun () -> 42) in
-  Alcotest.check Alcotest.int "value returned" 42 v;
-  (match Obs.Ring.to_list r with
+  let o, seen = recorder () in
+  Obs.Span.exit o (Obs.Span.enter o "phase");
+  (match seen () with
   | [ Obs.Event.Span { name = "phase"; seconds } ] ->
       Alcotest.check Alcotest.bool "non-negative duration" true (seconds >= 0.)
   | _ -> Alcotest.fail "expected exactly one span event");
-  (* With the null observer nothing is measured or emitted. *)
-  Alcotest.check Alcotest.int "null span" 1 (Obs.Span.time Obs.null "x" (fun () -> 1))
+  (* With the null observer nothing is recorded on the span stack. *)
+  let span = Obs.Span.enter Obs.null "x" in
+  Alcotest.check Alcotest.int "null span" 0 (Obs.Span.depth ());
+  Obs.Span.exit Obs.null span
 
 (* ----------------------- Engine reconciliation -------------------- *)
 
@@ -444,7 +427,7 @@ let test_f2_jsonl_reconciles () =
     roundtrip_stats (fun sink ->
         let s = { Line.x = 9; cost_fn = (fun x -> float_of_int (abs (abs x - 3))) } in
         let p =
-          F2.params ~counter_limit:20 ~restart_schedule:false ~gfun:Gfun.metropolis
+          F2.params ~gfun:Gfun.metropolis
             ~schedule:(Schedule.of_array [| 2. |]) ~budget:(Budget.Evaluations 3000) ()
         in
         F2.run ~observer:sink (Rng.create ~seed:103) p s)
@@ -473,9 +456,9 @@ let test_rl_jsonl_reconciles () =
     derived
 
 let test_sweep_observed () =
-  let ring = Obs.Ring.create 100_000 in
+  let sink, seen = recorder () in
   let report =
-    Portfolio.sweep ~observer:(Obs.Ring.observer ring) (Rng.create ~seed:7)
+    Portfolio.sweep ~observer:sink (Rng.create ~seed:7)
       ~budget:(Budget.Evaluations 100)
       (List.init 4 (fun i ->
            Portfolio.Job.figure1
@@ -489,7 +472,7 @@ let test_sweep_observed () =
     List.length
       (List.filter
          (function Obs.Event.Run_start _ -> true | _ -> false)
-         (Obs.Ring.to_list ring))
+         (seen ()))
   in
   Alcotest.check Alcotest.int "one run_start per job" 4 starts;
   Alcotest.check Alcotest.int "budgets add up" 400 report.Portfolio.total_evaluations
@@ -581,7 +564,6 @@ let suite =
     case "log_hist: bucket boundaries" test_log_hist_boundaries;
     case "log_hist: merge" test_log_hist_merge;
     case "stats: Online.merge" test_online_merge;
-    case "ring: retention and order" test_ring;
     case "observer: tee and null" test_observer_tee_and_null;
     case "downsample: stride-doubling thinning" test_downsample;
     case "metrics: registry basics" test_metrics_registry;

@@ -524,7 +524,7 @@ module TspF1 = Figure1.Make (Tsp_problem)
 
 let profiled_run () =
   let inst = Tsp_instance.random_uniform (Rng.create ~seed:70) ~n:40 in
-  let p = Telemetry_profile.create ~cadence:50 () in
+  let p = Telemetry_profile.create () in
   let m = Obs.Metrics.create () in
   let params =
     TspF1.params ~gfun:Gfun.metropolis
@@ -543,7 +543,7 @@ let test_profiler_reconciles () =
   let p, m = profiled_run () in
   let proposed = Obs.Metrics.counter m "proposed" in
   Alcotest.check Alcotest.int "one sample per cadence proposals"
-    (proposed / Telemetry_profile.cadence p)
+    (proposed / Telemetry_profile.cadence)
     (Telemetry_profile.samples p);
   Alcotest.check Alcotest.int "stack counts sum to samples"
     (Telemetry_profile.samples p)
