@@ -273,6 +273,35 @@ let test_f2_restart_consumes_budget () =
   let r = F2.run (Rng.create ~seed:14) p s in
   Alcotest.check Alcotest.int "whole budget used" 5_000 r.Mc_problem.stats.Mc_problem.evaluations
 
+let test_f2_temperature_cycle () =
+  (* At the optimum every probe is uphill and g = 0 rejects it, so each
+     temperature takes exactly 100 probes; after the last one the
+     schedule starts over at temperature 1. *)
+  let never_uphill2 = Gfun.custom ~name:"never" ~k:2 (fun ~temp:_ ~y:_ ~hi:_ ~hj:_ -> 0.) in
+  let temps = ref [] and probes = ref [] in
+  let observer =
+    Obs.Observer.of_fun (function
+      | Obs.Event.Temp_advance { temp; _ } ->
+          temps := temp :: !temps;
+          probes := 0 :: !probes
+      | Obs.Event.Rejected _ -> (
+          match !probes with n :: rest -> probes := (n + 1) :: rest | [] -> ())
+      | _ -> ())
+  in
+  let s = { Line.x = 0; cost_fn = vee } in
+  let p =
+    F2.params ~gfun:never_uphill2 ~schedule:(Schedule.constant ~k:2 1.)
+      ~budget:(Budget.Evaluations 452) ()
+  in
+  let r = F2.run ~observer (Rng.create ~seed:16) p s in
+  (* 452 ticks: the initial descent tests both neighbours, then 450
+     probes. *)
+  Alcotest.(check (list int)) "temperatures entered" [ 1; 2; 1; 2; 1 ] (List.rev !temps);
+  Alcotest.(check (list int)) "probes per temperature" [ 100; 100; 100; 100; 50 ]
+    (List.rev !probes);
+  Alcotest.check Alcotest.int "highest temperature" 2
+    r.Mc_problem.stats.Mc_problem.temperatures_visited
+
 let test_f2_deterministic () =
   let run () =
     let s = { Line.x = 9; cost_fn = double_well } in
@@ -862,6 +891,7 @@ let suite =
     case "figure2: descends before uphill" test_f2_descends_before_uphill;
     case "figure2: re-descends after uphill" test_f2_redescends_after_uphill;
     case "figure2: restart consumes budget" test_f2_restart_consumes_budget;
+    case "figure2: 100 probes per temperature, then temperature 1 again" test_f2_temperature_cycle;
     case "figure2: deterministic" test_f2_deterministic;
     case "figure2: uphill only from a TSP local optimum" test_f2_local_optimum_tsp;
     case "figure2: uphill only from a bipartition local optimum"

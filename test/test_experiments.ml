@@ -80,6 +80,31 @@ let test_nola_suite_shape () =
     s.Suites.netlists;
   Alcotest.check Alcotest.bool "contains multi-pin nets" true !multi
 
+let test_nola_suite_sizes () =
+  Array.iter
+    (fun nl ->
+      Alcotest.check Alcotest.int "15 elements" 15 (Netlist.n_elements nl);
+      Alcotest.check Alcotest.int "150 nets" 150 (Netlist.n_nets nl);
+      for j = 0 to Netlist.n_nets nl - 1 do
+        let size = Netlist.net_size nl j in
+        Alcotest.check Alcotest.bool "2 to 5 pins" true (size >= 2 && size <= 5)
+      done)
+    (Suites.nola ()).Suites.netlists
+
+let test_suite_instances_distinct () =
+  (* Each instance draws from its own stream: no two of the thirty
+     coincide, within a suite or across GOLA and NOLA. *)
+  let all = Array.append (Suites.gola ()).Suites.netlists (Suites.nola ()).Suites.netlists in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if i < j then
+            Alcotest.check Alcotest.bool (Printf.sprintf "instances %d and %d differ" i j) false
+              (Netlist.equal a b))
+        all)
+    all
+
 let test_suite_deterministic () =
   let a = Suites.gola () and b = Suites.gola () in
   Alcotest.check Alcotest.bool "same netlists" true
@@ -345,7 +370,9 @@ let suite =
     case "report: CSV output" test_report_csv;
     case "suites: GOLA shape" test_gola_suite_shape;
     case "suites: NOLA shape" test_nola_suite_shape;
+    case "suites: NOLA sizes and pin counts" test_nola_suite_sizes;
     case "suites: deterministic" test_suite_deterministic;
+    case "suites: instances distinct" test_suite_instances_distinct;
     case "suites: fresh initial arrangements" test_initial_arrangements_fresh;
     case "suites: goto arrangements" test_goto_arrangement_matches_goto;
     case "suites: density totals" test_totals;

@@ -83,7 +83,7 @@ let figure1 ?(instance = gola15) ~fast observer =
     (F1.params ~gfun ~schedule ~budget ())
     state
 
-let figure2 ~fast observer =
+let figure2 ?(budget = budget) ~fast observer =
   let state, rng = gola15 () in
   F2.run ~observer ?delta_ops:(delta_opt fast) rng
     (F2.params ~gfun ~schedule ~budget ())
@@ -105,6 +105,11 @@ let tsp_rejectionless observer =
        ~budget:(Budget.Evaluations 4000))
     tour
 
+(* Enough budget for Figure 2 to spend its 100 probes at each of the
+   six temperatures and start the schedule over, which the 3000-tick
+   runs above never reach. *)
+let restart_budget = Budget.Evaluations 40_000
+
 let pinned_runs =
   [
     ( "figure1/recompute",
@@ -119,6 +124,12 @@ let pinned_runs =
     ( "figure2/delta",
       (fun () -> fingerprint (figure2 ~fast:true)),
       "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=83dc1629bcc33705d65dc9189e1ab3b2" );
+    ( "figure2/schedule-restart/recompute",
+      (fun () -> fingerprint (figure2 ~budget:restart_budget ~fast:false)),
+      "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=9360dedc764124f624e07e21619ba23f" );
+    ( "figure2/schedule-restart/delta",
+      (fun () -> fingerprint (figure2 ~budget:restart_budget ~fast:true)),
+      "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=df581079ea991b27a72be56d1290185a" );
     ( "rejectionless/recompute",
       (fun () -> fingerprint (rejectionless ~fast:false)),
       "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=ac719fd52e4553361e5a85f16fc99a1c" );

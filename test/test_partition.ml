@@ -182,6 +182,26 @@ let test_fm_idempotent () =
   Alcotest.check Alcotest.int "no further passes" 0 (Fm.refine part);
   Alcotest.check Alcotest.int "cut unchanged" cut (Bipartition.cut part)
 
+let test_fm_balance_bound_is_one () =
+  (* The bound is one element, as tight as parity allows: an odd split
+     one off balance is a valid start and stays within one; an even
+     split one move off balance (imbalance 2) is refused; an even
+     split ends exactly balanced. *)
+  let odd = Netlist.random_gola (Rng.create ~seed:23) ~elements:21 ~nets:60 in
+  let part = Bipartition.random_balanced (Rng.create ~seed:24) odd in
+  Alcotest.check Alcotest.int "odd start one off" 1 (Bipartition.imbalance part);
+  ignore (Fm.refine part);
+  Alcotest.check Alcotest.int "odd end one off" 1 (Bipartition.imbalance part);
+  let even = Netlist.random_gola (Rng.create ~seed:25) ~elements:20 ~nets:60 in
+  let part = Bipartition.random_balanced (Rng.create ~seed:26) even in
+  ignore (Fm.refine part);
+  Alcotest.check Alcotest.int "even end balanced" 0 (Bipartition.imbalance part);
+  let off = Bipartition.create ~sides:(Array.init 20 (fun e -> e >= 9)) even in
+  Alcotest.check Alcotest.int "even start two off" 2 (Bipartition.imbalance off);
+  match Fm.refine off with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "imbalance 2 accepted"
+
 let test_fm_validation () =
   let nl = Netlist.random_gola (Rng.create ~seed:25) ~elements:8 ~nets:12 in
   let skewed = Bipartition.create ~sides:(Array.make 8 true) nl in
@@ -245,6 +265,13 @@ let test_kway_four_parts () =
   Array.iter
     (fun p -> Alcotest.check Alcotest.bool "part id in range" true (p >= 0 && p < 4))
     r.Kway.part_of
+
+let test_kway_equal_parts () =
+  (* Every bisection of an even element set ends exactly balanced, so
+     splitting 32 elements four ways gives four parts of 8. *)
+  let nl = Netlist.random_nola (Rng.create ~seed:40) ~elements:32 ~nets:80 ~min_pins:2 ~max_pins:4 in
+  let r = Kway.partition (Rng.create ~seed:41) nl ~k:4 in
+  Alcotest.check Alcotest.(array int) "four parts of 8" [| 8; 8; 8; 8 |] (Kway.part_sizes r)
 
 let test_kway_k1_and_kn () =
   let nl = Netlist.random_gola (Rng.create ~seed:33) ~elements:8 ~nets:16 in
@@ -391,11 +418,13 @@ let suite =
     case "FM never increases the cut" test_fm_never_increases_cut;
     case "FM handles hypergraphs" test_fm_handles_hypergraphs;
     case "FM idempotent at a fixpoint" test_fm_idempotent;
+    case "FM balance bound is one element" test_fm_balance_bound_is_one;
     case "FM argument validation" test_fm_validation;
     case "FM and KL agree on graphs" test_fm_matches_kl_on_graphs;
     QCheck_alcotest.to_alcotest prop_fm_cut_sound;
     case "k-way: k=2 finds the triangle split" test_kway_two_equals_bisection;
     case "k-way: four balanced parts" test_kway_four_parts;
+    case "k-way: even splits give equal parts" test_kway_equal_parts;
     case "k-way: k=1 and k=n extremes" test_kway_k1_and_kn;
     case "k-way: finer never spans fewer nets" test_kway_more_parts_more_spanning;
     case "k-way: validation" test_kway_validation;
