@@ -82,7 +82,9 @@ ledger:
 # there.  Base and working-tree runs then alternate seed by seed (1-10,
 # then the held-out 1985), 30 s untraced each, so host contention that
 # drifts over minutes lands on both sides of every pair instead of on
-# one whole file; `ledger compare` reads the two files at the end.
+# one whole file; the base side runs first at odd seeds and second at
+# even ones, so neither side always follows the other.  `ledger
+# compare` reads the two files at the end.
 BASE ?= HEAD
 LEDGER_BASE_DIR = _build/ledger-base
 LEDGER_AB_BASE = ledger-ab-base-$(W).jsonl
@@ -92,12 +94,18 @@ ledger-ab:
 	git archive $(BASE) | tar -x -C $(LEDGER_BASE_DIR)
 	@rm -f $(LEDGER_AB_BASE) $(LEDGER_AB_WORK)
 	@for s in 1 2 3 4 5 6 7 8 9 10 1985; do \
-	  (cd $(LEDGER_BASE_DIR) && bash bench/ledger/run.sh --workload $(W) --seed $$s \
-	    --seconds 30 --trace 0 --json ledger-ab.run) || exit 1; \
-	  cat $(LEDGER_BASE_DIR)/ledger-ab.run >> $(LEDGER_AB_BASE); \
-	  bash bench/ledger/run.sh --workload $(W) --seed $$s --seconds 30 --trace 0 \
-	    --json $(LEDGER_AB_WORK).run || exit 1; \
-	  cat $(LEDGER_AB_WORK).run >> $(LEDGER_AB_WORK); \
+	  if [ $$((s % 2)) -eq 1 ]; then sides="base work"; else sides="work base"; fi; \
+	  for side in $$sides; do \
+	    if [ $$side = base ]; then \
+	      (cd $(LEDGER_BASE_DIR) && bash bench/ledger/run.sh --workload $(W) --seed $$s \
+	        --seconds 30 --trace 0 --json ledger-ab.run) || exit 1; \
+	      cat $(LEDGER_BASE_DIR)/ledger-ab.run >> $(LEDGER_AB_BASE); \
+	    else \
+	      bash bench/ledger/run.sh --workload $(W) --seed $$s --seconds 30 --trace 0 \
+	        --json $(LEDGER_AB_WORK).run || exit 1; \
+	      cat $(LEDGER_AB_WORK).run >> $(LEDGER_AB_WORK); \
+	    fi; \
+	  done; \
 	done
 	@rm -f $(LEDGER_AB_WORK).run
 	dune exec bench/ledger/ledger.exe -- compare $(LEDGER_AB_BASE) -- $(LEDGER_AB_WORK)

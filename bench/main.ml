@@ -114,7 +114,7 @@ let print_tables () =
     Suites.evals_per_second !scale !seed;
   let config = { Linarr_tables.scale = !scale; seed = !seed; wide_tuning = !wide_tuning } in
   prerr_endline "[bench] tuning temperatures (section 4.2.1 protocol)...";
-  let ctx = Lazy.from_val (Linarr_tables.make_context ~config ()) in
+  let ctx = Lazy.from_val (Linarr_tables.make_context config) in
   List.iter
     (fun (entry : Tables.entry) ->
       prerr_endline ("[bench] " ^ entry.label ^ "...");

@@ -59,7 +59,7 @@ let tables_cmd =
     let ctx =
       lazy
         (prerr_endline "building suites and tuning temperatures (section 4.2.1)...";
-         Linarr_tables.make_context ~config ())
+         Linarr_tables.make_context config)
     in
     List.iter
       (fun (e : Tables.entry) ->

@@ -6,8 +6,8 @@
      < k, for 0 <= k <= n;
    - cuts.(p) = #{ j | net_lo.(j) <= p < net_hi.(j) } for 0 <= p < n-1,
      the cut of the set pre.(p + 1) in table mode;
-   - cut_count.(v) = #{ p | cuts.(p) = v };
-   - density = max { v | cut_count.(v) > 0 } (0 if there are no boundaries);
+   - density = max of cuts (0 if there are no boundaries);
+   - at_density = #{ p | cuts.(p) = density };
    - sum_cuts = sum of cuts.
    They describe the arrangement as it stands unless [applied] is set:
    then the arrangement is the one the pending trial's move leads to,
@@ -19,8 +19,8 @@ type t = {
   elem_at : int array;
   pos_of : int array;
   cuts : int array; (* length max 0 (n-1) *)
-  cut_count : int array; (* length n_nets + 1 *)
   mutable density : int;
+  mutable at_density : int;
   mutable sum_cuts : int;
   net_lo : int array; (* span mode, else empty *)
   net_hi : int array;
@@ -28,12 +28,13 @@ type t = {
   mutable table : Bytes.t; (* the netlist's [cut_table], fetched by the first trial *)
   (* Trial scratch (see the move kernel below), allocated by a state's
      first trial ([alloc_scratch]) and never copied, so a snapshot holds
-     only the arrays above; table mode allocates only [diff_pos] /
-     [diff].  [net_mark] / [touched] de-duplicate the nets a move
-     touches.  A trial records, without committing, the
-     boundaries whose cut would change ([diff_pos] / [diff], sparse) and
-     the new span of every touched net ([pend_lo] / [pend_hi], indexed
-     like [touched]).  A move marks its trial [applied]; the next use of
+     only the arrays above; table mode allocates only [pend_cut].
+     [net_mark] / [touched] de-duplicate the nets a move touches.  A
+     trial records, without committing, the new cut of every boundary
+     in its window ([pend_cut], dense, indexed by boundary), the
+     window's boundaries at the density ([pend_at]) and the new span of
+     every touched net ([pend_lo] / [pend_hi], indexed like
+     [touched]).  A move marks its trial [applied]; the next use of
      the state replays the recording, which leaves the inverse move's
      trial in its place, unless that use is the inverse move, which
      only clears the mark.  [set_order] invalidates the recording via
@@ -43,15 +44,15 @@ type t = {
   mutable touched : int array; (* capacity n_nets *)
   mutable n_touched : int;
   mutable window : int array; (* length n; difference array, zero outside a trial *)
-  mutable diff_pos : int array; (* length max 0 (n-1) *)
-  mutable diff : int array; (* cut change at diff_pos.(k), never 0 *)
-  mutable n_diff : int;
+  mutable pend_cut : int array; (* length max 0 (n-1) *)
   mutable pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
   mutable pend_hi : int array;
   mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate *)
   mutable pend_a : int; (* swap: min position; relocate: from_pos *)
   mutable pend_b : int; (* swap: max position; relocate: to_pos *)
   mutable pend_density : int;
+  mutable pend_at : int; (* window boundaries whose cut is the density *)
+  mutable pend_out : int; (* on a density drop: boundaries outside the window at the new one *)
   mutable pend_sum : int;
   mutable applied : bool; (* the pending trial's move is made, not yet replayed *)
 }
@@ -126,15 +127,10 @@ let recompute_all t =
     cuts_from_scratch t.netlist t.pos_of t.cuts (fun j lo hi ->
         t.net_lo.(j) <- lo;
         t.net_hi.(j) <- hi);
-  Array.fill t.cut_count 0 (Array.length t.cut_count) 0;
-  t.density <- 0;
-  t.sum_cuts <- 0;
-  Array.iter
-    (fun v ->
-      t.cut_count.(v) <- t.cut_count.(v) + 1;
-      t.sum_cuts <- t.sum_cuts + v;
-      if v > t.density then t.density <- v)
-    t.cuts
+  let d = Array.fold_left max 0 t.cuts in
+  t.density <- d;
+  t.at_density <- Array.fold_left (fun c v -> c + Bool.to_int (v = d)) 0 t.cuts;
+  t.sum_cuts <- Array.fold_left ( + ) 0 t.cuts
 
 let create_on ~kernel ?order netlist =
   let n = Netlist.n_elements netlist in
@@ -158,8 +154,8 @@ let create_on ~kernel ?order netlist =
       elem_at;
       pos_of;
       cuts = Array.make (max 0 (n - 1)) 0;
-      cut_count = Array.make (m + 1) 0;
       density = 0;
+      at_density = 0;
       sum_cuts = 0;
       net_lo = Array.make per_net 0;
       net_hi = Array.make per_net 0;
@@ -170,15 +166,15 @@ let create_on ~kernel ?order netlist =
       touched = [||];
       n_touched = 0;
       window = [||];
-      diff_pos = [||];
-      diff = [||];
-      n_diff = 0;
+      pend_cut = [||];
       pend_lo = [||];
       pend_hi = [||];
       pend_kind = 0;
       pend_a = 0;
       pend_b = 0;
       pend_density = 0;
+      pend_at = 0;
+      pend_out = 0;
       pend_sum = 0;
       applied = false;
     }
@@ -193,8 +189,7 @@ let random rng netlist =
 
 let alloc_scratch t =
   let n = size t and m = Netlist.n_nets t.netlist in
-  t.diff_pos <- Array.make (max 0 (n - 1)) 0;
-  t.diff <- Array.make (max 0 (n - 1)) 0;
+  t.pend_cut <- Array.make (max 0 (n - 1)) 0;
   if Array.length t.pre > 0 then t.table <- Netlist.cut_table t.netlist
   else begin
     t.net_mark <- Array.make m 0;
@@ -216,16 +211,19 @@ let[@inline] push t j =
    outside [w0, w1) keeps its cut: each side of it holds the same
    elements.  A trial
    1. computes each touched net's new span;
-   2. adds its changed endpoints (+1 at a new lo, -1 at a new hi, -1 at
-      the old lo, +1 at the old hi; all inside [w0, w1]) to the zeroed
-      difference array [window] ([record_span]);
-   3. sweeps [w0, w1] once, turning the running sum into the sparse
-      [diff_pos] / [diff] list and zeroing [window] behind it, while
-      locals track the window's max cut after the move and how many
-      changed boundaries sat at the density;
-   4. resolves the new density from those two values and one read of
-      the cut histogram, or, when every boundary at the density drops,
-      from a scan of the cuts outside the window ([finish_trial]).
+   2. adds its endpoints (+1 at the new lo, -1 at the new hi, -1 at the
+      old lo, +1 at the old hi) to the zeroed difference array [window]
+      ([record_span]); an endpoint that stays cancels out, and every
+      one that moves lies inside [w0, w1];
+   3. sweeps [w0, w1] once, writing each boundary's new cut, the
+      running sum added to the old one, to [pend_cut] and zeroing
+      [window] behind it, while locals track the sum of the changes,
+      the window's max cut after the move and how many of its
+      boundaries sit at the density;
+   4. resolves the new density from those two values and the count of
+      boundaries at the density, or, when every one of them lies in the
+      window and drops, from a scan of the cuts outside the window
+      ([resolve]).
    A swap thus costs O(incident pins + |p - q|), and O(n) in that rare
    fallback.  In table mode steps 1-3 are one sweep that reads each
    window boundary's new cut from the table of subset cuts
@@ -239,70 +237,93 @@ let[@inline] push t j =
 
    The loops below read the netlist's flat arrays directly rather than
    through [Netlist.iter_pins] / [iter_incident]: a closure passed
-   across a module boundary is called, not inlined, once per pin. *)
+   across a module boundary is called, not inlined, once per pin.  Min,
+   max and counts on the hot loops take no branch on the data. *)
+
+let[@inline] bmin a b =
+  let d = b - a in
+  a + (d land (d asr (Sys.int_size - 1)))
+
+let[@inline] bmax a b =
+  let d = b - a in
+  a + (d land lnot (d asr (Sys.int_size - 1)))
 
 let[@inline] record_span t i lo' hi' =
   let j = t.touched.(i) in
   let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
   t.pend_lo.(i) <- lo';
   t.pend_hi.(i) <- hi';
-  if lo' <> lo then begin
-    t.window.(lo') <- t.window.(lo') + 1;
-    t.window.(lo) <- t.window.(lo) - 1
-  end;
-  if hi' <> hi then begin
-    t.window.(hi') <- t.window.(hi') - 1;
-    t.window.(hi) <- t.window.(hi) + 1
-  end;
-  t.pend_sum <- t.pend_sum + (hi' - lo') - (hi - lo)
+  let window = t.window in
+  window.(lo') <- window.(lo') + 1;
+  window.(lo) <- window.(lo) - 1;
+  window.(hi') <- window.(hi') - 1;
+  window.(hi) <- window.(hi) + 1
 
-(* Step 4, from the window's max cut after the move [top] and [hit], the
-   changed boundaries whose old cut is the density [d].  Every boundary
-   outside the window keeps its cut, which is at most [d].  So the new
-   density is
+(* Touched net [i] is net [j]: its new span from its pins' [pos_of],
+   kept in locals rather than returned as a pair. *)
+let[@inline] rescan t i j =
+  let nv = t.nv and pos_of = t.pos_of in
+  let lo = ref max_int and hi = ref (-1) in
+  for k = nv.pin_start.(j) to nv.pin_start.(j + 1) - 1 do
+    let p = pos_of.(nv.pins.(k)) in
+    lo := bmin !lo p;
+    hi := bmax !hi p
+  done;
+  record_span t i !lo !hi
+
+(* Step 4, from the window's max cut after the move [top] and [win],
+   the window's boundaries whose cut is the density [d].  Every
+   boundary outside the window keeps its cut, which is at most [d].  So
+   the new density is
    - [top] when [top >= d];
-   - else [d] when [cut_count.(d) > hit]: a boundary at [d] is
-     unchanged, and it lies outside the window, where [top < d];
+   - else [d] when [at_density > win]: [win] counts every window
+     boundary at [d], so one lies outside the window;
    - else the max of [top] and the cuts outside the window, every one
-     below [d].  This plain scan is the rare case. *)
-let[@inline] resolve t w0 w1 top hit =
+     below [d].  This plain scan is the rare case, and the one case in
+     which the density drops; it also counts the boundaries outside the
+     window at the new density, for the replay ([pend_out]). *)
+let[@inline] resolve t w0 w1 top win =
   let cuts = t.cuts and d = t.density in
+  t.pend_at <- win;
   t.pend_density <-
     (if top >= d then top
-     else if t.cut_count.(d) > hit then d
+     else if t.at_density > win then d
      else begin
-       let top = ref top in
-       for x = 0 to w0 - 1 do
-         if cuts.(x) > !top then top := cuts.(x)
+       let out = ref 0 and n_out = ref 0 in
+       for x = 0 to Array.length cuts - 1 do
+         if x < w0 || x >= w1 then begin
+           let c = cuts.(x) in
+           if c > !out then begin
+             out := c;
+             n_out := 1
+           end
+           else if c = !out then incr n_out
+         end
        done;
-       for x = w1 to Array.length cuts - 1 do
-         if cuts.(x) > !top then top := cuts.(x)
-       done;
-       !top
+       t.pend_out <- (if !out >= top then !n_out else 0);
+       Int.max top !out
      end)
 
 (* Step 3.  The sweep keeps its running values in locals: the cut
-   change [run], [top] and [hit]. *)
+   change [run], its sum, [top] and [win]. *)
 let finish_trial t w0 w1 =
   let window = t.window and cuts = t.cuts in
-  let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
-  let run = ref 0 and nd = ref 0 and hit = ref 0 and top = ref 0 in
+  let pend_cut = t.pend_cut and d = t.density in
+  let run = ref 0 and sum = ref 0 and win = ref 0 and top = ref 0 in
   for x = w0 to w1 - 1 do
     let r = !run + window.(x) in
     run := r;
     window.(x) <- 0;
+    sum := !sum + r;
     let v = cuts.(x) in
-    if r <> 0 then begin
-      if v = d then incr hit;
-      diff_pos.(!nd) <- x;
-      diff.(!nd) <- r;
-      incr nd
-    end;
-    if v + r > !top then top := v + r
+    let v' = v + r in
+    pend_cut.(x) <- v';
+    win := !win + Bool.to_int (v = d);
+    top := bmax !top v'
   done;
   window.(w1) <- 0;
-  t.n_diff <- !nd;
-  resolve t w0 w1 !top !hit
+  t.pend_sum <- !sum;
+  resolve t w0 w1 !top !win
 
 (* Table mode, steps 1-3 in one sweep.  After the move, the elements
    left of boundary x in [w0, w1) are the set [pre.(x + off) lxor flip]:
@@ -317,34 +338,22 @@ let finish_trial t w0 w1 =
 let[@inline] table_cut table ~high ~full s =
   Bytes.get_uint16_le table (2 * (s lxor (full land -(s lsr high))))
 
-(* The sweep has no branch on the data: every boundary writes its entry
-   at [diff_pos.(nd)] / [diff.(nd)], and [nd] advances only past a
-   nonzero change, so an unchanged boundary's entry is overwritten by
-   the next one.  [nd] counts changed boundaries before [x], so it never
-   passes n - 2.  [hit] counts with the same 0/1 and [top] takes the
-   max by the sign of the difference. *)
 let table_trial t w0 w1 ~off ~flip =
   let pre = t.pre and table = t.table and cuts = t.cuts in
-  let diff_pos = t.diff_pos and diff = t.diff and d = t.density in
+  let pend_cut = t.pend_cut and d = t.density in
   let high = size t - 1 in
   let full = (2 lsl high) - 1 in
-  let nd = ref 0 and hit = ref 0 and top = ref 0 and sum = ref 0 in
+  let win = ref 0 and top = ref 0 and sum = ref 0 in
   for x = w0 to w1 - 1 do
     let v' = table_cut table ~high ~full (pre.(x + off) lxor flip) in
     let v = cuts.(x) in
-    let dv = v' - v in
-    let changed = Bool.to_int (dv <> 0) in
-    diff_pos.(!nd) <- x;
-    diff.(!nd) <- dv;
-    nd := !nd + changed;
-    hit := !hit + (changed land Bool.to_int (v = d));
-    sum := !sum + dv;
-    let up = v' - !top in
-    top := !top + (up land lnot (up asr (Sys.int_size - 1)))
+    pend_cut.(x) <- v';
+    win := !win + Bool.to_int (v = d);
+    sum := !sum + (v' - v);
+    top := bmax !top v'
   done;
-  t.n_diff <- !nd;
   t.pend_sum <- !sum;
-  resolve t w0 w1 !top !hit
+  resolve t w0 w1 !top !win
 
 (* Touched net [i] has one pin moving from [src] to [dst]; [pos_of]
    already holds the would-be positions.  A two-pin net's other pin sits
@@ -357,10 +366,8 @@ let[@inline] moved_pin t i ~src ~dst =
     let o = lo + hi - src in
     if o < dst then record_span t i o dst else record_span t i dst o
   end
-  else if (src = lo && dst > lo) || (src = hi && dst < hi) then
-    let lo', hi' = net_span t j in
-    record_span t i lo' hi'
-  else record_span t i (if dst < lo then dst else lo) (if dst > hi then dst else hi)
+  else if (src = lo && dst > lo) || (src = hi && dst < hi) then rescan t i j
+  else record_span t i (bmin dst lo) (bmax dst hi)
 
 (* [p < q]. *)
 let span_swap t p q =
@@ -387,7 +394,6 @@ let span_swap t p q =
   done;
   t.pos_of.(a) <- q;
   t.pos_of.(b) <- p;
-  t.pend_sum <- 0;
   for i = 0 to n_b - 1 do
     moved_pin t i ~src:q ~dst:p
   done;
@@ -431,12 +437,9 @@ let span_relocate t ~from_pos ~to_pos ~w0 ~w1 =
     done;
     t.pos_of.(e) <- shifted ~from_pos ~to_pos x
   done;
-  t.pend_sum <- 0;
   for i = 0 to t.n_touched - 1 do
     let j = t.touched.(i) in
-    if i < n_e then
-      let lo', hi' = net_span t j in
-      record_span t i lo' hi'
+    if i < n_e then rescan t i j
     else
       record_span t i
         (shifted ~from_pos ~to_pos t.net_lo.(j))
@@ -470,11 +473,20 @@ let refresh_prefixes t w0 w1 ~off ~flip =
     done
 
 (* Commit the pending trial: move the elements, set the touched nets'
-   spans (table mode: refresh the window's prefix masks) and apply the
-   sparse cut changes.  Each value written trades places with the one
-   it replaces, so the record left pending is the inverse move's trial:
-   the old spans, the negated cut changes, the old density and sum, and
-   for a relocate the two ends exchanged. *)
+   spans (table mode: refresh the window's prefix masks) and write the
+   window's new cuts, counting those at the new density [d'].  The
+   boundaries outside the window keep their cuts, so the count at [d']
+   adds to that window count the outside ones:
+   - when the density holds, [out], the old count less the window's
+     old boundaries at it ([pend_at]);
+   - when it rises, none: every cut outside is at most the old density;
+   - when it drops, [pend_out].
+   Each value written trades places with the one it replaces, so the
+   record left pending is the inverse move's trial: the old spans, the
+   old cuts and the window's count at [d'], the old density and sum,
+   [out] as the inverse's [pend_out] (used if this move raised the
+   density, so that the inverse drops it), and for a relocate the two
+   ends exchanged. *)
 let replay t =
   let a = t.pend_a and b = t.pend_b in
   let w0 = Int.min a b and w1 = Int.max a b in
@@ -508,18 +520,23 @@ let replay t =
     t.pend_lo.(i) <- lo;
     t.pend_hi.(i) <- hi
   done;
-  for k = 0 to t.n_diff - 1 do
-    let x = t.diff_pos.(k) and d = t.diff.(k) in
-    let v = t.cuts.(x) in
-    t.cut_count.(v) <- t.cut_count.(v) - 1;
-    t.cut_count.(v + d) <- t.cut_count.(v + d) + 1;
-    t.cuts.(x) <- v + d;
-    t.diff.(k) <- -d
+  let cuts = t.cuts and pend_cut = t.pend_cut in
+  let d = t.density and d' = t.pend_density in
+  let win = ref 0 in
+  for x = w0 to w1 - 1 do
+    let v' = pend_cut.(x) in
+    pend_cut.(x) <- cuts.(x);
+    cuts.(x) <- v';
+    win := !win + Bool.to_int (v' = d')
   done;
+  let out = t.at_density - t.pend_at in
+  t.at_density <-
+    !win + (-Bool.to_int (d' = d) land out) + (-Bool.to_int (d' < d) land t.pend_out);
+  t.pend_out <- out;
+  t.pend_at <- !win;
   t.sum_cuts <- t.sum_cuts + t.pend_sum;
   t.pend_sum <- -t.pend_sum;
-  let d = t.density in
-  t.density <- t.pend_density;
+  t.density <- d';
   t.pend_density <- d
 
 (* Replay the applied move, if any: every entry point but a move's own
@@ -560,7 +577,6 @@ let copy t =
     elem_at = Array.copy t.elem_at;
     pos_of = Array.copy t.pos_of;
     cuts = Array.copy t.cuts;
-    cut_count = Array.copy t.cut_count;
     net_lo = Array.copy t.net_lo;
     net_hi = Array.copy t.net_hi;
     pre = Array.copy t.pre;
@@ -568,9 +584,7 @@ let copy t =
     touched = [||];
     window = [||];
     n_touched = 0;
-    diff_pos = [||];
-    diff = [||];
-    n_diff = 0;
+    pend_cut = [||];
     pend_lo = [||];
     pend_hi = [||];
     pend_kind = 0;
@@ -584,7 +598,7 @@ let check_positions name t p q =
 (* Make a move's trial the pending one, settling first and pricing the
    move unless it is pending already.  A swap is recorded with its
    smaller position first.  A trial needs two distinct positions, so
-   [n >= 2] and an empty [diff_pos] means the scratch is not allocated
+   [n >= 2] and an empty [pend_cut] means the scratch is not allocated
    yet. *)
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
 
@@ -597,7 +611,7 @@ let trial_swap t p q =
   settle t;
   let p = Int.min p q and q = Int.max p q in
   if not (pending t 1 p q) then begin
-    if Array.length t.diff_pos = 0 then alloc_scratch t;
+    if Array.length t.pend_cut = 0 then alloc_scratch t;
     if Array.length t.pre > 0 then
       table_trial t p q ~off:1 ~flip:((1 lsl t.elem_at.(p)) lor (1 lsl t.elem_at.(q)))
     else span_swap t p q;
@@ -607,7 +621,7 @@ let trial_swap t p q =
 let trial_relocate t ~from_pos ~to_pos =
   settle t;
   if not (pending t 2 from_pos to_pos) then begin
-    if Array.length t.diff_pos = 0 then alloc_scratch t;
+    if Array.length t.pend_cut = 0 then alloc_scratch t;
     let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
     if Array.length t.pre > 0 then
       table_trial t w0 w1
@@ -709,11 +723,8 @@ let check t =
   if t.sum_cuts <> !sum then failwith "Arrangement.check: stale sum of cuts";
   let d = Array.fold_left max 0 fresh in
   if t.density <> d then failwith "Arrangement.check: stale density";
-  Array.iteri
-    (fun v c ->
-      let actual = Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 fresh in
-      if c <> actual then failwith "Arrangement.check: stale cut histogram")
-    t.cut_count
+  if t.at_density <> Array.fold_left (fun c v -> c + Bool.to_int (v = d)) 0 fresh then
+    failwith "Arrangement.check: stale count of boundaries at the density"
 
 let density_of_order netlist o =
   let n = Netlist.n_elements netlist in
@@ -730,9 +741,12 @@ module Private = struct
   let is_table t = Array.length t.pre > 0
   let pending_diff t =
     settle t;
-    List.init t.n_diff (fun k -> (t.diff_pos.(k), t.diff.(k)))
+    if t.pend_kind = 0 then []
+    else
+      let w0 = Int.min t.pend_a t.pend_b and w1 = Int.max t.pend_a t.pend_b in
+      List.init (w1 - w0) (fun k -> (w0 + k, t.pend_cut.(w0 + k) - t.cuts.(w0 + k)))
+      |> List.filter (fun (_, c) -> c <> 0)
 
   let arrays t =
-    [ t.elem_at; t.pos_of; t.cuts; t.cut_count; t.net_lo; t.net_hi; t.pre; t.diff_pos; t.diff;
-      t.pend_lo; t.pend_hi ]
+    [ t.elem_at; t.pos_of; t.cuts; t.net_lo; t.net_hi; t.pre; t.pend_cut; t.pend_lo; t.pend_hi ]
 end

@@ -117,19 +117,26 @@ val set_order : t -> int array -> unit
 
     [swap_delta] / [relocate_delta] price a move {e without} applying
     it.  Only boundaries inside the move's window can change, and one
-    sweep over the window yields the sparse cut changes.  In table
-    mode the sweep reads each boundary's new cut from the table, keyed
+    sweep over the window records the new cut of each of its
+    boundaries, one entry per boundary.  In table mode the sweep reads
+    each boundary's new cut from the table, keyed
     by the boundary's element set after the move: its current mask
     with the two swapped elements exchanged, or, for a relocate of
     element [e], the next boundary's mask without [e] (forward) or the
     previous one's with [e] (backward).  In span mode the changed
     endpoints of the touched nets' spans go into a difference array
-    whose running sum the sweep reads.  The new density is the
+    whose running sum the sweep reads.  The state maintains the number
+    of boundaries at the density, and the sweep counts, without a
+    branch, the window's boundaries at it.  The new density is the
     window's max cut after the move when that reaches the current
-    density; otherwise the current density stays when the maintained
-    cut histogram shows a boundary at it that the move leaves
-    untouched; otherwise it is the max of the window and a scan of the
-    cuts outside it.  Both return
+    density; otherwise the current density stays when the state's count
+    exceeds the window's, so a boundary at it lies outside the window;
+    otherwise it is the max of the window and a scan of the cuts
+    outside it; that scan also counts the cuts outside the window at
+    its max.  The commit writes the window's new cuts, counts those at
+    the new density, and adds the boundaries outside the window at it:
+    the old count less the window's when the density holds, none when
+    it rises, and the scan's count when it drops.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
     as it stands (committing an applied move first), recording the
     move as {e pending}.
@@ -158,9 +165,11 @@ val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
 
 val check : t -> unit
 (** Recompute every cut from scratch and compare with the incremental
-    state: the net spans in span mode; in table mode the prefix masks,
-    and the table's cut of each mask (building the table if no trial
-    has).  @raise Failure on any mismatch (indicates a bug). *)
+    state: the cuts, their sum, the density and the number of
+    boundaries at it; the net spans in span mode; in table mode the
+    prefix masks, and the table's cut of each mask (building the table
+    if no trial has).  @raise Failure on any mismatch (indicates a
+    bug). *)
 
 val density_of_order : Netlist.t -> int array -> int
 (** One-shot density of a given order, from scratch: one pass over the
@@ -178,15 +187,16 @@ module Private : sig
   (** Whether the state prices moves by table lookup. *)
 
   val pending_diff : t -> (int * int) list
-  (** The sparse cut changes of the last trial recorded,
-      [(boundary, change)] in boundary order, every change nonzero.
+  (** The cut changes of the last trial recorded, [(boundary, change)]
+      in boundary order, read off its window's new cuts and kept only
+      where the change is nonzero.
       Commits an applied move first, so after a move these are the
       inverse move's: each change negated. *)
 
   val arrays : t -> int array list
   (** The state's arrays themselves, not copies, read without
-      committing an applied move: the order, positions, cuts, cut
-      histogram, net spans, prefix masks and the trial's records.  A
+      committing an applied move: the order, positions, cuts, net
+      spans, prefix masks and the trial's records.  A
       test compares their contents around a call to see that it wrote
       none. *)
 end

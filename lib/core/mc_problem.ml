@@ -28,6 +28,16 @@ module type S = sig
       The sequence may be lazy but must be finite. *)
 end
 
+(* Lexicographic pairs p < q, each from the one before. *)
+let pairs n =
+  Seq.unfold
+    (fun (p, q) ->
+      if p >= n - 1 then None
+      else
+        let next = if q + 1 < n then (p, q + 1) else (p + 1, p + 2) in
+        Some ((p, q), next))
+    (0, 1)
+
 exception Invalid_cost of string
 
 (* Serialization pair for checkpointing a problem state.  A first-class

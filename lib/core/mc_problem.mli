@@ -37,6 +37,11 @@ module type S = sig
       must not change the state. *)
 end
 
+val pairs : int -> (int * int) Seq.t
+(** [pairs n]: every [(p, q)] with [0 <= p < q < n], in lexicographic
+    order, in constant work per pair — the neighborhood of the
+    pairwise interchanges ({!S.moves} of the swap adapters). *)
+
 exception Invalid_cost of string
 (** Raised by hardened engines when a problem's cost function returns a
     non-finite value (NaN or an infinity); the message pins down the

@@ -108,7 +108,7 @@ let build_4_1 c =
     ~title:"Table 4.1 -- GOLA, Figure 1 strategy, random starts (total density reduction)"
     ~notes:[ suite_note c.gola "GOLA: all nets two-pin" ]
 
-let make_context ?(config = default_config) () =
+let make_context config =
   let gola = Suites.gola () in
   let nola = Suites.nola () in
   let tuned =

@@ -30,7 +30,7 @@ val tuning_seconds : float
 
 type context
 
-val make_context : ?config:config -> unit -> context
+val make_context : config -> context
 (** Builds the GOLA and NOLA suites and tunes every
     temperature-bearing class.  This is the expensive step; reuse the
     context across tables. *)

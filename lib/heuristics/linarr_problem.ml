@@ -3,20 +3,6 @@
    relocating back.  Either revert replays the inverse trial the apply
    left pending in the arrangement, so it prices nothing. *)
 
-(* Lexicographic pairs p < q, constant work per element.  (The previous
-   version unranked each index from scratch in O(n), making a full
-   neighborhood enumeration — every Figure-2 descent scan, every
-   rejectionless sweep — O(n^3).) *)
-let all_position_pairs state =
-  let n = Arrangement.size state in
-  Seq.unfold
-    (fun (p, q) ->
-      if p >= n - 1 then None
-      else
-        let next = if q + 1 < n then (p, q + 1) else (p + 1, p + 2) in
-        Some ((p, q), next))
-    (0, 1)
-
 module Swap = struct
   type state = Arrangement.t
   type move = int * int
@@ -29,7 +15,7 @@ module Swap = struct
   let apply state (p, q) = Arrangement.swap_positions state p q
   let revert state (p, q) = Arrangement.swap_positions state p q
   let copy = Arrangement.copy
-  let moves = all_position_pairs
+  let moves state = Mc_problem.pairs (Arrangement.size state)
 
   (* Density deltas are exact ints represented in float, so the fast
      path's accumulated [hi +. delta] stays bit-identical to the

@@ -216,15 +216,6 @@ module Problem = struct
   let copy = copy
 
   let moves state =
-    let slots = state.rows * state.cols in
-    let total = slots * (slots - 1) / 2 in
-    let pair_of idx =
-      let rec find i remaining =
-        let row = slots - 1 - i in
-        if remaining < row then (i, i + 1 + remaining) else find (i + 1) (remaining - row)
-      in
-      find 0 idx
-    in
-    Seq.init total pair_of
+    Mc_problem.pairs (state.rows * state.cols)
     |> Seq.filter (fun (s1, s2) -> state.cell_at.(s1) >= 0 || state.cell_at.(s2) >= 0)
 end

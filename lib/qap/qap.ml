@@ -164,17 +164,7 @@ module Problem = struct
   let revert state (a, b) = swap state a b
   let copy = copy
 
-  let moves state =
-    let n = size state in
-    let total = n * (n - 1) / 2 in
-    let pair_of idx =
-      let rec find a remaining =
-        let row = n - 1 - a in
-        if remaining < row then (a, a + 1 + remaining) else find (a + 1) (remaining - row)
-      in
-      find 0 idx
-    in
-    Seq.init total pair_of
+  let moves state = Mc_problem.pairs (size state)
 
   (* Costs are exact ints represented in float, so the fast path's
      accumulated [hi +. delta] is exact — bit-identical to the slow

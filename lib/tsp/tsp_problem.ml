@@ -23,15 +23,7 @@ let copy = Tour.copy
 
 let moves tour =
   let n = Tour.size tour in
-  let total = n * (n - 1) / 2 in
-  let pair_of idx =
-    let rec find i remaining =
-      let row = n - 1 - i in
-      if remaining < row then (i, i + 1 + remaining) else find (i + 1) (remaining - row)
-    in
-    find 0 idx
-  in
-  Seq.init total pair_of |> Seq.filter (fun (i, j) -> not (i = 0 && j = n - 1))
+  Mc_problem.pairs n |> Seq.filter (fun (i, j) -> not (i = 0 && j = n - 1))
 
 (* [Tour.two_opt] updates the cached length by [len +. delta], so the
    fast path's accumulated [hi +. delta] matches the committed cached

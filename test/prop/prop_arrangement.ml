@@ -2,7 +2,7 @@
    evaluation, on random GOLA/NOLA instances:
 
    - after a random walk mixing generic moves, trial+replay commits and
-     abandoned trials, the maintained cuts / cut histogram / density /
+     abandoned trials, the maintained cuts / count at the density / density /
      sum-of-cuts all equal a from-scratch recomputation;
    - [swap_delta] / [relocate_delta] agree with apply-then-measure on
      every probe, and pricing a move leaves the state untouched;

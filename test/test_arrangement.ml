@@ -241,7 +241,7 @@ let prop_reversal_preserves_density =
       in
       Arrangement.density_of_order nl reversed = d)
 
-(* A copy holds the arrangement, its cuts and its spans: 3n + 3m words
+(* A copy holds the arrangement, its cuts and its spans: 3n + 2m words
    of arrays plus headers and the record.  The trial scratch stays with
    the state that priced the trial. *)
 let test_copy_words () =
@@ -256,9 +256,9 @@ let test_copy_words () =
   ignore (Arrangement.swap_delta t 3 500);
   let c = Arrangement.copy t in
   let words = Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr nl) in
-  let bound = (3 * n) + (3 * m) + 64 in
+  let bound = (3 * n) + (2 * m) + 64 in
   if words > bound then
-    Alcotest.failf "a copy at n = %d, m = %d holds %d words, over 3n + 3m + 64 = %d" n m
+    Alcotest.failf "a copy at n = %d, m = %d holds %d words, over 3n + 2m + 64 = %d" n m
       words bound;
   Arrangement.check c;
   Alcotest.check Alcotest.(array int) "same order" (Arrangement.order t) (Arrangement.order c);
@@ -268,7 +268,7 @@ let test_copy_words () =
   Alcotest.check Alcotest.(array int) "same move" (Arrangement.order t) (Arrangement.order c)
 
 (* Every trial resolves the new density one of three ways (see
-   [finish_trial]): the window's max after the move reaches the old
+   [resolve]): the window's max after the move reaches the old
    density [d]; a boundary at [d] keeps its cut outside the window; or
    a fallback takes the max of the window and the cuts outside it.
    [branch] replays that rule on the cuts before and after a move whose
@@ -369,7 +369,7 @@ let test_density_branches () =
 
 (* The scratch a state allocates on its first trial: per net a mark, a
    touched slot and a pending span (4m words), per position the window
-   and the sparse cut changes (3n), plus array headers. *)
+   and the window's new cuts (2n), plus array headers. *)
 let test_scratch_words () =
   let rng = Rng.create ~seed:61 in
   let n = 600 and m = 1500 in
@@ -377,9 +377,9 @@ let test_scratch_words () =
   let t = Arrangement.random rng nl in
   ignore (Arrangement.swap_delta t 3 500);
   let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr (Arrangement.copy t)) in
-  let bound = (4 * m) + (3 * n) + 64 in
+  let bound = (4 * m) + (2 * n) + 64 in
   if words > bound then
-    Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + 3n + 64 = %d" n m
+    Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + 2n + 64 = %d" n m
       words bound;
   Arrangement.check t
 
@@ -403,9 +403,9 @@ let test_check_reads_table () =
   Alcotest.check Alcotest.bool "a corrupt table cell fails check" true caught;
   Arrangement.check t
 
-(* At the table bound a state's first trial allocates only the sparse
-   cut changes (2n words), and its copy holds no per-net array: the
-   subset cuts live in the netlist.  One element more and the span
+(* At the table bound a state's first trial allocates only the window's
+   new cuts (n words), and its copy holds no per-net array: the subset
+   cuts live in the netlist.  One element more and the span
    kernel's 4m words of scratch are back. *)
 let test_table_scratch_words () =
   let rng = Rng.create ~seed:63 in
@@ -421,11 +421,11 @@ let test_table_scratch_words () =
   in
   let n = Arrangement.table_max_elements in
   let scratch, copy = words n in
-  if scratch > (2 * n) + 8 then
-    Alcotest.failf "first trial at n = %d allocates %d words, over 2n + 8" n scratch;
-  (* order, positions, cuts and prefix masks, and the cut histogram *)
-  if copy > (4 * n) + m + 64 then
-    Alcotest.failf "a copy at n = %d holds %d words, over 4n + m + 64" n copy;
+  if scratch > n + 8 then
+    Alcotest.failf "first trial at n = %d allocates %d words, over n + 8" n scratch;
+  (* order, positions, cuts and prefix masks *)
+  if copy > (4 * n) + 64 then
+    Alcotest.failf "a copy at n = %d holds %d words, over 4n + 64" n copy;
   let scratch, _ = words (n + 1) in
   if scratch < 4 * m then
     Alcotest.failf "first trial at n = %d allocates %d words, under the span scratch's 4m"
@@ -443,12 +443,21 @@ let test_table_scratch_words () =
    after a third of them, drawn at random so that moves also meet an
    applied move unread, every accessor must read as that replica does,
    both kernels must hold the same pending trial, and [check] must
-   pass. *)
+   pass.
+
+   An applied move that lowers the density has every boundary at the
+   old density inside its window.  Its replay takes the count of the
+   boundaries outside the window at the new density from the trial's
+   scan of the cuts outside the window, the one count a replay does
+   not derive from the state's own.  [check] must pass after that
+   replay and after the replay of its inverse, and each kernel must
+   take that path at least once. *)
 let test_kernels_agree () =
   let open Alcotest in
   let rng = Rng.create ~seed:64 in
   let sizes = Arrangement.table_max_elements - 1 in
   let steps = (10_000 + sizes - 1) / sizes in
+  let drops = [| 0; 0 |] in
   for n = 2 to Arrangement.table_max_elements do
     let nl =
       Netlist.random_nola rng ~elements:n ~nets:(3 * n) ~min_pins:2 ~max_pins:(min n 5)
@@ -515,6 +524,10 @@ let test_kernels_agree () =
         if swap then Arrangement.swap_positions t p q
         else Arrangement.relocate t ~from_pos:p ~to_pos:q
       in
+      let undo (swap, p, q) t =
+        if swap then Arrangement.swap_positions t p q
+        else Arrangement.relocate t ~from_pos:q ~to_pos:p
+      in
       (match Rng.int rng 4 with
       | 0 ->
           let price t =
@@ -534,19 +547,31 @@ let test_kernels_agree () =
             priced;
           applied := None
       | 1 ->
-          apply !tab;
-          apply !span;
+          let before = Arrangement.cuts (Arrangement.create ~order:replica nl) in
+          List.iteri
+            (fun k t ->
+              let d = Arrangement.density t in
+              apply t;
+              if Arrangement.density t < d then begin
+                drops.(k) <- drops.(k) + 1;
+                Array.iteri
+                  (fun x c ->
+                    if c = d && (x < min p q || x >= max p q) then
+                      failf "%s: boundary %d at the old density %d is outside the window" what x d)
+                  before;
+                Arrangement.check t;
+                undo (swap, p, q) t;
+                Arrangement.check t;
+                apply t
+              end)
+            [ !tab; !span ];
           move_replica swap p q;
           applied := Some (swap, p, q)
       | 2 -> (
           match !applied with
-          | Some (swap, p, q) ->
-              let revert t =
-                if swap then Arrangement.swap_positions t p q
-                else Arrangement.relocate t ~from_pos:q ~to_pos:p
-              in
-              revert !tab;
-              revert !span;
+          | Some ((swap, p, q) as move) ->
+              undo move !tab;
+              undo move !span;
               if swap then move_replica true p q else move_replica false q p;
               applied := None
           | None -> ())
@@ -565,12 +590,18 @@ let test_kernels_agree () =
         applied := None
       end
     done
-  done
+  done;
+  Array.iteri
+    (fun k c ->
+      if c = 0 then
+        failf "no applied move of the %s kernel lowered the density"
+          (if k = 0 then "table" else "span"))
+    drops
 
 (* A move applied and undone before the state is read costs one trial
    and writes nothing: the undo finds the move applied and clears the
    mark.  In both kernels, every array of the state (order, positions,
-   cuts, histogram, spans or prefix masks, and the trial's records) must
+   cuts, spans or prefix masks, and the trial's records) must
    hold, after the undo, what it held right after the move. *)
 let test_undo_writes_nothing () =
   let rng = Rng.create ~seed:65 in

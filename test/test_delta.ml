@@ -84,8 +84,8 @@ let test_equiv_qap () =
     ()
 
 (* Linarr — the paper's own benchmark.  Density is a max over cuts, so
-   its trial evaluation exercises the histogram walk-down ("density
-   might drop") and the pending-commit replay, neither of which the
+   its trial evaluation exercises the density-drop fallback (a scan
+   outside the move's window) and the pending-commit replay, neither of which the
    sum-shaped objectives above have. *)
 
 let nola_nl seed =
@@ -359,7 +359,7 @@ let test_drifting_delta_resume_resyncs_on_cadence () =
 let test_linarr_delta_checkpoint_resume_bit_identical () =
   (* Linarr variant, with the states routed through the checkpoint
      codec: a checkpoint holds only the order array, so the decode must
-     rebuild the incremental cut state (spans, histogram, density) well
+     rebuild the incremental cut state (spans, cuts, density) well
      enough that the resumed fast-path walk is bit-identical to the
      uninterrupted one. *)
   let module F1 = Figure1.Make (Linarr_problem.Swap) in

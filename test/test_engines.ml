@@ -785,6 +785,32 @@ let test_paper_walk_words () =
   if per_eval > 11.9 then
     Alcotest.failf "the paper walk allocates %.2f minor words per evaluation, over 11.9" per_eval
 
+(* Allocation guard for the span kernel on the delta path: six-temperature
+   Figure 1 with [Linarr_problem.Swap.delta_ops] on a NOLA instance of
+   600 elements and 1500 nets of 3-6 pins, the `linarr-n600` ledger
+   shape, for 3000 evaluations.  The walk allocates 14.7 minor words per
+   evaluation (13.9 over 30000, where the best copies weigh less).  It
+   allocated 38.9 when each endpoint rescan of a touched net returned
+   the net's span as a pair, 7.8 rescans per trial at this size.  The
+   bound is 16. *)
+let test_span_delta_walk_words () =
+  let rng = Rng.create ~seed:38 in
+  let nl = Netlist.random_nola rng ~elements:600 ~nets:1500 ~min_pins:3 ~max_pins:6 in
+  let arr = Arrangement.random rng nl in
+  let gfun = Gfun.six_temp_annealing in
+  let p =
+    AF1.params ~gfun ~schedule:(Gfun.schedule gfun 1.0) ~budget:(Budget.Evaluations 3000) ()
+  in
+  let before = Gc.minor_words () in
+  let r = AF1.run ~delta_ops:Linarr_problem.Swap.delta_ops (Rng.create ~seed:39) p arr in
+  let per_eval =
+    (Gc.minor_words () -. before) /. float_of_int r.Mc_problem.stats.Mc_problem.evaluations
+  in
+  Arrangement.check arr;
+  if per_eval > 16. then
+    Alcotest.failf "the span-kernel delta walk allocates %.2f minor words per evaluation, over 16"
+      per_eval
+
 (* Figure 2's core claim (the invariant behind the strategy): an
    uphill move is only ever taken from a local optimum, i.e. whenever
    [Descent_done] fires with budget left the full [moves] neighborhood
@@ -923,4 +949,6 @@ let suite =
       test_f1_copies_only_left_bests;
     case "figure1: the paper walk allocates at most 11.9 minor words per evaluation"
       test_paper_walk_words;
+    case "figure1: the span-kernel delta walk allocates at most 16 minor words per evaluation"
+      test_span_delta_walk_words;
   ]

@@ -149,9 +149,7 @@ let test_seconds_budget () =
    in bench_output.txt. *)
 let tiny_ctx =
   lazy
-    (Linarr_tables.make_context
-       ~config:{ Linarr_tables.scale = 0.02; wide_tuning = false; seed = 9 }
-       ())
+    (Linarr_tables.make_context { Linarr_tables.scale = 0.02; wide_tuning = false; seed = 9 })
 
 let row_labels t = List.map fst t.Report.rows
 

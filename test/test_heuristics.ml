@@ -158,9 +158,10 @@ let test_swap_moves_enumeration () =
     moves
 
 let test_swap_moves_match_unranking () =
-  (* Regression for the Seq.unfold rewrite of [all_position_pairs]: the
-     sequence must equal the old O(n)-per-element unranked enumeration
-     element-for-element, for a sweep of sizes including 0 and 1. *)
+  (* Regression for [Mc_problem.pairs], the enumerator of every swap
+     adapter (linarr, QAP, placement, TSP 2-opt): the sequence must
+     equal the old O(n)-per-element unranked enumeration element for
+     element, for a sweep of sizes including 0 and 1. *)
   let unranked n =
     let pair_of idx =
       let rec find p remaining =
