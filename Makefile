@@ -84,7 +84,10 @@ ledger:
 # drifts over minutes lands on both sides of every pair instead of on
 # one whole file; the base side runs first at odd seeds and second at
 # even ones, so neither side always follows the other.  `ledger
-# compare` reads the two files at the end.
+# compare` reads the two files at the end; then each side's median
+# wall-clock evals/s and canary time follow, since the compared
+# evals_per_s is scaled by the canary and a change that moves the
+# canary moves it too.
 BASE ?= HEAD
 LEDGER_BASE_DIR = _build/ledger-base
 LEDGER_AB_BASE = ledger-ab-base-$(W).jsonl
@@ -109,6 +112,13 @@ ledger-ab:
 	done
 	@rm -f $(LEDGER_AB_WORK).run
 	dune exec bench/ledger/ledger.exe -- compare $(LEDGER_AB_BASE) -- $(LEDGER_AB_WORK)
+	@for f in $(LEDGER_AB_BASE) $(LEDGER_AB_WORK); do \
+	  for k in wall.evals_per_s canary_ms; do \
+	    grep -o "\"$$k\":[^,}]*" $$f | cut -d: -f2 | sort -g | awk -v f=$$f -v k=$$k \
+	      '{ v[NR] = $$1 } END { printf "%s: median %s %.6g\n", f, k, \
+	        NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; \
+	  done; \
+	done
 
 # Chaos demo: a supervised campaign where every run's first attempt is
 # sabotaged (a cost fault injected mid-walk), so each run exercises the

@@ -8,46 +8,55 @@
      the cut of the set pre.(p + 1) in table mode;
    - density = max of cuts (0 if there are no boundaries);
    - at_density = #{ p | cuts.(p) = density };
-   - sum_cuts = sum of cuts.
+   - sum_cuts = sum of cuts;
+   - span mode: window is the pending trial's record, +1 at each
+     touched net's new lo and old hi, -1 at its old lo and new hi,
+     wherever that endpoint moves, and zero elsewhere.
    They describe the arrangement as it stands unless [applied] is set:
    then the arrangement is the one the pending trial's move leads to,
-   and the fields above still hold the one before it (see [settle]). *)
+   and the fields above still hold the one before it (see [settle]).
+   A snapshot ([copy]) holds only elem_at and the three scalars, with
+   [applied] set and [pend_kind = stale]: its first use rebuilds the
+   rest from the order. *)
 
 type t = {
   netlist : Netlist.t;
   nv : Netlist.view; (* the netlist's flat arrays, walked by the moves *)
+  table_mode : bool; (* the kernel: prefix masks, else net spans *)
   elem_at : int array;
-  pos_of : int array;
-  cuts : int array; (* length max 0 (n-1) *)
+  (* The arrays the order fixes: empty in a snapshot until its first use
+     allocates them ([alloc_derived]). *)
+  mutable pos_of : int array;
+  mutable cuts : int array; (* length max 0 (n-1) *)
   mutable density : int;
   mutable at_density : int;
   mutable sum_cuts : int;
-  net_lo : int array; (* span mode, else empty *)
-  net_hi : int array;
-  pre : int array; (* table mode, length n + 1; else empty *)
+  mutable net_lo : int array; (* span mode, else empty *)
+  mutable net_hi : int array;
+  mutable pre : int array; (* table mode, length n + 1; else empty *)
   mutable table : Bytes.t; (* the netlist's [cut_table], fetched by the first trial *)
   (* Trial scratch (see the move kernel below), allocated by a state's
-     first trial ([alloc_scratch]) and never copied, so a snapshot holds
-     only the arrays above; table mode allocates only [pend_cut].
-     [net_mark] / [touched] de-duplicate the nets a move touches.  A
-     trial records, without committing, the new cut of every boundary
-     in its window ([pend_cut], dense, indexed by boundary), the
-     window's boundaries at the density ([pend_at]) and the new span of
-     every touched net ([pend_lo] / [pend_hi], indexed like
-     [touched]).  A move marks its trial [applied]; the next use of
-     the state replays the recording, which leaves the inverse move's
-     trial in its place, unless that use is the inverse move, which
-     only clears the mark.  [set_order] invalidates the recording via
-     [pend_kind]. *)
+     first trial ([alloc_scratch]) and never copied; table mode
+     allocates only [pend_cut].  [net_mark] / [touched] de-duplicate the
+     nets a move touches.  A trial records, without committing, the
+     window's boundaries at the density ([pend_at]) and either the new
+     cut of every boundary in its window ([pend_cut], table mode, dense,
+     indexed by boundary) or the moved endpoints of the touched nets
+     ([window], span mode, a difference array) with their new spans
+     ([pend_lo] / [pend_hi], indexed like [touched]).  A move marks its
+     trial [applied]; the next use of the state replays the recording,
+     which leaves the inverse move's trial in its place, unless that use
+     is the inverse move, which only clears the mark.  [set_order]
+     invalidates the recording via [pend_kind]. *)
   mutable net_mark : int array; (* length n_nets *)
   mutable mark : int;
   mutable touched : int array; (* capacity n_nets *)
   mutable n_touched : int;
-  mutable window : int array; (* length n; difference array, zero outside a trial *)
-  mutable pend_cut : int array; (* length max 0 (n-1) *)
+  mutable window : int array; (* length n; the pending record, see the invariants *)
+  mutable pend_cut : int array; (* table mode, length max 0 (n-1) *)
   mutable pend_lo : int array; (* capacity n_nets; new span of touched.(i) *)
   mutable pend_hi : int array;
-  mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate *)
+  mutable pend_kind : int; (* 0 = none, 1 = swap, 2 = relocate, [stale] = snapshot *)
   mutable pend_a : int; (* swap: min position; relocate: from_pos *)
   mutable pend_b : int; (* swap: max position; relocate: to_pos *)
   mutable pend_density : int;
@@ -115,11 +124,19 @@ let cuts_from_scratch netlist pos_of cuts span =
     cuts.(p) <- cuts.(p) + cuts.(p - 1)
   done
 
+(* [pend_kind] of a snapshot, whose first use rebuilds it ([settle]). *)
+let stale = 3
+
+(* Everything from [elem_at]: [pos_of], the cuts, the spans or masks and
+   the scalars.  Drops the pending trial and its record. *)
 let recompute_all t =
   t.pend_kind <- 0;
   t.applied <- false;
+  Array.fill t.window 0 (Array.length t.window) 0;
+  t.n_touched <- 0;
+  Array.iteri (fun p e -> t.pos_of.(e) <- p) t.elem_at;
   Array.fill t.cuts 0 (Array.length t.cuts) 0;
-  if Array.length t.pre > 0 then begin
+  if t.table_mode then begin
     fill_prefixes t 0 (size t);
     cuts_from_scratch t.netlist t.pos_of t.cuts (fun _ _ _ -> ())
   end
@@ -132,6 +149,17 @@ let recompute_all t =
   t.at_density <- Array.fold_left (fun c v -> c + Bool.to_int (v = d)) 0 t.cuts;
   t.sum_cuts <- Array.fold_left ( + ) 0 t.cuts
 
+let alloc_derived t =
+  let n = size t in
+  t.pos_of <- Array.make n 0;
+  t.cuts <- Array.make (max 0 (n - 1)) 0;
+  if t.table_mode then t.pre <- Array.make (n + 1) 0
+  else begin
+    let m = Netlist.n_nets t.netlist in
+    t.net_lo <- Array.make m 0;
+    t.net_hi <- Array.make m 0
+  end
+
 let create_on ~kernel ?order netlist =
   let n = Netlist.n_elements netlist in
   let elem_at =
@@ -142,24 +170,21 @@ let create_on ~kernel ?order netlist =
           invalid_arg "Arrangement.create: order is not a permutation";
         Array.copy o
   in
-  let pos_of = Array.make n 0 in
-  Array.iteri (fun p e -> pos_of.(e) <- p) elem_at;
   let m = Netlist.n_nets netlist in
-  let table = kernel = `Table && n <= table_max_elements && m <= 0xffff in
-  let per_net = if table then 0 else m in
   let t =
     {
       netlist;
       nv = Netlist.view netlist;
+      table_mode = kernel = `Table && n <= table_max_elements && m <= 0xffff;
       elem_at;
-      pos_of;
-      cuts = Array.make (max 0 (n - 1)) 0;
+      pos_of = [||];
+      cuts = [||];
       density = 0;
       at_density = 0;
       sum_cuts = 0;
-      net_lo = Array.make per_net 0;
-      net_hi = Array.make per_net 0;
-      pre = (if table then Array.make (n + 1) 0 else [||]);
+      net_lo = [||];
+      net_hi = [||];
+      pre = [||];
       table = Bytes.empty;
       net_mark = [||];
       mark = 0;
@@ -179,6 +204,7 @@ let create_on ~kernel ?order netlist =
       applied = false;
     }
   in
+  alloc_derived t;
   recompute_all t;
   t
 
@@ -189,8 +215,10 @@ let random rng netlist =
 
 let alloc_scratch t =
   let n = size t and m = Netlist.n_nets t.netlist in
-  t.pend_cut <- Array.make (max 0 (n - 1)) 0;
-  if Array.length t.pre > 0 then t.table <- Netlist.cut_table t.netlist
+  if t.table_mode then begin
+    t.pend_cut <- Array.make (max 0 (n - 1)) 0;
+    t.table <- Netlist.cut_table t.netlist
+  end
   else begin
     t.net_mark <- Array.make m 0;
     t.mark <- 0;
@@ -210,25 +238,27 @@ let[@inline] push t j =
    (the two swapped positions, or the shift range), so every boundary
    outside [w0, w1) keeps its cut: each side of it holds the same
    elements.  A trial
-   1. computes each touched net's new span;
-   2. adds its endpoints (+1 at the new lo, -1 at the new hi, -1 at the
-      old lo, +1 at the old hi) to the zeroed difference array [window]
-      ([record_span]); an endpoint that stays cancels out, and every
-      one that moves lies inside [w0, w1];
-   3. sweeps [w0, w1] once, writing each boundary's new cut, the
-      running sum added to the old one, to [pend_cut] and zeroing
-      [window] behind it, while locals track the sum of the changes,
-      the window's max cut after the move and how many of its
-      boundaries sit at the density;
+   1. clears the last trial's record from [window], at its touched
+      nets' old and new ends ([clear_record]), and computes each
+      touched net's new span;
+   2. adds each endpoint that moves to the difference array [window]
+      (+1 at the new lo and the old hi, -1 at the old lo and the new
+      hi) and the change of the net's length to [pend_sum], the sum of
+      the cut changes ([record_span]); every endpoint that moves lies
+      inside [w0, w1];
+   3. sweeps [w0, w1) once without a store: the running sum of
+      [window] added to each old cut gives the window's max cut after
+      the move, and locals count its boundaries at the density;
    4. resolves the new density from those two values and the count of
       boundaries at the density, or, when every one of them lies in the
       window and drops, from a scan of the cuts outside the window
       ([resolve]).
    A swap thus costs O(incident pins + |p - q|), and O(n) in that rare
    fallback.  In table mode steps 1-3 are one sweep that reads each
-   window boundary's new cut from the table of subset cuts
-   ([table_trial]); step 4 is shared.  A commit replays the recording
-   ([replay]), which leaves the inverse move's trial pending.
+   window boundary's new cut from the table of subset cuts and records
+   it in [pend_cut] ([table_trial]); step 4 is shared.  A commit
+   replays the recording ([replay]), the one writer of [cuts], which
+   leaves the inverse move's trial pending.
    [swap_positions] and [relocate] price their move unless the pending
    trial is theirs, and mark it [applied] without replaying it; the
    state's next use replays it ([settle]), unless that use is the
@@ -248,16 +278,35 @@ let[@inline] bmax a b =
   let d = b - a in
   a + (d land lnot (d asr (Sys.int_size - 1)))
 
+(* The last trial's record lies at its touched nets' old and new ends,
+   whether or not it was replayed since: a replay swaps the two. *)
+let clear_record t =
+  let window = t.window in
+  for i = 0 to t.n_touched - 1 do
+    let j = t.touched.(i) in
+    window.(t.net_lo.(j)) <- 0;
+    window.(t.net_hi.(j)) <- 0;
+    window.(t.pend_lo.(i)) <- 0;
+    window.(t.pend_hi.(i)) <- 0
+  done;
+  t.n_touched <- 0;
+  t.pend_sum <- 0
+
 let[@inline] record_span t i lo' hi' =
   let j = t.touched.(i) in
   let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
   t.pend_lo.(i) <- lo';
   t.pend_hi.(i) <- hi';
+  t.pend_sum <- t.pend_sum + (hi' - lo') - (hi - lo);
   let window = t.window in
-  window.(lo') <- window.(lo') + 1;
-  window.(lo) <- window.(lo) - 1;
-  window.(hi') <- window.(hi') - 1;
-  window.(hi) <- window.(hi) + 1
+  if lo' <> lo then begin
+    window.(lo') <- window.(lo') + 1;
+    window.(lo) <- window.(lo) - 1
+  end;
+  if hi' <> hi then begin
+    window.(hi') <- window.(hi') - 1;
+    window.(hi) <- window.(hi) + 1
+  end
 
 (* Touched net [i] is net [j]: its new span from its pins' [pos_of],
    kept in locals rather than returned as a pair. *)
@@ -305,24 +354,18 @@ let[@inline] resolve t w0 w1 top win =
      end)
 
 (* Step 3.  The sweep keeps its running values in locals: the cut
-   change [run], its sum, [top] and [win]. *)
+   change [run], [top] and [win].  A new max is rare past the first
+   boundaries, so [top] takes a branch the predictor learns. *)
 let finish_trial t w0 w1 =
-  let window = t.window and cuts = t.cuts in
-  let pend_cut = t.pend_cut and d = t.density in
-  let run = ref 0 and sum = ref 0 and win = ref 0 and top = ref 0 in
+  let window = t.window and cuts = t.cuts and d = t.density in
+  let run = ref 0 and win = ref 0 and top = ref 0 in
   for x = w0 to w1 - 1 do
-    let r = !run + window.(x) in
-    run := r;
-    window.(x) <- 0;
-    sum := !sum + r;
+    run := !run + window.(x);
     let v = cuts.(x) in
-    let v' = v + r in
-    pend_cut.(x) <- v';
     win := !win + Bool.to_int (v = d);
-    top := bmax !top v'
+    let v' = v + !run in
+    if v' > !top then top := v'
   done;
-  window.(w1) <- 0;
-  t.pend_sum <- !sum;
   resolve t w0 w1 !top !win
 
 (* Table mode, steps 1-3 in one sweep.  After the move, the elements
@@ -376,9 +419,9 @@ let span_swap t p q =
   (* A net holding both elements keeps its span.  Stamp a's nets with
      [s], restamp the shared ones [s + 1] while listing b's own (pin
      q -> p), then list a's own (pin p -> q). *)
+  clear_record t;
   let s = t.mark + 1 in
   t.mark <- s + 1;
-  t.n_touched <- 0;
   let a0 = nv.inc_start.(a) and a1 = nv.inc_start.(a + 1) - 1 in
   for k = a0 to a1 do
     t.net_mark.(nv.incident.(k)) <- s
@@ -414,9 +457,9 @@ let shifted ~from_pos ~to_pos x =
 
 let span_relocate t ~from_pos ~to_pos ~w0 ~w1 =
   let nv = t.nv in
+  clear_record t;
   let s = t.mark + 1 in
   t.mark <- s;
-  t.n_touched <- 0;
   (* The moved element's nets come first and are rescanned.  Any other
      touched net keeps the order of its pins, so its endpoints shift. *)
   let e = t.elem_at.(from_pos) in
@@ -474,23 +517,26 @@ let refresh_prefixes t w0 w1 ~off ~flip =
 
 (* Commit the pending trial: move the elements, set the touched nets'
    spans (table mode: refresh the window's prefix masks) and write the
-   window's new cuts, counting those at the new density [d'].  The
+   window's new cuts, counting those at the new density [d'].  In span
+   mode each new cut is the old one plus the running sum of the record
+   in [window]; table mode reads it from [pend_cut].  The
    boundaries outside the window keep their cuts, so the count at [d']
    adds to that window count the outside ones:
    - when the density holds, [out], the old count less the window's
      old boundaries at it ([pend_at]);
    - when it rises, none: every cut outside is at most the old density;
    - when it drops, [pend_out].
-   Each value written trades places with the one it replaces, so the
-   record left pending is the inverse move's trial: the old spans, the
-   old cuts and the window's count at [d'], the old density and sum,
-   [out] as the inverse's [pend_out] (used if this move raised the
-   density, so that the inverse drops it), and for a relocate the two
-   ends exchanged. *)
+   Each value written trades places with the one it replaces, and the
+   record in [window] is negated, so the record left pending is the
+   inverse move's trial: the old spans, the old cuts (table mode) or
+   the negated record (span mode), the window's count at [d'], the old
+   density and sum, [out] as the inverse's [pend_out] (used if this
+   move raised the density, so that the inverse drops it), and for a
+   relocate the two ends exchanged. *)
 let replay t =
   let a = t.pend_a and b = t.pend_b in
   let w0 = Int.min a b and w1 = Int.max a b in
-  let table_mode = Array.length t.pre > 0 in
+  let table_mode = t.table_mode in
   if t.pend_kind = 1 then begin
     let ea = t.elem_at.(a) and eb = t.elem_at.(b) in
     t.elem_at.(a) <- eb;
@@ -520,15 +566,30 @@ let replay t =
     t.pend_lo.(i) <- lo;
     t.pend_hi.(i) <- hi
   done;
-  let cuts = t.cuts and pend_cut = t.pend_cut in
+  let cuts = t.cuts in
   let d = t.density and d' = t.pend_density in
   let win = ref 0 in
-  for x = w0 to w1 - 1 do
-    let v' = pend_cut.(x) in
-    pend_cut.(x) <- cuts.(x);
-    cuts.(x) <- v';
-    win := !win + Bool.to_int (v' = d')
-  done;
+  if table_mode then begin
+    let pend_cut = t.pend_cut in
+    for x = w0 to w1 - 1 do
+      let v' = pend_cut.(x) in
+      pend_cut.(x) <- cuts.(x);
+      cuts.(x) <- v';
+      win := !win + Bool.to_int (v' = d')
+    done
+  end
+  else begin
+    let window = t.window and run = ref 0 in
+    for x = w0 to w1 - 1 do
+      let w = window.(x) in
+      window.(x) <- -w;
+      run := !run + w;
+      let v' = cuts.(x) + !run in
+      cuts.(x) <- v';
+      win := !win + Bool.to_int (v' = d')
+    done;
+    window.(w1) <- -window.(w1)
+  end;
   let out = t.at_density - t.pend_at in
   t.at_density <-
     !win + (-Bool.to_int (d' = d) land out) + (-Bool.to_int (d' < d) land t.pend_out);
@@ -539,16 +600,24 @@ let replay t =
   t.density <- d';
   t.pend_density <- d
 
-(* Replay the applied move, if any: every entry point but a move's own
-   pricing ([density], [sum_of_cuts]) and its inverse settles first. *)
+(* Replay the applied move, if any, or rebuild a snapshot from its
+   order: every entry point but a move's own pricing ([density],
+   [sum_of_cuts]) and its inverse settles first, and [settle_order] is
+   enough for those that read only the order. *)
 let[@inline] settle t =
   if t.applied then begin
     t.applied <- false;
-    replay t
+    if t.pend_kind = stale then begin
+      alloc_derived t;
+      recompute_all t
+    end
+    else replay t
   end
 
+let[@inline] settle_order t = if t.pend_kind <> stale then settle t
+
 let element_at t p =
-  settle t;
+  settle_order t;
   t.elem_at.(p)
 
 let position_of t e =
@@ -556,7 +625,7 @@ let position_of t e =
   t.pos_of.(e)
 
 let order t =
-  settle t;
+  settle_order t;
   Array.copy t.elem_at
 
 let cut t p =
@@ -570,16 +639,18 @@ let cuts t =
 let density t = if t.applied then t.pend_density else t.density
 let sum_of_cuts t = if t.applied then t.sum_cuts + t.pend_sum else t.sum_cuts
 
+(* The order and the scalars; the snapshot's [density] and
+   [sum_of_cuts] read them through the applied-move path. *)
 let copy t =
-  settle t;
+  settle_order t;
   {
     t with
     elem_at = Array.copy t.elem_at;
-    pos_of = Array.copy t.pos_of;
-    cuts = Array.copy t.cuts;
-    net_lo = Array.copy t.net_lo;
-    net_hi = Array.copy t.net_hi;
-    pre = Array.copy t.pre;
+    pos_of = [||];
+    cuts = [||];
+    net_lo = [||];
+    net_hi = [||];
+    pre = [||];
     net_mark = [||];
     touched = [||];
     window = [||];
@@ -587,7 +658,10 @@ let copy t =
     pend_cut = [||];
     pend_lo = [||];
     pend_hi = [||];
-    pend_kind = 0;
+    pend_kind = stale;
+    pend_density = t.density;
+    pend_sum = 0;
+    applied = true;
   }
 
 let check_positions name t p q =
@@ -598,8 +672,8 @@ let check_positions name t p q =
 (* Make a move's trial the pending one, settling first and pricing the
    move unless it is pending already.  A swap is recorded with its
    smaller position first.  A trial needs two distinct positions, so
-   [n >= 2] and an empty [pend_cut] means the scratch is not allocated
-   yet. *)
+   [n >= 2], and a state whose [pend_cut] (table mode) and [window]
+   (span mode) are both empty has not allocated its scratch yet. *)
 let pending t kind a b = t.pend_kind = kind && t.pend_a = a && t.pend_b = b
 
 let set_pending t kind a b =
@@ -611,8 +685,8 @@ let trial_swap t p q =
   settle t;
   let p = Int.min p q and q = Int.max p q in
   if not (pending t 1 p q) then begin
-    if Array.length t.pend_cut = 0 then alloc_scratch t;
-    if Array.length t.pre > 0 then
+    if Array.length t.pend_cut + Array.length t.window = 0 then alloc_scratch t;
+    if t.table_mode then
       table_trial t p q ~off:1 ~flip:((1 lsl t.elem_at.(p)) lor (1 lsl t.elem_at.(q)))
     else span_swap t p q;
     set_pending t 1 p q
@@ -621,9 +695,9 @@ let trial_swap t p q =
 let trial_relocate t ~from_pos ~to_pos =
   settle t;
   if not (pending t 2 from_pos to_pos) then begin
-    if Array.length t.pend_cut = 0 then alloc_scratch t;
+    if Array.length t.pend_cut + Array.length t.window = 0 then alloc_scratch t;
     let w0 = Int.min from_pos to_pos and w1 = Int.max from_pos to_pos in
-    if Array.length t.pre > 0 then
+    if t.table_mode then
       table_trial t w0 w1
         ~off:(if from_pos < to_pos then 2 else 0)
         ~flip:(1 lsl t.elem_at.(from_pos))
@@ -659,6 +733,14 @@ let relocate t ~from_pos ~to_pos =
       t.applied <- true
     end
 
+let swap_density_delta t p q =
+  check_positions "swap_density_delta" t p q;
+  if p = q then 0
+  else begin
+    trial_swap t p q;
+    t.pend_density - t.density
+  end
+
 let swap_delta t p q =
   check_positions "swap_delta" t p q;
   if p = q then (0, 0)
@@ -679,22 +761,20 @@ let relocate_delta t ~from_pos ~to_pos =
 let set_order t o =
   if not (is_permutation (size t) o) then
     invalid_arg "Arrangement.set_order: not a permutation";
+  if t.pend_kind = stale then alloc_derived t;
   Array.blit o 0 t.elem_at 0 (size t);
-  Array.iteri (fun p e -> t.pos_of.(e) <- p) t.elem_at;
   recompute_all t
 
 let check t =
   settle t;
   let n = size t in
-  if Array.exists (fun w -> w <> 0) t.window then
-    failwith "Arrangement.check: trial window not cleared";
   for e = 0 to n - 1 do
     if t.elem_at.(t.pos_of.(e)) <> e then
       failwith "Arrangement.check: pos_of/elem_at are not inverse"
   done;
   let fresh = Array.make (max 0 (n - 1)) 0 in
   let sum = ref 0 in
-  let table_mode = Array.length t.pre > 0 in
+  let table_mode = t.table_mode in
   for j = 0 to Netlist.n_nets t.netlist - 1 do
     let lo, hi = net_span t j in
     if (not table_mode) && (t.net_lo.(j) <> lo || t.net_hi.(j) <> hi) then
@@ -704,6 +784,23 @@ let check t =
       incr sum
     done
   done;
+  if Array.length t.window > 0 then begin
+    let record = Array.make n 0 and change = ref 0 in
+    for i = 0 to t.n_touched - 1 do
+      let j = t.touched.(i) in
+      let lo = t.net_lo.(j) and hi = t.net_hi.(j) in
+      let lo' = t.pend_lo.(i) and hi' = t.pend_hi.(i) in
+      record.(lo') <- record.(lo') + 1;
+      record.(lo) <- record.(lo) - 1;
+      record.(hi') <- record.(hi') - 1;
+      record.(hi) <- record.(hi) + 1;
+      change := !change + (hi' - lo') - (hi - lo)
+    done;
+    if t.window <> record then
+      failwith "Arrangement.check: trial window differs from the pending record";
+    if t.pend_kind <> 0 && t.pend_sum <> !change then
+      failwith "Arrangement.check: pending sum differs from the pending record"
+  end;
   if table_mode then begin
     let table = Netlist.cut_table t.netlist in
     let set = ref 0 in
@@ -738,15 +835,28 @@ let density_of_order netlist o =
 
 module Private = struct
   let create_span ?order netlist = create_on ~kernel:`Span ?order netlist
-  let is_table t = Array.length t.pre > 0
+  let is_table t = t.table_mode
   let pending_diff t =
     settle t;
     if t.pend_kind = 0 then []
     else
       let w0 = Int.min t.pend_a t.pend_b and w1 = Int.max t.pend_a t.pend_b in
-      List.init (w1 - w0) (fun k -> (w0 + k, t.pend_cut.(w0 + k) - t.cuts.(w0 + k)))
-      |> List.filter (fun (_, c) -> c <> 0)
+      let run = ref 0 and diff = ref [] in
+      for x = w0 to w1 - 1 do
+        let c =
+          if t.table_mode then t.pend_cut.(x) - t.cuts.(x)
+          else begin
+            run := !run + t.window.(x);
+            !run
+          end
+        in
+        if c <> 0 then diff := (x, c) :: !diff
+      done;
+      List.rev !diff
 
   let arrays t =
-    [ t.elem_at; t.pos_of; t.cuts; t.net_lo; t.net_hi; t.pre; t.pend_cut; t.pend_lo; t.pend_hi ]
+    [
+      t.elem_at; t.pos_of; t.cuts; t.net_lo; t.net_hi; t.pre; t.window; t.pend_cut; t.pend_lo;
+      t.pend_hi;
+    ]
 end

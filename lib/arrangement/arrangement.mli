@@ -21,7 +21,7 @@
     - {b span} (larger netlists): the state keeps each net's leftmost
       and rightmost position.  A move prices the new spans of the nets
       it touches, marks their changed endpoints in a difference array
-      and sweeps the window once.  A pairwise interchange of positions
+      and reads the window once.  A pairwise interchange of positions
       [p] and [q] thus costs O(pins of the incident nets + |p - q|),
       and a relocate O(nets incident to the shifted elements + pins of
       the moved element's nets).
@@ -38,7 +38,9 @@
     commit.  [density] and [sum_of_cuts] read an applied move's priced
     values; every other call ([element_at], [position_of], [order],
     [cut], [cuts], [copy], [check], [swap_elements], and the next move
-    or trial) commits it first, and [set_order] drops it.  Reads may
+    or trial) commits it first, and [set_order] drops it.  A snapshot
+    ([copy]) holds only the order and is rebuilt the same lazy way, at
+    its first call that needs more than the order.  Reads may
     therefore write the state: a state must not be read from two
     domains at once, even if neither moves it. *)
 
@@ -60,11 +62,14 @@ val random : Rng.t -> Netlist.t -> t
     random linear arrangement"). *)
 
 val copy : t -> t
-(** Deep copy of the arrangement, its cuts and its net spans or prefix
-    masks; the copy evolves independently.  The trial scratch is not
+(** Snapshot of the arrangement, which evolves independently.  It holds
+    the order and the density, its count and the sum of cuts: about
+    n words.  Its positions, cuts and net spans or prefix masks are
+    rebuilt from the order, in one pass, at its first call other than
+    [order], [element_at], [density], [sum_of_cuts] and [copy] (so a
+    copy of a copy is not rebuilt either).  The trial scratch is not
     copied: a state allocates it on its first trial (a copy or a fresh
-    [create] alike), so a snapshot that is never moved holds
-    O(n + nets) words, and no per-net array in table mode. *)
+    [create] alike). *)
 
 val netlist : t -> Netlist.t
 val size : t -> int
@@ -116,16 +121,18 @@ val set_order : t -> int array -> unit
 (** {1 Trial evaluation}
 
     [swap_delta] / [relocate_delta] price a move {e without} applying
-    it.  Only boundaries inside the move's window can change, and one
-    sweep over the window records the new cut of each of its
-    boundaries, one entry per boundary.  In table mode the sweep reads
-    each boundary's new cut from the table, keyed
+    it: a trial reads the state and writes only its own record.  Only
+    boundaries inside the move's window can change, and one sweep over
+    the window reads the new cut of each of its boundaries.  In table
+    mode the sweep reads each boundary's new cut from the table, keyed
     by the boundary's element set after the move: its current mask
     with the two swapped elements exchanged, or, for a relocate of
     element [e], the next boundary's mask without [e] (forward) or the
-    previous one's with [e] (backward).  In span mode the changed
-    endpoints of the touched nets' spans go into a difference array
-    whose running sum the sweep reads.  The state maintains the number
+    previous one's with [e] (backward), and records it, one entry per
+    boundary.  In span mode the endpoints of the touched nets' spans
+    that move are recorded in a difference array, which the next trial
+    clears where it wrote, and the sweep adds its running sum to each
+    boundary's cut without a store.  The state maintains the number
     of boundaries at the density, and the sweep counts, without a
     branch, the window's boundaries at it.  The new density is the
     window's max cut after the move when that reaches the current
@@ -133,8 +140,9 @@ val set_order : t -> int array -> unit
     exceeds the window's, so a boundary at it lies outside the window;
     otherwise it is the max of the window and a scan of the cuts
     outside it; that scan also counts the cuts outside the window at
-    its max.  The commit writes the window's new cuts, counts those at
-    the new density, and adds the boundaries outside the window at it:
+    its max.  The commit, the one writer of the cuts, writes the
+    window's new cuts, counts those at the new density, and adds the
+    boundaries outside the window at it:
     the old count less the window's when the density holds, none when
     it rises, and the scan's count when it drops.  Both return
     [(density_delta, sum_of_cuts_delta)] and leave the arrangement
@@ -159,6 +167,11 @@ val swap_delta : t -> int -> int -> int * int
     [swap_positions t p q]; equal to [swap_delta t q p].
     @raise Invalid_argument if a position is out of range. *)
 
+val swap_density_delta : t -> int -> int -> int
+(** [swap_density_delta t p q = fst (swap_delta t p q)], without
+    building the pair: the density change alone, for callers on a hot
+    path.  @raise Invalid_argument if a position is out of range. *)
+
 val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
 (** Would-be [(density, sum_of_cuts)] change of [relocate].
     @raise Invalid_argument if a position is out of range. *)
@@ -166,7 +179,9 @@ val relocate_delta : t -> from_pos:int -> to_pos:int -> int * int
 val check : t -> unit
 (** Recompute every cut from scratch and compare with the incremental
     state: the cuts, their sum, the density and the number of
-    boundaries at it; the net spans in span mode; in table mode the
+    boundaries at it; in span mode the net spans, and the difference
+    array and sum change against the pending trial's new spans; in
+    table mode the
     prefix masks, and the table's cut of each mask (building the table
     if no trial has).  @raise Failure on any mismatch (indicates a
     bug). *)
@@ -195,8 +210,10 @@ module Private : sig
 
   val arrays : t -> int array list
   (** The state's arrays themselves, not copies, read without
-      committing an applied move: the order, positions, cuts, net
-      spans, prefix masks and the trial's records.  A
-      test compares their contents around a call to see that it wrote
-      none. *)
+      committing an applied move or rebuilding a snapshot: the order,
+      positions, cuts, net spans, prefix masks and the trial's records
+      (the span kernel's difference array, the table kernel's new cuts,
+      the new spans).  A test compares their contents around a call to
+      see that it wrote none; a snapshot's are empty but the order's
+      until its first use. *)
 end

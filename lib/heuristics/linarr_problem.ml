@@ -23,7 +23,7 @@ module Swap = struct
   let delta_ops =
     Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
       ~delta:(fun state (p, q) ->
-        float_of_int (fst (Arrangement.swap_delta state p q)))
+        float_of_int (Arrangement.swap_density_delta state p q))
       ~commit:(fun state (p, q) -> Arrangement.swap_positions state p q)
       ~abandon:(fun _ _ -> ())
       ()

@@ -15,7 +15,8 @@ module Swap : sig
   include Mc_problem.S with type state = Arrangement.t and type move = int * int
 
   val delta_ops : (state, move) Mc_problem.delta_ops
-  (** Incremental density evaluation via {!Arrangement.swap_delta};
+  (** Incremental density evaluation via
+      {!Arrangement.swap_density_delta};
       commits replay the pending trial.  Exact integer deltas, so the
       fast path is bit-identical to the recompute path. *)
 end

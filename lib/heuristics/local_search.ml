@@ -16,7 +16,7 @@ let pairwise_descent state =
       for p = 0 to n - 2 do
         for q = p + 1 to n - 1 do
           incr tested;
-          if fst (Arrangement.swap_delta state p q) < 0 then begin
+          if Arrangement.swap_density_delta state p q < 0 then begin
             Arrangement.swap_positions state p q;
             incr taken;
             raise Improved

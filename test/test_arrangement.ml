@@ -241,9 +241,9 @@ let prop_reversal_preserves_density =
       in
       Arrangement.density_of_order nl reversed = d)
 
-(* A copy holds the arrangement, its cuts and its spans: 3n + 2m words
-   of arrays plus headers and the record.  The trial scratch stays with
-   the state that priced the trial. *)
+(* A copy holds the order: n words plus its header and the record.
+   Its cuts and spans are rebuilt at its first use, and the trial
+   scratch stays with the state that priced the trial. *)
 let test_copy_words () =
   let rng = Rng.create ~seed:60 in
   let n = 600 and m = 1500 in
@@ -256,10 +256,9 @@ let test_copy_words () =
   ignore (Arrangement.swap_delta t 3 500);
   let c = Arrangement.copy t in
   let words = Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr nl) in
-  let bound = (3 * n) + (2 * m) + 64 in
+  let bound = n + 64 in
   if words > bound then
-    Alcotest.failf "a copy at n = %d, m = %d holds %d words, over 3n + 2m + 64 = %d" n m
-      words bound;
+    Alcotest.failf "a copy at n = %d, m = %d holds %d words, over n + 64 = %d" n m words bound;
   Arrangement.check c;
   Alcotest.check Alcotest.(array int) "same order" (Arrangement.order t) (Arrangement.order c);
   Arrangement.swap_positions c 3 500;
@@ -367,19 +366,26 @@ let test_density_branches () =
   density_branches_hold ~pad:0;
   density_branches_hold ~pad:(Arrangement.table_max_elements - 5)
 
+(* A copy whose first use has rebuilt its cuts and spans: the state
+   less its trial scratch. *)
+let settled_copy t =
+  let c = Arrangement.copy t in
+  Arrangement.check c;
+  c
+
 (* The scratch a state allocates on its first trial: per net a mark, a
    touched slot and a pending span (4m words), per position the window
-   and the window's new cuts (2n), plus array headers. *)
+   (n), plus array headers. *)
 let test_scratch_words () =
   let rng = Rng.create ~seed:61 in
   let n = 600 and m = 1500 in
   let nl = Netlist.random_nola rng ~elements:n ~nets:m ~min_pins:3 ~max_pins:6 in
   let t = Arrangement.random rng nl in
   ignore (Arrangement.swap_delta t 3 500);
-  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr (Arrangement.copy t)) in
-  let bound = (4 * m) + (2 * n) + 64 in
+  let words = Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr (settled_copy t)) in
+  let bound = (4 * m) + n + 64 in
   if words > bound then
-    Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + 2n + 64 = %d" n m
+    Alcotest.failf "trial scratch at n = %d, m = %d is %d words, over 4m + n + 64 = %d" n m
       words bound;
   Arrangement.check t
 
@@ -404,8 +410,8 @@ let test_check_reads_table () =
   Arrangement.check t
 
 (* At the table bound a state's first trial allocates only the window's
-   new cuts (n words), and its copy holds no per-net array: the subset
-   cuts live in the netlist.  One element more and the span
+   new cuts (n words), and its settled copy holds no per-net array: the
+   subset cuts live in the netlist.  One element more and the span
    kernel's 4m words of scratch are back. *)
 let test_table_scratch_words () =
   let rng = Rng.create ~seed:63 in
@@ -415,7 +421,7 @@ let test_table_scratch_words () =
     let t = Arrangement.random rng nl in
     ignore (Arrangement.swap_delta t 1 (n - 2));
     Arrangement.check t;
-    let c = Arrangement.copy t in
+    let c = settled_copy t in
     ( Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr c),
       Obj.reachable_words (Obj.repr c) - Obj.reachable_words (Obj.repr nl) )
   in
@@ -632,6 +638,106 @@ let test_undo_writes_nothing () =
       Arrangement.check t)
     [ ("table", Arrangement.create nl); ("span", Arrangement.Private.create_span nl) ]
 
+(* A snapshot holds the order alone, and its first use rebuilds the
+   rest.  In both kernels, copies are taken of a state whose moves have
+   been read (so replayed), of one whose last move is still applied,
+   and of a copy of such a state, and each entry point makes a copy's
+   first call.  The copy must then read as its settled twin (a fresh
+   state of the same order and kernel), pass [check] and price and make
+   a further move as the twin does.  The reads that need only the order
+   ([order], [element_at], [density], [sum_of_cuts], a copy) leave a
+   copy's cuts unbuilt, and copying a copy leaves the copied one
+   unbuilt. *)
+let test_lazy_snapshot () =
+  let open Alcotest in
+  let rng = Rng.create ~seed:66 in
+  let n = 12 in
+  let nl = Netlist.random_nola rng ~elements:n ~nets:36 ~min_pins:2 ~max_pins:5 in
+  let unbuilt c = Array.length (List.nth (Arrangement.Private.arrays c) 2) = 0 in
+  (* [first what c w] makes the first call on the copy [c] and the same
+     call on its twin [w]. *)
+  let same ty f what c w = check ty what (f w) (f c) in
+  let both f _ c w =
+    f w;
+    f c
+  in
+  let entries =
+    [
+      ("element_at", true, same int (fun t -> Arrangement.element_at t 3));
+      ("order", true, same (array int) Arrangement.order);
+      ("density", true, same int Arrangement.density);
+      ("sum_of_cuts", true, same int Arrangement.sum_of_cuts);
+      ("copy", true, same (array int) (fun t -> Arrangement.order (Arrangement.copy t)));
+      ("position_of", false, same int (fun t -> Arrangement.position_of t 5));
+      ("cut", false, same int (fun t -> Arrangement.cut t 4));
+      ("cuts", false, same (array int) Arrangement.cuts);
+      ("check", false, fun _ c _ -> Arrangement.check c);
+      ("pending_diff", false, same (list (pair int int)) Arrangement.Private.pending_diff);
+      ("swap_delta", false, same (pair int int) (fun t -> Arrangement.swap_delta t 2 9));
+      ("swap_density_delta", false, same int (fun t -> Arrangement.swap_density_delta t 9 2));
+      ( "relocate_delta",
+        false,
+        same (pair int int) (fun t -> Arrangement.relocate_delta t ~from_pos:10 ~to_pos:1) );
+      ("swap_positions", false, both (fun t -> Arrangement.swap_positions t 1 7));
+      ("swap_elements", false, both (fun t -> Arrangement.swap_elements t 0 11));
+      ("relocate", false, both (fun t -> Arrangement.relocate t ~from_pos:2 ~to_pos:8));
+      ( "set_order",
+        false,
+        fun what c w ->
+          let o = Rng.permutation rng n in
+          both (fun t -> Arrangement.set_order t o) what c w );
+    ]
+  in
+  List.iter
+    (fun (kernel, make) ->
+      let t = make ~order:(Rng.permutation rng n) nl in
+      let move () =
+        let p, q = Rng.pair_distinct rng n in
+        if Rng.bool rng then Arrangement.swap_positions t p q
+        else Arrangement.relocate t ~from_pos:p ~to_pos:q
+      in
+      let sources =
+        [
+          ("moved", fun () -> move (); move (); Arrangement.check t; t);
+          ("applied", fun () -> move (); t);
+          ("a copy of an applied", fun () -> move (); Arrangement.copy t);
+        ]
+      in
+      List.iter
+        (fun (source, state) ->
+          List.iter
+            (fun (entry, order_only, first) ->
+              let what = Printf.sprintf "%s, copy of %s, first %s" kernel source entry in
+              let src = state () in
+              let src_unbuilt = unbuilt src in
+              let c = Arrangement.copy src in
+              check bool (what ^ ": copy unbuilt") true (unbuilt c);
+              check bool (what ^ ": copied copy unbuilt") src_unbuilt (unbuilt src);
+              check bool (what ^ ": same kernel") (Arrangement.Private.is_table t)
+                (Arrangement.Private.is_table c);
+              let w = make ~order:(Arrangement.order src) nl in
+              first (what ^ ": first call") c w;
+              if order_only then check bool (what ^ ": still unbuilt") true (unbuilt c);
+              check int (what ^ ": density") (Arrangement.density w) (Arrangement.density c);
+              check int (what ^ ": sum") (Arrangement.sum_of_cuts w) (Arrangement.sum_of_cuts c);
+              check (array int) (what ^ ": cuts") (Arrangement.cuts w) (Arrangement.cuts c);
+              check (array int) (what ^ ": order") (Arrangement.order w) (Arrangement.order c);
+              Arrangement.check c;
+              check (pair int int) (what ^ ": next move priced")
+                (Arrangement.swap_delta w 0 (n - 1))
+                (Arrangement.swap_delta c 0 (n - 1));
+              Arrangement.swap_positions w 0 (n - 1);
+              Arrangement.swap_positions c 0 (n - 1);
+              check (array int) (what ^ ": cuts after the next move") (Arrangement.cuts w)
+                (Arrangement.cuts c);
+              Arrangement.check c)
+            entries)
+        sources)
+    [
+      ("table", fun ~order nl -> Arrangement.create ~order nl);
+      ("span", fun ~order nl -> Arrangement.Private.create_span ~order nl);
+    ]
+
 let suite =
   [
     case "identity path cuts" test_identity_path;
@@ -663,6 +769,7 @@ let suite =
     case "table mode holds no per-net arrays" test_table_scratch_words;
     case "table and span kernels agree move by move" test_kernels_agree;
     case "undoing an applied move writes no array" test_undo_writes_nothing;
+    case "a snapshot holds the order and rebuilds at its first use" test_lazy_snapshot;
     QCheck_alcotest.to_alcotest prop_density_matches_recompute;
     QCheck_alcotest.to_alcotest prop_density_bounded_by_nets;
     QCheck_alcotest.to_alcotest prop_reversal_preserves_density;
