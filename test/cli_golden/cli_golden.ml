@@ -90,7 +90,10 @@ let cases =
       [ "tables"; "--scale"; "0.01"; "4.2a"; "4.2c"; "4.2d"; "E1"; "E2"; "E3"; "E5"; "E6"; "E7";
         "S1"; "A1"; "A3"; "A4"; "A5"; "A6"; "A7"; "A9" ],
       [] );
-    ("tables-csv", [ "tables"; "--scale"; "0.01"; "--seed"; "7"; "--csv"; "E4"; "A2"; "A8" ], []);
+    ( "tables-csv",
+      [ "tables"; "--scale"; "0.01"; "--seed"; "7"; "--csv"; "E4"; "A2"; "A8"; "tuning"; "E1";
+        "E2"; "E3"; "E5"; "E6"; "E7"; "S1"; "A3"; "A5"; "A9" ],
+      [] );
     ("tables-agreement", [ "tables"; "--scale"; "0.01"; "agreement" ], []);
     ("tables-unknown-id", [ "tables"; "--scale"; "0.01"; "4.3" ], []);
     (* a TSPLIB file with a non-finite coordinate is malformed *)
