@@ -60,21 +60,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Synthetic rule for files the front end rejects: a lint pass that
-   silently skipped unparseable files would be worse than useless. *)
-let parse_error_rule =
-  {
-    Lint_rule.name = "parse-error";
-    severity = Lint_diagnostic.Error;
-    doc = "the file does not parse";
-    explain =
-      "Not a style rule: the compiler's front end rejected the file, so no \
-       other rule could look at it. A lint pass that silently skipped \
-       unparseable files would report a clean tree that does not build. \
-       Parse errors drive the engine-error exit status (2), not the \
-       findings status (1).";
-    check = Lint_rule.Fileset (fun _ -> []);
-  }
+(* The rule name of a file the front end rejects.  Not a registered
+   rule: no other rule could look at such a file, and a lint pass that
+   silently skipped it would report a clean tree that does not build.
+   Parse errors drive the engine-error exit status (2), not the
+   findings status (1). *)
+let parse_error_rule = "parse-error"
 
 let parse_error_diag (file : Lint_rule.source_file) exn =
   let line, col, end_line, end_col, message =
@@ -90,7 +81,7 @@ let parse_error_diag (file : Lint_rule.source_file) exn =
     | _ -> (1, 0, 1, 0, Printexc.to_string exn)
   in
   {
-    Lint_diagnostic.rule = parse_error_rule.Lint_rule.name;
+    Lint_diagnostic.rule = parse_error_rule;
     severity = Lint_diagnostic.Error;
     file = file.Lint_rule.path;
     line;
@@ -150,7 +141,7 @@ let analyze_file structure_rules (file : Lint_rule.source_file) =
           (fun r ->
             match r.Lint_rule.check with
             | Lint_rule.Structure f -> f file str
-            | Lint_rule.Fileset _ | Lint_rule.Typed _ -> [])
+            | Lint_rule.Typed _ -> [])
           structure_rules
       in
       (diags, table)
@@ -182,14 +173,11 @@ let run ?rules ?cache ?typed ?cmt_dirs ~root paths =
         Lint_rule.classify ~root ~path ~source)
       scanned
   in
-  let structure_rules, fileset_rules, typed_rules =
-    List.fold_right
-      (fun r (s, f, t) ->
-        match r.Lint_rule.check with
-        | Lint_rule.Structure _ -> (r :: s, f, t)
-        | Lint_rule.Fileset _ -> (s, r :: f, t)
-        | Lint_rule.Typed _ -> (s, f, r :: t))
-      rules ([], [], [])
+  let structure_rules, typed_rules =
+    List.partition
+      (fun r ->
+        match r.Lint_rule.check with Lint_rule.Structure _ -> true | Lint_rule.Typed _ -> false)
+      rules
   in
   (* Per-file syntactic pass, consulting the cache when one was
      given.  Cached entries hold the *raw* diagnostics plus the file's
@@ -225,14 +213,6 @@ let run ?rules ?cache ?typed ?cmt_dirs ~root paths =
           diags
         end)
       files
-  in
-  let fileset =
-    List.concat_map
-      (fun r ->
-        match r.Lint_rule.check with
-        | Lint_rule.Fileset f -> f files
-        | Lint_rule.Structure _ | Lint_rule.Typed _ -> [])
-      fileset_rules
   in
   (* Typed pass: load (or fetch from cache) one call-graph summary per
      .cmt, build the whole-program view, run the typed rules, then
@@ -290,7 +270,7 @@ let run ?rules ?cache ?typed ?cmt_dirs ~root paths =
             (fun r ->
               match r.Lint_rule.check with
               | Lint_rule.Typed f -> f ~policy program
-              | Lint_rule.Structure _ | Lint_rule.Fileset _ -> [])
+              | Lint_rule.Structure _ -> [])
             typed_rules
         in
         let fix_frame (f : Lint_diagnostic.frame) =
@@ -322,7 +302,7 @@ let run ?rules ?cache ?typed ?cmt_dirs ~root paths =
     List.sort Lint_diagnostic.compare
       (List.filter
          (fun d -> not (suppressed d))
-         (per_file @ fileset @ typed_diags))
+         (per_file @ typed_diags))
   in
   let suppressions =
     Hashtbl.fold (fun _ t acc -> acc + Lint_suppress.count t) suppress_tables 0
@@ -348,7 +328,7 @@ let warning_count = count Lint_diagnostic.Warning
 let parse_error_count report =
   List.length
     (List.filter
-       (fun d -> d.Lint_diagnostic.rule = parse_error_rule.Lint_rule.name)
+       (fun d -> d.Lint_diagnostic.rule = parse_error_rule)
        report.diagnostics)
 
 let to_json ?baseline report =

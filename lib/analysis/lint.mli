@@ -1,5 +1,5 @@
 (** The lint driver: walk source trees, parse with the compiler's own
-    front end, run the registered rules (syntactic, fileset, and —
+    front end, run the registered rules (syntactic and —
     given a policy — the typed pass over [.cmt] files), honour
     per-site suppressions, and render text or JSON
     ([sa-lab/lint-report/v2]) reports.

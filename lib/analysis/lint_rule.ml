@@ -8,7 +8,6 @@ type source_file = {
 
 type check =
   | Structure of (source_file -> Parsetree.structure -> Lint_diagnostic.t list)
-  | Fileset of (source_file list -> Lint_diagnostic.t list)
   | Typed of
       (policy:Callgraph.policy ->
       Callgraph.program ->

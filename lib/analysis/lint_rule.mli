@@ -1,11 +1,9 @@
 (** The rule abstraction and registry.
 
     A rule is a [Structure] check (run over the parsetree of each
-    [.ml] file), a [Fileset] check (run once over the whole set of
-    scanned files, for layout invariants like "every library module
-    ships an interface"), or a [Typed] check (run once over the
-    whole-program call graph built from [.cmt] files — the effect and
-    race rules).  Rules are registered once at startup
+    [.ml] file) or a [Typed] check (run once over the whole-program
+    call graph built from [.cmt] files — the effect and race
+    rules).  Rules are registered once at startup
     ({!Lint_rules.register_builtin}, {!Race_rules.register_builtin})
     and looked up by name for documentation, [--explain], and
     suppression validation. *)
@@ -23,7 +21,6 @@ type source_file = {
 
 type check =
   | Structure of (source_file -> Parsetree.structure -> Lint_diagnostic.t list)
-  | Fileset of (source_file list -> Lint_diagnostic.t list)
   | Typed of
       (policy:Callgraph.policy ->
       Callgraph.program ->

@@ -7,15 +7,17 @@ let budget_for ctx s =
 
 let seed_for ctx salt = (Linarr_tables.config_of ctx).Linarr_tables.seed + Hashtbl.hash salt
 
-(* Total density reduction over the GOLA suite, on a stream seeded by
-   [salt]. *)
-let gola_total ctx salt run =
-  Suites.total_reduction (Rng.create ~seed:(seed_for ctx salt)) (Linarr_tables.gola_suite ctx) run
+(* Every GOLA instance's reduction and run, on streams split from one
+   seeded by [salt]. *)
+let gola_runs ctx salt run =
+  let suite = Linarr_tables.gola_suite ctx in
+  Suites.runs (Suites.streams (Rng.create ~seed:(seed_for ctx salt)) suite) suite run
 
-(* Mean over the GOLA instances of a per-instance quantity summed in
-   instance order. *)
-let gola_mean ctx sum =
-  sum /. float_of_int (Array.length (Linarr_tables.gola_suite ctx).Suites.netlists)
+let gola_total ctx salt run = Suites.total (gola_runs ctx salt run)
+
+(* Mean of a per-run quantity over the runs, summed in instance order. *)
+let mean_over runs f =
+  Array.fold_left (fun sum (_, r) -> sum +. f r) 0. runs /. float_of_int (Array.length runs)
 
 let fig1 ~gfun ~schedule ~budget rng state =
   Fig1.run rng (Fig1.params ~gfun ~schedule ~budget ()) state
@@ -75,21 +77,19 @@ let table_rejectionless ctx =
       (fun (name, gfun) ->
         let schedule = Linarr_tables.schedule_of ctx gfun in
         let fig1 = gola_total ctx ("a3-f1", name) (fig1 ~gfun ~schedule ~budget) in
-        let ratios = ref 0. in
         let rless =
-          gola_total ctx ("a3-rl", name) (fun rng state ->
-              let run = Rless.run rng (Rless.params ~gfun ~schedule ~budget) state in
-              let { Mc_problem.descents; evaluations; _ } = run.Mc_problem.stats in
-              ratios :=
-                !ratios
-                +. if evaluations = 0 then 0. else float_of_int descents /. float_of_int evaluations;
-              run)
+          let p = Rless.params ~gfun ~schedule ~budget in
+          gola_runs ctx ("a3-rl", name) (fun rng state -> Rless.run rng p state)
         in
-        let step_ratio = gola_mean ctx !ratios in
+        let step_ratio =
+          mean_over rless (fun r ->
+              let { Mc_problem.descents; evaluations; _ } = r.Mc_problem.stats in
+              if evaluations = 0 then 0. else float_of_int descents /. float_of_int evaluations)
+        in
         [
           (name ^ " / Figure 1", [ Report.Int fig1; Report.Missing ]);
           ( name ^ " / rejectionless",
-            [ Report.Int rless; Report.Text (Printf.sprintf "%.4f" step_ratio) ] );
+            [ Report.Int (Suites.total rless); Report.Text (Printf.sprintf "%.4f" step_ratio) ] );
         ])
       methods
   in
@@ -141,15 +141,9 @@ let table_temperature_control ctx =
   let gfun = Gfun.six_temp_annealing in
   let schedule = Linarr_tables.schedule_of ctx gfun in
   let run name params_of =
-    let evals = ref 0. in
-    let total =
-      gola_total ctx ("a5", name) (fun rng state ->
-          let r = Fig1.run rng (params_of ()) state in
-          evals := !evals +. float_of_int r.Mc_problem.stats.Mc_problem.evaluations;
-          r)
-    in
-    ( name,
-      [ Report.Int total; Report.Text (Printf.sprintf "%.0f" (gola_mean ctx !evals)) ] )
+    let runs = gola_runs ctx ("a5", name) (fun rng state -> Fig1.run rng (params_of ()) state) in
+    let evals = mean_over runs (fun r -> float_of_int r.Mc_problem.stats.Mc_problem.evaluations) in
+    (name, [ Report.Int (Suites.total runs); Report.Text (Printf.sprintf "%.0f" evals) ])
   in
   Report.make
     ~title:
@@ -236,23 +230,16 @@ let table_objective_surrogate ctx =
       ]
     rows
 
-module Tune = Tuner.Make (Linarr_problem.Swap)
-
 let table_tuning_grid ctx =
   let suite = Linarr_tables.gola_suite ctx in
   let budget = budget_for ctx 12. in
   let tuning_budget = budget_for ctx Linarr_tables.tuning_seconds in
-  let instances =
-    List.init (Array.length suite.Suites.netlists) (fun i () ->
-        Suites.initial_arrangement suite i)
-  in
   let tuned_run gfun candidates =
     let rng = Rng.create ~seed:(seed_for ctx ("a9", Gfun.name gfun, List.length candidates)) in
-    let outcome =
-      Tune.grid_search (Rng.split rng) ~gfun ~candidates ~budget:tuning_budget ~instances
+    let base =
+      Linarr_tables.grid_search (Rng.split rng) suite ~gfun ~candidates ~budget:tuning_budget
     in
-    ( outcome.Tune.base,
-      Suites.total_reduction rng suite (fig1 ~gfun ~schedule:outcome.Tune.schedule ~budget) )
+    (base, Suites.total_reduction rng suite (fig1 ~gfun ~schedule:(Gfun.schedule gfun base) ~budget))
   in
   let classes =
     [
@@ -266,8 +253,8 @@ let table_tuning_grid ctx =
   let rows =
     List.map
       (fun gfun ->
-        let coarse_base, coarse = tuned_run gfun Tune.coarse_candidates in
-        let wide_base, wide = tuned_run gfun Tune.default_candidates in
+        let coarse_base, coarse = tuned_run gfun Linarr_tables.coarse_candidates in
+        let wide_base, wide = tuned_run gfun Linarr_tables.wide_candidates in
         ( Gfun.name gfun,
           [
             Report.Int coarse;

@@ -6,8 +6,10 @@
     deferred-uphill rule (§3).  A3 sets the Figure 1 engine against the
     rejectionless engine of [GREE84] at an equal budget.  A4–A7 and A9
     vary one more design choice each.  Every cell is a
-    {!Suites.total_reduction} over the context's GOLA suite (A8, which
-    needs no tuned context, lives in {!Ext_tables}). *)
+    {!Suites.total_reduction} over the context's GOLA suite; A3 and A5
+    read their extra columns (steps per evaluation, mean evaluations
+    used) from the runs {!Suites.runs} returns.  A8, which needs no
+    tuned context, lives in {!Ext_tables}. *)
 
 val table_schedule_sensitivity : Linarr_tables.context -> Report.t
 (** Six-temperature annealing under the tuned schedule scaled by

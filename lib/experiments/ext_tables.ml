@@ -1,7 +1,25 @@
-module Tsp_fig1 = Figure1.Make (Tsp_problem)
-module Tsp_temp = Temperature.Make (Tsp_problem)
-module Part_fig1 = Figure1.Make (Partition_problem)
-module Part_temp = Temperature.Make (Partition_problem)
+(* One Figure 1 run of any problem, at the default counters. *)
+let figure1 (type s) (module P : Mc_problem.S with type state = s) ?defer_threshold ~gfun
+    ~schedule ~budget rng (start : s) =
+  let module F = Figure1.Make (P) in
+  F.run rng (F.params ?defer_threshold ~gfun ~schedule ~budget ()) start
+
+(* The [WHIT84] six-temperature schedule estimated from [start]. *)
+let whit84 (type s) (module P : Mc_problem.S with type state = s) rng (start : s) =
+  let module T = Temperature.Make (P) in
+  T.suggest_schedule rng start
+
+(* A single Metropolis temperature: [of_estimate] of the [WHIT84]
+   estimate from [start]. *)
+let metropolis_temperature (type s) (module P : Mc_problem.S with type state = s) of_estimate
+    rng (start : s) =
+  let module T = Temperature.Make (P) in
+  Schedule.of_array [| of_estimate (T.estimate rng start) |]
+
+(* A quarter of the estimated hottest temperature, at least [floor]. *)
+let quarter_y1 ~floor e = Float.max floor (e.Temperature.suggested_y1 /. 4.)
+
+let g_one_schedule _rng _start = Schedule.constant ~k:1 1.
 
 (* One row of an extension table: [f] run on a fresh copy of every
    instance, each on its own stream seeded by the row name and the
@@ -11,6 +29,31 @@ let row ~seed instances name f =
     List.mapi
       (fun i fresh -> f (Rng.create ~seed:(seed + Hashtbl.hash (name, i))) (fresh ()))
       (Array.to_list instances) )
+
+(* The three Monte Carlo rows of E3, E5, E6 and E7, each made by
+   [run_all] (a {!row} over fresh starts) and reporting [result] of its
+   Figure 1 run: six-temperature annealing on the [WHIT84] schedule,
+   Metropolis at {!quarter_y1}, and [g = 1]. *)
+let mc_rows problem ~floor ~budget ~result run_all =
+  let sa name gfun schedule_of =
+    run_all name (fun rng start ->
+        result (figure1 problem ~gfun ~schedule:(schedule_of rng start) ~budget rng start))
+  in
+  [
+    sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing (whit84 problem);
+    sa "Metropolis" Gfun.metropolis (metropolis_temperature problem (quarter_y1 ~floor));
+    sa "g = 1" Gfun.g_one g_one_schedule;
+  ]
+
+let best_cost r = int_of_float r.Mc_problem.best_cost
+
+(* A row of a method's total over the instances and its mean. *)
+let total_and_mean (name, values) =
+  let total = List.fold_left ( + ) 0 values in
+  ( name,
+    Report.Int total
+    :: Report.float_cells ~decimals:1 [ float_of_int total /. float_of_int (List.length values) ]
+  )
 
 (* ------------------------------------------------------------------ *)
 (* E1: travelling salesperson                                          *)
@@ -32,11 +75,11 @@ let table_tsp ~seed ~scale =
   let descent_cost = cities * cities * 4 in
   let restarts = max 1 (budget_evals / descent_cost) in
   let run_mc = row ~seed (Array.mapi (fun i inst () -> (inst, Tour.copy starts.(i))) insts) in
-  let sa_method name gfun schedule_of_inst =
+  let sa_method name ?defer_threshold gfun schedule_of =
     run_mc name (fun rng (_inst, start) ->
-        let schedule = schedule_of_inst rng start in
-        let p = Tsp_fig1.params ~gfun ~schedule ~budget () in
-        (Tsp_fig1.run rng p start).Mc_problem.best_cost)
+        let schedule = schedule_of rng start in
+        (figure1 (module Tsp_problem) ?defer_threshold ~gfun ~schedule ~budget rng start)
+          .Mc_problem.best_cost)
   in
   let methods =
     [
@@ -54,25 +97,18 @@ let table_tsp ~seed ~scale =
         (Printf.sprintf "2-opt, %d random restarts" restarts)
         (fun rng (inst, _start) ->
           Tour.length (Tsp_heuristics.two_opt_restarts rng inst ~restarts));
-      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing Tsp_temp.suggest_schedule;
-      sa_method "Metropolis" Gfun.metropolis (fun rng start ->
-          (* a single fixed temperature must sit near the cold end or
-             the walk never condenses -- the schedule sensitivity of
-             the paper's conclusion 1 *)
-          let e = Tsp_temp.estimate rng start in
-          Schedule.of_array
-            [| Float.max e.Temperature.suggested_yk (e.Temperature.suggested_y1 /. 32.) |]);
-      sa_method "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
-      run_mc "g = 1 (defer threshold 400)" (fun rng (_inst, start) ->
-          (* On a continuous objective, the paper's threshold of 18
-             accepts magnitude-blind climbs too often; a higher
-             threshold shows the rule's sensitivity to the cost
-             landscape. *)
-          let p =
-            Tsp_fig1.params ~defer_threshold:400 ~gfun:Gfun.g_one
-              ~schedule:(Schedule.constant ~k:1 1.) ~budget ()
-          in
-          (Tsp_fig1.run rng p start).Mc_problem.best_cost);
+      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing (whit84 (module Tsp_problem));
+      sa_method "Metropolis" Gfun.metropolis
+        (* a single fixed temperature must sit near the cold end or
+           the walk never condenses -- the schedule sensitivity of
+           the paper's conclusion 1 *)
+        (metropolis_temperature (module Tsp_problem) (fun e ->
+             Float.max e.Temperature.suggested_yk (e.Temperature.suggested_y1 /. 32.)));
+      sa_method "g = 1" Gfun.g_one g_one_schedule;
+      (* On a continuous objective, the paper's threshold of 18 accepts
+         magnitude-blind climbs too often; a higher threshold shows the
+         rule's sensitivity to the cost landscape. *)
+      sa_method "g = 1 (defer threshold 400)" ~defer_threshold:400 Gfun.g_one g_one_schedule;
     ]
   in
   let best =
@@ -119,11 +155,11 @@ let table_partition ~seed ~scale =
   let run_all =
     row ~seed (Array.mapi (fun i nl () -> (nl, Bipartition.copy starts.(i))) insts)
   in
-  let sa_method name gfun schedule_of_start =
+  let sa_method name gfun schedule_of =
     run_all name (fun rng (_nl, start) ->
-        let schedule = schedule_of_start rng start in
-        let p = Part_fig1.params ~gfun ~schedule ~budget () in
-        int_of_float (Part_fig1.run rng p start).Mc_problem.best_cost)
+        best_cost
+          (figure1 (module Partition_problem) ~gfun ~schedule:(schedule_of rng start) ~budget rng
+             start))
   in
   let methods =
     [
@@ -150,21 +186,13 @@ let table_partition ~seed ~scale =
       sa_method "Six Temp Annealing [KIRK83 schedule]" Gfun.six_temp_annealing
         (fun _rng _start -> Schedule.kirkpatrick ());
       sa_method "Six Temp Annealing [WHIT84 schedule]" Gfun.six_temp_annealing
-        Part_temp.suggest_schedule;
-      sa_method "Metropolis" Gfun.metropolis (fun rng start ->
-          let e = Part_temp.estimate rng start in
-          Schedule.of_array [| Float.max 0.5 (e.Temperature.suggested_y1 /. 4.) |]);
-      sa_method "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
+        (whit84 (module Partition_problem));
+      sa_method "Metropolis" Gfun.metropolis
+        (metropolis_temperature (module Partition_problem) (quarter_y1 ~floor:0.5));
+      sa_method "g = 1" Gfun.g_one g_one_schedule;
     ]
   in
-  let rows =
-    List.map
-      (fun (name, cuts) ->
-        let total = List.fold_left ( + ) 0 cuts in
-        let mean = float_of_int total /. float_of_int (List.length cuts) in
-        (name, [ Report.Int total ] @ Report.float_cells ~decimals:1 [ mean ]))
-      methods
-  in
+  let rows = List.map total_and_mean methods in
   Report.make
     ~title:"Table E2 -- circuit partition extension ([KIRK83] problem): equal budgets"
     ~header:[ "method"; "total cut"; "mean cut" ]
@@ -181,17 +209,24 @@ let table_partition ~seed ~scale =
 (* S1: instance scaling                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Linarr_fig1 = Figure1.Make (Linarr_problem.Swap)
-module Linarr_temp = Temperature.Make (Linarr_problem.Swap)
+let linarr = (module Linarr_problem.Swap : Mc_problem.S with type state = Arrangement.t)
 
 let table_scaling ~seed ~scale =
   let instances = 10 in
   let sizes = [ 15; 25; 40 ] in
   let suite_for n =
     let master = Rng.create ~seed:(seed + n) in
-    Array.init instances (fun _ ->
-        let nl = Netlist.random_gola (Rng.split master) ~elements:n ~nets:(10 * n) in
-        (nl, Rng.permutation master n))
+    let insts =
+      Array.init instances (fun _ ->
+          let nl = Netlist.random_gola (Rng.split master) ~elements:n ~nets:(10 * n) in
+          (nl, Rng.permutation master n))
+    in
+    let netlists = Array.map fst insts in
+    {
+      Suites.netlists;
+      initial_orders = Array.map snd insts;
+      goto_orders = lazy (Array.map Goto.order netlists);
+    }
   in
   let suites = List.map (fun n -> (n, suite_for n)) sizes in
   (* Budget per instance grows with the pairwise-interchange
@@ -199,30 +234,17 @@ let table_scaling ~seed ~scale =
   let budget_for n =
     Budget.scale scale (Budget.Evaluations (30 * (n * (n - 1) / 2)))
   in
-  let total_reduction n suite run_one =
-    let sum = ref 0 in
-    Array.iteri
-      (fun i (nl, order) ->
-        let state = Arrangement.create ~order nl in
-        let initial = Arrangement.density state in
-        let rng = Rng.create ~seed:(seed + Hashtbl.hash (n, i)) in
-        sum := !sum + (initial - run_one rng nl state))
-      suite;
-    !sum
-  in
-  let mc_method gfun schedule_of_state =
-    fun n suite ->
-      total_reduction n suite (fun rng _nl state ->
-          let schedule = schedule_of_state rng state in
-          let p = Linarr_fig1.params ~gfun ~schedule ~budget:(budget_for n) () in
-          int_of_float (Linarr_fig1.run rng p state).Mc_problem.best_cost)
+  let mc_method gfun schedule_of n suite =
+    let streams = Array.init instances (fun i -> Rng.create ~seed:(seed + Hashtbl.hash (n, i))) in
+    Suites.total
+      (Suites.runs streams suite (fun rng state ->
+           figure1 linarr ~gfun ~schedule:(schedule_of rng state) ~budget:(budget_for n) rng state))
   in
   let methods =
     [
-      ("Goto", fun n suite -> total_reduction n suite (fun _ nl _ -> Goto.density nl));
-      ("g = 1", mc_method Gfun.g_one (fun _ _ -> Schedule.constant ~k:1 1.));
-      ( "Six Temperature Annealing [WHIT84 Y's]",
-        mc_method Gfun.six_temp_annealing Linarr_temp.suggest_schedule );
+      ("Goto", fun _ suite -> Suites.goto_reduction suite);
+      ("g = 1", mc_method Gfun.g_one g_one_schedule);
+      ("Six Temperature Annealing [WHIT84 Y's]", mc_method Gfun.six_temp_annealing (whit84 linarr));
       ("Cubic Diff (Y = 0.3)", mc_method (Gfun.poly_diff ~degree:3) (fun _ _ ->
            Schedule.of_array [| 0.3 |]));
     ]
@@ -236,12 +258,7 @@ let table_scaling ~seed ~scale =
   let totals =
     List.map
       (fun (n, suite) ->
-        let t =
-          Array.fold_left
-            (fun acc (nl, order) -> acc + Arrangement.density_of_order nl order)
-            0 suite
-        in
-        Printf.sprintf "n = %d: starting total %d" n t)
+        Printf.sprintf "n = %d: starting total %d" n (Suites.total_initial_density suite))
       suites
   in
   Report.make
@@ -272,8 +289,7 @@ let table_variance ~seed ~scale =
     ]
   in
   let one_total gfun schedule rng =
-    let p = Linarr_fig1.params ~gfun ~schedule ~budget () in
-    float_of_int (Suites.total_reduction rng suite (fun rng state -> Linarr_fig1.run rng p state))
+    float_of_int (Suites.total_reduction rng suite (figure1 linarr ~gfun ~schedule ~budget))
   in
   let rows =
     List.map
@@ -333,10 +349,7 @@ let table_convergence ~seed ~scale =
     |> snd |> List.filter Fun.id |> List.length
   in
   let mc name gfun schedule =
-    ( name,
-      fun rng budget state ->
-        let p = Linarr_fig1.params ~gfun ~schedule ~budget () in
-        int_of_float (Linarr_fig1.run rng p state).Mc_problem.best_cost )
+    (name, fun rng budget state -> best_cost (figure1 linarr ~gfun ~schedule ~budget rng state))
   in
   let methods =
     [
@@ -394,9 +407,6 @@ let table_convergence ~seed ~scale =
 (* E3: gate-array placement                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Place_fig1 = Figure1.Make (Placement.Problem)
-module Place_temp = Temperature.Make (Placement.Problem)
-
 let table_placement ~seed ~scale =
   let instances = 5 and rows = 6 and cols = 8 and nets = 120 in
   let cells = rows * cols in
@@ -411,12 +421,6 @@ let table_placement ~seed ~scale =
   let budget_evals = Budget.evaluations_or budget ~default:30_000 in
   let run_all =
     row ~seed (Array.mapi (fun i nl () -> (nl, Placement.copy starts.(i))) insts)
-  in
-  let sa name gfun schedule_of_start =
-    run_all name (fun rng (_nl, start) ->
-        let schedule = schedule_of_start rng start in
-        let p = Place_fig1.params ~gfun ~schedule ~budget () in
-        int_of_float (Place_fig1.run rng p start).Mc_problem.best_cost)
   in
   let descend start clock =
     (* first-improvement swap descent, charged to the same budget *)
@@ -442,24 +446,11 @@ let table_placement ~seed ~scale =
       run_all "Goto order, row-major [KANG83]" (fun _rng (nl, _start) ->
           Placement.hpwl (Placement.goto_seeded ~rows ~cols nl));
       run_all "swap descent" (fun _rng (_nl, start) -> descend start (Budget.start budget));
-      sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        Place_temp.suggest_schedule;
-      sa "Metropolis" Gfun.metropolis (fun rng start ->
-          let e = Place_temp.estimate rng start in
-          Schedule.of_array [| Float.max 0.5 (e.Temperature.suggested_y1 /. 4.) |]);
-      sa "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
     ]
+    @ mc_rows (module Placement.Problem) ~floor:0.5 ~budget ~result:best_cost
+        (fun name f -> run_all name (fun rng (_nl, start) -> f rng start))
   in
-  let rows_out =
-    List.map
-      (fun (name, hpwls) ->
-        let total = List.fold_left ( + ) 0 hpwls in
-        ( name,
-          [ Report.Int total ]
-          @ Report.float_cells ~decimals:1
-              [ float_of_int total /. float_of_int instances ] ))
-      methods
-  in
+  let rows_out = List.map total_and_mean methods in
   Report.make
     ~title:"Table E3 -- gate-array placement ([KANG83]/[KIRK83] application): equal budgets"
     ~header:[ "method"; "total HPWL"; "mean HPWL" ]
@@ -476,9 +467,6 @@ let table_placement ~seed ~scale =
 (* E5: global wiring                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Wire_fig1 = Figure1.Make (Wiring.Problem)
-module Wire_temp = Temperature.Make (Wiring.Problem)
-
 let table_wiring ~seed ~scale =
   let instances = 5 and grid = 10 and nets = 150 in
   let master = Rng.create ~seed in
@@ -489,26 +477,15 @@ let table_wiring ~seed ~scale =
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
   let run_all = row ~seed (Array.map (fun e () -> Wiring.create ~width:grid ~height:grid e) ends) in
-  let sa name gfun schedule_of_start =
-    run_all name (fun rng start ->
-        let schedule = schedule_of_start rng start in
-        let p = Wire_fig1.params ~gfun ~schedule ~budget () in
-        let r = Wire_fig1.run rng p start in
-        (int_of_float r.Mc_problem.best_cost, Wiring.max_usage r.Mc_problem.best))
-  in
   let methods =
     [
       run_all "all horizontal-first" (fun _rng w -> (Wiring.cost w, Wiring.max_usage w));
       run_all "greedy rip-up fixpoint" (fun _rng w ->
           ignore (Wiring.greedy_fixpoint w);
           (Wiring.cost w, Wiring.max_usage w));
-      sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        Wire_temp.suggest_schedule;
-      sa "Metropolis" Gfun.metropolis (fun rng start ->
-          let e = Wire_temp.estimate rng start in
-          Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);
-      sa "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
     ]
+    @ mc_rows (module Wiring.Problem) ~floor:1. ~budget run_all ~result:(fun r ->
+          (best_cost r, Wiring.max_usage r.Mc_problem.best))
   in
   let rows =
     List.map
@@ -537,9 +514,6 @@ let table_wiring ~seed ~scale =
 (* E6: slicing floorplans                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Floor_fig1 = Figure1.Make (Floorplan.Problem)
-module Floor_temp = Temperature.Make (Floorplan.Problem)
-
 let table_floorplan ~seed ~scale =
   let instances = 5 and blocks = 20 in
   let master = Rng.create ~seed in
@@ -550,25 +524,14 @@ let table_floorplan ~seed ~scale =
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
   let run_all = row ~seed (Array.map Fun.const insts) in
-  let sa name gfun schedule_of_start =
-    run_all name (fun rng dims ->
-        let start = Floorplan.create dims in
-        let schedule = schedule_of_start rng start in
-        let p = Floor_fig1.params ~gfun ~schedule ~budget () in
-        int_of_float (Floor_fig1.run rng p start).Mc_problem.best_cost)
-  in
   let methods =
     [
       run_all "one-row initial expression" (fun _rng dims ->
           Floorplan.area (Floorplan.create dims));
       run_all "shelf packing (NFDH)" (fun _rng dims -> Floorplan.shelf_pack dims);
-      sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        Floor_temp.suggest_schedule;
-      sa "Metropolis" Gfun.metropolis (fun rng start ->
-          let e = Floor_temp.estimate rng start in
-          Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);
-      sa "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
     ]
+    @ mc_rows (module Floorplan.Problem) ~floor:1. ~budget ~result:best_cost (fun name f ->
+          run_all name (fun rng dims -> f rng (Floorplan.create dims)))
   in
   let block_totals =
     Array.to_list insts
@@ -601,9 +564,6 @@ let table_floorplan ~seed ~scale =
 (* E7: quadratic assignment                                            *)
 (* ------------------------------------------------------------------ *)
 
-module Qap_fig1 = Figure1.Make (Qap.Problem)
-module Qap_temp = Temperature.Make (Qap.Problem)
-
 let table_qap ~seed ~scale =
   let instances = 5 and n = 20 in
   let master = Rng.create ~seed in
@@ -616,12 +576,6 @@ let table_qap ~seed ~scale =
   let budget = Budget.scale scale (Suites.seconds 80.) in
   let budget_evals = Budget.evaluations_or budget ~default:20_000 in
   let run_all = row ~seed (Array.map (fun q () -> Qap.copy q) insts) in
-  let sa name gfun schedule_of_start =
-    run_all name (fun rng start ->
-        let schedule = schedule_of_start rng start in
-        let p = Qap_fig1.params ~gfun ~schedule ~budget () in
-        int_of_float (Qap_fig1.run rng p start).Mc_problem.best_cost)
-  in
   let methods =
     [
       run_all "random start (no search)" (fun _rng q -> Qap.cost q);
@@ -636,24 +590,10 @@ let table_qap ~seed ~scale =
             if Qap.cost q < !best then best := Qap.cost q
           done;
           !best);
-      sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
-        Qap_temp.suggest_schedule;
-      sa "Metropolis" Gfun.metropolis (fun rng start ->
-          let e = Qap_temp.estimate rng start in
-          Schedule.of_array [| Float.max 1. (e.Temperature.suggested_y1 /. 4.) |]);
-      sa "g = 1" Gfun.g_one (fun _rng _start -> Schedule.constant ~k:1 1.);
     ]
+    @ mc_rows (module Qap.Problem) ~floor:1. ~budget ~result:best_cost run_all
   in
-  let rows =
-    List.map
-      (fun (name, costs) ->
-        let total = List.fold_left ( + ) 0 costs in
-        ( name,
-          [ Report.Int total ]
-          @ Report.float_cells ~decimals:1
-              [ float_of_int total /. float_of_int instances ] ))
-      methods
-  in
+  let rows = List.map total_and_mean methods in
   Report.make
     ~title:"Table E7 -- quadratic assignment (the 'arbitrary problem' of section 1)"
     ~header:[ "method"; "total cost"; "mean cost" ]

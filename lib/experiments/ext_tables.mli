@@ -10,7 +10,13 @@
     floorplans and quadratic assignment; E4 checks convergence to the
     exact optimum on small instances.  Each table is a function of a
     seed and a budget [scale] alone; every run gets a stream seeded by
-    its row name and instance index. *)
+    its row name and instance index (S1's by its size and instance
+    index; A8 splits its streams with {!Suites.total_reduction}).  Every
+    Monte Carlo row is a Figure 1 walk through one runner over a
+    first-class {!Mc_problem.S}; E3, E5, E6 and E7 share their three
+    Monte Carlo rows (six-temperature annealing on the [WHIT84]
+    schedule, Metropolis, [g = 1]), and S1 runs its sizes as
+    {!Suites.linarr_suite}s through {!Suites.runs}. *)
 
 val table_tsp : seed:int -> scale:float -> Report.t
 (** Rows: constructive heuristics (nearest neighbor, cheapest

@@ -1,6 +1,5 @@
 module Fig1 = Figure1.Make (Linarr_problem.Swap)
 module Fig2 = Figure2.Make (Linarr_problem.Swap)
-module Tune = Tuner.Make (Linarr_problem.Swap)
 
 type config = { scale : float; wide_tuning : bool; seed : int }
 
@@ -21,17 +20,31 @@ let net_count = 150
 
 let budget_seconds config s = Budget.scale config.scale (Suites.seconds s)
 
+let coarse_candidates = [ 0.001; 0.003; 0.01; 0.03; 0.1; 0.3; 1.; 3.; 10.; 30.; 100. ]
+let wide_candidates = [ 1e-6; 3e-6; 1e-5; 3e-5; 1e-4; 3e-4 ] @ coarse_candidates
+
+(* The §4.2.1 protocol: score each candidate base by the suite total
+   of Figure 1 runs from the shared random starts, on a split of its
+   own taken in candidate order (so adding a candidate does not shift
+   the others' runs), and keep the first best. *)
+let grid_search rng suite ~gfun ~candidates ~budget =
+  if candidates = [] then invalid_arg "Linarr_tables.grid_search: no candidates";
+  let scored =
+    List.map
+      (fun base ->
+        let p = Fig1.params ~gfun ~schedule:(Gfun.schedule gfun base) ~budget () in
+        (base, Suites.total_reduction (Rng.split rng) suite (fun rng -> Fig1.run rng p)))
+      candidates
+  in
+  fst
+    (List.fold_left
+       (fun (best, top) (base, total) -> if total > top then (base, total) else (best, top))
+       (List.hd scored) (List.tl scored))
+
 let tune_class config suite gfun =
-  let budget = budget_seconds config tuning_seconds in
-  let instances =
-    List.init (Array.length suite.Suites.netlists) (fun i () ->
-        Suites.initial_arrangement suite i)
-  in
   let rng = Rng.create ~seed:(config.seed + Hashtbl.hash (Gfun.name gfun)) in
-  let candidates =
-    if config.wide_tuning then Tune.default_candidates else Tune.coarse_candidates
-  in
-  (Tune.grid_search rng ~gfun ~candidates ~budget ~instances).Tune.base
+  let candidates = if config.wide_tuning then wide_candidates else coarse_candidates in
+  grid_search rng suite ~gfun ~candidates ~budget:(budget_seconds config tuning_seconds)
 
 let tuned_bases c = c.tuned
 
@@ -51,17 +64,6 @@ let total_reduction c suite ~start ~gfun ~budget ~strategy ~column =
       match strategy with
       | `Figure1 -> Fig1.run ~delta_ops rng (Fig1.params ~gfun ~schedule ~budget ()) state
       | `Figure2 -> Fig2.run ~delta_ops rng (Fig2.params ~gfun ~schedule ~budget ()) state)
-
-let goto_reduction suite =
-  let n = Array.length suite.Suites.netlists in
-  let sum = ref 0 in
-  for i = 0 to n - 1 do
-    let initial =
-      Arrangement.density_of_order suite.Suites.netlists.(i) suite.Suites.initial_orders.(i)
-    in
-    sum := !sum + (initial - Goto.density suite.Suites.netlists.(i))
-  done;
-  !sum
 
 let suite_note suite label =
   Printf.sprintf "%d instances, %d elements, %d nets (%s); sum of starting densities = %d"
@@ -86,7 +88,7 @@ let timed_table c suite ~goto_start ~classes ~title ~notes =
         [ Printf.sprintf "sum of Goto densities = %d" (Suites.total_goto_density suite) ] )
     else
       ( Suites.initial_arrangement,
-        [ ("Goto", [ Report.Int (goto_reduction suite); Report.Missing; Report.Missing ]) ],
+        [ ("Goto", [ Report.Int (Suites.goto_reduction suite); Report.Missing; Report.Missing ]) ],
         [] )
   in
   let row gfun =

@@ -25,30 +25,31 @@ let initial_arrangement suite i =
 let goto_arrangement suite i =
   Arrangement.create ~order:(Lazy.force suite.goto_orders).(i) suite.netlists.(i)
 
-let total_reduction ?(start = initial_arrangement) rng suite run =
-  let sum = ref 0 in
-  for i = 0 to Array.length suite.netlists - 1 do
-    let state = start suite i in
-    let initial = Arrangement.density state in
-    let r = run (Rng.split rng) state in
-    sum := !sum + (initial - Arrangement.density r.Mc_problem.best)
-  done;
-  !sum
+let streams rng suite = Array.map (fun _ -> Rng.split rng) suite.netlists
 
-let total_initial_density suite =
-  let sum = ref 0 in
-  Array.iteri
-    (fun i nl -> sum := !sum + Arrangement.density_of_order nl suite.initial_orders.(i))
-    suite.netlists;
-  !sum
+let runs ?(start = initial_arrangement) streams suite run =
+  Array.mapi
+    (fun i rng ->
+      let state = start suite i in
+      let initial = Arrangement.density state in
+      let r = run rng state in
+      (initial - Arrangement.density r.Mc_problem.best, r))
+    streams
 
-let total_goto_density suite =
-  let orders = Lazy.force suite.goto_orders in
+let total runs = Array.fold_left (fun sum (reduction, _) -> sum + reduction) 0 runs
+
+let total_reduction ?start rng suite run = total (runs ?start (streams rng suite) suite run)
+
+let total_density suite orders =
   let sum = ref 0 in
   Array.iteri
     (fun i nl -> sum := !sum + Arrangement.density_of_order nl orders.(i))
     suite.netlists;
   !sum
+
+let total_initial_density suite = total_density suite suite.initial_orders
+let total_goto_density suite = total_density suite (Lazy.force suite.goto_orders)
+let goto_reduction suite = total_initial_density suite - total_goto_density suite
 
 let evals_per_second = 250
 

@@ -1,10 +1,19 @@
-(** Seeded benchmark suites and budget presets.
+(** Seeded benchmark suites, the one instance loop every table runs,
+    and budget presets.
 
     The paper's test sets are "30 random instances, 15 elements, 150
     nets" (§4.2.1, §4.3.1), each with one fixed random initial
     arrangement shared by every method.  Suites here are deterministic
     functions of a seed, so every table in [bench_output.txt] is
-    reproducible bit for bit. *)
+    reproducible bit for bit.
+
+    Every linear arrangement number the tables report, the §4.2.1 grid
+    search's scores included, is a total over a suite at an equal
+    budget: {!runs} runs one method on every instance, each on its own
+    stream, and {!total_reduction} sums the reductions.  The streams
+    are split up front ({!streams}), one per instance in instance
+    order; a run draws only from its own stream, so the totals do not
+    depend on the order the instances run in. *)
 
 type linarr_suite = {
   netlists : Netlist.t array;
@@ -24,20 +33,42 @@ val initial_arrangement : linarr_suite -> int -> Arrangement.t
 val goto_arrangement : linarr_suite -> int -> Arrangement.t
 (** Fresh arrangement for instance [i] at the [GOTO77] start. *)
 
+val streams : Rng.t -> linarr_suite -> Rng.t array
+(** [streams rng suite] is one [Rng.split rng] per instance, taken in
+    instance order. *)
+
+val runs :
+  ?start:(linarr_suite -> int -> Arrangement.t) ->
+  Rng.t array ->
+  linarr_suite ->
+  (Rng.t -> Arrangement.t -> Arrangement.t Mc_problem.run) ->
+  (int * Arrangement.t Mc_problem.run) array
+(** [runs streams suite run] runs [run streams.(i)] on instance [i]
+    from [start suite i] (default {!initial_arrangement}), in index
+    order, and returns each instance's reduction (its starting density
+    minus the density of the best arrangement [run] found) with the
+    run itself, so a table can read extra columns from the runs'
+    statistics.  [streams] has one stream per instance: {!streams}, or
+    a table's own seeding. *)
+
+val total : (int * _) array -> int
+(** Sum of the reductions {!runs} returned. *)
+
 val total_reduction :
   ?start:(linarr_suite -> int -> Arrangement.t) ->
   Rng.t ->
   linarr_suite ->
   (Rng.t -> Arrangement.t -> Arrangement.t Mc_problem.run) ->
   int
-(** [total_reduction rng suite run] is the measure of every linear
-    arrangement table: the sum over the suite's instances, in order, of
-    the starting density minus the density of the best arrangement
-    [run] finds.  Each instance starts at [start suite i] (default
-    {!initial_arrangement}) and runs on its own [Rng.split rng]. *)
+(** [total_reduction rng suite run] = [total (runs (streams rng suite)
+    suite run)]: the measure of every linear arrangement table. *)
 
 val total_initial_density : linarr_suite -> int
 val total_goto_density : linarr_suite -> int
+
+val goto_reduction : linarr_suite -> int
+(** The Goto row: total density reduction of the [GOTO77] arrangements
+    from the shared random starts. *)
 
 (** {1 Budget presets}
 

@@ -1,26 +1,31 @@
 (* Stale documentation references.  Every backquoted [Module.name] in
-   the given markdown files, where [Module] is a source file under the
-   given directories, must name something that still appears in that
-   module's .ml or .mli; and every backquoted path under one of
-   [path_roots] must name a file or directory, a [.exe] or
-   extensionless name standing for its [.ml].  Prints one line per
-   stale reference and exits 1 if there is any.  Fenced code blocks are
-   skipped.  Paths resolve against the working directory.
+   the given markdown files must name a module and something in it: a
+   module that is a source file under the given directories must still
+   mention the name in its .ml or .mli, and any other module must be an
+   installed interface under the [--installed] directories (the
+   compiler's standard library, [unix], [threads], [compiler-libs])
+   that mentions it.  A dotted word that names an existing file
+   ([BENCHMARK.json]) is a path, not a reference.  Every backquoted
+   path under one of [path_roots] must name a file or directory, a
+   [.exe] or extensionless name standing for its [.ml].  Prints one
+   line per stale reference and exits 1 if there is any.  Fenced code
+   blocks are skipped.  Paths resolve against the working directory.
 
-   Usage: doc_refs DIR... -- DOC... *)
+   Usage: doc_refs DIR... [--installed DIR]... -- DOC... *)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 let is_ident c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
 
-(* Module name -> the texts of its .ml and .mli files under [dir]. *)
-let rec scan modules dir =
+(* Module name -> the texts of its files under [dir] with one of
+   [suffixes]. *)
+let rec scan ~suffixes modules dir =
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then scan modules path
-      else if Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli" then begin
+      if Sys.is_directory path then scan ~suffixes modules path
+      else if List.exists (Filename.check_suffix entry) suffixes then begin
         let m = String.capitalize_ascii (Filename.remove_extension entry) in
         let texts = Option.value (Hashtbl.find_opt modules m) ~default:[] in
         Hashtbl.replace modules m (read path :: texts)
@@ -60,7 +65,8 @@ let paths span =
   in
   let rec go i acc =
     if i >= n then List.rev acc
-    else if is_ident span.[i] && (i = 0 || not (is_ident span.[i - 1] || span.[i - 1] = '.'))
+    else if
+      is_ident span.[i] && (i = 0 || not (is_ident span.[i - 1] || String.contains "./" span.[i - 1]))
     then begin
       let rec path i parts =
         let j = ident i in
@@ -111,7 +117,7 @@ let path_exists path =
      && Sys.file_exists (Filename.remove_extension path ^ ".ml"))
   || (Filename.extension path = "" && Sys.file_exists (path ^ ".ml"))
 
-let check modules doc =
+let check ~sources ~installed doc =
   let text = inline_text doc in
   let stale = ref 0 in
   let line_of i =
@@ -136,13 +142,23 @@ let check modules doc =
               (repo_paths span);
             List.iter
               (function
-                | m :: name :: _ -> (
-                    match Hashtbl.find_opt modules m with
+                | (m :: name :: _) as parts
+                  when m.[0] >= 'A' && m.[0] <= 'Z'
+                       && not (Sys.file_exists (String.concat "." parts)) -> (
+                    let texts =
+                      match Hashtbl.find_opt sources m with
+                      | Some texts -> Some texts
+                      | None -> Hashtbl.find_opt installed m
+                    in
+                    let report what =
+                      incr stale;
+                      Printf.printf "%s:%d: `%s.%s`: %s\n" doc (line_of a) m name what
+                    in
+                    match texts with
+                    | None -> report (Printf.sprintf "no module %s" m)
                     | Some texts when not (List.exists (fun t -> mentions t name) texts) ->
-                        incr stale;
-                        Printf.printf "%s:%d: `%s.%s`: %s has no %s\n" doc (line_of a) m name m
-                          name
-                    | _ -> ())
+                        report (Printf.sprintf "%s has no %s" m name)
+                    | Some _ -> ())
                 | _ -> ())
               (paths span);
             spans (b + 1))
@@ -152,13 +168,15 @@ let check modules doc =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec split dirs = function
-    | "--" :: docs -> (List.rev dirs, docs)
-    | d :: rest -> split (d :: dirs) rest
-    | [] -> (List.rev dirs, [])
+  let rec split dirs installed = function
+    | "--" :: docs -> (List.rev dirs, List.rev installed, docs)
+    | "--installed" :: d :: rest -> split dirs (d :: installed) rest
+    | d :: rest -> split (d :: dirs) installed rest
+    | [] -> (List.rev dirs, List.rev installed, [])
   in
-  let dirs, docs = split [] args in
-  let modules = Hashtbl.create 256 in
-  List.iter (scan modules) dirs;
-  let stale = List.fold_left (fun acc doc -> acc + check modules doc) 0 docs in
+  let dirs, installed_dirs, docs = split [] [] args in
+  let sources = Hashtbl.create 256 and installed = Hashtbl.create 512 in
+  List.iter (scan ~suffixes:[ ".ml"; ".mli" ] sources) dirs;
+  List.iter (scan ~suffixes:[ ".mli" ] installed) installed_dirs;
+  let stale = List.fold_left (fun acc doc -> acc + check ~sources ~installed doc) 0 docs in
   if stale > 0 then exit 1

@@ -345,7 +345,7 @@ let test_rl_schedule_mismatch () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* ------------------------ Temperature/Tuner ---------------------- *)
+(* -------------------------- Temperature ------------------------- *)
 
 module Line_temp = Temperature.Make (Line)
 
@@ -370,38 +370,6 @@ let test_suggest_schedule_shape () =
   for i = 1 to 5 do
     Alcotest.check Alcotest.bool "decreasing" true (Schedule.get sch i >= Schedule.get sch (i + 1))
   done
-
-module Line_tuner = Tuner.Make (Line)
-
-let test_tuner_picks_better_candidate () =
-  (* Metropolis on the double well from x = 3: a warm temperature can
-     cross the barrier to the other well; an icy one cannot.  Either
-     way the tuner must return one of the candidates, score them all,
-     and be deterministic. *)
-  let instances = [ (fun () -> { Line.x = 3; cost_fn = double_well }) ] in
-  let run () =
-    Line_tuner.grid_search (Rng.create ~seed:22) ~gfun:Gfun.metropolis
-      ~candidates:[ 0.01; 2. ]
-      ~budget:(Budget.Evaluations 300) ~instances
-  in
-  let o = run () in
-  Alcotest.check Alcotest.bool "winner is a candidate" true (List.mem o.Line_tuner.base [ 0.01; 2. ]);
-  Alcotest.check Alcotest.int "all candidates scored" 2 (List.length o.Line_tuner.per_candidate);
-  let o2 = run () in
-  Alcotest.check (Alcotest.float 0.) "deterministic" o.Line_tuner.total_reduction
-    o2.Line_tuner.total_reduction
-
-let test_tuner_empty_args () =
-  let invalid f = match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  invalid (fun () ->
-      Line_tuner.grid_search (Rng.create ~seed:1) ~gfun:Gfun.metropolis ~candidates:[]
-        ~budget:(Budget.Evaluations 1) ~instances:[ (fun () -> { Line.x = 0; cost_fn = vee }) ]);
-  invalid (fun () ->
-      Line_tuner.grid_search (Rng.create ~seed:1) ~gfun:Gfun.metropolis ~candidates:[ 1. ]
-        ~budget:(Budget.Evaluations 1) ~instances:[])
 
 (* -------------------------- Move contract ------------------------ *)
 
@@ -958,8 +926,6 @@ let suite =
     case "temperature: estimate fields" test_temperature_estimate;
     case "temperature: estimate does not mutate" test_temperature_estimate_leaves_state;
     case "temperature: suggested schedule shape" test_suggest_schedule_shape;
-    case "tuner: scores and determinism" test_tuner_picks_better_candidate;
-    case "tuner: empty arguments rejected" test_tuner_empty_args;
     case "contract: wrapper is transparent" test_contract_transparent;
     case "contract: TSP under Figure 1" test_contract_tsp;
     case "contract: QAP under Figure 2" test_contract_qap;

@@ -136,6 +136,111 @@ let test_totals () =
   done;
   Alcotest.check Alcotest.int "total initial density" !manual (Suites.total_initial_density s)
 
+let test_goto_reduction () =
+  let s = Suites.gola () in
+  let manual = ref 0 in
+  Array.iteri
+    (fun i nl ->
+      manual := !manual + Arrangement.density (Suites.initial_arrangement s i) - Goto.density nl)
+    s.Suites.netlists;
+  Alcotest.check Alcotest.int "sum of Goto reductions" !manual (Suites.goto_reduction s)
+
+module Swap_f1 = Figure1.Make (Linarr_problem.Swap)
+
+let metropolis_run rng state =
+  Swap_f1.run rng
+    (Swap_f1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 0.5 |])
+       ~budget:(Budget.Evaluations 200) ())
+    state
+
+let test_runs_sum_in_order () =
+  let s = Suites.gola () in
+  let runs = Suites.runs (Suites.streams (Rng.create ~seed:5) s) s metropolis_run in
+  Alcotest.check Alcotest.int "one run per instance" (Array.length s.Suites.netlists)
+    (Array.length runs);
+  Array.iteri
+    (fun i (reduction, r) ->
+      let best = r.Mc_problem.best in
+      Alcotest.check Alcotest.bool "run i is instance i" true
+        (Arrangement.netlist best == s.Suites.netlists.(i));
+      Alcotest.check Alcotest.int "reduction from instance i's start"
+        (Arrangement.density (Suites.initial_arrangement s i) - Arrangement.density best)
+        reduction)
+    runs;
+  Alcotest.check Alcotest.int "runs sum to total_reduction"
+    (Suites.total_reduction (Rng.create ~seed:5) s metropolis_run)
+    (Suites.total runs)
+
+let test_streams_match_interleaved_splits () =
+  let s = Suites.gola () in
+  let streams = Suites.streams (Rng.create ~seed:6) s in
+  let states = Array.map Rng.to_state streams in
+  let runs = Suites.runs streams s metropolis_run in
+  (* the streams a loop gets that splits each instance's stream just
+     before running it *)
+  let rng = Rng.create ~seed:6 in
+  Array.iteri
+    (fun i (reduction, _) ->
+      let own = Rng.split rng in
+      Alcotest.check Alcotest.string "same stream" (Rng.to_state own) states.(i);
+      let state = Suites.initial_arrangement s i in
+      let initial = Arrangement.density state in
+      let r = metropolis_run own state in
+      Alcotest.check Alcotest.int "same reduction"
+        (initial - Arrangement.density r.Mc_problem.best)
+        reduction)
+    runs
+
+let test_grid_search_deterministic () =
+  let s = Suites.gola () in
+  let candidates = [ 0.01; 1.; 100. ] in
+  let search () =
+    Linarr_tables.grid_search (Rng.create ~seed:7) s ~gfun:Gfun.metropolis ~candidates
+      ~budget:(Budget.Evaluations 100)
+  in
+  let base = search () in
+  Alcotest.check Alcotest.bool "winner is a candidate" true (List.mem base candidates);
+  Alcotest.check (Alcotest.float 0.) "deterministic" base (search ())
+
+let test_grid_search_ties_go_first () =
+  (* five-element instances: g = 1 reaches every optimum well within
+     the budget, so every candidate scores the same total *)
+  let rng = Rng.create ~seed:8 in
+  let netlists = Array.init 6 (fun _ -> Netlist.random_gola rng ~elements:5 ~nets:12) in
+  let s =
+    {
+      Suites.netlists;
+      initial_orders = Array.map (fun _ -> Rng.permutation rng 5) netlists;
+      goto_orders = lazy (Array.map Goto.order netlists);
+    }
+  in
+  let budget = Budget.Evaluations 400 in
+  let optimum_total =
+    Suites.total_initial_density s
+    - Array.fold_left (fun acc nl -> acc + Linarr_exact.optimal_density nl) 0 netlists
+  in
+  List.iter
+    (fun seed ->
+      Alcotest.check Alcotest.int "g = 1 saturates" optimum_total
+        (Suites.total_reduction (Rng.create ~seed) s (fun rng state ->
+             Swap_f1.run rng
+               (Swap_f1.params ~gfun:Gfun.g_one ~schedule:(Gfun.schedule Gfun.g_one 1.) ~budget ())
+               state)))
+    [ 1; 2; 3 ];
+  List.iter
+    (fun candidates ->
+      Alcotest.check (Alcotest.float 0.) "first candidate wins a tie" (List.hd candidates)
+        (Linarr_tables.grid_search (Rng.create ~seed:9) s ~gfun:Gfun.g_one ~candidates ~budget))
+    [ [ 0.1; 1.; 10. ]; [ 10.; 1.; 0.1 ] ]
+
+let test_grid_search_no_candidates () =
+  match
+    Linarr_tables.grid_search (Rng.create ~seed:1) (Suites.gola ()) ~gfun:Gfun.metropolis
+      ~candidates:[] ~budget:(Budget.Evaluations 1)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument"
+
 let test_seconds_budget () =
   match Suites.seconds 6. with
   | Budget.Evaluations n ->
@@ -374,6 +479,12 @@ let suite =
     case "suites: fresh initial arrangements" test_initial_arrangements_fresh;
     case "suites: goto arrangements" test_goto_arrangement_matches_goto;
     case "suites: density totals" test_totals;
+    case "suites: Goto reduction" test_goto_reduction;
+    case "suites: runs sum to the total, in index order" test_runs_sum_in_order;
+    case "suites: streams are the splits a run-by-run loop takes" test_streams_match_interleaved_splits;
+    case "grid search: a candidate, deterministically" test_grid_search_deterministic;
+    case "grid search: g = 1 ties go to the first candidate" test_grid_search_ties_go_first;
+    case "grid search: no candidates rejected" test_grid_search_no_candidates;
     case "suites: seconds-to-evaluations" test_seconds_budget;
     case "table 4.1: structure" test_table_4_1_structure;
     case "table 4.1: reductions sane" test_table_4_1_reductions_sane;

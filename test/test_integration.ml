@@ -12,7 +12,6 @@ module Part_f1 = Figure1.Make (Partition_problem)
 module Place_f1 = Figure1.Make (Placement.Problem)
 module Floor_f2 = Figure2.Make (Floorplan.Problem)
 module Wire_f1 = Figure1.Make (Wiring.Problem)
-module Tsp_tuner = Tuner.Make (Tsp_problem)
 
 let test_relocate_engine () =
   let rng = Rng.create ~seed:1 in
@@ -147,19 +146,6 @@ let test_wiring_all_gfuns_finite () =
         (r.Mc_problem.best_cost > 0. && r.Mc_problem.best_cost <= float_of_int naive))
     (Gfun.catalog ~m:40)
 
-let test_tuner_on_tsp () =
-  let inst = Tsp_instance.random_uniform (Rng.create ~seed:10) ~n:15 in
-  let outcome =
-    Tsp_tuner.grid_search (Rng.create ~seed:11) ~gfun:Gfun.metropolis
-      ~candidates:[ 0.001; 0.05; 1. ]
-      ~budget:(Budget.Evaluations 1500)
-      ~instances:[ (fun () -> Tour.random (Rng.create ~seed:12) inst) ]
-  in
-  Alcotest.check Alcotest.int "three candidates scored" 3
-    (List.length outcome.Tsp_tuner.per_candidate);
-  Alcotest.check Alcotest.bool "positive reduction found" true
-    (outcome.Tsp_tuner.total_reduction > 0.)
-
 let test_traced_over_partition () =
   let module E = Figure1.Make (Partition_problem) in
   let nl = Netlist.random_gola (Rng.create ~seed:13) ~elements:16 ~nets:40 in
@@ -223,6 +209,5 @@ let suite =
     case "Goto seed + SA placement" test_goto_seed_plus_sa_placement;
     case "Figure 2 over floorplans" test_figure2_on_floorplan;
     case "whole g-catalog drives wiring" test_wiring_all_gfuns_finite;
-    case "tuner over TSP" test_tuner_on_tsp;
     case "traced run over partitions" test_traced_over_partition;
   ]
