@@ -390,7 +390,7 @@ let table_convergence ~seed ~scale =
   Report.make
     ~title:
       (Printf.sprintf
-         "Table E4 -- runs reaching the exact optimum (%d-element GOLA, brute-forced optima)"
+         "Table E4 -- runs reaching the exact optimum (%d-element GOLA, optima by subset DP)"
          elements)
     ~header:
       ("method"

@@ -147,12 +147,7 @@ let table_4_2b c =
   Report.make
     ~title:"Table 4.2(b) -- GOLA, 3 min per instance, random starts: Figure 1 vs Figure 2"
     ~header:[ "g function"; "Figure 1"; "Figure 2" ]
-    ~notes:
-      [
-        suite_note suite "GOLA";
-        scale_note c.config;
-        "three-minute budgets additionally scaled by 1.00";
-      ]
+    ~notes:[ suite_note suite "GOLA"; scale_note c.config ]
     rows
 
 let table_4_2c c =
