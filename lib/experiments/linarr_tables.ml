@@ -25,8 +25,8 @@ let wide_candidates = [ 1e-6; 3e-6; 1e-5; 3e-5; 1e-4; 3e-4 ] @ coarse_candidates
 
 (* The §4.2.1 protocol: score each candidate base by the suite total
    of Figure 1 runs from the shared random starts, on a split of its
-   own taken in candidate order (so adding a candidate does not shift
-   the others' runs), and keep the first best. *)
+   own taken in candidate order (so a candidate's runs do not depend on
+   how many draws the ones before it made), and keep the first best. *)
 let grid_search rng suite ~gfun ~candidates ~budget =
   if candidates = [] then invalid_arg "Linarr_tables.grid_search: no candidates";
   let scored =

@@ -55,7 +55,7 @@ let inline_text doc =
   |> String.concat "\n"
 
 (* The dotted paths [A.b.c] in [span] that start at an identifier
-   boundary. *)
+   boundary; a word after a ['/'] is part of a file path, not one. *)
 let paths span =
   let n = String.length span in
   let ident i =
@@ -147,8 +147,8 @@ let check ~sources ~installed doc =
                        && not (Sys.file_exists (String.concat "." parts)) -> (
                     let texts =
                       match Hashtbl.find_opt sources m with
-                      | Some texts -> Some texts
                       | None -> Hashtbl.find_opt installed m
+                      | found -> found
                     in
                     let report what =
                       incr stale;
