@@ -304,6 +304,47 @@ let test_find_by_name () =
   Alcotest.check Alcotest.bool "unknown gives None" true
     (Gfun.find_by_name ~m:150 "no such class" = None)
 
+(* Every class bit for bit: its name, k, both flags and the
+   temperatures [schedule g 0.5] builds, then the IEEE bits of [eval]
+   over a grid of temperatures, Y values, h(i) and h(j) - h(i), all
+   digested into one constant. *)
+let pinned_classes =
+  Gfun.catalog ~m:150
+  @ [
+      Gfun.annealing ~k:25;
+      Gfun.cohoon_sahni ~m:0;
+      Gfun.poly ~degree:4;
+      Gfun.custom ~name:"pinned fixture" ~k:3 (fun ~temp ~y ~hi ~hj ->
+          (float_of_int temp *. y) +. hi -. hj);
+    ]
+
+let test_classes_pinned () =
+  let b = Buffer.create 65536 in
+  let bits x = Printf.bprintf b "%Lx;" (Int64.bits_of_float x) in
+  List.iter
+    (fun g ->
+      Printf.bprintf b "\n%s|%d|%b|%b|" (Gfun.name g) (Gfun.k g)
+        (Gfun.uses_temperature g) (Gfun.defer_uphill g);
+      let s = Gfun.schedule g 0.5 in
+      for i = 1 to Schedule.length s do
+        bits (Schedule.get s i)
+      done;
+      Buffer.add_char b '|';
+      for temp = 1 to Gfun.k g do
+        List.iter
+          (fun y ->
+            List.iter
+              (fun hi ->
+                List.iter
+                  (fun d -> bits (Gfun.eval g ~temp ~y ~hi ~hj:(hi +. d)))
+                  [ 0.; 1.; 2.5 ])
+              [ 0.; 3.; 30. ])
+          [ 1e-5; 0.3; 1.; 7.5 ]
+      done)
+    pinned_classes;
+  Alcotest.check Alcotest.string "digest of every class" "c6d7e8c21ddb68910c4eec038b258d40"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_invalid_degrees () =
   let invalid f = match f () with
     | exception Invalid_argument _ -> ()
@@ -393,6 +434,7 @@ let suite =
     case "gfun: short catalog drops classes 5-12" test_short_catalog_shape;
     case "gfun: six-temperature variants have k = 6" test_six_variants_have_k6;
     case "gfun: find_by_name" test_find_by_name;
+    case "gfun: every class pinned bit for bit" test_classes_pinned;
     case "gfun: invalid constructor args" test_invalid_degrees;
     QCheck_alcotest.to_alcotest prop_metropolis_in_unit_interval;
   ]
