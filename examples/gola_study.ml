@@ -21,7 +21,7 @@ let () =
     [
       (Gfun.six_temp_annealing, Schedule.geometric ~y1:3. ~ratio:0.9 ~k:6);
       (Gfun.g_one, Schedule.constant ~k:1 1.);
-      (Gfun.poly_diff ~degree:3, Schedule.of_array [| 0.3 |]);
+      (Gfun.poly_diff ~k:1 ~degree:3, Schedule.of_array [| 0.3 |]);
       (Gfun.cohoon_sahni ~m:150, Schedule.constant ~k:1 1.);
       (Gfun.two_level, Schedule.constant ~k:2 1.);
     ]

@@ -63,10 +63,7 @@ module Make (P : Mc_problem.S) = struct
     if counter_limit <= 0 then invalid_arg "Figure1.params: counter_limit <= 0";
     if acceptance_limit <= 0 then invalid_arg "Figure1.params: acceptance_limit <= 0";
     if defer_threshold <= 0 then invalid_arg "Figure1.params: defer_threshold <= 0";
-    if Schedule.length schedule <> Gfun.k gfun then
-      invalid_arg
-        (Printf.sprintf "Figure1.params: schedule length %d but %s expects k = %d"
-           (Schedule.length schedule) (Gfun.name gfun) (Gfun.k gfun));
+    Gfun.check_schedule ~caller:"Figure1.params" gfun schedule;
     { gfun; schedule; budget; counter_limit; acceptance_limit; defer_threshold }
 
   let run ?(observer = Obs.Observer.null) ?checkpoint_every ?on_checkpoint

@@ -19,10 +19,7 @@ module Make (P : Mc_problem.S) = struct
   let counter_limit = 100
 
   let params ~gfun ~schedule ~budget () =
-    if Schedule.length schedule <> Gfun.k gfun then
-      invalid_arg
-        (Printf.sprintf "Figure2.params: schedule length %d but %s expects k = %d"
-           (Schedule.length schedule) (Gfun.name gfun) (Gfun.k gfun));
+    Gfun.check_schedule ~caller:"Figure2.params" gfun schedule;
     { gfun; schedule; budget }
 
   let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =

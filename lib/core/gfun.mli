@@ -6,11 +6,16 @@
     where [hi]/[hj] are the costs before/after the perturbation and
     [y = Y_temp] comes from the schedule.
 
-    [defer_uphill] marks the [g = 1] class, whose straightforward
-    Figure 1 implementation would random-walk; the paper instead defers
-    uphill acceptance until 18 consecutive non-improving perturbations
-    have been seen (§3) — the engines implement that rule when this
-    flag is set. *)
+    A class is data: a name, its number of temperatures [k] and the
+    formula it evaluates, one case per row shape of the paper's table.
+    [eval] computes that formula, and both flags below are read off it
+    rather than set by hand.
+
+    [defer_uphill] holds for the [g = 1] class alone, whose
+    straightforward Figure 1 implementation would random-walk; the
+    paper instead defers uphill acceptance until 18 consecutive
+    non-improving perturbations have been seen (§3) — the engines
+    implement that rule when it holds. *)
 
 type t
 
@@ -22,17 +27,22 @@ val k : t -> int
 
 val uses_temperature : t -> bool
 (** [false] for the classes with no [Y] parameters ([g = 1], two-level,
-    [COHO83a]); the tuner skips those. *)
+    [COHO83a]); the tables' temperature search skips those. *)
 
 val defer_uphill : t -> bool
 val eval : t -> temp:int -> y:float -> hi:float -> hj:float -> float
+
+val check_schedule : caller:string -> t -> Schedule.t -> unit
+(** [check_schedule ~caller g s] raises [Invalid_argument] naming
+    [caller], [g] and its [k] unless [s] holds [k g] temperatures.  The
+    engines' [params] call it. *)
 
 val schedule : t -> float -> Schedule.t
 (** [schedule g base] is the class's schedule from one base temperature
     (§4.2.1): [[base]] for [k = 1], the Kirkpatrick geometric shape
     [base * 0.9^i] for [k > 1], and a constant placeholder that [eval]
-    ignores for the classes without temperatures.  The tuner, the
-    tables, the CLI and the daemon all build schedules this way. *)
+    ignores for the classes without temperatures.  The tables, the CLI
+    and the daemon all build schedules this way. *)
 
 (** {1 The paper's catalog (numbering of §3)} *)
 
@@ -55,40 +65,33 @@ val g_one : t
 val two_level : t
 (** 4: [k = 2], [g_1 = 1], [g_2 = 0.5]. *)
 
-val poly : degree:int -> t
-(** 5–7: Linear/Quadratic/Cubic, [Y_1 * h(i)^degree]. *)
+val poly : k:int -> degree:int -> t
+(** 5–7 ([k = 1]) and 9–11 ([k = 6], named with a "6 " prefix):
+    Linear/Quadratic/Cubic, [Y_temp * h(i)^degree].  Raises
+    [Invalid_argument] unless [k] is 1 or 6 and [degree >= 1]. *)
 
-val exponential : t
-(** 8: [(e^{h(i)/Y_1} - 1)/(e - 1)]. *)
+val exponential : k:int -> t
+(** 8 ([k = 1]) and 12 ([k = 6]): [(e^{h(i)/Y_temp} - 1)/(e - 1)]. *)
 
-val six_poly : degree:int -> t
-(** 9–11: six-temperature Linear/Quadratic/Cubic. *)
+val poly_diff : k:int -> degree:int -> t
+(** 13–15 ([k = 1]) and 17–19 ([k = 6]): [Y_temp / (h(j) - h(i))^degree].
+    On a lateral move ([hj = hi]) the quotient is defined as
+    [+infinity] — certain acceptance, matching Metropolis on a plateau
+    — rather than the NaN that [y = 0] would otherwise produce. *)
 
-val six_exponential : t
-(** 12. *)
-
-val poly_diff : degree:int -> t
-(** 13–15: [Y_1 / (h(j) - h(i))^degree].  On a lateral move
-    ([hj = hi]) the quotient is defined as [+infinity] — certain
-    acceptance, matching Metropolis on a plateau — rather than the
-    NaN that [y = 0] would otherwise produce. *)
-
-val exponential_diff : t
-(** 16: [(e^{Y_1/(h(j)-h(i))} - 1)/(e - 1)]; [+infinity] on a lateral
+val exponential_diff : k:int -> t
+(** 16 ([k = 1]) and 20 ([k = 6]):
+    [(e^{Y_temp/(h(j)-h(i))} - 1)/(e - 1)]; [+infinity] on a lateral
     move, as for {!poly_diff}. *)
-
-val six_poly_diff : degree:int -> t
-(** 17–19; lateral moves as for {!poly_diff}. *)
-
-val six_exponential_diff : t
-(** 20; lateral moves as for {!poly_diff}. *)
 
 val cohoon_sahni : m:int -> t
 (** The [COHO83a] function [min(h(i)/(m+5), 0.9)] where [m] is the
     instance's net count (§4.2.2). *)
 
 val custom : name:string -> k:int -> (temp:int -> y:float -> hi:float -> hj:float -> float) -> t
-(** Escape hatch for ablations. *)
+(** A class evaluating an arbitrary function, with [uses_temperature]
+    set and [defer_uphill] unset (the benchmark probe wraps each
+    catalog class in one to time it; tests build fixtures with it). *)
 
 val catalog : m:int -> t list
 (** All 21 rows of Table 4.1 that are g-functions (20 classes +
@@ -99,6 +102,5 @@ val short_catalog : m:int -> t list
     classes 5–12 for their poor GOLA showing). *)
 
 val find_by_name : m:int -> string -> t option
-(** Case-insensitive lookup in [catalog] (CLI support).  The catalog is
-    indexed once per distinct [m] and the index cached (thread-safe),
-    so repeated lookups cost one hash probe, not a catalog rebuild. *)
+(** Case-insensitive lookup in [catalog ~m] (the CLI, job submission
+    and the job runner). *)

@@ -20,8 +20,7 @@ module Make (P : Mc_problem.S) = struct
   exception Aborted = S.Aborted
 
   let params ~gfun ~schedule ~budget =
-    if Schedule.length schedule <> Gfun.k gfun then
-      invalid_arg "Rejectionless.params: schedule length mismatch";
+    Gfun.check_schedule ~caller:"Rejectionless.params" gfun schedule;
     { gfun; schedule; budget }
 
   let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =

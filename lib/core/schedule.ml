@@ -16,16 +16,6 @@ let geometric ~y1 ~ratio ~k =
 
 let kirkpatrick () = geometric ~y1:10. ~ratio:0.9 ~k:6
 
-let lundy_mees ~y1 ~beta ~k =
-  if k <= 0 then invalid_arg "Schedule.lundy_mees: k <= 0";
-  check_positive "Schedule.lundy_mees" y1;
-  if beta < 0. then invalid_arg "Schedule.lundy_mees: beta < 0";
-  let out = Array.make k y1 in
-  for i = 1 to k - 1 do
-    out.(i) <- out.(i - 1) /. (1. +. (beta *. out.(i - 1)))
-  done;
-  out
-
 let uniform_points ~count ~max =
   if count <= 0 then invalid_arg "Schedule.uniform_points: count <= 0";
   check_positive "Schedule.uniform_points" max;

@@ -19,19 +19,13 @@ val kirkpatrick : unit -> t
 (** The literal [KIRK83] circuit-partition schedule: [Y_1 = 10],
     [Y_i = 0.9 * Y_{i-1}], [k = 6]. *)
 
-val lundy_mees : y1:float -> beta:float -> k:int -> t
-(** The Lundy–Mees cooling law [Y_{i+1} = Y_i / (1 + beta * Y_i)]
-    ([LUND83], cited in §2 for the convergence theory) — cools fast
-    while hot and slows as it freezes.
-    @raise Invalid_argument unless [y1 > 0.], [beta >= 0.], [k > 0]. *)
-
 val uniform_points : count:int -> max:float -> t
 (** [GOLD84]-style schedule: [count] evenly distributed temperatures in
     [(0, max]], hottest first. *)
 
 val scaled : t -> float -> t
-(** Multiply every temperature by a positive factor (used by the tuner
-    and the schedule-sensitivity ablation). *)
+(** Multiply every temperature by a positive factor (used by the
+    schedule-sensitivity ablations). *)
 
 val length : t -> int
 (** The [k] of the schedule. *)

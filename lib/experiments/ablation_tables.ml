@@ -243,10 +243,10 @@ let table_tuning_grid ctx =
   in
   let classes =
     [
-      Gfun.poly ~degree:1;
-      Gfun.poly ~degree:2;
-      Gfun.poly ~degree:3;
-      Gfun.six_poly ~degree:2;
+      Gfun.poly ~k:1 ~degree:1;
+      Gfun.poly ~k:1 ~degree:2;
+      Gfun.poly ~k:1 ~degree:3;
+      Gfun.poly ~k:6 ~degree:2;
       Gfun.six_temp_annealing;
     ]
   in

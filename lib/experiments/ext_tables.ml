@@ -245,7 +245,7 @@ let table_scaling ~seed ~scale =
       ("Goto", fun _ suite -> Suites.goto_reduction suite);
       ("g = 1", mc_method Gfun.g_one g_one_schedule);
       ("Six Temperature Annealing [WHIT84 Y's]", mc_method Gfun.six_temp_annealing (whit84 linarr));
-      ("Cubic Diff (Y = 0.3)", mc_method (Gfun.poly_diff ~degree:3) (fun _ _ ->
+      ("Cubic Diff (Y = 0.3)", mc_method (Gfun.poly_diff ~k:1 ~degree:3) (fun _ _ ->
            Schedule.of_array [| 0.3 |]));
     ]
   in
@@ -284,7 +284,7 @@ let table_variance ~seed ~scale =
       ("Six Temperature Annealing", Gfun.six_temp_annealing,
        Schedule.geometric ~y1:1. ~ratio:0.9 ~k:6);
       ("g = 1", Gfun.g_one, Schedule.constant ~k:1 1.);
-      ("Cubic Diff", Gfun.poly_diff ~degree:3, Schedule.of_array [| 0.3 |]);
+      ("Cubic Diff", Gfun.poly_diff ~k:1 ~degree:3, Schedule.of_array [| 0.3 |]);
       ("Metropolis", Gfun.metropolis, Schedule.of_array [| 0.5 |]);
     ]
   in
@@ -357,7 +357,7 @@ let table_convergence ~seed ~scale =
       mc "Six Temperature Annealing" Gfun.six_temp_annealing
         (Schedule.geometric ~y1:2. ~ratio:0.7 ~k:6);
       mc "Metropolis" Gfun.metropolis (Schedule.of_array [| 0.7 |]);
-      mc "Cubic Diff" (Gfun.poly_diff ~degree:3) (Schedule.of_array [| 0.3 |]);
+      mc "Cubic Diff" (Gfun.poly_diff ~k:1 ~degree:3) (Schedule.of_array [| 0.3 |]);
       ( "descent, restarts to budget",
         fun rng budget state ->
           (* restart hill climbing until the same budget is spent *)

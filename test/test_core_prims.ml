@@ -138,22 +138,6 @@ let test_schedule_monotone_decreasing () =
       done)
     [ Schedule.kirkpatrick (); Schedule.uniform_points ~count:10 ~max:5. ]
 
-let test_schedule_lundy_mees () =
-  let s = Schedule.lundy_mees ~y1:10. ~beta:0.1 ~k:4 in
-  checkf "Y1" 10. (Schedule.get s 1);
-  checkf "Y2 = 10/(1+1)" 5. (Schedule.get s 2);
-  Alcotest.check (Alcotest.float 1e-9) "Y3 = 5/1.5" (5. /. 1.5) (Schedule.get s 3);
-  for i = 1 to 3 do
-    Alcotest.check Alcotest.bool "strictly decreasing" true
-      (Schedule.get s i > Schedule.get s (i + 1))
-  done;
-  (* beta = 0 degenerates to a constant schedule *)
-  let flat = Schedule.lundy_mees ~y1:2. ~beta:0. ~k:3 in
-  checkf "flat" 2. (Schedule.get flat 3);
-  match Schedule.lundy_mees ~y1:1. ~beta:(-1.) ~k:2 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative beta accepted"
-
 let test_schedule_scaled () =
   let s = Schedule.scaled (Schedule.constant ~k:3 2.) 1.5 in
   checkf "scaled" 3. (Schedule.get s 2)
@@ -211,33 +195,35 @@ let test_two_level () =
   checkf "level 2" 0.5 (eval g ~temp:2 ~y:1. ~hi:0. ~hj:9.)
 
 let test_poly () =
-  checkf "linear" 0.6 (eval (Gfun.poly ~degree:1) ~temp:1 ~y:0.02 ~hi:30. ~hj:31.);
-  checkf "quadratic" (0.001 *. 900.) (eval (Gfun.poly ~degree:2) ~temp:1 ~y:0.001 ~hi:30. ~hj:31.);
-  checkf "cubic" (1e-5 *. 27000.) (eval (Gfun.poly ~degree:3) ~temp:1 ~y:1e-5 ~hi:30. ~hj:31.)
+  let poly degree = Gfun.poly ~k:1 ~degree in
+  checkf "linear" 0.6 (eval (poly 1) ~temp:1 ~y:0.02 ~hi:30. ~hj:31.);
+  checkf "quadratic" (0.001 *. 900.) (eval (poly 2) ~temp:1 ~y:0.001 ~hi:30. ~hj:31.);
+  checkf "cubic" (1e-5 *. 27000.) (eval (poly 3) ~temp:1 ~y:1e-5 ~hi:30. ~hj:31.)
 
 let test_poly_ignores_hj () =
-  let g = Gfun.poly ~degree:2 in
+  let g = Gfun.poly ~k:1 ~degree:2 in
   checkf "independent of h(j)"
     (eval g ~temp:1 ~y:0.01 ~hi:10. ~hj:11.)
     (eval g ~temp:1 ~y:0.01 ~hi:10. ~hj:99.)
 
 let test_exponential () =
-  let g = Gfun.exponential in
+  let g = Gfun.exponential ~k:1 in
   checkf "h(i) = Y gives 1" 1. (eval g ~temp:1 ~y:30. ~hi:30. ~hj:31.);
   Alcotest.check Alcotest.bool "smaller h(i) below 1" true
     (eval g ~temp:1 ~y:30. ~hi:10. ~hj:11. < 1.)
 
 let test_diff_classes () =
-  checkf "linear diff" 0.25 (eval (Gfun.poly_diff ~degree:1) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.);
-  checkf "quadratic diff" 0.125 (eval (Gfun.poly_diff ~degree:2) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.);
-  checkf "cubic diff" 0.0625 (eval (Gfun.poly_diff ~degree:3) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.)
+  let diff degree = Gfun.poly_diff ~k:1 ~degree in
+  checkf "linear diff" 0.25 (eval (diff 1) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.);
+  checkf "quadratic diff" 0.125 (eval (diff 2) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.);
+  checkf "cubic diff" 0.0625 (eval (diff 3) ~temp:1 ~y:0.5 ~hi:10. ~hj:12.)
 
 let test_diff_zero_delta_is_infinite () =
-  let v = eval (Gfun.poly_diff ~degree:1) ~temp:1 ~y:0.5 ~hi:10. ~hj:10. in
+  let v = eval (Gfun.poly_diff ~k:1 ~degree:1) ~temp:1 ~y:0.5 ~hi:10. ~hj:10. in
   Alcotest.check Alcotest.bool "plateau move accepted surely" true (v = Float.infinity)
 
 let test_exponential_diff () =
-  let g = Gfun.exponential_diff in
+  let g = Gfun.exponential_diff ~k:1 in
   checkf "Y = delta gives 1" 1. (eval g ~temp:1 ~y:2. ~hi:10. ~hj:12.);
   Alcotest.check Alcotest.bool "large delta shrinks" true
     (eval g ~temp:1 ~y:2. ~hi:10. ~hj:30. < eval g ~temp:1 ~y:2. ~hi:10. ~hj:12.)
@@ -252,10 +238,10 @@ let test_diff_monotone_in_delta () =
         (at 11. >= at 12. && at 12. >= at 15. && at 15. >= at 30.))
     [
       Gfun.metropolis;
-      Gfun.poly_diff ~degree:1;
-      Gfun.poly_diff ~degree:2;
-      Gfun.poly_diff ~degree:3;
-      Gfun.exponential_diff;
+      Gfun.poly_diff ~k:1 ~degree:1;
+      Gfun.poly_diff ~k:1 ~degree:2;
+      Gfun.poly_diff ~k:1 ~degree:3;
+      Gfun.exponential_diff ~k:1;
     ]
 
 let test_cohoon_sahni () =
@@ -301,6 +287,22 @@ let test_find_by_name () =
   (match Gfun.find_by_name ~m:150 "CUBIC DIFF" with
   | Some g -> Alcotest.check Alcotest.string "case-insensitive" "Cubic Diff" (Gfun.name g)
   | None -> Alcotest.fail "case-insensitive lookup failed");
+  List.iter
+    (fun m ->
+      List.iter
+        (fun g ->
+          let name = Gfun.name g in
+          List.iter
+            (fun spelling ->
+              match Gfun.find_by_name ~m spelling with
+              | Some found -> Alcotest.check Alcotest.string spelling name (Gfun.name found)
+              | None -> Alcotest.failf "%s not found at m = %d" spelling m)
+            [ String.uppercase_ascii name; String.lowercase_ascii name ])
+        (Gfun.catalog ~m))
+    [ 1; 150 ];
+  (match Gfun.find_by_name ~m:150 "[coho83a]" with
+  | Some g -> checkf "[COHO83a] reads m = 150" 0.2 (eval g ~temp:1 ~y:1. ~hi:31. ~hj:32.)
+  | None -> Alcotest.fail "[COHO83a] not found");
   Alcotest.check Alcotest.bool "unknown gives None" true
     (Gfun.find_by_name ~m:150 "no such class" = None)
 
@@ -313,7 +315,7 @@ let pinned_classes =
   @ [
       Gfun.annealing ~k:25;
       Gfun.cohoon_sahni ~m:0;
-      Gfun.poly ~degree:4;
+      Gfun.poly ~k:1 ~degree:4;
       Gfun.custom ~name:"pinned fixture" ~k:3 (fun ~temp ~y ~hi ~hj ->
           (float_of_int temp *. y) +. hi -. hj);
     ]
@@ -350,8 +352,15 @@ let test_invalid_degrees () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  invalid (fun () -> Gfun.poly ~degree:0);
-  invalid (fun () -> Gfun.poly_diff ~degree:0);
+  invalid (fun () -> Gfun.poly ~k:1 ~degree:0);
+  invalid (fun () -> Gfun.poly_diff ~k:1 ~degree:0);
+  List.iter
+    (fun k ->
+      invalid (fun () -> Gfun.poly ~k ~degree:1);
+      invalid (fun () -> Gfun.exponential ~k);
+      invalid (fun () -> Gfun.poly_diff ~k ~degree:1);
+      invalid (fun () -> Gfun.exponential_diff ~k))
+    [ 0; 2; 5; 7 ];
   invalid (fun () -> Gfun.cohoon_sahni ~m:(-1))
 
 let prop_metropolis_in_unit_interval =
@@ -413,7 +422,6 @@ let suite =
     case "schedule: kirkpatrick literal" test_schedule_kirkpatrick;
     case "schedule: uniform points" test_schedule_uniform_points;
     case "schedule: monotone decreasing" test_schedule_monotone_decreasing;
-    case "schedule: lundy-mees cooling law" test_schedule_lundy_mees;
     case "schedule: scaled" test_schedule_scaled;
     case "schedule: get bounds" test_schedule_get_bounds;
     case "schedule: validation" test_schedule_validation;

@@ -510,15 +510,15 @@ let plateau_is_certain_acceptance ~msg g ~temp =
 
 let test_diff_classes_plateau_not_nan () =
   plateau_is_certain_acceptance ~msg:"linear-diff"
-    (Gfun.poly_diff ~degree:1) ~temp:1;
+    (Gfun.poly_diff ~k:1 ~degree:1) ~temp:1;
   plateau_is_certain_acceptance ~msg:"cubic-diff"
-    (Gfun.poly_diff ~degree:3) ~temp:1;
-  plateau_is_certain_acceptance ~msg:"exponential-diff" Gfun.exponential_diff
+    (Gfun.poly_diff ~k:1 ~degree:3) ~temp:1;
+  plateau_is_certain_acceptance ~msg:"exponential-diff" (Gfun.exponential_diff ~k:1)
     ~temp:1;
   plateau_is_certain_acceptance ~msg:"six-quadratic-diff"
-    (Gfun.six_poly_diff ~degree:2) ~temp:4;
+    (Gfun.poly_diff ~k:6 ~degree:2) ~temp:4;
   plateau_is_certain_acceptance ~msg:"six-exponential-diff"
-    Gfun.six_exponential_diff ~temp:4
+    (Gfun.exponential_diff ~k:6) ~temp:4
 
 let test_diff_class_walk_does_not_freeze () =
   (* On a flat landscape every proposal is lateral, and the difference
@@ -529,7 +529,7 @@ let test_diff_class_walk_does_not_freeze () =
   let module F1 = Figure1.Make (Line) in
   let s = { Line.x = 0; cost_fn = (fun _ -> 7.) } in
   let params =
-    F1.params ~gfun:(Gfun.poly_diff ~degree:1)
+    F1.params ~gfun:(Gfun.poly_diff ~k:1 ~degree:1)
       ~schedule:(Schedule.of_array [| 1. |])
       ~budget:(Budget.Evaluations 100) ()
   in
@@ -538,29 +538,6 @@ let test_diff_class_walk_does_not_freeze () =
     r.Mc_problem.stats.Mc_problem.lateral_accepted;
   Alcotest.check Alcotest.int "none rejected" 0
     r.Mc_problem.stats.Mc_problem.rejected
-
-(* ------------------------ cached Gfun lookup --------------------------- *)
-
-let test_find_by_name_cached_lookup () =
-  (match Gfun.find_by_name ~m:100 "metropolis" with
-  | Some g -> Alcotest.check Alcotest.string "case-insensitive" "Metropolis"
-        (Gfun.name g)
-  | None -> Alcotest.fail "Metropolis not found");
-  (match Gfun.find_by_name ~m:100 "no-such-class" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "bogus name found");
-  (* The index is cached per catalog parameter [m] and shared between
-     domains; hammer it concurrently to show the mutex holds up. *)
-  let lookup () =
-    for i = 0 to 199 do
-      let m = 50 + (i mod 4) in
-      match Gfun.find_by_name ~m "METROPOLIS" with
-      | Some _ -> ()
-      | None -> failwith "lookup lost under contention"
-    done
-  in
-  let workers = Array.init 4 (fun _ -> Domain.spawn lookup) in
-  Array.iter Domain.join workers
 
 (* ------------------- serialized sweep observer ------------------- *)
 
@@ -622,8 +599,6 @@ let suite =
       test_diff_classes_plateau_not_nan;
     case "difference-class walk does not freeze on a plateau"
       test_diff_class_walk_does_not_freeze;
-    case "find_by_name: cached, case-insensitive, domain-safe"
-      test_find_by_name_cached_lookup;
     case "sweep observer is serialized across domains"
       test_sweep_observer_serialized;
   ]

@@ -341,9 +341,13 @@ let test_rl_every_step_moves () =
     (steps >= 100 && steps <= 160)
 
 let test_rl_schedule_mismatch () =
-  match RL.params ~gfun:Gfun.six_temp_annealing ~schedule:one_schedule ~budget:(Budget.Evaluations 1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  Alcotest.check_raises "names the class and its k"
+    (Invalid_argument
+       "Rejectionless.params: schedule length 1 but Six Temperature Annealing expects k = 6")
+    (fun () ->
+      ignore
+        (RL.params ~gfun:Gfun.six_temp_annealing ~schedule:one_schedule
+           ~budget:(Budget.Evaluations 1)))
 
 (* -------------------------- Temperature ------------------------- *)
 
@@ -701,9 +705,9 @@ let test_integration_stats_add_up () =
 (* Allocation guard for the paper's own walk: the 21 catalog classes
    under Figure 1 with pairwise interchange on both sample instances,
    recompute path, fixed seeds, as `sa_lab run` walks them.  The walks
-   allocate 9.91 minor words per evaluation: the move tuple (3), the
+   allocate 9.79 minor words per evaluation: the move tuple (3), the
    cost [P.cost] returns through the functor (2), and, on the 80% of
-   evaluations that call g, the closure's boxed [hi] and [hj] (3.2 per
+   evaluations that call g, [Gfun.eval]'s boxed [hi] and [hj] (3.2 per
    evaluation) and its boxed result (about 1.2: a constant result, as
    Two level g's or a plateau's infinity, allocates nothing); the
    Exponential classes' inner box, best copies and per-walk set-up make
