@@ -306,6 +306,22 @@ let test_find_by_name () =
   Alcotest.check Alcotest.bool "unknown gives None" true
     (Gfun.find_by_name ~m:150 "no such class" = None)
 
+(* The engines' one schedule-length check: every class accepts the
+   schedule [Gfun.schedule] builds for it, and any other length is
+   refused with a message naming the caller, the class and its k. *)
+let test_check_schedule () =
+  List.iter
+    (fun g ->
+      let k = Gfun.k g in
+      Gfun.check_schedule ~caller:"test" g (Gfun.schedule g 0.5);
+      Alcotest.check_raises (Gfun.name g)
+        (Invalid_argument
+           (Printf.sprintf "test: schedule length %d but %s expects k = %d"
+              (k + 1) (Gfun.name g) k))
+        (fun () ->
+          Gfun.check_schedule ~caller:"test" g (Schedule.constant ~k:(k + 1) 1.)))
+    (Gfun.catalog ~m:150)
+
 (* Every class bit for bit: its name, k, both flags and the
    temperatures [schedule g 0.5] builds, then the IEEE bits of [eval]
    over a grid of temperatures, Y values, h(i) and h(j) - h(i), all
@@ -443,6 +459,7 @@ let suite =
     case "gfun: six-temperature variants have k = 6" test_six_variants_have_k6;
     case "gfun: find_by_name" test_find_by_name;
     case "gfun: every class pinned bit for bit" test_classes_pinned;
+    case "gfun: check_schedule refuses any other length" test_check_schedule;
     case "gfun: invalid constructor args" test_invalid_degrees;
     QCheck_alcotest.to_alcotest prop_metropolis_in_unit_interval;
   ]
