@@ -63,7 +63,9 @@ let cases =
     ("route-goto", [ "route"; "gola15.net" ], []);
     ("goto", [ "goto"; "nola15.net" ], []);
     ("tsp-sa", [ "tsp"; "--cities"; "12"; "-m"; "sa"; "-n"; "500"; "--seed"; "1" ], []);
+    ("tsp-g1", [ "tsp"; "--cities"; "12"; "-m"; "g1"; "-n"; "500"; "--seed"; "1" ], []);
     ("partition-sa", [ "partition"; "graph24.net"; "-m"; "sa"; "-n"; "2000"; "--seed"; "3" ], []);
+    ("partition-g1", [ "partition"; "graph24.net"; "-m"; "g1"; "-n"; "2000"; "--seed"; "3" ], []);
     ("partition-kway", [ "partition"; "graph24.net"; "-k"; "4"; "--seed"; "1" ], []);
     ("partition-malformed-netlist", [ "partition"; "bad.net" ], []);
     ("info", [ "info"; "gola15.net" ], []);

@@ -375,6 +375,46 @@ let test_suggest_schedule_shape () =
     Alcotest.check Alcotest.bool "decreasing" true (Schedule.get sch i >= Schedule.get sch (i + 1))
   done
 
+(* Every problem's estimate bit for bit: the IEEE bits of the five
+   fields of [estimate] and of the temperatures [suggest_schedule]
+   picks, from one fixed start per problem, digested into one
+   constant. *)
+let test_temperature_pinned () =
+  let b = Buffer.create 4096 in
+  let bits x = Printf.bprintf b "%Lx;" (Int64.bits_of_float x) in
+  let pin (type s) name (module P : Mc_problem.S with type state = s) (start : s) =
+    let module T = Temperature.Make (P) in
+    let e = T.estimate (Rng.create ~seed:31) start in
+    Printf.bprintf b "\n%s|" name;
+    List.iter bits
+      Temperature.[ e.sigma; e.mean_abs_delta; e.min_uphill; e.suggested_y1; e.suggested_yk ];
+    Buffer.add_char b '|';
+    let s = T.suggest_schedule (Rng.create ~seed:32) start in
+    for i = 1 to Schedule.length s do
+      bits (Schedule.get s i)
+    done
+  in
+  let rng = Rng.create ~seed:30 in
+  pin "linarr swap"
+    (module Linarr_problem.Swap)
+    (Arrangement.random rng (Netlist.random_gola rng ~elements:15 ~nets:60));
+  pin "tsp" (module Tsp_problem) (Tour.random rng (Tsp_instance.random_uniform rng ~n:30));
+  pin "partition"
+    (module Partition_problem)
+    (Bipartition.random_balanced rng (Netlist.random_gola rng ~elements:24 ~nets:60));
+  let q = Qap.random_instance rng ~n:10 ~max_entry:9 in
+  Qap.set_assignment q (Rng.permutation rng 10);
+  pin "qap" (module Qap.Problem) q;
+  pin "floorplan"
+    (module Floorplan.Problem)
+    (Floorplan.create (Array.init 8 (fun _ -> (Rng.int_range rng 2 9, Rng.int_range rng 2 9))));
+  pin "wiring"
+    (module Wiring.Problem)
+    (Wiring.create ~width:6 ~height:6 (Wiring.random_instance rng ~width:6 ~height:6 ~nets:20));
+  Alcotest.check Alcotest.string "digest of every problem's estimate"
+    "27861534ea989f0489a9b5f3395979d2"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* -------------------------- Move contract ------------------------ *)
 
 (* Engine runs under [Mc_problem.Contract], which re-verifies
@@ -930,6 +970,7 @@ let suite =
     case "temperature: estimate fields" test_temperature_estimate;
     case "temperature: estimate does not mutate" test_temperature_estimate_leaves_state;
     case "temperature: suggested schedule shape" test_suggest_schedule_shape;
+    case "temperature: every problem's estimate pinned" test_temperature_pinned;
     case "contract: wrapper is transparent" test_contract_transparent;
     case "contract: TSP under Figure 1" test_contract_tsp;
     case "contract: QAP under Figure 2" test_contract_qap;
