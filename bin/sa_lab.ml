@@ -355,9 +355,6 @@ let goto_cmd =
 (* tsp                                                               *)
 (* ---------------------------------------------------------------- *)
 
-module Tsp_engine = Figure1.Make (Tsp_problem)
-module Tsp_temp = Temperature.Make (Tsp_problem)
-
 let tsp_cmd =
   let file =
     Arg.(value & opt (some file) None & info [ "file"; "f" ] ~docv:"FILE"
@@ -399,22 +396,18 @@ let tsp_cmd =
               let t = Tsp_heuristics.nearest_neighbor inst ~start:0 in
               ignore (Tsp_heuristics.two_opt_descent t);
               t
-          | `Sa ->
+          | (`Sa | `G1) as m ->
               let start = Tour.random rng inst in
-              let schedule = Tsp_temp.suggest_schedule (Rng.copy rng) start in
-              let p =
-                Tsp_engine.params ~gfun:Gfun.six_temp_annealing ~schedule
-                  ~budget:(Budget.Evaluations evals) ()
+              let gfun, schedule =
+                match m with
+                | `Sa ->
+                    ( Gfun.six_temp_annealing,
+                      Temperature.suggest_schedule (module Tsp_problem) (Rng.copy rng) start )
+                | `G1 -> (Gfun.g_one, Schedule.constant ~k:1 1.)
               in
-              (Tsp_engine.run rng p start).Mc_problem.best
-          | `G1 ->
-              let start = Tour.random rng inst in
-              let p =
-                Tsp_engine.params ~gfun:Gfun.g_one
-                  ~schedule:(Schedule.constant ~k:1 1.)
-                  ~budget:(Budget.Evaluations evals) ()
-              in
-              (Tsp_engine.run rng p start).Mc_problem.best
+              (Suites.figure1 (module Tsp_problem) ~gfun ~schedule
+                 ~budget:(Budget.Evaluations evals) rng start)
+                .Mc_problem.best
         in
         Printf.printf "cities: %d\nlength: %.6f\n" (Tsp_instance.size inst) (Tour.length tour);
         if show_tour then
@@ -429,8 +422,6 @@ let tsp_cmd =
 (* ---------------------------------------------------------------- *)
 (* partition                                                         *)
 (* ---------------------------------------------------------------- *)
-
-module Part_engine = Figure1.Make (Partition_problem)
 
 let partition_cmd =
   let method_ =
@@ -470,18 +461,15 @@ let partition_cmd =
             | `Fm ->
                 ignore (Fm.refine start);
                 start
-            | `Sa ->
-                let p =
-                  Part_engine.params ~gfun:Gfun.six_temp_annealing
-                    ~schedule:(Schedule.kirkpatrick ()) ~budget:(Budget.Evaluations evals) ()
+            | (`Sa | `G1) as m ->
+                let gfun, schedule =
+                  match m with
+                  | `Sa -> (Gfun.six_temp_annealing, Schedule.kirkpatrick ())
+                  | `G1 -> (Gfun.g_one, Schedule.constant ~k:1 1.)
                 in
-                (Part_engine.run rng p start).Mc_problem.best
-            | `G1 ->
-                let p =
-                  Part_engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-                    ~budget:(Budget.Evaluations evals) ()
-                in
-                (Part_engine.run rng p start).Mc_problem.best
+                (Suites.figure1 (module Partition_problem) ~gfun ~schedule
+                   ~budget:(Budget.Evaluations evals) rng start)
+                  .Mc_problem.best
           with
           | part ->
               Printf.printf "cut: %d\nimbalance: %d\nside B:" (Bipartition.cut part)
@@ -1185,9 +1173,6 @@ let top_cmd =
 (* floorplan                                                         *)
 (* ---------------------------------------------------------------- *)
 
-module Floor_engine = Figure1.Make (Floorplan.Problem)
-module Floor_temp = Temperature.Make (Floorplan.Problem)
-
 let floorplan_cmd =
   let blocks =
     Arg.(value & opt int 15 & info [ "blocks"; "b" ] ~docv:"N" ~doc:"Number of blocks.")
@@ -1214,12 +1199,11 @@ let floorplan_cmd =
       Printf.printf "blocks: %d, total block area: %d\n" blocks (Floorplan.total_block_area f);
       Printf.printf "initial area: %d (utilization %.0f%%)\n" (Floorplan.area f)
         (100. *. Floorplan.utilization f);
-      let schedule = Floor_temp.suggest_schedule (Rng.copy rng) f in
-      let p =
-        Floor_engine.params ~gfun:Gfun.six_temp_annealing ~schedule
-          ~budget:(Budget.Evaluations evals) ()
+      let schedule = Temperature.suggest_schedule (module Floorplan.Problem) (Rng.copy rng) f in
+      let r =
+        Suites.figure1 (module Floorplan.Problem) ~gfun:Gfun.six_temp_annealing ~schedule
+          ~budget:(Budget.Evaluations evals) rng f
       in
-      let r = Floor_engine.run rng p f in
       let best = r.Mc_problem.best in
       Floorplan.check best;
       let w, h = Floorplan.bounding_box best in

@@ -6,7 +6,6 @@
    Run with: dune exec examples/tsp_compare.exe *)
 
 module Engine = Figure1.Make (Tsp_problem)
-module Temp = Temperature.Make (Tsp_problem)
 
 let () =
   let rng = Rng.create ~seed:60 in
@@ -23,7 +22,7 @@ let () =
   report "2-opt, 5 random restarts"
     (Tour.length (Tsp_heuristics.two_opt_restarts (Rng.copy rng) inst ~restarts:5));
   let start = Tour.random rng inst in
-  let schedule = Temp.suggest_schedule (Rng.copy rng) start in
+  let schedule = Temperature.suggest_schedule (module Tsp_problem) (Rng.copy rng) start in
   let sa =
     Engine.run (Rng.copy rng)
       (Engine.params ~gfun:Gfun.six_temp_annealing ~schedule ~budget ())

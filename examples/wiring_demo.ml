@@ -6,7 +6,6 @@
    Run with: dune exec examples/wiring_demo.exe *)
 
 module Engine = Figure1.Make (Wiring.Problem)
-module Temp = Temperature.Make (Wiring.Problem)
 
 let heat_map w =
   let width = Wiring.width w and height = Wiring.height w in
@@ -44,7 +43,7 @@ let () =
   ignore (Wiring.greedy_fixpoint greedy);
   stats "greedy rip-up" greedy;
   let annealed = Wiring.copy naive in
-  let schedule = Temp.suggest_schedule (Rng.copy rng) annealed in
+  let schedule = Temperature.suggest_schedule (module Wiring.Problem) (Rng.copy rng) annealed in
   let params =
     Engine.params ~gfun:Gfun.six_temp_annealing ~schedule
       ~budget:(Budget.Evaluations 20_000) ()

@@ -5,7 +5,11 @@
     module implements them: sample an infinite-temperature walk,
     measure the cost's standard deviation (hot end) and the smallest
     strictly-uphill step (cold end), and derive a geometric schedule
-    between the two. *)
+    between the two.
+
+    Both functions take the problem as a first-class module, like the
+    runners of [Suites]: [Temperature.suggest_schedule (module
+    Tsp_problem) rng tour]. *)
 
 type estimate = {
   sigma : float;  (** stddev of cost along the sampling walk *)
@@ -15,11 +19,10 @@ type estimate = {
   suggested_yk : float;  (** cold end: [min_uphill / 3] *)
 }
 
-module Make (P : Mc_problem.S) : sig
-  val estimate : Rng.t -> P.state -> estimate
-  (** Walks a copy of [state] for 500 accepted random moves. *)
+val estimate : (module Mc_problem.S with type state = 's) -> Rng.t -> 's -> estimate
+(** [estimate (module P) rng state] walks a copy of [state] for 500
+    accepted random moves. *)
 
-  val suggest_schedule : Rng.t -> P.state -> Schedule.t
-  (** Geometric schedule from [suggested_y1] down to [suggested_yk]
-      over 6 temperatures. *)
-end
+val suggest_schedule : (module Mc_problem.S with type state = 's) -> Rng.t -> 's -> Schedule.t
+(** Geometric schedule from [suggested_y1] down to [suggested_yk]
+    over 6 temperatures. *)

@@ -1,7 +1,3 @@
-module Fig1 = Figure1.Make (Linarr_problem.Swap)
-module Rless = Rejectionless.Make (Linarr_problem.Swap)
-module Temp_est = Temperature.Make (Linarr_problem.Swap)
-
 let budget_for ctx s =
   Budget.scale (Linarr_tables.config_of ctx).Linarr_tables.scale (Suites.seconds s)
 
@@ -19,8 +15,8 @@ let gola_total ctx salt run = Suites.total (gola_runs ctx salt run)
 let mean_over runs f =
   Array.fold_left (fun sum (_, r) -> sum +. f r) 0. runs /. float_of_int (Array.length runs)
 
-let fig1 ~gfun ~schedule ~budget rng state =
-  Fig1.run rng (Fig1.params ~gfun ~schedule ~budget ()) state
+(* A Figure 1 run on the pairwise-interchange problem. *)
+let fig1 = Suites.figure1 (module Linarr_problem.Swap)
 
 let table_schedule_sensitivity ctx =
   let gfun = Gfun.six_temp_annealing in
@@ -55,11 +51,11 @@ let table_defer_threshold ctx =
   let rows =
     List.map
       (fun threshold ->
-        let p =
-          Fig1.params ~defer_threshold:threshold ~gfun:Gfun.g_one
-            ~schedule:(Schedule.constant ~k:1 1.) ~budget ()
+        let total =
+          gola_total ctx ("a2", threshold)
+            (fig1 ~defer_threshold:threshold ~gfun:Gfun.g_one
+               ~schedule:(Schedule.constant ~k:1 1.) ~budget)
         in
-        let total = gola_total ctx ("a2", threshold) (fun rng state -> Fig1.run rng p state) in
         (Printf.sprintf "defer threshold %d" threshold, [ Report.Int total ]))
       thresholds
   in
@@ -78,8 +74,8 @@ let table_rejectionless ctx =
         let schedule = Linarr_tables.schedule_of ctx gfun in
         let fig1 = gola_total ctx ("a3-f1", name) (fig1 ~gfun ~schedule ~budget) in
         let rless =
-          let p = Rless.params ~gfun ~schedule ~budget in
-          gola_runs ctx ("a3-rl", name) (fun rng state -> Rless.run rng p state)
+          gola_runs ctx ("a3-rl", name)
+            (Suites.rejectionless (module Linarr_problem.Swap) ~gfun ~schedule ~budget)
         in
         let step_ratio =
           mean_over rless (fun r ->
@@ -130,7 +126,8 @@ let table_schedule_shapes ctx =
       run "25 uniform temperatures [GOLD84]" (Gfun.annealing ~k:25) (fun _ ->
           Schedule.uniform_points ~count:25 ~max:y1);
       run "WHIT84 estimate, k = 6" Gfun.six_temp_annealing (fun state ->
-          Temp_est.suggest_schedule (Rng.create ~seed:(seed_for ctx "a4-est")) state);
+          Temperature.suggest_schedule (module Linarr_problem.Swap)
+            (Rng.create ~seed:(seed_for ctx "a4-est")) state);
       run "single tuned temperature [Metropolis]" Gfun.metropolis (fun _ ->
           tuned_metropolis);
       run "g = 1 (no schedule)" Gfun.g_one (fun _ -> Schedule.constant ~k:1 1.);
@@ -140,8 +137,10 @@ let table_temperature_control ctx =
   let budget = budget_for ctx 12. in
   let gfun = Gfun.six_temp_annealing in
   let schedule = Linarr_tables.schedule_of ctx gfun in
-  let run name params_of =
-    let runs = gola_runs ctx ("a5", name) (fun rng state -> Fig1.run rng (params_of ()) state) in
+  let run ?counter_limit ?acceptance_limit name =
+    let runs =
+      gola_runs ctx ("a5", name) (fig1 ?counter_limit ?acceptance_limit ~gfun ~schedule ~budget)
+    in
     let evals = mean_over runs (fun r -> float_of_int r.Mc_problem.stats.Mc_problem.evaluations) in
     (name, [ Report.Int (Suites.total runs); Report.Text (Printf.sprintf "%.0f" evals) ])
   in
@@ -155,20 +154,12 @@ let table_temperature_control ctx =
         "acceptance-count is the [KIRK83] equilibrium criterion described in section 2";
       ]
     [
-      run "budget share (paper protocol)" (fun () ->
-          Fig1.params ~gfun ~schedule ~budget ());
-      run "rejection counter, n = 50" (fun () ->
-          Fig1.params ~counter_limit:50 ~gfun ~schedule ~budget ());
-      run "rejection counter, n = 200" (fun () ->
-          Fig1.params ~counter_limit:200 ~gfun ~schedule ~budget ());
-      run "acceptance count, 100 per temperature" (fun () ->
-          Fig1.params ~acceptance_limit:100 ~gfun ~schedule ~budget ());
-      run "acceptance count, 400 per temperature" (fun () ->
-          Fig1.params ~acceptance_limit:400 ~gfun ~schedule ~budget ());
+      run "budget share (paper protocol)";
+      run ~counter_limit:50 "rejection counter, n = 50";
+      run ~counter_limit:200 "rejection counter, n = 200";
+      run ~acceptance_limit:100 "acceptance count, 100 per temperature";
+      run ~acceptance_limit:400 "acceptance count, 400 per temperature";
     ]
-
-module Fig1_relocate = Figure1.Make (Linarr_problem.Relocate)
-module Fig1_sum = Figure1.Make (Linarr_problem.Swap_sum_cuts)
 
 (* The A6/A7 rows: the tuned annealer and the schedule-free g = 1. *)
 let annealer_and_g_one =
@@ -182,8 +173,8 @@ let table_neighborhood ctx =
         let schedule = Linarr_tables.schedule_of ctx gfun in
         let swap = gola_total ctx ("a6-swap", name) (fig1 ~gfun ~schedule ~budget) in
         let relocate =
-          let p = Fig1_relocate.params ~gfun ~schedule ~budget () in
-          gola_total ctx ("a6-rel", name) (fun rng state -> Fig1_relocate.run rng p state)
+          gola_total ctx ("a6-rel", name)
+            (Suites.figure1 (module Linarr_problem.Relocate) ~gfun ~schedule ~budget)
         in
         (name, [ Report.Int swap; Report.Int relocate ]))
       annealer_and_g_one
@@ -215,7 +206,8 @@ let table_objective_surrogate ctx =
                   Schedule.scaled schedule (float_of_int (Arrangement.size state) /. 2.)
                 else schedule
               in
-              Fig1_sum.run rng (Fig1_sum.params ~gfun ~schedule:schedule_s ~budget ()) state)
+              Suites.figure1 (module Linarr_problem.Swap_sum_cuts) ~gfun ~schedule:schedule_s
+                ~budget rng state)
         in
         (name, [ Report.Int direct; Report.Int surrogate ]))
       annealer_and_g_one

@@ -1,20 +1,7 @@
-(* One Figure 1 run of any problem, at the default counters. *)
-let figure1 (type s) (module P : Mc_problem.S with type state = s) ?defer_threshold ~gfun
-    ~schedule ~budget rng (start : s) =
-  let module F = Figure1.Make (P) in
-  F.run rng (F.params ?defer_threshold ~gfun ~schedule ~budget ()) start
-
-(* The [WHIT84] six-temperature schedule estimated from [start]. *)
-let whit84 (type s) (module P : Mc_problem.S with type state = s) rng (start : s) =
-  let module T = Temperature.Make (P) in
-  T.suggest_schedule rng start
-
 (* A single Metropolis temperature: [of_estimate] of the [WHIT84]
    estimate from [start]. *)
-let metropolis_temperature (type s) (module P : Mc_problem.S with type state = s) of_estimate
-    rng (start : s) =
-  let module T = Temperature.Make (P) in
-  Schedule.of_array [| of_estimate (T.estimate rng start) |]
+let metropolis_temperature problem of_estimate rng start =
+  Schedule.of_array [| of_estimate (Temperature.estimate problem rng start) |]
 
 (* A quarter of the estimated hottest temperature, at least [floor]. *)
 let quarter_y1 ~floor e = Float.max floor (e.Temperature.suggested_y1 /. 4.)
@@ -34,14 +21,17 @@ let row ~seed instances name f =
    [run_all] (a {!row} over fresh starts) and reporting [result] of its
    Figure 1 run: six-temperature annealing on the [WHIT84] schedule,
    Metropolis at {!quarter_y1}, and [g = 1]. *)
-let mc_rows problem ~floor ~budget ~result run_all =
+let mc_rows (type s m) (module P : Mc_problem.S with type state = s and type move = m) ~floor
+    ~budget ~result run_all =
   let sa name gfun schedule_of =
     run_all name (fun rng start ->
-        result (figure1 problem ~gfun ~schedule:(schedule_of rng start) ~budget rng start))
+        result
+          (Suites.figure1 (module P) ~gfun ~schedule:(schedule_of rng start) ~budget rng start))
   in
   [
-    sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing (whit84 problem);
-    sa "Metropolis" Gfun.metropolis (metropolis_temperature problem (quarter_y1 ~floor));
+    sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
+      (Temperature.suggest_schedule (module P));
+    sa "Metropolis" Gfun.metropolis (metropolis_temperature (module P) (quarter_y1 ~floor));
     sa "g = 1" Gfun.g_one g_one_schedule;
   ]
 
@@ -78,7 +68,7 @@ let table_tsp ~seed ~scale =
   let sa_method name ?defer_threshold gfun schedule_of =
     run_mc name (fun rng (_inst, start) ->
         let schedule = schedule_of rng start in
-        (figure1 (module Tsp_problem) ?defer_threshold ~gfun ~schedule ~budget rng start)
+        (Suites.figure1 (module Tsp_problem) ?defer_threshold ~gfun ~schedule ~budget rng start)
           .Mc_problem.best_cost)
   in
   let methods =
@@ -97,7 +87,8 @@ let table_tsp ~seed ~scale =
         (Printf.sprintf "2-opt, %d random restarts" restarts)
         (fun rng (inst, _start) ->
           Tour.length (Tsp_heuristics.two_opt_restarts rng inst ~restarts));
-      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing (whit84 (module Tsp_problem));
+      sa_method "Six Temperature Annealing" Gfun.six_temp_annealing
+        (Temperature.suggest_schedule (module Tsp_problem));
       sa_method "Metropolis" Gfun.metropolis
         (* a single fixed temperature must sit near the cold end or
            the walk never condenses -- the schedule sensitivity of
@@ -158,8 +149,8 @@ let table_partition ~seed ~scale =
   let sa_method name gfun schedule_of =
     run_all name (fun rng (_nl, start) ->
         best_cost
-          (figure1 (module Partition_problem) ~gfun ~schedule:(schedule_of rng start) ~budget rng
-             start))
+          (Suites.figure1 (module Partition_problem) ~gfun ~schedule:(schedule_of rng start) ~budget
+             rng start))
   in
   let methods =
     [
@@ -186,7 +177,7 @@ let table_partition ~seed ~scale =
       sa_method "Six Temp Annealing [KIRK83 schedule]" Gfun.six_temp_annealing
         (fun _rng _start -> Schedule.kirkpatrick ());
       sa_method "Six Temp Annealing [WHIT84 schedule]" Gfun.six_temp_annealing
-        (whit84 (module Partition_problem));
+        (Temperature.suggest_schedule (module Partition_problem));
       sa_method "Metropolis" Gfun.metropolis
         (metropolis_temperature (module Partition_problem) (quarter_y1 ~floor:0.5));
       sa_method "g = 1" Gfun.g_one g_one_schedule;
@@ -209,7 +200,8 @@ let table_partition ~seed ~scale =
 (* S1: instance scaling                                                *)
 (* ------------------------------------------------------------------ *)
 
-let linarr = (module Linarr_problem.Swap : Mc_problem.S with type state = Arrangement.t)
+(* A Figure 1 run on the pairwise-interchange problem. *)
+let fig1 = Suites.figure1 (module Linarr_problem.Swap)
 
 let table_scaling ~seed ~scale =
   let instances = 10 in
@@ -238,13 +230,13 @@ let table_scaling ~seed ~scale =
     let streams = Array.init instances (fun i -> Rng.create ~seed:(seed + Hashtbl.hash (n, i))) in
     Suites.total
       (Suites.runs streams suite (fun rng state ->
-           figure1 linarr ~gfun ~schedule:(schedule_of rng state) ~budget:(budget_for n) rng state))
+           fig1 ~gfun ~schedule:(schedule_of rng state) ~budget:(budget_for n) rng state))
   in
   let methods =
     [
       ("Goto", fun _ suite -> Suites.goto_reduction suite);
       ("g = 1", mc_method Gfun.g_one g_one_schedule);
-      ("Six Temperature Annealing [WHIT84 Y's]", mc_method Gfun.six_temp_annealing (whit84 linarr));
+      ("Six Temperature Annealing [WHIT84 Y's]", mc_method Gfun.six_temp_annealing (Temperature.suggest_schedule (module Linarr_problem.Swap)));
       ("Cubic Diff (Y = 0.3)", mc_method (Gfun.poly_diff ~k:1 ~degree:3) (fun _ _ ->
            Schedule.of_array [| 0.3 |]));
     ]
@@ -289,7 +281,7 @@ let table_variance ~seed ~scale =
     ]
   in
   let one_total gfun schedule rng =
-    float_of_int (Suites.total_reduction rng suite (figure1 linarr ~gfun ~schedule ~budget))
+    float_of_int (Suites.total_reduction rng suite (fig1 ~gfun ~schedule ~budget))
   in
   let rows =
     List.map
@@ -349,7 +341,7 @@ let table_convergence ~seed ~scale =
     |> snd |> List.filter Fun.id |> List.length
   in
   let mc name gfun schedule =
-    (name, fun rng budget state -> best_cost (figure1 linarr ~gfun ~schedule ~budget rng state))
+    (name, fun rng budget state -> best_cost (fig1 ~gfun ~schedule ~budget rng state))
   in
   let methods =
     [

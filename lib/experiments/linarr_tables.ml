@@ -1,6 +1,3 @@
-module Fig1 = Figure1.Make (Linarr_problem.Swap)
-module Fig2 = Figure2.Make (Linarr_problem.Swap)
-
 type config = { scale : float; wide_tuning : bool; seed : int }
 
 let default_config = { scale = 1.; wide_tuning = false; seed = 42 }
@@ -32,8 +29,10 @@ let grid_search rng suite ~gfun ~candidates ~budget =
   let scored =
     List.map
       (fun base ->
-        let p = Fig1.params ~gfun ~schedule:(Gfun.schedule gfun base) ~budget () in
-        (base, Suites.total_reduction (Rng.split rng) suite (fun rng -> Fig1.run rng p)))
+        let schedule = Gfun.schedule gfun base in
+        ( base,
+          Suites.total_reduction (Rng.split rng) suite
+            (Suites.figure1 (module Linarr_problem.Swap) ~gfun ~schedule ~budget) ))
       candidates
   in
   fst
@@ -62,8 +61,10 @@ let total_reduction c suite ~start ~gfun ~budget ~strategy ~column =
   let delta_ops = Linarr_problem.Swap.delta_ops in
   Suites.total_reduction ~start rng suite (fun rng state ->
       match strategy with
-      | `Figure1 -> Fig1.run ~delta_ops rng (Fig1.params ~gfun ~schedule ~budget ()) state
-      | `Figure2 -> Fig2.run ~delta_ops rng (Fig2.params ~gfun ~schedule ~budget ()) state)
+      | `Figure1 ->
+          Suites.figure1 (module Linarr_problem.Swap) ~delta_ops ~gfun ~schedule ~budget rng state
+      | `Figure2 ->
+          Suites.figure2 (module Linarr_problem.Swap) ~delta_ops ~gfun ~schedule ~budget rng state)
 
 let suite_note suite label =
   Printf.sprintf "%d instances, %d elements, %d nets (%s); sum of starting densities = %d"

@@ -351,11 +351,9 @@ let test_rl_schedule_mismatch () =
 
 (* -------------------------- Temperature ------------------------- *)
 
-module Line_temp = Temperature.Make (Line)
-
 let test_temperature_estimate () =
   let s = { Line.x = 0; cost_fn = vee } in
-  let e = Line_temp.estimate (Rng.create ~seed:19) s in
+  let e = Temperature.estimate (module Line) (Rng.create ~seed:19) s in
   Alcotest.check Alcotest.bool "sigma positive" true (e.Temperature.sigma > 0.);
   Alcotest.check (Alcotest.float 1e-9) "unit deltas" 1. e.Temperature.mean_abs_delta;
   Alcotest.check (Alcotest.float 1e-9) "min uphill 1" 1. e.Temperature.min_uphill;
@@ -364,12 +362,12 @@ let test_temperature_estimate () =
 
 let test_temperature_estimate_leaves_state () =
   let s = { Line.x = 5; cost_fn = vee } in
-  ignore (Line_temp.estimate (Rng.create ~seed:20) s);
+  ignore (Temperature.estimate (module Line) (Rng.create ~seed:20) s);
   Alcotest.check Alcotest.int "walks a copy, not the state" 5 s.Line.x
 
 let test_suggest_schedule_shape () =
   let s = { Line.x = 0; cost_fn = vee } in
-  let sch = Line_temp.suggest_schedule (Rng.create ~seed:21) s in
+  let sch = Temperature.suggest_schedule (module Line) (Rng.create ~seed:21) s in
   Alcotest.check Alcotest.int "k = 6" 6 (Schedule.length sch);
   for i = 1 to 5 do
     Alcotest.check Alcotest.bool "decreasing" true (Schedule.get sch i >= Schedule.get sch (i + 1))
@@ -382,14 +380,13 @@ let test_suggest_schedule_shape () =
 let test_temperature_pinned () =
   let b = Buffer.create 4096 in
   let bits x = Printf.bprintf b "%Lx;" (Int64.bits_of_float x) in
-  let pin (type s) name (module P : Mc_problem.S with type state = s) (start : s) =
-    let module T = Temperature.Make (P) in
-    let e = T.estimate (Rng.create ~seed:31) start in
+  let pin name problem start =
+    let e = Temperature.estimate problem (Rng.create ~seed:31) start in
     Printf.bprintf b "\n%s|" name;
     List.iter bits
       Temperature.[ e.sigma; e.mean_abs_delta; e.min_uphill; e.suggested_y1; e.suggested_yk ];
     Buffer.add_char b '|';
-    let s = T.suggest_schedule (Rng.create ~seed:32) start in
+    let s = Temperature.suggest_schedule problem (Rng.create ~seed:32) start in
     for i = 1 to Schedule.length s do
       bits (Schedule.get s i)
     done

@@ -113,8 +113,7 @@ let test_adapter_and_sa () =
   Qap.set_assignment q (Rng.permutation rng 12);
   let initial = Qap.cost q in
   let module E = Figure1.Make (Qap.Problem) in
-  let module T = Temperature.Make (Qap.Problem) in
-  let schedule = T.suggest_schedule (Rng.copy rng) q in
+  let schedule = Temperature.suggest_schedule (module Qap.Problem) (Rng.copy rng) q in
   let p =
     E.params ~gfun:Gfun.six_temp_annealing ~schedule ~budget:(Budget.Evaluations 8000) ()
   in
