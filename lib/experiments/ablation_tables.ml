@@ -15,8 +15,9 @@ let gola_total ctx salt run = Suites.total (gola_runs ctx salt run)
 let mean_over runs f =
   Array.fold_left (fun sum (_, r) -> sum +. f r) 0. runs /. float_of_int (Array.length runs)
 
-(* A Figure 1 run on the pairwise-interchange problem. *)
-let fig1 = Suites.figure1 (module Linarr_problem.Swap)
+(* A Figure 1 run on the pairwise-interchange problem, priced by its
+   deltas. *)
+let fig1 = Suites.figure1 (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
 
 let table_schedule_sensitivity ctx =
   let gfun = Gfun.six_temp_annealing in
@@ -75,7 +76,8 @@ let table_rejectionless ctx =
         let fig1 = gola_total ctx ("a3-f1", name) (fig1 ~gfun ~schedule ~budget) in
         let rless =
           gola_runs ctx ("a3-rl", name)
-            (Suites.rejectionless (module Linarr_problem.Swap) ~gfun ~schedule ~budget)
+            (Suites.rejectionless (module Linarr_problem.Swap)
+               ~delta_ops:Linarr_problem.Swap.delta_ops ~gfun ~schedule ~budget)
         in
         let step_ratio =
           mean_over rless (fun r ->

@@ -200,8 +200,9 @@ let table_partition ~seed ~scale =
 (* S1: instance scaling                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A Figure 1 run on the pairwise-interchange problem. *)
-let fig1 = Suites.figure1 (module Linarr_problem.Swap)
+(* A Figure 1 run on the pairwise-interchange problem, priced by its
+   deltas. *)
+let fig1 = Suites.figure1 (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
 
 let table_scaling ~seed ~scale =
   let instances = 10 in

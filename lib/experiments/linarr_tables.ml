@@ -32,7 +32,8 @@ let grid_search rng suite ~gfun ~candidates ~budget =
         let schedule = Gfun.schedule gfun base in
         ( base,
           Suites.total_reduction (Rng.split rng) suite
-            (Suites.figure1 (module Linarr_problem.Swap) ~gfun ~schedule ~budget) ))
+            (Suites.figure1 (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
+               ~gfun ~schedule ~budget) ))
       candidates
   in
   fst
