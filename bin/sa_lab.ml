@@ -371,7 +371,7 @@ let tsp_cmd =
              ~doc:"nn, insertion, hull, 2opt (NN + descent), sa (six-temp), or g1.")
   in
   let evals =
-    Arg.(value & opt int 30_000 & info [ "evals"; "n" ] ~docv:"N"
+    Arg.(value & opt (int_from 0) 30_000 & info [ "evals"; "n" ] ~docv:"N"
            ~doc:"Budget for the Monte Carlo methods.")
   in
   let show_tour = Arg.(value & flag & info [ "tour" ] ~doc:"Print the visiting order.") in
@@ -431,7 +431,8 @@ let partition_cmd =
              ~doc:"kl (graphs only), fm, sa (six-temp, KIRK83 schedule), or g1.")
   in
   let evals =
-    Arg.(value & opt int 30_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Monte Carlo budget.")
+    Arg.(value & opt (int_from 0) 30_000 & info [ "evals"; "n" ] ~docv:"N"
+           ~doc:"Monte Carlo budget.")
   in
   let kparts =
     Arg.(value & opt int 2 & info [ "parts"; "k" ] ~docv:"K"
@@ -497,7 +498,8 @@ let route_cmd =
            ~doc:"Minimize density with g = 1 before routing (instead of the Goto order).")
   in
   let evals =
-    Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Budget when optimizing.")
+    Arg.(value & opt (int_from 0) 20_000 & info [ "evals"; "n" ] ~docv:"N"
+           ~doc:"Budget when optimizing.")
   in
   let run file optimize evals seed =
     with_netlist file (fun nl ->
@@ -1175,44 +1177,40 @@ let top_cmd =
 
 let floorplan_cmd =
   let blocks =
-    Arg.(value & opt int 15 & info [ "blocks"; "b" ] ~docv:"N" ~doc:"Number of blocks.")
+    Arg.(value & opt (int_from 1) 15 & info [ "blocks"; "b" ] ~docv:"N"
+           ~doc:"Number of blocks.")
   in
   let max_side =
-    Arg.(value & opt int 10 & info [ "max-side" ] ~docv:"W"
+    Arg.(value & opt (int_from 2) 10 & info [ "max-side" ] ~docv:"W"
            ~doc:"Block sides drawn uniformly from 2..$(docv).")
   in
   let evals =
-    Arg.(value & opt int 20_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Move budget.")
+    Arg.(value & opt (int_from 0) 20_000 & info [ "evals"; "n" ] ~docv:"N"
+           ~doc:"Move budget.")
   in
   let run blocks max_side evals seed =
-    if blocks < 1 || max_side < 2 then begin
-      prerr_endline "need at least 1 block and max-side >= 2";
-      1
-    end
-    else begin
-      let rng = Rng.create ~seed in
-      let dims =
-        Array.init blocks (fun _ ->
-            (Rng.int_range rng 2 max_side, Rng.int_range rng 2 max_side))
-      in
-      let f = Floorplan.create dims in
-      Printf.printf "blocks: %d, total block area: %d\n" blocks (Floorplan.total_block_area f);
-      Printf.printf "initial area: %d (utilization %.0f%%)\n" (Floorplan.area f)
-        (100. *. Floorplan.utilization f);
-      let schedule = Temperature.suggest_schedule (module Floorplan.Problem) (Rng.copy rng) f in
-      let r =
-        Suites.figure1 (module Floorplan.Problem) ~gfun:Gfun.six_temp_annealing ~schedule
-          ~budget:(Budget.Evaluations evals) rng f
-      in
-      let best = r.Mc_problem.best in
-      Floorplan.check best;
-      let w, h = Floorplan.bounding_box best in
-      Printf.printf "annealed area: %.0f = %d x %d (utilization %.0f%%)\n"
-        r.Mc_problem.best_cost w h
-        (100. *. Floorplan.utilization best);
-      Printf.printf "expression: %s\n" (Floorplan.expression best);
-      0
-    end
+    let rng = Rng.create ~seed in
+    let dims =
+      Array.init blocks (fun _ ->
+          (Rng.int_range rng 2 max_side, Rng.int_range rng 2 max_side))
+    in
+    let f = Floorplan.create dims in
+    Printf.printf "blocks: %d, total block area: %d\n" blocks (Floorplan.total_block_area f);
+    Printf.printf "initial area: %d (utilization %.0f%%)\n" (Floorplan.area f)
+      (100. *. Floorplan.utilization f);
+    let schedule = Temperature.suggest_schedule (module Floorplan.Problem) (Rng.copy rng) f in
+    let r =
+      Suites.figure1 (module Floorplan.Problem) ~gfun:Gfun.six_temp_annealing ~schedule
+        ~budget:(Budget.Evaluations evals) rng f
+    in
+    let best = r.Mc_problem.best in
+    Floorplan.check best;
+    let w, h = Floorplan.bounding_box best in
+    Printf.printf "annealed area: %.0f = %d x %d (utilization %.0f%%)\n"
+      r.Mc_problem.best_cost w h
+      (100. *. Floorplan.utilization best);
+    Printf.printf "expression: %s\n" (Floorplan.expression best);
+    0
   in
   Cmd.v
     (Cmd.info "floorplan" ~doc:"Anneal a slicing floorplan of random blocks.")

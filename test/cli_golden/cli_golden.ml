@@ -84,6 +84,12 @@ let cases =
     ("bad-supervise-y", [ "supervise"; "nola15.net"; "-y"; "0" ], []);
     ("bad-supervise-runs", [ "supervise"; "nola15.net"; "-n"; "100"; "--runs=-1" ], []);
     ("bad-tsp-cities", [ "tsp"; "--cities"; "2" ], []);
+    ("bad-tsp-evals", [ "tsp"; "--cities"; "12"; "-m"; "sa"; "--evals=-5" ], []);
+    ("bad-partition-evals", [ "partition"; "graph24.net"; "-m"; "sa"; "--evals=-5" ], []);
+    ("bad-route-evals", [ "route"; "nola15.net"; "--optimize"; "--evals=-5" ], []);
+    ("bad-floorplan-evals", [ "floorplan"; "-b"; "5"; "--evals=-5" ], []);
+    ("bad-floorplan-blocks", [ "floorplan"; "-b"; "0" ], []);
+    ("bad-floorplan-max-side", [ "floorplan"; "--max-side"; "1" ], []);
     (* tables: a selection in the order given, every other table, CSV
        under another seed, the agreement table, and an unknown id (a
        usage error) *)
