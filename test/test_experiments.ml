@@ -145,13 +145,9 @@ let test_goto_reduction () =
     s.Suites.netlists;
   Alcotest.check Alcotest.int "sum of Goto reductions" !manual (Suites.goto_reduction s)
 
-module Swap_f1 = Figure1.Make (Linarr_problem.Swap)
-
 let metropolis_run rng state =
-  Swap_f1.run rng
-    (Swap_f1.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 0.5 |])
-       ~budget:(Budget.Evaluations 200) ())
-    state
+  Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.metropolis
+    ~schedule:(Schedule.of_array [| 0.5 |]) ~budget:(Budget.Evaluations 200) rng state
 
 let test_runs_sum_in_order () =
   let s = Suites.gola () in
@@ -170,6 +166,37 @@ let test_runs_sum_in_order () =
   Alcotest.check Alcotest.int "runs sum to total_reduction"
     (Suites.total_reduction (Rng.create ~seed:5) s metropolis_run)
     (Suites.total runs)
+
+(* Each runner on both evaluators over the GOLA suite: the delta path
+   prices the same proposals from the same draws, so every instance's
+   reduction and statistics match the recompute path's. *)
+let test_runners_agree_on_both_evaluators () =
+  let s = Suites.gola () in
+  let gfun = Gfun.six_temp_annealing and schedule = Schedule.geometric ~y1:1. ~ratio:0.9 ~k:6 in
+  let budget = Budget.Evaluations 600 in
+  let swap = (module Linarr_problem.Swap : Mc_problem.S
+                with type state = Arrangement.t and type move = int * int) in
+  let runners =
+    [
+      ("figure1", fun ?delta_ops rng -> Suites.figure1 swap ?delta_ops ~gfun ~schedule ~budget rng);
+      ("figure2", fun ?delta_ops rng -> Suites.figure2 swap ?delta_ops ~gfun ~schedule ~budget rng);
+      ( "rejectionless",
+        fun ?delta_ops rng -> Suites.rejectionless swap ?delta_ops ~gfun ~schedule ~budget rng );
+    ]
+  in
+  let stats r = Obs.Json.to_string (Mc_problem.stats_to_json r.Mc_problem.stats) in
+  List.iter
+    (fun (name, run) ->
+      let on delta_ops = Suites.runs (Suites.streams (Rng.create ~seed:12) s) s (run ?delta_ops) in
+      let delta = on (Some Linarr_problem.Swap.delta_ops) in
+      Array.iteri
+        (fun i (reduction, r) ->
+          let reduction', r' = delta.(i) in
+          let what = Printf.sprintf "%s, instance %d: " name i in
+          Alcotest.check Alcotest.int (what ^ "reduction") reduction reduction';
+          Alcotest.check Alcotest.string (what ^ "statistics") (stats r) (stats r'))
+        (on None))
+    runners
 
 let test_streams_match_interleaved_splits () =
   let s = Suites.gola () in
@@ -223,9 +250,8 @@ let test_grid_search_ties_go_first () =
     (fun seed ->
       Alcotest.check Alcotest.int "g = 1 saturates" optimum_total
         (Suites.total_reduction (Rng.create ~seed) s (fun rng state ->
-             Swap_f1.run rng
-               (Swap_f1.params ~gfun:Gfun.g_one ~schedule:(Gfun.schedule Gfun.g_one 1.) ~budget ())
-               state)))
+             Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.g_one
+               ~schedule:(Gfun.schedule Gfun.g_one 1.) ~budget rng state)))
     [ 1; 2; 3 ];
   List.iter
     (fun candidates ->
@@ -482,6 +508,7 @@ let suite =
     case "suites: Goto reduction" test_goto_reduction;
     case "suites: runs sum to the total, in index order" test_runs_sum_in_order;
     case "suites: streams are the splits a run-by-run loop takes" test_streams_match_interleaved_splits;
+    case "suites: runners agree on both evaluators" test_runners_agree_on_both_evaluators;
     case "grid search: a candidate, deterministically" test_grid_search_deterministic;
     case "grid search: g = 1 ties go to the first candidate" test_grid_search_ties_go_first;
     case "grid search: no candidates rejected" test_grid_search_no_candidates;
