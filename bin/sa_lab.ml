@@ -505,11 +505,10 @@ let route_cmd =
     with_netlist file (fun nl ->
         let arr =
           if optimize then
-            let w =
-              { nl; gfun = Gfun.g_one; schedule = Schedule.constant ~k:1 1.;
-                budget = Budget.Evaluations evals }
-            in
-            (anneal w `Figure1 (Rng.create ~seed) (Goto.arrange nl)).Mc_problem.best
+            (Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.g_one
+               ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations evals)
+               (Rng.create ~seed) (Goto.arrange nl))
+              .Mc_problem.best
           else Goto.arrange nl
         in
         let layout = Single_row.assign arr in

@@ -5,11 +5,8 @@
     module implements them: sample an infinite-temperature walk,
     measure the cost's standard deviation (hot end) and the smallest
     strictly-uphill step (cold end), and derive a geometric schedule
-    between the two.
-
-    Both functions take the problem as a first-class module, like the
-    runners of [Suites]: [Temperature.suggest_schedule (module
-    Tsp_problem) rng tour]. *)
+    between the two.  Both functions take the problem as a first-class
+    module: [suggest_schedule (module Tsp_problem) rng tour]. *)
 
 type estimate = {
   sigma : float;  (** stddev of cost along the sampling walk *)

@@ -30,20 +30,19 @@ let streams rng suite = Array.map (fun _ -> Rng.split rng) suite.netlists
 (* The engine runners: one functor application per run, so no table
    names an engine module. *)
 let figure1 (type s m) (module P : Mc_problem.S with type state = s and type move = m)
-    ?delta_ops ?counter_limit ?acceptance_limit ?defer_threshold ~gfun ~schedule ~budget rng
-    (start : s) =
+    ?delta_ops ?counter_limit ?acceptance_limit ?defer_threshold ~gfun ~schedule ~budget rng start =
   let module F = Figure1.Make (P) in
   F.run ?delta_ops rng
     (F.params ?counter_limit ?acceptance_limit ?defer_threshold ~gfun ~schedule ~budget ())
     start
 
 let figure2 (type s m) (module P : Mc_problem.S with type state = s and type move = m)
-    ?delta_ops ~gfun ~schedule ~budget rng (start : s) =
+    ?delta_ops ~gfun ~schedule ~budget rng start =
   let module F = Figure2.Make (P) in
   F.run ?delta_ops rng (F.params ~gfun ~schedule ~budget ()) start
 
 let rejectionless (type s m) (module P : Mc_problem.S with type state = s and type move = m)
-    ?delta_ops ~gfun ~schedule ~budget rng (start : s) =
+    ?delta_ops ~gfun ~schedule ~budget rng start =
   let module R = Rejectionless.Make (P) in
   R.run ?delta_ops rng (R.params ~gfun ~schedule ~budget) start
 

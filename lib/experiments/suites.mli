@@ -1,6 +1,5 @@
 (** Seeded benchmark suites, the one instance loop every table runs,
-    the engine runners every table and problem subcommand calls, and
-    budget presets.
+    the engine runners, and budget presets.
 
     The paper's test sets are "30 random instances, 15 elements, 150
     nets" (§4.2.1, §4.3.1), each with one fixed random initial
@@ -14,12 +13,9 @@
     stream, and {!total_reduction} sums the reductions.  The streams
     are split up front ({!streams}), one per instance in instance
     order; a run draws only from its own stream, so the totals do not
-    depend on the order the instances run in.
-
-    Every run, in the tables and in [sa_lab]'s problem subcommands, is
-    one call of a runner — {!figure1}, {!figure2} or {!rejectionless}
-    — on a first-class problem: [figure1 (module Linarr_problem.Swap)
-    ~gfun ~schedule ~budget] is a [run] for {!runs}. *)
+    depend on the order the instances run in.  Every run, in the
+    tables and in [sa_lab]'s problem subcommands, is one call of
+    {!figure1}, {!figure2} or {!rejectionless}. *)
 
 type linarr_suite = {
   netlists : Netlist.t array;
@@ -45,11 +41,11 @@ val streams : Rng.t -> linarr_suite -> Rng.t array
 
 (** {1 Engine runners}
 
-    Each runner takes [(module P)], then [?delta_ops] (without it every
-    proposal is priced by [P.apply], [P.cost] and [P.revert]), then the
-    engine's parameters, the stream and the start, which the run
-    mutates.  A run is the engine's [Make (P).run] on the same
-    arguments, draw for draw. *)
+    [figure1 (module P) ?delta_ops ~gfun ~schedule ~budget rng start]
+    is the {!Figure1} engine's run over [P] on the same arguments, draw
+    for draw (the recompute path without [delta_ops]); it mutates
+    [start].  {!figure2} and {!rejectionless} are the same for their
+    engines. *)
 
 val figure1 :
   (module Mc_problem.S with type state = 's and type move = 'm) ->
@@ -66,8 +62,6 @@ val rejectionless :
   (module Mc_problem.S with type state = 's and type move = 'm) ->
   ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
   gfun:Gfun.t -> schedule:Schedule.t -> budget:Budget.t -> Rng.t -> 's -> 's Mc_problem.run
-
-(** {1 The instance loop} *)
 
 val runs :
   ?start:(linarr_suite -> int -> Arrangement.t) ->
