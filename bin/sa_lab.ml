@@ -1176,16 +1176,14 @@ let top_cmd =
 
 let floorplan_cmd =
   let blocks =
-    Arg.(value & opt (int_from 1) 15 & info [ "blocks"; "b" ] ~docv:"N"
-           ~doc:"Number of blocks.")
+    Arg.(value & opt (int_from 1) 15 & info [ "blocks"; "b" ] ~docv:"N" ~doc:"Number of blocks.")
   in
   let max_side =
     Arg.(value & opt (int_from 2) 10 & info [ "max-side" ] ~docv:"W"
            ~doc:"Block sides drawn uniformly from 2..$(docv).")
   in
   let evals =
-    Arg.(value & opt (int_from 0) 20_000 & info [ "evals"; "n" ] ~docv:"N"
-           ~doc:"Move budget.")
+    Arg.(value & opt (int_from 0) 20_000 & info [ "evals"; "n" ] ~docv:"N" ~doc:"Move budget.")
   in
   let run blocks max_side evals seed =
     let rng = Rng.create ~seed in

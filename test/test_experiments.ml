@@ -174,21 +174,23 @@ let test_runners_agree_on_both_evaluators () =
   let s = Suites.gola () in
   let gfun = Gfun.six_temp_annealing and schedule = Schedule.geometric ~y1:1. ~ratio:0.9 ~k:6 in
   let budget = Budget.Evaluations 600 in
-  let swap = (module Linarr_problem.Swap : Mc_problem.S
-                with type state = Arrangement.t and type move = int * int) in
+  let module P = Linarr_problem.Swap in
   let runners =
     [
-      ("figure1", fun ?delta_ops rng -> Suites.figure1 swap ?delta_ops ~gfun ~schedule ~budget rng);
-      ("figure2", fun ?delta_ops rng -> Suites.figure2 swap ?delta_ops ~gfun ~schedule ~budget rng);
+      ( "figure1",
+        fun ?delta_ops rng -> Suites.figure1 (module P) ?delta_ops ~gfun ~schedule ~budget rng );
+      ( "figure2",
+        fun ?delta_ops rng -> Suites.figure2 (module P) ?delta_ops ~gfun ~schedule ~budget rng );
       ( "rejectionless",
-        fun ?delta_ops rng -> Suites.rejectionless swap ?delta_ops ~gfun ~schedule ~budget rng );
+        fun ?delta_ops rng ->
+          Suites.rejectionless (module P) ?delta_ops ~gfun ~schedule ~budget rng );
     ]
   in
   let stats r = Obs.Json.to_string (Mc_problem.stats_to_json r.Mc_problem.stats) in
   List.iter
     (fun (name, run) ->
       let on delta_ops = Suites.runs (Suites.streams (Rng.create ~seed:12) s) s (run ?delta_ops) in
-      let delta = on (Some Linarr_problem.Swap.delta_ops) in
+      let delta = on (Some P.delta_ops) in
       Array.iteri
         (fun i (reduction, r) ->
           let reduction', r' = delta.(i) in
