@@ -59,6 +59,7 @@ let cases =
     ("portfolio-race", [ "portfolio"; "nola15.net"; "--initial-evals"; "100"; "--seed"; "5"; "--report"; "pf.json" ], [ "pf.json" ]);
     ("portfolio-sweep", [ "portfolio"; "gola15.net"; "--mode"; "sweep"; "--initial-evals"; "150"; "--seed"; "6"; "--report"; "pfs.json" ], [ "pfs.json" ]);
     ("portfolio-tsp", [ "portfolio"; "--tsp-cities"; "12"; "-n"; "100"; "--seed"; "7" ], []);
+    ("portfolio-deadline", [ "portfolio"; "nola15.net"; "--initial-evals"; "100"; "--deadline-evals"; "3000"; "--seed"; "5" ], []);
     ("route-optimize", [ "route"; "nola15.net"; "--optimize"; "-n"; "2000"; "--seed"; "1" ], []);
     ("route-goto", [ "route"; "gola15.net" ], []);
     ("goto", [ "goto"; "nola15.net" ], []);

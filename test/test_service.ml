@@ -514,6 +514,34 @@ let test_mispriced_snapshot_restarts () =
   Alcotest.check Alcotest.string "restart matches the uninterrupted run" reference
     (result r)
 
+(* A race job's spec deadline is process CPU seconds from the race's
+   start, checked between rungs: at 1e-6 s the first rung (21 jobs of
+   budget / 8 = 1000 evaluations each) already overruns it, so the job
+   finishes [Done] with the leader after one round, not [Halted]. *)
+let test_race_deadline_stops_after_one_rung () =
+  let spec =
+    match
+      Job_spec.parse ~max_budget:10_000_000
+        (tsp_spec ~budget:8_000 ~seed:3 ~extra:{|,"mode":"race","deadline":1e-6|} ())
+    with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    Runner.run ~dir:(tmp ()) ~id:1 ~checkpoint_every:4_000 ~max_attempts:1
+      ~base_delay:0.001 ~stop:(fun () -> false) spec
+  in
+  match r.Runner.status with
+  | Runner.Done report ->
+      Alcotest.check Alcotest.bool "stopped early" true
+        (member "stopped_early" report = Obs.Json.Bool true);
+      (match member "rounds" report with
+      | Obs.Json.List [ round ] ->
+          Alcotest.check Alcotest.bool "first rung at 1000 evaluations" true
+            (member "budget_evaluations" round = Obs.Json.Int 1_000)
+      | _ -> Alcotest.fail "expected exactly one round")
+  | Runner.Halted | Runner.Failed _ -> Alcotest.fail "race did not finish as done"
+
 let test_events_stream_terminal () =
   let dir = tmp () in
   with_service (config ~dir ~runners:1 ()) (fun svc ->
@@ -611,6 +639,8 @@ let suite =
       test_stale_snapshot_classified;
     case "snapshot whose cost does not re-price is corrupt"
       test_mispriced_snapshot_restarts;
+    case "race deadline stops after the first rung"
+      test_race_deadline_stops_after_one_rung;
     case "terminal event stream is complete JSONL" test_events_stream_terminal;
     case "chaos: every transient fault retries to done"
       test_chaos_transient_recovers;
