@@ -1,65 +1,24 @@
-type t = Evaluations of int | Seconds of float
+type t = Evaluations of int
 
-type clock = {
-  budget : t;
-  mutable ticks : int;
-  now : unit -> float; (* the CPU clock; injectable for tests *)
-  started : float; (* CPU seconds at start; only read in Seconds mode *)
-  mutable max_elapsed : float; (* monotonic guard against clock regressions *)
-  mutable cached_exhausted : bool;
-}
+type clock = { limit : int; mutable ticks : int }
 
-let start_at ?(now = Sys.time) ~ticks budget =
-  (match budget with
-  | Evaluations n when n < 0 -> invalid_arg "Budget.start: negative evaluations"
-  | Seconds s when s < 0. -> invalid_arg "Budget.start: negative seconds"
-  | Evaluations _ | Seconds _ -> ());
+let start_at ~ticks (Evaluations n) =
+  if n < 0 then invalid_arg "Budget.start: negative evaluations";
   if ticks < 0 then invalid_arg "Budget.start_at: negative ticks";
-  { budget; ticks; now; started = now (); max_elapsed = 0.; cached_exhausted = false }
+  { limit = n; ticks }
 
-let start ?now budget = start_at ?now ~ticks:0 budget
+let start budget = start_at ~ticks:0 budget
 
 let ticks c = c.ticks
 let tick c = c.ticks <- c.ticks + 1
+let exhausted c = c.ticks >= c.limit
 
-let add_ticks c n =
-  if n < 0 then invalid_arg "Budget.add_ticks: negative count";
-  c.ticks <- c.ticks + n
+(* ⌈temp·n/k⌉ with n = q·k + r: temp·q + ⌈temp·r/k⌉, where temp·q <= n
+   and temp·r < k² stay far from overflow. *)
+let share_end (Evaluations n) ~k temp =
+  (temp * (n / k)) + (((temp * (n mod k)) + k - 1) / k)
 
-(* Sys.time is not guaranteed monotonic (process migration, NTP on some
-   libc clocks); a raw [now - started] can go negative or shrink.  The
-   high-water mark makes elapsed time — and with it [exhausted] and
-   [used_fraction] — non-decreasing. *)
-let elapsed c =
-  let e = c.now () -. c.started in
-  if e > c.max_elapsed then c.max_elapsed <- e;
-  c.max_elapsed
+let scale factor (Evaluations n) =
+  Evaluations (int_of_float (Float.round (float_of_int n *. factor)))
 
-let exhausted c =
-  c.cached_exhausted
-  ||
-  let now_exhausted =
-    match c.budget with
-    | Evaluations n -> c.ticks >= n
-    | Seconds s ->
-        (* Poll the CPU clock sparsely; a tick is far cheaper than a
-           clock read. *)
-        c.ticks land 63 = 0 && elapsed c >= s
-  in
-  if now_exhausted then c.cached_exhausted <- true;
-  now_exhausted
-
-let used_fraction c =
-  match c.budget with
-  | Evaluations 0 -> 1.
-  | Evaluations n -> Float.min 1. (float_of_int c.ticks /. float_of_int n)
-  | Seconds 0. -> 1.
-  | Seconds s -> Float.min 1. (elapsed c /. s)
-
-let scale factor = function
-  | Evaluations n ->
-      Evaluations (int_of_float (Float.round (float_of_int n *. factor)))
-  | Seconds s -> Seconds (s *. factor)
-
-let evaluations_or budget ~default =
-  match budget with Evaluations n -> n | Seconds _ -> default
+let evaluations (Evaluations n) = n

@@ -3,28 +3,19 @@
     The paper compares methods under equal CPU time (§3: "In all of our
     experiments we restricted each method to complete its task in the
     same amount of time").  For machine-independent, deterministic
-    reproduction we count {e proposed perturbations} instead
-    ([Evaluations]); a wall-clock mode ([Seconds], CPU time via
-    [Sys.time]) is kept for exploratory runs but never used in tests or
-    tables. *)
+    reproduction we count {e proposed perturbations} instead: every
+    budget is an evaluation count, so a run's length, its temperature
+    advances and its checkpoints all fall on exact ticks. *)
 
-type t =
-  | Evaluations of int  (** stop after this many proposed perturbations *)
-  | Seconds of float  (** stop after this much CPU time *)
+type t = Evaluations of int  (** stop after this many proposed perturbations *)
 
 type clock
-(** A running budget: tick count plus start time. *)
+(** A running budget: the tick count against its limit. *)
 
-val start : ?now:(unit -> float) -> t -> clock
-(** [now] (default [Sys.time]) is the CPU clock read in [Seconds]
-    mode; tests inject a fake clock through it.  Elapsed time is
-    clamped to its high-water mark, so a non-monotonic clock (NTP
-    step, process migration) can never make [exhausted] or
-    [used_fraction] regress.
+val start : t -> clock
+(** @raise Invalid_argument on a negative budget. *)
 
-    @raise Invalid_argument on a negative budget. *)
-
-val start_at : ?now:(unit -> float) -> ticks:int -> t -> clock
+val start_at : ticks:int -> t -> clock
 (** [start_at ~ticks budget] is {!start} with the tick counter already
     at [ticks] — how a resumed run re-enters the budget exactly where
     its checkpoint left off.
@@ -34,26 +25,26 @@ val start_at : ?now:(unit -> float) -> ticks:int -> t -> clock
 val tick : clock -> unit
 (** Record one perturbation evaluation. *)
 
-val add_ticks : clock -> int -> unit
-(** Record a batch of evaluations at once — how the portfolio
-    scheduler charges a whole racing round against its deadline
-    without a million [tick] calls.
-    @raise Invalid_argument on a negative count. *)
-
 val ticks : clock -> int
 (** Perturbations recorded so far. *)
 
 val exhausted : clock -> bool
-(** Whether the budget is spent.  Once true, stays true (so a slow
-    [Seconds] poll cannot flicker). *)
+(** Whether the budget is spent. *)
 
-val used_fraction : clock -> float
-(** Fraction of the budget consumed, clamped to [0, 1]; drives the
-    temperature index in the Figure 1 engine. *)
+val share_end : t -> k:int -> int -> int
+(** [share_end (Evaluations n) ~k temp] is ⌈temp·n/k⌉, the first tick
+    at which temperatures [1..temp] of a [k]-temperature schedule have
+    spent their equal shares of the budget (§4.2.1); the Figure 1 and
+    rejectionless engines move past [temp] on that tick.  Computed
+    without forming [temp * n], so it cannot overflow for
+    [0 <= temp <= k].  For [n * k < 2^53] the test
+    [ticks >= share_end budget ~k temp] agrees with the float test
+    [float ticks /. float n >= float temp /. float k] on every tick. *)
 
 val scale : float -> t -> t
 (** Multiply a budget (used for the 6 s / 9 s / 12 s = 1× / 1.5× / 2×
-    presets and the 30× three-minute runs). *)
+    presets and the 30× three-minute runs), rounding to the nearest
+    evaluation. *)
 
-val evaluations_or : t -> default:int -> int
-(** Evaluation count of an [Evaluations] budget, or [default]. *)
+val evaluations : t -> int
+(** The evaluation count of a budget. *)

@@ -33,17 +33,6 @@ type snapshot = {
   rng : string;  (** [Rng.to_state] of the generator at this point *)
 }
 
-(* Below tick [temp * n / k - 1] of an [Evaluations n] budget,
-   [ticks / n] falls short of [temp / k] by at least [2 / n].  For
-   [n <= 2^52] the ints convert exactly and each quotient rounds by at
-   most [2^-53] relative, far less than that gap, so the exact test in
-   [run] cannot pass there.  A [Seconds] budget, a larger [n] or a
-   product that would overflow gets no guard. *)
-let temp_guard budget ~k ~temp =
-  match (budget : Budget.t) with
-  | Evaluations n when n <= 1 lsl 52 && n <= max_int / k -> (temp * n / k) - 1
-  | Evaluations _ | Seconds _ -> min_int
-
 module Make (P : Mc_problem.S) = struct
   module S = Step.Make (P)
 
@@ -164,14 +153,14 @@ module Make (P : Mc_problem.S) = struct
     S.enter_temp b p.schedule !temp;
     let epoch = ref (Obs.Span.enter observer (Printf.sprintf "temp:%d" !temp)) in
     let close_epoch () = Obs.Span.exit observer !epoch in
-    let guard = ref (temp_guard p.budget ~k ~temp:!temp) in
+    let share_end = ref (Budget.share_end p.budget ~k !temp) in
     (* [Gfun.eval] takes its floats boxed; the temperature's [y] is boxed
        once per temperature, in this ref, rather than at every call. *)
     let y = ref (Schedule.get p.schedule !temp) in
     let advance_temp () =
       close_epoch ();
       incr temp;
-      guard := temp_guard p.budget ~k ~temp:!temp;
+      share_end := Budget.share_end p.budget ~k !temp;
       y := Schedule.get p.schedule !temp;
       b.temperatures <- !temp;
       counter := 0;
@@ -214,13 +203,9 @@ module Make (P : Mc_problem.S) = struct
     while (not !stop) && not (Budget.exhausted clock) do
       S.maybe_resync b ev;
       maybe_checkpoint ();
-      (* Catch the temperature up with the spent budget fraction; the
-         exact float test runs only from the guard tick on. *)
-      while
-        !temp < k
-        && Budget.ticks clock >= !guard
-        && Budget.used_fraction clock >= float_of_int !temp /. float_of_int k
-      do
+      (* Catch the temperature up with the spent budget: temperature
+         [temp] ends on the tick its equal share runs out. *)
+      while !temp < k && Budget.ticks clock >= !share_end do
         advance_temp ()
       done;
       if !counter >= p.counter_limit || !accepted_at_temp >= p.acceptance_limit then

@@ -35,14 +35,6 @@ type snapshot = {
     problem types, so the resilience layer can serialize it once for
     all problem domains. *)
 
-val temp_guard : Budget.t -> k:int -> temp:int -> int
-(** [temp_guard budget ~k ~temp] is a tick below which the spent
-    fraction of [budget] cannot reach [temp / k]: [temp * n / k - 1]
-    for [Evaluations n], and [min_int] (no guard) for [Seconds], for
-    [n > 2^52] or when [temp * n] would overflow.  {!Make.run} tests its temperature
-    catch-up only from this tick on; the exact
-    [Budget.used_fraction] test still decides each advance. *)
-
 module Make (P : Mc_problem.S) : sig
   type params = private {
     gfun : Gfun.t;

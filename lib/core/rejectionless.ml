@@ -38,17 +38,16 @@ module Make (P : Mc_problem.S) = struct
     in
     let stop = ref false in
     let temp = ref 1 in
+    let share_end = ref (Budget.share_end p.budget ~k 1) in
     let advance_temp () =
       incr temp;
+      share_end := Budget.share_end p.budget ~k !temp;
       b.temperatures <- !temp;
       S.enter_temp b p.schedule !temp
     in
     while (not !stop) && not (Budget.exhausted clock) do
       S.maybe_resync b ev;
-      while
-        !temp < k
-        && Budget.used_fraction clock >= float_of_int !temp /. float_of_int k
-      do
+      while !temp < k && Budget.ticks clock >= !share_end do
         advance_temp ()
       done;
       let y = Schedule.get p.schedule !temp in

@@ -58,7 +58,7 @@ let table_tsp ~seed ~scale =
      heuristic; we give the Monte Carlo rows (and the budget-matched
      2-opt restarts) 10 simulated minutes each. *)
   let budget = Budget.scale scale (Suites.seconds 600.) in
-  let budget_evals = Budget.evaluations_or budget ~default:120_000 in
+  let budget_evals = Budget.evaluations budget in
   (* A 2-opt descent from a random tour needs roughly n^2 move tests
      per improving step and O(n) steps; match the restart count to the
      Monte Carlo budget. *)
@@ -142,7 +142,7 @@ let table_partition ~seed ~scale =
   in
   let starts = Array.map (fun nl -> Bipartition.random_balanced (Rng.split master) nl) insts in
   let budget = Budget.scale scale (Suites.seconds 60.) in
-  let budget_evals = Budget.evaluations_or budget ~default:120_000 in
+  let budget_evals = Budget.evaluations budget in
   let run_all =
     row ~seed (Array.mapi (fun i nl () -> (nl, Bipartition.copy starts.(i))) insts)
   in
@@ -411,7 +411,7 @@ let table_placement ~seed ~scale =
   in
   let starts = Array.map (fun nl -> Placement.random (Rng.split master) ~rows ~cols nl) insts in
   let budget = Budget.scale scale (Suites.seconds 120.) in
-  let budget_evals = Budget.evaluations_or budget ~default:30_000 in
+  let budget_evals = Budget.evaluations budget in
   let run_all =
     row ~seed (Array.mapi (fun i nl () -> (nl, Placement.copy starts.(i))) insts)
   in
@@ -468,7 +468,7 @@ let table_wiring ~seed ~scale =
         Wiring.random_instance (Rng.split master) ~width:grid ~height:grid ~nets)
   in
   let budget = Budget.scale scale (Suites.seconds 80.) in
-  let budget_evals = Budget.evaluations_or budget ~default:20_000 in
+  let budget_evals = Budget.evaluations budget in
   let run_all = row ~seed (Array.map (fun e () -> Wiring.create ~width:grid ~height:grid e) ends) in
   let methods =
     [
@@ -515,7 +515,7 @@ let table_floorplan ~seed ~scale =
   in
   let insts = Array.init instances (fun _ -> dims_of (Rng.split master)) in
   let budget = Budget.scale scale (Suites.seconds 80.) in
-  let budget_evals = Budget.evaluations_or budget ~default:20_000 in
+  let budget_evals = Budget.evaluations budget in
   let run_all = row ~seed (Array.map Fun.const insts) in
   let methods =
     [
@@ -567,7 +567,7 @@ let table_qap ~seed ~scale =
         q)
   in
   let budget = Budget.scale scale (Suites.seconds 80.) in
-  let budget_evals = Budget.evaluations_or budget ~default:20_000 in
+  let budget_evals = Budget.evaluations budget in
   let run_all = row ~seed (Array.map (fun q () -> Qap.copy q) insts) in
   let methods =
     [

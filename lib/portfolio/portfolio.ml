@@ -157,7 +157,7 @@ let sweep ?domains ?observer ?job_observer ?pool_stats rng ~budget jobs =
       [
         {
           index = 1;
-          budget_evaluations = Budget.evaluations_or budget ~default:0;
+          budget_evaluations = Budget.evaluations budget;
           results;
           culled = [];
         };
@@ -172,22 +172,15 @@ let race ?domains ?observer ?job_observer ?pool_stats ?deadline
   let jobs, pool, observer, job_rngs =
     prepare ?domains ?observer rng jobs ~who:"Portfolio.race"
   in
-  let deadline_clock = Option.map Budget.start deadline in
-  (* An [Evaluations] deadline is charged per rung through the tick
-     counter (deterministic); a [Seconds] deadline leaves the counter
-     at zero so every [exhausted] call actually polls the clock. *)
-  let charge evals =
-    match (deadline_clock, deadline) with
-    | Some clock, Some (Budget.Evaluations _) -> Budget.add_ticks clock evals
-    | _ -> ()
-  in
-  let deadline_hit () =
-    match deadline_clock with
-    | Some clock -> Budget.exhausted clock
-    | None -> false
-  in
   let rounds = ref [] in
   let total_evaluations = ref 0 in
+  (* The deadline counts every evaluation of every job so far, so where
+     a race stops depends on the seeds alone. *)
+  let deadline_hit () =
+    match deadline with
+    | Some d -> !total_evaluations >= Budget.evaluations d
+    | None -> false
+  in
   let stopped_early = ref false in
   let alive = ref (List.init (Array.length jobs) Fun.id) in
   let winner = ref None in
@@ -203,7 +196,6 @@ let race ?domains ?observer ?job_observer ?pool_stats ?deadline
     in
     let evals = round_evaluations ranked in
     total_evaluations := !total_evaluations + evals;
-    charge evals;
     let keep = (List.length ranked + 1) / 2 in
     let survivors, culled = split_at keep ranked in
     emit_standings observer ~rung:!rung
@@ -212,7 +204,7 @@ let race ?domains ?observer ?job_observer ?pool_stats ?deadline
     rounds :=
       {
         index = !rung;
-        budget_evaluations = Budget.evaluations_or budget ~default:0;
+        budget_evaluations = Budget.evaluations budget;
         results = List.map snd ranked;
         culled = List.map (fun (_, s) -> s.label) culled;
       }

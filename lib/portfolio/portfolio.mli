@@ -131,14 +131,15 @@ val race :
     cost, ties broken by job-list position, jobs that could not start
     last.
 
-    [deadline] is a whole-race allowance checked between rungs: an
-    [Evaluations] deadline counts every evaluation consumed by every
-    job (deterministic — use this in tests), a [Seconds] deadline reads
-    the wall clock.  When it fires with several jobs still alive the
-    race stops early, the current leader wins, and the report says
-    [stopped_early = true].  [cancel] (default never) is polled at the
-    same between-rung points — how sa_labd turns a [DELETE /jobs/:id]
-    into a prompt, clean stop with the standings so far.
+    [deadline] is a whole-race evaluation allowance checked between
+    rungs against [total_evaluations], the evaluations consumed by
+    every job so far, so where a race stops is deterministic.  When it
+    is reached with several jobs still alive the race stops early, the
+    current leader wins, and the report says [stopped_early = true].
+    [cancel] (default never) is polled at the same between-rung points,
+    with the same effect — how sa_labd turns a [DELETE /jobs/:id], or a
+    race job's CPU-time deadline, into a prompt, clean stop with the
+    standings so far.
 
     After each rung every standing is emitted as an
     {!Obs.Event.Rung_standing} (with [culled] flagged) through

@@ -26,7 +26,7 @@ type t = {
   budget : int;
   seed : int;
   mode : mode;
-  deadline : float option;  (* per-attempt seconds, Supervisor-enforced *)
+  deadline : float option;  (* anneal: per-attempt wall seconds; race: CPU seconds *)
   chaos : chaos option;
 }
 

@@ -12,7 +12,9 @@
     4.1 class name, default six-temperature annealing), ["y"] (base
     temperature, default 1.0), ["seed"] (default 0), ["mode"]
     (["anneal"] default, or ["race"] for a catalog tournament),
-    ["deadline"] (per-attempt seconds), ["chaos"] ({["fault"],
+    ["deadline"] (seconds: per attempt, on the wall clock, for an
+    anneal job; CPU time from the race's start, checked between rungs,
+    for a race job), ["chaos"] ({["fault"],
     ["attempts"]} — fault injection for the resilience tests). *)
 
 type problem =

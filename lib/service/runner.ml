@@ -297,10 +297,16 @@ let run_race ~observer ~stop (spec : Job_spec.t) (Pack inst) =
   in
   let rng = Rng.create ~seed:spec.seed in
   let initial_budget = Budget.Evaluations (max 1 (spec.budget / 8)) in
-  let deadline = Option.map (fun s -> Budget.Seconds s) spec.deadline in
-  let report =
-    Portfolio.race ~observer ?deadline ~cancel:stop rng ~initial_budget jobs
+  (* The spec's deadline is process CPU seconds from the race's start,
+     checked with [stop] between rungs. *)
+  let cancel =
+    match spec.deadline with
+    | None -> stop
+    | Some s ->
+        let started = Sys.time () in
+        fun () -> Sys.time () -. started >= s || stop ()
   in
+  let report = Portfolio.race ~observer ~cancel rng ~initial_budget jobs in
   if report.Portfolio.stopped_early && stop () then Halted
   else Done (Portfolio.report_to_json report)
 

@@ -18,82 +18,42 @@ let test_budget_evaluations () =
 let test_budget_zero () =
   let c = Budget.start (Budget.Evaluations 0) in
   Alcotest.check Alcotest.bool "zero budget exhausted immediately" true (Budget.exhausted c);
-  checkf "used fraction 1" 1. (Budget.used_fraction c)
+  for temp = 0 to 6 do
+    Alcotest.check Alcotest.int "every share ends at tick 0" 0
+      (Budget.share_end (Budget.Evaluations 0) ~k:6 temp)
+  done
 
-let test_budget_fraction () =
-  let c = Budget.start (Budget.Evaluations 10) in
-  checkf "0/10" 0. (Budget.used_fraction c);
-  for _ = 1 to 5 do
-    Budget.tick c
-  done;
-  checkf "5/10" 0.5 (Budget.used_fraction c);
-  for _ = 1 to 10 do
-    Budget.tick c
-  done;
-  checkf "clamped" 1. (Budget.used_fraction c)
+let test_budget_share_end () =
+  let ends n k = List.init (k + 1) (Budget.share_end (Budget.Evaluations n) ~k) in
+  Alcotest.check Alcotest.(list int) "exact quotient" [ 0; 100; 200; 300; 400; 500; 600 ]
+    (ends 600 6);
+  (* 10/6 per share: each end rounds up to the next whole tick. *)
+  Alcotest.check Alcotest.(list int) "inexact quotient" [ 0; 2; 4; 5; 7; 9; 10 ] (ends 10 6);
+  Alcotest.check Alcotest.(list int) "fewer ticks than shares" [ 0; 1; 1; 1; 2; 2; 2 ] (ends 2 6);
+  (* max_int = 2^62 - 1 would overflow [temp * n]; the split form does
+     not. *)
+  let big = Budget.Evaluations max_int in
+  Alcotest.check Alcotest.int "half of max_int, rounded up" (1 lsl 61)
+    (Budget.share_end big ~k:6 3);
+  Alcotest.check Alcotest.int "last share ends at max_int" max_int
+    (Budget.share_end big ~k:6 6);
+  Alcotest.check Alcotest.int "five sixths of max_int, rounded up"
+    ((5 * (max_int / 6)) + 3)
+    (Budget.share_end big ~k:6 5)
 
 let test_budget_negative () =
   Alcotest.check_raises "negative evals"
     (Invalid_argument "Budget.start: negative evaluations") (fun () ->
-      ignore (Budget.start (Budget.Evaluations (-1))));
-  Alcotest.check_raises "negative seconds"
-    (Invalid_argument "Budget.start: negative seconds") (fun () ->
-      ignore (Budget.start (Budget.Seconds (-1.))))
+      ignore (Budget.start (Budget.Evaluations (-1))))
 
 let test_budget_scale () =
-  (match Budget.scale 1.5 (Budget.Evaluations 6000) with
+  match Budget.scale 1.5 (Budget.Evaluations 6000) with
   | Budget.Evaluations n -> Alcotest.check Alcotest.int "scaled evals" 9000 n
-  | Budget.Seconds _ -> Alcotest.fail "kind changed");
-  match Budget.scale 2. (Budget.Seconds 3.) with
-  | Budget.Seconds s -> checkf "scaled seconds" 6. s
-  | Budget.Evaluations _ -> Alcotest.fail "kind changed"
-
-let test_budget_evaluations_or () =
-  Alcotest.check Alcotest.int "evals" 7 (Budget.evaluations_or (Budget.Evaluations 7) ~default:0);
-  Alcotest.check Alcotest.int "default" 9 (Budget.evaluations_or (Budget.Seconds 1.) ~default:9)
-
-let test_budget_seconds_mode () =
-  (* A seconds budget of 0 must exhaust on the first poll. *)
-  let c = Budget.start (Budget.Seconds 0.) in
-  Budget.tick c;
-  (* tick count 1: the poll happens at multiples of 64, but the cached
-     fraction still reports correctly *)
-  checkf "fraction 1 for zero budget" 1. (Budget.used_fraction c)
-
-let test_budget_seconds_clock_regression () =
-  (* A fake CPU clock that steps backwards: elapsed time, and with it
-     used_fraction and exhausted, must never regress. *)
-  let t = ref 0. in
-  let now () = !t in
-  let c = Budget.start ~now (Budget.Seconds 8.) in
-  t := 4.;
-  checkf "4/8" 0.5 (Budget.used_fraction c);
-  t := 2.;
-  checkf "fraction holds at high-water mark" 0.5 (Budget.used_fraction c);
-  t := -3.;
-  (* clock now reads before the start: still clamped *)
-  checkf "fraction survives negative elapsed" 0.5 (Budget.used_fraction c);
-  Alcotest.check Alcotest.bool "not exhausted yet" false (Budget.exhausted c);
-  t := 9.;
-  Alcotest.check Alcotest.bool "exhausted at 9/8" true (Budget.exhausted c);
-  t := 0.;
-  Alcotest.check Alcotest.bool "exhausted is sticky" true (Budget.exhausted c);
-  checkf "fraction clamped to 1" 1. (Budget.used_fraction c)
-
-let test_budget_seconds_negative_from_start () =
-  (* Clock regresses before the first read: fraction is 0, never
-     negative. *)
-  let t = ref 100. in
-  let now () = !t in
-  let c = Budget.start ~now (Budget.Seconds 5.) in
-  t := 90.;
-  checkf "no negative fraction" 0. (Budget.used_fraction c);
-  Alcotest.check Alcotest.bool "not exhausted" false (Budget.exhausted c)
 
 let test_budget_start_at () =
   let c = Budget.start_at ~ticks:7 (Budget.Evaluations 10) in
   Alcotest.check Alcotest.int "resumed ticks" 7 (Budget.ticks c);
-  checkf "resumed fraction" 0.7 (Budget.used_fraction c);
+  Alcotest.check Alcotest.bool "resumed, not exhausted" false (Budget.exhausted c);
   Budget.tick c;
   Budget.tick c;
   Budget.tick c;
@@ -386,53 +346,41 @@ let prop_metropolis_in_unit_interval =
       let v = Gfun.eval Gfun.metropolis ~temp:1 ~y ~hi ~hj:(hi +. delta) in
       v > 0. && v <= 1.)
 
-(* Figure 1 tests its temperature catch-up only from
-   [Figure1.temp_guard] on.  Below the guard the exact predicate must
-   never hold, or skipping the test would change a run; two ticks past
-   it, it always holds, so the guard skips nearly all of the epoch. *)
-let prop_temp_guard_sound =
+(* The Figure 1 and rejectionless engines once advanced past [temp]
+   on the first tick whose spent fraction [ticks / n] (clamped to 1,
+   and 1 for n = 0) reached [temp / k] in floats.  That reference is
+   written out here: the integer test [ticks >= share_end] must agree
+   with it on every tick around each share end, for n * k < 2^53. *)
+let prop_share_end_matches_float_test =
   QCheck.Test.make ~count:300
-    ~name:"qcheck: no tick below Figure 1's temperature guard reaches temp/k"
+    ~name:"qcheck: share_end advances on the float test's tick"
     QCheck.(
       triple
-        (oneof [ int_range 1 1000; int_range 1 10_000_000; int_range 1 (1 lsl 40) ])
-        (int_range 2 64) (int_range 1 63))
+        (oneof [ int_range 0 1000; int_range 0 10_000_000; int_range 0 (1 lsl 40) ])
+        (int_range 1 64) (int_range 0 64))
     (fun (n, k, temp) ->
-      let temp = 1 + (temp mod (k - 1)) in
+      let temp = temp mod (k + 1) in
       let budget = Budget.Evaluations n in
-      let reached t =
-        Budget.used_fraction (Budget.start_at ~ticks:t budget)
-        >= float_of_int temp /. float_of_int k
+      let float_reached t =
+        let used = if n = 0 then 1. else Float.min 1. (float_of_int t /. float_of_int n) in
+        used >= float_of_int temp /. float_of_int k
       in
-      let g = Figure1.temp_guard budget ~k ~temp in
-      let below = ref true in
-      for t = Int.max 0 (g - 2000) to g - 1 do
-        if reached t then below := false
+      let e = Budget.share_end budget ~k temp in
+      let agree = ref true in
+      for t = Int.max 0 (e - 3) to Int.min n (e + 3) do
+        if t >= e <> float_reached t then agree := false
       done;
-      !below && reached (g + 2))
-
-let test_temp_guard_off () =
-  Alcotest.check Alcotest.int "seconds: no guard" min_int
-    (Figure1.temp_guard (Budget.Seconds 5.) ~k:6 ~temp:3);
-  Alcotest.check Alcotest.int "past 2^52 evaluations: no guard" min_int
-    (Figure1.temp_guard (Budget.Evaluations ((1 lsl 52) + 1)) ~k:6 ~temp:3);
-  Alcotest.check Alcotest.int "zero budget: from the first tick" (-1)
-    (Figure1.temp_guard (Budget.Evaluations 0) ~k:6 ~temp:3)
+      !agree)
 
 let suite =
   [
     case "budget: evaluations count down" test_budget_evaluations;
     case "budget: zero exhausts immediately" test_budget_zero;
-    case "budget: used fraction" test_budget_fraction;
+    case "budget: share ends" test_budget_share_end;
     case "budget: negative rejected" test_budget_negative;
     case "budget: scaling" test_budget_scale;
-    case "budget: evaluations_or" test_budget_evaluations_or;
-    case "budget: seconds mode zero" test_budget_seconds_mode;
-    case "budget: seconds survives a non-monotonic clock" test_budget_seconds_clock_regression;
-    case "budget: seconds never negative" test_budget_seconds_negative_from_start;
     case "budget: start_at resumes the tick count" test_budget_start_at;
-    case "figure 1 temperature guard: off where unsound" test_temp_guard_off;
-    QCheck_alcotest.to_alcotest prop_temp_guard_sound;
+    QCheck_alcotest.to_alcotest prop_share_end_matches_float_test;
     case "schedule: constant" test_schedule_constant;
     case "schedule: geometric" test_schedule_geometric;
     case "schedule: kirkpatrick literal" test_schedule_kirkpatrick;

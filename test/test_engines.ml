@@ -140,17 +140,6 @@ let test_f1_deterministic () =
   in
   Alcotest.check (Alcotest.pair (Alcotest.float 0.) Alcotest.int) "identical runs" (run ()) (run ())
 
-let test_f1_seconds_budget_terminates () =
-  (* The wall-clock budget path: a tiny CPU allowance must stop the
-     run promptly (the poll happens every 64 ticks). *)
-  let s = { Line.x = 1000; cost_fn = vee } in
-  let p =
-    F1.params ~gfun:never_uphill ~schedule:one_schedule ~budget:(Budget.Seconds 0.05) ()
-  in
-  let r = F1.run (Rng.create ~seed:50) p s in
-  Alcotest.check Alcotest.bool "ran some proposals" true
-    (r.Mc_problem.stats.Mc_problem.evaluations > 0)
-
 let test_gfun_custom () =
   let g =
     Gfun.custom ~name:"step" ~k:2 (fun ~temp ~y:_ ~hi:_ ~hj:_ ->
@@ -944,7 +933,6 @@ let suite =
     case "figure1: counter limit stops early" test_f1_counter_limit_stops_early;
     case "figure1: schedule length checked" test_f1_schedule_mismatch_rejected;
     case "figure1: deterministic" test_f1_deterministic;
-    case "figure1: wall-clock budget terminates" test_f1_seconds_budget_terminates;
     case "gfun: custom classes" test_gfun_custom;
     case "figure1: acceptance limit advances temperatures" test_f1_acceptance_limit_advances;
     case "figure1: acceptance limit validated" test_f1_acceptance_limit_validation;

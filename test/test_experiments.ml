@@ -270,10 +270,8 @@ let test_grid_search_no_candidates () =
   | _ -> Alcotest.fail "expected Invalid_argument"
 
 let test_seconds_budget () =
-  match Suites.seconds 6. with
-  | Budget.Evaluations n ->
-      Alcotest.check Alcotest.int "6 paper-seconds" (6 * Suites.evals_per_second) n
-  | Budget.Seconds _ -> Alcotest.fail "expected evaluation budget"
+  Alcotest.check Alcotest.int "6 paper-seconds" (6 * Suites.evals_per_second)
+    (Budget.evaluations (Suites.seconds 6.))
 
 (* ------------------------------ tables ---------------------------- *)
 

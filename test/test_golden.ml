@@ -27,23 +27,26 @@ let test_instance_golden () =
 
 (* ---------------------- pinned engine runs ----------------------- *)
 
+(* An event's JSONL line with its wall-clock fields ([Span]/[Run_end]
+   seconds) zeroed. *)
+let masked_line ev =
+  let ev =
+    match ev with
+    | Obs.Event.Span { name; seconds = _ } -> Obs.Event.Span { name; seconds = 0. }
+    | Obs.Event.Run_end { evaluations; final_cost; best_cost; seconds = _ } ->
+        Obs.Event.Run_end { evaluations; final_cost; best_cost; seconds = 0. }
+    | ev -> ev
+  in
+  Obs.Json.to_string (Obs.Event.to_json ev)
+
 (* Everything a run's caller can see, as one comparable line: the bits
-   of both costs, every counter, and a digest of the JSONL event stream
-   with its wall-clock fields ([Span]/[Run_end] seconds) zeroed. *)
+   of both costs, every counter, and a digest of the masked JSONL event
+   stream. *)
 let fingerprint run =
   let buf = Buffer.create 4096 in
   let observer =
     Obs.Observer.of_fun (fun ev ->
-        let ev =
-          match ev with
-          | Obs.Event.Span { name; seconds = _ } ->
-              Obs.Event.Span { name; seconds = 0. }
-          | Obs.Event.Run_end { evaluations; final_cost; best_cost; seconds = _ }
-            ->
-              Obs.Event.Run_end { evaluations; final_cost; best_cost; seconds = 0. }
-          | ev -> ev
-        in
-        Buffer.add_string buf (Obs.Json.to_string (Obs.Event.to_json ev));
+        Buffer.add_string buf (masked_line ev);
         Buffer.add_char buf '\n')
   in
   let (r : _ Mc_problem.run) = run observer in

@@ -250,6 +250,67 @@ let test_kill_and_resume_bit_identical () =
   Alcotest.check Alcotest.string "final state identical"
     (encode_state state_base) (encode_state current)
 
+(* The event stream an observer sees, one masked JSONL line per event,
+   in order. *)
+let recording () =
+  let lines = ref [] in
+  let observer =
+    Obs.Observer.of_fun (fun ev -> lines := Test_golden.masked_line ev :: !lines)
+  in
+  (observer, fun () -> List.rev !lines)
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Checkpoints fire at the loop top before the temperature catch-up, so
+   a snapshot taken on the tick where temperature 3's share runs out
+   still holds temperature 3, and the resumed run makes the advance
+   itself.  From that tick on, the resumed run must see and do exactly
+   what the uninterrupted run does. *)
+let test_resume_on_share_boundary () =
+  let codec = codec () in
+  let params = engine_params ~evals:4001 in
+  let boundary = Budget.share_end params.Engine.budget ~k:6 3 in
+  Alcotest.check Alcotest.int "share 3 of 4001 ends on an inexact tick" 2001 boundary;
+  (* Uninterrupted run, noting where its stream stood at the boundary. *)
+  let observer, events = recording () in
+  let at_boundary = ref 0 in
+  let mark snap ~current:_ ~best:_ =
+    if snap.Figure1.ticks = boundary then at_boundary := List.length (events ())
+  in
+  let r_base =
+    Engine.run ~observer ~checkpoint_every:boundary ~on_checkpoint:mark
+      (Rng.create ~seed:7) params (start_state ())
+  in
+  let tail = List.filteri (fun i _ -> i >= !at_boundary) (events ()) in
+  (* Same run, killed right after its checkpoint at the boundary. *)
+  let path = temp_path () in
+  let killing snap ~current ~best =
+    Checkpoint.save_figure1 ~path ~codec ~fingerprint snap ~current ~best;
+    if snap.Figure1.ticks = boundary then raise Simulated_kill
+  in
+  (match
+     Engine.run ~checkpoint_every:boundary ~on_checkpoint:killing
+       (Rng.create ~seed:7) params (start_state ())
+   with
+  | (_ : Arrangement.t Mc_problem.run) -> Alcotest.fail "run was not interrupted"
+  | exception Simulated_kill -> ());
+  let snap, current, best, rng =
+    ok_or_fail_load (Checkpoint.load_figure1 ~path ~codec ~fingerprint)
+  in
+  Sys.remove path;
+  Alcotest.check Alcotest.int "killed on the boundary" boundary snap.Figure1.ticks;
+  Alcotest.check Alcotest.int "snapshot still at temperature 3" 3 snap.Figure1.temp;
+  let observer, events = recording () in
+  let r_res = Engine.run ~observer ~resume:(snap, best) rng params current in
+  check_runs_identical ~msg:"resumed on the boundary vs uninterrupted" r_base r_res;
+  (* A resumed run opens with its own [Run_start] and the
+     [Temp_advance] of the temperature it re-enters. *)
+  match events () with
+  | _run_start :: _reenter :: rest ->
+      Alcotest.check Alcotest.string "event digest from the boundary on" (digest tail)
+        (digest rest)
+  | _ -> Alcotest.fail "resumed run emitted no prelude"
+
 let test_checkpointing_is_observation_only () =
   (* Saving checkpoints must not perturb the walk at all. *)
   let codec = codec () in
@@ -793,6 +854,8 @@ let suite =
     case "wrong schema rejected" test_wrong_schema_rejected;
     case "stale fingerprint rejected" test_stale_fingerprint_rejected;
     case "kill and resume is bit-identical" test_kill_and_resume_bit_identical;
+    case "resume on a temperature share boundary is bit-identical"
+      test_resume_on_share_boundary;
     case "checkpointing is observation-only" test_checkpointing_is_observation_only;
     case "resume argument validation" test_resume_argument_validation;
   ]
