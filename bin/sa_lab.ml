@@ -104,6 +104,10 @@ let goto_start_arg =
   Arg.(value & flag & info [ "goto-start" ]
          ~doc:"Start from the Goto arrangement instead of a random one.")
 
+let base_arg =
+  Arg.(value & opt positive 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
+         ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
+
 (* The paper's experiment, as every walk subcommand takes it: a netlist,
    a g-class, a base temperature Y for its schedule, a budget and a
    seed.  Each subcommand picks its own defaults. *)
@@ -118,12 +122,8 @@ let walk_args ~method_ ~evals =
     Arg.(value & opt (int_from 0) evals & info [ "evals"; "n" ] ~docv:"N"
            ~doc:"Perturbation budget.")
   in
-  let base =
-    Arg.(value & opt positive 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
-  in
   let make file method_ evals base seed = { file; method_; evals; base; seed } in
-  Term.(const make $ netlist_arg $ method_ $ evals $ base $ seed_arg)
+  Term.(const make $ netlist_arg $ method_ $ evals $ base_arg $ seed_arg)
 
 type walk = { nl : Netlist.t; gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
 
@@ -321,20 +321,26 @@ let trace_cmd =
 
 let generate_cmd =
   let elements =
-    Arg.(value & opt int 15 & info [ "elements"; "e" ] ~docv:"N" ~doc:"Circuit elements.")
+    Arg.(value & opt (int_from 2) 15 & info [ "elements"; "e" ] ~docv:"N"
+           ~doc:"Circuit elements.")
   in
-  let nets = Arg.(value & opt int 150 & info [ "nets" ] ~docv:"M" ~doc:"Nets.") in
+  let nets = Arg.(value & opt (int_from 0) 150 & info [ "nets" ] ~docv:"M" ~doc:"Nets.") in
   let multi =
     Arg.(value & flag & info [ "nola" ] ~doc:"Multi-pin nets (2-5 pins) instead of two-pin.")
   in
   let run elements nets multi seed =
     let rng = Rng.create ~seed in
-    let nl =
+    (* A NOLA net takes up to 5 pins, so fewer elements cannot hold one. *)
+    match
       if multi then Netlist.random_nola rng ~elements ~nets ~min_pins:2 ~max_pins:5
       else Netlist.random_gola rng ~elements ~nets
-    in
-    print_string (Netlist.to_string nl);
-    0
+    with
+    | nl ->
+        print_string (Netlist.to_string nl);
+        0
+    | exception Invalid_argument msg ->
+        prerr_endline msg;
+        1
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Emit a random instance in the textual netlist format.")
@@ -846,7 +852,7 @@ let portfolio_cmd =
                  random TSP instance (see $(b,--tsp-cities)).")
   in
   let cities =
-    Arg.(value & opt int 120 & info [ "tsp-cities" ] ~docv:"N"
+    Arg.(value & opt (int_from 3) 120 & info [ "tsp-cities" ] ~docv:"N"
            ~doc:"Size of the random TSP instance used when no netlist is
                  given (2-opt moves, incremental evaluation).")
   in
@@ -857,22 +863,17 @@ let portfolio_cmd =
                    full budget, the paper's protocol).")
   in
   let initial_evals =
-    Arg.(value & opt int 2_000 & info [ "initial-evals"; "n" ] ~docv:"N"
+    Arg.(value & opt (int_from 0) 2_000 & info [ "initial-evals"; "n" ] ~docv:"N"
            ~doc:"Per-job evaluation budget of the first racing rung
                  (doubles every rung); the whole budget in sweep mode.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"D"
+    Arg.(value & opt (int_from 1) 1 & info [ "domains"; "j" ] ~docv:"D"
            ~doc:"Worker domains.  The standings and the report are
                  identical whatever $(docv) is.")
   in
-  let base =
-    Arg.(value & opt float 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
-           ~doc:"Base temperature (geometric 0.9 shape for
-                 multi-temperature classes).")
-  in
   let deadline =
-    Arg.(value & opt (some int) None & info [ "deadline-evals" ] ~docv:"N"
+    Arg.(value & opt (some (int_from 0)) None & info [ "deadline-evals" ] ~docv:"N"
            ~doc:"Whole-race evaluation allowance, checked between rungs;
                  when it runs out the current leader wins.")
   in
@@ -899,23 +900,18 @@ let portfolio_cmd =
                        ())
                    (Gfun.catalog ~m:(Netlist.n_nets nl))))
       | None ->
-          if cities < 3 then Error "need at least 3 cities"
-          else begin
-            let inst =
-              Tsp_instance.random_uniform (Rng.create ~seed) ~n:cities
-            in
-            Ok
-              (List.map
-                 (fun gfun ->
-                   Portfolio.Job.figure1
-                     (module Tsp_problem)
-                     ~delta_ops:Tsp_problem.delta_ops ~label:(Gfun.name gfun)
-                     ~gfun
-                     ~schedule:(Gfun.schedule gfun base)
-                     ~make_state:(fun rng -> Tour.random rng inst)
-                     ())
-                 (Gfun.catalog ~m:cities))
-          end
+          let inst = Tsp_instance.random_uniform (Rng.create ~seed) ~n:cities in
+          Ok
+            (List.map
+               (fun gfun ->
+                 Portfolio.Job.figure1
+                   (module Tsp_problem)
+                   ~delta_ops:Tsp_problem.delta_ops ~label:(Gfun.name gfun)
+                   ~gfun
+                   ~schedule:(Gfun.schedule gfun base)
+                   ~make_state:(fun rng -> Tour.random rng inst)
+                   ())
+               (Gfun.catalog ~m:cities))
     in
     match jobs_or_error with
     | Error msg ->
@@ -924,13 +920,13 @@ let portfolio_cmd =
     | Ok jobs -> (
         let rng = Rng.create ~seed:(seed + 1) in
         let budget = Budget.Evaluations initial_evals in
-        let workers = max 1 (min domains (List.length jobs)) in
+        let workers = min domains (List.length jobs) in
         let pool_stats =
           Option.map
             (fun _ -> Pool.Stats.create ~clock:Obs.now ~workers ())
             telemetry_port
         in
-        match
+        let report =
           with_telemetry ?port:telemetry_port ?pool_stats ~workers
             ~labels:(List.map Portfolio.Job.label jobs) (fun tele ->
               let observer = Option.map Telemetry.standings_observer tele in
@@ -944,47 +940,43 @@ let portfolio_cmd =
               | `Sweep ->
                   Portfolio.sweep ~domains ?observer ?job_observer ?pool_stats
                     rng ~budget jobs)
-        with
-        | exception Invalid_argument msg ->
-            prerr_endline msg;
-            2
-        | report ->
+        in
+        List.iter
+          (fun round ->
+            Printf.printf "round %d (budget %d/job): %d jobs\n"
+              round.Portfolio.index round.Portfolio.budget_evaluations
+              (List.length round.Portfolio.results);
             List.iter
-              (fun round ->
-                Printf.printf "round %d (budget %d/job): %d jobs\n"
-                  round.Portfolio.index round.Portfolio.budget_evaluations
-                  (List.length round.Portfolio.results);
-                List.iter
-                  (fun s ->
-                    Printf.printf "  %-32s best %10.2f  evals %7d%s\n"
-                      s.Portfolio.label s.Portfolio.cost
-                      s.Portfolio.evaluations
-                      (match s.Portfolio.failure with
-                      | None -> ""
-                      | Some msg -> "  [failed: " ^ msg ^ "]"))
-                  round.Portfolio.results;
-                match round.Portfolio.culled with
-                | [] -> ()
-                | culled ->
-                    Printf.printf "  culled: %s\n" (String.concat ", " culled))
-              report.Portfolio.rounds;
-            if report.Portfolio.stopped_early then
-              print_endline "deadline reached; stopping early";
-            Printf.printf "winner: %s (best %.2f, %d total evaluations)\n"
-              report.Portfolio.winner.Portfolio.label
-              report.Portfolio.winner.Portfolio.cost
-              report.Portfolio.total_evaluations;
-            Option.iter
-              (fun path -> write_json path (Portfolio.report_to_json report))
-              report_file;
-            0)
+              (fun s ->
+                Printf.printf "  %-32s best %10.2f  evals %7d%s\n"
+                  s.Portfolio.label s.Portfolio.cost
+                  s.Portfolio.evaluations
+                  (match s.Portfolio.failure with
+                  | None -> ""
+                  | Some msg -> "  [failed: " ^ msg ^ "]"))
+              round.Portfolio.results;
+            match round.Portfolio.culled with
+            | [] -> ()
+            | culled ->
+                Printf.printf "  culled: %s\n" (String.concat ", " culled))
+          report.Portfolio.rounds;
+        if report.Portfolio.stopped_early then
+          print_endline "deadline reached; stopping early";
+        Printf.printf "winner: %s (best %.2f, %d total evaluations)\n"
+          report.Portfolio.winner.Portfolio.label
+          report.Portfolio.winner.Portfolio.cost
+          report.Portfolio.total_evaluations;
+        Option.iter
+          (fun path -> write_json path (Portfolio.report_to_json report))
+          report_file;
+        0)
   in
   Cmd.v
     (Cmd.info "portfolio"
        ~doc:"Race the paper's 21 acceptance-function classes against each
              other (successive halving or a full sweep), optionally on
              several domains.")
-    Term.(const run $ file $ cities $ mode $ initial_evals $ domains $ base
+    Term.(const run $ file $ cities $ mode $ initial_evals $ domains $ base_arg
           $ seed_arg $ deadline $ report_file $ telemetry_port_arg)
 
 (* ---------------------------------------------------------------- *)

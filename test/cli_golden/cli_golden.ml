@@ -91,6 +91,14 @@ let cases =
     ("bad-floorplan-evals", [ "floorplan"; "-b"; "5"; "--evals=-5" ], []);
     ("bad-floorplan-blocks", [ "floorplan"; "-b"; "0" ], []);
     ("bad-floorplan-max-side", [ "floorplan"; "--max-side"; "1" ], []);
+    ("bad-portfolio-tsp-cities", [ "portfolio"; "--tsp-cities"; "2" ], []);
+    ("bad-portfolio-initial-evals", [ "portfolio"; "nola15.net"; "--initial-evals=-1" ], []);
+    ("bad-portfolio-deadline-evals", [ "portfolio"; "nola15.net"; "--deadline-evals=-3" ], []);
+    ("bad-portfolio-domains", [ "portfolio"; "nola15.net"; "--domains"; "0" ], []);
+    ("bad-portfolio-y", [ "portfolio"; "nola15.net"; "-y"; "0" ], []);
+    ("bad-generate-elements", [ "generate"; "-e"; "0" ], []);
+    ("bad-generate-nets", [ "generate"; "-e"; "5"; "--nets=-1" ], []);
+    ("generate-nola-too-few-elements", [ "generate"; "-e"; "3"; "--nola" ], []);
     (* tables: a selection in the order given, every other table, CSV
        under another seed, the agreement table, and an unknown id (a
        usage error) *)
