@@ -29,7 +29,9 @@ let test_budget_share_end () =
     (ends 600 6);
   (* 10/6 per share: each end rounds up to the next whole tick. *)
   Alcotest.check Alcotest.(list int) "inexact quotient" [ 0; 2; 4; 5; 7; 9; 10 ] (ends 10 6);
-  Alcotest.check Alcotest.(list int) "fewer ticks than shares" [ 0; 1; 1; 1; 2; 2; 2 ] (ends 2 6);
+  Alcotest.check Alcotest.(list int) "fewer ticks than shares" [ 0; 1; 1; 1; 2; 2; 2 ] (ends 2 6)
+
+let test_budget_share_end_max_int () =
   (* max_int = 2^62 - 1 would overflow [temp * n]; the split form does
      not. *)
   let big = Budget.Evaluations max_int in
@@ -40,6 +42,18 @@ let test_budget_share_end () =
   Alcotest.check Alcotest.int "five sixths of max_int, rounded up"
     ((5 * (max_int / 6)) + 3)
     (Budget.share_end big ~k:6 5)
+
+let test_budget_evaluations_of () =
+  Alcotest.check Alcotest.int "count" 7 (Budget.evaluations (Budget.Evaluations 7));
+  (* A clock spends exactly the budget's evaluation count. *)
+  let budget = Budget.Evaluations 5 in
+  let c = Budget.start budget in
+  for _ = 2 to Budget.evaluations budget do
+    Budget.tick c
+  done;
+  Alcotest.check Alcotest.bool "one tick short" false (Budget.exhausted c);
+  Budget.tick c;
+  Alcotest.check Alcotest.bool "spent" true (Budget.exhausted c)
 
 let test_budget_negative () =
   Alcotest.check_raises "negative evals"
@@ -377,6 +391,8 @@ let suite =
     case "budget: evaluations count down" test_budget_evaluations;
     case "budget: zero exhausts immediately" test_budget_zero;
     case "budget: share ends" test_budget_share_end;
+    case "budget: share ends near max_int do not overflow" test_budget_share_end_max_int;
+    case "budget: evaluations" test_budget_evaluations_of;
     case "budget: negative rejected" test_budget_negative;
     case "budget: scaling" test_budget_scale;
     case "budget: start_at resumes the tick count" test_budget_start_at;

@@ -110,6 +110,46 @@ let test_f1_temperatures_advance () =
   Alcotest.check Alcotest.int "all six temperatures visited" 6
     r.Mc_problem.stats.Mc_problem.temperatures_visited
 
+(* The tick at which each temperature was entered, in order: the
+   number of [Proposed] events seen before its [Temp_advance]. *)
+let entry_ticks () =
+  let ticks = ref 0 and entries = ref [] in
+  let observer =
+    Obs.Observer.of_fun (function
+      | Obs.Event.Proposed _ -> incr ticks
+      | Obs.Event.Temp_advance { temp; _ } -> entries := (temp, !ticks) :: !entries
+      | _ -> ())
+  in
+  (observer, fun () -> List.rev !entries)
+
+let test_f1_temperatures_advance_on_share_ends () =
+  (* With no counter or acceptance limit, temperature [j + 1] is
+     entered on tick [Budget.share_end budget ~k j] exactly, for exact
+     and inexact quotients alike. *)
+  List.iter
+    (fun n ->
+      let budget = Budget.Evaluations n in
+      let observer, entries = entry_ticks () in
+      let s = { Line.x = 50; cost_fn = vee } in
+      let p =
+        F1.params ~gfun:Gfun.six_temp_annealing ~schedule:(Schedule.kirkpatrick ()) ~budget ()
+      in
+      ignore (F1.run ~observer (Rng.create ~seed:8) p s);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "entry ticks at n = %d" n)
+        (List.init 6 (fun j -> (j + 1, Budget.share_end budget ~k:6 j)))
+        (entries ()))
+    [ 600; 1003 ];
+  let observer, entries = entry_ticks () in
+  let s = { Line.x = 50; cost_fn = vee } in
+  let p =
+    F1.params ~gfun:Gfun.six_temp_annealing ~schedule:(Schedule.kirkpatrick ())
+      ~budget:(Budget.Evaluations 10) ()
+  in
+  ignore (F1.run ~observer (Rng.create ~seed:8) p s);
+  Alcotest.(check (list (pair int int)))
+    "10 ticks over 6 shares" [ (1, 0); (2, 2); (3, 4); (4, 5); (5, 7); (6, 9) ] (entries ())
+
 let test_f1_counter_limit_stops_early () =
   (* At the optimum with g = 0, every proposal is rejected; the counter
      marches through the k = 1 schedule and stops the run. *)
@@ -328,6 +368,22 @@ let test_rl_every_step_moves () =
   (* each step scans the 2-move neighborhood, then moves *)
   Alcotest.check Alcotest.bool "roughly one step per two evaluations" true
     (steps >= 100 && steps <= 160)
+
+let test_rl_temperatures_advance_on_share_ends () =
+  (* Each step scans both neighbours of the walker, so steps end on even
+     ticks; temperature [j + 1] is entered at the first step boundary
+     at or past [Budget.share_end budget ~k j]. *)
+  let budget = Budget.Evaluations 1001 in
+  let observer, entries = entry_ticks () in
+  let s = { Line.x = 0; cost_fn = vee } in
+  let p = RL.params ~gfun:Gfun.six_temp_annealing ~schedule:(Schedule.kirkpatrick ()) ~budget in
+  ignore (RL.run ~observer (Rng.create ~seed:19) p s);
+  let expected =
+    List.init 6 (fun j ->
+        let e = Budget.share_end budget ~k:6 j in
+        (j + 1, e + (e mod 2)))
+  in
+  Alcotest.(check (list (pair int int))) "entry ticks" expected (entries ())
 
 let test_rl_schedule_mismatch () =
   Alcotest.check_raises "names the class and its k"
@@ -930,6 +986,8 @@ let suite =
     case "figure1: defer threshold 1 accepts everything" test_f1_defer_threshold_1_always_climbs;
     case "figure1: lateral moves accepted" test_f1_lateral_moves_accepted;
     case "figure1: six temperatures visited" test_f1_temperatures_advance;
+    case "figure1: temperatures advance on their share-end ticks"
+      test_f1_temperatures_advance_on_share_ends;
     case "figure1: counter limit stops early" test_f1_counter_limit_stops_early;
     case "figure1: schedule length checked" test_f1_schedule_mismatch_rejected;
     case "figure1: deterministic" test_f1_deterministic;
@@ -951,6 +1009,8 @@ let suite =
     case "rejectionless: descends" test_rl_descends;
     case "rejectionless: freezes and stops" test_rl_freezes_and_stops;
     case "rejectionless: every step moves" test_rl_every_step_moves;
+    case "rejectionless: temperatures advance at the step ending their share"
+      test_rl_temperatures_advance_on_share_ends;
     case "rejectionless: schedule length checked" test_rl_schedule_mismatch;
     case "temperature: estimate fields" test_temperature_estimate;
     case "temperature: estimate does not mutate" test_temperature_estimate_leaves_state;

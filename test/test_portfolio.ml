@@ -167,6 +167,17 @@ let test_race_deadline_stops_early () =
     (json_of r)
     (json_of (race_report ~deadline:(Budget.Evaluations 1) ~domains:1 ()))
 
+let test_race_deadline_inclusive () =
+  (* Rung 1 spends 21 jobs x 150 evaluations.  A deadline of exactly
+     that count is reached after rung 1; one evaluation more is not,
+     so rung 2 runs too. *)
+  let rung1 = 21 * 150 in
+  let rounds deadline =
+    List.length (race_report ~deadline:(Budget.Evaluations deadline) ~domains:2 ()).Portfolio.rounds
+  in
+  Alcotest.check Alcotest.int "deadline = rung 1's evaluations" 1 (rounds rung1);
+  Alcotest.check Alcotest.int "one evaluation past rung 1" 2 (rounds (rung1 + 1))
+
 (* Failure containment: a walker whose cost turns NaN mid-walk aborts
    and competes with its partial; one whose initial cost is already
    NaN cannot start and is scored infinity with zero evaluations. *)
@@ -322,6 +333,7 @@ let suite =
     case "race: successive-halving structure" test_race_structure;
     case "sweep: winner is the minimum" test_sweep_winner_is_minimum;
     case "race: deadline stops early, deterministically" test_race_deadline_stops_early;
+    case "race: the deadline is reached at its evaluation count" test_race_deadline_inclusive;
     case "race: failures contained per job" test_race_contains_failures;
     case "portfolio: argument validation" test_validation;
     case "sweep: identical across domains" test_sweep_identical_across_domains;
