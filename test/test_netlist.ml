@@ -121,6 +121,104 @@ let test_random_nola_allocates_o_pins () =
   if words > 12. *. float_of_int pins then
     Alcotest.failf "random_nola allocated %.0f words for %d pins, over 12 per pin" words pins
 
+let data_path name =
+  List.find_opt Sys.file_exists
+    [ "../data/" ^ name; "data/" ^ name; "../../data/" ^ name; "../../../data/" ^ name ]
+
+(* Generated instances, sampler draws and first cut passes, pinned by
+   digest: the text of each instance with its incidence arrays and the
+   generator's state after the draw, the values of each sample with the
+   state after it, and the cuts and density of a random arrangement in
+   each kernel.  Any change to the draws, their order or the arrays
+   they build shows here. *)
+let generated_digests () =
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  let instance rng nl =
+    let v = Netlist.view nl in
+    String.concat "\n"
+      [ Netlist.to_string nl; ints v.inc_start; ints v.incident; Rng.to_state rng ]
+  in
+  let nola seed (elements, nets, min_pins, max_pins) =
+    let rng = Rng.create ~seed in
+    ( Printf.sprintf "random_nola %d %d %d-%d" elements nets min_pins max_pins,
+      instance rng (Netlist.random_nola rng ~elements ~nets ~min_pins ~max_pins) )
+  in
+  let gola seed (elements, nets) =
+    let rng = Rng.create ~seed in
+    ( Printf.sprintf "random_gola %d %d" elements nets,
+      instance rng (Netlist.random_gola rng ~elements ~nets) )
+  in
+  let sample seed ~k ~n =
+    let rng = Rng.create ~seed in
+    let s = Rng.sample_without_replacement rng ~k ~n in
+    (Printf.sprintf "sample k=%d n=%d" k n, ints s ^ "\n" ^ Rng.to_state rng)
+  in
+  let arrangement name rng nl =
+    let a = Arrangement.random rng nl in
+    ( "arrangement " ^ name,
+      Printf.sprintf "%s\n%d %d" (ints (Arrangement.cuts a)) (Arrangement.density a)
+        (Arrangement.sum_of_cuts a) )
+  in
+  let n600 =
+    let rng = Rng.create ~seed:600 in
+    let nl = Netlist.random_nola rng ~elements:600 ~nets:1500 ~min_pins:3 ~max_pins:6 in
+    arrangement "n600 (span kernel)" rng nl
+  in
+  let gola15 =
+    match data_path "gola15.net" with
+    | None -> Alcotest.fail "data/gola15.net not found"
+    | Some path -> (
+        match Netlist.of_string (In_channel.with_open_bin path In_channel.input_all) with
+        | Ok nl -> arrangement "gola15 (table kernel)" (Rng.create ~seed:15) nl
+        | Error e -> Alcotest.failf "%s: %s" path e)
+  in
+  [
+    nola 1 (600, 1500, 3, 6);
+    nola 2 (15, 150, 2, 5);
+    nola 3 (20, 60, 2, 20);
+    nola 4 (5, 30, 5, 5);
+    nola 5 (20_000, 50_000, 2, 6);
+    gola 6 (2, 10);
+    gola 7 (15, 150);
+    gola 8 (1000, 4000);
+  ]
+  @ List.concat_map
+      (fun n -> List.map (fun k -> sample (10 + k) ~k ~n) [ 0; 1; n / 2; n ])
+      [ 7; 600 ]
+  @ [ sample 9 ~k:5 ~n:1_000_000; n600; gola15 ]
+
+let expected_digests =
+  [
+    ("random_nola 600 1500 3-6", "81b3c92c6ea7e32aa99f63ce69a86d3a");
+    ("random_nola 15 150 2-5", "923a2ee86b9ccc5138a8adc8e920e47c");
+    ("random_nola 20 60 2-20", "45528eb3426aae10a342186ebb240151");
+    ("random_nola 5 30 5-5", "8e08687e0deddbdd6877960965e8f2aa");
+    ("random_nola 20000 50000 2-6", "e7b0d5c75e2ef882636d16fcb094a88a");
+    ("random_gola 2 10", "791aa121d093f60fd91628fc37b1b013");
+    ("random_gola 15 150", "4b74db8b1e569d745296be0265547eb6");
+    ("random_gola 1000 4000", "9b5f090aa75396df2330a73534d492e7");
+    ("sample k=0 n=7", "184c04071f3d25c48ebc9ced73432001");
+    ("sample k=1 n=7", "50bc9dd9491845c3385a6634b9d993c8");
+    ("sample k=3 n=7", "5c2c66c80247933d33a23e422c0b8266");
+    ("sample k=7 n=7", "374b5965b3c18d242b157f16bde34215");
+    ("sample k=0 n=600", "184c04071f3d25c48ebc9ced73432001");
+    ("sample k=1 n=600", "4270f5ace92bd451ed6015651d2227d7");
+    ("sample k=300 n=600", "e8a7b4814e6e275302501188dd4916a6");
+    ("sample k=600 n=600", "84e8e33436ec348b38d32570aa14288c");
+    ("sample k=5 n=1000000", "86c5ca107b395f6dcd7968600a7c8a8c");
+    ("arrangement n600 (span kernel)", "667ffef08245cbc512c39192542b84d6");
+    ("arrangement gola15 (table kernel)", "2b2425606961068ad168a16621c08044");
+  ]
+
+let test_generated_digests () =
+  let got = generated_digests () in
+  Alcotest.check Alcotest.int "cases" (List.length expected_digests) (List.length got);
+  List.iter2
+    (fun (name, want) (name', s) ->
+      Alcotest.check Alcotest.string "case" name name';
+      Alcotest.check Alcotest.string name want (Digest.to_hex (Digest.string s)))
+    expected_digests got
+
 let test_pins_arrays_copied_on_create () =
   let raw = [| [| 0; 1 |] |] in
   let nl = Netlist.create ~n_elements:2 ~pins:raw in
@@ -293,6 +391,7 @@ let suite =
     case "create validation" test_create_validation;
     case "create sorts a 10^5-pin net fast" test_create_long_net;
     case "random NOLA allocates O(pins)" test_random_nola_allocates_o_pins;
+    case "generated instances and samples pinned by digest" test_generated_digests;
     case "create copies pin arrays" test_pins_arrays_copied_on_create;
     case "random GOLA shape" test_random_gola_shape;
     case "random GOLA deterministic" test_random_gola_deterministic;
