@@ -110,15 +110,24 @@ let fill_prefixes t w0 w1 =
 (* The from-scratch pass, shared by [recompute_all] and
    [density_of_order] and by no move: every net adds +1 at its leftmost
    pin and -1 at its rightmost to the zeroed [cuts], and a running sum
-   turns those marks into the cuts.  [span j lo hi] sees every span. *)
-let cuts_from_scratch netlist pos_of cuts span =
-  let nb = Array.length cuts in
-  let nv = Netlist.view netlist in
-  for j = 0 to Netlist.n_nets netlist - 1 do
-    let lo, hi = span_in nv pos_of j in
-    span j lo hi;
-    cuts.(lo) <- cuts.(lo) + 1;
-    if hi < nb then cuts.(hi) <- cuts.(hi) - 1
+   turns those marks into the cuts.  Each span is also stored in
+   [net_lo] / [net_hi] unless they are empty (table mode,
+   [density_of_order]). *)
+let cuts_from_scratch (nv : Netlist.view) pos_of cuts net_lo net_hi =
+  let nb = Array.length cuts and spans = Array.length net_lo > 0 in
+  for j = 0 to Array.length nv.pin_start - 2 do
+    let lo = ref max_int and hi = ref (-1) in
+    for k = nv.pin_start.(j) to nv.pin_start.(j + 1) - 1 do
+      let p = pos_of.(nv.pins.(k)) in
+      if p < !lo then lo := p;
+      if p > !hi then hi := p
+    done;
+    if spans then begin
+      net_lo.(j) <- !lo;
+      net_hi.(j) <- !hi
+    end;
+    cuts.(!lo) <- cuts.(!lo) + 1;
+    if !hi < nb then cuts.(!hi) <- cuts.(!hi) - 1
   done;
   for p = 1 to nb - 1 do
     cuts.(p) <- cuts.(p) + cuts.(p - 1)
@@ -136,14 +145,8 @@ let recompute_all t =
   t.n_touched <- 0;
   Array.iteri (fun p e -> t.pos_of.(e) <- p) t.elem_at;
   Array.fill t.cuts 0 (Array.length t.cuts) 0;
-  if t.table_mode then begin
-    fill_prefixes t 0 (size t);
-    cuts_from_scratch t.netlist t.pos_of t.cuts (fun _ _ _ -> ())
-  end
-  else
-    cuts_from_scratch t.netlist t.pos_of t.cuts (fun j lo hi ->
-        t.net_lo.(j) <- lo;
-        t.net_hi.(j) <- hi);
+  if t.table_mode then fill_prefixes t 0 (size t);
+  cuts_from_scratch t.nv t.pos_of t.cuts t.net_lo t.net_hi;
   let d = Array.fold_left max 0 t.cuts in
   t.density <- d;
   t.at_density <- Array.fold_left (fun c v -> c + Bool.to_int (v = d)) 0 t.cuts;
@@ -830,7 +833,7 @@ let density_of_order netlist o =
   let pos_of = Array.make n 0 in
   Array.iteri (fun p e -> pos_of.(e) <- p) o;
   let cuts = Array.make (max 0 (n - 1)) 0 in
-  cuts_from_scratch netlist pos_of cuts (fun _ _ _ -> ());
+  cuts_from_scratch (Netlist.view netlist) pos_of cuts [||] [||];
   Array.fold_left max 0 cuts
 
 module Private = struct

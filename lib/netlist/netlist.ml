@@ -57,25 +57,22 @@ let sort_slice a lo hi =
     done
   end
 
-(* Each net is copied into its slice of [pins], range-checked in input
-   order on the way, then sorted and checked for repeats in place. *)
-let create ~n_elements ~pins:nets =
+(* The one builder.  Net [j]'s pins sit at [pins.(pin_start.(j)) ..
+   pins.(pin_start.(j + 1) - 1)] in any order, and both arrays become
+   the netlist's own.  Nets are checked in order: a short net first,
+   then each pin's range in input order; then the net is sorted and
+   checked for repeats in place. *)
+let build ~n_elements ~pin_start ~pins =
   if n_elements < 0 then invalid_arg "Netlist.create: negative element count";
-  let m = Array.length nets in
-  let pin_start = Array.make (m + 1) 0 in
+  let m = Array.length pin_start - 1 in
   for j = 0 to m - 1 do
-    pin_start.(j + 1) <- pin_start.(j) + Array.length nets.(j)
-  done;
-  let pins = Array.make pin_start.(m) 0 in
-  for j = 0 to m - 1 do
-    let net = nets.(j) and lo = pin_start.(j) and hi = pin_start.(j + 1) in
+    let lo = pin_start.(j) and hi = pin_start.(j + 1) in
     if hi - lo < 2 then
       invalid_arg (Printf.sprintf "Netlist.create: net %d has fewer than 2 pins" j);
     for k = lo to hi - 1 do
-      let e = net.(k - lo) in
+      let e = pins.(k) in
       if e < 0 || e >= n_elements then
-        invalid_arg (Printf.sprintf "Netlist.create: net %d pin %d out of range" j e);
-      pins.(k) <- e
+        invalid_arg (Printf.sprintf "Netlist.create: net %d pin %d out of range" j e)
     done;
     sort_slice pins lo hi;
     for k = lo + 1 to hi - 1 do
@@ -84,7 +81,10 @@ let create ~n_elements ~pins:nets =
     done
   done;
   let inc_start = Array.make (n_elements + 1) 0 in
-  Array.iter (fun e -> inc_start.(e + 1) <- inc_start.(e + 1) + 1) pins;
+  for k = 0 to Array.length pins - 1 do
+    let e = pins.(k) in
+    inc_start.(e + 1) <- inc_start.(e + 1) + 1
+  done;
   for e = 1 to n_elements do
     inc_start.(e) <- inc_start.(e) + inc_start.(e - 1)
   done;
@@ -98,6 +98,21 @@ let create ~n_elements ~pins:nets =
     done
   done;
   { view = { pin_start; pins; inc_start; incident }; cut_table = Atomic.make Bytes.empty }
+
+let create ~n_elements ~pins:nets =
+  let m = Array.length nets in
+  let pin_start = Array.make (m + 1) 0 in
+  for j = 0 to m - 1 do
+    pin_start.(j + 1) <- pin_start.(j) + Array.length nets.(j)
+  done;
+  let pins = Array.make pin_start.(m) 0 in
+  for j = 0 to m - 1 do
+    let net = nets.(j) and lo = pin_start.(j) in
+    for k = 0 to Array.length net - 1 do
+      pins.(lo + k) <- net.(k)
+    done
+  done;
+  build ~n_elements ~pin_start ~pins
 
 let view t = t.view
 let n_elements t = Array.length t.view.inc_start - 1
@@ -185,26 +200,39 @@ let equal a b =
   && Array.for_all2 Int.equal a.view.pin_start b.view.pin_start
   && Array.for_all2 Int.equal a.view.pins b.view.pins
 
+(* A generator draws net [j] straight into the flat pin array: [draw
+   pins off] writes the net's pins from [off] and returns their count.
+   The array has room for [max_pins] pins per net and is trimmed once,
+   to the pins drawn. *)
+let generate ~elements ~nets ~max_pins draw =
+  let pins = Array.make (nets * max_pins) 0 in
+  let pin_start = Array.make (nets + 1) 0 in
+  for j = 0 to nets - 1 do
+    pin_start.(j + 1) <- pin_start.(j) + draw pins pin_start.(j)
+  done;
+  let drawn = pin_start.(nets) in
+  let pins = if drawn = Array.length pins then pins else Array.sub pins 0 drawn in
+  build ~n_elements:elements ~pin_start ~pins
+
 let random_gola rng ~elements ~nets =
   if elements < 2 then invalid_arg "Netlist.random_gola: need >= 2 elements";
   if nets < 0 then invalid_arg "Netlist.random_gola: negative net count";
-  let pins =
-    Array.init nets (fun _ ->
-        let a, b = Rng.pair_distinct rng elements in
-        [| a; b |])
-  in
-  create ~n_elements:elements ~pins
+  generate ~elements ~nets ~max_pins:2 (fun pins off ->
+      let a, b = Rng.pair_distinct rng elements in
+      pins.(off) <- a;
+      pins.(off + 1) <- b;
+      2)
 
 let random_nola rng ~elements ~nets ~min_pins ~max_pins =
   if min_pins < 2 then invalid_arg "Netlist.random_nola: min_pins < 2";
   if max_pins < min_pins then invalid_arg "Netlist.random_nola: max_pins < min_pins";
   if max_pins > elements then invalid_arg "Netlist.random_nola: max_pins > elements";
-  let pins =
-    Array.init nets (fun _ ->
-        let k = Rng.int_range rng min_pins max_pins in
-        Rng.sample_without_replacement rng ~k ~n:elements)
-  in
-  create ~n_elements:elements ~pins
+  if nets < 0 then invalid_arg "Netlist.random_nola: negative net count";
+  let sampler = Rng.sampler ~k:max_pins ~n:elements in
+  generate ~elements ~nets ~max_pins (fun pins off ->
+      let k = Rng.int_range rng min_pins max_pins in
+      Rng.sample_into rng sampler ~k pins off;
+      k)
 
 let to_string t =
   let buf = Buffer.create 1024 in

@@ -17,12 +17,15 @@ val create : n_elements:int -> pins:int array array -> t
 (** [create ~n_elements ~pins] builds a netlist where net [j] connects
     the elements [pins.(j)].  Every net must have at least 2 pins, all
     pin indices must lie in [0, n_elements), and a net must not list
-    the same element twice.  The [pins] arrays are copied.  Each net is
-    checked and sorted in place in the netlist's own pin array, so
-    [create] allocates little beyond what the netlist keeps, and no net
-    sorts in quadratic time.
+    the same element twice.  The [pins] arrays are copied into one flat
+    pin array, and the builder every netlist goes through checks each
+    net in order (its size, then each pin's range in input order) and
+    sorts and checks it for repeats in place.  So [create] allocates
+    little beyond what the netlist keeps, and no net sorts in quadratic
+    time.
 
-    @raise Invalid_argument if any condition fails. *)
+    @raise Invalid_argument if any condition fails, or if [n_elements]
+    is negative. *)
 
 val n_elements : t -> int
 val n_nets : t -> int
@@ -51,7 +54,7 @@ val iter_incident : t -> int -> (int -> unit) -> unit
 (** {1 Flat incidence}
 
     The pins and the incidence lists are stored flat, each as one array
-    of offsets and one array of entries, built once by [create].  A move
+    of offsets and one array of entries, built once with the netlist.  A move
     kernel walks them with plain [for] loops: a loop that calls
     [iter_pins] / [iter_incident] pays one closure call per entry, since
     callers in another module cannot inline them. *)
@@ -108,15 +111,20 @@ val equal : t -> t -> bool
 
 val random_gola : Rng.t -> elements:int -> nets:int -> t
 (** Random two-pin instance: each net joins a uniformly random distinct
-    pair.  Paper test set: [~elements:15 ~nets:150].
+    pair ({!Rng.pair_distinct}), drawn straight into the netlist's flat
+    pin array.  Paper test set: [~elements:15 ~nets:150].
     @raise Invalid_argument if [elements < 2] or [nets < 0]. *)
 
 val random_nola :
   Rng.t -> elements:int -> nets:int -> min_pins:int -> max_pins:int -> t
 (** Random multi-pin instance: each net's pin count is uniform on
-    [min_pins, max_pins] and its pins a uniform random subset.
-    @raise Invalid_argument if [min_pins < 2], [max_pins < min_pins] or
-    [max_pins > elements]. *)
+    [min_pins, max_pins] and its pins a uniform random subset, drawn by
+    {!Rng.sample_into} straight into the netlist's flat pin array
+    through one {!Rng.sampler} for the whole netlist.  The draws are
+    those of {!Rng.sample_without_replacement} net by net.  Set-up
+    allocates about 4 words per pin, where the netlist keeps about 2.
+    @raise Invalid_argument if [min_pins < 2], [max_pins < min_pins],
+    [max_pins > elements] or [nets < 0]. *)
 
 (** {1 Textual format}
 

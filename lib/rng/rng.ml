@@ -202,35 +202,53 @@ let[@inline] own a slot =
    least [2 k] cells stays at most half full.  When that table would
    have [n] cells or more, every slot gets a cell of its own: [a.(j)]
    sits at index [j] of an [n]-word array, [-1] while it is still [j],
-   with no key and no probe. *)
-let sample_without_replacement t ~k ~n =
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
+   with no key and no probe ([mask = -1]).  Either way [written] keeps
+   the key cell of each step's store, and a draw ends by emptying those
+   cells alone, so the next draw finds the table as [sampler] made it. *)
+type sampler = { n : int; mask : int; cells : int array; written : int array }
+
+let sampler ~k ~n =
+  if k < 0 || k > n then invalid_arg "Rng.sampler: need 0 <= k <= n";
   let cap = ref 1 in
   while !cap < min (2 * k) n do
     cap := 2 * !cap
   done;
-  let out = Array.make k 0 in
-  if !cap >= n then begin
-    let a = Array.make n (-1) in
+  let mask, size = if !cap >= n then (-1, n) else (!cap - 1, 2 * !cap) in
+  { n; mask; cells = Array.make size (-1); written = Array.make k 0 }
+
+let sample_into t s ~k out off =
+  if k < 0 || k > Array.length s.written then invalid_arg "Rng.sample_into: k out of range";
+  if off < 0 || off > Array.length out - k then
+    invalid_arg "Rng.sample_into: slice out of range";
+  let n = s.n and a = s.cells and written = s.written in
+  if s.mask < 0 then
     for i = 0 to k - 1 do
       let j = int_range t i (n - 1) in
       let ai = own a i in
-      out.(i) <- own a j;
-      a.(j) <- ai
+      out.(off + i) <- own a j;
+      a.(j) <- ai;
+      written.(i) <- j
     done
-  end
   else begin
-    let mask = !cap - 1 in
-    let table = Array.make (2 * !cap) (-1) in
+    let mask = s.mask in
     for i = 0 to k - 1 do
       let j = int_range t i (n - 1) in
-      let ai = value table (find table mask i) i in
-      let cj = find table mask j in
-      out.(i) <- value table cj j;
-      table.(cj) <- j;
-      table.(cj + 1) <- ai
+      let ai = value a (find a mask i) i in
+      let cj = find a mask j in
+      out.(off + i) <- value a cj j;
+      a.(cj) <- j;
+      a.(cj + 1) <- ai;
+      written.(i) <- cj
     done
   end;
+  for i = 0 to k - 1 do
+    a.(written.(i)) <- -1
+  done
+
+let sample_without_replacement t ~k ~n =
+  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
+  let out = Array.make k 0 in
+  sample_into t (sampler ~k ~n) ~k out 0;
   out
 
 (* A non-finite weight or total would make [target] infinite (or NaN),

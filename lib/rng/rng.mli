@@ -92,10 +92,35 @@ val sample_without_replacement : t -> k:int -> n:int -> int array
 (** [sample_without_replacement t ~k ~n] draws [k] distinct values from
     [0..n-1], in random order.  Requires [0 <= k <= n].
 
-    O(k) time and memory, whatever [n]: the partial Fisher–Yates
-    shuffle runs over a virtual index array and stores only the slots
-    its swaps displaced, so drawing a few pins of a large netlist costs
-    a few words, not an [n]-word array. *)
+    O(k) time and memory, whatever [n]: one {!sample_into} through a
+    fresh [sampler ~k ~n].
+
+    @raise Invalid_argument unless [0 <= k <= n]. *)
+
+type sampler
+(** Scratch for drawing up to a fixed [k] distinct values of [0..n-1],
+    again and again: a caller drawing many small samples (a netlist's
+    nets) allocates it once. *)
+
+val sampler : k:int -> n:int -> sampler
+(** [sampler ~k ~n] serves draws of at most [k] values from [0..n-1].
+    It holds O(k) words, whatever [n]: a partial Fisher–Yates shuffle
+    runs over a virtual index array and stores only the slots its swaps
+    displaced, in a hash table of at least [2 k] cells, or in an
+    [n]-word array when that is no larger.
+
+    @raise Invalid_argument unless [0 <= k <= n]. *)
+
+val sample_into : t -> sampler -> k:int -> int array -> int -> unit
+(** [sample_into t s ~k out off] draws [k] distinct values from
+    [0..n-1] ([n] that of [s]) into [out.(off) .. out.(off + k - 1)], in
+    random order, allocating nothing.  The same draws as
+    {!sample_without_replacement} with the same [k] and [n] give the
+    same values.  A draw takes O(k) time: it empties only the cells of
+    [s] it wrote, so [s] is ready for the next one.
+
+    @raise Invalid_argument if [k] is negative or above the [k] of [s],
+    or the slice does not fit in [out]. *)
 
 val categorical : t -> float array -> int
 (** [categorical t weights] samples an index with probability

@@ -107,19 +107,28 @@ let test_create_long_net () =
   Alcotest.check Alcotest.(array int) "sorted" (Array.init n Fun.id) (Netlist.pins nl 0);
   if seconds > 1. then Alcotest.failf "a 10^5-pin net took %.2f s to build" seconds
 
-(* Set-up allocates O(pins): the netlist keeps about two words per pin,
-   and the sampler's scratch adds about seven more.  An n-word index
-   array per net would cost n / 4 = 5000 words per pin here. *)
-let test_random_nola_allocates_o_pins () =
+(* Set-up allocates O(pins).  The netlist keeps about two words per pin
+   (the pins and the incidence lists), and the draw adds the buffer of
+   [max_pins] slots per net that is trimmed to the pins: 3.95 words per
+   pin for NOLA nets of 2-6 pins, 4.4 for two-pin GOLA nets (whose
+   buffer is the pin array, but whose pairs come back as a tuple).  A
+   per-net array and a copy pass cost about 9.4 for NOLA; an n-word
+   index array per net would cost n / 4 = 5000 words per pin here. *)
+let allocates_o_pins name generate =
   let before = Test_rng.allocated_words () in
-  let nl =
-    Netlist.random_nola (Rng.create ~seed:5) ~elements:20_000 ~nets:50_000 ~min_pins:2
-      ~max_pins:6
-  in
+  let nl = generate (Rng.create ~seed:5) in
   let words = Test_rng.allocated_words () -. before in
   let pins = Array.length (Netlist.view nl).pins in
-  if words > 12. *. float_of_int pins then
-    Alcotest.failf "random_nola allocated %.0f words for %d pins, over 12 per pin" words pins
+  if words > 5. *. float_of_int pins then
+    Alcotest.failf "%s allocated %.0f words for %d pins, over 5 per pin" name words pins
+
+let test_random_nola_allocates_o_pins () =
+  allocates_o_pins "random_nola" (fun rng ->
+      Netlist.random_nola rng ~elements:20_000 ~nets:50_000 ~min_pins:2 ~max_pins:6)
+
+let test_random_gola_allocates_o_pins () =
+  allocates_o_pins "random_gola" (fun rng ->
+      Netlist.random_gola rng ~elements:20_000 ~nets:50_000)
 
 let data_path name =
   List.find_opt Sys.file_exists
@@ -257,7 +266,13 @@ let test_random_generators_invalid () =
   invalid_arg_any (fun () ->
       Netlist.random_nola rng ~elements:5 ~nets:5 ~min_pins:3 ~max_pins:2);
   invalid_arg_any (fun () ->
-      Netlist.random_nola rng ~elements:5 ~nets:5 ~min_pins:2 ~max_pins:6)
+      Netlist.random_nola rng ~elements:5 ~nets:5 ~min_pins:2 ~max_pins:6);
+  Alcotest.check_raises "negative NOLA net count"
+    (Invalid_argument "Netlist.random_nola: negative net count") (fun () ->
+      ignore (Netlist.random_nola rng ~elements:5 ~nets:(-1) ~min_pins:2 ~max_pins:3));
+  Alcotest.check_raises "negative GOLA net count"
+    (Invalid_argument "Netlist.random_gola: negative net count") (fun () ->
+      ignore (Netlist.random_gola rng ~elements:5 ~nets:(-1)))
 
 let test_roundtrip () =
   let nl = small () in
@@ -391,6 +406,7 @@ let suite =
     case "create validation" test_create_validation;
     case "create sorts a 10^5-pin net fast" test_create_long_net;
     case "random NOLA allocates O(pins)" test_random_nola_allocates_o_pins;
+    case "random GOLA allocates O(pins)" test_random_gola_allocates_o_pins;
     case "generated instances and samples pinned by digest" test_generated_digests;
     case "create copies pin arrays" test_pins_arrays_copied_on_create;
     case "random GOLA shape" test_random_gola_shape;

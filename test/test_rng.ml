@@ -345,6 +345,51 @@ let test_sample_allocates_o_k () =
         Alcotest.failf "k = %d of n = 10^6 allocated %.0f words, over 8k + 64" k words)
     [ 0; 1; 6; 32; 1000 ]
 
+(* One sampler serves many draws: each lands in its slice of a shared
+   array, leaves the cells around it alone, matches a fresh
+   [sample_without_replacement] of the same k from the same stream, and
+   allocates nothing.  k = 6 of 600 takes the hash table, 20 of 20 and
+   7 of 7 the n-word array. *)
+let test_sample_into_reuses_scratch () =
+  List.iter
+    (fun (k_max, n) ->
+      let name = Printf.sprintf "k <= %d of n = %d" k_max n in
+      let s = Rng.sampler ~k:k_max ~n in
+      let rng = Rng.create ~seed:(k_max + n) and ks = Rng.create ~seed:n in
+      let draws = 200 in
+      let ks = Array.init draws (fun _ -> Rng.int ks (k_max + 1)) in
+      let out = Array.make ((draws * k_max) + 1) (-7) in
+      let want =
+        let fresh = Rng.copy rng in
+        Array.map (fun k -> Rng.sample_without_replacement fresh ~k ~n) ks
+      in
+      let off = ref 1 in
+      let before = Gc.minor_words () in
+      for d = 0 to draws - 1 do
+        Rng.sample_into rng s ~k:ks.(d) out !off;
+        off := !off + ks.(d)
+      done;
+      check (Alcotest.float 0.) (name ^ ": minor words") 0. (Gc.minor_words () -. before);
+      check Alcotest.int (name ^ ": cell before the first slice") (-7) out.(0);
+      let off = ref 1 in
+      Array.iteri
+        (fun d k ->
+          check Alcotest.(array int) (Printf.sprintf "%s: draw %d" name d) want.(d)
+            (Array.sub out !off k);
+          off := !off + k)
+        ks;
+      Array.iteri
+        (fun i x -> if i >= !off then check Alcotest.int (name ^ ": cell past the slices") (-7) x)
+        out)
+    [ (6, 600); (20, 20); (7, 7) ];
+  let s = Rng.sampler ~k:3 ~n:10 and rng = Rng.create ~seed:1 in
+  Alcotest.check_raises "k past the sampler's" (Invalid_argument "Rng.sample_into: k out of range")
+    (fun () -> Rng.sample_into rng s ~k:4 (Array.make 8 0) 0);
+  Alcotest.check_raises "slice past the end" (Invalid_argument "Rng.sample_into: slice out of range")
+    (fun () -> Rng.sample_into rng s ~k:3 (Array.make 8 0) 6);
+  Alcotest.check_raises "k past n" (Invalid_argument "Rng.sampler: need 0 <= k <= n") (fun () ->
+      ignore (Rng.sampler ~k:11 ~n:10))
+
 let test_categorical_rates () =
   let rng = Rng.create ~seed:22 in
   let counts = Array.make 3 0 in
@@ -497,6 +542,7 @@ let suite =
     case "sample without replacement" test_sample_without_replacement;
     case "sample matches the dense Fisher-Yates" test_sample_matches_dense;
     case "sample allocates O(k)" test_sample_allocates_o_k;
+    case "sample_into reuses one sampler" test_sample_into_reuses_scratch;
     case "categorical rates" test_categorical_rates;
     case "categorical skips zero weights" test_categorical_zero_weight_skipped;
     case "categorical invalid weights" test_categorical_invalid;
