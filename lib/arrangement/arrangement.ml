@@ -81,16 +81,14 @@ let is_permutation n a =
         true))
     a
 
-let span_in (nv : Netlist.view) pos_of j =
+let net_span t j =
   let lo = ref max_int and hi = ref (-1) in
-  for k = nv.pin_start.(j) to nv.pin_start.(j + 1) - 1 do
-    let p = pos_of.(nv.pins.(k)) in
+  for k = t.nv.pin_start.(j) to t.nv.pin_start.(j + 1) - 1 do
+    let p = t.pos_of.(t.nv.pins.(k)) in
     if p < !lo then lo := p;
     if p > !hi then hi := p
   done;
   (!lo, !hi)
-
-let net_span t j = span_in t.nv t.pos_of j
 
 (* Netlists of at most [table_max_elements] elements (and fewer than
    2^16 nets, so a cut fits a uint16 cell) price a move from the

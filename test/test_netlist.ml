@@ -130,10 +130,6 @@ let test_random_gola_allocates_o_pins () =
   allocates_o_pins "random_gola" (fun rng ->
       Netlist.random_gola rng ~elements:20_000 ~nets:50_000)
 
-let data_path name =
-  List.find_opt Sys.file_exists
-    [ "../data/" ^ name; "data/" ^ name; "../../data/" ^ name; "../../../data/" ^ name ]
-
 (* Generated instances, sampler draws and first cut passes, pinned by
    digest: the text of each instance with its incidence arrays and the
    generator's state after the draw, the values of each sample with the
@@ -174,12 +170,8 @@ let generated_digests () =
     arrangement "n600 (span kernel)" rng nl
   in
   let gola15 =
-    match data_path "gola15.net" with
-    | None -> Alcotest.fail "data/gola15.net not found"
-    | Some path -> (
-        match Netlist.of_string (In_channel.with_open_bin path In_channel.input_all) with
-        | Ok nl -> arrangement "gola15 (table kernel)" (Rng.create ~seed:15) nl
-        | Error e -> Alcotest.failf "%s: %s" path e)
+    arrangement "gola15 (table kernel)" (Rng.create ~seed:15)
+      (Test_engines.read_sample "gola15.net")
   in
   [
     nola 1 (600, 1500, 3, 6);
