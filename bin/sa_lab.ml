@@ -2,10 +2,12 @@
 
    Subcommands:
      tables     regenerate the paper's tables (selectable, scalable, CSV-able)
-     solve      minimize the density of a netlist file with any g-class
-     run        figure1 solve with checkpoint/resume (SIGINT/SIGTERM safe)
+     run        the paper's walk on a netlist: any g-class, Figure 1 or 2 or
+                rejectionless, JSONL trace / metrics, checkpoint/resume
+                (Figure 1, SIGINT/SIGTERM safe), live telemetry, profile
      supervise  campaign driver: retries, backoff, quarantine, chaos faults
-     trace      solve while streaming engine events to JSONL / metrics
+     portfolio  race or sweep the 21 g-classes on one instance
+     top        live terminal view of a telemetry-enabled run
      generate   emit a random GOLA/NOLA instance in the textual format
      goto       run only the Goto heuristic on a netlist file
      info       summarize a netlist (degrees, densities, exact optimum if small)
@@ -73,7 +75,7 @@ let tables_cmd =
     Term.(const run $ scale $ seed $ csv $ which)
 
 (* ---------------------------------------------------------------- *)
-(* the paper's walk: solve, trace, run, supervise, route --optimize  *)
+(* the paper's walk: run, supervise, route --optimize              *)
 (* ---------------------------------------------------------------- *)
 
 (* A value no run can use (a negative budget, a zero base temperature)
@@ -100,22 +102,18 @@ let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Rando
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print the run's engine statistics.")
 
-let goto_start_arg =
-  Arg.(value & flag & info [ "goto-start" ]
-         ~doc:"Start from the Goto arrangement instead of a random one.")
-
 let base_arg =
   Arg.(value & opt positive 1.0 & info [ "temperature"; "y" ] ~docv:"Y"
          ~doc:"Base temperature (geometric 0.9 shape for multi-temperature classes).")
 
 (* The paper's experiment, as every walk subcommand takes it: a netlist,
    a g-class, a base temperature Y for its schedule, a budget and a
-   seed.  Each subcommand picks its own defaults. *)
+   seed.  Each subcommand picks its own budget. *)
 type walk_args = { file : string; method_ : string; evals : int; base : float; seed : int }
 
-let walk_args ~method_ ~evals =
+let walk_args ~evals =
   let method_ =
-    Arg.(value & opt string method_ & info [ "method"; "m" ] ~docv:"NAME"
+    Arg.(value & opt string "Six Temperature Annealing" & info [ "method"; "m" ] ~docv:"NAME"
            ~doc:"g-function class name as in Table 4.1 (e.g. 'g = 1', 'Six Temperature Annealing', 'Cubic Diff').")
   in
   let evals =
@@ -141,33 +139,34 @@ let with_walk a f =
 let start ~goto_start w rng =
   if goto_start then Goto.arrange w.nl else Arrangement.random rng w.nl
 
-module Engine1 = Figure1.Make (Linarr_problem.Swap)
-module Engine2 = Figure2.Make (Linarr_problem.Swap)
-module EngineRL = Rejectionless.Make (Linarr_problem.Swap)
+module Swap = Linarr_problem.Swap
+module Engine1 = Figure1.Make (Swap)
+module Engine2 = Figure2.Make (Swap)
+module EngineRL = Rejectionless.Make (Swap)
 
-(* The one strategy -> engine dispatch.  Only Figure 1 checkpoints, so
-   the checkpoint arguments reach only its engine. *)
+(* The one strategy -> engine dispatch.  Densities are exact, so the
+   delta path's event stream is the recompute path's.  Only Figure 1
+   checkpoints, so the checkpoint arguments reach only its engine. *)
 let anneal ?observer ?checkpoint_every ?on_checkpoint ?resume w strategy rng state =
   let { gfun; schedule; budget; _ } = w in
+  let delta_ops = Swap.delta_ops in
   match strategy with
   | `Figure1 ->
-      Engine1.run ?observer ?checkpoint_every ?on_checkpoint ?resume rng
+      Engine1.run ?observer ?checkpoint_every ?on_checkpoint ?resume ~delta_ops rng
         (Engine1.params ~gfun ~schedule ~budget ()) state
-  | `Figure2 -> Engine2.run ?observer rng (Engine2.params ~gfun ~schedule ~budget ()) state
+  | `Figure2 ->
+      Engine2.run ?observer ~delta_ops rng (Engine2.params ~gfun ~schedule ~budget ()) state
   | `Rejectionless ->
-      EngineRL.run ?observer rng (EngineRL.params ~gfun ~schedule ~budget) state
+      EngineRL.run ?observer ~delta_ops rng (EngineRL.params ~gfun ~schedule ~budget) state
 
 let order_line arr =
   String.concat " " (Array.to_list (Array.map string_of_int (Arrangement.order arr)))
 
-(* A walk's result: solve ends on the best order, trace and run on the
-   final density. *)
-let print_walk ~initial ~last ~stats (r : Arrangement.t Mc_problem.run) =
+let print_walk ~initial ~stats (r : Arrangement.t Mc_problem.run) =
   Printf.printf "initial density: %d\n" initial;
   Printf.printf "best density:    %.0f\n" r.Mc_problem.best_cost;
-  (match last with
-  | `Order -> Printf.printf "order: %s\n" (order_line r.Mc_problem.best)
-  | `Final -> Printf.printf "final density:   %.0f\n" r.Mc_problem.final_cost);
+  Printf.printf "final density:   %.0f\n" r.Mc_problem.final_cost;
+  Printf.printf "order: %s\n" (order_line r.Mc_problem.best);
   if stats then Format.printf "%a@." Mc_problem.pp_stats r.Mc_problem.stats
 
 let write_json path json =
@@ -175,32 +174,6 @@ let write_json path json =
   output_string oc (Obs.Json.to_string json);
   output_char oc '\n';
   close_out oc
-
-(* ---------------------------------------------------------------- *)
-(* solve                                                             *)
-(* ---------------------------------------------------------------- *)
-
-let solve_cmd =
-  let strategy =
-    Arg.(value & opt (enum [ ("figure1", `Figure1); ("figure2", `Figure2) ]) `Figure1
-         & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"figure1 or figure2.")
-  in
-  let run a strategy goto_start stats =
-    with_walk a (fun w ->
-        let rng = Rng.create ~seed:a.seed in
-        let state = start ~goto_start w rng in
-        let initial = Arrangement.density state in
-        print_walk ~initial ~last:`Order ~stats (anneal w strategy rng state);
-        0)
-  in
-  Cmd.v
-    (Cmd.info "solve" ~doc:"Minimize the density of a netlist with a chosen method.")
-    Term.(const run $ walk_args ~method_:"g = 1" ~evals:20_000 $ strategy
-          $ goto_start_arg $ stats_arg)
-
-(* ---------------------------------------------------------------- *)
-(* trace                                                             *)
-(* ---------------------------------------------------------------- *)
 
 (* The counters a trace's events must reproduce.  The rejectionless
    engine never rejects; its [rejected] stat counts scan overhead and
@@ -216,104 +189,53 @@ let reconciled_counts strategy (s : Mc_problem.stats) =
   ]
   @ if strategy = `Rejectionless then [] else [ ("rejected", s.rejected) ]
 
-let reconcile ~strategy ~downsample stats path =
+(* [inexact] names why the trace cannot reproduce the counters: a
+   downsampled trace drops events, a resumed run's counters include the
+   ticks before its resume point. *)
+let reconcile ~strategy ~inexact stats path =
   match Obs.Jsonl.read_file path with
   | Error msg ->
       Printf.eprintf "trace re-read failed: %s\n" msg;
       1
   | Ok events -> (
       Printf.printf "trace: %d events in %s\n" (List.length events) path;
-      if downsample <> None then begin
-        print_endline "trace: downsampled; skipping exact reconciliation";
-        0
-      end
-      else
-        let derived = Mc_problem.stats_of_events events in
-        let mismatches =
-          List.filter_map
-            (fun ((name, from_events), (_, from_stats)) ->
-              if from_events = from_stats then None
-              else
-                Some
-                  (Printf.sprintf "%s: events say %d, stats say %d" name from_events
-                     from_stats))
-            (List.combine
-               (reconciled_counts strategy derived)
-               (reconciled_counts strategy stats))
-        in
-        match mismatches with
-        | [] ->
-            print_endline "trace: event counts reconcile with stats";
-            0
-        | ms ->
-            List.iter (fun m -> Printf.eprintf "reconciliation mismatch: %s\n" m) ms;
-            1)
-
-let trace_cmd =
-  let strategy =
-    Arg.(value
-         & opt (enum [ ("figure1", `Figure1); ("figure2", `Figure2);
-                       ("rejectionless", `Rejectionless) ]) `Figure1
-         & info [ "strategy" ] ~docv:"STRATEGY"
-             ~doc:"figure1, figure2, or rejectionless.")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
-           ~doc:"Write one JSON event per line to $(docv), then re-read the file
-                 and reconcile its event counts against the engine's statistics.")
-  in
-  let metrics =
-    Arg.(value & flag & info [ "metrics" ]
-           ~doc:"Collect and print the standard metrics registry (counters,
-                 acceptance ratio per temperature, uphill-delta histogram,
-                 phase spans).")
-  in
-  let downsample =
-    Arg.(value & opt (some (int_from 2)) None & info [ "downsample" ] ~docv:"CAP"
-           ~doc:"Thin the $(b,proposed) events written to the trace with the
-                 stride-doubling rule at capacity $(docv) (other events pass
-                 through).  The trace no longer reconciles exactly.")
-  in
-  let run a strategy goto_start trace_file metrics downsample =
-    with_walk a (fun w ->
-        let rng = Rng.create ~seed:a.seed in
-        let state = start ~goto_start w rng in
-        let initial = Arrangement.density state in
-        let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-        let run_with sink =
-          let observer =
-            match registry with
-            | Some r -> Obs.Observer.tee [ sink; Obs.Metrics.observer r ]
-            | None -> sink
+      match inexact with
+      | Some why ->
+          Printf.printf "trace: %s; skipping exact reconciliation\n" why;
+          0
+      | None -> (
+          let derived = Mc_problem.stats_of_events events in
+          let mismatches =
+            List.filter_map
+              (fun ((name, from_events), (_, from_stats)) ->
+                if from_events = from_stats then None
+                else
+                  Some
+                    (Printf.sprintf "%s: events say %d, stats say %d" name from_events
+                       from_stats))
+              (List.combine
+                 (reconciled_counts strategy derived)
+                 (reconciled_counts strategy stats))
           in
-          anneal ~observer w strategy rng state
-        in
-        let result =
-          match trace_file with
-          | None -> run_with Obs.Observer.null
-          | Some path -> (
-              try
-                Obs.Jsonl.with_file path (fun sink ->
-                    run_with
-                      (match downsample with
-                      | Some cap -> Obs.Downsample.observer ~capacity:cap sink
-                      | None -> sink))
-              with Sys_error msg ->
-                prerr_endline msg;
-                exit 1)
-        in
-        print_walk ~initial ~last:`Final ~stats:true result;
-        Option.iter (Format.printf "%a@." Obs.Metrics.pp) registry;
-        match trace_file with
-        | Some path -> reconcile ~strategy ~downsample result.Mc_problem.stats path
-        | None -> 0)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Solve a netlist while streaming engine events to a JSONL trace
-             and/or a metrics registry.")
-    Term.(const run $ walk_args ~method_:"Metropolis" ~evals:20_000 $ strategy
-          $ goto_start_arg $ trace_file $ metrics $ downsample)
+          match mismatches with
+          | [] ->
+              print_endline "trace: event counts reconcile with stats";
+              0
+          | ms ->
+              List.iter (fun m -> Printf.eprintf "reconciliation mismatch: %s\n" m) ms;
+              1))
+
+(* Run [f] on the JSONL sink of [--trace] (thinned by [--downsample]),
+   or on the null observer. *)
+let with_trace trace_file downsample f =
+  match trace_file with
+  | None -> f Obs.Observer.null
+  | Some path ->
+      Obs.Jsonl.with_file path (fun sink ->
+          f
+            (match downsample with
+            | Some cap -> Obs.Downsample.observer ~capacity:cap sink
+            | None -> sink))
 
 (* ---------------------------------------------------------------- *)
 (* generate                                                          *)
@@ -511,7 +433,7 @@ let route_cmd =
     with_netlist file (fun nl ->
         let arr =
           if optimize then
-            (Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.g_one
+            (Suites.figure1 (module Swap) ~delta_ops:Swap.delta_ops ~gfun:Gfun.g_one
                ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations evals)
                (Rng.create ~seed) (Goto.arrange nl))
               .Mc_problem.best
@@ -592,7 +514,7 @@ let telemetry_port_arg =
                byte-identical with or without this flag.")
 
 (* ---------------------------------------------------------------- *)
-(* run (checkpointable figure1) and supervise                        *)
+(* run (the walk, checkpointable under figure1)                      *)
 (* ---------------------------------------------------------------- *)
 
 exception Interrupted
@@ -612,6 +534,34 @@ let run_fingerprint nl a =
     ]
 
 let run_cmd =
+  let strategy =
+    Arg.(value
+         & opt (enum [ ("figure1", `Figure1); ("figure2", `Figure2);
+                       ("rejectionless", `Rejectionless) ]) `Figure1
+         & info [ "strategy" ] ~docv:"STRATEGY"
+             ~doc:"figure1, figure2, or rejectionless.")
+  in
+  let goto_start =
+    Arg.(value & flag & info [ "goto-start" ]
+           ~doc:"Start from the Goto arrangement instead of a random one.")
+  in
+  let trace_file =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE.jsonl"
+           ~doc:"Write one JSON event per line to $(docv), then re-read the file
+                 and reconcile its event counts against the engine's statistics.")
+  in
+  let metrics =
+    Arg.(value & flag & info [ "metrics" ]
+           ~doc:"Collect and print the standard metrics registry (counters,
+                 acceptance ratio per temperature, uphill-delta histogram,
+                 phase spans).")
+  in
+  let downsample =
+    Arg.(value & opt (some (int_from 2)) None & info [ "downsample" ] ~docv:"CAP"
+           ~doc:"Thin the $(b,proposed) events written to the trace with the
+                 stride-doubling rule at capacity $(docv) (other events pass
+                 through).  The trace no longer reconciles exactly.")
+  in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Write a CRC-guarded resume snapshot to $(docv) every
@@ -633,10 +583,15 @@ let run_cmd =
                  (deterministic under a fixed seed) and write folded-stack
                  lines to $(docv) for flamegraph.pl / speedscope.")
   in
-  let run a checkpoint every resume stats telemetry_port profile =
+  let run a strategy goto_start trace_file metrics downsample checkpoint every resume
+      stats telemetry_port profile =
     with_walk a (fun w ->
         if resume && checkpoint = None then begin
           prerr_endline "--resume needs --checkpoint FILE";
+          2
+        end
+        else if checkpoint <> None && strategy <> `Figure1 then begin
+          prerr_endline "--checkpoint needs --strategy figure1";
           2
         end
         else begin
@@ -657,7 +612,7 @@ let run_cmd =
             match (resume, checkpoint) with
             | true, Some path -> (
                 match
-                  Checkpoint.resume_figure1 ~path ~codec ~cost:Linarr_problem.Swap.cost
+                  Checkpoint.resume_figure1 ~path ~codec ~cost:Swap.cost
                     ~fingerprint
                 with
                 | Error e ->
@@ -669,7 +624,7 @@ let run_cmd =
                     Ok (Some (snap, best_state), current, rng))
             | _, _ ->
                 let rng = Rng.create ~seed:a.seed in
-                Ok (None, start ~goto_start:false w rng, rng)
+                Ok (None, start ~goto_start w rng, rng)
           in
           match restored with
           | Error code -> code
@@ -684,37 +639,59 @@ let run_cmd =
                 | Some (snap, _) -> int_of_float snap.Figure1.initial_cost
                 | None -> Arrangement.density state
               in
+              let registry = if metrics then Some (Obs.Metrics.create ()) else None in
               let profiler = Option.map (fun _ -> Telemetry_profile.create ()) profile in
-              let observer =
+              let observer sink =
                 Obs.Observer.tee
-                  (Option.to_list
-                     (Option.map
-                        (fun t -> Telemetry.job_observer t ~worker:0 ~job:0 ~label:"run")
-                        tele)
-                  @ Option.to_list (Option.map Telemetry_profile.observer profiler))
+                  (sink
+                  :: List.filter_map Fun.id
+                       [
+                         Option.map Obs.Metrics.observer registry;
+                         Option.map
+                           (fun t -> Telemetry.job_observer t ~worker:0 ~job:0 ~label:"run")
+                           tele;
+                         Option.map Telemetry_profile.observer profiler;
+                       ])
               in
               match
-                anneal ~observer
-                  ?checkpoint_every:(Option.map (fun _ -> every) checkpoint)
-                  ?on_checkpoint:(Option.map on_checkpoint checkpoint) ?resume w
-                  `Figure1 rng state
+                with_trace trace_file downsample (fun sink ->
+                    anneal ~observer:(observer sink)
+                      ?checkpoint_every:(Option.map (fun _ -> every) checkpoint)
+                      ?on_checkpoint:(Option.map on_checkpoint checkpoint) ?resume w
+                      strategy rng state)
               with
-              | result ->
-                  print_walk ~initial ~last:`Final ~stats result;
+              | result -> (
+                  print_walk ~initial ~stats result;
+                  Option.iter (Format.printf "%a@." Obs.Metrics.pp) registry;
                   (match (profiler, profile) with
                   | Some p, Some path ->
                       Telemetry_profile.write_folded p path;
                       Printf.eprintf "profile: %d samples -> %s\n"
                         (Telemetry_profile.samples p) path
                   | _ -> ());
-                  0
+                  match trace_file with
+                  | Some path ->
+                      let inexact =
+                        if downsample <> None then Some "downsampled"
+                        else if resume <> None then Some "resumed"
+                        else None
+                      in
+                      reconcile ~strategy ~inexact result.Mc_problem.stats path
+                  | None -> 0)
+              | exception Sys_error msg ->
+                  (* An unwritable trace or checkpoint file. *)
+                  prerr_endline msg;
+                  1
               | exception Interrupted ->
                   Option.iter
                     (Printf.eprintf
                        "interrupted; checkpoint saved to %s (resume with --resume)\n")
                     checkpoint;
                   130
-              | exception Engine1.Aborted { reason; partial } ->
+              | exception
+                  ( Engine1.Aborted { reason; partial }
+                  | Engine2.Aborted { reason; partial }
+                  | EngineRL.Aborted { reason; partial } ) ->
                   Printf.eprintf "run aborted: %s\n" (Printexc.to_string reason);
                   Printf.eprintf "best density so far: %.0f (after %d evaluations)\n"
                     partial.Mc_problem.best_cost
@@ -724,15 +701,18 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Minimize density with the Figure 1 engine, with checkpoint/resume.")
-    Term.(const run $ walk_args ~method_:"Six Temperature Annealing" ~evals:20_000
-          $ checkpoint $ every $ resume $ stats_arg $ telemetry_port_arg $ profile)
+       ~doc:"Minimize the density of a netlist with a chosen method and
+             strategy, optionally tracing its events, checkpointing (Figure 1)
+             or resuming.")
+    Term.(const run $ walk_args ~evals:20_000 $ strategy $ goto_start $ trace_file
+          $ metrics $ downsample $ checkpoint $ every $ resume $ stats_arg
+          $ telemetry_port_arg $ profile)
 
 (* ---------------------------------------------------------------- *)
 (* supervise                                                         *)
 (* ---------------------------------------------------------------- *)
 
-module Chaos_swap = Mc_problem.Chaos (Linarr_problem.Swap)
+module Chaos_swap = Mc_problem.Chaos (Swap)
 module Engine_chaos = Figure1.Make (Chaos_swap)
 
 let supervise_cmd =
@@ -837,7 +817,7 @@ let supervise_cmd =
     (Cmd.info "supervise"
        ~doc:"Drive a campaign of runs with retries, backoff, quarantine, and
              optional chaos fault injection.")
-    Term.(const run $ walk_args ~method_:"Six Temperature Annealing" ~evals:10_000
+    Term.(const run $ walk_args ~evals:10_000
           $ runs $ max_attempts $ base_delay $ backoff $ deadline $ chaos
           $ chaos_attempts $ report_file)
 
@@ -892,8 +872,7 @@ let portfolio_cmd =
               Ok
                 (List.map
                    (fun gfun ->
-                     Portfolio.Job.figure1
-                       (module Linarr_problem.Swap)
+                     Portfolio.Job.figure1 (module Swap) ~delta_ops:Swap.delta_ops
                        ~label:(Gfun.name gfun) ~gfun
                        ~schedule:(Gfun.schedule gfun base)
                        ~make_state:(fun rng -> Arrangement.random rng nl)
@@ -1057,41 +1036,16 @@ let top_render_runs buf prev now j =
             (Option.value ~default:0. (nth idle)))
         tasks
 
-(* A couple of headline counters scraped from the Prometheus text, so
-   top exercises both endpoints the way a real scrape pipeline does. *)
+(* The headline counter scraped from the Prometheus text, so top
+   exercises both endpoints the way a real scrape pipeline does. *)
 let top_render_metrics buf body =
-  let lines = String.split_on_char '\n' body in
-  let value_of prefix line =
-    if String.length line > String.length prefix
-       && String.equal (String.sub line 0 (String.length prefix)) prefix
-    then
-      match String.rindex_opt line ' ' with
-      | Some i ->
-          Some (String.sub line (i + 1) (String.length line - i - 1))
-      | None -> None
-    else None
-  in
-  let proposed =
-    List.find_map (value_of "sa_lab_proposed_total ") lines
-  in
-  let moves =
-    List.filter_map
-      (fun l ->
-        match value_of "sa_lab_move_" l with
-        | Some v when not (String.contains l '#') ->
-            (* "sa_lab_move_2opt_total 123" -> ("2opt", "123") *)
-            let rest = String.sub l 12 (String.length l - 12) in
-            Option.map
-              (fun i -> (String.sub rest 0 i, v))
-              (String.index_opt rest ' ')
-        | _ -> None)
-      lines
-  in
-  (match proposed with
-  | Some p -> Printf.bprintf buf "\nMETRICS  proposed %s" p
-  | None -> ());
-  List.iter (fun (m, v) -> Printf.bprintf buf "  %s %s" m v) moves;
-  if proposed <> None || moves <> [] then Buffer.add_char buf '\n'
+  let prefix = "sa_lab_proposed_total " in
+  match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body) with
+  | Some line ->
+      let i = String.rindex line ' ' in
+      Printf.bprintf buf "\nMETRICS  proposed %s\n"
+        (String.sub line (i + 1) (String.length line - i - 1))
+  | None -> ()
 
 let top_cmd =
   let port =
@@ -1214,7 +1168,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            tables_cmd; solve_cmd; run_cmd; supervise_cmd; trace_cmd;
-            portfolio_cmd; top_cmd; generate_cmd; goto_cmd; tsp_cmd;
+            tables_cmd; run_cmd; supervise_cmd; portfolio_cmd; top_cmd; generate_cmd; goto_cmd; tsp_cmd;
             partition_cmd; route_cmd; floorplan_cmd; info_cmd;
           ]))

@@ -63,15 +63,11 @@ type ('state, 'move) delta_ops = {
   commit : 'state -> 'move -> unit;
   abandon : 'state -> 'move -> unit;
   recost_every : int;
-  kind : string option;
 }
 
-let delta_ops ?(recost_every = 10_000) ?kind ~propose ~delta ~commit ~abandon () =
+let delta_ops ?(recost_every = 10_000) ~propose ~delta ~commit ~abandon () =
   if recost_every <= 0 then invalid_arg "Mc_problem.delta_ops: recost_every <= 0";
-  (match kind with
-  | Some "" -> invalid_arg "Mc_problem.delta_ops: empty kind label"
-  | Some _ | None -> ());
-  { propose; delta; commit; abandon; recost_every; kind }
+  { propose; delta; commit; abandon; recost_every }
 
 (** Outcome counters common to all engines. *)
 type stats = {

@@ -79,11 +79,6 @@ type ('state, 'move) delta_ops = {
       (** Engines resynchronize their accumulated current cost against
           a full {!S.cost} recompute every [recost_every] budget ticks,
           bounding compensated float drift.  Always positive. *)
-  kind : string option;
-      (** Neighborhood label (["2opt"], ["swap"], ...) stamped on
-          every fast-path [Obs.Event.Proposed] this record produces, so
-          per-move-kind throughput and acceptance are observable live.
-          Purely informational: engines never branch on it. *)
 }
 (** Optional incremental-evaluation capability — the same
     first-class-record pattern as {!codec}.  Only the moves a program
@@ -100,17 +95,14 @@ type ('state, 'move) delta_ops = {
 
 val delta_ops :
   ?recost_every:int ->
-  ?kind:string ->
   propose:(Rng.t -> 'state -> 'move) ->
   delta:('state -> 'move -> float) ->
   commit:('state -> 'move -> unit) ->
   abandon:('state -> 'move -> unit) ->
   unit ->
   ('state, 'move) delta_ops
-(** Smart constructor; [recost_every] defaults to [10_000], [kind] to
-    unlabeled.
-    @raise Invalid_argument if [recost_every <= 0] or [kind] is the
-    empty string. *)
+(** Smart constructor; [recost_every] defaults to [10_000].
+    @raise Invalid_argument if [recost_every <= 0]. *)
 
 (** Outcome counters common to all engines. *)
 type stats = {

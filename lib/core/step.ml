@@ -147,8 +147,12 @@ module Make (P : Mc_problem.S) = struct
         (Mc_problem.Invalid_cost
            (Printf.sprintf "non-finite cost %h at resync (evaluation %d)" c
               (Budget.ticks b.clock)));
-    b.costs.hi <- c;
-    note_best b
+    (* A recompute that agrees leaves the books alone: Figure 2 notes a
+       best only once its descent ends, as on the recompute path. *)
+    if not (Float.equal c b.costs.hi) then begin
+      b.costs.hi <- c;
+      note_best b
+    end
 
   type evaluator = {
     propose : Rng.t -> P.move;
@@ -203,9 +207,8 @@ module Make (P : Mc_problem.S) = struct
     ev.drop m;
     b.rejected <- b.rejected + 1
 
-  let proposed b kind =
-    emit b
-      (Obs.Event.Proposed { evaluation = Budget.ticks b.clock; cost = b.costs.hj; kind })
+  let proposed b =
+    emit b (Obs.Event.Proposed { evaluation = Budget.ticks b.clock; cost = b.costs.hj })
 
   let recompute ?(restore = false) b =
     let state = b.state in
@@ -238,13 +241,13 @@ module Make (P : Mc_problem.S) = struct
       let price m =
         cost_applied m;
         revert m;
-        if b.observing then proposed b None
+        if b.observing then proposed b
       in
       { propose; price; keep = apply; drop = ignore; recost_every = max_int }
     else
       let price m =
         cost_applied m;
-        if b.observing then proposed b None
+        if b.observing then proposed b
       in
       { propose; price; keep = ignore; drop = revert; recost_every = max_int }
 
@@ -267,7 +270,7 @@ module Make (P : Mc_problem.S) = struct
              (Printf.sprintf "non-finite delta %h at evaluation %d" dv
                 (Budget.ticks b.clock)));
       b.costs.hj <- b.costs.hi +. dv;
-      if b.observing then proposed b d.kind
+      if b.observing then proposed b
     in
     {
       propose = (fun rng -> try d.propose rng state with e -> abort b e);

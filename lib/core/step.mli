@@ -104,7 +104,8 @@ module Make (P : Mc_problem.S) : sig
   val maybe_resync : t -> evaluator -> unit
   (** Once [recost_every] ticks have passed since the last resync,
       replace the current cost with a full [P.cost] recompute, then
-      {!note_best}; aborts on a raising or non-finite cost.  Engines
+      {!note_best}; a recompute equal to the current cost changes
+      nothing.  Aborts on a raising or non-finite cost.  Engines
       call it only where no move is half-applied; an engine that checks
       at every tick resyncs exactly at the multiples of
       [recost_every]. *)

@@ -21,7 +21,7 @@ module Swap = struct
      path's accumulated [hi +. delta] stays bit-identical to the
      recompute path. *)
   let delta_ops =
-    Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
+    Mc_problem.delta_ops ~propose:random_move
       ~delta:(fun state (p, q) ->
         float_of_int (Arrangement.swap_density_delta state p q))
       ~commit:(fun state (p, q) -> Arrangement.swap_positions state p q)

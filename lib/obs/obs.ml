@@ -262,7 +262,7 @@ module Event = struct
 
   type t =
     | Run_start of { cost : float }
-    | Proposed of { evaluation : int; cost : float; kind : string option }
+    | Proposed of { evaluation : int; cost : float }
     | Accepted of { kind : accept_kind; cost : float; delta : float }
     | Rejected of { delta : float }
     | New_best of { evaluation : int; cost : float }
@@ -301,11 +301,8 @@ module Event = struct
     let open Json in
     match ev with
     | Run_start { cost } -> Obj [ ("ev", String "run_start"); ("cost", Float cost) ]
-    | Proposed { evaluation; cost; kind } ->
-        (* The move-kind field is omitted when absent so that traces
-           from kind-less adapters keep their pre-existing byte shape. *)
-        let base = [ ("ev", String "proposed"); ("n", Int evaluation); ("cost", Float cost) ] in
-        Obj (match kind with None -> base | Some k -> base @ [ ("kind", String k) ])
+    | Proposed { evaluation; cost } ->
+        Obj [ ("ev", String "proposed"); ("n", Int evaluation); ("cost", Float cost) ]
     | Accepted { kind; cost; delta } ->
         Obj
           [
@@ -385,12 +382,6 @@ module Event = struct
       | Json.String s -> s
       | _ -> raise (Bad ("field " ^ name ^ " is not a string"))
     in
-    let opt_str name =
-      match Json.member name json with
-      | Some (Json.String s) -> Some s
-      | Some _ -> raise (Bad ("field " ^ name ^ " is not a string"))
-      | None -> None
-    in
     let bool name =
       match get name with
       | Json.Bool b -> b
@@ -400,7 +391,7 @@ module Event = struct
       match str "ev" with
       | "run_start" -> Run_start { cost = fnum "cost" }
       | "proposed" ->
-          Proposed { evaluation = inum "n"; cost = fnum "cost"; kind = opt_str "kind" }
+          Proposed { evaluation = inum "n"; cost = fnum "cost" }
       | "accepted" ->
           let kind =
             match kind_of_name (str "kind") with
@@ -769,10 +760,9 @@ module Metrics = struct
     Observer.of_fun (fun ev ->
         match ev with
         | Event.Run_start { cost } -> set_gauge t "initial_cost" cost
-        | Event.Proposed { kind; _ } ->
+        | Event.Proposed _ ->
             incr t "proposed";
-            incr t (Printf.sprintf "proposed.t%d" !temp);
-            (match kind with Some k -> incr t ("move." ^ k) | None -> ())
+            incr t (Printf.sprintf "proposed.t%d" !temp)
         | Event.Accepted { kind; delta; _ } ->
             incr t
               (match kind with

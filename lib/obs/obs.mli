@@ -69,12 +69,9 @@ module Event : sig
 
   type t =
     | Run_start of { cost : float }  (** cost of the initial state *)
-    | Proposed of { evaluation : int; cost : float; kind : string option }
+    | Proposed of { evaluation : int; cost : float }
         (** a perturbation was evaluated; [evaluation] is the budget
-            tick (1-based), [cost] the proposed configuration's cost,
-            [kind] the neighborhood label of the proposing move scheme
-            (["2opt"], ["swap"], ...) when the adapter declares one
-            via {!Mc_problem.delta_ops} — [None] on the recompute path *)
+            tick (1-based), [cost] the proposed configuration's cost *)
     | Accepted of { kind : accept_kind; cost : float; delta : float }
         (** the last proposal was taken; [delta = cost - previous] *)
     | Rejected of { delta : float }  (** the last proposal was reverted *)
@@ -262,9 +259,7 @@ end
     - counters [proposed], [accepted.improving], [accepted.lateral],
       [accepted.uphill], [rejected], [temp_advance], [descents],
       [new_best], per-temperature [proposed.t<i>] / [accepted.t<i>]
-      (the acceptance ratio per temperature), per-neighborhood
-      [move.<kind>] for proposals that carry a move-kind label, and
-      [rung_standings];
+      (the acceptance ratio per temperature), and [rung_standings];
     - histogram [uphill_delta] (the uphill move size distribution) and
       [span.<name>] phase durations;
     - gauges [initial_cost], [best_cost], [best_evaluation]

@@ -170,7 +170,7 @@ module Problem = struct
      accumulated [hi +. delta] is exact — bit-identical to the slow
      path's recomputed cost. *)
   let delta_ops =
-    Mc_problem.delta_ops ~kind:"swap" ~propose:random_move
+    Mc_problem.delta_ops ~propose:random_move
       ~delta:(fun state (a, b) -> float_of_int (swap_delta state a b))
       ~commit:(fun state (a, b) -> swap state a b)
       ~abandon:(fun _ _ -> ())

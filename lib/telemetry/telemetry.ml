@@ -148,7 +148,7 @@ module Runs = struct
             Atomic.set s.best_cost cost;
             Atomic.set s.current_cost cost;
             Atomic.set s.status Running
-        | Proposed { evaluation; cost; kind = _ } ->
+        | Proposed { evaluation; cost } ->
             evals := evaluation;
             incr proposed;
             current := cost;

@@ -29,7 +29,7 @@ let moves tour =
    fast path's accumulated [hi +. delta] matches the committed cached
    length bit-for-bit — the equivalence the property tests assert. *)
 let delta_ops =
-  Mc_problem.delta_ops ~kind:"2opt" ~propose:random_move
+  Mc_problem.delta_ops ~propose:random_move
     ~delta:(fun tour (i, j) -> Tour.two_opt_delta tour i j)
     ~commit:(fun tour (i, j) -> Tour.two_opt tour i j)
     ~abandon:(fun _ _ -> ())

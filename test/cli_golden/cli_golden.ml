@@ -28,25 +28,29 @@
 
 let cases =
   [
-    (* solve: both strategies, --goto-start, --stats, the error paths *)
-    ("solve-metropolis", [ "solve"; "nola15.net"; "-m"; "Metropolis"; "-n"; "2000"; "--seed"; "1"; "--stats" ], []);
-    ("solve-figure2", [ "solve"; "gola15.net"; "--strategy"; "figure2"; "-m"; "Six Temperature Annealing"; "-y"; "3"; "-n"; "2000"; "--seed"; "2" ], []);
-    ("solve-goto-start", [ "solve"; "nola15.net"; "--goto-start"; "-n"; "1000"; "--seed"; "4"; "--stats" ], []);
-    ("solve-unknown-method", [ "solve"; "nola15.net"; "-m"; "Bogus" ], []);
-    ("solve-malformed-netlist", [ "solve"; "bad.net" ], []);
-    ("solve-missing-file", [ "solve"; "missing.net" ], []);
-    (* trace: every strategy, metrics, downsampling *)
-    ("trace-figure1-metrics", [ "trace"; "nola15.net"; "-n"; "200"; "--seed"; "1"; "--trace"; "t1.jsonl"; "--metrics" ], [ "t1.jsonl" ]);
-    ("trace-figure2-goto", [ "trace"; "gola15.net"; "--strategy"; "figure2"; "-m"; "Six Temperature Annealing"; "-y"; "2"; "--goto-start"; "-n"; "200"; "--trace"; "t2.jsonl" ], [ "t2.jsonl" ]);
-    ("trace-rejectionless", [ "trace"; "nola15.net"; "--strategy"; "rejectionless"; "-n"; "150"; "--seed"; "3"; "--trace"; "t3.jsonl"; "--metrics" ], [ "t3.jsonl" ]);
-    ("trace-downsample", [ "trace"; "nola15.net"; "-n"; "400"; "--seed"; "5"; "--trace"; "t4.jsonl"; "--downsample"; "16" ], [ "t4.jsonl" ]);
-    ("trace-metrics-only", [ "trace"; "graph24.net"; "-m"; "g = 1"; "-n"; "500"; "--seed"; "6"; "--metrics" ], []);
-    ("trace-unknown-method", [ "trace"; "nola15.net"; "-m"; "Nope" ], []);
-    (* run: checkpoint, resume, stale resume, profile *)
+    (* run: both descent strategies, --goto-start, --stats, the error
+       paths (named for the subcommands whose walks these were) *)
+    ("solve-metropolis", [ "run"; "nola15.net"; "-m"; "Metropolis"; "-n"; "2000"; "--seed"; "1"; "--stats" ], []);
+    ("solve-figure2", [ "run"; "gola15.net"; "--strategy"; "figure2"; "-m"; "Six Temperature Annealing"; "-y"; "3"; "-n"; "2000"; "--seed"; "2" ], []);
+    ("solve-goto-start", [ "run"; "nola15.net"; "--goto-start"; "-m"; "g = 1"; "-n"; "1000"; "--seed"; "4"; "--stats" ], []);
+    ("solve-unknown-method", [ "run"; "nola15.net"; "-m"; "Bogus" ], []);
+    ("solve-malformed-netlist", [ "run"; "bad.net"; "-m"; "g = 1" ], []);
+    ("solve-missing-file", [ "run"; "missing.net"; "-m"; "g = 1" ], []);
+    (* run --trace: every strategy, metrics, downsampling *)
+    ("trace-figure1-metrics", [ "run"; "nola15.net"; "-m"; "Metropolis"; "-n"; "200"; "--seed"; "1"; "--trace"; "t1.jsonl"; "--metrics"; "--stats" ], [ "t1.jsonl" ]);
+    ("trace-figure2-goto", [ "run"; "gola15.net"; "--strategy"; "figure2"; "-m"; "Six Temperature Annealing"; "-y"; "2"; "--goto-start"; "-n"; "200"; "--trace"; "t2.jsonl"; "--stats" ], [ "t2.jsonl" ]);
+    ("trace-rejectionless", [ "run"; "nola15.net"; "--strategy"; "rejectionless"; "-m"; "Metropolis"; "-n"; "150"; "--seed"; "3"; "--trace"; "t3.jsonl"; "--metrics"; "--stats" ], [ "t3.jsonl" ]);
+    ("trace-downsample", [ "run"; "nola15.net"; "-m"; "Metropolis"; "-n"; "400"; "--seed"; "5"; "--trace"; "t4.jsonl"; "--downsample"; "16"; "--stats" ], [ "t4.jsonl" ]);
+    ("trace-metrics-only", [ "run"; "graph24.net"; "-m"; "g = 1"; "-n"; "500"; "--seed"; "6"; "--metrics"; "--stats" ], []);
+    (* run: checkpoint, resume (traced too), stale resume, profile *)
     ("run-checkpoint", [ "run"; "gola15.net"; "-n"; "3000"; "--checkpoint"; "k.json"; "--checkpoint-every"; "700"; "--seed"; "3"; "--stats" ], [ "k.json" ]);
     ("run-resume", [ "run"; "gola15.net"; "-n"; "3000"; "--checkpoint"; "k.json"; "--resume"; "--seed"; "3"; "--stats" ], [ "k.json" ]);
+    ("run-resume-trace", [ "run"; "gola15.net"; "-n"; "3000"; "--checkpoint"; "k.json"; "--resume"; "--seed"; "3"; "--trace"; "r.jsonl" ], [ "r.jsonl" ]);
     ("run-stale-resume", [ "run"; "gola15.net"; "-n"; "3000"; "--checkpoint"; "k.json"; "--resume"; "--seed"; "4" ], []);
+    ("run-checkpoint-unwritable", [ "run"; "gola15.net"; "-n"; "2000"; "--checkpoint"; "no-dir/k.json"; "--checkpoint-every"; "700" ], []);
+    ("run-trace-unwritable", [ "run"; "gola15.net"; "-n"; "100"; "--trace"; "no-dir/t.jsonl" ], []);
     ("run-resume-needs-checkpoint", [ "run"; "gola15.net"; "--resume" ], []);
+    ("run-checkpoint-needs-figure1", [ "run"; "gola15.net"; "--strategy"; "figure2"; "--checkpoint"; "k2.json" ], [ "k2.json" ]);
     ("run-profile", [ "run"; "nola15.net"; "-m"; "Cubic Diff"; "-y"; "2"; "-n"; "2000"; "--seed"; "2"; "--profile"; "p.folded" ], [ "p.folded" ]);
     ("run-unknown-method", [ "run"; "nola15.net"; "-m"; "Nope" ], []);
     (* supervise: chaos retried, chaos quarantined, a bad policy *)
@@ -73,11 +77,7 @@ let cases =
     ("generate", [ "generate"; "-e"; "6"; "--nets"; "8"; "--nola"; "--seed"; "2" ], []);
     ("floorplan", [ "floorplan"; "-b"; "5"; "-n"; "300"; "--seed"; "1" ], []);
     (* values no run can use *)
-    ("bad-solve-evals", [ "solve"; "nola15.net"; "--evals=-5" ], []);
-    ("bad-solve-y", [ "solve"; "nola15.net"; "-y"; "0" ], []);
-    ("bad-trace-evals", [ "trace"; "nola15.net"; "--evals=-5" ], []);
-    ("bad-trace-y", [ "trace"; "nola15.net"; "-y"; "0" ], []);
-    ("bad-trace-downsample", [ "trace"; "nola15.net"; "-n"; "100"; "--trace"; "t0.jsonl"; "--downsample"; "0" ], []);
+    ("bad-trace-downsample", [ "run"; "nola15.net"; "-m"; "Metropolis"; "-n"; "100"; "--trace"; "t0.jsonl"; "--downsample"; "0" ], []);
     ("bad-run-evals", [ "run"; "nola15.net"; "--evals=-5" ], []);
     ("bad-run-y", [ "run"; "nola15.net"; "-y"; "0" ], []);
     ("bad-run-checkpoint-every", [ "run"; "nola15.net"; "-n"; "100"; "--checkpoint"; "k0.json"; "--checkpoint-every"; "0" ], []);

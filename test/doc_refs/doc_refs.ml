@@ -7,11 +7,14 @@
    that mentions it.  A dotted word that names an existing file
    ([BENCHMARK.json]) is a path, not a reference.  Every backquoted
    path under one of [path_roots] must name a file or directory, a
-   [.exe] or extensionless name standing for its [.ml].  Prints one
-   line per stale reference and exits 1 if there is any.  Fenced code
-   blocks are skipped.  Paths resolve against the working directory.
+   [.exe] or extensionless name standing for its [.ml].  Fenced code
+   blocks are skipped by those two checks.  With [--commands FILE], every
+   [sa_lab WORD] or [sa_lab.exe -- WORD] in a backquoted span or a
+   fenced block must name a subcommand, a [Cmd.info "WORD"] in FILE.
+   Prints one line per stale reference and exits 1 if there is any.
+   Paths resolve against the working directory.
 
-   Usage: doc_refs DIR... [--installed DIR]... -- DOC... *)
+   Usage: doc_refs DIR... [--installed DIR]... [--commands FILE] -- DOC... *)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -44,15 +47,35 @@ let mentions text name =
   in
   from 0
 
-(* The document with every fenced block blanked, line numbers kept. *)
-let inline_text doc =
+(* The document split in two, line numbers kept: its prose with every
+   fenced block blanked, and its fenced blocks with the prose blanked. *)
+let split_fences doc =
   let fenced = ref false in
-  String.split_on_char '\n' (read doc)
-  |> List.map (fun line ->
-         let fence = String.starts_with ~prefix:"```" (String.trim line) in
-         if fence then fenced := not !fenced;
-         if fence || !fenced then "" else line)
-  |> String.concat "\n"
+  let lines =
+    String.split_on_char '\n' (read doc)
+    |> List.map (fun line ->
+           let fence = String.starts_with ~prefix:"```" (String.trim line) in
+           if fence then fenced := not !fenced;
+           if fence then ("", "") else if !fenced then ("", line) else (line, ""))
+  in
+  (String.concat "\n" (List.map fst lines), String.concat "\n" (List.map snd lines))
+
+(* Every match of [re] in [text], as (offset of group [g], group [g]). *)
+let matches re g text =
+  let rec from i acc =
+    match Str.search_forward re text i with
+    | exception Not_found -> List.rev acc
+    | _ -> from (Str.match_end ()) ((Str.group_beginning g, Str.matched_group g text) :: acc)
+  in
+  from 0 []
+
+(* The subcommands a CLI source declares: its [Cmd.info "NAME"]s. *)
+let commands_of path =
+  List.map snd (matches (Str.regexp {|Cmd\.info[ \n]+"\([a-z_-]+\)"|}) 1 (read path))
+
+(* The words invoked as sa_lab subcommands in [text]. *)
+let invoked =
+  matches (Str.regexp {|\(^\|[^A-Za-z0-9_]\)sa_lab\(\.exe --\)? +\([a-z][a-z0-9_-]*\)|}) 3
 
 (* The dotted paths [A.b.c] in [span] that start at an identifier
    boundary; a word after a ['/'] is part of a file path, not one. *)
@@ -117,14 +140,25 @@ let path_exists path =
      && Sys.file_exists (Filename.remove_extension path ^ ".ml"))
   || (Filename.extension path = "" && Sys.file_exists (path ^ ".ml"))
 
-let check ~sources ~installed doc =
-  let text = inline_text doc in
+let check ~sources ~installed ~commands doc =
+  let text, code = split_fences doc in
   let stale = ref 0 in
-  let line_of i =
+  let line_in t i =
     let l = ref 1 in
-    String.iteri (fun k c -> if k < i && c = '\n' then incr l) text;
+    String.iteri (fun k c -> if k < i && c = '\n' then incr l) t;
     !l
   in
+  let line_of = line_in text in
+  let check_invoked line span =
+    List.iter
+      (fun (i, word) ->
+        if not (List.mem word commands) then begin
+          incr stale;
+          Printf.printf "%s:%d: `sa_lab %s`: no such subcommand\n" doc (line i) word
+        end)
+      (if commands = [] then [] else invoked span)
+  in
+  check_invoked (line_in code) code;
   let rec spans i =
     match String.index_from_opt text i '`' with
     | None -> ()
@@ -133,6 +167,7 @@ let check ~sources ~installed doc =
         | None -> ()
         | Some b ->
             let span = String.sub text (a + 1) (b - a - 1) in
+            check_invoked (fun _ -> line_of a) span;
             List.iter
               (fun path ->
                 if not (path_exists path) then begin
@@ -168,9 +203,13 @@ let check ~sources ~installed doc =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let commands = ref [] in
   let rec split dirs installed = function
     | "--" :: docs -> (List.rev dirs, List.rev installed, docs)
     | "--installed" :: d :: rest -> split dirs (d :: installed) rest
+    | "--commands" :: f :: rest ->
+        commands := commands_of f;
+        split dirs installed rest
     | d :: rest -> split (d :: dirs) installed rest
     | [] -> (List.rev dirs, List.rev installed, [])
   in
@@ -178,5 +217,9 @@ let () =
   let sources = Hashtbl.create 256 and installed = Hashtbl.create 512 in
   List.iter (scan ~suffixes:[ ".ml"; ".mli" ] sources) dirs;
   List.iter (scan ~suffixes:[ ".mli" ] installed) installed_dirs;
-  let stale = List.fold_left (fun acc doc -> acc + check ~sources ~installed doc) 0 docs in
+  let stale =
+    List.fold_left
+      (fun acc doc -> acc + check ~sources ~installed ~commands:!commands doc)
+      0 docs
+  in
   if stale > 0 then exit 1

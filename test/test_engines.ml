@@ -786,7 +786,8 @@ let test_integration_stats_add_up () =
 
 (* Allocation guard for the paper's own walk: the 21 catalog classes
    under Figure 1 with pairwise interchange on both sample instances,
-   recompute path, fixed seeds, as `sa_lab run` walks them.  The walks
+   recompute path, fixed seeds, as the ledger's `paper-cli` op walks
+   them (`sa_lab run` walks the delta path).  The walks
    allocate 9.79 minor words per evaluation: the move tuple (3), the
    cost [P.cost] returns through the functor (2), and, on the 80% of
    evaluations that call g, [Gfun.eval]'s boxed [hi] and [hj] (3.2 per

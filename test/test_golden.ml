@@ -113,36 +113,29 @@ let tsp_rejectionless observer =
    runs above never reach. *)
 let restart_budget = Budget.Evaluations 40_000
 
-let pinned_runs =
+(* A Swap run on both evaluator paths, pinned by one string: densities
+   are exact, so the delta path emits the recompute path's event stream,
+   event for event. *)
+let both_paths name run expected =
   [
-    ( "figure1/recompute",
-      (fun () -> fingerprint (figure1 ~fast:false)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=112 lat=1024 up=101 rej=1763 temps=6 desc=0 events=4588bb17f292fa7f865cde4115e52f49" );
-    ( "figure1/delta",
-      (fun () -> fingerprint (figure1 ~fast:true)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=112 lat=1024 up=101 rej=1763 temps=6 desc=0 events=5007b460cebb05ca0bd70efd30319f44" );
-    ( "figure2/recompute",
-      (fun () -> fingerprint (figure2 ~fast:false)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=c15308b8cbefbdce9e54dc2d6cc820cc" );
-    ( "figure2/delta",
-      (fun () -> fingerprint (figure2 ~fast:true)),
-      "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=83dc1629bcc33705d65dc9189e1ab3b2" );
-    ( "figure2/schedule-restart/recompute",
-      (fun () -> fingerprint (figure2 ~budget:restart_budget ~fast:false)),
-      "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=9360dedc764124f624e07e21619ba23f" );
-    ( "figure2/schedule-restart/delta",
-      (fun () -> fingerprint (figure2 ~budget:restart_budget ~fast:true)),
-      "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=df581079ea991b27a72be56d1290185a" );
-    ( "rejectionless/recompute",
-      (fun () -> fingerprint (rejectionless ~fast:false)),
-      "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=ac719fd52e4553361e5a85f16fc99a1c" );
-    ( "rejectionless/delta",
-      (fun () -> fingerprint (rejectionless ~fast:true)),
-      "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=0cee0c35b005b8bd852122eca00d2853" );
-    ( "rejectionless/tsp-2opt",
-      (fun () -> fingerprint tsp_rejectionless),
-      "best=402653f82b64532b final=402653f82b64532b evals=4000 imp=13 lat=1 up=1 rej=3985 temps=1 desc=15 events=7b354a1b71306ba6468395fb8d28a3c5" );
+    (name ^ "/recompute", (fun () -> fingerprint (run ~fast:false)), expected);
+    (name ^ "/delta", (fun () -> fingerprint (run ~fast:true)), expected);
   ]
+
+let pinned_runs =
+  both_paths "figure1" (figure1 ~instance:gola15)
+    "best=404e800000000000 final=404e800000000000 evals=3000 imp=112 lat=1024 up=101 rej=1763 temps=6 desc=0 events=4588bb17f292fa7f865cde4115e52f49"
+  @ both_paths "figure2" (figure2 ~budget)
+      "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=c15308b8cbefbdce9e54dc2d6cc820cc"
+  @ both_paths "figure2/schedule-restart" (figure2 ~budget:restart_budget)
+      "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=9360dedc764124f624e07e21619ba23f"
+  @ both_paths "rejectionless" rejectionless
+      "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=ac719fd52e4553361e5a85f16fc99a1c"
+  @ [
+      ( "rejectionless/tsp-2opt",
+        (fun () -> fingerprint tsp_rejectionless),
+        "best=402653f82b64532b final=402653f82b64532b evals=4000 imp=13 lat=1 up=1 rej=3985 temps=1 desc=15 events=b4f8892b9a8e1dc3e4b78d301341f30a" );
+    ]
 
 (* The engines and settings above for any problem, one pinned row per
    (instance, engine) on the recompute path. *)
@@ -258,13 +251,9 @@ let nola600 () =
   (Arrangement.random rng nl, rng)
 
 let nola600_runs =
-  [
-    ( "nola600/figure1/recompute",
-      (fun () -> fingerprint (figure1 ~instance:nola600 ~fast:false)),
-      "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=d24959f4d6425a026a6a4cb2abce5cd1" );
-    ( "nola600/figure1/delta",
-      (fun () -> fingerprint (figure1 ~instance:nola600 ~fast:true)),
-      "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=2b56c7af96064bb9c1d21a825704d345" );
+  both_paths "nola600/figure1" (figure1 ~instance:nola600)
+    "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=d24959f4d6425a026a6a4cb2abce5cd1"
+  @ [
     relocate_row ("nola600", nola600) ("figure1", `Figure1)
       "best=4092180000000000 final=4092180000000000 evals=3000 imp=295 lat=1768 up=181 rej=756 temps=6 desc=0 events=3bb4311346f473a4d988a68cd88bf1a9";
   ]
@@ -312,7 +301,7 @@ let tsp1000_runs =
       "best=4062deb50bf92145 final=4062df588622def3 evals=20000 imp=2812 lat=0 up=1386 rej=15802 temps=6 desc=0 events=a2aab01e9b6242e131f9ad13a251c630" );
     ( "tsp1000/figure1/delta",
       (fun () -> fingerprint (tsp1000_figure1 ~fast:true)),
-      "best=4062deb50bf92145 final=4062df588622def3 evals=20000 imp=2812 lat=0 up=1386 rej=15802 temps=6 desc=0 events=98ac0250006bb9c8b9c6da31c0784891" );
+      "best=4062deb50bf92145 final=4062df588622def3 evals=20000 imp=2812 lat=0 up=1386 rej=15802 temps=6 desc=0 events=a2aab01e9b6242e131f9ad13a251c630" );
     ("tsp1000/race", tsp1000_race, "evals=61500 report=29e85b29b06bd4e93cf3994151343b4c");
   ]
 

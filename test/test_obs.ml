@@ -85,8 +85,7 @@ let all_events =
   Obs.Event.
     [
       Run_start { cost = 119. };
-      Proposed { evaluation = 1; cost = 124.; kind = None };
-      Proposed { evaluation = 2; cost = 118.; kind = Some "2opt" };
+      Proposed { evaluation = 1; cost = 124. };
       Accepted { kind = Improving; cost = 117.; delta = -2. };
       Accepted { kind = Lateral; cost = 117.; delta = 0. };
       Accepted { kind = Uphill; cost = 120.; delta = 3. };
@@ -110,6 +109,16 @@ let test_event_roundtrip () =
       | Ok ev' -> Alcotest.check Alcotest.bool "event survives" true (ev = ev')
       | Error msg -> Alcotest.failf "round-trip failed: %s" msg)
     all_events
+
+(* Traces written before proposals lost their move-kind label still
+   load: the extra member is ignored. *)
+let test_event_reads_labelled_proposed () =
+  let json = Result.get_ok (Obs.Json.parse {|{"ev":"proposed","n":7,"cost":12.0,"kind":"swap"}|}) in
+  match Obs.Event.of_json json with
+  | Ok ev ->
+      Alcotest.check Alcotest.bool "label dropped" true
+        (ev = Obs.Event.Proposed { evaluation = 7; cost = 12. })
+  | Error msg -> Alcotest.failf "labelled proposed failed: %s" msg
 
 let test_event_bad_json () =
   List.iter
@@ -161,9 +170,9 @@ let test_trajectory_observer_records () =
   let t = Obs.Trajectory.create 16 in
   let o = Obs.Trajectory.observer t in
   Obs.Observer.emit o (Obs.Event.Run_start { cost = 9. });
-  Obs.Observer.emit o (Obs.Event.Proposed { evaluation = 1; cost = 5.; kind = None });
+  Obs.Observer.emit o (Obs.Event.Proposed { evaluation = 1; cost = 5. });
   Obs.Observer.emit o (Obs.Event.Rejected { delta = 1. });
-  Obs.Observer.emit o (Obs.Event.Proposed { evaluation = 2; cost = 7.; kind = None });
+  Obs.Observer.emit o (Obs.Event.Proposed { evaluation = 2; cost = 7. });
   Alcotest.check Alcotest.int "initial + 2 proposals" 3 (Obs.Trajectory.count t);
   Alcotest.check (Alcotest.float 0.) "minimum" 5. (Obs.Trajectory.minimum t)
 
@@ -268,7 +277,7 @@ let test_downsample () =
   let n = 10_000 in
   for i = 1 to n do
     Obs.Observer.emit o
-      (Obs.Event.Proposed { evaluation = i; cost = float_of_int i; kind = None })
+      (Obs.Event.Proposed { evaluation = i; cost = float_of_int i })
   done;
   Obs.Observer.emit o (Obs.Event.Run_end
                          { evaluations = n; final_cost = 0.; best_cost = 0.; seconds = 0. });
@@ -320,13 +329,13 @@ let test_metrics_observer_standard_set () =
       [
         Run_start { cost = 10. };
         Temp_advance { temp = 1; y = 1. };
-        Proposed { evaluation = 1; cost = 9.; kind = None };
+        Proposed { evaluation = 1; cost = 9. };
         Accepted { kind = Improving; cost = 9.; delta = -1. };
         New_best { evaluation = 1; cost = 9. };
-        Proposed { evaluation = 2; cost = 12.; kind = Some "2opt" };
+        Proposed { evaluation = 2; cost = 12. };
         Rejected { delta = 3. };
         Temp_advance { temp = 2; y = 0.9 };
-        Proposed { evaluation = 3; cost = 11.; kind = None };
+        Proposed { evaluation = 3; cost = 11. };
         Accepted { kind = Uphill; cost = 11.; delta = 2. };
         Span { name = "temp:2"; seconds = 0.25 };
         Run_end { evaluations = 3; final_cost = 11.; best_cost = 9.; seconds = 0.5 };
@@ -557,6 +566,7 @@ let suite =
     case "json: non-finite floats render null" test_json_nonfinite_is_null;
     case "json: malformed inputs rejected" test_json_parse_errors;
     case "event: json round-trip (all constructors)" test_event_roundtrip;
+    case "event: a labelled proposed line still loads" test_event_reads_labelled_proposed;
     case "event: malformed events rejected" test_event_bad_json;
     QCheck_alcotest.to_alcotest prop_trajectory_invariants;
     case "trajectory: observer records run_start + proposals"

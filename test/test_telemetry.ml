@@ -403,21 +403,17 @@ let test_shards_merge () =
   emit 0
     [
       Obs.Event.Run_start { cost = 10. };
-      Obs.Event.Proposed { evaluation = 1; cost = 9.; kind = Some "2opt" };
-      Obs.Event.Proposed { evaluation = 2; cost = 11.; kind = Some "2opt" };
+      Obs.Event.Proposed { evaluation = 1; cost = 9. };
+      Obs.Event.Proposed { evaluation = 2; cost = 11. };
     ];
   emit 1
     [
       Obs.Event.Run_start { cost = 20. };
-      Obs.Event.Proposed { evaluation = 1; cost = 19.; kind = Some "or_opt" };
+      Obs.Event.Proposed { evaluation = 1; cost = 19. };
     ];
   let m = Telemetry.Shards.merged sh in
   Alcotest.check Alcotest.int "proposed sums across shards" 3
-    (Obs.Metrics.counter m "proposed");
-  Alcotest.check Alcotest.int "move.2opt from worker 0" 2
-    (Obs.Metrics.counter m "move.2opt");
-  Alcotest.check Alcotest.int "move.or_opt from worker 1" 1
-    (Obs.Metrics.counter m "move.or_opt")
+    (Obs.Metrics.counter m "proposed")
 
 let member name json =
   match Obs.Json.member name json with
@@ -430,7 +426,7 @@ let test_runs_slots () =
   List.iter (Obs.Observer.emit o)
     [
       Obs.Event.Run_start { cost = 10. };
-      Obs.Event.Proposed { evaluation = 1; cost = 9.; kind = None };
+      Obs.Event.Proposed { evaluation = 1; cost = 9. };
       Obs.Event.New_best { evaluation = 1; cost = 9. };
       Obs.Event.Temp_advance { temp = 2; y = 0.5 };
       Obs.Event.Run_end
