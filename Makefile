@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke ledger ledger-ab chaos serve top flame examples doc clean
+.PHONY: all build test test-stress lint lint-baseline bench bench-quick bench-smoke ledger ledger-ab chaos serve top flame examples doc loc clean
 
 all: build
 
@@ -169,6 +169,24 @@ examples:
 
 doc:
 	dune build @doc
+
+# Lines of OCaml source (.ml, .mli and dune files) added, deleted and
+# net since a base revision, per top-level directory, from
+# `git diff --numstat BASE` (a new file counts once it is staged;
+# BASE defaults to HEAD):
+#   make loc BASE=HEAD~1
+loc:
+	@git diff --no-renames --numstat $(BASE) -- lib bin bench examples test \
+	  | awk -F'\t' ' \
+	      $$3 ~ /(\.mli?|(^|\/)dune)$$/ { \
+	        split($$3, path, "/"); added[path[1]] += $$1; deleted[path[1]] += $$2 } \
+	      END { \
+	        printf "%-9s %8s %8s %8s\n", "dir", "added", "deleted", "net"; \
+	        n = split("lib bin bench examples test", ds, " "); \
+	        for (i = 1; i <= n; i++) { \
+	          d = ds[i]; a += added[d]; r += deleted[d]; \
+	          printf "%-9s %8d %8d %+8d\n", d, added[d], deleted[d], added[d] - deleted[d] } \
+	        printf "%-9s %8d %8d %+8d\n", "total", a, r, a - r }'
 
 clean:
 	dune clean

@@ -140,25 +140,6 @@ let start ~goto_start w rng =
   if goto_start then Goto.arrange w.nl else Arrangement.random rng w.nl
 
 module Swap = Linarr_problem.Swap
-module Engine1 = Figure1.Make (Swap)
-module Engine2 = Figure2.Make (Swap)
-module EngineRL = Rejectionless.Make (Swap)
-
-(* The one strategy -> engine dispatch.  Densities are exact, so the
-   delta path's event stream is the recompute path's.  Only Figure 1
-   checkpoints, so the checkpoint arguments reach only its engine. *)
-let anneal ?observer ?checkpoint_every ?on_checkpoint ?resume w strategy rng state =
-  let { gfun; schedule; budget; _ } = w in
-  let delta_ops = Swap.delta_ops in
-  match strategy with
-  | `Figure1 ->
-      Engine1.run ?observer ?checkpoint_every ?on_checkpoint ?resume ~delta_ops rng
-        (Engine1.params ~gfun ~schedule ~budget ()) state
-  | `Figure2 ->
-      Engine2.run ?observer ~delta_ops rng (Engine2.params ~gfun ~schedule ~budget ()) state
-  | `Rejectionless ->
-      EngineRL.run ?observer ~delta_ops rng (EngineRL.params ~gfun ~schedule ~budget) state
-
 let order_line arr =
   String.concat " " (Array.to_list (Array.map string_of_int (Arrangement.order arr)))
 
@@ -174,6 +155,16 @@ let write_json path json =
   output_string oc (Obs.Json.to_string json);
   output_char oc '\n';
   close_out oc
+
+(* Write the optional output file [target] with [write], then go on
+   with [k]; an unwritable path prints the OS message and exits 1
+   instead, as an unwritable trace or checkpoint does. *)
+let write_output target write k =
+  match Option.iter write target with
+  | () -> k ()
+  | exception Sys_error msg ->
+      prerr_endline msg;
+      1
 
 (* The counters a trace's events must reproduce.  The rejectionless
    engine never rejects; its [rejected] stat counts scan overhead and
@@ -333,8 +324,9 @@ let tsp_cmd =
                       Temperature.suggest_schedule (module Tsp_problem) (Rng.copy rng) start )
                 | `G1 -> (Gfun.g_one, Schedule.constant ~k:1 1.)
               in
-              (Suites.figure1 (module Tsp_problem) ~gfun ~schedule
-                 ~budget:(Budget.Evaluations evals) rng start)
+              (Engine.or_raise
+                 (Engine.run (module Tsp_problem) (Engine.figure1 ()) ~gfun ~schedule
+                    ~budget:(Budget.Evaluations evals) rng start))
                 .Mc_problem.best
         in
         Printf.printf "cities: %d\nlength: %.6f\n" (Tsp_instance.size inst) (Tour.length tour);
@@ -396,8 +388,9 @@ let partition_cmd =
                   | `Sa -> (Gfun.six_temp_annealing, Schedule.kirkpatrick ())
                   | `G1 -> (Gfun.g_one, Schedule.constant ~k:1 1.)
                 in
-                (Suites.figure1 (module Partition_problem) ~gfun ~schedule
-                   ~budget:(Budget.Evaluations evals) rng start)
+                (Engine.or_raise
+                   (Engine.run (module Partition_problem) (Engine.figure1 ()) ~gfun ~schedule
+                      ~budget:(Budget.Evaluations evals) rng start))
                   .Mc_problem.best
           with
           | part ->
@@ -433,9 +426,10 @@ let route_cmd =
     with_netlist file (fun nl ->
         let arr =
           if optimize then
-            (Suites.figure1 (module Swap) ~delta_ops:Swap.delta_ops ~gfun:Gfun.g_one
-               ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations evals)
-               (Rng.create ~seed) (Goto.arrange nl))
+            (Engine.or_raise
+               (Engine.run (module Swap) ~delta_ops:Swap.delta_ops (Engine.figure1 ())
+                  ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
+                  ~budget:(Budget.Evaluations evals) (Rng.create ~seed) (Goto.arrange nl)))
               .Mc_problem.best
           else Goto.arrange nl
         in
@@ -640,7 +634,9 @@ let run_cmd =
                 | None -> Arrangement.density state
               in
               let registry = if metrics then Some (Obs.Metrics.create ()) else None in
-              let profiler = Option.map (fun _ -> Telemetry_profile.create ()) profile in
+              let profiler =
+                Option.map (fun path -> (path, Telemetry_profile.create ())) profile
+              in
               let observer sink =
                 Obs.Observer.tee
                   (sink
@@ -650,34 +646,52 @@ let run_cmd =
                          Option.map
                            (fun t -> Telemetry.job_observer t ~worker:0 ~job:0 ~label:"run")
                            tele;
-                         Option.map Telemetry_profile.observer profiler;
+                         Option.map (fun (_, p) -> Telemetry_profile.observer p) profiler;
                        ])
               in
+              (* Only Figure 1 checkpoints: the other strategies take no
+                 checkpoint arguments. *)
+              let engine_strategy =
+                match strategy with
+                | `Figure1 ->
+                    Engine.figure1
+                      ?checkpoint_every:(Option.map (fun _ -> every) checkpoint)
+                      ?on_checkpoint:(Option.map on_checkpoint checkpoint) ?resume ()
+                | `Figure2 -> Engine.Figure2
+                | `Rejectionless -> Engine.Rejectionless
+              in
+              (* Densities are exact, so the delta path's event stream is
+                 the recompute path's. *)
               match
                 with_trace trace_file downsample (fun sink ->
-                    anneal ~observer:(observer sink)
-                      ?checkpoint_every:(Option.map (fun _ -> every) checkpoint)
-                      ?on_checkpoint:(Option.map on_checkpoint checkpoint) ?resume w
-                      strategy rng state)
+                    Engine.run (module Swap) ~delta_ops:Swap.delta_ops
+                      ~observer:(observer sink) engine_strategy ~gfun:w.gfun
+                      ~schedule:w.schedule ~budget:w.budget rng state)
               with
-              | result -> (
+              | Ok result ->
                   print_walk ~initial ~stats result;
                   Option.iter (Format.printf "%a@." Obs.Metrics.pp) registry;
-                  (match (profiler, profile) with
-                  | Some p, Some path ->
+                  write_output profiler
+                    (fun (path, p) ->
                       Telemetry_profile.write_folded p path;
                       Printf.eprintf "profile: %d samples -> %s\n"
-                        (Telemetry_profile.samples p) path
-                  | _ -> ());
-                  match trace_file with
-                  | Some path ->
-                      let inexact =
-                        if downsample <> None then Some "downsampled"
-                        else if resume <> None then Some "resumed"
-                        else None
-                      in
-                      reconcile ~strategy ~inexact result.Mc_problem.stats path
-                  | None -> 0)
+                        (Telemetry_profile.samples p) path)
+                    (fun () ->
+                      match trace_file with
+                      | Some path ->
+                          let inexact =
+                            if downsample <> None then Some "downsampled"
+                            else if resume <> None then Some "resumed"
+                            else None
+                          in
+                          reconcile ~strategy ~inexact result.Mc_problem.stats path
+                      | None -> 0)
+              | Error { reason; partial } ->
+                  Printf.eprintf "run aborted: %s\n" (Printexc.to_string reason);
+                  Printf.eprintf "best density so far: %.0f (after %d evaluations)\n"
+                    partial.Mc_problem.best_cost
+                    partial.Mc_problem.stats.Mc_problem.evaluations;
+                  1
               | exception Sys_error msg ->
                   (* An unwritable trace or checkpoint file. *)
                   prerr_endline msg;
@@ -687,16 +701,7 @@ let run_cmd =
                     (Printf.eprintf
                        "interrupted; checkpoint saved to %s (resume with --resume)\n")
                     checkpoint;
-                  130
-              | exception
-                  ( Engine1.Aborted { reason; partial }
-                  | Engine2.Aborted { reason; partial }
-                  | EngineRL.Aborted { reason; partial } ) ->
-                  Printf.eprintf "run aborted: %s\n" (Printexc.to_string reason);
-                  Printf.eprintf "best density so far: %.0f (after %d evaluations)\n"
-                    partial.Mc_problem.best_cost
-                    partial.Mc_problem.stats.Mc_problem.evaluations;
-                  1)
+                  130)
         end)
   in
   Cmd.v
@@ -713,7 +718,6 @@ let run_cmd =
 (* ---------------------------------------------------------------- *)
 
 module Chaos_swap = Mc_problem.Chaos (Swap)
-module Engine_chaos = Figure1.Make (Chaos_swap)
 
 let supervise_cmd =
   let runs =
@@ -757,9 +761,6 @@ let supervise_cmd =
             prerr_endline msg;
             2
         | policy ->
-            let params =
-              Engine_chaos.params ~gfun:w.gfun ~schedule:w.schedule ~budget:w.budget ()
-            in
             let work r ~attempt =
               (* Retries are not bitwise replays: each attempt derives its
                  own seed. *)
@@ -769,9 +770,12 @@ let supervise_cmd =
               (match chaos with
               | Some fault when attempt <= chaos_attempts -> Chaos_swap.plan ~after:100 fault
               | Some _ | None -> ());
-              match Engine_chaos.run rng params state with
-              | result -> result.Mc_problem.best_cost
-              | exception Engine_chaos.Aborted { reason; partial } ->
+              match
+                Engine.run (module Chaos_swap) (Engine.figure1 ()) ~gfun:w.gfun
+                  ~schedule:w.schedule ~budget:w.budget rng state
+              with
+              | Ok result -> result.Mc_problem.best_cost
+              | Error { reason; partial } ->
                   failwith
                     (Printf.sprintf "aborted at evaluation %d (best so far %.0f): %s"
                        partial.Mc_problem.stats.Mc_problem.evaluations
@@ -806,12 +810,11 @@ let supervise_cmd =
               report.Supervisor.outcomes;
             Printf.printf "retries: %d, quarantined: %d/%d\n" report.Supervisor.retries
               report.Supervisor.quarantined runs;
-            Option.iter
+            write_output report_file
               (fun path ->
                 write_json path
                   (Supervisor.report_to_json ~value:(fun c -> Obs.Json.Float c) report))
-              report_file;
-            if report.Supervisor.quarantined < runs then 0 else 1)
+              (fun () -> if report.Supervisor.quarantined < runs then 0 else 1))
   in
   Cmd.v
     (Cmd.info "supervise"
@@ -945,10 +948,9 @@ let portfolio_cmd =
           report.Portfolio.winner.Portfolio.label
           report.Portfolio.winner.Portfolio.cost
           report.Portfolio.total_evaluations;
-        Option.iter
+        write_output report_file
           (fun path -> write_json path (Portfolio.report_to_json report))
-          report_file;
-        0)
+          (fun () -> 0))
   in
   Cmd.v
     (Cmd.info "portfolio"
@@ -1143,8 +1145,9 @@ let floorplan_cmd =
       (100. *. Floorplan.utilization f);
     let schedule = Temperature.suggest_schedule (module Floorplan.Problem) (Rng.copy rng) f in
     let r =
-      Suites.figure1 (module Floorplan.Problem) ~gfun:Gfun.six_temp_annealing ~schedule
-        ~budget:(Budget.Evaluations evals) rng f
+      Engine.or_raise
+        (Engine.run (module Floorplan.Problem) (Engine.figure1 ()) ~gfun:Gfun.six_temp_annealing
+           ~schedule ~budget:(Budget.Evaluations evals) rng f)
     in
     let best = r.Mc_problem.best in
     Floorplan.check best;

@@ -7,8 +7,6 @@
 
    Run with: dune exec examples/channel_router.exe *)
 
-module Engine = Figure1.Make (Linarr_problem.Swap)
-
 let route_and_show name arr =
   let layout = Single_row.assign arr in
   (match Single_row.verify arr layout with
@@ -25,9 +23,9 @@ let () =
   route_and_show "random arrangement" (Arrangement.copy random_arr);
   route_and_show "Goto arrangement" (Goto.arrange netlist);
   let optimized = Arrangement.copy random_arr in
-  let params =
-    Engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-      ~budget:(Budget.Evaluations 5_000) ()
+  let result =
+    Engine.or_raise
+      (Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun:Gfun.g_one
+         ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations 5_000) rng optimized)
   in
-  let result = Engine.run rng params optimized in
   route_and_show "g = 1 optimized" result.Mc_problem.best

@@ -7,8 +7,6 @@
 
    Run with: dune exec examples/cooling_profile.exe *)
 
-module Engine = Figure1.Make (Linarr_problem.Swap)
-
 let sparkline series ~rows ~cols =
   match series with
   | [||] -> "(empty)"
@@ -40,10 +38,11 @@ let sparkline series ~rows ~cols =
 
 let profile name gfun schedule state0 =
   let recorder = Obs.Trajectory.create 240 in
-  let params = Engine.params ~gfun ~schedule ~budget:(Budget.Evaluations 6_000) () in
   let result =
-    Engine.run ~observer:(Obs.Trajectory.observer recorder) (Rng.create ~seed:5)
-      params (Arrangement.copy state0)
+    Engine.or_raise
+      (Engine.run (module Linarr_problem.Swap) ~observer:(Obs.Trajectory.observer recorder)
+         (Engine.figure1 ()) ~gfun ~schedule ~budget:(Budget.Evaluations 6_000)
+         (Rng.create ~seed:5) (Arrangement.copy state0))
   in
   Printf.printf "%s  (best %d, %d cost evaluations, stride %d)\n"
     name

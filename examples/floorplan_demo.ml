@@ -5,8 +5,6 @@
 
    Run with: dune exec examples/floorplan_demo.exe *)
 
-module Engine = Figure1.Make (Floorplan.Problem)
-
 let draw f =
   let bw, bh = Floorplan.bounding_box f in
   let scale_limit = 72 in
@@ -32,12 +30,12 @@ let () =
     (Floorplan.total_block_area f);
   Printf.printf "initial (one row): area %d, utilization %.0f%%\n\n" (Floorplan.area f)
     (100. *. Floorplan.utilization f);
-  let params =
-    Engine.params ~gfun:Gfun.six_temp_annealing
-      ~schedule:(Schedule.geometric ~y1:30. ~ratio:0.5 ~k:6)
-      ~budget:(Budget.Evaluations 20_000) ()
+  let result =
+    Engine.or_raise
+      (Engine.run (module Floorplan.Problem) (Engine.figure1 ()) ~gfun:Gfun.six_temp_annealing
+         ~schedule:(Schedule.geometric ~y1:30. ~ratio:0.5 ~k:6)
+         ~budget:(Budget.Evaluations 20_000) rng f)
   in
-  let result = Engine.run rng params f in
   let best = result.Mc_problem.best in
   Floorplan.check best;
   let bw, bh = Floorplan.bounding_box best in

@@ -5,10 +5,13 @@
 
    Run with: dune exec examples/gola_study.exe *)
 
-module F1 = Figure1.Make (Linarr_problem.Swap)
-module F2 = Figure2.Make (Linarr_problem.Swap)
-
 let budget = Budget.Evaluations 20_000
+
+(* One strategy's walk from a copy of [start], on the same stream. *)
+let walk strategy ~gfun ~schedule start =
+  Engine.or_raise
+    (Engine.run (module Linarr_problem.Swap) strategy ~gfun ~schedule ~budget
+       (Rng.create ~seed:11) (Arrangement.copy start))
 
 let () =
   let rng = Rng.create ~seed:1985 in
@@ -28,14 +31,8 @@ let () =
   in
   List.iter
     (fun (gfun, schedule) ->
-      let fig1 =
-        F1.run (Rng.create ~seed:11) (F1.params ~gfun ~schedule ~budget ())
-          (Arrangement.copy start)
-      in
-      let fig2 =
-        F2.run (Rng.create ~seed:11) (F2.params ~gfun ~schedule ~budget ())
-          (Arrangement.copy start)
-      in
+      let fig1 = walk (Engine.figure1 ()) ~gfun ~schedule start in
+      let fig2 = walk Engine.Figure2 ~gfun ~schedule start in
       Printf.printf "%-26s %-8.0f %-8.0f %-10d %-8d\n" (Gfun.name gfun)
         fig1.Mc_problem.best_cost fig2.Mc_problem.best_cost
         fig2.Mc_problem.stats.Mc_problem.descents

@@ -5,14 +5,15 @@
 
    Run with: dune exec examples/nola_goto.exe *)
 
-module Engine = Figure1.Make (Linarr_problem.Swap)
-
 let budget = Budget.Evaluations 4_000
 
 let solve name start =
   let gfun = Gfun.g_one in
-  let params = Engine.params ~gfun ~schedule:(Schedule.constant ~k:1 1.) ~budget () in
-  let result = Engine.run (Rng.create ~seed:3) params start in
+  let result =
+    Engine.or_raise
+      (Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun
+         ~schedule:(Schedule.constant ~k:1 1.) ~budget (Rng.create ~seed:3) start)
+  in
   Printf.printf "  g = 1 from %-14s best density %.0f\n" name result.Mc_problem.best_cost
 
 let () =

@@ -5,8 +5,6 @@
 
    Run with: dune exec examples/partition_demo.exe *)
 
-module Engine = Figure1.Make (Partition_problem)
-
 let () =
   let rng = Rng.create ~seed:83 in
   let netlist = Netlist.random_gola rng ~elements:60 ~nets:180 in
@@ -19,9 +17,9 @@ let () =
   let budget = Budget.Evaluations 30_000 in
   let run name gfun schedule =
     let result =
-      Engine.run (Rng.create ~seed:7)
-        (Engine.params ~gfun ~schedule ~budget ())
-        (Bipartition.copy start)
+      Engine.or_raise
+        (Engine.run (module Partition_problem) (Engine.figure1 ()) ~gfun ~schedule ~budget
+           (Rng.create ~seed:7) (Bipartition.copy start))
     in
     Printf.printf "%-34s cut %3.0f  (uphill accepted %d)\n" name result.Mc_problem.best_cost
       result.Mc_problem.stats.Mc_problem.uphill_accepted

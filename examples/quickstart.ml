@@ -6,8 +6,6 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-module Engine = Figure1.Make (Linarr_problem.Swap)
-
 let () =
   let rng = Rng.create ~seed:7 in
   let netlist = Netlist.random_gola rng ~elements:15 ~nets:150 in
@@ -19,8 +17,11 @@ let () =
   let budget = Budget.Evaluations 5_000 in
   let run name gfun schedule =
     let state = Arrangement.copy start in
-    let params = Engine.params ~gfun ~schedule ~budget () in
-    let result = Engine.run (Rng.copy rng) params state in
+    let result =
+      Engine.or_raise
+        (Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun ~schedule ~budget
+           (Rng.copy rng) state)
+    in
     Printf.printf "%-28s best density %2.0f  (accepted %d downhill, %d lateral, %d uphill)\n"
       name result.Mc_problem.best_cost result.Mc_problem.stats.Mc_problem.improving
       result.Mc_problem.stats.Mc_problem.lateral_accepted

@@ -5,8 +5,6 @@
 
    Run with: dune exec examples/tsp_compare.exe *)
 
-module Engine = Figure1.Make (Tsp_problem)
-
 let () =
   let rng = Rng.create ~seed:60 in
   let inst = Tsp_instance.random_uniform rng ~n:80 in
@@ -23,17 +21,14 @@ let () =
     (Tour.length (Tsp_heuristics.two_opt_restarts (Rng.copy rng) inst ~restarts:5));
   let start = Tour.random rng inst in
   let schedule = Temperature.suggest_schedule (module Tsp_problem) (Rng.copy rng) start in
-  let sa =
-    Engine.run (Rng.copy rng)
-      (Engine.params ~gfun:Gfun.six_temp_annealing ~schedule ~budget ())
-      (Tour.copy start)
+  let walk ~gfun ~schedule =
+    Engine.or_raise
+      (Engine.run (module Tsp_problem) (Engine.figure1 ()) ~gfun ~schedule ~budget
+         (Rng.copy rng) (Tour.copy start))
   in
+  let sa = walk ~gfun:Gfun.six_temp_annealing ~schedule in
   report "six-temp annealing (30k moves)" sa.Mc_problem.best_cost;
-  let g1 =
-    Engine.run (Rng.copy rng)
-      (Engine.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.) ~budget ())
-      (Tour.copy start)
-  in
+  let g1 = walk ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.) in
   report "g = 1 (30k moves)" g1.Mc_problem.best_cost;
   print_newline ();
   Printf.printf "WHIT84-estimated schedule: hot %.4f, cold %.4f\n"

@@ -5,8 +5,6 @@
 
    Run with: dune exec examples/wiring_demo.exe *)
 
-module Engine = Figure1.Make (Wiring.Problem)
-
 let heat_map w =
   let width = Wiring.width w and height = Wiring.height w in
   (* Interleave cells (+) with horizontal/vertical channel loads. *)
@@ -44,11 +42,11 @@ let () =
   stats "greedy rip-up" greedy;
   let annealed = Wiring.copy naive in
   let schedule = Temperature.suggest_schedule (module Wiring.Problem) (Rng.copy rng) annealed in
-  let params =
-    Engine.params ~gfun:Gfun.six_temp_annealing ~schedule
-      ~budget:(Budget.Evaluations 20_000) ()
+  let result =
+    Engine.or_raise
+      (Engine.run (module Wiring.Problem) (Engine.figure1 ()) ~gfun:Gfun.six_temp_annealing
+         ~schedule ~budget:(Budget.Evaluations 20_000) rng annealed)
   in
-  let result = Engine.run rng params annealed in
   let best = result.Mc_problem.best in
   Wiring.check best;
   stats "six-temp annealing" best;

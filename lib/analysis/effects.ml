@@ -44,7 +44,6 @@ let ambient_random = 2
 let global_mutable = 4
 let blocking_io = 8
 let unsync_mutable = 16
-let union = ( lor )
 let mem mask s = s land mask <> 0
 
 let kind_bit = function
@@ -59,17 +58,6 @@ let prim_bits p =
       if p.synced then global_mutable
       else global_mutable lor unsync_mutable
   | k -> kind_bit k
-
-let set_names s =
-  List.filter_map
-    (fun (mask, name) -> if mem mask s then Some name else None)
-    [
-      (wallclock, "wallclock");
-      (ambient_random, "ambient-random");
-      (global_mutable, "global-mutable");
-      (unsync_mutable, "unsync-mutable");
-      (blocking_io, "blocking-io");
-    ]
 
 (* ----------------------------------------------------------------- *)
 (* Classification tables: which fully-resolved names carry which

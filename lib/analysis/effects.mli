@@ -43,12 +43,10 @@ val unsync_mutable : set
 (** Refinement of [global_mutable]: the mutation was not dominated by
     a [Mutex.protect] and did not go through [Atomic]. *)
 
-val union : set -> set -> set
 val mem : set -> set -> bool
 (** [mem mask s]: does [s] intersect [mask]? *)
 
 val prim_bits : prim -> set
-val set_names : set -> string list
 
 (** {1 Classification of resolved names}
 

@@ -58,15 +58,8 @@ module Make (P : Mc_problem.S) : sig
       g-function's [k], or a threshold is non-positive. *)
 
   exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
-  (** Raised when the problem misbehaves mid-walk — its cost function
-      returns a non-finite value ([reason] is
-      {!Mc_problem.Invalid_cost}) or one of its operations raises
-      ([reason] is that exception).  The walk's state is restored (a
-      half-evaluated move is reverted before the raise) and [partial]
-      carries the best-so-far snapshot and the counters at the point of
-      failure, so no progress is lost.  A [commit] that raises halfway
-      through a move that beats the best leaves the partial at the last
-      snapshot taken, an earlier best, with that snapshot's own cost. *)
+  (** A mid-walk problem failure (see {!Mc_problem.aborted});
+      {!Engine.run} returns it as [Error]. *)
 
   val run :
     ?observer:Obs.Observer.t ->
@@ -82,22 +75,13 @@ module Make (P : Mc_problem.S) : sig
       is exhausted and returns the best snapshot found.  [state] is
       left at the walk's final configuration.
 
-      The walk is one step loop — propose, price, keep or drop — over
-      an evaluator built from [delta_ops] when given and from [P]
-      otherwise.  With [delta_ops], proposals come from
-      [delta_ops.propose], each is priced by [delta_ops.delta] without
-      touching the state, and the current cost is tracked as an
-      accumulated sum of deltas — a rejected proposal costs no
-      apply/revert at all.  The accumulated cost is resynchronized
-      against a full [P.cost] recompute whenever the tick count is a
-      multiple of [delta_ops.recost_every] (a deterministic cadence, so
-      a resumed run resyncs at the same ticks as its uninterrupted twin;
-      checkpointed [current_cost] values on this path are the
-      accumulated-then-resynced figures).  A non-finite delta or resync
-      cost aborts like a non-finite cost.  Without [delta_ops] each
-      proposal is priced by [P.apply] then [P.cost] and dropped by
-      [P.revert], byte-identical to previous releases — same events,
-      same checkpoints, same statistics.
+      With [delta_ops] each proposal is priced by [delta_ops.delta]
+      without touching the state, and the accumulated cost resyncs
+      against a full [P.cost] on the ticks that are multiples of
+      [delta_ops.recost_every], so a resumed run resyncs where its
+      uninterrupted twin does (checkpointed [current_cost] values are
+      the resynced figures).  Without it each proposal is priced by
+      [P.apply] then [P.cost] and dropped by [P.revert].
 
       [observer] (default {!Obs.null}) receives the full event stream:
       [Run_start], a [Temp_advance] per temperature entered (the first

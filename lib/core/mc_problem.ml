@@ -87,6 +87,8 @@ type 'state run = {
   stats : stats;
 }
 
+type 'state aborted = { reason : exn; partial : 'state run }
+
 let empty_stats =
   {
     evaluations = 0;
@@ -140,7 +142,7 @@ exception Contract_violation of string
 
 (* The dynamic half of the move contract (the static half is enforced
    by sa_lint).  [Contract (P)] presents [P]'s own state and move
-   types, so any engine functor accepts the wrapped module unchanged;
+   types, so [Engine.run] accepts the wrapped module unchanged;
    every call is intercepted and checked:
 
    - [revert] must exactly undo the matching [apply]: same state, the

@@ -122,6 +122,15 @@ type 'state run = {
   stats : stats;
 }
 
+type 'state aborted = { reason : exn; partial : 'state run }
+(** A walk the problem broke mid-run: [reason] is {!Invalid_cost} for a
+    non-finite cost, or what a problem operation raised; [partial] is
+    the best-so-far snapshot and the counters at that point.  The
+    walk's state is restored first (a half-evaluated move is reverted).
+    A [commit] that raises halfway through a move that beats the best
+    leaves the partial at the last snapshot taken, an earlier best, with
+    that snapshot's own cost. *)
+
 val empty_stats : stats
 
 val accepted : stats -> int
@@ -147,7 +156,7 @@ exception Contract_violation of string
     order, cost restored bit-for-bit), [copy] must preserve the cost,
     and [moves]/[random_move] must be finite/side-effect-free.  The
     wrapped module exposes [P]'s own state and move types, so it drops
-    into any engine functor unchanged — the test suite runs every
+    into {!Engine.run} unchanged — the test suite runs every
     problem domain through its engines under this wrapper.
 
     Cost checks recompute [P.cost] aggressively: this is a sanitizer
@@ -197,8 +206,8 @@ val fault_name : fault -> string
     ["slow"]). *)
 
 (** [Chaos (P)] is the fault-injection counterpart of {!Contract}: it
-    presents [P]'s own state and move types so it drops into any engine
-    functor, but makes planned calls misbehave — returning NaN/infinite
+    presents [P]'s own state and move types so it drops into
+    {!Engine.run}, but makes planned calls misbehave — returning NaN/infinite
     costs, raising from [cost]/[apply]/[revert], or stalling
     [random_move].  Used by the chaos test suite to prove the engines
     degrade gracefully (precise error, state restored, best-so-far

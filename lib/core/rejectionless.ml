@@ -12,50 +12,43 @@
    changes, so (steps / evaluations) exposes the method's virtual-time
    acceleration at low temperature. *)
 
-module Make (P : Mc_problem.S) = struct
-  module S = Step.Make (P)
-
-  type params = { gfun : Gfun.t; schedule : Schedule.t; budget : Budget.t }
-
-  exception Aborted = S.Aborted
-
-  let params ~gfun ~schedule ~budget =
-    Gfun.check_schedule ~caller:"Rejectionless.params" gfun schedule;
-    { gfun; schedule; budget }
-
-  let run ?(observer = Obs.Observer.null) ?delta_ops rng p state =
-    let k = Gfun.k p.gfun in
-    let clock = Budget.start p.budget in
-    let b = S.start ~observer clock state in
-    S.enter_temp b p.schedule 1;
-    (* The sweep keeps every weighted move pending until one is sampled:
-       the delta evaluator leaves the state untouched while pricing; the
-       recompute one restores it after each price. *)
-    let ev =
-      match delta_ops with
-      | None -> S.recompute ~restore:true b
-      | Some d -> S.of_delta b d
-    in
-    let stop = ref false in
-    let temp = ref 1 in
-    let share_end = ref (Budget.share_end p.budget ~k 1) in
-    let advance_temp () =
-      incr temp;
-      share_end := Budget.share_end p.budget ~k !temp;
-      b.temperatures <- !temp;
-      S.enter_temp b p.schedule !temp
-    in
+let run (type s m) (module P : Mc_problem.S with type state = s and type move = m)
+    ?(observer = Obs.Observer.null) ?delta_ops ~gfun ~schedule ~budget rng state =
+  Gfun.check_schedule ~caller:"Rejectionless.run" gfun schedule;
+  let module S = Step.Make (P) in
+  let k = Gfun.k gfun in
+  let clock = Budget.start budget in
+  let b = S.start ~observer clock state in
+  S.enter_temp b schedule 1;
+  (* The sweep keeps every weighted move pending until one is sampled:
+     the delta evaluator leaves the state untouched while pricing; the
+     recompute one restores it after each price. *)
+  let ev =
+    match delta_ops with
+    | None -> S.recompute ~restore:true b
+    | Some d -> S.of_delta b d
+  in
+  let stop = ref false in
+  let temp = ref 1 in
+  let share_end = ref (Budget.share_end budget ~k 1) in
+  let advance_temp () =
+    incr temp;
+    share_end := Budget.share_end budget ~k !temp;
+    b.temperatures <- !temp;
+    S.enter_temp b schedule !temp
+  in
+  match
     while (not !stop) && not (Budget.exhausted clock) do
       S.maybe_resync b ev;
       while !temp < k && Budget.ticks clock >= !share_end do
         advance_temp ()
       done;
-      let y = Schedule.get p.schedule !temp in
+      let y = Schedule.get schedule !temp in
       let weight hj =
         if hj < b.costs.hi then 1.
         else
           Float.max 0.
-            (Float.min 1. (Gfun.eval p.gfun ~temp:!temp ~y ~hi:b.costs.hi ~hj))
+            (Float.min 1. (Gfun.eval gfun ~temp:!temp ~y ~hi:b.costs.hi ~hj))
       in
       (* Weigh every move by its acceptance probability.  A scanned move
          counts as rejected until it is taken, so [rejected] is the scan
@@ -94,6 +87,7 @@ module Make (P : Mc_problem.S) = struct
         b.descents <- b.descents + 1;
         S.note_best b
       end
-    done;
-    S.finish b
-end
+    done
+  with
+  | () -> Ok (S.finish b)
+  | exception S.Aborted { reason; partial } -> Error { Mc_problem.reason; partial }

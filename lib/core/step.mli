@@ -23,7 +23,8 @@ type costs = {
 
 module Make (P : Mc_problem.S) : sig
   exception Aborted of { reason : exn; partial : P.state Mc_problem.run }
-  (** The engines re-export this as their own [Aborted]. *)
+  (** Figure 1 re-exports this as its own [Aborted]; Figure 2 and the
+      rejection-free engine return it as an [Error]. *)
 
   type t = {
     state : P.state;

@@ -15,9 +15,10 @@ let gola_total ctx salt run = Suites.total (gola_runs ctx salt run)
 let mean_over runs f =
   Array.fold_left (fun sum (_, r) -> sum +. f r) 0. runs /. float_of_int (Array.length runs)
 
-(* A Figure 1 run on the pairwise-interchange problem, priced by its
-   deltas. *)
-let fig1 = Suites.figure1 (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
+(* A walk on the pairwise-interchange problem, priced by its deltas,
+   and that walk under Figure 1. *)
+let swap_run = Engine.run (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
+let fig1 = swap_run (Engine.figure1 ())
 
 let table_schedule_sensitivity ctx =
   let gfun = Gfun.six_temp_annealing in
@@ -54,7 +55,7 @@ let table_defer_threshold ctx =
       (fun threshold ->
         let total =
           gola_total ctx ("a2", threshold)
-            (fig1 ~defer_threshold:threshold ~gfun:Gfun.g_one
+            (swap_run (Engine.figure1 ~defer_threshold:threshold ()) ~gfun:Gfun.g_one
                ~schedule:(Schedule.constant ~k:1 1.) ~budget)
         in
         (Printf.sprintf "defer threshold %d" threshold, [ Report.Int total ]))
@@ -76,8 +77,7 @@ let table_rejectionless ctx =
         let fig1 = gola_total ctx ("a3-f1", name) (fig1 ~gfun ~schedule ~budget) in
         let rless =
           gola_runs ctx ("a3-rl", name)
-            (Suites.rejectionless (module Linarr_problem.Swap)
-               ~delta_ops:Linarr_problem.Swap.delta_ops ~gfun ~schedule ~budget)
+            (swap_run Engine.Rejectionless ~gfun ~schedule ~budget)
         in
         let step_ratio =
           mean_over rless (fun r ->
@@ -141,7 +141,8 @@ let table_temperature_control ctx =
   let schedule = Linarr_tables.schedule_of ctx gfun in
   let run ?counter_limit ?acceptance_limit name =
     let runs =
-      gola_runs ctx ("a5", name) (fig1 ?counter_limit ?acceptance_limit ~gfun ~schedule ~budget)
+      gola_runs ctx ("a5", name)
+        (swap_run (Engine.figure1 ?counter_limit ?acceptance_limit ()) ~gfun ~schedule ~budget)
     in
     let evals = mean_over runs (fun r -> float_of_int r.Mc_problem.stats.Mc_problem.evaluations) in
     (name, [ Report.Int (Suites.total runs); Report.Text (Printf.sprintf "%.0f" evals) ])
@@ -176,7 +177,8 @@ let table_neighborhood ctx =
         let swap = gola_total ctx ("a6-swap", name) (fig1 ~gfun ~schedule ~budget) in
         let relocate =
           gola_total ctx ("a6-rel", name)
-            (Suites.figure1 (module Linarr_problem.Relocate) ~gfun ~schedule ~budget)
+            (Engine.run (module Linarr_problem.Relocate) (Engine.figure1 ()) ~gfun ~schedule
+               ~budget)
         in
         (name, [ Report.Int swap; Report.Int relocate ]))
       annealer_and_g_one
@@ -208,8 +210,8 @@ let table_objective_surrogate ctx =
                   Schedule.scaled schedule (float_of_int (Arrangement.size state) /. 2.)
                 else schedule
               in
-              Suites.figure1 (module Linarr_problem.Swap_sum_cuts) ~gfun ~schedule:schedule_s
-                ~budget rng state)
+              Engine.run (module Linarr_problem.Swap_sum_cuts) (Engine.figure1 ()) ~gfun
+                ~schedule:schedule_s ~budget rng state)
         in
         (name, [ Report.Int direct; Report.Int surrogate ]))
       annealer_and_g_one

@@ -26,7 +26,9 @@ let mc_rows (type s m) (module P : Mc_problem.S with type state = s and type mov
   let sa name gfun schedule_of =
     run_all name (fun rng start ->
         result
-          (Suites.figure1 (module P) ~gfun ~schedule:(schedule_of rng start) ~budget rng start))
+          (Engine.or_raise
+             (Engine.run (module P) (Engine.figure1 ()) ~gfun ~schedule:(schedule_of rng start)
+                ~budget rng start)))
   in
   [
     sa "Six Temperature Annealing [WHIT84 Y's]" Gfun.six_temp_annealing
@@ -68,7 +70,9 @@ let table_tsp ~seed ~scale =
   let sa_method name ?defer_threshold gfun schedule_of =
     run_mc name (fun rng (_inst, start) ->
         let schedule = schedule_of rng start in
-        (Suites.figure1 (module Tsp_problem) ?defer_threshold ~gfun ~schedule ~budget rng start)
+        (Engine.or_raise
+           (Engine.run (module Tsp_problem) (Engine.figure1 ?defer_threshold ()) ~gfun ~schedule
+              ~budget rng start))
           .Mc_problem.best_cost)
   in
   let methods =
@@ -149,8 +153,9 @@ let table_partition ~seed ~scale =
   let sa_method name gfun schedule_of =
     run_all name (fun rng (_nl, start) ->
         best_cost
-          (Suites.figure1 (module Partition_problem) ~gfun ~schedule:(schedule_of rng start) ~budget
-             rng start))
+          (Engine.or_raise
+             (Engine.run (module Partition_problem) (Engine.figure1 ()) ~gfun
+                ~schedule:(schedule_of rng start) ~budget rng start)))
   in
   let methods =
     [
@@ -202,7 +207,9 @@ let table_partition ~seed ~scale =
 
 (* A Figure 1 run on the pairwise-interchange problem, priced by its
    deltas. *)
-let fig1 = Suites.figure1 (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
+let fig1 =
+  Engine.run (module Linarr_problem.Swap) ~delta_ops:Linarr_problem.Swap.delta_ops
+    (Engine.figure1 ())
 
 let table_scaling ~seed ~scale =
   let instances = 10 in
@@ -342,7 +349,8 @@ let table_convergence ~seed ~scale =
     |> snd |> List.filter Fun.id |> List.length
   in
   let mc name gfun schedule =
-    (name, fun rng budget state -> best_cost (fig1 ~gfun ~schedule ~budget rng state))
+    (name, fun rng budget state ->
+      best_cost (Engine.or_raise (fig1 ~gfun ~schedule ~budget rng state)))
   in
   let methods =
     [

@@ -12,7 +12,7 @@
     seed and a budget [scale] alone; every run gets a stream seeded by
     its row name and instance index (S1's by its size and instance
     index; A8 splits its streams with {!Suites.total_reduction}).  Every
-    Monte Carlo row is a Figure 1 walk through {!Suites.figure1} over a
+    Monte Carlo row is a Figure 1 walk through {!Engine.run} over a
     first-class {!Mc_problem.S}; E3, E5, E6 and E7 share their three
     Monte Carlo rows (six-temperature annealing on the [WHIT84]
     schedule, Metropolis, [g = 1]), and S1 runs its sizes as

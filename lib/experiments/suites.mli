@@ -1,5 +1,5 @@
 (** Seeded benchmark suites, the one instance loop every table runs,
-    the engine runners, and budget presets.
+    and budget presets.
 
     The paper's test sets are "30 random instances, 15 elements, 150
     nets" (§4.2.1, §4.3.1), each with one fixed random initial
@@ -15,7 +15,7 @@
     order; a run draws only from its own stream, so the totals do not
     depend on the order the instances run in.  Every run, in the
     tables and in [sa_lab]'s problem subcommands, is one call of
-    {!figure1}, {!figure2} or {!rejectionless}. *)
+    {!Engine.run}. *)
 
 type linarr_suite = {
   netlists : Netlist.t array;
@@ -39,35 +39,13 @@ val streams : Rng.t -> linarr_suite -> Rng.t array
 (** [streams rng suite] is one [Rng.split rng] per instance, taken in
     instance order. *)
 
-(** {1 Engine runners}
-
-    [figure1 (module P) ?delta_ops ~gfun ~schedule ~budget rng start]
-    is the {!Figure1} engine's run over [P] on the same arguments, draw
-    for draw (the recompute path without [delta_ops]); it mutates
-    [start].  {!figure2} and {!rejectionless} are the same for their
-    engines. *)
-
-val figure1 :
-  (module Mc_problem.S with type state = 's and type move = 'm) ->
-  ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
-  ?counter_limit:int -> ?acceptance_limit:int -> ?defer_threshold:int ->
-  gfun:Gfun.t -> schedule:Schedule.t -> budget:Budget.t -> Rng.t -> 's -> 's Mc_problem.run
-
-val figure2 :
-  (module Mc_problem.S with type state = 's and type move = 'm) ->
-  ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
-  gfun:Gfun.t -> schedule:Schedule.t -> budget:Budget.t -> Rng.t -> 's -> 's Mc_problem.run
-
-val rejectionless :
-  (module Mc_problem.S with type state = 's and type move = 'm) ->
-  ?delta_ops:('s, 'm) Mc_problem.delta_ops ->
-  gfun:Gfun.t -> schedule:Schedule.t -> budget:Budget.t -> Rng.t -> 's -> 's Mc_problem.run
-
 val runs :
   ?start:(linarr_suite -> int -> Arrangement.t) ->
   Rng.t array ->
   linarr_suite ->
-  (Rng.t -> Arrangement.t -> Arrangement.t Mc_problem.run) ->
+  (Rng.t ->
+  Arrangement.t ->
+  (Arrangement.t Mc_problem.run, Arrangement.t Mc_problem.aborted) result) ->
   (int * Arrangement.t Mc_problem.run) array
 (** [runs streams suite run] runs [run streams.(i)] on instance [i]
     from [start suite i] (default {!initial_arrangement}), in index
@@ -75,7 +53,8 @@ val runs :
     minus the density of the best arrangement [run] found) with the
     run itself, so a table can read extra columns from the runs'
     statistics.  [streams] has one stream per instance: {!streams}, or
-    a table's own seeding. *)
+    a table's own seeding.  A run that aborts raises its reason: a
+    table has no use for a partial. *)
 
 val total : (int * _) array -> int
 (** Sum of the reductions {!runs} returned. *)
@@ -84,7 +63,9 @@ val total_reduction :
   ?start:(linarr_suite -> int -> Arrangement.t) ->
   Rng.t ->
   linarr_suite ->
-  (Rng.t -> Arrangement.t -> Arrangement.t Mc_problem.run) ->
+  (Rng.t ->
+  Arrangement.t ->
+  (Arrangement.t Mc_problem.run, Arrangement.t Mc_problem.aborted) result) ->
   int
 (** [total_reduction rng suite run] = [total (runs (streams rng suite)
     suite run)]: the measure of every linear arrangement table. *)

@@ -14,14 +14,10 @@ module Job = struct
 
   let label t = t.label
 
-  let figure1 (type s m)
-      (module P : Mc_problem.S with type state = s and type move = m)
-      ?delta_ops ~label ~gfun ~schedule ~make_state () =
-    let module E = Figure1.Make (P) in
-    let params budget = E.params ~gfun ~schedule ~budget () in
+  let figure1 problem ?delta_ops ~label ~gfun ~schedule ~make_state () =
     (* Validate schedule/g-function agreement now, at portfolio-assembly
        time, rather than on a worker domain mid-race. *)
-    ignore (params (Budget.Evaluations 1));
+    Gfun.check_schedule ~caller:"Figure1.params" gfun schedule;
     let standing (r : _ Mc_problem.run) failure =
       {
         label;
@@ -32,10 +28,12 @@ module Job = struct
       }
     in
     let work rng budget observer =
-      match E.run ~observer ?delta_ops rng (params budget) (make_state rng) with
-      | run -> standing run None
-      | exception E.Aborted { reason; partial } ->
-          standing partial (Some (Printexc.to_string reason))
+      match
+        Engine.run problem ?delta_ops ~observer (Engine.figure1 ()) ~gfun ~schedule ~budget rng
+          (make_state rng)
+      with
+      | Ok run -> standing run None
+      | Error { reason; partial } -> standing partial (Some (Printexc.to_string reason))
       (* A problem that cannot even start (non-finite initial cost, or
          [make_state] itself raising [Invalid_cost]) has no partial to
          preserve; it competes at [infinity] and loses every ranking. *)

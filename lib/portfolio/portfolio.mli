@@ -27,8 +27,8 @@
       it does mean a survivor's best can occasionally {e worsen} from
       one rung to the next.
 
-    Failure is contained per job: a run that aborts mid-walk (the
-    [Aborted] machinery of the engines) competes with its best-so-far
+    Failure is contained per job: a run that aborts mid-walk (an
+    [Error] from {!Engine.run}) competes with its best-so-far
     partial and carries the failure reason in its standing; only a job
     whose problem cannot start (non-finite initial cost) is scored
     [infinity] with no evaluations. *)

@@ -240,17 +240,11 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
   (* Chaos wraps the problem with planned faults; the wrapper must see
      every cost/apply/revert call, so the incremental fast path (which
      bypasses them) is dropped while chaos is armed. *)
-  let run_engine (type s m)
-      (module Q : Mc_problem.S with type state = s and type move = m)
-      ~(delta_ops : (s, m) Mc_problem.delta_ops option)
-      ~(codec : s Mc_problem.codec) ~(make_state : Rng.t -> s)
-      ~(resume : (Figure1.snapshot * s * s * Rng.t) option) =
-    let module F = Figure1.Make (Q) in
-    let params = F.params ~gfun ~schedule ~budget () in
+  let run_engine problem ~delta_ops =
     let on_checkpoint snap ~current ~best =
       let path = Store.snapshot_path ~dir id ~seq:snap.Figure1.ticks in
-      Checkpoint.save_figure1 ~observer ~path ~codec ~fingerprint snap ~current
-        ~best;
+      Checkpoint.save_figure1 ~observer ~path ~codec:inst.codec ~fingerprint snap
+        ~current ~best;
       (* The end-of-walk checkpoint (ticks = budget) never aborts: the
          result is already earned at that point. *)
       if snap.Figure1.ticks < spec.budget && stop () then raise Stop_requested
@@ -260,19 +254,21 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
       | Some (snap, current, best, rng) -> (rng, current, Some (snap, best))
       | None ->
           let rng = Rng.create ~seed:spec.seed in
-          let state = make_state rng in
+          let state = inst.make_state rng in
           (rng, state, None)
     in
+    (* An abort fails the attempt with its reason; the supervisor
+       retries it from the newest checkpoint. *)
     let run =
-      F.run ~observer ~checkpoint_every ~on_checkpoint ?resume:resume_arg
-        ?delta_ops rng params state
+      Engine.or_raise
+        (Engine.run problem ?delta_ops ~observer
+           (Engine.figure1 ~checkpoint_every ~on_checkpoint ?resume:resume_arg ())
+           ~gfun ~schedule ~budget rng state)
     in
-    result_to_json ~spec run (codec.Mc_problem.encode run.Mc_problem.best)
+    result_to_json ~spec run (inst.codec.Mc_problem.encode run.Mc_problem.best)
   in
   match spec.chaos with
-  | None ->
-      run_engine (module P) ~delta_ops:inst.delta_ops ~codec:inst.codec
-        ~make_state:inst.make_state ~resume
+  | None -> run_engine (module P) ~delta_ops:inst.delta_ops
   | Some { fault; attempts } ->
       let module C = Mc_problem.Chaos (P) in
       C.reset ();
@@ -280,9 +276,7 @@ let run_anneal ~observer ~dir ~id ~checkpoint_every ~stop ~tally
          fault-then-resume rather than fault-then-restart. *)
       if attempt <= attempts then
         C.plan ~after:(checkpoint_every + (checkpoint_every / 2)) fault;
-      run_engine
-        (module C)
-        ~delta_ops:None ~codec:inst.codec ~make_state:inst.make_state ~resume
+      run_engine (module C) ~delta_ops:None
 
 let run_race ~observer ~stop (spec : Job_spec.t) (Pack inst) =
   let (module P) = inst.problem in

@@ -115,6 +115,11 @@ let cases =
     ("tables-unknown-id", [ "tables"; "--scale"; "0.01"; "4.3" ], []);
     (* a TSPLIB file with a non-finite coordinate is malformed *)
     ("tsp-nan-coordinate", [ "tsp"; "-f"; "nan.tsp"; "-m"; "2opt" ], []);
+    (* an unwritable profile or report, like run-trace-unwritable: the
+       walk or race still prints, then the OS message, exit 1 *)
+    ("run-profile-unwritable", [ "run"; "nola15.net"; "-n"; "2000"; "--profile"; "no-dir/p.folded" ], []);
+    ("portfolio-report-unwritable", [ "portfolio"; "--tsp-cities"; "12"; "-n"; "50"; "--report"; "no-dir/pf.json" ], []);
+    ("supervise-report-unwritable", [ "supervise"; "nola15.net"; "-n"; "500"; "--runs"; "1"; "--report"; "no-dir/s.json" ], []);
   ]
 
 (* The one documented substitution: wall-clock values become <wall>. *)

@@ -24,10 +24,6 @@ let with_recost d n =
    same delta; exact integers in float elsewhere), so the comparison is
    on raw bits, not within a tolerance. *)
 module Equiv (P : Mc_problem.S) = struct
-  module F1 = Figure1.Make (P)
-  module F2 = Figure2.Make (P)
-  module RL = Rejectionless.Make (P)
-
   let check_runs msg (slow : P.state Mc_problem.run)
       (fast : P.state Mc_problem.run) =
     Alcotest.check Alcotest.int64 (msg ^ ": best_cost")
@@ -38,22 +34,19 @@ module Equiv (P : Mc_problem.S) = struct
       (slow.Mc_problem.stats = fast.Mc_problem.stats)
 
   let engines ~msg ~seed ~evals ~gfun ~schedule ~delta_ops ~make_state =
-    let p1 =
-      F1.params ~gfun ~schedule ~budget:(Budget.Evaluations evals) ()
-    in
-    check_runs (msg ^ "/figure1")
-      (F1.run (Rng.create ~seed) p1 (make_state ()))
-      (F1.run ~delta_ops (Rng.create ~seed) p1 (make_state ()));
-    let p2 =
-      F2.params ~gfun ~schedule ~budget:(Budget.Evaluations evals) ()
-    in
-    check_runs (msg ^ "/figure2")
-      (F2.run (Rng.create ~seed) p2 (make_state ()))
-      (F2.run ~delta_ops (Rng.create ~seed) p2 (make_state ()));
-    let pr = RL.params ~gfun ~schedule ~budget:(Budget.Evaluations evals) in
-    check_runs (msg ^ "/rejectionless")
-      (RL.run (Rng.create ~seed) pr (make_state ()))
-      (RL.run ~delta_ops (Rng.create ~seed) pr (make_state ()))
+    List.iter
+      (fun (name, strategy) ->
+        let run ?delta_ops () =
+          Engine.or_raise
+            (Engine.run (module P) ?delta_ops strategy ~gfun ~schedule
+               ~budget:(Budget.Evaluations evals) (Rng.create ~seed) (make_state ()))
+        in
+        check_runs (msg ^ "/" ^ name) (run ()) (run ~delta_ops ()))
+      [
+        ("figure1", Engine.figure1 ());
+        ("figure2", Engine.Figure2);
+        ("rejectionless", Engine.Rejectionless);
+      ]
 
   (* Once at the adapter's own cadence, once at a deliberately tiny one
      (prime, so resyncs land at awkward ticks). *)

@@ -20,8 +20,11 @@ module Line = struct
 end
 
 module F1 = Figure1.Make (Line)
-module F2 = Figure2.Make (Line)
-module RL = Rejectionless.Make (Line)
+
+(* Figure 2 and the rejection-free engine on [Line], through the one
+   entry point. *)
+let walk ?observer strategy ~gfun ~schedule ~budget rng s =
+  Engine.or_raise (Engine.run (module Line) ?observer strategy ~gfun ~schedule ~budget rng s)
 
 let vee x = float_of_int (abs x)
 let double_well x = float_of_int (abs (abs x - 3))
@@ -279,27 +282,29 @@ let test_traced_decimation () =
 
 let test_f2_descends_before_uphill () =
   let s = { Line.x = 7; cost_fn = vee } in
-  let p = F2.params ~gfun:never_uphill ~schedule:one_schedule ~budget:(Budget.Evaluations 1000) () in
-  let r = F2.run (Rng.create ~seed:11) p s in
+  let r =
+    walk Engine.Figure2 ~gfun:never_uphill ~schedule:one_schedule
+      ~budget:(Budget.Evaluations 1000) (Rng.create ~seed:11) s
+  in
   Alcotest.check (Alcotest.float 0.) "local optimum reached" 0. r.Mc_problem.best_cost;
   Alcotest.check Alcotest.bool "at least one descent" true
     (r.Mc_problem.stats.Mc_problem.descents >= 1)
 
 let test_f2_redescends_after_uphill () =
   let s = { Line.x = 3; cost_fn = double_well } in
-  let p =
-    F2.params ~gfun:always_uphill ~schedule:one_schedule ~budget:(Budget.Evaluations 2000) ()
+  let r =
+    walk Engine.Figure2 ~gfun:always_uphill ~schedule:one_schedule
+      ~budget:(Budget.Evaluations 2000) (Rng.create ~seed:12) s
   in
-  let r = F2.run (Rng.create ~seed:12) p s in
   Alcotest.check Alcotest.bool "multiple descents" true (r.Mc_problem.stats.Mc_problem.descents > 3);
   Alcotest.check (Alcotest.float 0.) "best is a well bottom" 0. r.Mc_problem.best_cost
 
 let test_f2_restart_consumes_budget () =
   let s = { Line.x = 2; cost_fn = vee } in
-  let p =
-    F2.params ~gfun:never_uphill ~schedule:one_schedule ~budget:(Budget.Evaluations 5_000) ()
+  let r =
+    walk Engine.Figure2 ~gfun:never_uphill ~schedule:one_schedule
+      ~budget:(Budget.Evaluations 5_000) (Rng.create ~seed:14) s
   in
-  let r = F2.run (Rng.create ~seed:14) p s in
   Alcotest.check Alcotest.int "whole budget used" 5_000 r.Mc_problem.stats.Mc_problem.evaluations
 
 let test_f2_temperature_cycle () =
@@ -318,11 +323,11 @@ let test_f2_temperature_cycle () =
       | _ -> ())
   in
   let s = { Line.x = 0; cost_fn = vee } in
-  let p =
-    F2.params ~gfun:never_uphill2 ~schedule:(Schedule.constant ~k:2 1.)
-      ~budget:(Budget.Evaluations 452) ()
+  let r =
+    walk ~observer Engine.Figure2 ~gfun:never_uphill2
+      ~schedule:(Schedule.constant ~k:2 1.)
+      ~budget:(Budget.Evaluations 452) (Rng.create ~seed:16) s
   in
-  let r = F2.run ~observer (Rng.create ~seed:16) p s in
   (* 452 ticks: the initial descent tests both neighbours, then 450
      probes. *)
   Alcotest.(check (list int)) "temperatures entered" [ 1; 2; 1; 2; 1 ] (List.rev !temps);
@@ -334,9 +339,9 @@ let test_f2_temperature_cycle () =
 let test_f2_deterministic () =
   let run () =
     let s = { Line.x = 9; cost_fn = double_well } in
-    let p = F2.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1.5 |])
-        ~budget:(Budget.Evaluations 500) () in
-    (F2.run (Rng.create ~seed:15) p s).Mc_problem.best_cost
+    (walk Engine.Figure2 ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1.5 |])
+       ~budget:(Budget.Evaluations 500) (Rng.create ~seed:15) s)
+      .Mc_problem.best_cost
   in
   Alcotest.check (Alcotest.float 0.) "identical runs" (run ()) (run ())
 
@@ -344,26 +349,30 @@ let test_f2_deterministic () =
 
 let test_rl_descends () =
   let s = { Line.x = 6; cost_fn = vee } in
-  let p = RL.params ~gfun:never_uphill ~schedule:one_schedule ~budget:(Budget.Evaluations 100) in
-  let r = RL.run (Rng.create ~seed:16) p s in
+  let r =
+    walk Engine.Rejectionless ~gfun:never_uphill ~schedule:one_schedule
+      ~budget:(Budget.Evaluations 100) (Rng.create ~seed:16) s
+  in
   Alcotest.check (Alcotest.float 0.) "optimum found" 0. r.Mc_problem.best_cost
 
 let test_rl_freezes_and_stops () =
   (* At the optimum with g = 0, no move has positive weight: the engine
      must advance through the schedule and stop, not spin. *)
   let s = { Line.x = 0; cost_fn = vee } in
-  let p = RL.params ~gfun:never_uphill ~schedule:one_schedule ~budget:(Budget.Evaluations 100_000) in
-  let r = RL.run (Rng.create ~seed:17) p s in
+  let r =
+    walk Engine.Rejectionless ~gfun:never_uphill ~schedule:one_schedule
+      ~budget:(Budget.Evaluations 100_000) (Rng.create ~seed:17) s
+  in
   Alcotest.check Alcotest.bool "stops early when frozen" true
     (r.Mc_problem.stats.Mc_problem.evaluations < 100)
 
 let test_rl_every_step_moves () =
   let s = { Line.x = 0; cost_fn = vee } in
-  let p =
-    RL.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 50. |])
-      ~budget:(Budget.Evaluations 300)
+  let r =
+    walk Engine.Rejectionless ~gfun:Gfun.metropolis
+      ~schedule:(Schedule.of_array [| 50. |])
+      ~budget:(Budget.Evaluations 300) (Rng.create ~seed:18) s
   in
-  let r = RL.run (Rng.create ~seed:18) p s in
   let steps = r.Mc_problem.stats.Mc_problem.descents in
   (* each step scans the 2-move neighborhood, then moves *)
   Alcotest.check Alcotest.bool "roughly one step per two evaluations" true
@@ -376,8 +385,9 @@ let test_rl_temperatures_advance_on_share_ends () =
   let budget = Budget.Evaluations 1001 in
   let observer, entries = entry_ticks () in
   let s = { Line.x = 0; cost_fn = vee } in
-  let p = RL.params ~gfun:Gfun.six_temp_annealing ~schedule:(Schedule.kirkpatrick ()) ~budget in
-  ignore (RL.run ~observer (Rng.create ~seed:19) p s);
+  ignore
+    (walk ~observer Engine.Rejectionless ~gfun:Gfun.six_temp_annealing
+       ~schedule:(Schedule.kirkpatrick ()) ~budget (Rng.create ~seed:19) s);
   let expected =
     List.init 6 (fun j ->
         let e = Budget.share_end budget ~k:6 j in
@@ -388,11 +398,11 @@ let test_rl_temperatures_advance_on_share_ends () =
 let test_rl_schedule_mismatch () =
   Alcotest.check_raises "names the class and its k"
     (Invalid_argument
-       "Rejectionless.params: schedule length 1 but Six Temperature Annealing expects k = 6")
+       "Rejectionless.run: schedule length 1 but Six Temperature Annealing expects k = 6")
     (fun () ->
       ignore
-        (RL.params ~gfun:Gfun.six_temp_annealing ~schedule:one_schedule
-           ~budget:(Budget.Evaluations 1)))
+        (walk Engine.Rejectionless ~gfun:Gfun.six_temp_annealing ~schedule:one_schedule
+           ~budget:(Budget.Evaluations 1) (Rng.create ~seed:1) { Line.x = 0; cost_fn = vee }))
 
 (* -------------------------- Temperature ------------------------- *)
 
@@ -472,8 +482,6 @@ module CPart = Mc_problem.Contract (Partition_problem)
 module CPlace = Mc_problem.Contract (Placement.Problem)
 module CF1_line = Figure1.Make (CLine)
 module CF1_tsp = Figure1.Make (CTsp)
-module CF2_qap = Figure2.Make (CQap)
-module CRL_part = Rejectionless.Make (CPart)
 module CF1_place = Figure1.Make (CPlace)
 
 let test_contract_transparent () =
@@ -516,11 +524,12 @@ let test_contract_qap () =
      enumeration checks too. *)
   let qap = Qap.random_instance (Rng.create ~seed:72) ~n:8 ~max_entry:9 in
   let initial = CQap.cost qap in
-  let p =
-    CF2_qap.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 10. |])
-      ~budget:(Budget.Evaluations 3000) ()
+  let r =
+    Engine.or_raise
+      (Engine.run (module CQap) Engine.Figure2 ~gfun:Gfun.metropolis
+         ~schedule:(Schedule.of_array [| 10. |]) ~budget:(Budget.Evaluations 3000)
+         (Rng.create ~seed:73) qap)
   in
-  let r = CF2_qap.run (Rng.create ~seed:73) p qap in
   Alcotest.check Alcotest.bool "improved under contract" true
     (r.Mc_problem.best_cost <= initial);
   Alcotest.check Alcotest.bool "at least one descent" true
@@ -540,11 +549,12 @@ let two_triangles_nl () =
 let test_contract_partition () =
   let part = Bipartition.create (two_triangles_nl ()) in
   let initial = CPart.cost part in
-  let p =
-    CRL_part.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1. |])
-      ~budget:(Budget.Evaluations 500)
+  let r =
+    Engine.or_raise
+      (Engine.run (module CPart) Engine.Rejectionless ~gfun:Gfun.metropolis
+         ~schedule:(Schedule.of_array [| 1. |]) ~budget:(Budget.Evaluations 500)
+         (Rng.create ~seed:74) part)
   in
-  let r = CRL_part.run (Rng.create ~seed:74) p part in
   Alcotest.check Alcotest.bool "improved under contract" true
     (r.Mc_problem.best_cost <= initial)
 
@@ -570,12 +580,6 @@ let test_contract_placement () =
    incremental state intact. *)
 module Linarr_contract (P : Mc_problem.S with type state = Arrangement.t) = struct
   module C = Mc_problem.Contract (P)
-  module B1 = Figure1.Make (P)
-  module B2 = Figure2.Make (P)
-  module BRL = Rejectionless.Make (P)
-  module W1 = Figure1.Make (C)
-  module W2 = Figure2.Make (C)
-  module WRL = Rejectionless.Make (C)
 
   let gfun = Gfun.metropolis
   let schedule = Schedule.of_array [| 0.5 |]
@@ -597,15 +601,17 @@ module Linarr_contract (P : Mc_problem.S with type state = Arrangement.t) = stru
     Alcotest.check Alcotest.bool (msg ^ ": stats") true (b.Mc_problem.stats = w.Mc_problem.stats)
 
   let engines name nl =
-    same (name ^ "/figure1") nl
-      ~bare:(fun rng s -> B1.run rng (B1.params ~gfun ~schedule ~budget ()) s)
-      ~wrapped:(fun rng s -> W1.run rng (W1.params ~gfun ~schedule ~budget ()) s);
-    same (name ^ "/figure2") nl
-      ~bare:(fun rng s -> B2.run rng (B2.params ~gfun ~schedule ~budget ()) s)
-      ~wrapped:(fun rng s -> W2.run rng (W2.params ~gfun ~schedule ~budget ()) s);
-    same (name ^ "/rejectionless") nl
-      ~bare:(fun rng s -> BRL.run rng (BRL.params ~gfun ~schedule ~budget) s)
-      ~wrapped:(fun rng s -> WRL.run rng (WRL.params ~gfun ~schedule ~budget) s)
+    List.iter
+      (fun (engine, strategy) ->
+        let run problem rng s =
+          Engine.or_raise (Engine.run problem strategy ~gfun ~schedule ~budget rng s)
+        in
+        same (name ^ "/" ^ engine) nl ~bare:(run (module P)) ~wrapped:(run (module C)))
+      [
+        ("figure1", Engine.figure1 ());
+        ("figure2", Engine.Figure2);
+        ("rejectionless", Engine.Rejectionless);
+      ]
 
   let test () =
     let before = C.checks_performed () in
@@ -737,7 +743,6 @@ let test_f1_copies_only_left_bests () =
 (* ----------------------- Arrangement integration ------------------ *)
 
 module AF1 = Figure1.Make (Linarr_problem.Swap)
-module AF2 = Figure2.Make (Linarr_problem.Swap)
 
 let paper_instance seed =
   let rng = Rng.create ~seed in
@@ -766,9 +771,11 @@ let test_integration_best_cost_consistent () =
 let test_integration_f2_reduces_density () =
   let _, arr = paper_instance 34 in
   let initial = Arrangement.density arr in
-  let params = AF2.params ~gfun:(Gfun.cohoon_sahni ~m:150) ~schedule:one_schedule
-      ~budget:(Budget.Evaluations 3000) () in
-  let r = AF2.run (Rng.create ~seed:35) params arr in
+  let r =
+    Engine.or_raise
+      (Engine.run (module Linarr_problem.Swap) Engine.Figure2 ~gfun:(Gfun.cohoon_sahni ~m:150)
+         ~schedule:one_schedule ~budget:(Budget.Evaluations 3000) (Rng.create ~seed:35) arr)
+  in
   Alcotest.check Alcotest.bool "reduces density" true
     (r.Mc_problem.best_cost < float_of_int initial);
   Arrangement.check arr
@@ -786,9 +793,9 @@ let test_integration_stats_add_up () =
 
 (* Allocation guard for the paper's own walk: the 21 catalog classes
    under Figure 1 with pairwise interchange on both sample instances,
-   recompute path, fixed seeds, as the ledger's `paper-cli` op walks
-   them (`sa_lab run` walks the delta path).  The walks
-   allocate 9.79 minor words per evaluation: the move tuple (3), the
+   through [Engine.run], recompute path, fixed seeds, as the ledger's
+   `paper-cli` op walks them (`sa_lab run` walks the delta path).  The
+   walks allocate 9.75 minor words per evaluation: the move tuple (3), the
    cost [P.cost] returns through the functor (2), and, on the 80% of
    evaluations that call g, [Gfun.eval]'s boxed [hi] and [hj] (3.2 per
    evaluation) and its boxed result (about 1.2: a constant result, as
@@ -827,11 +834,12 @@ let test_paper_walk_words () =
             (fun seed ->
               let rng = Rng.create ~seed in
               let arr = Arrangement.random rng nl in
-              let p =
-                AF1.params ~gfun ~schedule:(Gfun.schedule gfun 1.0)
-                  ~budget:(Budget.Evaluations 10_000) ()
+              let r =
+                Engine.or_raise
+                  (Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun
+                     ~schedule:(Gfun.schedule gfun 1.0) ~budget:(Budget.Evaluations 10_000) rng
+                     arr)
               in
-              let r = AF1.run rng p arr in
               evals := !evals + r.Mc_problem.stats.Mc_problem.evaluations)
             [ 1; 2 ])
         (Gfun.catalog ~m:(Netlist.n_nets nl)))
@@ -905,11 +913,6 @@ let test_span_delta_walk_major_words () =
 let check_f2_local_optimum (type s m)
     (module P : Mc_problem.S with type state = s and type move = m) ~seed
     ~budget state =
-  let module E2 = Figure2.Make (P) in
-  let p =
-    E2.params ~gfun:always_uphill ~schedule:one_schedule
-      ~budget:(Budget.Evaluations budget) ()
-  in
   let probed = ref 0 in
   let observer =
     Obs.Observer.of_fun (function
@@ -927,7 +930,10 @@ let check_f2_local_optimum (type s m)
             (P.moves state)
       | _ -> ())
   in
-  ignore (E2.run ~observer (Rng.create ~seed) p state);
+  ignore
+    (Engine.or_raise
+       (Engine.run (module P) ~observer Engine.Figure2 ~gfun:always_uphill
+          ~schedule:one_schedule ~budget:(Budget.Evaluations budget) (Rng.create ~seed) state));
   Alcotest.check Alcotest.bool "probed at least one completed descent" true
     (!probed > 0)
 

@@ -146,7 +146,7 @@ let test_goto_reduction () =
   Alcotest.check Alcotest.int "sum of Goto reductions" !manual (Suites.goto_reduction s)
 
 let metropolis_run rng state =
-  Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.metropolis
+  Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun:Gfun.metropolis
     ~schedule:(Schedule.of_array [| 0.5 |]) ~budget:(Budget.Evaluations 200) rng state
 
 let test_runs_sum_in_order () =
@@ -167,7 +167,7 @@ let test_runs_sum_in_order () =
     (Suites.total_reduction (Rng.create ~seed:5) s metropolis_run)
     (Suites.total runs)
 
-(* Each runner on both evaluators over the GOLA suite: the delta path
+(* Each strategy on both evaluators over the GOLA suite: the delta path
    prices the same proposals from the same draws, so every instance's
    reduction and statistics match the recompute path's. *)
 let test_runners_agree_on_both_evaluators () =
@@ -175,21 +175,20 @@ let test_runners_agree_on_both_evaluators () =
   let gfun = Gfun.six_temp_annealing and schedule = Schedule.geometric ~y1:1. ~ratio:0.9 ~k:6 in
   let budget = Budget.Evaluations 600 in
   let module P = Linarr_problem.Swap in
-  let runners =
+  let strategies =
     [
-      ( "figure1",
-        fun ?delta_ops rng -> Suites.figure1 (module P) ?delta_ops ~gfun ~schedule ~budget rng );
-      ( "figure2",
-        fun ?delta_ops rng -> Suites.figure2 (module P) ?delta_ops ~gfun ~schedule ~budget rng );
-      ( "rejectionless",
-        fun ?delta_ops rng ->
-          Suites.rejectionless (module P) ?delta_ops ~gfun ~schedule ~budget rng );
+      ("figure1", Engine.figure1 ());
+      ("figure2", Engine.Figure2);
+      ("rejectionless", Engine.Rejectionless);
     ]
   in
   let stats r = Obs.Json.to_string (Mc_problem.stats_to_json r.Mc_problem.stats) in
   List.iter
-    (fun (name, run) ->
-      let on delta_ops = Suites.runs (Suites.streams (Rng.create ~seed:12) s) s (run ?delta_ops) in
+    (fun (name, strategy) ->
+      let on delta_ops =
+        Suites.runs (Suites.streams (Rng.create ~seed:12) s) s
+          (Engine.run (module P) ?delta_ops strategy ~gfun ~schedule ~budget)
+      in
       let delta = on (Some P.delta_ops) in
       Array.iteri
         (fun i (reduction, r) ->
@@ -198,7 +197,7 @@ let test_runners_agree_on_both_evaluators () =
           Alcotest.check Alcotest.int (what ^ "reduction") reduction reduction';
           Alcotest.check Alcotest.string (what ^ "statistics") (stats r) (stats r'))
         (on None))
-    runners
+    strategies
 
 let test_streams_match_interleaved_splits () =
   let s = Suites.gola () in
@@ -214,7 +213,7 @@ let test_streams_match_interleaved_splits () =
       Alcotest.check Alcotest.string "same stream" (Rng.to_state own) states.(i);
       let state = Suites.initial_arrangement s i in
       let initial = Arrangement.density state in
-      let r = metropolis_run own state in
+      let r = Engine.or_raise (metropolis_run own state) in
       Alcotest.check Alcotest.int "same reduction"
         (initial - Arrangement.density r.Mc_problem.best)
         reduction)
@@ -252,7 +251,7 @@ let test_grid_search_ties_go_first () =
     (fun seed ->
       Alcotest.check Alcotest.int "g = 1 saturates" optimum_total
         (Suites.total_reduction (Rng.create ~seed) s (fun rng state ->
-             Suites.figure1 (module Linarr_problem.Swap) ~gfun:Gfun.g_one
+             Engine.run (module Linarr_problem.Swap) (Engine.figure1 ()) ~gfun:Gfun.g_one
                ~schedule:(Gfun.schedule Gfun.g_one 1.) ~budget rng state)))
     [ 1; 2; 3 ];
   List.iter

@@ -49,7 +49,7 @@ let fingerprint run =
         Buffer.add_string buf (masked_line ev);
         Buffer.add_char buf '\n')
   in
-  let (r : _ Mc_problem.run) = run observer in
+  let (r : _ Mc_problem.run) = Engine.or_raise (run observer) in
   let s = r.Mc_problem.stats in
   Printf.sprintf "best=%016Lx final=%016Lx evals=%d imp=%d lat=%d up=%d rej=%d temps=%d desc=%d events=%s"
     (Int64.bits_of_float r.Mc_problem.best_cost)
@@ -60,10 +60,6 @@ let fingerprint run =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 module Swap = Linarr_problem.Swap
-module F1 = Figure1.Make (Swap)
-module F2 = Figure2.Make (Swap)
-module RL = Rejectionless.Make (Swap)
-module Tsp_rl = Rejectionless.Make (Tsp_problem)
 
 let gola15 () =
   let rng = Rng.create ~seed:7 in
@@ -80,33 +76,19 @@ let swap_delta = { Swap.delta_ops with Mc_problem.recost_every = 250 }
 
 let delta_opt fast = if fast then Some swap_delta else None
 
-let figure1 ?(instance = gola15) ~fast observer =
+(* A Swap walk under [strategy] from [instance] (default [gola15]). *)
+let swap_run ?(instance = gola15) ?(budget = budget) strategy ~fast observer =
   let state, rng = instance () in
-  F1.run ~observer ?delta_ops:(delta_opt fast) rng
-    (F1.params ~gfun ~schedule ~budget ())
-    state
-
-let figure2 ?(budget = budget) ~fast observer =
-  let state, rng = gola15 () in
-  F2.run ~observer ?delta_ops:(delta_opt fast) rng
-    (F2.params ~gfun ~schedule ~budget ())
-    state
-
-let rejectionless ~fast observer =
-  let state, rng = gola15 () in
-  RL.run ~observer ?delta_ops:(delta_opt fast) rng
-    (RL.params ~gfun ~schedule ~budget)
-    state
+  Engine.run (module Swap) ?delta_ops:(delta_opt fast) ~observer strategy ~gfun ~schedule
+    ~budget rng state
 
 let tsp_rejectionless observer =
   let rng = Rng.create ~seed:9 in
   let inst = Tsp_instance.random_uniform rng ~n:24 in
   let tour = Tour.random rng inst in
-  Tsp_rl.run ~observer ~delta_ops:Tsp_problem.delta_ops rng
-    (Tsp_rl.params ~gfun:Gfun.metropolis
-       ~schedule:(Schedule.constant ~k:1 0.05)
-       ~budget:(Budget.Evaluations 4000))
-    tour
+  Engine.run (module Tsp_problem) ~delta_ops:Tsp_problem.delta_ops ~observer
+    Engine.Rejectionless ~gfun:Gfun.metropolis ~schedule:(Schedule.constant ~k:1 0.05)
+    ~budget:(Budget.Evaluations 4000) rng tour
 
 (* Enough budget for Figure 2 to spend its 100 probes at each of the
    six temperatures and start the schedule over, which the 3000-tick
@@ -123,13 +105,13 @@ let both_paths name run expected =
   ]
 
 let pinned_runs =
-  both_paths "figure1" (figure1 ~instance:gola15)
+  both_paths "figure1" (swap_run (Engine.figure1 ()))
     "best=404e800000000000 final=404e800000000000 evals=3000 imp=112 lat=1024 up=101 rej=1763 temps=6 desc=0 events=4588bb17f292fa7f865cde4115e52f49"
-  @ both_paths "figure2" (figure2 ~budget)
+  @ both_paths "figure2" (swap_run Engine.Figure2)
       "best=404e800000000000 final=404e800000000000 evals=3000 imp=16 lat=17 up=3 rej=37 temps=1 desc=21 events=c15308b8cbefbdce9e54dc2d6cc820cc"
-  @ both_paths "figure2/schedule-restart" (figure2 ~budget:restart_budget)
+  @ both_paths "figure2/schedule-restart" (swap_run ~budget:restart_budget Engine.Figure2)
       "best=404e800000000000 final=404e800000000000 evals=40000 imp=60 lat=317 up=26 rej=664 temps=6 desc=344 events=9360dedc764124f624e07e21619ba23f"
-  @ both_paths "rejectionless" rejectionless
+  @ both_paths "rejectionless" (swap_run Engine.Rejectionless)
       "best=4051800000000000 final=4051800000000000 evals=3000 imp=5 lat=22 up=2 rej=2971 temps=6 desc=29 events=ac719fd52e4553361e5a85f16fc99a1c"
   @ [
       ( "rejectionless/tsp-2opt",
@@ -139,35 +121,24 @@ let pinned_runs =
 
 (* The engines and settings above for any problem, one pinned row per
    (instance, engine) on the recompute path. *)
-module Pinned (P : Mc_problem.S) = struct
-  module E1 = Figure1.Make (P)
-  module E2 = Figure2.Make (P)
-  module ERL = Rejectionless.Make (P)
+let pinned_row problem prefix (instance_name, instance) (engine_name, strategy) expected =
+  ( Printf.sprintf "%s/%s/%s/recompute" prefix instance_name engine_name,
+    (fun () ->
+      fingerprint (fun observer ->
+          let state, rng = instance () in
+          Engine.run problem ~observer (strategy ()) ~gfun ~schedule ~budget rng state)),
+    expected )
 
-  let run engine instance observer =
-    let state, rng = instance () in
-    match engine with
-    | `Figure1 -> E1.run ~observer rng (E1.params ~gfun ~schedule ~budget ()) state
-    | `Figure2 ->
-        E2.run ~observer rng (E2.params ~gfun ~schedule ~budget ()) state
-    | `Rejectionless -> ERL.run ~observer rng (ERL.params ~gfun ~schedule ~budget) state
-
-  let row prefix (instance_name, instance) (engine_name, engine) expected =
-    ( Printf.sprintf "%s/%s/%s/recompute" prefix instance_name engine_name,
-      (fun () -> fingerprint (run engine instance)),
-      expected )
-end
-
-let f1 = ("figure1", `Figure1)
-and f2 = ("figure2", `Figure2)
-and rl = ("rejectionless", `Rejectionless)
+(* Strategies for any problem: thunks, since a Figure 1 strategy names
+   the problem's state type. *)
+let f1 = ("figure1", fun () -> Engine.figure1 ())
+and f2 = ("figure2", fun () -> Engine.Figure2)
+and rl = ("rejectionless", fun () -> Engine.Rejectionless)
 
 (* The single-exchange move ([Linarr_problem.Relocate]) on the paper's
    two instance shapes: two-pin GOLA and 2–5-pin NOLA, 15 elements and
    150 nets. *)
-module Relocate_pins = Pinned (Linarr_problem.Relocate)
-
-let relocate_row = Relocate_pins.row "relocate"
+let relocate_row = pinned_row (module Linarr_problem.Relocate) "relocate"
 
 let nola15 () =
   let rng = Rng.create ~seed:7 in
@@ -205,14 +176,10 @@ let nola24 () =
   let nl = Netlist.random_nola rng ~elements:24 ~nets:60 ~min_pins:2 ~max_pins:4 in
   (Placement.random rng ~rows:6 ~cols:6 nl, rng)
 
-module Sum_cuts_pins = Pinned (Linarr_problem.Swap_sum_cuts)
-module Partition_pins = Pinned (Partition_problem)
-module Placement_pins = Pinned (Placement.Problem)
-
 let recompute_runs =
-  let sum = Sum_cuts_pins.row "sum-of-cuts"
-  and part = Partition_pins.row "partition" ("gola30", gola30)
-  and place = Placement_pins.row "placement" ("nola24", nola24) in
+  let sum = pinned_row (module Linarr_problem.Swap_sum_cuts) "sum-of-cuts"
+  and part = pinned_row (module Partition_problem) "partition" ("gola30", gola30)
+  and place = pinned_row (module Placement.Problem) "placement" ("nola24", nola24) in
   let gola = ("gola15", gola15) and nola = ("nola15", nola15) in
   [
     sum gola f1
@@ -251,28 +218,25 @@ let nola600 () =
   (Arrangement.random rng nl, rng)
 
 let nola600_runs =
-  both_paths "nola600/figure1" (figure1 ~instance:nola600)
+  both_paths "nola600/figure1" (swap_run ~instance:nola600 (Engine.figure1 ()))
     "best=4092000000000000 final=4092000000000000 evals=3000 imp=265 lat=1667 up=162 rej=906 temps=6 desc=0 events=d24959f4d6425a026a6a4cb2abce5cd1"
   @ [
-    relocate_row ("nola600", nola600) ("figure1", `Figure1)
+    relocate_row ("nola600", nola600) f1
       "best=4092180000000000 final=4092180000000000 evals=3000 imp=295 lat=1768 up=181 rej=756 temps=6 desc=0 events=3bb4311346f473a4d988a68cd88bf1a9";
   ]
 
 (* The ledger's TSP size: Figure 1 on a 1000-city tour, both evaluator
    paths, and the report of a full 21-class race on the same instance.
    These pin the 2-opt pricing bit for bit where the ledger times it. *)
-module Tsp_f1 = Figure1.Make (Tsp_problem)
-
 let tsp1000 () = Tsp_instance.random_uniform (Rng.create ~seed:1000) ~n:1000
 
 let tsp1000_figure1 ~fast observer =
   let rng = Rng.create ~seed:21 in
   let tour = Tour.random rng (tsp1000 ()) in
   let delta_ops = if fast then Some Tsp_problem.delta_ops else None in
-  Tsp_f1.run ~observer ?delta_ops rng
-    (Tsp_f1.params ~gfun ~schedule:(Schedule.geometric ~y1:0.2 ~ratio:0.6 ~k:6)
-       ~budget:(Budget.Evaluations 20_000) ())
-    tour
+  Engine.run (module Tsp_problem) ?delta_ops ~observer (Engine.figure1 ()) ~gfun
+    ~schedule:(Schedule.geometric ~y1:0.2 ~ratio:0.6 ~k:6) ~budget:(Budget.Evaluations 20_000)
+    rng tour
 
 let tsp1000_race () =
   let inst = tsp1000 () in
@@ -314,28 +278,28 @@ let test_engine_replay_identical () =
      process too; this is the property EXPERIMENTS.md's tables rest
      on. *)
   Alcotest.check Alcotest.string "six-temp replay"
-    (fingerprint (figure1 ~fast:false))
-    (fingerprint (figure1 ~fast:false))
+    (fingerprint (swap_run (Engine.figure1 ()) ~fast:false))
+    (fingerprint (swap_run (Engine.figure1 ()) ~fast:false))
 
 let test_cross_substrate_replay () =
   let run_tsp () =
     let rng = Rng.create ~seed:31 in
     let inst = Tsp_instance.random_uniform rng ~n:30 in
     let t = Tour.random rng inst in
-    let module E = Figure1.Make (Tsp_problem) in
-    let p = E.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 0.05 |])
-        ~budget:(Budget.Evaluations 3000) () in
-    (E.run rng p t).Mc_problem.best_cost
+    (Engine.or_raise
+       (Engine.run (module Tsp_problem) (Engine.figure1 ()) ~gfun:Gfun.metropolis
+          ~schedule:(Schedule.of_array [| 0.05 |]) ~budget:(Budget.Evaluations 3000) rng t))
+      .Mc_problem.best_cost
   in
   Alcotest.check (Alcotest.float 0.) "tsp replay" (run_tsp ()) (run_tsp ());
   let run_part () =
     let rng = Rng.create ~seed:32 in
     let nl = Netlist.random_gola rng ~elements:30 ~nets:90 in
     let part = Bipartition.random_balanced rng nl in
-    let module E = Figure1.Make (Partition_problem) in
-    let p = E.params ~gfun:Gfun.g_one ~schedule:(Schedule.constant ~k:1 1.)
-        ~budget:(Budget.Evaluations 3000) () in
-    (E.run rng p part).Mc_problem.best_cost
+    (Engine.or_raise
+       (Engine.run (module Partition_problem) (Engine.figure1 ()) ~gfun:Gfun.g_one
+          ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations 3000) rng part))
+      .Mc_problem.best_cost
   in
   Alcotest.check (Alcotest.float 0.) "partition replay" (run_part ()) (run_part ())
 

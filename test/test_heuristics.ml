@@ -286,9 +286,6 @@ let test_exact_matches_exhaustive_density () =
          ~max_pins:(min 4 n))
   done
 
-module Fig1 = Figure1.Make (Linarr_problem.Swap)
-module Fig2 = Figure2.Make (Linarr_problem.Swap)
-module Rless = Rejectionless.Make (Linarr_problem.Swap)
 
 (* Every engine, on the recompute path and on [Swap.delta_ops], ends at
    or above the exact optimum, and the best cost it reports is the
@@ -307,14 +304,17 @@ let check_engines_against_exact label nl exact =
   in
   List.iter
     (fun (path, delta_ops) ->
-      let start () = Arrangement.random (Rng.create ~seed:1) nl in
-      let rng () = Rng.create ~seed:2 in
-      check ("figure1 " ^ path)
-        (Fig1.run ?delta_ops (rng ()) (Fig1.params ~gfun ~schedule ~budget ()) (start ()));
-      check ("figure2 " ^ path)
-        (Fig2.run ?delta_ops (rng ()) (Fig2.params ~gfun ~schedule ~budget ()) (start ()));
-      check ("rejectionless " ^ path)
-        (Rless.run ?delta_ops (rng ()) (Rless.params ~gfun ~schedule ~budget) (start ())))
+      List.iter
+        (fun (engine, strategy) ->
+          check (engine ^ " " ^ path)
+            (Engine.or_raise
+               (Engine.run (module Linarr_problem.Swap) ?delta_ops strategy ~gfun ~schedule
+                  ~budget (Rng.create ~seed:2) (Arrangement.random (Rng.create ~seed:1) nl))))
+        [
+          ("figure1", Engine.figure1 ());
+          ("figure2", Engine.Figure2);
+          ("rejectionless", Engine.Rejectionless);
+        ])
     [ ("recompute", None); ("delta", Some Linarr_problem.Swap.delta_ops) ]
 
 let test_no_heuristic_beats_exact () =

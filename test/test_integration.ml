@@ -5,12 +5,9 @@
 let case name f = Alcotest.test_case name `Quick f
 
 module Relocate_f1 = Figure1.Make (Linarr_problem.Relocate)
-module Tsp_f2 = Figure2.Make (Tsp_problem)
-module Arr_rless = Rejectionless.Make (Linarr_problem.Swap)
 module Arr_f1 = Figure1.Make (Linarr_problem.Swap)
 module Part_f1 = Figure1.Make (Partition_problem)
 module Place_f1 = Figure1.Make (Placement.Problem)
-module Floor_f2 = Figure2.Make (Floorplan.Problem)
 module Wire_f1 = Figure1.Make (Wiring.Problem)
 
 let test_relocate_engine () =
@@ -33,12 +30,11 @@ let test_figure2_on_tsp () =
   let inst = Tsp_instance.random_uniform rng ~n:14 in
   let tour = Tour.random rng inst in
   let initial = Tour.length tour in
-  let p =
-    Tsp_f2.params ~gfun:(Gfun.cohoon_sahni ~m:14)
-      ~schedule:(Schedule.constant ~k:1 1.)
-      ~budget:(Budget.Evaluations 5000) ()
+  let r =
+    Engine.or_raise
+      (Engine.run (module Tsp_problem) Engine.Figure2 ~gfun:(Gfun.cohoon_sahni ~m:14)
+         ~schedule:(Schedule.constant ~k:1 1.) ~budget:(Budget.Evaluations 5000) rng tour)
   in
-  let r = Tsp_f2.run rng p tour in
   Alcotest.check Alcotest.bool "descends to 2-opt optimum territory" true
     (r.Mc_problem.best_cost < initial);
   Alcotest.check Alcotest.bool "multiple descents" true
@@ -52,11 +48,11 @@ let test_rejectionless_on_arrangement () =
   let nl = Netlist.random_gola rng ~elements:10 ~nets:40 in
   let arr = Arrangement.random rng nl in
   let initial = Arrangement.density arr in
-  let p =
-    Arr_rless.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 0.3 |])
-      ~budget:(Budget.Evaluations 20_000)
+  let r =
+    Engine.or_raise
+      (Engine.run (module Linarr_problem.Swap) Engine.Rejectionless ~gfun:Gfun.metropolis
+         ~schedule:(Schedule.of_array [| 0.3 |]) ~budget:(Budget.Evaluations 20_000) rng arr)
   in
-  let r = Arr_rless.run rng p arr in
   Alcotest.check Alcotest.bool "reduces density" true
     (int_of_float r.Mc_problem.best_cost < initial);
   Arrangement.check arr
@@ -117,11 +113,11 @@ let test_figure2_on_floorplan () =
   let dims = Array.init 8 (fun _ -> (Rng.int_range rng 2 8, Rng.int_range rng 2 8)) in
   let f = Floorplan.create dims in
   let initial = Floorplan.area f in
-  let p =
-    Floor_f2.params ~gfun:Gfun.two_level ~schedule:(Schedule.constant ~k:2 1.)
-      ~budget:(Budget.Evaluations 8000) ()
+  let r =
+    Engine.or_raise
+      (Engine.run (module Floorplan.Problem) Engine.Figure2 ~gfun:Gfun.two_level
+         ~schedule:(Schedule.constant ~k:2 1.) ~budget:(Budget.Evaluations 8000) rng f)
   in
-  let r = Floor_f2.run rng p f in
   Alcotest.check Alcotest.bool "area shrinks" true
     (int_of_float r.Mc_problem.best_cost < initial);
   Floorplan.check r.Mc_problem.best

@@ -25,8 +25,6 @@ module Line = struct
 end
 
 module F1 = Figure1.Make (Line)
-module F2 = Figure2.Make (Line)
-module RL = Rejectionless.Make (Line)
 
 let vee x = float_of_int (abs x)
 
@@ -435,11 +433,10 @@ let test_f2_jsonl_reconciles () =
   let r, events =
     roundtrip_stats (fun sink ->
         let s = { Line.x = 9; cost_fn = (fun x -> float_of_int (abs (abs x - 3))) } in
-        let p =
-          F2.params ~gfun:Gfun.metropolis
-            ~schedule:(Schedule.of_array [| 2. |]) ~budget:(Budget.Evaluations 3000) ()
-        in
-        F2.run ~observer:sink (Rng.create ~seed:103) p s)
+        Engine.or_raise
+          (Engine.run (module Line) ~observer:sink Engine.Figure2 ~gfun:Gfun.metropolis
+             ~schedule:(Schedule.of_array [| 2. |]) ~budget:(Budget.Evaluations 3000)
+             (Rng.create ~seed:103) s))
   in
   Alcotest.check stats_testable "figure2 events = stats"
     r.Mc_problem.stats
@@ -451,11 +448,10 @@ let test_rl_jsonl_reconciles () =
   let r, events =
     roundtrip_stats (fun sink ->
         let s = { Line.x = 6; cost_fn = vee } in
-        let p =
-          RL.params ~gfun:Gfun.metropolis ~schedule:(Schedule.of_array [| 1.5 |])
-            ~budget:(Budget.Evaluations 800)
-        in
-        RL.run ~observer:sink (Rng.create ~seed:104) p s)
+        Engine.or_raise
+          (Engine.run (module Line) ~observer:sink Engine.Rejectionless ~gfun:Gfun.metropolis
+             ~schedule:(Schedule.of_array [| 1.5 |]) ~budget:(Budget.Evaluations 800)
+             (Rng.create ~seed:104) s))
   in
   let derived = Mc_problem.stats_of_events events in
   (* The rejectionless engine's [rejected] stat is scan overhead with no

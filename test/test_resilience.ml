@@ -29,7 +29,7 @@ let err_containing what = function
 
 (* ----------------------- shared test fixtures -------------------- *)
 
-module Engine = Figure1.Make (Linarr_problem.Swap)
+module F1 = Figure1.Make (Linarr_problem.Swap)
 
 let netlist = Netlist.random_gola (Rng.create ~seed:11) ~elements:12 ~nets:60
 let codec () = Linarr_problem.codec netlist
@@ -38,7 +38,7 @@ let fingerprint = Obs.Json.Obj [ ("test", Obs.Json.String "resilience") ]
 let engine_params ~evals =
   let gfun = Gfun.six_temp_annealing in
   let schedule = Schedule.geometric ~y1:4.0 ~ratio:0.5 ~k:(Gfun.k gfun) in
-  Engine.params ~gfun ~schedule ~budget:(Budget.Evaluations evals) ()
+  F1.params ~gfun ~schedule ~budget:(Budget.Evaluations evals) ()
 
 let start_state () = Arrangement.random (Rng.create ~seed:5) netlist
 
@@ -213,7 +213,7 @@ let test_kill_and_resume_bit_identical () =
   let params = engine_params ~evals:4000 in
   (* Uninterrupted baseline. *)
   let state_base = start_state () in
-  let r_base = Engine.run (Rng.create ~seed:7) params state_base in
+  let r_base = F1.run (Rng.create ~seed:7) params state_base in
   (* Same run, killed at evaluation 2000 from inside the checkpoint
      callback — exactly how the CLI's signal flag stops a run. *)
   let path = temp_path () in
@@ -226,7 +226,7 @@ let test_kill_and_resume_bit_identical () =
   in
   let state_killed = start_state () in
   (match
-     Engine.run ~checkpoint_every:1000 ~on_checkpoint:killing
+     F1.run ~checkpoint_every:1000 ~on_checkpoint:killing
        (Rng.create ~seed:7) params state_killed
    with
   | (_ : Arrangement.t Mc_problem.run) ->
@@ -242,7 +242,7 @@ let test_kill_and_resume_bit_identical () =
     (Int64.bits_of_float (float_of_int (Arrangement.density (start_state ()))))
     (Int64.bits_of_float snap.Figure1.initial_cost);
   let r_res =
-    Engine.run ~checkpoint_every:1000 ~on_checkpoint:save ~resume:(snap, best)
+    F1.run ~checkpoint_every:1000 ~on_checkpoint:save ~resume:(snap, best)
       rng params current
   in
   Sys.remove path;
@@ -269,7 +269,7 @@ let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 let test_resume_on_share_boundary () =
   let codec = codec () in
   let params = engine_params ~evals:4001 in
-  let boundary = Budget.share_end params.Engine.budget ~k:6 3 in
+  let boundary = Budget.share_end params.F1.budget ~k:6 3 in
   Alcotest.check Alcotest.int "share 3 of 4001 ends on an inexact tick" 2001 boundary;
   (* Uninterrupted run, noting where its stream stood at the boundary. *)
   let observer, events = recording () in
@@ -278,7 +278,7 @@ let test_resume_on_share_boundary () =
     if snap.Figure1.ticks = boundary then at_boundary := List.length (events ())
   in
   let r_base =
-    Engine.run ~observer ~checkpoint_every:boundary ~on_checkpoint:mark
+    F1.run ~observer ~checkpoint_every:boundary ~on_checkpoint:mark
       (Rng.create ~seed:7) params (start_state ())
   in
   let tail = List.filteri (fun i _ -> i >= !at_boundary) (events ()) in
@@ -289,7 +289,7 @@ let test_resume_on_share_boundary () =
     if snap.Figure1.ticks = boundary then raise Simulated_kill
   in
   (match
-     Engine.run ~checkpoint_every:boundary ~on_checkpoint:killing
+     F1.run ~checkpoint_every:boundary ~on_checkpoint:killing
        (Rng.create ~seed:7) params (start_state ())
    with
   | (_ : Arrangement.t Mc_problem.run) -> Alcotest.fail "run was not interrupted"
@@ -301,7 +301,7 @@ let test_resume_on_share_boundary () =
   Alcotest.check Alcotest.int "killed on the boundary" boundary snap.Figure1.ticks;
   Alcotest.check Alcotest.int "snapshot still at temperature 3" 3 snap.Figure1.temp;
   let observer, events = recording () in
-  let r_res = Engine.run ~observer ~resume:(snap, best) rng params current in
+  let r_res = F1.run ~observer ~resume:(snap, best) rng params current in
   check_runs_identical ~msg:"resumed on the boundary vs uninterrupted" r_base r_res;
   (* A resumed run opens with its own [Run_start] and the
      [Temp_advance] of the temperature it re-enters. *)
@@ -316,14 +316,14 @@ let test_checkpointing_is_observation_only () =
   let codec = codec () in
   let params = engine_params ~evals:3000 in
   let state_plain = start_state () in
-  let r_plain = Engine.run (Rng.create ~seed:8) params state_plain in
+  let r_plain = F1.run (Rng.create ~seed:8) params state_plain in
   let path = temp_path () in
   let save snap ~current ~best =
     Checkpoint.save_figure1 ~path ~codec ~fingerprint snap ~current ~best
   in
   let state_ckpt = start_state () in
   let r_ckpt =
-    Engine.run ~checkpoint_every:500 ~on_checkpoint:save (Rng.create ~seed:8)
+    F1.run ~checkpoint_every:500 ~on_checkpoint:save (Rng.create ~seed:8)
       params state_ckpt
   in
   Sys.remove path;
@@ -339,72 +339,55 @@ let test_resume_argument_validation () =
   let state () = start_state () in
   Alcotest.check_raises "negative resume ticks"
     (Invalid_argument "Figure1.run: resume with negative ticks") (fun () ->
-      ignore (Engine.run ~resume:(bad_ticks, state ()) (Rng.create ~seed:1)
+      ignore (F1.run ~resume:(bad_ticks, state ()) (Rng.create ~seed:1)
                 params (state ())));
   Alcotest.check_raises "temperature out of range"
     (Invalid_argument "Figure1.run: resume temperature out of schedule range")
     (fun () ->
-      ignore (Engine.run ~resume:(bad_temp, state ()) (Rng.create ~seed:1)
+      ignore (F1.run ~resume:(bad_temp, state ()) (Rng.create ~seed:1)
                 params (state ())));
   Alcotest.check_raises "non-positive checkpoint_every"
     (Invalid_argument "Figure1.run: checkpoint_every <= 0") (fun () ->
-      ignore (Engine.run ~checkpoint_every:0 (Rng.create ~seed:1) params
+      ignore (F1.run ~checkpoint_every:0 (Rng.create ~seed:1) params
                 (state ())))
 
 (* --------------------- chaos fault injection --------------------- *)
 
 module Chaos_swap = Mc_problem.Chaos (Linarr_problem.Swap)
-module CF1 = Figure1.Make (Chaos_swap)
-module CF2 = Figure2.Make (Chaos_swap)
-module CRL = Rejectionless.Make (Chaos_swap)
 
 (* Low constant temperature: plenty of rejections, so the revert path
    is exercised early in every engine. *)
 let chaos_gfun = Gfun.metropolis
 let chaos_schedule = Schedule.constant ~k:1 0.5
 
-let cf1_params =
-  lazy
-    (CF1.params ~gfun:chaos_gfun ~schedule:chaos_schedule
-       ~budget:(Budget.Evaluations 4000) ())
+(* The three strategies, each on the chaos-wrapped problem through the
+   one entry point. *)
+let strategies =
+  [
+    ("figure1", Engine.figure1 ());
+    ("figure2", Engine.Figure2);
+    ("rejectionless", Engine.Rejectionless);
+  ]
 
-let cf2_params =
-  lazy
-    (CF2.params ~gfun:chaos_gfun ~schedule:chaos_schedule
-       ~budget:(Budget.Evaluations 4000) ())
+let delta_engines ?observer ?delta_ops () =
+  List.map
+    (fun (name, strategy) ->
+      ( name,
+        fun state ->
+          Engine.run (module Chaos_swap) ?delta_ops ?observer strategy ~gfun:chaos_gfun
+            ~schedule:chaos_schedule ~budget:(Budget.Evaluations 4000) (Rng.create ~seed:22)
+            state ))
+    strategies
 
-let crl_params =
-  lazy
-    (CRL.params ~gfun:chaos_gfun ~schedule:chaos_schedule
-       ~budget:(Budget.Evaluations 4000))
+let engines = delta_engines ()
 
 (* Run [engine] on a fresh arrangement expecting an abort; return the
    reason, the partial result, and the state the engine was mutating. *)
-let abort_of engine =
+let abort_of name engine =
   let state = Arrangement.random (Rng.create ~seed:21) netlist in
   match engine state with
-  | (_ : Arrangement.t Mc_problem.run) ->
-      Alcotest.fail "engine completed despite the planned fault"
-  | exception e -> (e, state)
-
-let engines =
-  [
-    ( "figure1",
-      fun state -> CF1.run (Rng.create ~seed:22) (Lazy.force cf1_params) state );
-    ( "figure2",
-      fun state -> CF2.run (Rng.create ~seed:22) (Lazy.force cf2_params) state );
-    ( "rejectionless",
-      fun state -> CRL.run (Rng.create ~seed:22) (Lazy.force crl_params) state );
-  ]
-
-let partial_of_abort name = function
-  | CF1.Aborted { reason; partial } -> (reason, partial)
-  | CF2.Aborted { reason; partial } -> (reason, partial)
-  | CRL.Aborted { reason; partial } -> (reason, partial)
-  | e ->
-      Alcotest.fail
-        (Printf.sprintf "%s: expected Aborted, got %s" name
-           (Printexc.to_string e))
+  | Ok _ -> Alcotest.fail (name ^ ": engine completed despite the planned fault")
+  | Error { Mc_problem.reason; partial } -> (reason, partial, state)
 
 let check_aborted_cleanly ~name ~fault_is_cost (reason, partial, state) =
   (match (fault_is_cost, reason) with
@@ -426,10 +409,7 @@ let check_aborted_cleanly ~name ~fault_is_cost (reason, partial, state) =
 let chaos_matrix_case (fault_name, fault, expected) (engine_name, engine) () =
   Chaos_swap.reset ();
   Chaos_swap.plan ~after:60 fault;
-  let e, state = abort_of engine in
-  let reason, partial =
-    partial_of_abort (engine_name ^ "/" ^ fault_name) e
-  in
+  let reason, partial, state = abort_of (engine_name ^ "/" ^ fault_name) engine in
   Alcotest.check Alcotest.int
     (engine_name ^ "/" ^ fault_name ^ ": fault fired once")
     1 (Chaos_swap.injected ());
@@ -488,27 +468,14 @@ let faulty_delta_ops ~fired fault =
   | Raise_commit ->
       { d with commit = (fun s m -> if fire () then raise (fault_exn "commit") else d.commit s m) }
 
-let delta_engines ?observer delta_ops =
-  [
-    ( "figure1",
-      fun state ->
-        CF1.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force cf1_params) state );
-    ( "figure2",
-      fun state ->
-        CF2.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force cf2_params) state );
-    ( "rejectionless",
-      fun state ->
-        CRL.run ?observer ~delta_ops (Rng.create ~seed:22) (Lazy.force crl_params) state );
-  ]
-
 let delta_chaos_case (fault_name, fault, expected, message) engine_name () =
   Chaos_swap.reset ();
   let fired = ref 0 in
   let delta_ops = faulty_delta_ops ~fired fault in
-  let engine = List.assoc engine_name (delta_engines delta_ops) in
-  let e, state = abort_of engine in
   let name = engine_name ^ "/delta/" ^ fault_name in
-  let reason, partial = partial_of_abort name e in
+  let reason, partial, state =
+    abort_of name (List.assoc engine_name (delta_engines ~delta_ops ()))
+  in
   Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 !fired;
   Alcotest.check Alcotest.bool (name ^ ": reason names the fault") true
     (contains ~sub:message (Printexc.to_string reason));
@@ -519,10 +486,10 @@ let resync_chaos_case (fault_name, fault) engine_name () =
   (* Dormant through the initial cost and two resyncs. *)
   Chaos_swap.plan ~after:3 fault;
   let delta_ops = { Linarr_problem.Swap.delta_ops with Mc_problem.recost_every = 7 } in
-  let engine = List.assoc engine_name (delta_engines delta_ops) in
-  let e, state = abort_of engine in
   let name = engine_name ^ "/resync/" ^ fault_name in
-  let reason, partial = partial_of_abort name e in
+  let reason, partial, state =
+    abort_of name (List.assoc engine_name (delta_engines ~delta_ops ()))
+  in
   Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 (Chaos_swap.injected ());
   Chaos_swap.reset ();
   Alcotest.check Alcotest.bool (name ^ ": reason names the resync") true
@@ -589,14 +556,13 @@ let abort_after_new_best_case engine_name nth () =
       raise (Chaos_swap.Fault "injected commit after a new best")
     end
   in
-  let run = List.assoc engine_name (delta_engines ~observer { d with commit }) in
-  let e, _ =
-    abort_of (fun state ->
+  let run = List.assoc engine_name (delta_engines ~observer ~delta_ops:{ d with commit } ()) in
+  let name = Printf.sprintf "%s/commit after new best %d" engine_name nth in
+  let _, partial, _ =
+    abort_of name (fun state ->
         walked := Some state;
         run state)
   in
-  let name = Printf.sprintf "%s/commit after new best %d" engine_name nth in
-  let _, partial = partial_of_abort name e in
   Alcotest.check Alcotest.int (name ^ ": fault fired once") 1 !fired;
   let best = partial.Mc_problem.best and best_cost = partial.Mc_problem.best_cost in
   Arrangement.check best;
@@ -622,11 +588,11 @@ let test_chaos_slow_move_completes () =
   Chaos_swap.reset ();
   Chaos_swap.plan ~after:5 (Chaos_swap.Slow_move 0.002);
   let state = Arrangement.random (Rng.create ~seed:23) netlist in
-  let p =
-    CF1.params ~gfun:chaos_gfun ~schedule:chaos_schedule
-      ~budget:(Budget.Evaluations 50) ()
+  let r =
+    Engine.or_raise
+      (Engine.run (module Chaos_swap) (Engine.figure1 ()) ~gfun:chaos_gfun
+         ~schedule:chaos_schedule ~budget:(Budget.Evaluations 50) (Rng.create ~seed:24) state)
   in
-  let r = CF1.run (Rng.create ~seed:24) p state in
   Alcotest.check Alcotest.int "slow move fired" 1 (Chaos_swap.injected ());
   Chaos_swap.reset ();
   Alcotest.check Alcotest.int "run still completed its budget" 50
